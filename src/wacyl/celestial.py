@@ -20,6 +20,7 @@ from scipy.integrate import solve_ivp
 
 from . import constants
 from .flow import IntegrationError
+from .smoothing import _ramp
 
 __all__ = ["Masses", "CometOrbit", "CartesianState", "SplitCoords",
            "ExtensionParams", "solve_hyperbolic_kepler", "comet_position",
@@ -231,16 +232,36 @@ def split_inverse(sc, masses, t=1.0):
                           y=np.linalg.solve(B, sc.Y), t=t)
 
 
+_PAIRS = ((0, 1), (0, 2), (1, 2))
+
+
+def _pair_gravity(x, m, energy=0.0):
+    """Newtonian gravity between the three bodies at positions x (3, 2)
+    with masses m, one visit per pair i < j in the order of _PAIRS.
+
+    Returns the forces -dV/dx (3, 2), energy + V with
+    V = -sum m_i m_j / |x_i - x_j|, and the smallest pair distance.
+    """
+    force = np.zeros((3, 2))
+    dmin = np.inf
+    for i, j in _PAIRS:
+        r = x[i] - x[j]
+        d = np.linalg.norm(r)
+        if d == 0:
+            raise ZeroDivisionError("collision configuration")
+        mm = m[i] * m[j]
+        f = mm * r / d ** 3
+        force[i] -= f
+        force[j] += f
+        energy -= mm / d
+        dmin = min(dmin, d)
+    return force, energy, dmin
+
+
 def eval_H0_cartesian(state, masses):
     m = masses.as_array()
     kinetic = 0.5 * (state.y ** 2).sum(axis=1) / m
-    H = kinetic.sum()
-    for i in range(3):
-        for j in range(i + 1, 3):
-            d = np.linalg.norm(state.x[i] - state.x[j])
-            if d == 0:
-                raise ZeroDivisionError("collision configuration")
-            H -= m[i] * m[j] / d
+    _, H, _ = _pair_gravity(state.x, m, kinetic.sum())
     return float(H)
 
 
@@ -366,12 +387,6 @@ def decay_diagnostics(sampler, comet, masses, eps, k, t_grid,
 # surrogate chart and extension
 # --------------------------------------------------------------------
 
-def _ramp(u):
-    """1 for u <= 0, 0 for u >= 1, quintic C^2 in between."""
-    u = np.clip(u, 0.0, 1.0)
-    return 1.0 - u ** 3 * (10.0 - 15.0 * u + 6.0 * u ** 2)
-
-
 class CircularChart:
     """Hierarchical circular-circular stand-in for the invariant torus.
 
@@ -424,11 +439,7 @@ class CircularChart:
                                                 np.cos(ang1)])
         Y2 = m.mu2 * self.n2 * rad2 * np.array([-np.sin(ang2),
                                                 np.cos(ang2)])
-        Y0 = np.asarray(eta, dtype=float)
-        sc = SplitCoords(X=np.stack([np.zeros(2), np.zeros(2),
-                                     np.zeros(2)]),
-                         Y=np.stack([Y0, Y1, Y2]))
-        return sc.Y
+        return np.stack([np.asarray(eta, dtype=float), Y1, Y2])
 
     def state(self, theta, xi, r, eta, t=1.0):
         pos = self.positions(theta, xi, r)
@@ -537,13 +548,7 @@ def _cartesian_rhs(masses, comet):
         x = yflat[:6].reshape(3, 2)
         y = yflat[6:].reshape(3, 2)
         dx = y / m[:, None]
-        dy = np.zeros((3, 2))
-        for i in range(3):
-            for j in range(3):
-                if i == j:
-                    continue
-                r = x[i] - x[j]
-                dy[i] -= m[i] * m[j] * r / np.linalg.norm(r) ** 3
+        dy, _, _ = _pair_gravity(x, m)
         if masses.mc > 0 and comet is not None:
             dy -= grad_Hc(x, comet, masses, t)
         return np.concatenate([dx.ravel(), dy.ravel()])
@@ -556,12 +561,12 @@ def integrate_system(state0, comet, masses, t0, t1, tol=1e-11,
     """Trajectory of the full time-dependent system with energy-drift
     reporting; aborts with a timestamp on close encounters."""
     rhs = _cartesian_rhs(masses, comet)
+    m = masses.as_array()
     y0 = np.concatenate([state0.x.ravel(), state0.y.ravel()])
 
     def encounter(t, y):
         x = y[:6].reshape(3, 2)
-        dmin = min(np.linalg.norm(x[i] - x[j])
-                   for i in range(3) for j in range(i + 1, 3))
+        _, _, dmin = _pair_gravity(x, m)
         if masses.mc > 0 and comet is not None:
             c = comet.position(t)
             dmin = min(dmin, min(np.linalg.norm(x[i] - c)
@@ -598,13 +603,7 @@ def leapfrog_conservative(state0, masses, t0, t1, n_steps):
     h = (t1 - t0) / n_steps
 
     def force(x):
-        f = np.zeros((3, 2))
-        for i in range(3):
-            for j in range(3):
-                if i != j:
-                    r = x[i] - x[j]
-                    f[i] -= m[i, 0] * m[j, 0] * r / np.linalg.norm(r) ** 3
-        return f
+        return _pair_gravity(x, m[:, 0])[0]
 
     y = y + 0.5 * h * force(x)
     for _ in range(n_steps - 1):

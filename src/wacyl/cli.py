@@ -22,7 +22,7 @@ from .celestial import (CircularChart, CometOrbit, ExtensionParams,
                         Masses, SurrogateSystem, asymptotic_metric,
                         check_speed_window, confinement_check,
                         extend_Hc, integrate_system)
-from .flow import IntegrationError, NormBudgetError
+from .flow import NumericalError
 from .grids import GridFn, SpatialGrid, TimeGrid
 from .homological import HomologicalProblem, estimate_check, residual_he, \
     solve_he
@@ -145,13 +145,9 @@ def cmd_solve(args):
                    ["Q", "upsilon", "r1", "envelope"],
                    [[r["Q"], r["upsilon"], r["r1"], r["envelope"]]
                     for r in scan])
-    try:
-        sol, state = iterate(H, p, max_steps=int(
-            cfg_get(cfg, "solve.max_steps", 12)), target=target,
-            quad_tol=quad_tol, min_steps=3)
-    except (NormBudgetError, IntegrationError) as exc:
-        print(f"solver failed: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL_FAILURE
+    sol, state = iterate(H, p, max_steps=int(
+        cfg_get(cfg, "solve.max_steps", 12)), target=target,
+        quad_tol=quad_tol, min_steps=3)
     rows = []
     for d in range(1, state.j + 1):
         rows.append([d, state.tau_values[d - 1], state.t_values[d - 1],
@@ -198,11 +194,7 @@ def cmd_homological(args):
     z = GridFn.from_callable(sg, tg,
                              lambda q, t: np.cos(2 * np.pi * q) / t ** 2)
     prob = HomologicalProblem(omega=[1.0], z=z, sigma=1.0)
-    try:
-        sol = solve_he(prob, quad_tol=quad_tol)
-    except (NormBudgetError, IntegrationError) as exc:
-        print(f"solver failed: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL_FAILURE
+    sol = solve_he(prob, quad_tol=quad_tol)
     residual_he(sol, prob)
     est = estimate_check(sol, prob)
     sol.kappa.save(os.path.join(outdir, "kappa.wgf"))
@@ -245,12 +237,8 @@ def cmd_simulate_comet(args):
     if mc == 0.0:
         st0 = chart.state(rng.uniform(0, 1, 4), np.zeros(2),
                           np.zeros(2), np.zeros(2))
-        try:
-            traj = integrate_system(st0, None, masses, 1.0, 1.0 + t_max,
-                                    tol=tol)
-        except IntegrationError as exc:
-            print(f"integration failed: {exc}", file=sys.stderr)
-            return EXIT_NUMERICAL_FAILURE
+        traj = integrate_system(st0, None, masses, 1.0, 1.0 + t_max,
+                                tol=tol)
         _write_csv(outdir, "trajectory.csv",
                    ["t"]
                    + [f"x{i}{c}" for i in range(3) for c in "xy"]
@@ -281,12 +269,7 @@ def cmd_simulate_comet(args):
                     cfg_get(cfg, "comet.xi0y", -0.2)])
     eta0 = system.leading_drift_momentum(theta0, xi0, 1.0)
     state0 = np.concatenate([theta0, xi0, np.zeros(2), eta0])
-    try:
-        traj = system.integrate(state0, 1.0, 1.0 + t_max,
-                                tol=max(tol, 1e-10))
-    except IntegrationError as exc:
-        print(f"integration failed: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL_FAILURE
+    traj = system.integrate(state0, 1.0, 1.0 + t_max, tol=max(tol, 1e-10))
     _write_csv(outdir, "trajectory.csv",
                ["t"] + [f"s{i}" for i in range(10)],
                [[t] + list(s) for t, s in zip(traj["t"], traj["states"])])
@@ -414,6 +397,9 @@ def main(argv=None):
     os.makedirs(args.out, exist_ok=True)
     try:
         return args.fn(args)
+    except NumericalError as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL_FAILURE
     except (ValueError, KeyError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR

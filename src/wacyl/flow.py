@@ -15,16 +15,21 @@ from scipy.integrate import solve_ivp
 
 from .norms import weighted_norm
 
-__all__ = ["VectorFieldSpec", "FundamentalMatrix", "IntegrationError",
-           "NormBudgetError", "integrate_flow", "flow_jacobian",
-           "fundamental_matrix", "gronwall_diagnostics", "rk4"]
+__all__ = ["VectorFieldSpec", "FundamentalMatrix", "NumericalError",
+           "IntegrationError", "NormBudgetError", "integrate_flow",
+           "flow_jacobian", "fundamental_matrix", "gronwall_diagnostics",
+           "rk4"]
 
 
-class IntegrationError(RuntimeError):
+class NumericalError(Exception):
+    """A numerical failure (CLI exit code 3), as opposed to bad input."""
+
+
+class IntegrationError(NumericalError):
     pass
 
 
-class NormBudgetError(ValueError):
+class NormBudgetError(NumericalError):
     """A norm precondition failed; carries the measured value."""
 
     def __init__(self, name, measured, budget):

@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import constants
-from .flow import NormBudgetError, VectorFieldSpec, integrate_flow
+from .flow import NormBudgetError, NumericalError, VectorFieldSpec, \
+    integrate_flow
 from .grids import GridFn
 from .homological import HomologicalProblem, solve_he
 from .norms import weighted_norm
@@ -29,8 +30,8 @@ __all__ = ["QuadraticForm", "HamiltonianSpec", "CandidateV", "GammaField",
            "hypotheses_report", "x_norm", "v_norm", "grad_omega"]
 
 
-class DomainError(ValueError):
-    pass
+class DomainError(NumericalError):
+    """A candidate section left the momentum ball of the Hamiltonian."""
 
 
 class QuadraticForm:
@@ -230,7 +231,7 @@ def v_norm(v, omega, sigma):
 
 def _check_ball(H, v):
     r = np.sqrt((v.values ** 2).sum(axis=-1))
-    worst = np.unravel_index(np.argmax(r), r.shape)
+    worst = tuple(int(i) for i in np.unravel_index(np.argmax(r), r.shape))
     if r[worst] > H.ball_radius:
         raise DomainError(
             f"candidate leaves the momentum ball: |v| = {r[worst]:.3e} > "

@@ -15,6 +15,17 @@ import numpy as np
 __all__ = ["TimeGrid", "SpatialGrid", "GridFn", "fornberg_weights"]
 
 
+def _lagrange_weights(xs, x):
+    """Lagrange interpolation weights for nodes xs at point x, by the
+    product formula (exact for polynomials up to degree len(xs)-1)."""
+    w = np.ones(len(xs))
+    for i in range(len(xs)):
+        for j in range(len(xs)):
+            if i != j:
+                w[i] *= (x - xs[j]) / (xs[i] - xs[j])
+    return w
+
+
 def fornberg_weights(x0, x, order):
     """Finite-difference weights for d^order/dx^order at x0 on nodes x.
 
@@ -74,6 +85,18 @@ class TimeGrid:
             self.points = np.append(self.points, self.points[-1] * self.gamma)
         self.log_points = np.log(self.points)
 
+    @classmethod
+    def from_points(cls, points):
+        """Rebuild a grid from its stored nodes (as written by GridFn.save)."""
+        grid = cls.__new__(cls)
+        grid.points = np.asarray(points, dtype=float)
+        grid.t_start = float(grid.points[0])
+        grid.t_max = float(grid.points[-1])
+        grid.gamma = float(grid.points[1] / grid.points[0]) \
+            if len(grid.points) > 1 else 1.05
+        grid.log_points = np.log(grid.points)
+        return grid
+
     def __len__(self):
         return len(self.points)
 
@@ -117,6 +140,10 @@ class SpatialGrid:
         self.window_points = int(window_points) if m else 0
         self.torus_axes = tuple(np.arange(torus_points) / torus_points
                                 for _ in range(n))
+        # physical frequencies (cycles per period), shared by every torus axis
+        self.torus_freqs = np.fft.fftfreq(self.torus_points,
+                                          d=1.0 / self.torus_points)
+        self.torus_freqs.flags.writeable = False
         if m:
             self.window_axes = tuple(
                 np.linspace(-window_halfwidth, window_halfwidth, window_points)
@@ -142,9 +169,9 @@ class SpatialGrid:
     def meshgrid(self):
         return np.meshgrid(*self.torus_axes, *self.window_axes, indexing="ij")
 
-    def freq(self, axis):
-        """Physical frequencies (cycles per period) of a torus axis."""
-        return np.fft.fftfreq(self.torus_points, d=1.0 / self.torus_points)
+    def torus_mesh(self):
+        """Frequency of every torus axis on the full mode grid ("ij")."""
+        return np.meshgrid(*(self.torus_freqs,) * self.n, indexing="ij")
 
 
 class GridFn:
@@ -227,7 +254,7 @@ class GridFn:
         """
         arr_axis = 1 + axis
         if axis < self.grid.n:
-            k = self.grid.freq(axis)
+            k = self.grid.torus_freqs
             shape = [1] * self.values.ndim
             shape[arr_axis] = len(k)
             mult = (2j * np.pi * k.reshape(shape)) ** order
@@ -287,42 +314,15 @@ class GridFn:
         with open(path, "rb") as fh:
             header = json.loads(fh.readline().decode())
             buf = fh.read()
-        pts = np.asarray(header["time_points"])
-        times = TimeGrid.__new__(TimeGrid)
-        times.points = pts
-        times.t_start = float(pts[0])
-        times.t_max = float(pts[-1])
-        times.gamma = float(pts[1] / pts[0]) if len(pts) > 1 else 1.05
-        times.log_points = np.log(pts)
+        times = TimeGrid.from_points(header["time_points"])
         grid = SpatialGrid(header["n"], header["torus_points"], header["m"],
                            header["window_halfwidth"],
-                           header["window_points"] or 17)
-        shape = (len(pts),) + grid.shape + (header["components"],)
+                           header["window_points"])
+        shape = (len(times),) + grid.shape + (header["components"],)
+        expected = int(np.prod(shape))
+        if len(buf) != 8 * expected:
+            raise ValueError(f"{path}: header promises {expected} float64 "
+                             f"values {shape}, file holds {len(buf)} bytes "
+                             f"({len(buf) / 8:g} values)")
         values = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
-        return cls(grid, times, values)
-
-    def to_json(self):
-        return {
-            "n": self.grid.n, "m": self.grid.m,
-            "torus_points": self.grid.torus_points,
-            "window_points": self.grid.window_points,
-            "window_halfwidth": self.grid.window_halfwidth,
-            "time_points": list(map(float, self.times.points)),
-            "components": self.components,
-            "values": self.values.ravel().tolist(),
-        }
-
-    @classmethod
-    def from_json(cls, obj):
-        pts = np.asarray(obj["time_points"])
-        times = TimeGrid.__new__(TimeGrid)
-        times.points = pts
-        times.t_start = float(pts[0])
-        times.t_max = float(pts[-1])
-        times.gamma = float(pts[1] / pts[0]) if len(pts) > 1 else 1.05
-        times.log_points = np.log(pts)
-        grid = SpatialGrid(obj["n"], obj["torus_points"], obj["m"],
-                           obj["window_halfwidth"], obj["window_points"] or 17)
-        shape = (len(pts),) + grid.shape + (obj["components"],)
-        values = np.asarray(obj["values"]).reshape(shape)
         return cls(grid, times, values)

@@ -26,7 +26,7 @@ from scipy.special import exp1
 
 from . import constants
 from .flow import IntegrationError, NormBudgetError
-from .grids import GridFn
+from .grids import GridFn, _lagrange_weights
 from .norms import weighted_norm
 
 __all__ = ["HomologicalProblem", "HomologicalSolution", "solve_he",
@@ -216,10 +216,7 @@ def _power_tail_integral(T, theta, coeffs, p_lead):
 
 def _mode_phases(grid, omega):
     """2 pi k . omega for every grid mode, flattened."""
-    axes = [np.fft.fftfreq(grid.torus_points, d=1.0 / grid.torus_points)
-            for _ in range(grid.n)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    theta = 2 * np.pi * sum(w * k for w, k in zip(omega, mesh))
+    theta = 2 * np.pi * sum(w * k for w, k in zip(omega, grid.torus_mesh()))
     return theta.ravel()
 
 
@@ -240,13 +237,7 @@ def _time_refine_matrix(times, refine, degree=8):
             continue
         j = i // refine
         lo = min(max(j - width // 2 + 1, 0), T - width)
-        xs = logs[lo:lo + width]
-        w = np.ones(width)
-        for a in range(width):
-            for b in range(width):
-                if a != b:
-                    w[a] *= (lq[i] - xs[b]) / (xs[a] - xs[b])
-        W[i, lo:lo + width] = w
+        W[i, lo:lo + width] = _lagrange_weights(logs[lo:lo + width], lq[i])
     return tau, W
 
 
@@ -264,7 +255,7 @@ def _coeffs_to_grid(coeffs, grid, times, components):
     return GridFn(grid, times, vals)
 
 
-def _free_transport_coeffs(times, theta, rhs_quad, tau, p_lead):
+def _free_transport_coeffs(theta, rhs_quad, tau, p_lead):
     """Solve (d_q k) omega + d_t k = rhs for the decaying solution, in
     coefficient space on the quadrature grid.
 
@@ -279,7 +270,7 @@ def _free_transport_coeffs(times, theta, rhs_quad, tau, p_lead):
     return kap
 
 
-def _spectral_solve(p, t_quad_max, quad_tol, refine=6, max_corrections=30):
+def _spectral_solve(p, quad_tol, refine=6, max_corrections=30):
     grid, times = p.grid, p.times
     if grid.m:
         raise NotImplementedError("spectral route requires a torus-only grid")
@@ -294,7 +285,7 @@ def _spectral_solve(p, t_quad_max, quad_tol, refine=6, max_corrections=30):
         return np.einsum("pt,tmc->pmc", W, c)
 
     rhs = to_quad(zc)
-    kap = _free_transport_coeffs(times, theta, rhs, tau, 2)
+    kap = _free_transport_coeffs(theta, rhs, tau, 2)
     base_scale = np.abs(kap).max()
     n_corr = 0
     hist = []
@@ -303,9 +294,7 @@ def _spectral_solve(p, t_quad_max, quad_tol, refine=6, max_corrections=30):
         gq = to_quad(gc) if gc is not None else None
         shape = grid.shape
         N = grid.torus_points ** grid.n
-        kmesh = [np.fft.fftfreq(grid.torus_points, d=1.0 / grid.torus_points)
-                 for _ in range(grid.n)]
-        kvecs = np.meshgrid(*kmesh, indexing="ij")
+        kvecs = grid.torus_mesh()
         cur = kap
         for it in range(max_corrections):
             # physical fields on the quad grid
@@ -331,7 +320,7 @@ def _spectral_solve(p, t_quad_max, quad_tol, refine=6, max_corrections=30):
             rhs_c = np.fft.fftn(rhs_phys, axes=tuple(range(1, 1 + grid.n))
                                 ) / N
             rhs_c = rhs_c.reshape(len(tau), -1, d)
-            corr = _free_transport_coeffs(times, theta, rhs_c, tau, 2)
+            corr = _free_transport_coeffs(theta, rhs_c, tau, 2)
             kap = kap + corr
             cur = corr
             n_corr = it + 1
@@ -355,7 +344,7 @@ def _spectral_solve(p, t_quad_max, quad_tol, refine=6, max_corrections=30):
 # direct route
 # --------------------------------------------------------------------
 
-def _field_evaluator(gridfn, callable_fn, comps, decay=2.0):
+def _field_evaluator(gridfn, callable_fn, decay=2.0):
     """Evaluator for a field given analytically or as grid data; grid
     data beyond the horizon follows the field's leading decay power."""
     if callable_fn is not None:
@@ -378,9 +367,9 @@ def _direct_solve(p, t_quad_max, quad_tol):
     omega_bar = np.concatenate([p.omega, np.zeros(grid.m)])
     mesh = np.stack(grid.meshgrid(), axis=-1).reshape(-1, d)
     N = len(mesh)
-    z_ev = _field_evaluator(p.z, p.z_callable, d, decay=2.0)
-    f_ev = _field_evaluator(p.f, p.f_callable, d, decay=1.0)
-    g_ev = _field_evaluator(p.g, p.g_callable, d * d, decay=1.0)
+    z_ev = _field_evaluator(p.z, p.z_callable, decay=2.0)
+    f_ev = _field_evaluator(p.f, p.f_callable, decay=1.0)
+    g_ev = _field_evaluator(p.g, p.g_callable, decay=1.0)
     out = np.zeros((len(times), N, d))
 
     def rhs(s, yflat):
@@ -434,8 +423,8 @@ def solve_he(p, t_quad_max=None, quad_tol=1e-9, method="auto", refine=6):
         method = "spectral" if p.grid.m == 0 else "characteristics"
     diagnostics = {}
     if method == "spectral":
-        kappa, n_corr, diagnostics = _spectral_solve(
-            p, t_quad_max, quad_tol, refine=refine)
+        kappa, n_corr, diagnostics = _spectral_solve(p, quad_tol,
+                                                     refine=refine)
     elif method == "characteristics":
         kappa = _direct_solve(p, t_quad_max, quad_tol)
         n_corr = 0

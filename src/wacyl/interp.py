@@ -10,17 +10,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from .grids import _lagrange_weights
+
 __all__ = ["GridFnInterpolant"]
-
-
-def _lagrange_weights(xs, x):
-    """Barycentric evaluation weights for nodes xs at point x."""
-    w = np.ones(len(xs))
-    for i in range(len(xs)):
-        for j in range(len(xs)):
-            if i != j:
-                w[i] *= (x - xs[j]) / (xs[i] - xs[j])
-    return w
 
 
 class GridFnInterpolant:
@@ -44,7 +36,6 @@ class GridFnInterpolant:
         axes = tuple(range(1, 1 + self.grid.n))
         self.coeff = np.fft.fftn(f.values, axes=axes) / (
             self.grid.torus_points ** self.grid.n)
-        self.freqs = [self.grid.freq(a) for a in range(self.grid.n)]
 
     def _time_weights(self, t):
         lt = np.log(t)
@@ -67,8 +58,8 @@ class GridFnInterpolant:
         c = self._coeff_at(t)  # (*modes, comp)
         # accumulate exp(2 pi i k.q) sums axis by axis
         phases = 1.0
+        k = self.grid.torus_freqs
         for a in range(self.grid.n):
-            k = self.freqs[a]
             ph = np.exp(2j * np.pi * np.outer(q[..., a].ravel(), k))
             if derivative == a:
                 ph = ph * (2j * np.pi * k)

@@ -13,8 +13,8 @@ import numpy as np
 from . import constants
 from .flow import NormBudgetError, VectorFieldSpec, flow_jacobian, \
     integrate_flow
-from .functional import (HamiltonianSpec, QuadraticForm, a_norm,
-                         eval_F, gamma_from_v, hypotheses_report,
+from .functional import (DomainError, HamiltonianSpec, QuadraticForm,
+                         a_norm, eval_F, gamma_from_v, hypotheses_report,
                          right_inverse, v_norm, x_norm)
 from .grids import GridFn, SpatialGrid, TimeGrid
 from .norms import weighted_norm
@@ -221,8 +221,6 @@ def iterate(H, p, max_steps=12, target=1e-6, quad_tol=1e-10,
             break
     else:
         state.status = "max_steps"
-    if state.status == "running":
-        state.status = "max_steps"
     if state.status == "max_steps" and \
             state.true_residuals[-1] < target * scale:
         state.status = "converged"
@@ -265,7 +263,7 @@ def choose_schedule(H, p, q_grid=None, quad_tol=1e-10):
         try:
             sol, st = iterate(H, trial, max_steps=1, target=0.0,
                               quad_tol=quad_tol)
-        except NormBudgetError:
+        except (NormBudgetError, DomainError):
             continue
         # anchor upsilon at twice the step-0 residual of this trial, so
         # S(1,1) demands a genuine contraction by Q^(-lambda beta)

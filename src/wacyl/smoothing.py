@@ -17,22 +17,19 @@ from .norms import weighted_norm
 __all__ = ["multiplier_profile", "smooth", "verify_smoothing_bounds"]
 
 
+def _ramp(u):
+    """1 for u <= 0, 0 for u >= 1, quintic C^2 in between."""
+    u = np.clip(u, 0.0, 1.0)
+    return 1.0 - u ** 3 * (10.0 - 15.0 * u + 6.0 * u ** 2)
+
+
 def multiplier_profile(u):
     """Radial symbol: 1 for u <= 1/2, 0 for u >= 1, quintic C^2 ramp."""
-    u = np.asarray(u, dtype=float)
-    out = np.ones_like(u)
-    out[u >= 1.0] = 0.0
-    ramp = (u > 0.5) & (u < 1.0)
-    x = (u[ramp] - 0.5) * 2.0
-    out[ramp] = 1.0 - x ** 3 * (10.0 - 15.0 * x + 6.0 * x ** 2)
-    return out
+    return _ramp(2.0 * np.asarray(u, dtype=float) - 1.0)
 
 
 def _freq_mesh(grid, reflected_shapes):
-    axes = []
-    for a in range(grid.n):
-        axes.append(np.fft.fftfreq(grid.torus_points,
-                                   d=1.0 / grid.torus_points))
+    axes = [grid.torus_freqs] * grid.n
     for a in range(grid.m):
         npts = reflected_shapes[a]
         width = grid.window_axes[a][1] - grid.window_axes[a][0]

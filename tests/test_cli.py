@@ -3,8 +3,8 @@ import os
 
 import pytest
 
-from wacyl.cli import EXIT_CHECK_FAILURE, EXIT_CONFIG_ERROR, EXIT_PASS, \
-    load_config, main
+from wacyl.cli import EXIT_CHECK_FAILURE, EXIT_CONFIG_ERROR, \
+    EXIT_NUMERICAL_FAILURE, EXIT_PASS, load_config, main
 
 
 def run_cli(args):
@@ -108,3 +108,21 @@ def test_check_failure_exit_code(tmp_path):
                     "--set", "solve.n_times=32",
                     "solve", "--preset", "manufactured"])
     assert code == EXIT_CHECK_FAILURE
+
+
+@pytest.mark.parametrize("fixed_q", [True, False],
+                         ids=["fixed-Q", "schedule-scan"])
+def test_ball_exit_is_numerical_failure(tmp_path, capsys, fixed_q):
+    # eps = 0.6 puts the first candidate outside the momentum ball of
+    # radius 0.5; with or without the schedule scan this is a numerical
+    # failure, not a configuration error
+    args = ["--out", str(tmp_path), "--set", "solve.eps=0.6",
+            "--set", "solve.epsilon0=1e6", "--set", "solve.torus_points=32",
+            "--set", "solve.n_times=24"]
+    if fixed_q:
+        args += ["--set", "solve.Q=2.0"]
+    assert run_cli(args + ["solve"]) == EXIT_NUMERICAL_FAILURE
+    err = capsys.readouterr().err
+    assert "|v| = 6.000e-01 > 0.5" in err
+    # the scan skips the trials that leave the ball instead of aborting
+    assert (tmp_path / "schedule_scan.csv").exists() != fixed_q

@@ -83,8 +83,19 @@ def test_serialization_roundtrip(tmp_path):
     assert g.components == 2
     assert np.array_equal(g.values, f.values)
     assert np.allclose(g.times.points, f.times.points)
-    h = GridFn.from_json(f.to_json())
-    assert np.allclose(h.values, f.values)
+
+
+def test_load_rejects_truncated_file(tmp_path):
+    tg = TimeGrid(6.0, n_points=10)
+    sg = SpatialGrid(1, 16)
+    f = GridFn.from_callable(sg, tg, lambda q, t: np.sin(2 * np.pi * q) / t)
+    path = tmp_path / "f.wgf"
+    f.save(path)
+    data = path.read_bytes()
+    path.write_bytes(data[:-8 * 5])
+    with pytest.raises(ValueError, match=r"160 float64 values.*"
+                       r"1240 bytes \(155 values\)"):
+        GridFn.load(path)
 
 
 def test_interpolant_matches_band_limited():

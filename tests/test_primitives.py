@@ -1,0 +1,161 @@
+"""Property tests of the shared numerical primitives: Lagrange weights,
+the .wgf round trip, the smoothing symbol and the three-body pair
+gravity."""
+
+import os
+import tempfile
+
+import numpy as np
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from wacyl.celestial import CartesianState, Masses, _pair_gravity, \
+    eval_H0_cartesian
+from wacyl.grids import GridFn, SpatialGrid, TimeGrid, _lagrange_weights
+from wacyl.smoothing import multiplier_profile, smooth
+
+# deterministic example sequences, no example database on disk
+PROPERTY = settings(derandomize=True, database=None, deadline=None,
+                    max_examples=60)
+
+finite = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
+
+
+# ---- Lagrange weights ----------------------------------------------
+
+@st.composite
+def nodes_and_point(draw):
+    gaps = draw(st.lists(st.floats(0.05, 0.5), min_size=1, max_size=8))
+    xs = draw(finite) + np.concatenate([[0.0], np.cumsum(gaps)])
+    x = draw(st.floats(xs[0], xs[-1]))
+    return xs, x
+
+
+@PROPERTY
+@given(nodes_and_point())
+def test_lagrange_weights_partition_of_unity(case):
+    xs, x = case
+    w = _lagrange_weights(xs, x)
+    assert abs(w.sum() - 1.0) <= 1e-12 * np.abs(w).sum()
+
+
+@PROPERTY
+@given(nodes_and_point(), st.lists(finite, min_size=9, max_size=9))
+def test_lagrange_weights_reproduce_polynomials(case, coeffs):
+    xs, x = case
+    w = _lagrange_weights(xs, x)
+    for degree in range(len(xs)):
+        c = coeffs[:degree + 1]
+        # centred variable keeps the monomials O(1)
+        vals = np.polynomial.polynomial.polyval(xs - xs[0], c)
+        want = np.polynomial.polynomial.polyval(x - xs[0], c)
+        scale = np.abs(w * vals).sum() + abs(want) + 1.0
+        assert abs(w @ vals - want) <= 1e-11 * scale
+
+
+def test_lagrange_weights_at_a_node():
+    xs = np.array([0.0, 0.4, 0.9, 1.3])
+    assert np.array_equal(_lagrange_weights(xs, 0.9), [0.0, 0.0, 1.0, 0.0])
+
+
+# ---- .wgf round trip -----------------------------------------------
+
+@PROPERTY
+@given(st.sampled_from([(1, 0), (2, 0), (1, 2)]),
+       st.sampled_from([4, 8, 16]), st.integers(2, 12),
+       st.floats(1.5, 50.0), st.booleans(), st.integers(1, 3),
+       st.integers(0, 2 ** 32 - 1))
+def test_wgf_round_trip_exact(nm, torus_points, n_times, t_max, by_gamma,
+                              components, seed):
+    n, m = nm
+    if by_gamma:
+        tg = TimeGrid(t_max, gamma=t_max ** (1.0 / (n_times - 1)) * 1.01)
+    else:
+        tg = TimeGrid(t_max, n_points=n_times)
+    sg = SpatialGrid(n, torus_points, m=m, window_halfwidth=1.25,
+                     window_points=5)
+    rng = np.random.default_rng(seed)
+    f = GridFn(sg, tg, rng.standard_normal(
+        (len(tg),) + sg.shape + (components,)))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "f.wgf")
+        f.save(path)
+        g = GridFn.load(path)
+    assert g.grid == f.grid and g.grid.window_points == sg.window_points
+    assert np.array_equal(g.values, f.values)
+    assert np.array_equal(g.times.points, f.times.points)
+    assert np.array_equal(g.times.log_points, f.times.log_points)
+    assert g.times.gamma == f.times.gamma
+
+
+# ---- smoothing symbol ------------------------------------------------
+
+@PROPERTY
+@given(st.floats(0.0, 0.5))
+def test_multiplier_plateau_is_exactly_one(u):
+    assert multiplier_profile(np.array([u]))[0] == 1.0
+
+
+@PROPERTY
+@given(st.floats(1.0, 1e6))
+def test_multiplier_vanishes_on_support_complement(u):
+    assert multiplier_profile(np.array([u]))[0] == 0.0
+
+
+@PROPERTY
+@given(st.floats(0.5, 1.0, exclude_min=True, exclude_max=True))
+def test_multiplier_ramp_decreases_and_is_symmetric(u):
+    a, b, mirror = multiplier_profile(np.array([u, min(u + 1e-3, 1.0),
+                                                1.5 - u]))
+    # the polynomial rounds to -4.4e-16 just below u = 1
+    assert -1e-15 <= b <= a + 1e-15 and a <= 1.0
+    assert abs(a + mirror - 1.0) <= 1e-14
+
+
+@PROPERTY
+@given(st.sampled_from([8.0, 12.0, 16.0, 24.0]),
+       st.lists(st.tuples(st.integers(0, 4), st.floats(0.1, 1.0),
+                          st.floats(0.0, 1.0)), min_size=1, max_size=3))
+def test_smooth_passes_plateau_modes_bit_exactly(tau, modes):
+    # every drawn mode |k| <= 4 lies in the plateau |k| <= tau/2
+    tg = TimeGrid(10.0, n_points=6)
+    sg = SpatialGrid(1, 64)
+
+    def fn(q, t):
+        out = 0.0 * q
+        for k, amp, phase in modes:
+            out = out + amp * np.cos(2 * np.pi * (k * q + phase))
+        return out / t
+
+    f = GridFn.from_callable(sg, tg, fn)
+    assert np.array_equal(smooth(f, tau).values, f.values)
+
+
+# ---- pair gravity ----------------------------------------------------
+
+@PROPERTY
+@given(st.lists(finite, min_size=6, max_size=6),
+       st.tuples(st.floats(1e-3, 1.0), st.floats(1e-3, 1.0),
+                 st.floats(1e-3, 1.0)))
+def test_pair_forces_are_minus_potential_gradient(coords, ms):
+    x = np.array(coords).reshape(3, 2)
+    assume(min(np.linalg.norm(x[i] - x[j])
+               for i, j in ((0, 1), (0, 2), (1, 2))) >= 0.1)
+    masses = Masses(*ms)
+    m = masses.as_array()
+    force, potential, dmin = _pair_gravity(x, m)
+    at_rest = np.zeros((3, 2))
+    assert potential == eval_H0_cartesian(CartesianState(x, at_rest),
+                                          masses)
+    assert dmin >= 0.1
+    h = 1e-6
+    grad = np.zeros((3, 2))
+    for i in range(3):
+        for a in range(2):
+            e = np.zeros((3, 2))
+            e[i, a] = h
+            grad[i, a] = (
+                eval_H0_cartesian(CartesianState(x + e, at_rest), masses)
+                - eval_H0_cartesian(CartesianState(x - e, at_rest), masses)
+            ) / (2 * h)
+    assert np.abs(force + grad).max() <= 1e-6 * np.abs(force).max()
