@@ -87,7 +87,9 @@ def _write_csv(outdir, name, header, rows):
         w = csv.writer(fh)
         w.writerow(header)
         for row in rows:
-            w.writerow([repr(v) if isinstance(v, float) else v
+            # numpy scalars would repr as "np.float64(...)"
+            w.writerow([repr(float(v))
+                        if isinstance(v, (float, np.floating)) else v
                         for v in row])
     return path
 

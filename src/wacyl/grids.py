@@ -83,19 +83,35 @@ class TimeGrid:
         self.t_max = float(t_max)
         if self.points[-1] < t_max * (1 - 1e-12):
             self.points = np.append(self.points, self.points[-1] * self.gamma)
-        self.log_points = np.log(self.points)
+        self._set_points(self.points)
 
     @classmethod
     def from_points(cls, points):
         """Rebuild a grid from its stored nodes (as written by GridFn.save)."""
         grid = cls.__new__(cls)
-        grid.points = np.asarray(points, dtype=float)
+        grid._set_points(np.array(points, dtype=float))
         grid.t_start = float(grid.points[0])
         grid.t_max = float(grid.points[-1])
         grid.gamma = float(grid.points[1] / grid.points[0]) \
             if len(grid.points) > 1 else 1.05
-        grid.log_points = np.log(grid.points)
         return grid
+
+    def _set_points(self, points):
+        self.points = points
+        self.log_points = np.log(points)
+        self.points.flags.writeable = False
+        self.log_points.flags.writeable = False
+
+    def derived(self, key, build):
+        """The read-only array (or tuple of arrays) build() returns, built
+        once per key and kept on the grid, which never changes."""
+        cache = self.__dict__.setdefault("_derived", {})
+        if key not in cache:
+            value = build()
+            for arr in value if isinstance(value, tuple) else (value,):
+                arr.flags.writeable = False
+            cache[key] = value
+        return cache[key]
 
     def __len__(self):
         return len(self.points)
@@ -105,11 +121,15 @@ class TimeGrid:
             and np.allclose(self.points, other.points)
 
     def dt_matrix(self, order=8):
-        """Differentiation weights in t as a dense (T, T) matrix.
+        """Differentiation weights in t as a dense, read-only (T, T)
+        matrix, built once per order.
 
         Built from local stencils of `order`+1 nodes on the log-uniform
         grid; d/dt = (1/t) d/d(log t).
         """
+        return self.derived(("dt", order), lambda: self._dt_matrix(order))
+
+    def _dt_matrix(self, order):
         T = len(self.points)
         width = min(order + 1, T)
         D = np.zeros((T, T))

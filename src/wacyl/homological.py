@@ -222,23 +222,27 @@ def _mode_phases(grid, omega):
 
 def _time_refine_matrix(times, refine, degree=8):
     """Quad grid (refined geometric) and interpolation weights from the
-    time grid, exact on the original nodes."""
-    T = len(times)
-    gq = times.gamma ** (1.0 / refine)
-    P = (T - 1) * refine + 1
-    tau = times.points[0] * gq ** np.arange(P)
-    logs = times.log_points
-    W = np.zeros((P, T))
-    width = min(degree + 1, T)
-    lq = np.log(tau)
-    for i in range(P):
-        if i % refine == 0:
-            W[i, i // refine] = 1.0
-            continue
-        j = i // refine
-        lo = min(max(j - width // 2 + 1, 0), T - width)
-        W[i, lo:lo + width] = _lagrange_weights(logs[lo:lo + width], lq[i])
-    return tau, W
+    time grid, exact on the original nodes; built once per grid."""
+    def build():
+        T = len(times)
+        gq = times.gamma ** (1.0 / refine)
+        P = (T - 1) * refine + 1
+        tau = times.points[0] * gq ** np.arange(P)
+        logs = times.log_points
+        W = np.zeros((P, T))
+        width = min(degree + 1, T)
+        lq = np.log(tau)
+        for i in range(P):
+            if i % refine == 0:
+                W[i, i // refine] = 1.0
+                continue
+            j = i // refine
+            lo = min(max(j - width // 2 + 1, 0), T - width)
+            W[i, lo:lo + width] = _lagrange_weights(logs[lo:lo + width],
+                                                    lq[i])
+        return tau, W
+
+    return times.derived(("refine", refine, degree), build)
 
 
 def _grid_coeffs(f):
@@ -295,6 +299,16 @@ def _spectral_solve(p, quad_tol, refine=6, max_corrections=30):
         shape = grid.shape
         N = grid.torus_points ** grid.n
         kvecs = grid.torus_mesh()
+        # physical (f, g) on the quad grid; fixed through the corrections
+        if fq is not None:
+            f_phys = np.fft.ifftn(
+                fq.reshape((len(tau),) + shape + (d,)) * N,
+                axes=tuple(range(1, 1 + grid.n))).real
+        if gq is not None:
+            g_phys = np.fft.ifftn(
+                gq.reshape((len(tau),) + shape + (d * d,)) * N,
+                axes=tuple(range(1, 1 + grid.n))).real
+            gm = g_phys.reshape(g_phys.shape[:-1] + (d, d))
         cur = kap
         for it in range(max_corrections):
             # physical fields on the quad grid
@@ -303,19 +317,12 @@ def _spectral_solve(p, quad_tol, refine=6, max_corrections=30):
                                 axes=tuple(range(1, 1 + grid.n)))
             rhs_phys = np.zeros_like(phys)
             if fq is not None:
-                f_phys = np.fft.ifftn(
-                    fq.reshape((len(tau),) + shape + (d,)) * N,
-                    axes=tuple(range(1, 1 + grid.n))).real
                 for a in range(grid.n):
                     da = np.fft.ifftn(
                         cur_full * (2j * np.pi * kvecs[a])[None, ..., None]
                         * N, axes=tuple(range(1, 1 + grid.n)))
                     rhs_phys -= da * f_phys[..., a:a + 1]
             if gq is not None:
-                g_phys = np.fft.ifftn(
-                    gq.reshape((len(tau),) + shape + (d * d,)) * N,
-                    axes=tuple(range(1, 1 + grid.n))).real
-                gm = g_phys.reshape(g_phys.shape[:-1] + (d, d))
                 rhs_phys -= np.einsum("...ij,...j->...i", gm, phys)
             rhs_c = np.fft.fftn(rhs_phys, axes=tuple(range(1, 1 + grid.n))
                                 ) / N

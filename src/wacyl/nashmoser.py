@@ -142,6 +142,24 @@ def _z_norm(f):
     return weighted_norm(f, 0, 2).value
 
 
+def _failed_hypothesis(hyp):
+    """(name, measured, bound) of the first failing item of a
+    hypotheses report."""
+    items = (
+        ("H1", hyp["H1_pass"], max(hyp["H1_first"], hyp["H1_second"]),
+         hyp["H1_bound"]),
+        ("H2", hyp["H2_pass"], hyp["H2_ratio"], hyp["H2_bound"]),
+        ("H3 mu", hyp["H3_mu"] <= hyp["H3_budget"], hyp["H3_mu"],
+         hyp["H3_budget"]),
+        ("H3 budget", hyp["H3_budget"] < hyp["H3_gate"], hyp["H3_budget"],
+         hyp["H3_gate"]),
+        ("H4", hyp["H4_pass"], max(hyp["H4_ratios"].values()),
+         hyp["H4_bound"]),
+    )
+    return next((f"hypothesis {name}", measured, bound)
+                for name, ok, measured, bound in items if not ok)
+
+
 def iterate(H, p, max_steps=12, target=1e-6, quad_tol=1e-10,
             min_steps=0, check_hypotheses=False, zeta=None):
     """Run the double-smoothing Newton scheme on the Hamiltonian data.
@@ -161,14 +179,14 @@ def iterate(H, p, max_steps=12, target=1e-6, quad_tol=1e-10,
         raise ValueError(f"scheme parameters rejected: {rep['checks']}")
     zeta = p.zeta if zeta is None else zeta
     state = IterationState()
-    xgap = x_norm(H.a, GridFn(H.grid, H.times, H.br.values), p.lam)
+    xgap = x_norm(H.a, H.br, p.lam)
     if xgap > p.upsilon * p.epsilon0:
         raise NormBudgetError("|x - x0|_lambda", xgap,
                               p.upsilon * p.epsilon0)
     if check_hypotheses:
         hyp = hypotheses_report(H, zeta)
         if not hyp["pass"]:
-            raise NormBudgetError("hypotheses_report", 0.0, 0.0)
+            raise NormBudgetError(*_failed_hypothesis(hyp))
     psi = GridFn.zeros(H.grid, H.times, H.d)
     r0 = _z_norm(eval_F(_smoothed_spec(H, H.b0, p.tau_j(1)), psi))
     r_true = _z_norm(eval_F(H, psi))
@@ -253,7 +271,7 @@ def choose_schedule(H, p, q_grid=None, quad_tol=1e-10):
     """
     if q_grid is None:
         q_grid = np.geomspace(1.15, 3.0, 12)
-    xlam = x_norm(H.a, GridFn(H.grid, H.times, H.br.values), p.lam)
+    xlam = x_norm(H.a, H.br, p.lam)
     best = None
     records = []
     chosen_ups = 1.0

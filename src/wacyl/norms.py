@@ -4,6 +4,11 @@ The weighted norm of a time-dependent function is the sup over the time
 grid of the spatial Hölder norm multiplied by t^l.  Hölder quotients for
 fractional sigma are taken over grid-point pairs; by default all
 axis-aligned separations plus short diagonal offsets are scanned.
+
+The Hölder profile over the time grid is computed in one pass: each
+derivative is taken once on the whole (T, ...) array, each pair shift
+once per offset, and the maxima are reduced per time slice.  The
+profile is cached on the GridFn and shared by every weight t^l.
 """
 
 from __future__ import annotations
@@ -37,20 +42,28 @@ def _axis_distance(grid, axis, offset):
 
 
 def _shifted_diff(grid, arr, axis, offset):
-    """|arr(x + offset e_axis) - arr(x)| with periodic wrap on torus axes
-    and truncation on window axes.  arr has spatial axes first."""
+    """|arr(x + offset e_axis) - arr(x)| on every time slice of a
+    (T, *spatial, components) array: periodic wrap on torus axes,
+    truncation on window axes."""
+    ax = axis + 1
     if axis < grid.n:
-        return np.abs(np.roll(arr, -offset, axis=axis) - arr)
+        return np.abs(np.roll(arr, -offset, axis=ax) - arr)
     sl_hi = [slice(None)] * arr.ndim
     sl_lo = [slice(None)] * arr.ndim
-    sl_hi[axis] = slice(offset, None)
-    sl_lo[axis] = slice(None, -offset)
+    sl_hi[ax] = slice(offset, None)
+    sl_lo[ax] = slice(None, -offset)
     return np.abs(arr[tuple(sl_hi)] - arr[tuple(sl_lo)])
 
 
+def _slice_max(arr):
+    """Max over every axis but the leading time axis."""
+    return arr.max(axis=tuple(range(1, arr.ndim)))
+
+
 def _holder_quotient(grid, top_derivs, mu, pair_radius):
-    """Max over sampled grid-point pairs of |D(x)-D(y)| / dist^mu."""
-    best = 0.0
+    """Per time slice, max over sampled grid-point pairs of
+    |D(x)-D(y)| / dist^mu."""
+    best = np.zeros(len(top_derivs[0]))
     dims = grid.n + grid.m
     for axis in range(dims):
         npts = grid.torus_points if axis < grid.n else grid.window_points
@@ -62,33 +75,32 @@ def _holder_quotient(grid, top_derivs, mu, pair_radius):
             if dist <= 0:
                 continue
             for arr in top_derivs:
-                diff = _shifted_diff(grid, arr, axis, off).max()
-                best = max(best, diff / dist ** mu)
+                diff = _slice_max(_shifted_diff(grid, arr, axis, off))
+                best = np.maximum(best, diff / dist ** mu)
     # short diagonal offsets between axis pairs
     diag_reach = 8 if pair_radius is None else min(8, pair_radius)
     for a1, a2 in itertools.combinations(range(dims), 2):
         for o1 in range(1, diag_reach + 1):
+            steps = [_shifted_diff(grid, arr, a1, o1) for arr in top_derivs]
             for o2 in range(1, diag_reach + 1):
                 d = np.hypot(_axis_distance(grid, a1, o1),
                              _axis_distance(grid, a2, o2))
-                for arr in top_derivs:
-                    step = _shifted_diff(grid, arr, a1, o1)
-                    diff = _shifted_diff(grid, step, a2, o2).max()
-                    best = max(best, diff / d ** mu)
+                if d <= 0:
+                    continue
+                for step in steps:
+                    diff = _slice_max(_shifted_diff(grid, step, a2, o2))
+                    best = np.maximum(best, diff / d ** mu)
     return best
 
 
-def _slice_fn(f, idx):
-    """One time slice of f wrapped as a single-time GridFn-like array."""
-    return f.values[idx]
-
-
 def holder_norm(f, sigma, time_index=0, pair_radius=None):
-    """Hölder norm |f^t|_{C^sigma} of one time slice of a GridFn.
+    """Hölder norm |f^t|_{C^sigma} of one time slice of a GridFn, or with
+    time_index=None the list of it over every slice.
 
     Derivatives are spectral on torus axes and centered finite
-    differences on window axes; the fractional part adds the maximal
-    discrete Hölder quotient of the order-floor(sigma) derivatives.
+    differences on window axes, taken once per multi-index on the whole
+    (T, ...) array; the fractional part adds the maximal discrete Hölder
+    quotient of the order-floor(sigma) derivatives.
     """
     if sigma < 0:
         raise ValueError("sigma must be nonnegative")
@@ -98,10 +110,15 @@ def holder_norm(f, sigma, time_index=0, pair_radius=None):
     mu = sigma - k
     if abs(mu) < 1e-12:
         mu = 0.0
+    if time_index is None:
+        rows = slice(None)
+    else:
+        i = range(len(f.times))[time_index]
+        rows = slice(i, i + 1)
     dims = f.grid.dim
     level = {(0,) * dims: f}
-    best = float(np.abs(_slice_fn(f, time_index)).max())
-    tops = [_slice_fn(f, time_index)] if k == 0 else []
+    best = _slice_max(np.abs(f.values[rows]))
+    tops = [f.values[rows]] if k == 0 else []
     for order in range(1, k + 1):
         new_level = {}
         for alpha, g in level.items():
@@ -114,13 +131,14 @@ def holder_norm(f, sigma, time_index=0, pair_radius=None):
                 new_level[beta] = g.dq(axis)
         level = new_level
         for g in level.values():
-            arr = _slice_fn(g, time_index)
-            best = max(best, float(np.abs(arr).max()))
+            arr = g.values[rows]
+            best = np.maximum(best, _slice_max(np.abs(arr)))
             if order == k:
                 tops.append(arr)
     if mu > 0:
-        best = max(best, _holder_quotient(f.grid, tops, mu, pair_radius))
-    return best
+        best = np.maximum(best,
+                          _holder_quotient(f.grid, tops, mu, pair_radius))
+    return best.tolist() if time_index is None else float(best[0])
 
 
 def weighted_norm(f, sigma, l, pair_radius=None):
@@ -137,8 +155,7 @@ def weighted_norm(f, sigma, l, pair_radius=None):
     hkey = ("holder", round(float(sigma), 12), pair_radius)
     hvals = f._norm_cache.get(hkey)
     if hvals is None:
-        hvals = [holder_norm(f, sigma, i, pair_radius)
-                 for i in range(len(f.times))]
+        hvals = holder_norm(f, sigma, None, pair_radius)
         f._norm_cache[hkey] = hvals
     profile = [(float(t), h * float(t) ** l)
                for t, h in zip(f.times.points, hvals)]

@@ -11,6 +11,16 @@ def run_cli(args):
     return main(args)
 
 
+def assert_plain_numbers(path, header):
+    """Every cell below the header parses as a number (a numpy scalar
+    would be written as "np.float64(...)")."""
+    rows = path.read_text().splitlines()
+    assert rows[0] == header and len(rows) > 1
+    for row in rows[1:]:
+        for cell in row.split(","):
+            float(cell)
+
+
 def test_diagnose(tmp_path, capsys):
     code = run_cli(["--out", str(tmp_path), "diagnose"])
     assert code == EXIT_PASS
@@ -49,6 +59,8 @@ def test_solve_manufactured(tmp_path, capsys):
     assert (tmp_path / "gamma.wgf").exists()
     rows = (tmp_path / "iterations.csv").read_text().splitlines()
     assert rows[0].startswith("j,tau_j,t_j")
+    assert_plain_numbers(tmp_path / "schedule_scan.csv",
+                         "Q,upsilon,r1,envelope")
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert all("tolerance" in c for c in summary["checks"])
 
@@ -59,6 +71,8 @@ def test_simulate_comet_conservative(tmp_path):
     assert code == EXIT_PASS
     man = json.loads((tmp_path / "manifest.json").read_text())
     assert man["mode"] == "conservative"
+    assert_plain_numbers(tmp_path / "trajectory.csv",
+                         "t,x0x,x0y,x1x,x1y,x2x,x2y,y0x,y0y,y1x,y1y,y2x,y2y")
     assert man["H0_drift_rel"] <= 1e-8
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from wacyl import constants
 from wacyl.flow import NormBudgetError
 from wacyl.grids import GridFn
 from wacyl.nashmoser import (ZehnderParams, choose_schedule,
@@ -181,6 +182,18 @@ def test_mu_budget_abort():
     p = params_from_order(8.0, Q=1.8)
     with pytest.raises(NormBudgetError):
         iterate(H, p, max_steps=2, zeta=1e-5)
+
+
+def test_failed_hypotheses_name_their_numbers(monkeypatch):
+    monkeypatch.setitem(constants.HYPOTHESES, "H1", 1e-30)
+    H, _ = manufactured_single(torus_points=32, n_times=16)
+    p = params_from_order(8.0, Q=1.6)
+    with pytest.raises(NormBudgetError) as info:
+        iterate(H, p, max_steps=1, check_hypotheses=True, zeta=0.02)
+    err = info.value
+    assert err.name == "hypothesis H1" and err.budget == 1e-30
+    assert err.measured > 1e-30
+    assert f"{err.measured:.3e}" in str(err) and "1.000e-30" in str(err)
 
 
 def test_size_precondition():

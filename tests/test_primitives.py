@@ -1,17 +1,19 @@
 """Property tests of the shared numerical primitives: Lagrange weights,
-the .wgf round trip, the smoothing symbol and the three-body pair
-gravity."""
+the .wgf round trip, the smoothing symbol, the three-body pair gravity,
+the Hölder profile over the time grid and the time-grid matrix cache."""
 
 import os
 import tempfile
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from wacyl.celestial import CartesianState, Masses, _pair_gravity, \
     eval_H0_cartesian
 from wacyl.grids import GridFn, SpatialGrid, TimeGrid, _lagrange_weights
+from wacyl.norms import holder_norm, weighted_norm
 from wacyl.smoothing import multiplier_profile, smooth
 
 # deterministic example sequences, no example database on disk
@@ -159,3 +161,134 @@ def test_pair_forces_are_minus_potential_gradient(coords, ms):
                 - eval_H0_cartesian(CartesianState(x - e, at_rest), masses)
             ) / (2 * h)
     assert np.abs(force + grad).max() <= 1e-6 * np.abs(force).max()
+
+
+# ---- Hölder profile over the time grid -------------------------------
+
+def _oracle_shifted_diff(grid, arr, axis, offset):
+    """|arr(x + offset e_axis) - arr(x)| on one slice (spatial axes
+    first): wrapped on torus axes, truncated on window axes."""
+    if axis < grid.n:
+        return np.abs(np.roll(arr, -offset, axis=axis) - arr)
+    hi = [slice(None)] * arr.ndim
+    lo = [slice(None)] * arr.ndim
+    hi[axis] = slice(offset, None)
+    lo[axis] = slice(None, -offset)
+    return np.abs(arr[tuple(hi)] - arr[tuple(lo)])
+
+
+def _oracle_holder_norm(f, sigma, i, pair_radius):
+    """The Hölder norm of time slice i, one slice at a time."""
+    grid = f.grid
+    k = int(np.floor(sigma))
+    mu = sigma - k
+    level = {(0,) * grid.dim: f}
+    best = float(np.abs(f.values[i]).max())
+    tops = [f.values[i]] if k == 0 else []
+    for order in range(1, k + 1):
+        new_level = {}
+        for alpha, g in level.items():
+            for axis in range(grid.dim):
+                beta = tuple(a + (b == axis) for b, a in enumerate(alpha))
+                if beta not in new_level:
+                    new_level[beta] = g.dq(axis)
+        level = new_level
+        for g in level.values():
+            best = max(best, float(np.abs(g.values[i]).max()))
+            if order == k:
+                tops.append(g.values[i])
+    if mu == 0:
+        return best
+
+    def dist(axis, off):
+        if axis < grid.n:
+            d = off / grid.torus_points
+            return min(d, 1.0 - d)
+        return off * (grid.window_axes[0][1] - grid.window_axes[0][0])
+
+    for axis in range(grid.dim):
+        npts = grid.torus_points if axis < grid.n else grid.window_points
+        reach = npts // 2 if pair_radius is None \
+            else min(npts // 2, pair_radius)
+        for off in range(1, reach + 1):
+            for arr in tops:
+                diff = _oracle_shifted_diff(grid, arr, axis, off).max()
+                best = max(best, diff / dist(axis, off) ** mu)
+    reach = 8 if pair_radius is None else min(8, pair_radius)
+    for a1 in range(grid.dim):
+        for a2 in range(a1 + 1, grid.dim):
+            for o1 in range(1, reach + 1):
+                for o2 in range(1, reach + 1):
+                    d = np.hypot(dist(a1, o1), dist(a2, o2))
+                    for arr in tops:
+                        step = _oracle_shifted_diff(grid, arr, a1, o1)
+                        diff = _oracle_shifted_diff(grid, step, a2,
+                                                    o2).max()
+                        # a pair at distance 0 gives nan, which max skips
+                        best = max(best, diff / d ** mu)
+    return best
+
+
+@pytest.mark.parametrize("pair_radius", [None, 8])
+@pytest.mark.parametrize("grid_case", [(1, 16, 0), (2, 8, 0), (2, 16, 0),
+                                       (1, 8, 2)])
+@settings(PROPERTY, max_examples=20)
+@given(st.sampled_from([0.0, 1.0, 2.0, 0.5, 1.25, 2.75]), st.integers(1, 2),
+       st.booleans(), st.integers(0, 2 ** 32 - 1))
+def test_holder_profile_equals_per_slice_oracle(grid_case, pair_radius,
+                                                sigma, components, wave,
+                                                seed):
+    # (n, torus points, m): 1-torus, 2-torus (diagonal pairs, and pairs at
+    # distance 0 on 8 points), and a 1-torus times a 2-window
+    n, torus_points, m = grid_case
+    tg = TimeGrid(5.0, n_points=3)
+    sg = SpatialGrid(n, torus_points, m=m, window_points=9)
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal((len(tg),) + sg.shape + (components,))
+    if wave:
+        # white noise peaks on pairs at offset 1; a smooth wave plus a
+        # window ramp peaks on wide pairs, where wrapping and truncation
+        # of the window axes differ
+        mesh = sg.meshgrid()
+        phase = sum(rng.integers(1, 4) * q for q in mesh[:n])
+        ramp = sum(rng.uniform(2.0, 4.0) * w for w in mesh[n:])
+        values = 1e-3 * values + (np.cos(2 * np.pi * phase) + ramp)[
+            None, ..., None] * rng.uniform(0.5, 2.0, (len(tg), 1))[
+            (...,) + (None,) * sg.dim]
+    f = GridFn(sg, tg, values)
+    with np.errstate(invalid="ignore"):
+        want = [_oracle_holder_norm(f, sigma, i, pair_radius)
+                for i in range(len(tg))]
+    got = holder_norm(f, sigma, None, pair_radius)
+    assert got == want and all(type(h) is float for h in got)
+    assert holder_norm(f, sigma, -1, pair_radius) == want[-1]
+    assert weighted_norm(f, sigma, 0.0, pair_radius).value == max(want)
+
+
+def test_time_grid_matrices_are_cached_read_only():
+    for tg in (TimeGrid(8.0, n_points=12),
+               TimeGrid.from_points(np.geomspace(1.0, 8.0, 12))):
+        D = tg.dt_matrix(order=6)
+        assert tg.dt_matrix(order=6) is D and not D.flags.writeable
+        assert tg.dt_matrix(order=4) is not D
+        assert not tg.points.flags.writeable
+        assert not tg.log_points.flags.writeable
+
+
+# ---- smoothing against differentiation -------------------------------
+
+@PROPERTY
+@given(st.sampled_from([(1, 0), (2, 0), (1, 2)]),
+       st.sampled_from([4.0, 6.0, 10.0, 40.0]), st.integers(0, 1),
+       st.integers(0, 2 ** 32 - 1))
+def test_smooth_commutes_with_torus_derivative(nm, tau, axis, seed):
+    # both are Fourier multipliers along a torus axis
+    n, m = nm
+    axis = min(axis, n - 1)
+    tg = TimeGrid(5.0, n_points=3)
+    sg = SpatialGrid(n, 16, m=m, window_points=5)
+    rng = np.random.default_rng(seed)
+    f = GridFn(sg, tg, rng.standard_normal((len(tg),) + sg.shape + (2,)))
+    a = smooth(f.dq(axis), tau).values
+    b = smooth(f, tau).dq(axis).values
+    assert np.abs(a - b).max() <= 1e-12 * np.abs(a).max()
