@@ -20,7 +20,7 @@ from scipy.integrate import solve_ivp
 
 from . import constants
 from .flow import IntegrationError
-from .smoothing import _ramp
+from .smoothing import _ramp, _ramp_derivative
 
 __all__ = ["Masses", "CometOrbit", "CartesianState", "SplitCoords",
            "ExtensionParams", "solve_hyperbolic_kepler", "comet_position",
@@ -150,16 +150,20 @@ class CometOrbit:
         return solve_hyperbolic_kepler(
             self.e, self.mean_motion * (t - self.t_peri))
 
-    def position(self, t):
+    def position_and_radius(self, t):
+        """c(t) and |c(t)| from one solve of the Kepler equation."""
         H = self.anomaly(t)
         xp = self.a_h * (self.e - np.cosh(H))
         yp = self.a_h * np.sqrt(self.e ** 2 - 1.0) * np.sinh(H)
         c, s = np.cos(self.orientation), np.sin(self.orientation)
-        return np.array([c * xp - s * yp, s * xp + c * yp])
+        return (np.array([c * xp - s * yp, s * xp + c * yp]),
+                self.a_h * (self.e * np.cosh(H) - 1.0))
+
+    def position(self, t):
+        return self.position_and_radius(t)[0]
 
     def radius(self, t):
-        H = self.anomaly(t)
-        return self.a_h * (self.e * np.cosh(H) - 1.0)
+        return self.position_and_radius(t)[1]
 
     def radial_speed(self, t):
         H = self.anomaly(t)
@@ -409,43 +413,55 @@ class CircularChart:
         self.n1 = np.sqrt((masses.m0 + masses.m1) / a1 ** 3)
         self.n2 = np.sqrt((masses.m0 + masses.m2) / a2 ** 3)
         self.omega = np.array([self.n1, self.n2, 0.0, 0.0])
+        # positions are A^-1 (xi, X1, X2), so covectors on them pull
+        # back to (xi, X1, X2) by A^-T = B, the momentum split
+        _, self._B = _split_matrices(masses)
 
-    def relative_positions(self, theta, r):
+    def _circles(self, theta, r):
+        """Unit directions e1, e2 and radii of the two circles."""
         ang1 = 2 * np.pi * (theta[0] + theta[2])
         ang2 = 2 * np.pi * (theta[1] + theta[3])
         rad1 = self.a1 * (1.0 + self.kappa * r[0])
         rad2 = self.a2 * (1.0 + self.kappa * r[1])
-        X1 = rad1 * np.array([np.cos(ang1), np.sin(ang1)])
-        X2 = rad2 * np.array([np.cos(ang2), np.sin(ang2)])
-        return X1, X2
+        return (np.array([np.cos(ang1), np.sin(ang1)]),
+                np.array([np.cos(ang2), np.sin(ang2)]), rad1, rad2)
+
+    def relative_positions(self, theta, r):
+        e1, e2, rad1, rad2 = self._circles(theta, r)
+        return rad1 * e1, rad2 * e2
 
     def positions(self, theta, xi, r):
-        """Cartesian body positions for the configuration variables."""
+        """Cartesian body positions x_i = xi + (a_i X1 + b_i X2) / M."""
         m = self.masses
         X1, X2 = self.relative_positions(theta, r)
-        x0 = xi + (m.m1 * X1 + m.m2 * X2) / m.M
-        x1 = xi - ((m.m0 + m.m2) * X1 - m.m2 * X2) / m.M
-        x2 = xi + (m.m1 * X1 - (m.m0 + m.m1) * X2) / m.M
-        return np.stack([x0, x1, x2])
+        a = np.array([[m.m1], [-(m.m0 + m.m2)], [m.m1]])
+        b = np.array([[m.m2], [m.m2], [-(m.m0 + m.m1)]])
+        return xi + (a * X1 + b * X2) / m.M
+
+    def pullback(self, theta, r, dx):
+        """Pull a covector dx (3, 2) on the body positions back through
+        positions(theta, xi, r): (d_theta (4,), d_xi (2,), d_r (2,))."""
+        e1, e2, rad1, rad2 = self._circles(theta, r)
+        d_xi, g1, g2 = self._B @ dx
+        # X_k = rad_k e_k, and d e_k / d theta is 2 pi e_k turned a quarter
+        a1 = 2 * np.pi * rad1 * (g1[1] * e1[0] - g1[0] * e1[1])
+        a2 = 2 * np.pi * rad2 * (g2[1] * e2[0] - g2[0] * e2[1])
+        d_r = self.kappa * np.array([self.a1 * (g1 @ e1),
+                                     self.a2 * (g2 @ e2)])
+        return np.array([a1, a2, a1, a2]), d_xi, d_r
 
     def momenta(self, theta, r, eta):
         """Covector momenta of the two circles plus the drift eta."""
         m = self.masses
-        ang1 = 2 * np.pi * (theta[0] + theta[2])
-        ang2 = 2 * np.pi * (theta[1] + theta[3])
-        rad1 = self.a1 * (1.0 + self.kappa * r[0])
-        rad2 = self.a2 * (1.0 + self.kappa * r[1])
-        Y1 = m.mu1 * self.n1 * rad1 * np.array([-np.sin(ang1),
-                                                np.cos(ang1)])
-        Y2 = m.mu2 * self.n2 * rad2 * np.array([-np.sin(ang2),
-                                                np.cos(ang2)])
+        e1, e2, rad1, rad2 = self._circles(theta, r)
+        Y1 = m.mu1 * self.n1 * rad1 * np.array([-e1[1], e1[0]])
+        Y2 = m.mu2 * self.n2 * rad2 * np.array([-e2[1], e2[0]])
         return np.stack([np.asarray(eta, dtype=float), Y1, Y2])
 
     def state(self, theta, xi, r, eta, t=1.0):
         pos = self.positions(theta, xi, r)
         Y = self.momenta(theta, r, eta)
-        _, B = _split_matrices(self.masses)
-        y = np.linalg.solve(B, Y)
+        y = np.linalg.solve(self._B, Y)
         return CartesianState(x=pos, y=y, t=t)
 
     def sup_relative_radius(self):
@@ -465,50 +481,39 @@ class HExtension:
         self.masses = masses
         self.chart = chart
 
+    def _weight(self, xi, radius):
+        """w(|xi|) of the cutoff xi w(|xi|) at comet distance radius,
+        and w'(|xi|) / |xi| (0 wherever w is flat)."""
+        rin = self.params.epsilon * radius * self.params.inner_factor
+        rout = self.params.epsilon * radius * self.params.outer_factor
+        rho = np.linalg.norm(xi)
+        u = (rho - rin) / (rout - rin)
+        dw = _ramp_derivative(u)
+        return _ramp(u), (dw / ((rout - rin) * rho) if dw else 0.0)
+
     def cutoff(self, xi, t):
-        rin = self.params.epsilon * self.comet.radius(t) \
-            * self.params.inner_factor
-        rout = self.params.epsilon * self.comet.radius(t) \
-            * self.params.outer_factor
-        r = np.linalg.norm(xi)
-        w = _ramp((r - rin) / (rout - rin)) if rout > rin else 0.0
-        return xi * w
+        return xi * self._weight(xi, self.comet.radius(t))[0]
 
     def value(self, theta, xi, r, t):
+        c, radius = self.comet.position_and_radius(t)
+        xi = np.asarray(xi)
         pos = self.chart.positions(np.asarray(theta),
-                                   self.cutoff(np.asarray(xi), t),
+                                   xi * self._weight(xi, radius)[0],
                                    np.asarray(r))
-        return eval_Hc(pos, self.comet, self.masses, t)
+        return eval_Hc(pos, lambda _: c, self.masses, t)
 
-    def grad_xi(self, theta, xi, r, t, h=1e-6):
-        base = np.asarray(xi, dtype=float)
-        out = np.zeros(2)
-        for a in range(2):
-            e = np.zeros(2)
-            e[a] = h
-            out[a] = (self.value(theta, base + e, r, t)
-                      - self.value(theta, base - e, r, t)) / (2 * h)
-        return out
-
-    def grad_theta(self, theta, xi, r, t, h=1e-6):
-        base = np.asarray(theta, dtype=float)
-        out = np.zeros(len(base))
-        for a in range(len(base)):
-            e = np.zeros(len(base))
-            e[a] = h
-            out[a] = (self.value(base + e, xi, r, t)
-                      - self.value(base - e, xi, r, t)) / (2 * h)
-        return out
-
-    def grad_r(self, theta, xi, r, t, h=1e-6):
-        base = np.asarray(r, dtype=float)
-        out = np.zeros(len(base))
-        for a in range(len(base)):
-            e = np.zeros(len(base))
-            e[a] = h
-            out[a] = (self.value(theta, xi, base + e, t)
-                      - self.value(theta, xi, base - e, t)) / (2 * h)
-        return out
+    def gradient(self, theta, xi, r, t):
+        """Exact gradient of value by the chain rule through grad_Hc,
+        the chart Jacobian and the cutoff: (d_theta (4,), d_xi (2,),
+        d_r (2,))."""
+        c, radius = self.comet.position_and_radius(t)
+        xi = np.asarray(xi, dtype=float)
+        w, dw = self._weight(xi, radius)
+        pos = self.chart.positions(theta, xi * w, r)
+        d_theta, g, d_r = self.chart.pullback(
+            theta, r, grad_Hc(pos, lambda _: c, self.masses, t))
+        # d (xi w(|xi|)) / d xi = w I + (w'(|xi|) / |xi|) xi xi^T
+        return d_theta, w * g + (dw * (g @ xi)) * xi, d_r
 
     def b_field_norms(self, t_grid, n_theta=8, seed=0):
         """Norm budget of the linear-in-r coefficient b = d_r H_ex at
@@ -520,7 +525,7 @@ class HExtension:
             worst = 0.0
             for _ in range(n_theta):
                 th = rng.uniform(0, 1, self.chart.n_theta)
-                b = self.grad_r(th, np.zeros(2), np.zeros(2), t)
+                b = self.gradient(th, np.zeros(2), np.zeros(2), t)[2]
                 worst = max(worst, np.abs(b).max())
             sup = max(sup, worst * t ** 2)
             rows.append({"t": float(t), "sup_b_t2": worst * t ** 2})
@@ -592,6 +597,7 @@ def integrate_system(state0, comet, masses, t0, t1, tol=1e-11,
         "H0": h0, "H0_drift": float(np.abs(h0 - h0[0]).max()),
         "Y0": y0tot,
         "Y0_drift": float(np.abs(y0tot - y0tot[0]).max()),
+        "nfev": int(sol.nfev),
     }
 
 
@@ -646,14 +652,11 @@ class SurrogateSystem:
     def rhs(self, t, yflat):
         nt = self.chart.n_theta
         theta, xi, r, eta = self.unpack(yflat)
-        dr_H = self.hex.grad_r(theta, xi, r, t)
+        d_theta, d_xi, dr_H = self.hex.gradient(theta, xi, r, t)
         if self.R0 is not None:
             dr_H = dr_H + 2.0 * self.R0 @ r
         dtheta = self.omega + np.concatenate([dr_H, np.zeros(nt - 2)])
-        dxi = eta / self.M
-        dr = -self.hex.grad_theta(theta, xi, r, t)[:2]
-        deta = -self.hex.grad_xi(theta, xi, r, t)
-        return np.concatenate([dtheta, dxi, dr, deta])
+        return np.concatenate([dtheta, eta / self.M, -d_theta[:2], -d_xi])
 
     def integrate(self, state0, t0, t1, tol=1e-9, n_samples=120):
         ts = np.geomspace(t0, t1, n_samples)
@@ -662,7 +665,7 @@ class SurrogateSystem:
                         t_eval=ts)
         if not sol.success:
             raise IntegrationError(sol.message)
-        return {"t": sol.t, "states": sol.y.T}
+        return {"t": sol.t, "states": sol.y.T, "nfev": int(sol.nfev)}
 
     def leading_drift_momentum(self, theta, xi, t, t_tail=None,
                                n_quad=160):
@@ -673,7 +676,7 @@ class SurrogateSystem:
         vals = np.zeros((n_quad, 2))
         for i, s in enumerate(taus):
             th = theta + self.omega * (s - t)
-            vals[i] = self.hex.grad_xi(th, xi, np.zeros(2), s)
+            vals[i] = self.hex.gradient(th, xi, np.zeros(2), s)[1]
         acc = np.trapezoid(vals, taus, axis=0)
         # integrand ~ A/s^2 beyond the horizon: remaining mass A/T
         acc = acc + vals[-1] * taus[-1]

@@ -257,7 +257,8 @@ def cmd_simulate_comet(args):
                        "tolerance": 1e-8})
         _write_manifest(outdir, "manifest.json", {
             "mode": "conservative", "masses": masses.__dict__,
-            "seed": seed, "tol": tol, "H0_drift_rel": rel})
+            "seed": seed, "tol": tol, "H0_drift_rel": rel,
+            "nfev": traj["nfev"]})
         return _summary(outdir, checks)
     speed = check_speed_window(orbit, np.geomspace(1.0, 1.0 + t_max, 40),
                                eps)
@@ -303,7 +304,8 @@ def cmd_simulate_comet(args):
         "mode": "comet", "masses": masses.__dict__, "eps": eps,
         "orbit": {"e": e, "a_h": orbit.a_h, "v": orbit.v_asymptotic,
                   "t_peri": orbit.t_peri},
-        "seed": seed, "tol": tol, "surrogate_chart": True})
+        "seed": seed, "tol": tol, "surrogate_chart": True,
+        "nfev": traj["nfev"]})
     return _summary(outdir, checks)
 
 

@@ -18,9 +18,16 @@ __all__ = ["multiplier_profile", "smooth", "verify_smoothing_bounds"]
 
 
 def _ramp(u):
-    """1 for u <= 0, 0 for u >= 1, quintic C^2 in between."""
+    """1 for u <= 0, 0 for u >= 1, quintic C^2 in between, in [0, 1]."""
     u = np.clip(u, 0.0, 1.0)
-    return 1.0 - u ** 3 * (10.0 - 15.0 * u + 6.0 * u ** 2)
+    return np.clip(1.0 - u ** 3 * (10.0 - 15.0 * u + 6.0 * u ** 2),
+                   0.0, 1.0)
+
+
+def _ramp_derivative(u):
+    """d _ramp / du: -30 u^2 (1 - u)^2 on (0, 1), 0 elsewhere."""
+    u = np.clip(u, 0.0, 1.0)
+    return -30.0 * u ** 2 * (1.0 - u) ** 2
 
 
 def multiplier_profile(u):

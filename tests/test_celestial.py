@@ -286,15 +286,117 @@ def test_extension_constant_outside(hex_field):
     v0 = hex_field.value(th, np.zeros(2), t=t, r=np.zeros(2))
     assert v1 == pytest.approx(v0, rel=1e-14)
     assert v2 == pytest.approx(v0, rel=1e-14)
-    g = hex_field.grad_xi(th, np.array([1.5 * rout, 0.0]),
-                          np.zeros(2), t)
-    assert np.abs(g).max() < 1e-12
+    _, d_xi, _ = hex_field.gradient(th, np.array([1.5 * rout, 0.0]),
+                                    np.zeros(2), t)
+    assert np.all(d_xi == 0.0)
 
 
 def test_extension_b_field_norm_budget(hex_field):
     rep = hex_field.b_field_norms(np.geomspace(1, 100, 10), n_theta=4)
     assert rep["surrogate"]
     assert rep["pass"]
+
+
+def mp_gradient(hexf, theta, xi, r, t, dps=50):
+    """Reference gradient of H_ex: the Kepler solve, chart, cutoff and
+    comet sum rebuilt in mpmath at dps digits, differentiated by
+    mpmath.diff; returns (d_theta, d_xi, d_r) as floats."""
+    import mpmath
+    mp = mpmath.MPContext()     # private precision, mpmath.mp untouched
+    mp.dps = dps
+    orbit, chart, m, par = hexf.comet, hexf.chart, hexf.masses, hexf.params
+    e, a_h = mp.mpf(orbit.e), mp.mpf(orbit.a_h)
+    M_h = mp.mpf(orbit.mean_motion) * (mp.mpf(t) - mp.mpf(orbit.t_peri))
+    H = mp.findroot(lambda H: e * mp.sinh(H) - H - M_h, mp.asinh(M_h / e))
+    xp, yp = a_h * (e - mp.cosh(H)), a_h * mp.sqrt(e ** 2 - 1) * mp.sinh(H)
+    co, so = mp.cos(orbit.orientation), mp.sin(orbit.orientation)
+    c = (co * xp - so * yp, so * xp + co * yp)
+    rc = a_h * (e * mp.cosh(H) - 1)
+    rin, rout = (par.epsilon * rc * par.inner_factor,
+                 par.epsilon * rc * par.outer_factor)
+    M = mp.mpf(m.M)
+    alpha = (m.m1 / M, -(m.m0 + m.m2) / M, m.m1 / M)
+    beta = (m.m2 / M, m.m2 / M, -(m.m0 + m.m1) / M)
+
+    def H_ex(*q):
+        th, (x, y), rr = q[:4], q[4:6], q[6:]
+        u = (mp.sqrt(x ** 2 + y ** 2) - rin) / (rout - rin)
+        w = 1 if u <= 0 else 0 if u >= 1 else \
+            1 - u ** 3 * (10 - 15 * u + 6 * u ** 2)
+        X = []
+        for k, a_k in ((0, chart.a1), (1, chart.a2)):
+            ang = 2 * mp.pi * (th[k] + th[k + 2])
+            rad = a_k * (1 + chart.kappa * rr[k])
+            X.append((rad * mp.cos(ang), rad * mp.sin(ang)))
+        out = 0
+        for mi, al, be in zip((m.m0, m.m1, m.m2), alpha, beta):
+            dx = [w * xy + al * X1 + be * X2 - ci
+                  for xy, X1, X2, ci in zip((x, y), X[0], X[1], c)]
+            out -= mi * m.mc / mp.sqrt(dx[0] ** 2 + dx[1] ** 2)
+        return out
+
+    q = [mp.mpf(float(v)) for v in (*theta, *xi, *r)]
+    grad = np.array([float(mp.diff(H_ex, q, tuple(int(i == j)
+                                                  for i in range(8))))
+                     for j in range(8)])
+    return grad[:4], grad[4:6], grad[6:]
+
+
+def stencil(f, x, h=1e-6):
+    """Central differences of f at x with step h, one per coordinate."""
+    x = np.asarray(x, dtype=float)
+    return np.array([(f(x + h * e) - f(x - h * e)) / (2 * h)
+                     for e in np.eye(len(x))])
+
+
+def relative_error(got, ref):
+    return np.abs(got - ref).max() / np.abs(ref).max()
+
+
+@pytest.mark.parametrize("v", [250.0, 25.0])
+@pytest.mark.parametrize("region", ["plateau", "ramp", "outside"])
+def test_extension_gradient_matches_high_precision(v, region):
+    orbit = fast_orbit(v=v)
+    chart = CircularChart(MASSES, a1=0.05, a2=1.0)
+    hexf = extend_Hc(ExtensionParams(epsilon=0.1), orbit, MASSES, chart)
+    rng = np.random.default_rng(int(v) + len(region))
+    for t in (1.0, *rng.uniform(1.0, 100.0, 2)):
+        rin = 0.1 * orbit.radius(t) / 6.0
+        rho = {"plateau": 0.7 * rin, "ramp": 1.4 * rin,
+               "outside": 2.5 * rin}[region]
+        ang = rng.uniform(0, 2 * np.pi)
+        theta = rng.uniform(0, 1, 4)
+        xi = rho * np.array([np.cos(ang), np.sin(ang)])
+        r = rng.uniform(-0.1, 0.1, 2)
+        got = hexf.gradient(theta, xi, r, t)
+        ref = mp_gradient(hexf, theta, xi, r, t)
+        for name, g, want in zip(("theta", "xi", "r"), got, ref):
+            if region == "outside" and name == "xi":
+                assert np.all(g == 0.0)
+            else:
+                assert relative_error(g, want) <= 1e-9, (name, t)
+        # the xi block is the derivative of value itself, to the
+        # truncation of a step 1e-4 of the ramp width ...
+        d_xi = stencil(lambda x: hexf.value(theta, x, r, t), xi,
+                       h=1e-4 * rin)
+        assert np.abs(d_xi - got[1]).max() <= 1e-6 * np.abs(got[1]).max()
+        # ... while at h = 1e-6 rounding swamps the tidal theta block
+        if v == 250.0 and t > 1.0:
+            d_theta = stencil(lambda th: hexf.value(th, xi, r, t), theta)
+            assert relative_error(d_theta, ref[0]) > 1e-9
+
+
+def test_extension_gradient_vanishes_without_comet():
+    masses0 = Masses(1.0, 1e-3, 1e-3, mc=0.0)
+    orbit = fast_orbit(v=250.0, masses=masses0)
+    chart = CircularChart(masses0, a1=0.05, a2=1.0)
+    hexf = extend_Hc(ExtensionParams(epsilon=0.1), orbit, masses0, chart)
+    rin = 0.1 * orbit.radius(3.0) / 6.0
+    for rho in (0.5 * rin, 1.5 * rin, 3.0 * rin):
+        grads = hexf.gradient(np.array([0.1, 0.7, 0.3, 0.2]),
+                              np.array([rho, 0.0]),
+                              np.array([0.05, -0.02]), 3.0)
+        assert all(np.all(g == 0.0) for g in grads)
 
 
 # ---- trajectories ---------------------------------------------------

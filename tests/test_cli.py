@@ -74,6 +74,7 @@ def test_simulate_comet_conservative(tmp_path):
     assert_plain_numbers(tmp_path / "trajectory.csv",
                          "t,x0x,x0y,x1x,x1y,x2x,x2y,y0x,y0y,y1x,y1y,y2x,y2y")
     assert man["H0_drift_rel"] <= 1e-8
+    assert type(man["nfev"]) is int and man["nfev"] > 0
 
 
 def test_simulate_comet_surrogate(tmp_path):
@@ -84,6 +85,7 @@ def test_simulate_comet_surrogate(tmp_path):
     assert conf["pass"]
     man = json.loads((tmp_path / "manifest.json").read_text())
     assert man["surrogate_chart"] is True
+    assert type(man["nfev"]) is int and man["nfev"] > 0
 
 
 def test_unknown_preset_is_config_error(tmp_path):
