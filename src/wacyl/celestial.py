@@ -491,9 +491,6 @@ class HExtension:
         dw = _ramp_derivative(u)
         return _ramp(u), (dw / ((rout - rin) * rho) if dw else 0.0)
 
-    def cutoff(self, xi, t):
-        return xi * self._weight(xi, self.comet.radius(t))[0]
-
     def value(self, theta, xi, r, t):
         c, radius = self.comet.position_and_radius(t)
         xi = np.asarray(xi)

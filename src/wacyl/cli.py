@@ -76,7 +76,8 @@ def _write_manifest(outdir, name, payload):
     payload["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S")
     path = os.path.join(outdir, name)
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=1, default=float)
+        # numpy scalars as the Python value they hold (np.bool_ stays a bool)
+        json.dump(payload, fh, indent=1, default=lambda x: x.item())
     return path
 
 

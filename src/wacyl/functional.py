@@ -259,27 +259,36 @@ def _dq_tensor(g):
     return np.stack([g.dq(ax).values for ax in range(g.grid.dim)], axis=-1)
 
 
-def eval_F(H, v):
-    """Residual field of the candidate v; the solver's objective is its
-    |.|_{0,2} norm."""
+def _coefficients(H, v):
+    """What eval_F and linearize share at v: mbar, Gamma = b + mbar v,
+    d_q v, d_q b, d_q C (None without a C term) and
+    d_q m(., v, .) = d_q M0 + (d_q C) v."""
     _check_ball(H, v)
     d = H.d
     vv = v.values
-    b = H.b
-    mbar = mbar_from_spec(H, v).values.reshape(vv.shape[:-1] + (d, d))
-    fvec = b.values + np.einsum("...ij,...j->...i", mbar, vv)
+    lead = vv.shape[:-1]
+    mbar = mbar_from_spec(H, v).values.reshape(lead + (d, d))
+    gamma = H.b.values + np.einsum("...ij,...j->...i", mbar, vv)
     jac_v = v.jacobian_q()                       # (..., i, a)
+    db = _dq_tensor(H.b)                         # (..., j, a) = d_{q_a} b_j
+    mg = _dq_tensor(H.m_form.M0).reshape(lead + (d, d, d))
+    cg = None
+    if H.m_form.C is not None:
+        cg = _dq_tensor(H.m_form.C).reshape(lead + (d, d, d, d))
+        mg = mg + np.einsum("...ijka,...k->...ija", cg, vv)
+    return mbar, gamma, jac_v, db, cg, mg
+
+
+def eval_F(H, v):
+    """Residual field of the candidate v; the solver's objective is its
+    |.|_{0,2} norm."""
+    _, gamma, jac_v, db, _, mg = _coefficients(H, v)
+    vv = v.values
     transport = grad_omega(v, H.omega).values
-    adv = np.einsum("...ia,...a->...i", jac_v, fvec)
+    adv = np.einsum("...ia,...a->...i", jac_v, gamma)
     grad_a = _dq_tensor(H.a)[..., 0, :]            # (..., d)
-    db = _dq_tensor(b)                            # (..., j, a)
     b_term = np.einsum("...ja,...j->...a", db, vv)
     out = transport + adv + grad_a + b_term
-    m0g = _dq_tensor(H.m_form.M0).reshape(vv.shape[:-1] + (d, d, d))
-    mg = m0g
-    if H.m_form.C is not None:
-        cg = _dq_tensor(H.m_form.C).reshape(vv.shape[:-1] + (d, d, d, d))
-        mg = mg + np.einsum("...ijka,...k->...ija", cg, vv)
     m_term = np.einsum("...ija,...i,...j->...a", mg, vv, vv)
     out = out + m_term
     return GridFn(H.grid, H.times, out)
@@ -287,30 +296,19 @@ def eval_F(H, v):
 
 def linearize(H, v):
     """Transport coefficient f and zeroth-order coefficient g of D_v F."""
-    _check_ball(H, v)
+    mbar, gamma, jac_v, db, cg, mg = _coefficients(H, v)
     d = H.d
     vv = v.values
-    b = H.b
-    mbar = mbar_from_spec(H, v).values.reshape(vv.shape[:-1] + (d, d))
-    fvec = b.values + np.einsum("...ij,...j->...i", mbar, vv)
-    f = GridFn(H.grid, H.times, fvec)
-    jac_v = v.jacobian_q()                        # (..., i, a)
-    db = _dq_tensor(b)                            # (..., j, a) = d_{q_a} b_j
+    f = GridFn(H.grid, H.times, gamma)
     g = np.swapaxes(db, -1, -2).copy()            # g_{aj} = d_{q_a} b_j
     g = g + np.einsum("...ia,...ak->...ik", jac_v, mbar)
-    if H.m_form.C is not None:
+    if cg is not None:
         C = H.m_form._c()
         # d_q v (d_p mbar) v:  3 sum_{a j} (d_q v)_{ia} C_{ajk} v_j
         g = g + 3.0 * np.einsum("...ia,...ajk,...j->...ik", jac_v, C, vv)
         # v^T (d^2_{pq} m) v: sum_{ij} d_{q_a} C_{ijk} v_i v_j
-        cg = _dq_tensor(H.m_form.C).reshape(vv.shape[:-1] + (d, d, d, d))
         g = g + np.einsum("...ijka,...i,...j->...ak", cg, vv, vv)
     # 2 (d_q m) v: 2 sum_i d_{q_a} m_{ij}(.,v,.) v_i
-    m0g = _dq_tensor(H.m_form.M0).reshape(vv.shape[:-1] + (d, d, d))
-    mg = m0g
-    if H.m_form.C is not None:
-        cg = _dq_tensor(H.m_form.C).reshape(vv.shape[:-1] + (d, d, d, d))
-        mg = mg + np.einsum("...ijka,...k->...ija", cg, vv)
     g = g + 2.0 * np.einsum("...ija,...i->...aj", mg, vv)
     gf = GridFn(H.grid, H.times, g.reshape(vv.shape[:-1] + (d * d,)))
     return f, gf
@@ -337,8 +335,7 @@ def mu_budget(H, zeta, sigma=1.0, c_geom=2.0):
     return mu_max, gate
 
 
-def right_inverse(H, v, z, zeta=0.05, sigma=1.0, quad_tol=1e-9,
-                  method="auto"):
+def right_inverse(H, v, z, zeta=0.05, sigma=1.0, quad_tol=1e-9):
     """Solve D_v F(v) vhat = z through the transport solver.
 
     Refuses when the measured |f|_{1,1}, |g|_{1,1} exceed the
@@ -355,7 +352,7 @@ def right_inverse(H, v, z, zeta=0.05, sigma=1.0, quad_tol=1e-9,
         raise NormBudgetError("max(|f|_{1,1}, |g|_{1,1})", mu, mu_max)
     prob = HomologicalProblem(omega=H.omega, z=z, f=f, g=g, mu=mu,
                               sigma=sigma)
-    sol = solve_he(prob, quad_tol=quad_tol, method=method)
+    sol = solve_he(prob, quad_tol=quad_tol)
     return CandidateV(v=sol.kappa,
                       grad_omega=grad_omega(sol.kappa, H.omega)), sol
 

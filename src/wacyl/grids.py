@@ -153,6 +153,9 @@ class SpatialGrid:
             raise ValueError("torus_points must be a power of two")
         if m > 0 and window_points % 2 == 0:
             raise ValueError("window_points must be odd (symmetric about 0)")
+        if m > 0 and not 0 < float(window_halfwidth) < np.inf:
+            raise ValueError(f"window_halfwidth must be finite and positive, "
+                             f"got {window_halfwidth!r}")
         self.n = int(n)
         self.m = int(m)
         self.torus_points = int(torus_points)

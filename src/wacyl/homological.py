@@ -220,6 +220,10 @@ def _mode_phases(grid, omega):
     return theta.ravel()
 
 
+# quadrature nodes per time-grid interval of the spectral route
+TIME_REFINE = 6
+
+
 def _time_refine_matrix(times, refine, degree=8):
     """Quad grid (refined geometric) and interpolation weights from the
     time grid, exact on the original nodes; built once per grid."""
@@ -274,13 +278,13 @@ def _free_transport_coeffs(theta, rhs_quad, tau, p_lead):
     return kap
 
 
-def _spectral_solve(p, quad_tol, refine=6, max_corrections=30):
+def _spectral_solve(p, quad_tol, max_corrections=30):
     grid, times = p.grid, p.times
     if grid.m:
         raise NotImplementedError("spectral route requires a torus-only grid")
     d = p.dim
     theta = _mode_phases(grid, p.omega)
-    tau, W = _time_refine_matrix(times, refine)
+    tau, W = _time_refine_matrix(times, TIME_REFINE)
     zc = _grid_coeffs(p.z)                      # (T, M, d)
     fc = _grid_coeffs(p.f) if p.f is not None else None
     gc = _grid_coeffs(p.g) if p.g is not None else None
@@ -341,7 +345,7 @@ def _spectral_solve(p, quad_tol, refine=6, max_corrections=30):
                     "perturbation series for (f,g) coupling diverges; "
                     f"correction sizes {hist[-3:]}")
     # restrict to the original nodes (they are a subset of the quad grid)
-    sel = np.arange(len(times)) * refine
+    sel = np.arange(len(times)) * TIME_REFINE
     kap_nodes = kap[sel]
     kappa = _coeffs_to_grid(kap_nodes, grid, times, d)
     return kappa, n_corr, {"correction_history": hist}
@@ -414,7 +418,7 @@ def _direct_solve(p, t_quad_max, quad_tol):
 # public operations
 # --------------------------------------------------------------------
 
-def solve_he(p, t_quad_max=None, quad_tol=1e-9, method="auto", refine=6):
+def solve_he(p, t_quad_max=None, quad_tol=1e-9, method="auto"):
     """Solve the transport problem for the decaying solution kappa.
 
     t_quad_max defaults to 4 * t_max; the reported tail_bound is the
@@ -430,8 +434,7 @@ def solve_he(p, t_quad_max=None, quad_tol=1e-9, method="auto", refine=6):
         method = "spectral" if p.grid.m == 0 else "characteristics"
     diagnostics = {}
     if method == "spectral":
-        kappa, n_corr, diagnostics = _spectral_solve(p, quad_tol,
-                                                     refine=refine)
+        kappa, n_corr, diagnostics = _spectral_solve(p, quad_tol)
     elif method == "characteristics":
         kappa = _direct_solve(p, t_quad_max, quad_tol)
         n_corr = 0

@@ -2,8 +2,8 @@
 
 The weighted norm of a time-dependent function is the sup over the time
 grid of the spatial Hölder norm multiplied by t^l.  Hölder quotients for
-fractional sigma are taken over grid-point pairs; by default all
-axis-aligned separations plus short diagonal offsets are scanned.
+fractional sigma are taken over axis-aligned grid-point pairs only, at
+every separation up to half the points of the axis (or pair_radius).
 
 The Hölder profile over the time grid is computed in one pass: each
 derivative is taken once on the whole (T, ...) array, each pair shift
@@ -13,7 +13,6 @@ profile is cached on the GridFn and shared by every weight t^l.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,9 +33,7 @@ class NormReport:
 
 def _axis_distance(grid, axis, offset):
     if axis < grid.n:
-        dx = 1.0 / grid.torus_points
-        d = offset * dx
-        return min(d, 1.0 - d)
+        return offset / grid.torus_points
     dw = grid.window_axes[0][1] - grid.window_axes[0][0]
     return offset * dw
 
@@ -61,35 +58,19 @@ def _slice_max(arr):
 
 
 def _holder_quotient(grid, top_derivs, mu, pair_radius):
-    """Per time slice, max over sampled grid-point pairs of
+    """Per time slice, max over axis-aligned grid-point pairs of
     |D(x)-D(y)| / dist^mu."""
     best = np.zeros(len(top_derivs[0]))
-    dims = grid.n + grid.m
-    for axis in range(dims):
+    for axis in range(grid.dim):
         npts = grid.torus_points if axis < grid.n else grid.window_points
         max_off = npts // 2
         if pair_radius is not None:
             max_off = min(max_off, pair_radius)
         for off in range(1, max_off + 1):
             dist = _axis_distance(grid, axis, off)
-            if dist <= 0:
-                continue
             for arr in top_derivs:
                 diff = _slice_max(_shifted_diff(grid, arr, axis, off))
                 best = np.maximum(best, diff / dist ** mu)
-    # short diagonal offsets between axis pairs
-    diag_reach = 8 if pair_radius is None else min(8, pair_radius)
-    for a1, a2 in itertools.combinations(range(dims), 2):
-        for o1 in range(1, diag_reach + 1):
-            steps = [_shifted_diff(grid, arr, a1, o1) for arr in top_derivs]
-            for o2 in range(1, diag_reach + 1):
-                d = np.hypot(_axis_distance(grid, a1, o1),
-                             _axis_distance(grid, a2, o2))
-                if d <= 0:
-                    continue
-                for step in steps:
-                    diff = _slice_max(_shifted_diff(grid, step, a2, o2))
-                    best = np.maximum(best, diff / d ** mu)
     return best
 
 
@@ -194,7 +175,7 @@ def compose_torus(f, u):
     return GridFn(f.grid, f.times, out)
 
 
-def convexity_check(f, lambda1, lambda2, alpha, l=0.0, pair_radius=None):
+def convexity_check(f, lambda1, lambda2, alpha, l=0.0):
     """Ratio |f|_lam / (|f|_{lam1}^{1-alpha} |f|_{lam2}^alpha) with
     lam = (1-alpha) lam1 + alpha lam2, for boundedness testing."""
     if not (0 <= lambda1 <= lambda2):
@@ -202,16 +183,16 @@ def convexity_check(f, lambda1, lambda2, alpha, l=0.0, pair_radius=None):
     if not (0 <= alpha <= 1):
         raise ValueError("alpha must lie in [0,1]")
     lam = (1 - alpha) * lambda1 + alpha * lambda2
-    n_mid = weighted_norm(f, lam, l, pair_radius).value
-    n_lo = weighted_norm(f, lambda1, l, pair_radius).value
-    n_hi = weighted_norm(f, lambda2, l, pair_radius).value
+    n_mid = weighted_norm(f, lam, l).value
+    n_lo = weighted_norm(f, lambda1, l).value
+    n_hi = weighted_norm(f, lambda2, l).value
     denom = n_lo ** (1 - alpha) * n_hi ** alpha
     ratio = n_mid / denom if denom > 0 else (0.0 if n_mid == 0 else np.inf)
     return {"lambda": lam, "norm_mid": n_mid, "norm_lo": n_lo,
             "norm_hi": n_hi, "ratio": ratio}
 
 
-def norm_algebra_check(f, g, sigma, l, m, u=None, pair_radius=None):
+def norm_algebra_check(f, g, sigma, l, m, u=None):
     """Quantitative checks of the weighted-norm calculus.
 
     (a) derivative restriction and (b) l-monotonicity are exact grid
@@ -224,23 +205,23 @@ def norm_algebra_check(f, g, sigma, l, m, u=None, pair_radius=None):
     report = {}
     # (a) weighted_norm(df, sigma-1, l) <= weighted_norm(f, sigma, l)
     if sigma >= 1:
-        lhs = max(weighted_norm(f.dq(a), sigma - 1, l, pair_radius).value
+        lhs = max(weighted_norm(f.dq(a), sigma - 1, l).value
                   for a in range(f.grid.dim))
-        rhs = weighted_norm(f, sigma, l, pair_radius).value
+        rhs = weighted_norm(f, sigma, l).value
         report["derivative_restriction"] = {
             "lhs": lhs, "rhs": rhs, "pass": lhs <= rhs * (1 + 1e-12)}
     # (b) |f|_{sigma,l} <= |f|_{sigma,l+m}
-    lo = weighted_norm(f, sigma, l, pair_radius).value
-    hi = weighted_norm(f, sigma, l + m, pair_radius).value
+    lo = weighted_norm(f, sigma, l).value
+    hi = weighted_norm(f, sigma, l + m).value
     report["l_monotonicity"] = {"lhs": lo, "rhs": hi,
                                 "pass": lo <= hi * (1 + 1e-12)}
     # (c) product ratio
     fg = product(f, g)
-    num = weighted_norm(fg, sigma, l + m, pair_radius).value
-    den = (weighted_norm(f, 0, l, pair_radius).value
-           * weighted_norm(g, sigma, m, pair_radius).value
-           + weighted_norm(f, sigma, l, pair_radius).value
-           * weighted_norm(g, 0, m, pair_radius).value)
+    num = weighted_norm(fg, sigma, l + m).value
+    den = (weighted_norm(f, 0, l).value
+           * weighted_norm(g, sigma, m).value
+           + weighted_norm(f, sigma, l).value
+           * weighted_norm(g, 0, m).value)
     report["product_ratio"] = num / den if den > 0 else 0.0
     # (d) composition ratio, torus self-map z = id + u
     if u is not None:
@@ -249,11 +230,11 @@ def norm_algebra_check(f, g, sigma, l, m, u=None, pair_radius=None):
         eye = np.eye(u.grid.dim)
         nz = GridFn(u.grid, u.times,
                     (jac + eye).reshape(jac.shape[:-2] + (-1,)))
-        num = weighted_norm(fz, sigma, l + m, pair_radius).value
-        den = (weighted_norm(f, sigma, l, pair_radius).value
-               * weighted_norm(nz, 0, m, pair_radius).value ** sigma
-               + weighted_norm(f, 1, l, pair_radius).value
-               * weighted_norm(nz, max(sigma - 1, 0), m, pair_radius).value
-               + weighted_norm(f, 0, l + m, pair_radius).value)
+        num = weighted_norm(fz, sigma, l + m).value
+        den = (weighted_norm(f, sigma, l).value
+               * weighted_norm(nz, 0, m).value ** sigma
+               + weighted_norm(f, 1, l).value
+               * weighted_norm(nz, max(sigma - 1, 0), m).value
+               + weighted_norm(f, 0, l + m).value)
         report["composition_ratio"] = num / den if den > 0 else 0.0
     return report

@@ -81,7 +81,7 @@ def smooth(f, tau):
     return GridFn(grid, f.times, out)
 
 
-def verify_smoothing_bounds(f, tau, m, d, l=0.0, pair_radius=None):
+def verify_smoothing_bounds(f, tau, m, d, l=0.0):
     """Empirical ratios for the two smoothing inequalities.
 
     ratio1 = |S_tau f|_m / (tau^(m-d) |f|_d)
@@ -91,10 +91,10 @@ def verify_smoothing_bounds(f, tau, m, d, l=0.0, pair_radius=None):
         raise ValueError("need d <= m")
     sf = smooth(f, tau)
     rf = GridFn(f.grid, f.times, sf.values - f.values)
-    n_sf_m = weighted_norm(sf, m, l, pair_radius).value
-    n_f_d = weighted_norm(f, d, l, pair_radius).value
-    n_rf_d = weighted_norm(rf, d, l, pair_radius).value
-    n_f_m = weighted_norm(f, m, l, pair_radius).value
+    n_sf_m = weighted_norm(sf, m, l).value
+    n_f_d = weighted_norm(f, d, l).value
+    n_rf_d = weighted_norm(rf, d, l).value
+    n_f_m = weighted_norm(f, m, l).value
     ratio1 = n_sf_m / (tau ** (m - d) * n_f_d) if n_f_d > 0 else 0.0
     ratio2 = n_rf_d / (tau ** (-(m - d)) * n_f_m) if n_f_m > 0 else 0.0
     return {

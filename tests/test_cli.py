@@ -86,6 +86,8 @@ def test_simulate_comet_surrogate(tmp_path):
     man = json.loads((tmp_path / "manifest.json").read_text())
     assert man["surrogate_chart"] is True
     assert type(man["nfev"]) is int and man["nfev"] > 0
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert all(type(c["pass"]) is bool for c in summary["checks"])
 
 
 def test_unknown_preset_is_config_error(tmp_path):

@@ -31,6 +31,14 @@ def test_spatial_grid_invariants():
     assert sg.window_axes[0][4] == 0.0
 
 
+@pytest.mark.parametrize("halfwidth", [0.0, -1.0, np.inf, np.nan])
+def test_spatial_grid_rejects_bad_window_halfwidth(halfwidth):
+    with pytest.raises(ValueError, match="window_halfwidth"):
+        SpatialGrid(1, 16, m=2, window_halfwidth=halfwidth)
+    # without window axes the half-width is not used
+    assert SpatialGrid(1, 16, window_halfwidth=halfwidth).shape == (16,)
+
+
 def test_gridfn_rejects_nonfinite():
     tg = TimeGrid(4.0, n_points=4)
     sg = SpatialGrid(1, 8)
@@ -95,6 +103,19 @@ def test_load_rejects_truncated_file(tmp_path):
     path.write_bytes(data[:-8 * 5])
     with pytest.raises(ValueError, match=r"160 float64 values.*"
                        r"1240 bytes \(155 values\)"):
+        GridFn.load(path)
+
+
+def test_load_rejects_bad_window_halfwidth(tmp_path):
+    tg = TimeGrid(6.0, n_points=4)
+    sg = SpatialGrid(1, 8, m=2, window_points=5)
+    path = tmp_path / "f.wgf"
+    GridFn.zeros(sg, tg).save(path)
+    header, body = path.read_bytes().split(b"\n", 1)
+    header = header.replace(b'"window_halfwidth": 1.0',
+                            b'"window_halfwidth": -1')
+    path.write_bytes(header + b"\n" + body)
+    with pytest.raises(ValueError, match="window_halfwidth.*-1"):
         GridFn.load(path)
 
 
