@@ -28,8 +28,7 @@ __all__ = ["Masses", "CometOrbit", "CartesianState", "SplitCoords",
            "eval_H0_cartesian", "eval_H0_split", "eval_Hc", "grad_Hc",
            "hess_Hc", "legendre_tail", "decay_diagnostics", "extend_Hc",
            "CircularChart", "HExtension", "SurrogateSystem",
-           "integrate_system", "asymptotic_metric", "confinement_check",
-           "leapfrog_conservative"]
+           "integrate_system", "asymptotic_metric", "confinement_check"]
 
 
 @dataclass
@@ -464,9 +463,6 @@ class CircularChart:
         y = np.linalg.solve(self._B, Y)
         return CartesianState(x=pos, y=y, t=t)
 
-    def sup_relative_radius(self):
-        return max(self.a1 * (1 + self.kappa), self.a2 * (1 + self.kappa))
-
 
 class HExtension:
     """Comet interaction composed with the chart and the radial cutoff.
@@ -596,25 +592,6 @@ def integrate_system(state0, comet, masses, t0, t1, tol=1e-11,
         "Y0_drift": float(np.abs(y0tot - y0tot[0]).max()),
         "nfev": int(sol.nfev),
     }
-
-
-def leapfrog_conservative(state0, masses, t0, t1, n_steps):
-    """Symplectic leapfrog for the autonomous sub-case (mc = 0)."""
-    m = masses.as_array()[:, None]
-    x = state0.x.copy()
-    y = state0.y.copy()
-    h = (t1 - t0) / n_steps
-
-    def force(x):
-        return _pair_gravity(x, m[:, 0])[0]
-
-    y = y + 0.5 * h * force(x)
-    for _ in range(n_steps - 1):
-        x = x + h * y / m
-        y = y + h * force(x)
-    x = x + h * y / m
-    y = y + 0.5 * h * force(x)
-    return CartesianState(x=x, y=y, t=t1)
 
 
 # --------------------------------------------------------------------

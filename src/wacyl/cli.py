@@ -26,9 +26,9 @@ from .flow import NumericalError
 from .grids import GridFn, SpatialGrid, TimeGrid
 from .homological import HomologicalProblem, estimate_check, residual_he, \
     solve_he
-from .nashmoser import (choose_schedule, iterate, manufactured_power,
-                        manufactured_single, monitor, params_from_order,
-                        preset_params, validate_params)
+from .nashmoser import (ZehnderParams, choose_schedule, iterate,
+                        manufactured_power, manufactured_single, monitor,
+                        params_from_order, preset_params, validate_params)
 from .norms import norm_algebra_check, weighted_norm
 from .smoothing import verify_smoothing_bounds
 
@@ -137,12 +137,10 @@ def cmd_solve(args):
         if key in cfg:
             explicit[name] = float(cfg[key])
     if "Q" in explicit:
-        from .nashmoser import ZehnderParams
         p = ZehnderParams(**{**p.__dict__, **explicit})
     else:
         p, scan = choose_schedule(H, p, quad_tol=quad_tol)
         if explicit:
-            from .nashmoser import ZehnderParams
             p = ZehnderParams(**{**p.__dict__, **explicit})
         _write_csv(outdir, "schedule_scan.csv",
                    ["Q", "upsilon", "r1", "envelope"],

@@ -30,6 +30,10 @@ __all__ = ["QuadraticForm", "HamiltonianSpec", "CandidateV", "GammaField",
            "hypotheses_report", "x_norm", "v_norm", "grad_omega"]
 
 
+# the constant C of the solvability budget delta + C Upsilon zeta
+C_GEOM = 2.0
+
+
 class DomainError(NumericalError):
     """A candidate section left the momentum ball of the Hamiltonian."""
 
@@ -63,24 +67,6 @@ class QuadraticForm:
     def zero(cls, grid, times, d):
         return cls(d, GridFn.zeros(grid, times, d * d), None)
 
-    @classmethod
-    def from_p_samples(cls, grid, times, d, sampler):
-        """Reconstruct the (affine in p) form from samples of m(q,p,t)
-        on the 2-node tensor grid p in {0, e_k}."""
-        base = GridFn.from_callable(grid, times,
-                                    lambda *a: sampler(np.zeros(d), *a))
-        M0 = base
-        cols = []
-        for k in range(d):
-            ek = np.zeros(d)
-            ek[k] = 1.0
-            mk = GridFn.from_callable(grid, times,
-                                      lambda *a, e=ek: sampler(e, *a))
-            cols.append(mk.values - M0.values)
-        Cv = np.stack(cols, axis=-1)  # (..., d*d, d)
-        C = GridFn(grid, times, Cv.reshape(Cv.shape[:-2] + (d * d * d,)))
-        return cls(d, M0, C)
-
     def _m0(self):
         return self.M0.values.reshape(
             self.M0.values.shape[:-1] + (self.d, self.d))
@@ -106,10 +92,6 @@ class QuadraticForm:
         if c is not None:
             out = out + 6.0 * np.einsum("...ijk,...k->...ij", c, v_values)
         return out
-
-    def is_zero(self):
-        return (np.abs(self.M0.values).max() == 0.0
-                and (self.C is None or np.abs(self.C.values).max() == 0.0))
 
 
 @dataclass
@@ -147,10 +129,7 @@ class HamiltonianSpec:
         self.d = a.grid.dim
         if len(self.omega) != a.grid.n:
             raise ValueError("omega length must equal torus dimension")
-
-    @property
-    def b(self):
-        return GridFn(self.grid, self.times, self.b0.values + self.br.values)
+        self.b = GridFn(self.grid, self.times, b0.values + br.values)
 
     def validate(self, strict=True):
         """Budget checks of the normal form; returns the measured norms."""
@@ -199,9 +178,8 @@ class HamiltonianSpec:
 
 def a_norm(a, sigma):
     """|a|_sigma = |a|_{sigma+1,0} + |d_q a|_{sigma,2}."""
-    grad = np.concatenate([a.dq(ax).values for ax in range(a.grid.dim)],
-                          axis=-1)
-    ga = GridFn(a.grid, a.times, grad)
+    jac = a.jacobian_q()
+    ga = GridFn(a.grid, a.times, jac.reshape(jac.shape[:-2] + (-1,)))
     return weighted_norm(a, sigma + 1, 0).value \
         + weighted_norm(ga, sigma, 2).value
 
@@ -238,12 +216,12 @@ def _check_ball(H, v):
             f"{H.ball_radius} at grid node {worst}")
 
 
-def mbar_from_spec(H, v=None, gauss_order=4):
-    """mbar(q, v(q,t), t) = int_0^1 d^2_p H(q, tau v, t) dtau by fixed
+def mbar_from_spec(H, v=None):
+    """mbar(q, v(q,t), t) = int_0^1 d^2_p H(q, tau v, t) dtau by 4-point
     Gauss-Legendre quadrature, returned as a GridFn with d*d components."""
     shape = (len(H.times),) + H.grid.shape + (H.d,)
     vv = np.zeros(shape) if v is None else v.values
-    nodes, weights = np.polynomial.legendre.leggauss(gauss_order)
+    nodes, weights = np.polynomial.legendre.leggauss(4)
     nodes = 0.5 * (nodes + 1.0)
     weights = 0.5 * weights
     acc = 0.0
@@ -253,10 +231,11 @@ def mbar_from_spec(H, v=None, gauss_order=4):
                   acc.reshape(shape[:-1] + (H.d * H.d,)))
 
 
-def _dq_tensor(g):
-    """Spatial gradient of every component: (..., comp) -> (..., comp, d)
-    with the gradient axis last."""
-    return np.stack([g.dq(ax).values for ax in range(g.grid.dim)], axis=-1)
+def _mbar_gamma(H, v):
+    """mbar(., v, .) as (..., d, d) values and Gamma = b + mbar v."""
+    mbar = mbar_from_spec(H, v).values.reshape(
+        v.values.shape[:-1] + (H.d, H.d))
+    return mbar, H.b.values + np.einsum("...ij,...j->...i", mbar, v.values)
 
 
 def _coefficients(H, v):
@@ -267,14 +246,13 @@ def _coefficients(H, v):
     d = H.d
     vv = v.values
     lead = vv.shape[:-1]
-    mbar = mbar_from_spec(H, v).values.reshape(lead + (d, d))
-    gamma = H.b.values + np.einsum("...ij,...j->...i", mbar, vv)
+    mbar, gamma = _mbar_gamma(H, v)
     jac_v = v.jacobian_q()                       # (..., i, a)
-    db = _dq_tensor(H.b)                         # (..., j, a) = d_{q_a} b_j
-    mg = _dq_tensor(H.m_form.M0).reshape(lead + (d, d, d))
+    db = H.b.jacobian_q()                        # (..., j, a) = d_{q_a} b_j
+    mg = H.m_form.M0.jacobian_q().reshape(lead + (d, d, d))
     cg = None
     if H.m_form.C is not None:
-        cg = _dq_tensor(H.m_form.C).reshape(lead + (d, d, d, d))
+        cg = H.m_form.C.jacobian_q().reshape(lead + (d, d, d, d))
         mg = mg + np.einsum("...ijka,...k->...ija", cg, vv)
     return mbar, gamma, jac_v, db, cg, mg
 
@@ -286,7 +264,7 @@ def eval_F(H, v):
     vv = v.values
     transport = grad_omega(v, H.omega).values
     adv = np.einsum("...ia,...a->...i", jac_v, gamma)
-    grad_a = _dq_tensor(H.a)[..., 0, :]            # (..., d)
+    grad_a = H.a.jacobian_q()[..., 0, :]           # (..., d)
     b_term = np.einsum("...ja,...j->...a", db, vv)
     out = transport + adv + grad_a + b_term
     m_term = np.einsum("...ija,...i,...j->...a", mg, vv, vv)
@@ -314,10 +292,9 @@ def linearize(H, v):
     return f, gf
 
 
-def apply_DF(H, v, vhat, f=None, g=None):
+def apply_DF(H, v, vhat):
     """D_v F(v) vhat = (grad vhat) Omega_bar + (d_q vhat) f + g vhat."""
-    if f is None or g is None:
-        f, g = linearize(H, v)
+    f, g = linearize(H, v)
     d = H.d
     jac = vhat.jacobian_q()
     out = grad_omega(vhat, H.omega).values \
@@ -328,14 +305,14 @@ def apply_DF(H, v, vhat, f=None, g=None):
     return GridFn(H.grid, H.times, out)
 
 
-def mu_budget(H, zeta, sigma=1.0, c_geom=2.0):
-    """The solvability gate delta + C Upsilon zeta < 1/c_kappa."""
-    mu_max = H.delta + c_geom * H.upsilon * zeta
-    gate = 1.0 / constants.c_kappa(sigma)
+def mu_budget(H, zeta):
+    """The solvability gate delta + C Upsilon zeta < 1/c_kappa(1)."""
+    mu_max = H.delta + C_GEOM * H.upsilon * zeta
+    gate = 1.0 / constants.c_kappa(1.0)
     return mu_max, gate
 
 
-def right_inverse(H, v, z, zeta=0.05, sigma=1.0, quad_tol=1e-9):
+def right_inverse(H, v, z, zeta=0.05, quad_tol=1e-9):
     """Solve D_v F(v) vhat = z through the transport solver.
 
     Refuses when the measured |f|_{1,1}, |g|_{1,1} exceed the
@@ -344,31 +321,27 @@ def right_inverse(H, v, z, zeta=0.05, sigma=1.0, quad_tol=1e-9):
     f, g = linearize(H, v)
     nf = weighted_norm(f, 1, 1).value
     ng = weighted_norm(g, 1, 1).value
-    mu_max, gate = mu_budget(H, zeta, sigma)
+    mu_max, gate = mu_budget(H, zeta)
     mu = max(nf, ng)
     if mu_max >= gate:
         raise NormBudgetError("delta + C Upsilon zeta", mu_max, gate)
     if mu > mu_max * (1 + 1e-9):
         raise NormBudgetError("max(|f|_{1,1}, |g|_{1,1})", mu, mu_max)
-    prob = HomologicalProblem(omega=H.omega, z=z, f=f, g=g, mu=mu,
-                              sigma=sigma)
+    prob = HomologicalProblem(omega=H.omega, z=z, f=f, g=g, mu=mu)
     sol = solve_he(prob, quad_tol=quad_tol)
     return CandidateV(v=sol.kappa,
                       grad_omega=grad_omega(sol.kappa, H.omega)), sol
 
 
-def gamma_from_v(H, v, zeta=None, c_geom=2.0):
+def gamma_from_v(H, v, zeta=None):
     """Gamma = b + mbar(., v, .) v, with its decay envelope."""
-    d = H.d
-    mbar = mbar_from_spec(H, v).values.reshape(v.values.shape[:-1] + (d, d))
-    gam = H.b.values + np.einsum("...ij,...j->...i", mbar, v.values)
-    gamma = GridFn(H.grid, H.times, gam)
+    gamma = GridFn(H.grid, H.times, _mbar_gamma(H, v)[1])
     profile = weighted_norm(gamma, 1, 1).per_time_profile
     bound = None
     ok = None
     if zeta is not None:
         bound = weighted_norm(H.b0, 1, 1).value + H.epsilon \
-            + c_geom * H.upsilon * zeta
+            + C_GEOM * H.upsilon * zeta
         ok = max(p for _, p in profile) <= bound * (1 + 1e-9)
     return GammaField(gamma=gamma, decay_profile=profile,
                       decay_bound=bound, decay_pass=ok)
@@ -415,7 +388,7 @@ def conjugacy_check(X, phi_family, Gamma, t0, t1, samples, omega,
 
 
 def hypotheses_report(H, zeta, sigma_list=(1.0, 2.0, 4.0), n_samples=6,
-                      seed=0, c_geom=2.0):
+                      seed=0):
     """Empirical constants for the four solvability hypotheses on the
     zeta-ball around (x0, 0) = ((0, b0), 0), against the frozen values.
 
@@ -498,7 +471,7 @@ def hypotheses_report(H, zeta, sigma_list=(1.0, 2.0, 4.0), n_samples=6,
             if K > 0:
                 tame[s].append(
                     weighted_norm(eval_F(Hs, vv), s, 2).value / K)
-    mu_max, gate = mu_budget(H, zeta, 1.0, c_geom)
+    mu_max, gate = mu_budget(H, zeta)
     cal = constants.HYPOTHESES
     report = {
         "H1_first": max(h1_first), "H1_second": max(h1_second),

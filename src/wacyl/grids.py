@@ -149,10 +149,12 @@ class SpatialGrid:
                  window_points=17):
         if m not in (0, 2):
             raise ValueError("window dimension m must be 0 or 2")
-        if torus_points & (torus_points - 1):
-            raise ValueError("torus_points must be a power of two")
-        if m > 0 and window_points % 2 == 0:
-            raise ValueError("window_points must be odd (symmetric about 0)")
+        if torus_points < 1 or torus_points & (torus_points - 1):
+            raise ValueError(f"torus_points must be a power of two, "
+                             f"got {torus_points!r}")
+        if m > 0 and (window_points < 3 or window_points % 2 == 0):
+            raise ValueError(f"window_points must be odd (symmetric about 0) "
+                             f"and at least 3, got {window_points!r}")
         if m > 0 and not 0 < float(window_halfwidth) < np.inf:
             raise ValueError(f"window_halfwidth must be finite and positive, "
                              f"got {window_halfwidth!r}")
@@ -290,26 +292,20 @@ class GridFn:
                 out = np.gradient(out, ax, axis=arr_axis)
         return self._like(out)
 
-    def dt(self, fd_order=8):
-        """Time derivative via high-order stencils on the log-uniform grid."""
-        D = self.times.dt_matrix(order=fd_order)
+    def dt(self):
+        """Time derivative via 8th-order stencils on the log-uniform grid."""
+        D = self.times.dt_matrix()
         flat = self.values.reshape(len(self.times), -1)
         out = (D @ flat).reshape(self.values.shape)
         return self._like(out)
 
     def jacobian_q(self):
-        """Stack of all first spatial derivatives: components axis becomes
-        (component, spatial axis) flattened row-major."""
-        d = self.grid.dim
-        parts = [self.dq(a).values for a in range(d)]
-        # shape (T, *S, comp, d)
-        jac = np.stack(parts, axis=-1)
-        return jac
+        """All first spatial derivatives with the gradient axis last:
+        (T, *S, comp) -> (T, *S, comp, d)."""
+        return np.stack([self.dq(a).values for a in range(self.grid.dim)],
+                        axis=-1)
 
     # ---- evaluation ---------------------------------------------------
-
-    def time_slice(self, idx):
-        return self.values[idx]
 
     def interpolator(self):
         from .interp import GridFnInterpolant

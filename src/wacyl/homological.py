@@ -452,7 +452,7 @@ def solve_he(p, t_quad_max=None, quad_tol=1e-9, method="auto"):
                                diagnostics=diagnostics)
 
 
-def residual_he(sol, p, fd_order=8):
+def residual_he(sol, p):
     """Pointwise residual of (HE) on the grid; sets sol.residual_norm.
 
     d_q is spectral, d_t uses high-order stencils on the log-uniform
@@ -466,7 +466,7 @@ def residual_he(sol, p, fd_order=8):
     if p.f is not None:
         Fv = Fv + p.f.values
     adv = np.einsum("...ij,...j->...i", jac, Fv)
-    dt = kappa.dt(fd_order=fd_order).values
+    dt = kappa.dt().values
     res = adv + dt - p.z.values
     if p.g is not None:
         gm = p.g.values.reshape(p.g.values.shape[:-1] + (d, d))

@@ -188,20 +188,23 @@ def iterate(H, p, max_steps=12, target=1e-6, quad_tol=1e-10,
         if not hyp["pass"]:
             raise NormBudgetError(*_failed_hypothesis(hyp))
     psi = GridFn.zeros(H.grid, H.times, H.d)
-    r0 = _z_norm(eval_F(_smoothed_spec(H, H.b0, p.tau_j(1)), psi))
+    # F(phi_1, 0) is both the step-0 paired residual and step 1's
+    # right-hand side
+    Hs = _smoothed_spec(H, H.b0, p.tau_j(1))
+    Fj = eval_F(Hs, psi)
     r_true = _z_norm(eval_F(H, psi))
     scale = max(1.0, r_true)
-    state.residual_norms.append(r0)
+    state.residual_norms.append(_z_norm(Fj))
     state.true_residuals.append(r_true)
-    prev_psi = psi
     increases = 0
     for j in range(max_steps):
         tau = p.tau_j(j + 1)
         tj = p.t_j(j + 1)
         state.tau_values.append(tau)
         state.t_values.append(tj)
-        Hs = _smoothed_spec(H, H.b0, tau)
-        Fj = eval_F(Hs, psi)
+        if j:
+            Hs = _smoothed_spec(H, H.b0, tau)
+            Fj = eval_F(Hs, psi)
         z = GridFn(H.grid, H.times, -Fj.values)
         try:
             cand, _ = right_inverse(Hs, psi, z, zeta=zeta,
@@ -242,13 +245,12 @@ def iterate(H, p, max_steps=12, target=1e-6, quad_tol=1e-10,
     if state.status == "max_steps" and \
             state.true_residuals[-1] < target * scale:
         state.status = "converged"
-    final_res = _z_norm(eval_F(H, psi))
     gamma = gamma_from_v(H, psi, zeta=zeta)
     sol = CylinderSolution(
-        v=psi, gamma=gamma, residual_norm=final_res,
+        v=psi, gamma=gamma, residual_norm=state.true_residuals[-1],
         v_norm_rho1=weighted_norm(psi, p.rho, 1).value,
         manifest={
-            "params": validate_params(p)["params"],
+            "params": rep["params"],
             "Q": p.Q, "upsilon": p.upsilon, "epsilon0": p.epsilon0,
             "zeta": zeta, "target": target, "quad_tol": quad_tol,
             "status": state.status, "steps": state.j,

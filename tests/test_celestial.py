@@ -7,9 +7,9 @@ from wacyl.celestial import (CartesianState, CircularChart, CometOrbit,
                              confinement_check, decay_diagnostics,
                              eval_H0_cartesian, eval_H0_split, eval_Hc,
                              extend_Hc, grad_Hc, hess_Hc,
-                             integrate_system, leapfrog_conservative,
-                             legendre_tail, solve_hyperbolic_kepler,
-                             split_coordinates, split_inverse)
+                             integrate_system, legendre_tail,
+                             solve_hyperbolic_kepler, split_coordinates,
+                             split_inverse)
 from wacyl.celestial import _split_matrices
 
 
@@ -424,17 +424,6 @@ def test_two_body_period_matches_kepler():
     ang = np.unwrap(np.arctan2(X1[:, 1], X1[:, 0]))
     slope = np.polyfit(traj["t"], ang, 1)[0]
     assert abs(2 * np.pi / abs(slope) / period - 1.0) <= 1e-6
-
-
-def test_leapfrog_conserves_energy():
-    masses = Masses(1.0, 1e-3, 1e-3, mc=0.0)
-    chart = CircularChart(masses, a1=0.5, a2=2.0)
-    st0 = chart.state(np.array([0.0, 0.25, 0.0, 0.0]), np.zeros(2),
-                      np.zeros(2), np.zeros(2))
-    h0 = eval_H0_cartesian(st0, masses)
-    out = leapfrog_conservative(st0, masses, 1.0, 11.0, 40000)
-    h1 = eval_H0_cartesian(out, masses)
-    assert abs(h1 - h0) / abs(h0) < 1e-7
 
 
 def test_comet_coupling_energy_drift_bounded():

@@ -23,6 +23,10 @@ def test_time_grid_rejects_bad_input():
 def test_spatial_grid_invariants():
     with pytest.raises(ValueError):
         SpatialGrid(1, 100)          # not a power of two
+    with pytest.raises(ValueError, match="torus_points.*0"):
+        SpatialGrid(1, 0)            # passes the power-of-two bit test
+    with pytest.raises(ValueError, match="window_points.*1"):
+        SpatialGrid(1, 16, m=2, window_points=1)   # no difference stencil
     with pytest.raises(ValueError):
         SpatialGrid(1, 64, m=1)      # unsupported window dimension
     sg = SpatialGrid(2, 32, m=2, window_halfwidth=1.5, window_points=9)
@@ -116,6 +120,22 @@ def test_load_rejects_bad_window_halfwidth(tmp_path):
                             b'"window_halfwidth": -1')
     path.write_bytes(header + b"\n" + body)
     with pytest.raises(ValueError, match="window_halfwidth.*-1"):
+        GridFn.load(path)
+
+
+@pytest.mark.parametrize("field, good, bad", [("torus_points", 8, 0),
+                                              ("window_points", 5, 1)])
+def test_load_rejects_degenerate_sizes(tmp_path, field, good, bad):
+    tg = TimeGrid(6.0, n_points=4)
+    sg = SpatialGrid(1, 8, m=2, window_points=5)
+    path = tmp_path / "f.wgf"
+    GridFn.zeros(sg, tg).save(path)
+    header, body = path.read_bytes().split(b"\n", 1)
+    entry = f'"{field}": '.encode()
+    assert entry + b"%d" % good in header
+    header = header.replace(entry + b"%d" % good, entry + b"%d" % bad)
+    path.write_bytes(header + b"\n" + body)
+    with pytest.raises(ValueError, match=f"{field}.*{bad}"):
         GridFn.load(path)
 
 

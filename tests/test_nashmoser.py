@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from wacyl import constants
+from wacyl import constants, nashmoser
 from wacyl.flow import NormBudgetError
 from wacyl.grids import GridFn
 from wacyl.nashmoser import (ZehnderParams, choose_schedule,
@@ -204,15 +204,39 @@ def test_size_precondition():
 
 
 @pytest.fixture(scope="module")
-def run():
+def counted_run():
+    """The coupled 2-torus solve, counting iterate's smooth and eval_F
+    calls."""
     H = comet_decay_synthetic()
     p = params_from_order(8.0, Q=1.8)
-    sol, st = iterate(H, p, max_steps=8, target=1e-6, quad_tol=1e-9,
-                      min_steps=3, zeta=0.1)
-    return H, sol, st
+    calls = {"smooth": 0, "eval_F": 0}
+    with pytest.MonkeyPatch.context() as mp:
+        for name in calls:
+            def counted(*args, _fn=getattr(nashmoser, name), _name=name,
+                        **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            mp.setattr(nashmoser, name, counted)
+        sol, st = iterate(H, p, max_steps=8, target=1e-6, quad_tol=1e-9,
+                          min_steps=3, zeta=0.1)
+    return H, sol, st, calls
+
+
+@pytest.fixture(scope="module")
+def run(counted_run):
+    return counted_run[:3]
 
 
 class TestCometDecaySynthetic:
+    def test_each_newton_quantity_evaluated_once(self, counted_run):
+        # per step: two smooths for phi_j and one for the update; F at
+        # (phi_j, psi) (step 1's is the step-0 residual), (phi_j, psi +
+        # update) and (x, psi + update), plus F(x, 0) once
+        H, sol, st, calls = counted_run
+        assert st.j >= 3
+        assert calls == {"smooth": 3 * st.j, "eval_F": 3 * st.j + 1}
+        assert sol.residual_norm == st.true_residuals[-1]
+
     def test_residual_decreases(self, run):
         H, sol, st = run
         assert st.j >= 3
