@@ -26,7 +26,7 @@ __all__ = ["Masses", "CometOrbit", "CartesianState", "SplitCoords",
            "ExtensionParams", "solve_hyperbolic_kepler", "comet_position",
            "check_speed_window", "split_coordinates", "split_inverse",
            "eval_H0_cartesian", "eval_H0_split", "eval_Hc", "grad_Hc",
-           "hess_Hc", "legendre_tail", "decay_diagnostics", "extend_Hc",
+           "hess_Hc", "decay_diagnostics", "extend_Hc",
            "CircularChart", "HExtension", "SurrogateSystem",
            "integrate_system", "asymptotic_metric", "confinement_check"]
 
@@ -321,30 +321,6 @@ def hess_Hc(positions, comet, masses, t):
         out[i] = m[i] * masses.mc * (np.eye(2) - 3 * np.outer(rh, rh)) \
             / d ** 3
     return out
-
-
-def legendre_tail(x_i, c_vec, n_terms):
-    """Partial sums of the multipole expansion of 1/|x_i - c| and their
-    truncation error against the direct kernel."""
-    from scipy.special import eval_legendre
-    rx = np.linalg.norm(x_i)
-    rc = np.linalg.norm(c_vec)
-    if rx >= rc:
-        return {"valid": False, "ratio": rx / rc}
-    ratio = rx / rc
-    cosang = 1.0 if rx == 0 else float(np.dot(x_i, c_vec) / (rx * rc))
-    direct = 1.0 / np.linalg.norm(x_i - c_vec)
-    partial = 0.0
-    sums = []
-    for n in range(n_terms + 1):
-        partial += eval_legendre(n, cosang) * ratio ** n / rc
-        sums.append(partial)
-    err = abs(sums[-1] - direct)
-    geo_bound = ratio ** (n_terms + 1) / (rc * (1.0 - ratio))
-    return {"valid": True, "ratio": ratio, "cos_angle": cosang,
-            "partial_sums": sums, "direct": direct,
-            "truncation_error": err, "geometric_bound": geo_bound,
-            "within_bound": err <= geo_bound * (1 + 1e-9)}
 
 
 def decay_diagnostics(sampler, comet, masses, eps, k, t_grid,

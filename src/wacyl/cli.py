@@ -41,7 +41,8 @@ EXIT_NUMERICAL_FAILURE = 3
 def load_config(path=None, overrides=()):
     """Flat key=value pairs with section prefixes (section.key=value);
     environment variables WACYL_SECTION_KEY override file values, and
-    explicit overrides win over both."""
+    explicit overrides win over both.  Keys are case-insensitive and
+    stored lower-case."""
     cfg = {}
     if path:
         with open(path) as fh:
@@ -52,7 +53,7 @@ def load_config(path=None, overrides=()):
                 if "=" not in line:
                     raise ValueError(f"bad config line: {line!r}")
                 key, val = line.split("=", 1)
-                cfg[key.strip()] = val.strip()
+                cfg[key.strip().lower()] = val.strip()
     for key, val in os.environ.items():
         if key.startswith("WACYL_"):
             cfg[key[len("WACYL_"):].lower().replace("_", ".", 1)] = val
@@ -60,7 +61,7 @@ def load_config(path=None, overrides=()):
         if "=" not in item:
             raise ValueError(f"bad override: {item!r}")
         key, val = item.split("=", 1)
-        cfg[key.strip()] = val.strip()
+        cfg[key.strip().lower()] = val.strip()
     return cfg
 
 
@@ -131,7 +132,7 @@ def cmd_solve(args):
         return EXIT_CONFIG_ERROR
     p = params_from_order(cfg_get(cfg, "solve.s", 8.0))
     explicit = {}
-    for key, name in (("solve.Q", "Q"), ("solve.upsilon", "upsilon"),
+    for key, name in (("solve.q", "Q"), ("solve.upsilon", "upsilon"),
                       ("solve.epsilon0", "epsilon0"),
                       ("solve.zeta", "zeta")):
         if key in cfg:

@@ -24,7 +24,7 @@ from .grids import GridFn
 from .homological import HomologicalProblem, solve_he
 from .norms import weighted_norm
 
-__all__ = ["QuadraticForm", "HamiltonianSpec", "CandidateV", "GammaField",
+__all__ = ["QuadraticForm", "HamiltonianSpec", "GammaField",
            "DomainError", "mbar_from_spec", "eval_F", "linearize",
            "right_inverse", "gamma_from_v", "conjugacy_check",
            "hypotheses_report", "x_norm", "v_norm", "grad_omega"]
@@ -92,12 +92,6 @@ class QuadraticForm:
         if c is not None:
             out = out + 6.0 * np.einsum("...ijk,...k->...ij", c, v_values)
         return out
-
-
-@dataclass
-class CandidateV:
-    v: GridFn
-    grad_omega: GridFn
 
 
 @dataclass
@@ -313,7 +307,8 @@ def mu_budget(H, zeta):
 
 
 def right_inverse(H, v, z, zeta=0.05, quad_tol=1e-9):
-    """Solve D_v F(v) vhat = z through the transport solver.
+    """Solve D_v F(v) vhat = z through the transport solver; returns its
+    HomologicalSolution, whose kappa is vhat.
 
     Refuses when the measured |f|_{1,1}, |g|_{1,1} exceed the
     delta + C Upsilon zeta budget or that budget reaches 1/c_kappa.
@@ -328,9 +323,7 @@ def right_inverse(H, v, z, zeta=0.05, quad_tol=1e-9):
     if mu > mu_max * (1 + 1e-9):
         raise NormBudgetError("max(|f|_{1,1}, |g|_{1,1})", mu, mu_max)
     prob = HomologicalProblem(omega=H.omega, z=z, f=f, g=g, mu=mu)
-    sol = solve_he(prob, quad_tol=quad_tol)
-    return CandidateV(v=sol.kappa,
-                      grad_omega=grad_omega(sol.kappa, H.omega)), sol
+    return solve_he(prob, quad_tol=quad_tol)
 
 
 def gamma_from_v(H, v, zeta=None):

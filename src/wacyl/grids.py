@@ -198,6 +198,18 @@ class SpatialGrid:
         """Frequency of every torus axis on the full mode grid ("ij")."""
         return np.meshgrid(*(self.torus_freqs,) * self.n, indexing="ij")
 
+    def torus_fft(self, values):
+        """Fourier coefficients over the torus axes of (L, *shape, C)
+        samples, scaled by 1/N so that the zero mode is the mean."""
+        return np.fft.fftn(values, axes=tuple(range(1, 1 + self.n)),
+                           norm="forward")
+
+    def torus_ifft(self, coeffs):
+        """Complex samples of torus Fourier coefficients; the inverse of
+        torus_fft."""
+        return np.fft.ifftn(coeffs, axes=tuple(range(1, 1 + self.n)),
+                            norm="forward")
+
 
 class GridFn:
     """Sampled vector-valued function on SpatialGrid x TimeGrid.

@@ -19,6 +19,7 @@ explicit tail bound from the integrand majorant.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -131,83 +132,21 @@ def _osc_moments(h, theta, mmax):
     return out
 
 
-def _lagrange_matrix(offsets):
-    """Map from values at `offsets` to polynomial coefficients."""
-    V = np.vander(np.asarray(offsets, dtype=float), increasing=True)
-    return np.linalg.inv(V)
-
-
-def _filon_cumulative(tau, theta, amp, degree=4):
-    """J_i = int_{tau_i}^{tau_end} amp(s) e^(i theta s) ds for every node.
-
-    tau must be geometric (log-uniform); amp has shape (P, M, C) with P
-    nodes, M modes (theta per mode) and C components.
-    """
-    P = len(tau)
-    npts = degree + 1
-    gamma = tau[1] / tau[0]
-    # panel i covers [tau_i, tau_{i+1}] with stencil start s_i
-    starts = np.clip(np.arange(P - 1) - degree // 2, 0, P - npts)
-    rel = np.arange(P - 1) - starts            # panel position in stencil
-    uniq = np.unique(rel)
-    h_scaled = gamma - 1.0
-    panel_int = np.zeros((P - 1,) + amp.shape[1:], dtype=complex)
-    theta_tau = np.multiply.outer(tau[:-1], theta)  # (P-1, M)
-    for r in uniq:
-        mask = rel == r
-        offs = gamma ** (np.arange(npts) - r) - 1.0
-        Lmat = _lagrange_matrix(offs)
-        idx = starts[mask]
-        # stencil values: (npanels, npts, M, C)
-        vals = amp[idx[:, None] + np.arange(npts)[None, :]]
-        coef = np.einsum("cm,pm...->pc...", Lmat, vals)
-        mom = _osc_moments(h_scaled, theta_tau[mask], degree)  # (deg+1, np, M)
-        # d tau = tau_i d(u/tau_i): sum_m coef_m tau_i mu_m(h_scaled)
-        acc = np.zeros_like(panel_int[mask])
-        w = tau[:-1][mask][:, None]
-        for mdeg in range(npts):
-            acc = acc + coef[:, mdeg] * (w * mom[mdeg])[
-                (...,) + (None,) * (amp.ndim - 2)]
-        phase = np.exp(1j * theta_tau[mask])
-        panel_int[mask] = acc * phase[(...,) + (None,) * (amp.ndim - 2)]
-    J = np.zeros((P,) + amp.shape[1:], dtype=complex)
-    J[:-1] = np.cumsum(panel_int[::-1], axis=0)[::-1]
-    return J
-
-
 def _expn_complex(p, z):
-    """Generalized exponential integral E_p(z) for complex z, Re z >= 0.
+    """Generalized exponential integral E_p(z), p >= 2, for complex z with
+    Re z >= 0.
 
-    E_1 comes from scipy; higher orders by the downward-stable
-    recurrence.  z = 0 (non-oscillatory mode) uses E_p(0) = 1/(p-1).
+    E_1 comes from scipy; higher orders by the recurrence
+    E_(k+1) = (e^-z - z E_k) / k.  z = 0 (non-oscillatory mode) uses
+    E_p(0) = 1/(p-1).
     """
     z = np.asarray(z, dtype=complex)
     zero = z == 0
     zs = np.where(zero, 1.0, z)
     E = exp1(zs)
-    if p == 1:
-        return np.where(zero, np.inf, E)
     for k in range(1, p):
         E = (np.exp(-zs) - zs * E) / k
     return np.where(zero, 1.0 / (p - 1), E)
-
-
-def _power_tail_coeffs(tau, amp, p_lead, n_fit=6):
-    """Least-squares fit amp(t) ~ c1 t^-p + c2 t^-(p+1) on the last nodes."""
-    ts = tau[-n_fit:]
-    basis = np.stack([ts ** (-p_lead), ts ** (-(p_lead + 1))], axis=1)
-    sol, *_ = np.linalg.lstsq(basis, amp[-n_fit:].reshape(n_fit, -1),
-                              rcond=None)
-    return sol.reshape((2,) + amp.shape[1:])
-
-
-def _power_tail_integral(T, theta, coeffs, p_lead):
-    """int_T^inf (c1 s^-p + c2 s^-(p+1)) e^(i theta s) ds."""
-    z = -1j * np.asarray(theta, dtype=float) * T + 0j
-    e_p = _expn_complex(p_lead, z) * T ** (1 - p_lead)
-    e_p1 = _expn_complex(p_lead + 1, z) * T ** (-p_lead)
-    pad = (...,) + (None,) * (coeffs.ndim - 2)
-    return coeffs[0] * e_p[pad] + coeffs[1] * e_p1[pad]
 
 
 # --------------------------------------------------------------------
@@ -249,33 +188,72 @@ def _time_refine_matrix(times, refine, degree=8):
     return times.derived(("refine", refine, degree), build)
 
 
-def _grid_coeffs(f):
-    axes = tuple(range(1, 1 + f.grid.n))
-    scale = f.grid.torus_points ** f.grid.n
-    c = np.fft.fftn(f.values, axes=axes) / scale
-    return c.reshape(len(f.times), -1, f.components)
+# Filon panels interpolate the amplitude by a polynomial of FILON_DEGREE
+# on FILON_DEGREE + 1 quad nodes; beyond the horizon the amplitude follows its
+# least-squares fit c1 t^-TAIL_POWER + c2 t^-(TAIL_POWER + 1) on the last
+# TAIL_NODES quad nodes, integrated analytically
+FILON_DEGREE = 4
+TAIL_POWER = 2
+TAIL_NODES = 6
 
 
-def _coeffs_to_grid(coeffs, grid, times, components):
-    full = coeffs.reshape((len(times),) + grid.shape + (components,))
-    axes = tuple(range(1, 1 + grid.n))
-    vals = np.fft.ifftn(full * grid.torus_points ** grid.n, axes=axes).real
-    return GridFn(grid, times, vals)
+class _TransportPlan(NamedTuple):
+    weights: np.ndarray     # (P-1, FILON_DEGREE+1, M) per-panel weights
+    stencil: np.ndarray     # (P-1, FILON_DEGREE+1) quad node of each weight
+    tail: np.ndarray        # (TAIL_NODES, M) last nodes -> tail integral
+    phase: np.ndarray       # (P, M) -e^(-i theta tau)
 
 
-def _free_transport_coeffs(theta, rhs_quad, tau, p_lead):
-    """Solve (d_q k) omega + d_t k = rhs for the decaying solution, in
-    coefficient space on the quadrature grid.
+def _transport_plan(times, theta):
+    """Everything of the free transport solve that depends only on the
+    quad nodes tau of `times` and the mode phases theta; read-only and
+    built once per (grid, theta).
 
-    rhs_quad: (P, M, C) coefficients of the right side on the quad grid.
-    Returns kappa coefficients on the quad grid (P, M, C).
+    Panel i = [tau_i, tau_(i+1)] interpolates the amplitude on the quad
+    nodes stencil[i] by a polynomial in u = s/tau_i - 1, so that
+      int_panel amp(s) e^(i theta s) ds
+          = sum_k weights[i, k] amp[stencil[i, k]],
+    weights[i, k] = tau_i e^(i theta tau_i) sum_m L_i[m, k] mu_m(theta tau_i)
+    with L_i the Lagrange map from stencil values to coefficients and mu_m
+    the oscillatory moments (Filon weights are moments against a fixed
+    oscillator: Iserles & Norsett, Proc. R. Soc. A 461 (2005) 1383-1399).
     """
-    J = _filon_cumulative(tau, theta, rhs_quad)
-    tail_c = _power_tail_coeffs(tau, rhs_quad, p_lead)
-    tail = _power_tail_integral(tau[-1], theta, tail_c, p_lead)
-    total = J + tail[None, ...]
-    kap = -np.exp(-1j * np.multiply.outer(tau, theta))[..., None] * total
-    return kap
+    def build():
+        tau, _ = _time_refine_matrix(times, TIME_REFINE)
+        npts = FILON_DEGREE + 1
+        gamma = tau[1] / tau[0]
+        panels = np.arange(len(tau) - 1)
+        starts = np.clip(panels - FILON_DEGREE // 2, 0, len(tau) - npts)
+        offs = gamma ** (np.arange(npts) - (panels - starts)[:, None]) - 1.0
+        lagrange = np.linalg.inv(offs[..., None] ** np.arange(npts))
+        theta_tau = np.multiply.outer(tau[:-1], theta)       # (P-1, M)
+        mom = _osc_moments(gamma - 1.0, theta_tau, FILON_DEGREE)
+        weights = np.einsum("pmk,mpj->pkj", lagrange, mom) \
+            * (tau[:-1, None] * np.exp(1j * theta_tau))[:, None]
+        # least-squares projector onto the two tail powers, times their
+        # integrals int_T^inf s^-p e^(i theta s) ds = E_p(-i theta T) T^(1-p)
+        ts = tau[-TAIL_NODES:]
+        fit = np.linalg.pinv(np.stack([ts ** -TAIL_POWER,
+                                       ts ** -(TAIL_POWER + 1)], axis=1))
+        z = -1j * theta * tau[-1] + 0j
+        ints = np.stack([_expn_complex(p, z) * tau[-1] ** (1 - p)
+                         for p in (TAIL_POWER, TAIL_POWER + 1)])
+        phase = -np.exp(-1j * np.multiply.outer(tau, theta))
+        return _TransportPlan(weights, starts[:, None] + np.arange(npts),
+                              fit.T @ ints, phase)
+
+    return times.derived(("transport", TIME_REFINE, theta.tobytes()), build)
+
+
+def _free_transport_coeffs(plan, rhs):
+    """Decaying solution kappa = -e^(-i theta t) int_t^inf rhs(s)
+    e^(i theta s) ds of (d_q kappa) omega + d_t kappa = rhs, in coefficient
+    space on the quad grid; rhs and kappa have shape (P, M, C)."""
+    panels = np.einsum("pkm,pkmc->pmc", plan.weights, rhs[plan.stencil])
+    J = np.zeros_like(rhs)
+    J[:-1] = np.cumsum(panels[::-1], axis=0)[::-1]
+    tail = np.einsum("km,kmc->mc", plan.tail, rhs[-TAIL_NODES:])
+    return plan.phase[..., None] * (J + tail)
 
 
 def _spectral_solve(p, quad_tol, max_corrections=30):
@@ -283,55 +261,47 @@ def _spectral_solve(p, quad_tol, max_corrections=30):
     if grid.m:
         raise NotImplementedError("spectral route requires a torus-only grid")
     d = p.dim
-    theta = _mode_phases(grid, p.omega)
-    tau, W = _time_refine_matrix(times, TIME_REFINE)
-    zc = _grid_coeffs(p.z)                      # (T, M, d)
-    fc = _grid_coeffs(p.f) if p.f is not None else None
-    gc = _grid_coeffs(p.g) if p.g is not None else None
+    plan = _transport_plan(times, _mode_phases(grid, p.omega))
+    _, W = _time_refine_matrix(times, TIME_REFINE)
+    P = W.shape[0]
 
-    def to_quad(c):
-        return np.einsum("pt,tmc->pmc", W, c)
+    def modes(values):          # (L, *shape, C) -> (L, M, C)
+        return grid.torus_fft(values).reshape(len(values), -1,
+                                              values.shape[-1])
 
-    rhs = to_quad(zc)
-    kap = _free_transport_coeffs(theta, rhs, tau, 2)
+    def samples(coeffs):        # (L, M, C) -> complex (L, *shape, C)
+        return grid.torus_ifft(coeffs.reshape(
+            (len(coeffs),) + grid.shape + coeffs.shape[-1:]))
+
+    def to_quad(values):
+        return np.einsum("pt,tmc->pmc", W, modes(values))
+
+    kap = _free_transport_coeffs(plan, to_quad(p.z.values))
     base_scale = np.abs(kap).max()
     n_corr = 0
     hist = []
-    if fc is not None or gc is not None:
-        fq = to_quad(fc) if fc is not None else None
-        gq = to_quad(gc) if gc is not None else None
-        shape = grid.shape
-        N = grid.torus_points ** grid.n
+    if p.f is not None or p.g is not None:
         kvecs = grid.torus_mesh()
         # physical (f, g) on the quad grid; fixed through the corrections
-        if fq is not None:
-            f_phys = np.fft.ifftn(
-                fq.reshape((len(tau),) + shape + (d,)) * N,
-                axes=tuple(range(1, 1 + grid.n))).real
-        if gq is not None:
-            g_phys = np.fft.ifftn(
-                gq.reshape((len(tau),) + shape + (d * d,)) * N,
-                axes=tuple(range(1, 1 + grid.n))).real
-            gm = g_phys.reshape(g_phys.shape[:-1] + (d, d))
+        if p.f is not None:
+            f_phys = samples(to_quad(p.f.values)).real
+        if p.g is not None:
+            gm = samples(to_quad(p.g.values)).real.reshape(
+                (P,) + grid.shape + (d, d))
         cur = kap
         for it in range(max_corrections):
             # physical fields on the quad grid
-            cur_full = cur.reshape((len(tau),) + shape + (d,))
-            phys = np.fft.ifftn(cur_full * N,
-                                axes=tuple(range(1, 1 + grid.n)))
-            rhs_phys = np.zeros_like(phys)
-            if fq is not None:
+            cur_full = cur.reshape((P,) + grid.shape + (d,))
+            rhs_phys = np.zeros(cur_full.shape, dtype=complex)
+            if p.f is not None:
                 for a in range(grid.n):
-                    da = np.fft.ifftn(
-                        cur_full * (2j * np.pi * kvecs[a])[None, ..., None]
-                        * N, axes=tuple(range(1, 1 + grid.n)))
+                    da = grid.torus_ifft(
+                        cur_full * (2j * np.pi * kvecs[a])[None, ..., None])
                     rhs_phys -= da * f_phys[..., a:a + 1]
-            if gq is not None:
-                rhs_phys -= np.einsum("...ij,...j->...i", gm, phys)
-            rhs_c = np.fft.fftn(rhs_phys, axes=tuple(range(1, 1 + grid.n))
-                                ) / N
-            rhs_c = rhs_c.reshape(len(tau), -1, d)
-            corr = _free_transport_coeffs(theta, rhs_c, tau, 2)
+            if p.g is not None:
+                rhs_phys -= np.einsum("...ij,...j->...i", gm,
+                                      grid.torus_ifft(cur_full))
+            corr = _free_transport_coeffs(plan, modes(rhs_phys))
             kap = kap + corr
             cur = corr
             n_corr = it + 1
@@ -345,9 +315,7 @@ def _spectral_solve(p, quad_tol, max_corrections=30):
                     "perturbation series for (f,g) coupling diverges; "
                     f"correction sizes {hist[-3:]}")
     # restrict to the original nodes (they are a subset of the quad grid)
-    sel = np.arange(len(times)) * TIME_REFINE
-    kap_nodes = kap[sel]
-    kappa = _coeffs_to_grid(kap_nodes, grid, times, d)
+    kappa = GridFn(grid, times, samples(kap[::TIME_REFINE]).real)
     return kappa, n_corr, {"correction_history": hist}
 
 

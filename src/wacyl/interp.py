@@ -33,9 +33,7 @@ class GridFnInterpolant:
                 "off-grid evaluation with window axes is not needed by the "
                 "solver; sample on-grid instead")
         # Fourier coefficients per time slice: shape (T, *modes, comp)
-        axes = tuple(range(1, 1 + self.grid.n))
-        self.coeff = np.fft.fftn(f.values, axes=axes) / (
-            self.grid.torus_points ** self.grid.n)
+        self.coeff = self.grid.torus_fft(f.values)
 
     def _time_weights(self, t):
         lt = np.log(t)

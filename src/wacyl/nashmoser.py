@@ -207,12 +207,12 @@ def iterate(H, p, max_steps=12, target=1e-6, quad_tol=1e-10,
             Fj = eval_F(Hs, psi)
         z = GridFn(H.grid, H.times, -Fj.values)
         try:
-            cand, _ = right_inverse(Hs, psi, z, zeta=zeta,
-                                    quad_tol=quad_tol)
+            step = right_inverse(Hs, psi, z, zeta=zeta,
+                                 quad_tol=quad_tol).kappa
         except NormBudgetError:
             state.status = "mu_budget_refused"
             raise
-        update = smooth(cand.v, tj)
+        update = smooth(step, tj)
         prev_psi = psi
         psi = GridFn(H.grid, H.times, psi.values + update.values)
         state.j = j + 1

@@ -135,9 +135,9 @@ def test_criterion_04_right_inverse():
             return acc / t ** 2
 
         z = GridFn.from_callable(sg, tg, zf)
-        cand, _ = right_inverse(H, v0, z, quad_tol=1e-10)
+        sol = right_inverse(H, v0, z, quad_tol=1e-10)
         err = weighted_norm(GridFn(sg, tg,
-                                   apply_DF(H, v0, cand.v).values
+                                   apply_DF(H, v0, sol.kappa).values
                                    - z.values), 0, 2).value
         worst = max(worst, err / weighted_norm(z, 0, 2).value)
     report(4, worst <= 1e-5,

@@ -7,9 +7,8 @@ from wacyl.celestial import (CartesianState, CircularChart, CometOrbit,
                              confinement_check, decay_diagnostics,
                              eval_H0_cartesian, eval_H0_split, eval_Hc,
                              extend_Hc, grad_Hc, hess_Hc,
-                             integrate_system, legendre_tail,
-                             solve_hyperbolic_kepler, split_coordinates,
-                             split_inverse)
+                             integrate_system, solve_hyperbolic_kepler,
+                             split_coordinates, split_inverse)
 from wacyl.celestial import _split_matrices
 
 
@@ -181,30 +180,6 @@ def test_Hc_linear_in_comet_mass():
     m2 = Masses(1.0, 1e-3, 1e-3, mc=2e-3)
     assert eval_Hc(pos, orbit, m2, 4.0) == pytest.approx(
         2.0 * eval_Hc(pos, orbit, MASSES, 4.0), rel=1e-14)
-
-
-# ---- multipole expansion -------------------------------------------
-
-def test_legendre_origin_single_term():
-    rep = legendre_tail(np.zeros(2), np.array([2.0, 0.0]), 0)
-    assert rep["partial_sums"][0] == pytest.approx(0.5)
-    assert rep["truncation_error"] < 1e-15
-
-
-def test_legendre_geometric_tail():
-    rep = legendre_tail(np.array([0.2, 0.1]), np.array([1.0, 0.3]), 20)
-    assert rep["valid"] and rep["within_bound"]
-    assert rep["truncation_error"] <= rep["geometric_bound"]
-
-
-def test_legendre_collinear_geometric_series():
-    rep = legendre_tail(np.array([0.3, 0.0]), np.array([1.0, 0.0]), 60)
-    assert rep["partial_sums"][-1] == pytest.approx(1.0 / 0.7, rel=1e-12)
-
-
-def test_legendre_invalid_ratio():
-    rep = legendre_tail(np.array([2.0, 0.0]), np.array([1.0, 0.0]), 5)
-    assert not rep["valid"]
 
 
 # ---- decay diagnostics ---------------------------------------------

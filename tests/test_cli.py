@@ -144,3 +144,15 @@ def test_ball_exit_is_numerical_failure(tmp_path, capsys, fixed_q):
     assert "|v| = 6.000e-01 > 0.5" in err
     # the scan skips the trials that leave the ball instead of aborting
     assert (tmp_path / "schedule_scan.csv").exists() != fixed_q
+
+
+def test_fixed_q_from_environment(tmp_path, monkeypatch):
+    # keys from the environment arrive lower-case, so the fixed Q must be
+    # read as solve.q; whatever the case it was given in, it skips the scan
+    monkeypatch.setenv("WACYL_SOLVE_Q", "2.0")
+    assert load_config(None, []) == {"solve.q": "2.0"}
+    assert load_config(None, ["solve.Q=3.0"]) == {"solve.q": "3.0"}
+    run_cli(["--out", str(tmp_path), "--set", "solve.torus_points=32",
+             "--set", "solve.n_times=24", "solve"])
+    assert not (tmp_path / "schedule_scan.csv").exists()
+    assert json.loads((tmp_path / "manifest.json").read_text())["Q"] == 2.0

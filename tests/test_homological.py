@@ -4,8 +4,10 @@ from scipy.integrate import quad
 
 from wacyl.flow import NormBudgetError
 from wacyl.grids import GridFn, SpatialGrid, TimeGrid
-from wacyl.homological import (HomologicalProblem, estimate_check,
-                               residual_he, solve_he)
+from wacyl.homological import (TIME_REFINE, HomologicalProblem,
+                               _free_transport_coeffs, _mode_phases,
+                               _time_refine_matrix, _transport_plan,
+                               estimate_check, residual_he, solve_he)
 from wacyl.norms import weighted_norm
 
 
@@ -218,3 +220,38 @@ def test_solution_manifest_serialization(tmp_path):
     assert np.array_equal(loaded.values, sol.kappa.values)
     man = p.manifest()
     assert man["mu"] == p.mu and man["sigma"] == 1.0
+
+
+# ---- transport plan ------------------------------------------------
+
+def test_transport_plan_built_once_per_grid_and_theta():
+    sg = SpatialGrid(1, 16)
+    for tg in (TimeGrid(8.0, n_points=12),
+               TimeGrid.from_points(np.geomspace(1.0, 8.0, 12))):
+        theta = _mode_phases(sg, [1.0])
+        plan = _transport_plan(tg, theta)
+        again = _transport_plan(tg, _mode_phases(sg, [1.0]))
+        for a, b in zip(plan, again):
+            assert a is b and not a.flags.writeable
+        other = _transport_plan(tg, _mode_phases(sg, [0.5]))
+        assert other.weights is not plan.weights
+        assert not np.array_equal(other.weights, plan.weights)
+
+
+def test_transport_tail_exact_for_power_law_amplitude():
+    # an amplitude c1 t^-2 + c2 t^-3 lies in the span of the tail fit, so
+    # kappa at the horizon T is its tail integral in closed form
+    import mpmath
+    sg, tg = SpatialGrid(1, 8), TimeGrid(20.0, n_points=16)
+    theta = _mode_phases(sg, [0.3])
+    tau, _ = _time_refine_matrix(tg, TIME_REFINE)
+    c1, c2, mode = 1.5, -0.7, 1
+    rhs = np.zeros((len(tau), len(theta), 1), dtype=complex)
+    rhs[:, mode, 0] = c1 * tau ** -2 + c2 * tau ** -3
+    kap = _free_transport_coeffs(_transport_plan(tg, theta), rhs)
+    T, th = tau[-1], theta[mode]
+    z = mpmath.mpc(0, -th * T)
+    want = complex(-mpmath.exp(z) * (
+        c1 * mpmath.expint(2, z) / T + c2 * mpmath.expint(3, z) / T ** 2))
+    assert th != 0
+    assert abs(kap[-1, mode, 0] - want) <= 1e-12 * abs(want)
