@@ -38,6 +38,12 @@ class Masses:
     m2: float
     mc: float = 0.0
 
+    def __post_init__(self):
+        for name, m in vars(self).items():
+            if not (np.isfinite(m) and m >= 0) or (name == "m0" and m == 0):
+                raise ValueError(f"mass {name} = {m}: masses must be "
+                                 "finite and >= 0, and m0 > 0")
+
     @property
     def M(self):
         return self.m0 + self.m1 + self.m2
@@ -75,7 +81,8 @@ class ExtensionParams:
 
     def __post_init__(self):
         if not (0 < self.epsilon <= 0.5):
-            raise ValueError("epsilon must lie in (0, 1/2]")
+            raise ValueError(
+                f"epsilon must lie in (0, 1/2] (got {self.epsilon})")
         if self.inner_factor >= self.outer_factor:
             raise ValueError("inner radius must be below outer radius")
 
@@ -534,6 +541,8 @@ def integrate_system(state0, comet, masses, t0, t1, tol=1e-11,
                      n_samples=200, proximity=1e-4):
     """Trajectory of the full time-dependent system with energy-drift
     reporting; aborts with a timestamp on close encounters."""
+    if not t1 > t0:
+        raise ValueError(f"need t1 > t0 (got t0 = {t0}, t1 = {t1})")
     rhs = _cartesian_rhs(masses, comet)
     m = masses.as_array()
     y0 = np.concatenate([state0.x.ravel(), state0.y.ravel()])
@@ -609,6 +618,8 @@ class SurrogateSystem:
         return np.concatenate([dtheta, eta / self.M, -d_theta[:2], -d_xi])
 
     def integrate(self, state0, t0, t1, tol=1e-9, n_samples=120):
+        if not t1 > t0:
+            raise ValueError(f"need t1 > t0 (got t0 = {t0}, t1 = {t1})")
         ts = np.geomspace(t0, t1, n_samples)
         sol = solve_ivp(self.rhs, (t0, t1), np.asarray(state0, float),
                         method="DOP853", rtol=tol, atol=tol * 1e-3,

@@ -14,6 +14,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -26,9 +27,9 @@ from .flow import NumericalError
 from .grids import GridFn, SpatialGrid, TimeGrid
 from .homological import HomologicalProblem, estimate_check, residual_he, \
     solve_he
-from .nashmoser import (ZehnderParams, choose_schedule, iterate,
-                        manufactured_power, manufactured_single, monitor,
-                        params_from_order, preset_params, validate_params)
+from .nashmoser import (choose_schedule, iterate, manufactured_power,
+                        manufactured_single, monitor, params_from_order,
+                        preset_params, validate_params)
 from .norms import norm_algebra_check, weighted_norm
 from .smoothing import verify_smoothing_bounds
 
@@ -131,22 +132,17 @@ def cmd_solve(args):
               "manufactured-power", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     p = params_from_order(cfg_get(cfg, "solve.s", 8.0))
-    explicit = {}
-    for key, name in (("solve.q", "Q"), ("solve.upsilon", "upsilon"),
-                      ("solve.epsilon0", "epsilon0"),
-                      ("solve.zeta", "zeta")):
-        if key in cfg:
-            explicit[name] = float(cfg[key])
-    if "Q" in explicit:
-        p = ZehnderParams(**{**p.__dict__, **explicit})
-    else:
+    # explicitly set scheme values override the scanned ones
+    explicit = {name: float(cfg[key]) for key, name in (
+        ("solve.q", "Q"), ("solve.upsilon", "upsilon"),
+        ("solve.epsilon0", "epsilon0"), ("solve.zeta", "zeta")) if key in cfg}
+    if "Q" not in explicit:
         p, scan = choose_schedule(H, p, quad_tol=quad_tol)
-        if explicit:
-            p = ZehnderParams(**{**p.__dict__, **explicit})
         _write_csv(outdir, "schedule_scan.csv",
                    ["Q", "upsilon", "r1", "envelope"],
                    [[r["Q"], r["upsilon"], r["r1"], r["envelope"]]
                     for r in scan])
+    p = replace(p, **explicit)
     sol, state = iterate(H, p, max_steps=int(
         cfg_get(cfg, "solve.max_steps", 12)), target=target,
         quad_tol=quad_tol, min_steps=3)
@@ -176,8 +172,7 @@ def cmd_solve(args):
                 for i in range(3)), "tolerance": "strict"},
     ]
     if vstar is not None:
-        dv = GridFn(H.grid, H.times, sol.v.values - vstar.values)
-        err = weighted_norm(dv, 1, 1).value
+        err = weighted_norm(sol.v - vstar, 1, 1).value
         checks.append({"name": "|v - v*|_{1,1} <= 1e-4",
                        "pass": err <= 1e-4, "detail": f"{err:.3e}",
                        "tolerance": 1e-4})
@@ -226,6 +221,8 @@ def cmd_simulate_comet(args):
     t_max = cfg_get(cfg, "comet.t_max", 100.0)
     tol = cfg_get(cfg, "comet.tol", 1e-11)
     seed = int(cfg_get(cfg, "comet.seed", 0))
+    if not v > 0:
+        raise ValueError(f"comet.v must be positive (got {v})")
     masses = Masses(cfg_get(cfg, "comet.m0", 1.0),
                     cfg_get(cfg, "comet.m1", 1e-3),
                     cfg_get(cfg, "comet.m2", 1e-3), mc=mc)
@@ -260,12 +257,13 @@ def cmd_simulate_comet(args):
             "seed": seed, "tol": tol, "H0_drift_rel": rel,
             "nfev": traj["nfev"]})
         return _summary(outdir, checks)
+    ext = ExtensionParams(epsilon=eps)
     speed = check_speed_window(orbit, np.geomspace(1.0, 1.0 + t_max, 40),
                                eps)
     checks.append({"name": "speed/ratio windows", "pass": speed["pass"],
                    "detail": f"sup t/|c| = {speed['sup_t_over_c']:.3e}",
                    "tolerance": eps})
-    hexf = extend_Hc(ExtensionParams(epsilon=eps), orbit, masses, chart)
+    hexf = extend_Hc(ext, orbit, masses, chart)
     system = SurrogateSystem(hexf)
     theta0 = rng.uniform(0, 1, 4)
     xi0 = np.array([cfg_get(cfg, "comet.xi0x", 0.3),
@@ -316,9 +314,12 @@ def cmd_verify_norms(args):
     rng = np.random.default_rng(seed)
     tg = TimeGrid(10.0, n_points=24)
     sg = SpatialGrid(1, 128)
+    trials = int(cfg_get(cfg, "norms.trials", 3))
+    if trials < 1:
+        raise ValueError(f"norms.trials must be at least 1 (got {trials})")
     checks = []
     rows = []
-    for trial in range(int(cfg_get(cfg, "norms.trials", 3))):
+    for trial in range(trials):
         amps = rng.standard_normal(32) / np.arange(1, 33) ** 2
         phases = rng.uniform(0, 1, 32)
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 
+from . import constants
 from .norms import weighted_norm
 
 __all__ = ["VectorFieldSpec", "FundamentalMatrix", "NumericalError",
@@ -109,15 +110,15 @@ def rk4(fun, y0, t0, t1, n_steps):
     return y
 
 
-def _solve(fun, y0, t0, t1, tol, dense=False):
+def _solve(fun, y0, t0, t1, tol):
     if t0 == t1:
-        return y0.copy(), None
+        return y0.copy()
     sol = solve_ivp(fun, (t0, t1), y0, method="DOP853", rtol=tol,
-                    atol=tol * 1e-2, dense_output=dense)
+                    atol=tol * 1e-2)
     if not sol.success:
         raise IntegrationError(f"integration failed on [{t0}, {t1}]: "
                                f"{sol.message}")
-    return sol.y[:, -1], (sol.sol if dense else None)
+    return sol.y[:, -1]
 
 
 def integrate_flow(F, q0, t0, t1, tol=1e-9):
@@ -132,7 +133,7 @@ def integrate_flow(F, q0, t0, t1, tol=1e-9):
         q = y.reshape(pts.shape)
         return F.eval(q, t).ravel()
 
-    out, _ = _solve(rhs, pts.ravel(), t0, t1, tol)
+    out = _solve(rhs, pts.ravel(), t0, t1, tol)
     out = out.reshape(pts.shape)
     return out[0] if single else out
 
@@ -150,7 +151,7 @@ def flow_jacobian(F, q0, t0, t1, tol=1e-9):
         dJ = F.jac(q[None, :], t)[0] @ J
         return np.concatenate([dq, dJ.ravel()])
 
-    out, _ = _solve(rhs, y0, t0, t1, tol)
+    out = _solve(rhs, y0, t0, t1, tol)
     return out[d:].reshape(d, d)
 
 
@@ -169,7 +170,7 @@ def fundamental_matrix(g, F, q, t, tau, t0=1.0, tol=1e-10):
         G = np.asarray(g(pos[None, :], s)).reshape(d, d)
         return np.concatenate([dpos, (-G @ R).ravel()])
 
-    out, _ = _solve(rhs, y0, tau, t, tol)
+    out = _solve(rhs, y0, tau, t, tol)
     return FundamentalMatrix(base_point=q, t=float(t), tau=float(tau),
                              matrix=out[d:].reshape(d, d))
 
@@ -184,8 +185,7 @@ def _fit_exponent(ratios, norms):
 
 
 def gronwall_diagnostics(F, g, mu, sigma, sample_points, time_pairs,
-                         f_gridfn=None, g_gridfn=None, tol=1e-10,
-                         constants=None):
+                         f_gridfn=None, g_gridfn=None, tol=1e-10):
     """Measure flow-derivative and fundamental-matrix growth exponents.
 
     For each (t, t0) pair the sup over sample points of |d_q psi^t_t0|
@@ -196,8 +196,6 @@ def gronwall_diagnostics(F, g, mu, sigma, sample_points, time_pairs,
     Norm preconditions |f|_{1,1} <= mu, |g|_{1,1} <= mu are enforced
     when the sampled fields are supplied.
     """
-    from . import constants as cst
-    constants = constants or cst.FLOW_EXPONENTS
     if f_gridfn is None:
         f_gridfn = F.f_gridfn
     for name, gf in (("|f|_{1,1}", f_gridfn), ("|g|_{1,1}", g_gridfn)):
@@ -218,7 +216,7 @@ def gronwall_diagnostics(F, g, mu, sigma, sample_points, time_pairs,
         records.append({"pair": [float(t), float(t0)],
                         "kind": "flow_jacobian", "measured_norm": sup})
     exp_psi, _ = _fit_exponent(ratios, norms)
-    bound_psi = constants["cbar1"] * mu
+    bound_psi = constants.FLOW_EXPONENTS["cbar1"] * mu
     ratios2, norms2 = [], []
     for (t, tau) in time_pairs:
         t_lo, t_hi = min(t, tau), max(t, tau)
@@ -233,7 +231,7 @@ def gronwall_diagnostics(F, g, mu, sigma, sample_points, time_pairs,
                         "measured_norm": sup})
     exp_R, _ = _fit_exponent(ratios2, norms2)
     key = "cR1" if sigma >= 1 else "cR0"
-    bound_R = constants[key] * mu
+    bound_R = constants.FLOW_EXPONENTS[key] * mu
     flow_pass = exp_psi <= bound_psi + 1e-9
     R_pass = exp_R <= bound_R + 1e-9
     for rec in records:

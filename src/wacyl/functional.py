@@ -123,7 +123,7 @@ class HamiltonianSpec:
         self.d = a.grid.dim
         if len(self.omega) != a.grid.n:
             raise ValueError("omega length must equal torus dimension")
-        self.b = GridFn(self.grid, self.times, b0.values + br.values)
+        self.b = b0 + br
 
     def validate(self, strict=True):
         """Budget checks of the normal form; returns the measured norms."""
@@ -438,20 +438,17 @@ def hypotheses_report(H, zeta, sigma_list=(1.0, 2.0, 4.0), n_samples=6,
         DF = apply_DF(Hs, vv, vhat)
         h1_first.append(weighted_norm(DF, 0, 2).value)
         h = 1e-4
-        Fp = eval_F(Hs, GridFn(grid, times, vv.values + h * vhat.values))
-        Fm = eval_F(Hs, GridFn(grid, times, vv.values - h * vhat.values))
+        Fp = eval_F(Hs, vv + h * vhat)
+        Fm = eval_F(Hs, vv - h * vhat)
         F0 = eval_F(Hs, vv)
         second = GridFn(grid, times,
                         (Fp.values + Fm.values - 2 * F0.values) / h ** 2)
         h1_second.append(weighted_norm(second, 0, 2).value)
         # H.2: Lipschitz ratio in x
         da2, dbr2 = x_sample()
-        diff = weighted_norm(GridFn(grid, times,
-                                    eval_F(Hs, vv).values
-                                    - eval_F(spec_for(da2, dbr2),
-                                             vv).values), 0, 2).value
-        dx = x_norm(GridFn(grid, times, da.values - da2.values),
-                    GridFn(grid, times, dbr.values - dbr2.values), 0)
+        diff = weighted_norm(eval_F(Hs, vv) - eval_F(spec_for(da2, dbr2), vv),
+                             0, 2).value
+        dx = x_norm(da - da2, dbr - dbr2, 0)
         if dx > 0:
             h2.append(diff / dx)
         # H.3 budget

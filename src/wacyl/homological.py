@@ -91,7 +91,6 @@ class HomologicalSolution:
     kappa: GridFn
     tail_bound: float
     residual_norm: float = None
-    method: str = "spectral"
     corrections: int = 0
     diagnostics: dict = field(default_factory=dict)
 
@@ -159,33 +158,37 @@ def _mode_phases(grid, omega):
     return theta.ravel()
 
 
-# quadrature nodes per time-grid interval of the spectral route
+# quadrature nodes per time-grid interval of the spectral route, the
+# degree of the log-time Lagrange interpolation onto them and the most
+# perturbation-series corrections one (f, g) solve may take
 TIME_REFINE = 6
+REFINE_DEGREE = 8
+MAX_CORRECTIONS = 30
 
 
-def _time_refine_matrix(times, refine, degree=8):
+def _time_refine_matrix(times):
     """Quad grid (refined geometric) and interpolation weights from the
     time grid, exact on the original nodes; built once per grid."""
     def build():
         T = len(times)
-        gq = times.gamma ** (1.0 / refine)
-        P = (T - 1) * refine + 1
+        gq = times.gamma ** (1.0 / TIME_REFINE)
+        P = (T - 1) * TIME_REFINE + 1
         tau = times.points[0] * gq ** np.arange(P)
         logs = times.log_points
         W = np.zeros((P, T))
-        width = min(degree + 1, T)
+        width = min(REFINE_DEGREE + 1, T)
         lq = np.log(tau)
         for i in range(P):
-            if i % refine == 0:
-                W[i, i // refine] = 1.0
+            if i % TIME_REFINE == 0:
+                W[i, i // TIME_REFINE] = 1.0
                 continue
-            j = i // refine
+            j = i // TIME_REFINE
             lo = min(max(j - width // 2 + 1, 0), T - width)
             W[i, lo:lo + width] = _lagrange_weights(logs[lo:lo + width],
                                                     lq[i])
         return tau, W
 
-    return times.derived(("refine", refine, degree), build)
+    return times.derived(("refine", TIME_REFINE, REFINE_DEGREE), build)
 
 
 # Filon panels interpolate the amplitude by a polynomial of FILON_DEGREE
@@ -219,7 +222,7 @@ def _transport_plan(times, theta):
     oscillator: Iserles & Norsett, Proc. R. Soc. A 461 (2005) 1383-1399).
     """
     def build():
-        tau, _ = _time_refine_matrix(times, TIME_REFINE)
+        tau, _ = _time_refine_matrix(times)
         npts = FILON_DEGREE + 1
         gamma = tau[1] / tau[0]
         panels = np.arange(len(tau) - 1)
@@ -256,13 +259,13 @@ def _free_transport_coeffs(plan, rhs):
     return plan.phase[..., None] * (J + tail)
 
 
-def _spectral_solve(p, quad_tol, max_corrections=30):
+def _spectral_solve(p, quad_tol):
     grid, times = p.grid, p.times
     if grid.m:
         raise NotImplementedError("spectral route requires a torus-only grid")
     d = p.dim
     plan = _transport_plan(times, _mode_phases(grid, p.omega))
-    _, W = _time_refine_matrix(times, TIME_REFINE)
+    _, W = _time_refine_matrix(times)
     P = W.shape[0]
 
     def modes(values):          # (L, *shape, C) -> (L, M, C)
@@ -289,7 +292,7 @@ def _spectral_solve(p, quad_tol, max_corrections=30):
             gm = samples(to_quad(p.g.values)).real.reshape(
                 (P,) + grid.shape + (d, d))
         cur = kap
-        for it in range(max_corrections):
+        for it in range(MAX_CORRECTIONS):
             # physical fields on the quad grid
             cur_full = cur.reshape((P,) + grid.shape + (d,))
             rhs_phys = np.zeros(cur_full.shape, dtype=complex)
@@ -386,18 +389,16 @@ def _direct_solve(p, t_quad_max, quad_tol):
 # public operations
 # --------------------------------------------------------------------
 
-def solve_he(p, t_quad_max=None, quad_tol=1e-9, method="auto"):
+def solve_he(p, quad_tol=1e-9, method="auto"):
     """Solve the transport problem for the decaying solution kappa.
 
-    t_quad_max defaults to 4 * t_max; the reported tail_bound is the
-    integrand majorant  |z|_{0,2} T^(e-1)/(1-e), e = cR0 mu, beyond T.
+    The characteristics route truncates the improper integral at
+    t_quad_max = 4 t_max; the reported tail_bound is the integrand
+    majorant  |z|_{0,2} T^(e-1)/(1-e), e = cR0 mu, beyond T.
     """
     p.validate()
     t_max = p.times.points[-1]
-    if t_quad_max is None:
-        t_quad_max = 4.0 * t_max
-    if t_quad_max < 4.0 * t_max * (1 - 1e-12):
-        raise ValueError("t_quad_max must be at least 4 * t_max")
+    t_quad_max = 4.0 * t_max
     if method == "auto":
         method = "spectral" if p.grid.m == 0 else "characteristics"
     diagnostics = {}
@@ -412,11 +413,8 @@ def solve_he(p, t_quad_max=None, quad_tol=1e-9, method="auto"):
     z_norm = weighted_norm(p.z, 0, 2).value
     T_ref = t_max if method == "spectral" else t_quad_max
     tail = z_norm * T_ref ** (e - 1.0) / (1.0 - e)
-    diagnostics = dict(diagnostics)
-    diagnostics["t_quad_max"] = t_quad_max
-    diagnostics["quad_tol"] = quad_tol
     return HomologicalSolution(kappa=kappa, tail_bound=float(tail),
-                               method=method, corrections=n_corr,
+                               corrections=n_corr,
                                diagnostics=diagnostics)
 
 

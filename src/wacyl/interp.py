@@ -23,11 +23,11 @@ class GridFnInterpolant:
     cost per call scales with torus_points * n.
     """
 
-    def __init__(self, f, time_degree=6):
+    def __init__(self, f):
         self.f = f
         self.grid = f.grid
         self.times = f.times
-        self.time_degree = min(time_degree, len(f.times) - 1)
+        self.time_degree = min(6, len(f.times) - 1)
         if self.grid.m:
             raise NotImplementedError(
                 "off-grid evaluation with window axes is not needed by the "

@@ -90,7 +90,7 @@ def verify_smoothing_bounds(f, tau, m, d, l=0.0):
     if d > m:
         raise ValueError("need d <= m")
     sf = smooth(f, tau)
-    rf = GridFn(f.grid, f.times, sf.values - f.values)
+    rf = sf - f
     n_sf_m = weighted_norm(sf, m, l).value
     n_f_d = weighted_norm(f, d, l).value
     n_rf_d = weighted_norm(rf, d, l).value

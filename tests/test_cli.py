@@ -156,3 +156,20 @@ def test_fixed_q_from_environment(tmp_path, monkeypatch):
              "--set", "solve.n_times=24", "solve"])
     assert not (tmp_path / "schedule_scan.csv").exists()
     assert json.loads((tmp_path / "manifest.json").read_text())["Q"] == 2.0
+
+
+@pytest.mark.parametrize("command, name", [
+    (["--set", "comet.v=0", "simulate-comet"], "comet.v"),
+    (["--set", "comet.eps=0", "simulate-comet"], "epsilon"),
+    (["--set", "comet.t_max=0", "simulate-comet", "--mc", "0"], "t1"),
+    (["--set", "comet.t_max=-5", "simulate-comet"], "t1"),
+    (["--set", "comet.m1=-0.001", "simulate-comet", "--mc", "0"], "m1"),
+    (["--set", "norms.trials=0", "verify-norms"], "norms.trials"),
+], ids=["comet-v-zero", "comet-eps-zero", "comet-t-max-zero",
+        "comet-t-max-negative", "comet-m1-negative", "norms-no-trials"])
+def test_bad_config_is_config_error(tmp_path, capsys, command, name):
+    # refused at the boundary with the offending key or value named,
+    # not a traceback, a nan check or a vacuous pass
+    assert run_cli(["--out", str(tmp_path)] + command) == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and name in err

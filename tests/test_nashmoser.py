@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from wacyl import constants, nashmoser
 from wacyl.flow import NormBudgetError
+from wacyl.functional import DomainError, x_norm
 from wacyl.grids import GridFn
 from wacyl.nashmoser import (ZehnderParams, choose_schedule,
                              comet_decay_synthetic, iterate,
@@ -203,6 +206,62 @@ def test_size_precondition():
         iterate(H, p, max_steps=1)
 
 
+def counted(calls, module, mp):
+    """Count the calls of calls' names made through module."""
+    for name in calls:
+        def wrapper(*args, _fn=getattr(module, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        mp.setattr(module, name, wrapper)
+
+
+@pytest.fixture(scope="module")
+def counted_scan():
+    """The schedule scan on a small power-law grid, counting the Newton
+    driver, residual and data-norm calls it makes."""
+    H, _ = manufactured_power(torus_points=32, n_times=16, t_max=8.0)
+    p = params_from_order(8.0)
+    calls = {"iterate": 0, "eval_F": 0, "x_norm": 0}
+    with pytest.MonkeyPatch.context() as mp:
+        counted(calls, nashmoser, mp)
+        chosen, records = choose_schedule(H, p)
+    return H, p, chosen, records, calls
+
+
+def test_schedule_scan_is_one_newton_step(counted_scan):
+    # the oracle: a one-step iterate run per Q with its size gate opened;
+    # its step 1 is the scan's trial, so records and choice match exactly
+    H, p, chosen, records, _ = counted_scan
+    want, best = [], None
+    for Q in nashmoser.Q_GRID:
+        try:
+            _, st = iterate(H, replace(p, Q=Q, epsilon0=1e300),
+                            max_steps=1, target=0.0)
+        except (NormBudgetError, DomainError):
+            continue
+        ups = min(1.0, 2.0 * st.residual_norms[0])
+        want.append({"Q": float(Q), "upsilon": ups,
+                     "r1": st.residual_norms[-1],
+                     "envelope": 0.5 * ups * Q ** (-p.lam * p.beta)})
+        if best is None and want[-1]["r1"] <= want[-1]["envelope"]:
+            best = want[-1]
+    assert records == want
+    best = best or {"Q": float(nashmoser.Q_GRID[-1]),
+                    "upsilon": want[-1]["upsilon"]}
+    eps0 = max(p.epsilon0, x_norm(H.a, H.br, p.lam)
+               / max(best["upsilon"], 1e-12) * (1 + 1e-9))
+    assert chosen == replace(p, Q=best["Q"], upsilon=best["upsilon"],
+                             epsilon0=eps0)
+
+
+def test_schedule_scan_evaluates_each_trial_once(counted_scan):
+    # per recorded trial F(phi_1, 0) and F(phi_1, psi_1), no driver run,
+    # and |x - x0|_lambda once for the whole scan
+    *_, records, calls = counted_scan
+    assert len(records) == len(nashmoser.Q_GRID)
+    assert calls == {"iterate": 0, "eval_F": 2 * len(records), "x_norm": 1}
+
+
 @pytest.fixture(scope="module")
 def counted_run():
     """The coupled 2-torus solve, counting iterate's smooth and eval_F
@@ -211,12 +270,7 @@ def counted_run():
     p = params_from_order(8.0, Q=1.8)
     calls = {"smooth": 0, "eval_F": 0}
     with pytest.MonkeyPatch.context() as mp:
-        for name in calls:
-            def counted(*args, _fn=getattr(nashmoser, name), _name=name,
-                        **kwargs):
-                calls[_name] += 1
-                return _fn(*args, **kwargs)
-            mp.setattr(nashmoser, name, counted)
+        counted(calls, nashmoser, mp)
         sol, st = iterate(H, p, max_steps=8, target=1e-6, quad_tol=1e-9,
                           min_steps=3, zeta=0.1)
     return H, sol, st, calls
