@@ -13,7 +13,8 @@ them says so.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -243,36 +244,51 @@ def split_inverse(sc, masses, t=1.0):
 
 
 _PAIRS = ((0, 1), (0, 2), (1, 2))
+_COMET_PAIRS = ((0, 3), (1, 3), (2, 3))   # body i and the comet as point 3
 
 
-def _pair_gravity(x, m, energy=0.0):
-    """Newtonian gravity between the three bodies at positions x (3, 2)
-    with masses m, one visit per pair i < j in the order of _PAIRS.
+def _pair_gravity(x, m, energy=0.0, pairs=_PAIRS):
+    """Newtonian gravity between point masses m (floats) at positions x,
+    an (n, 2) array or n (x, y) float pairs, one visit per pair i < j in
+    the order of pairs, on Python floats (numpy call overhead dominates
+    on 2-vectors).
 
-    Returns the forces -dV/dx (3, 2), energy + V with
-    V = -sum m_i m_j / |x_i - x_j|, and the smallest pair distance.
+    Returns the forces -dV/dx as n [fx, fy] lists, energy + V with
+    V = -sum m_i m_j / |x_i - x_j| over the pairs, and the smallest
+    pair distance.
     """
-    force = np.zeros((3, 2))
-    dmin = np.inf
-    for i, j in _PAIRS:
-        r = x[i] - x[j]
-        d = np.linalg.norm(r)
+    if isinstance(x, np.ndarray):
+        x = x.tolist()
+    force = [[0.0, 0.0] for _ in x]
+    dmin = math.inf
+    for i, j in pairs:
+        (xi, yi), (xj, yj) = x[i], x[j]
+        rx = xi - xj
+        ry = yi - yj
+        d = math.sqrt(rx * rx + ry * ry)
         if d == 0:
             raise ZeroDivisionError("collision configuration")
         mm = m[i] * m[j]
-        f = mm * r / d ** 3
-        force[i] -= f
-        force[j] += f
+        d3 = d ** 3
+        fx = mm * rx / d3
+        fy = mm * ry / d3
+        fi, fj = force[i], force[j]
+        fi[0] -= fx
+        fi[1] -= fy
+        fj[0] += fx
+        fj[1] += fy
         energy -= mm / d
-        dmin = min(dmin, d)
+        if d < dmin:
+            dmin = d
     return force, energy, dmin
 
 
 def eval_H0_cartesian(state, masses):
-    m = masses.as_array()
-    kinetic = 0.5 * (state.y ** 2).sum(axis=1) / m
-    _, H, _ = _pair_gravity(state.x, m, kinetic.sum())
-    return float(H)
+    m = masses.as_array().tolist()
+    kinetic = 0.0
+    for (px, py), mi in zip(state.y.tolist(), m):
+        kinetic += 0.5 * (px * px + py * py) / mi
+    return _pair_gravity(state.x, m, kinetic)[1]
 
 
 def eval_H0_split(sc, masses):
@@ -291,29 +307,29 @@ def eval_H0_split(sc, masses):
     return float(H)
 
 
+def _comet_gravity(positions, comet, masses, t):
+    """_pair_gravity over the body-comet pairs alone, with the comet
+    c(t) (an orbit or a callable) as point 3 of mass m_c."""
+    c = comet.position(t) if hasattr(comet, "position") else comet(t)
+    x = np.asarray(positions, dtype=float).tolist()
+    x.append(np.asarray(c, dtype=float).tolist())
+    m = masses.as_array().tolist() + [masses.mc]
+    return _pair_gravity(x, m, 0.0, _COMET_PAIRS)
+
+
 def eval_Hc(positions, comet, masses, t, proximity=1e-9):
     """Interaction with the comet: - sum_i m_i m_c / |x_i - c(t)|."""
-    c = comet.position(t) if hasattr(comet, "position") else comet(t)
-    m = masses.as_array()
-    out = 0.0
-    for i in range(3):
-        d = np.linalg.norm(positions[i] - c)
-        if d < proximity:
-            raise ZeroDivisionError(f"body {i} too close to the comet")
-        out -= m[i] * masses.mc / d
-    return float(out)
+    _, out, dmin = _comet_gravity(positions, comet, masses, t)
+    if dmin < proximity:
+        raise ZeroDivisionError(
+            f"a body is {dmin:.3e} from the comet (limit {proximity})")
+    return out
 
 
 def grad_Hc(positions, comet, masses, t):
-    """Exact gradient d H_c / d x_i: + m_i m_c (x_i - c)/|x_i - c|^3."""
-    c = comet.position(t) if hasattr(comet, "position") else comet(t)
-    m = masses.as_array()
-    out = np.zeros((3, 2))
-    for i in range(3):
-        r = positions[i] - c
-        d = np.linalg.norm(r)
-        out[i] = m[i] * masses.mc * r / d ** 3
-    return out
+    """Exact gradient d H_c / d x_i: + m_i m_c (x_i - c)/|x_i - c|^3,
+    minus the comet's pull on body i."""
+    return np.negative(_comet_gravity(positions, comet, masses, t)[0][:3])
 
 
 def hess_Hc(positions, comet, masses, t):
@@ -522,17 +538,30 @@ def extend_Hc(params, comet, masses, chart=None):
 # trajectory integration
 # --------------------------------------------------------------------
 
+def _cartesian_gravity(masses, comet):
+    """gravity(t, v): _pair_gravity of the three bodies at the
+    positions v[:6] of a flat state of floats, with the comet c(t) as a
+    fourth attracting point when it has mass."""
+    m = masses.as_array().tolist()
+    if not (masses.mc > 0 and comet is not None):
+        return lambda t, v: _pair_gravity((v[0:2], v[2:4], v[4:6]), m)
+    m.append(masses.mc)
+    pairs = _PAIRS + _COMET_PAIRS
+    return lambda t, v: _pair_gravity(
+        (v[0:2], v[2:4], v[4:6], comet.position(t).tolist()), m, 0.0, pairs)
+
+
 def _cartesian_rhs(masses, comet):
-    m = masses.as_array()
+    """d/dt of the flat state [x (3, 2), y (3, 2)]: [y / m, force]."""
+    gravity = _cartesian_gravity(masses, comet)
+    m0, m1, m2 = masses.as_array().tolist()
 
     def rhs(t, yflat):
-        x = yflat[:6].reshape(3, 2)
-        y = yflat[6:].reshape(3, 2)
-        dx = y / m[:, None]
-        dy, _, _ = _pair_gravity(x, m)
-        if masses.mc > 0 and comet is not None:
-            dy -= grad_Hc(x, comet, masses, t)
-        return np.concatenate([dx.ravel(), dy.ravel()])
+        v = yflat.tolist()
+        (f0x, f0y), (f1x, f1y), (f2x, f2y) = gravity(t, v)[0][:3]
+        return np.array([v[6] / m0, v[7] / m0, v[8] / m1, v[9] / m1,
+                         v[10] / m2, v[11] / m2,
+                         f0x, f0y, f1x, f1y, f2x, f2y])
 
     return rhs
 
@@ -543,18 +572,15 @@ def integrate_system(state0, comet, masses, t0, t1, tol=1e-11,
     reporting; aborts with a timestamp on close encounters."""
     if not t1 > t0:
         raise ValueError(f"need t1 > t0 (got t0 = {t0}, t1 = {t1})")
+    if not min(masses.m1, masses.m2) > 0:
+        raise ValueError(f"the Cartesian velocities y / m need m1, m2 > 0 "
+                         f"(got m1 = {masses.m1}, m2 = {masses.m2})")
     rhs = _cartesian_rhs(masses, comet)
-    m = masses.as_array()
+    gravity = _cartesian_gravity(masses, comet)
     y0 = np.concatenate([state0.x.ravel(), state0.y.ravel()])
 
     def encounter(t, y):
-        x = y[:6].reshape(3, 2)
-        _, _, dmin = _pair_gravity(x, m)
-        if masses.mc > 0 and comet is not None:
-            c = comet.position(t)
-            dmin = min(dmin, min(np.linalg.norm(x[i] - c)
-                                 for i in range(3)))
-        return dmin - proximity
+        return gravity(t, y.tolist())[2] - proximity
 
     encounter.terminal = True
     ts = np.linspace(t0, t1, n_samples)

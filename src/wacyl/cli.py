@@ -223,6 +223,9 @@ def cmd_simulate_comet(args):
     seed = int(cfg_get(cfg, "comet.seed", 0))
     if not v > 0:
         raise ValueError(f"comet.v must be positive (got {v})")
+    if not 0 < t_max < np.inf:
+        raise ValueError(f"comet.t_max must be finite and positive (got "
+                         f"{t_max}: the run ends at t1 = 1 + t_max)")
     masses = Masses(cfg_get(cfg, "comet.m0", 1.0),
                     cfg_get(cfg, "comet.m1", 1e-3),
                     cfg_get(cfg, "comet.m2", 1e-3), mc=mc)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,8 @@ from wacyl.celestial import (CartesianState, CircularChart, CometOrbit,
                              extend_Hc, grad_Hc, hess_Hc,
                              integrate_system, solve_hyperbolic_kepler,
                              split_coordinates, split_inverse)
-from wacyl.celestial import _split_matrices
+from wacyl.celestial import _cartesian_rhs, _pair_gravity, _split_matrices
+from wacyl.flow import IntegrationError
 
 
 MASSES = Masses(1.0, 1e-3, 1e-3, mc=1e-3)
@@ -414,6 +417,51 @@ def test_comet_coupling_energy_drift_bounded():
                    for t, x in zip(traj["t"], traj["x"]))
     # |dH0/dt| <= |grad Hc| |xdot| along the run, integrated over 20 units
     assert traj["H0_drift"] <= 6 * 20.0 * grad_sup * speeds
+
+
+@pytest.mark.parametrize("i, j", [(0, 1), (0, 2), (1, 2)])
+def test_collision_is_refused(i, j):
+    x = np.array([[0.0, 0.0], [0.5, 0.1], [-0.3, 0.8]])
+    x[j] = x[i]
+    y = np.ones((3, 2))
+    m = MASSES.as_array()
+    with pytest.raises(ZeroDivisionError, match="collision"):
+        _pair_gravity(x, m)
+    with pytest.raises(ZeroDivisionError, match="collision"):
+        _cartesian_rhs(MASSES, None)(1.0, np.concatenate([x.ravel(),
+                                                          y.ravel()]))
+    with pytest.raises(ZeroDivisionError, match="collision"):
+        eval_H0_cartesian(CartesianState(x, y), MASSES)
+
+
+def test_cartesian_run_refuses_a_massless_body():
+    # the velocity y / m of a massless planet is undefined: refused
+    # before the integrator starts, not a division error or a nan run
+    st0 = CartesianState(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0]]),
+                         np.zeros((3, 2)))
+    with pytest.raises(ValueError, match="m2 = 0.0"):
+        integrate_system(st0, None, Masses(1.0, 1e-3, 0.0), 1.0, 2.0)
+
+
+@pytest.mark.parametrize("proximity", [1e-4, 1e-2])
+def test_close_encounter_aborts_before_the_bodies_meet(proximity):
+    # bodies 0 and 1 fall head-on from rest at distance r0 (body 2 far
+    # out on the same line) and meet after the radial free-fall time;
+    # near the meeting d(t) = (9 M / 2)^(1/3) (t_meet - t)^(2/3), so the
+    # event fires gap = (2/3) proximity^(3/2) / sqrt(2 M) before it
+    masses = Masses(1.0, 1e-3, 1e-12, mc=0.0)
+    M = masses.m0 + masses.m1
+    r0 = 0.5
+    x = np.array([[0.0, 0.0], [r0, 0.0], [-50.0, 0.0]])
+    t_meet = 1.0 + np.pi / 2 * np.sqrt(r0 ** 3 / (2 * M))
+    gap = 2.0 / 3.0 * proximity ** 1.5 / np.sqrt(2 * M)
+    with pytest.raises(IntegrationError, match="close encounter at t = ") \
+            as err:
+        integrate_system(CartesianState(x, np.zeros((3, 2))), None, masses,
+                         1.0, 2.0, proximity=proximity)
+    t_hit = float(re.search(r"t = (\S+)", str(err.value)).group(1))
+    # the message rounds t to 1e-6
+    assert 0.9 * gap - 1e-6 <= t_meet - t_hit <= 1.1 * gap + 1e-6
 
 
 # ---- surrogate system: metric and confinement -----------------------

@@ -1,5 +1,6 @@
 import json
 import os
+import warnings
 
 import pytest
 
@@ -173,3 +174,23 @@ def test_bad_config_is_config_error(tmp_path, capsys, command, name):
     assert run_cli(["--out", str(tmp_path)] + command) == EXIT_CONFIG_ERROR
     err = capsys.readouterr().err
     assert err.startswith("configuration error:") and name in err
+
+
+@pytest.mark.parametrize("mc, t_max", [
+    ("0", "0"), ("1e-3", "-5"), ("1e-3", "nan"), ("0", "inf"),
+], ids=["comet-t-max-zero", "comet-t-max-negative", "comet-t-max-nan",
+        "comet-t-max-inf"])
+def test_bad_t_max_refused_before_any_work(tmp_path, capsys, mc, t_max):
+    # refused next to the comet.v check: no speed window on nan nodes
+    # (numpy's log10 RuntimeWarning) and no integration before the error
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run_cli(["--out", str(tmp_path), "--set",
+                        f"comet.t_max={t_max}", "simulate-comet",
+                        "--mc", mc])
+    assert code == EXIT_CONFIG_ERROR
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    err = capsys.readouterr().err
+    assert f"comet.t_max must be finite and positive (got {float(t_max)}" \
+        in err
+    assert os.listdir(tmp_path) == []

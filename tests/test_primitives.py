@@ -4,14 +4,15 @@ the Hölder profile over the time grid and the time-grid matrix cache."""
 
 import os
 import tempfile
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from wacyl.celestial import CartesianState, Masses, _pair_gravity, \
-    eval_H0_cartesian
+from wacyl.celestial import CartesianState, Masses, _cartesian_rhs, \
+    _pair_gravity, eval_H0_cartesian, grad_Hc
 from wacyl.grids import GridFn, SpatialGrid, TimeGrid, _lagrange_weights
 from wacyl.norms import holder_norm, weighted_norm
 from wacyl.smoothing import multiplier_profile, smooth
@@ -161,6 +162,62 @@ def test_pair_forces_are_minus_potential_gradient(coords, ms):
                 - eval_H0_cartesian(CartesianState(x - e, at_rest), masses)
             ) / (2 * h)
     assert np.abs(force + grad).max() <= 1e-6 * np.abs(force).max()
+
+
+def _numpy_pair_gravity(x, m, pairs):
+    """The numpy formulas the float kernel replaced: np.linalg.norm per
+    pair on (n, 2) arrays."""
+    force = np.zeros_like(x)
+    energy, dmin = 0.0, np.inf
+    for i, j in pairs:
+        r = x[i] - x[j]
+        d = np.linalg.norm(r)
+        mm = m[i] * m[j]
+        f = mm * r / d ** 3
+        force[i] -= f
+        force[j] += f
+        energy -= mm / d
+        dmin = min(dmin, d)
+    return force, energy, dmin
+
+
+def _close(got, want, rel=1e-14):
+    return np.abs(np.asarray(got) - want).max() <= rel * np.abs(want).max()
+
+
+@PROPERTY
+@given(st.lists(finite, min_size=8, max_size=8),
+       st.lists(finite, min_size=6, max_size=6),
+       st.tuples(st.floats(1e-3, 1.0), st.floats(1e-3, 1.0),
+                 st.floats(1e-3, 1.0), st.floats(1e-3, 1.0)))
+def test_pair_gravity_matches_numpy_oracle(coords, momenta, ms):
+    # point 3 is the comet; the float kernel may differ from
+    # np.linalg.norm in the last bit of each distance, nothing more
+    x = np.array(coords).reshape(4, 2)
+    body_pairs = ((0, 1), (0, 2), (1, 2))
+    comet_pairs = ((0, 3), (1, 3), (2, 3))
+    assume(min(np.linalg.norm(x[i] - x[j])
+               for i, j in body_pairs + comet_pairs) >= 0.1)
+    masses = Masses(*ms)
+    m = masses.as_array()
+
+    force, potential, dmin = _pair_gravity(x[:3], m)
+    f_ref, v_ref, d_ref = _numpy_pair_gravity(x[:3], m, body_pairs)
+    assert _close(force, f_ref)
+    assert abs(potential - v_ref) <= 1e-14 * abs(v_ref)
+    assert abs(dmin - d_ref) <= 1e-15 * d_ref
+
+    g_ref = -_numpy_pair_gravity(x, np.append(m, masses.mc),
+                                 comet_pairs)[0][:3]
+    comet = SimpleNamespace(position=lambda t: x[3])
+    assert _close(grad_Hc(x[:3], comet, masses, 2.0), g_ref)
+
+    y = np.array(momenta).reshape(3, 2)
+    state = np.concatenate([x[:3].ravel(), y.ravel()])
+    for orbit, f_want in ((None, f_ref), (comet, f_ref - g_ref)):
+        dstate = _cartesian_rhs(masses, orbit)(2.0, state)
+        assert np.array_equal(dstate[:6], (y / m[:, None]).ravel())
+        assert _close(dstate[6:], f_want.ravel())
 
 
 # ---- Hölder profile over the time grid -------------------------------
