@@ -92,7 +92,11 @@ class ExtensionParams:
 # comet ephemeris
 # --------------------------------------------------------------------
 
-def solve_hyperbolic_kepler(e, M_h, tol=1e-13, max_iter=60):
+# Newton steps of solve_hyperbolic_kepler before it gives up
+KEPLER_MAX_ITER = 60
+
+
+def solve_hyperbolic_kepler(e, M_h, tol=1e-13):
     """Solve e sinh H - H = M_h by safeguarded Newton with a bisection
     fallback; |residual| <= tol * max(1, |M_h|) at return (the residual
     is a difference of M_h-sized terms, so the bound is relative)."""
@@ -106,7 +110,7 @@ def solve_hyperbolic_kepler(e, M_h, tol=1e-13, max_iter=60):
     hi = max(1.0, np.arcsinh((M + 2.0) / e) + 1.0)
     lo = 0.0
     H = np.arcsinh(M / e)
-    for _ in range(max_iter):
+    for _ in range(KEPLER_MAX_ITER):
         f = e * np.sinh(H) - H - M
         if abs(f) <= tol_eff:
             return sign * H
@@ -609,6 +613,14 @@ def integrate_system(state0, comet, masses, t0, t1, tol=1e-11,
 # surrogate normal-form system with the comet coupling
 # --------------------------------------------------------------------
 
+# leading_drift_momentum integrates on geometric nodes over
+# [t, DRIFT_TAIL_FACTOR t] and adds the A/s^2 tail beyond; asymptotic_metric
+# reduces the N_ANGLES angle components of the chart modulo 1
+DRIFT_TAIL_FACTOR = 40.0
+DRIFT_NODES = 160
+N_ANGLES = 4
+
+
 class SurrogateSystem:
     """Normal-form dynamics with the extended comet coupling on
     T^4 x R^2 x B^2 x B^2 (the two Keplerian actions are active):
@@ -618,16 +630,15 @@ class SurrogateSystem:
         r'     = -d_(theta1,theta2) H_ex
         eta'   = -d_xi H_ex
 
-    with H = omega.r + R0 r.r + |eta|^2/2M + H_ex(theta, xi, r, t).
+    with H = omega.r + |eta|^2/2M + H_ex(theta, xi, r, t).
     State layout: [theta(4), xi(2), r(2), eta(2)].
     """
 
-    def __init__(self, hex_field, R0=None):
+    def __init__(self, hex_field):
         self.hex = hex_field
         self.chart = hex_field.chart
         self.omega = self.chart.omega
         self.M = hex_field.masses.M
-        self.R0 = R0
 
     def unpack(self, yflat):
         nt = self.chart.n_theta
@@ -638,8 +649,6 @@ class SurrogateSystem:
         nt = self.chart.n_theta
         theta, xi, r, eta = self.unpack(yflat)
         d_theta, d_xi, dr_H = self.hex.gradient(theta, xi, r, t)
-        if self.R0 is not None:
-            dr_H = dr_H + 2.0 * self.R0 @ r
         dtheta = self.omega + np.concatenate([dr_H, np.zeros(nt - 2)])
         return np.concatenate([dtheta, eta / self.M, -d_theta[:2], -d_xi])
 
@@ -654,13 +663,11 @@ class SurrogateSystem:
             raise IntegrationError(sol.message)
         return {"t": sol.t, "states": sol.y.T, "nfev": int(sol.nfev)}
 
-    def leading_drift_momentum(self, theta, xi, t, t_tail=None,
-                               n_quad=160):
+    def leading_drift_momentum(self, theta, xi, t):
         """eta(t) = int_t^inf d_xi H_ex along the frozen rotation; the
         decaying-momentum initial condition of the transported section."""
-        t_tail = t_tail or 40.0 * t
-        taus = np.geomspace(t, t_tail, n_quad)
-        vals = np.zeros((n_quad, 2))
+        taus = np.geomspace(t, DRIFT_TAIL_FACTOR * t, DRIFT_NODES)
+        vals = np.zeros((DRIFT_NODES, 2))
         for i, s in enumerate(taus):
             th = theta + self.omega * (s - t)
             vals[i] = self.hex.gradient(th, xi, np.zeros(2), s)[1]
@@ -670,13 +677,13 @@ class SurrogateSystem:
         return acc
 
 
-def asymptotic_metric(traj, phi0, base_flow, q0, t0, n_angles=4):
+def asymptotic_metric(traj, phi0, base_flow, q0, t0):
     """Profile t -> |g(t) - phi0(psi^t(q0))| with a monotone-envelope
     decay verdict.
 
     traj: {"t", "states"}; phi0(q) embeds base points; base_flow(q, t0,
     t) transports them (rigid rotation when no drift field is given).
-    The first n_angles components compare modulo 1.
+    The first N_ANGLES components compare modulo 1.
     """
     ts = traj["t"]
     profile = []
@@ -684,7 +691,7 @@ def asymptotic_metric(traj, phi0, base_flow, q0, t0, n_angles=4):
         q = base_flow(q0, t0, t)
         ref = np.asarray(phi0(q), dtype=float)
         d = state - ref
-        d[:n_angles] = (d[:n_angles] + 0.5) % 1.0 - 0.5
+        d[:N_ANGLES] = (d[:N_ANGLES] + 0.5) % 1.0 - 0.5
         profile.append(float(np.linalg.norm(d)))
     profile = np.asarray(profile)
     # envelope: running max from the right must not grow

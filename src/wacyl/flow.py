@@ -111,6 +111,8 @@ def rk4(fun, y0, t0, t1, n_steps):
 
 
 def _solve(fun, y0, t0, t1, tol):
+    """y(t1) of y' = fun(t, y), y(t0) = y0 by DOP853 with rtol = tol and
+    atol = 1e-2 tol; a failed integration raises IntegrationError."""
     if t0 == t1:
         return y0.copy()
     sol = solve_ivp(fun, (t0, t1), y0, method="DOP853", rtol=tol,

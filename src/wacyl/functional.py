@@ -19,9 +19,9 @@ import numpy as np
 
 from . import constants
 from .flow import NormBudgetError, NumericalError, VectorFieldSpec, \
-    integrate_flow
+    _solve, integrate_flow
 from .grids import GridFn
-from .homological import HomologicalProblem, solve_he
+from .homological import HomologicalProblem, solve_he, transport_operator
 from .norms import weighted_norm
 
 __all__ = ["QuadraticForm", "HamiltonianSpec", "GammaField",
@@ -32,6 +32,10 @@ __all__ = ["QuadraticForm", "HamiltonianSpec", "GammaField",
 
 # the constant C of the solvability budget delta + C Upsilon zeta
 C_GEOM = 2.0
+# geometric checkpoints of conjugacy_check after t0, and the sigmas of the
+# tame ratios in hypotheses_report
+CONJUGACY_CHECKPOINTS = 4
+TAME_SIGMAS = (1.0, 2.0, 4.0)
 
 
 class DomainError(NumericalError):
@@ -185,10 +189,7 @@ def x_norm(a, b, sigma):
 
 def grad_omega(v, omega):
     """(grad v) Omega_bar = (d_q v) omega_bar + d_t v."""
-    jac = v.jacobian_q()
-    omega_bar = np.concatenate([omega, np.zeros(v.grid.m)])
-    adv = np.einsum("...ij,j->...i", jac, omega_bar)
-    return GridFn(v.grid, v.times, adv + v.dt().values)
+    return transport_operator(v, omega)
 
 
 def v_norm(v, omega, sigma):
@@ -288,15 +289,7 @@ def linearize(H, v):
 
 def apply_DF(H, v, vhat):
     """D_v F(v) vhat = (grad vhat) Omega_bar + (d_q vhat) f + g vhat."""
-    f, g = linearize(H, v)
-    d = H.d
-    jac = vhat.jacobian_q()
-    out = grad_omega(vhat, H.omega).values \
-        + np.einsum("...ia,...a->...i", jac, f.values) \
-        + np.einsum("...ij,...j->...i",
-                    g.values.reshape(g.values.shape[:-1] + (d, d)),
-                    vhat.values)
-    return GridFn(H.grid, H.times, out)
+    return transport_operator(vhat, H.omega, *linearize(H, v))
 
 
 def mu_budget(H, zeta):
@@ -341,7 +334,7 @@ def gamma_from_v(H, v, zeta=None):
 
 
 def conjugacy_check(X, phi_family, Gamma, t0, t1, samples, omega,
-                    tol=1e-9, n_checkpoints=4):
+                    tol=1e-9):
     """Max over samples and checkpoint times of
     |psi^t_{t0,X}(phi^{t0}(q)) - phi^t(psi^t_{t0, omega_bar+Gamma}(q))|.
 
@@ -349,26 +342,24 @@ def conjugacy_check(X, phi_family, Gamma, t0, t1, samples, omega,
     Gamma a GridFn on the base (pass a zero GridFn for the invariant
     case).  Torus components compare modulo 1.
     """
-    from scipy.integrate import solve_ivp
     if np.abs(Gamma.values).max() == 0.0:
         base_field = VectorFieldSpec.zero(omega, m=Gamma.grid.m)
     else:
         base_field = VectorFieldSpec.from_gridfn(omega, Gamma)
     n = len(np.atleast_1d(omega))
-    times = np.geomspace(t0, t1, n_checkpoints + 1)[1:]
+    times = np.geomspace(t0, t1, CONJUGACY_CHECKPOINTS + 1)[1:]
     worst = 0.0
     records = []
+
+    def rhs(s, y):
+        return np.asarray(X(y, s), dtype=float)
+
     for q in np.atleast_2d(samples):
         state = np.asarray(phi_family(q, t0), dtype=float)
         base = q.copy()
         t_prev = t0
         for t in times:
-            def rhs(s, y):
-                return np.asarray(X(y, s), dtype=float)
-
-            sol = solve_ivp(rhs, (t_prev, t), state, method="DOP853",
-                            rtol=tol, atol=tol * 1e-2)
-            state = sol.y[:, -1]
+            state = _solve(rhs, state, t_prev, t, tol)
             base = integrate_flow(base_field, base, t_prev, t, tol)
             t_prev = t
             predicted = np.asarray(phi_family(base, t), dtype=float)
@@ -380,8 +371,7 @@ def conjugacy_check(X, phi_family, Gamma, t0, t1, samples, omega,
     return {"max_error": worst, "records": records}
 
 
-def hypotheses_report(H, zeta, sigma_list=(1.0, 2.0, 4.0), n_samples=6,
-                      seed=0):
+def hypotheses_report(H, zeta, n_samples=6, seed=0):
     """Empirical constants for the four solvability hypotheses on the
     zeta-ball around (x0, 0) = ((0, b0), 0), against the frozen values.
 
@@ -426,7 +416,7 @@ def hypotheses_report(H, zeta, sigma_list=(1.0, 2.0, 4.0), n_samples=6,
                                H.ball_radius, H.lam, H.s)
 
     h1_first, h1_second, h2, h3_mu = [], [], [], []
-    tame = {s: [] for s in sigma_list}
+    tame = {s: [] for s in TAME_SIGMAS}
     for _ in range(n_samples):
         da, dbr = x_sample()
         vv = v_sample()
@@ -456,7 +446,7 @@ def hypotheses_report(H, zeta, sigma_list=(1.0, 2.0, 4.0), n_samples=6,
         h3_mu.append(max(weighted_norm(f, 1, 1).value,
                          weighted_norm(g, 1, 1).value))
         # H.4 tame ratios
-        for s in sigma_list:
+        for s in TAME_SIGMAS:
             K = max(x_norm(da, dbr, s), v_norm(vv, H.omega, s))
             if K > 0:
                 tame[s].append(

@@ -2,14 +2,13 @@
 
     d_q kappa (omega_bar + f) + d_t kappa + g kappa = z
 
-by integration along characteristics, selecting the unique decaying
-solution.  Two routes are provided:
-
-* "spectral": per-Fourier-mode Filon quadrature of the free transport
-  plus a perturbation series in (f, g).  Torus-only, fast; the default.
-* "characteristics": direct ODE integration of the flow, the adjoint
-  fundamental matrix and the accumulated integral per grid node.  Slow
-  but assumption-free; retained as the cross-check route.
+for its unique decaying solution.  `solve_he` takes each Fourier mode
+by Filon quadrature of the free transport plus a perturbation series in
+(f, g), on torus-only grids.  `characteristics_solve` integrates the
+flow, the adjoint fundamental matrix and the accumulated integral per
+grid node for analytic fields; it is slow but assumption-free, the
+reference the spectral route is tested against.  `transport_operator`
+is the left-hand side itself.
 
 Improper integrals are truncated at the grid horizon with a two-term
 power-law tail model (integrated analytically to infinity) and an
@@ -22,16 +21,16 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.special import exp1
 
 from . import constants
-from .flow import IntegrationError, NormBudgetError
+from .flow import IntegrationError, NormBudgetError, _solve
 from .grids import GridFn, _lagrange_weights
 from .norms import weighted_norm
 
 __all__ = ["HomologicalProblem", "HomologicalSolution", "solve_he",
-           "residual_he", "estimate_check"]
+           "characteristics_solve", "transport_operator", "residual_he",
+           "estimate_check"]
 
 
 # --------------------------------------------------------------------
@@ -42,21 +41,16 @@ class HomologicalProblem:
     """Data (omega, f, g, z, mu, sigma) of the linear transport equation.
 
     f (d components), g (d*d components) and z (d components) are
-    GridFns on a common grid; analytic callables may be attached for
-    higher-accuracy integration.  mu defaults to the measured max of
+    GridFns on a common grid.  mu defaults to the measured max of
     |f|_{1,1} and |g|_{1,1}.
     """
 
-    def __init__(self, omega, z, f=None, g=None, mu=None, sigma=1.0,
-                 z_callable=None, f_callable=None, g_callable=None):
+    def __init__(self, omega, z, f=None, g=None, mu=None, sigma=1.0):
         self.omega = np.atleast_1d(np.asarray(omega, dtype=float))
         self.z = z
         self.f = f
         self.g = g
         self.sigma = float(sigma)
-        self.z_callable = z_callable
-        self.f_callable = f_callable
-        self.g_callable = g_callable
         self.grid = z.grid
         self.times = z.times
         self.dim = z.grid.dim
@@ -261,8 +255,6 @@ def _free_transport_coeffs(plan, rhs):
 
 def _spectral_solve(p, quad_tol):
     grid, times = p.grid, p.times
-    if grid.m:
-        raise NotImplementedError("spectral route requires a torus-only grid")
     d = p.dim
     plan = _transport_plan(times, _mode_phases(grid, p.omega))
     _, W = _time_refine_matrix(times)
@@ -323,35 +315,45 @@ def _spectral_solve(p, quad_tol):
 
 
 # --------------------------------------------------------------------
-# direct route
+# public operations
 # --------------------------------------------------------------------
 
-def _field_evaluator(gridfn, callable_fn, decay=2.0):
-    """Evaluator for a field given analytically or as grid data; grid
-    data beyond the horizon follows the field's leading decay power."""
-    if callable_fn is not None:
-        return callable_fn
-    if gridfn is None:
-        return None
-    interp = gridfn.interpolator()
-    t_hi = gridfn.times.points[-1]
-
-    def ev(q, s):
-        return interp(q, min(s, t_hi)) * (1.0 if s <= t_hi
-                                          else (t_hi / s) ** decay)
-
-    return ev
+def _tail_bound(p, T):
+    """Integrand majorant |z|_{0,2} T^(e-1)/(1-e), e = cR0 mu, of the
+    improper integral beyond T."""
+    e = constants.FLOW_EXPONENTS["cR0"] * p.mu
+    return float(weighted_norm(p.z, 0, 2).value * T ** (e - 1.0) / (1.0 - e))
 
 
-def _direct_solve(p, t_quad_max, quad_tol):
+def solve_he(p, quad_tol=1e-9):
+    """Solve the transport problem on a torus-only grid for the decaying
+    solution kappa; tail_bound is the integrand majorant beyond t_max."""
+    if p.grid.m:
+        raise ValueError(f"solve_he needs a torus-only grid (m = 0); "
+                         f"got m = {p.grid.m} window axes")
+    p.validate()
+    kappa, n_corr, diagnostics = _spectral_solve(p, quad_tol)
+    return HomologicalSolution(kappa=kappa,
+                               tail_bound=_tail_bound(p, p.times.points[-1]),
+                               corrections=n_corr, diagnostics=diagnostics)
+
+
+def characteristics_solve(p, z, f=None, g=None, quad_tol=1e-9):
+    """Reference solution of the problem p whose fields are given
+    analytically: z(q, s), f(q, s) and g(q, s) evaluate at (N, d) points
+    (f and g None for zero).
+
+    Per grid node it integrates the characteristic, the adjoint
+    fundamental matrix and the accumulated integral of z up to
+    T = 4 t_max; tail_bound is the integrand majorant beyond T.
+    """
+    p.validate()
     grid, times = p.grid, p.times
     d = p.dim
     omega_bar = np.concatenate([p.omega, np.zeros(grid.m)])
     mesh = np.stack(grid.meshgrid(), axis=-1).reshape(-1, d)
     N = len(mesh)
-    z_ev = _field_evaluator(p.z, p.z_callable, decay=2.0)
-    f_ev = _field_evaluator(p.f, p.f_callable, decay=1.0)
-    g_ev = _field_evaluator(p.g, p.g_callable, decay=1.0)
+    T = 4.0 * times.points[-1]
     out = np.zeros((len(times), N, d))
 
     def rhs(s, yflat):
@@ -360,84 +362,51 @@ def _direct_solve(p, t_quad_max, quad_tol):
         yr = y.copy()
         yr[:, :grid.n] %= 1.0
         dy = np.broadcast_to(omega_bar, (N, d)).copy()
-        if f_ev is not None:
-            dy = dy + np.asarray(f_ev(yr, s)).reshape(N, d)
-        if g_ev is not None:
-            G = np.asarray(g_ev(yr, s)).reshape(N, d, d)
+        if f is not None:
+            dy = dy + np.asarray(f(yr, s)).reshape(N, d)
+        if g is not None:
+            G = np.asarray(g(yr, s)).reshape(N, d, d)
             dPsi = np.einsum("nij,njk->nik", Psi, G)
         else:
             dPsi = np.zeros_like(Psi)
-        zval = np.asarray(z_ev(yr, s)).reshape(N, d)
+        zval = np.asarray(z(yr, s)).reshape(N, d)
         dI = np.einsum("nij,nj->ni", Psi, zval)
         return np.concatenate([dy.ravel(), dPsi.ravel(), dI.ravel()])
 
     eye = np.broadcast_to(np.eye(d), (N, d, d)).copy()
     for i, t in enumerate(times.points):
-        y0 = np.concatenate([mesh.ravel(), eye.ravel(),
-                             np.zeros(N * d)])
-        sol = solve_ivp(rhs, (t, t_quad_max), y0, method="DOP853",
-                        rtol=quad_tol, atol=quad_tol * 1e-2)
-        if not sol.success:
-            raise IntegrationError(
-                f"quadrature failed from t = {t}: {sol.message}")
-        out[i] = -sol.y[N * d + N * d * d:, -1].reshape(N, d)
-    vals = out.reshape((len(times),) + grid.shape + (d,))
-    return GridFn(grid, times, vals)
+        y0 = np.concatenate([mesh.ravel(), eye.ravel(), np.zeros(N * d)])
+        out[i] = -_solve(rhs, y0, t, T, quad_tol)[N * d + N * d * d:] \
+            .reshape(N, d)
+    kappa = GridFn(grid, times, out.reshape((len(times),) + grid.shape
+                                            + (d,)))
+    return HomologicalSolution(kappa=kappa, tail_bound=_tail_bound(p, T))
 
 
-# --------------------------------------------------------------------
-# public operations
-# --------------------------------------------------------------------
-
-def solve_he(p, quad_tol=1e-9, method="auto"):
-    """Solve the transport problem for the decaying solution kappa.
-
-    The characteristics route truncates the improper integral at
-    t_quad_max = 4 t_max; the reported tail_bound is the integrand
-    majorant  |z|_{0,2} T^(e-1)/(1-e), e = cR0 mu, beyond T.
-    """
-    p.validate()
-    t_max = p.times.points[-1]
-    t_quad_max = 4.0 * t_max
-    if method == "auto":
-        method = "spectral" if p.grid.m == 0 else "characteristics"
-    diagnostics = {}
-    if method == "spectral":
-        kappa, n_corr, diagnostics = _spectral_solve(p, quad_tol)
-    elif method == "characteristics":
-        kappa = _direct_solve(p, t_quad_max, quad_tol)
-        n_corr = 0
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    e = constants.FLOW_EXPONENTS["cR0"] * p.mu
-    z_norm = weighted_norm(p.z, 0, 2).value
-    T_ref = t_max if method == "spectral" else t_quad_max
-    tail = z_norm * T_ref ** (e - 1.0) / (1.0 - e)
-    return HomologicalSolution(kappa=kappa, tail_bound=float(tail),
-                               corrections=n_corr,
-                               diagnostics=diagnostics)
+def transport_operator(kappa, omega, f=None, g=None):
+    """(grad kappa) Omega_bar + (d_q kappa) f + g kappa, where
+    (grad kappa) Omega_bar = (d_q kappa) omega_bar + d_t kappa; f is a
+    GridFn with d components and g one with d*d, None for zero."""
+    jac = kappa.jacobian_q()                      # (T,*S,d,d)
+    omega_bar = np.concatenate([omega, np.zeros(kappa.grid.m)])
+    out = np.einsum("...ij,j->...i", jac, omega_bar) + kappa.dt().values
+    if f is not None:
+        out = out + np.einsum("...ia,...a->...i", jac, f.values)
+    if g is not None:
+        d = kappa.grid.dim
+        out = out + np.einsum("...ij,...j->...i",
+                              g.values.reshape(g.values.shape[:-1] + (d, d)),
+                              kappa.values)
+    return GridFn(kappa.grid, kappa.times, out)
 
 
 def residual_he(sol, p):
     """Pointwise residual of (HE) on the grid; sets sol.residual_norm.
 
     d_q is spectral, d_t uses high-order stencils on the log-uniform
-    grid; this is independent of the characteristic integration.
+    grid; this is independent of the transport solve.
     """
-    kappa = sol.kappa
-    d = p.dim
-    jac = kappa.jacobian_q()                      # (T,*S,d,d)
-    omega_bar = np.concatenate([p.omega, np.zeros(p.grid.m)])
-    Fv = np.broadcast_to(omega_bar, kappa.values.shape).copy()
-    if p.f is not None:
-        Fv = Fv + p.f.values
-    adv = np.einsum("...ij,...j->...i", jac, Fv)
-    dt = kappa.dt().values
-    res = adv + dt - p.z.values
-    if p.g is not None:
-        gm = p.g.values.reshape(p.g.values.shape[:-1] + (d, d))
-        res = res + np.einsum("...ij,...j->...i", gm, kappa.values)
-    resf = GridFn(p.grid, p.times, res)
+    resf = transport_operator(sol.kappa, p.omega, p.f, p.g) - p.z
     sol.residual_norm = weighted_norm(resf, 0, 2).value
     return resf
 

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -197,3 +200,15 @@ def test_gronwall_calibrated_bound_and_refusal():
             sample_points=np.array([[0.0]]),
             time_pairs=[(1.0, 2.0)], f_gridfn=fg)
     assert exc.value.measured > mu / 10
+
+
+def test_solve_ivp_only_in_flow_and_celestial():
+    # every other DOP853 solve goes through flow._solve; celestial keeps
+    # its own call, whose name the benchmark tracer hooks
+    src = Path(__file__).resolve().parents[1] / "src" / "wacyl"
+    users = {path.name for path in src.glob("*.py")
+             for node in ast.walk(ast.parse(path.read_text()))
+             if "solve_ivp" in (getattr(node, "id", None),
+                                getattr(node, "attr", None),
+                                getattr(node, "name", None))}
+    assert users == {"flow.py", "celestial.py"}

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from wacyl.flow import NormBudgetError
+from wacyl.flow import IntegrationError, NormBudgetError
 from wacyl.functional import (DomainError, HamiltonianSpec,
                               QuadraticForm, apply_DF, conjugacy_check,
                               eval_F, gamma_from_v, grad_omega,
@@ -313,6 +313,16 @@ def test_conjugacy_check_invariant_torus():
     rep = conjugacy_check(X, phi, gamma, 1.0, 5.0,
                           np.array([[0.1], [0.6]]), omega, tol=1e-11)
     assert rep["max_error"] <= 1e-9
+
+
+def test_conjugacy_check_refuses_a_failed_integration():
+    # y' = y^2 from y(1) = 1 blows up at t = 2, before the checkpoints
+    # 2.24, 3.34 and 5.0
+    sg, tg = base_grids(16, 8, 5.0)
+    with pytest.raises(IntegrationError):
+        conjugacy_check(lambda y, t: y ** 2, lambda q, t: np.ones(1),
+                        GridFn.zeros(sg, tg, 1), 1.0, 5.0,
+                        np.zeros((1, 1)), np.array([1.0]))
 
 
 def test_conjugacy_check_manufactured_cylinder():

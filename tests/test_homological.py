@@ -6,8 +6,8 @@ from wacyl.flow import NormBudgetError
 from wacyl.grids import GridFn, SpatialGrid, TimeGrid
 from wacyl.homological import (HomologicalProblem, _free_transport_coeffs,
                                _mode_phases, _time_refine_matrix,
-                               _transport_plan, estimate_check, residual_he,
-                               solve_he)
+                               _transport_plan, characteristics_solve,
+                               estimate_check, residual_he, solve_he)
 from wacyl.norms import weighted_norm
 
 
@@ -76,6 +76,14 @@ def test_linearity():
     assert diff <= 10 * tol
 
 
+def test_refuses_window_grid():
+    sg = SpatialGrid(1, 8, m=2, window_points=5)
+    tg = TimeGrid(8.0, n_points=16)
+    z = GridFn.zeros(sg, tg, sg.dim)
+    with pytest.raises(ValueError, match="m = 2"):
+        solve_he(HomologicalProblem(omega=[1.0], z=z))
+
+
 def test_refuses_oversized_mu():
     sg, tg = make_grids(32, 16, 8.0)
     z = GridFn.from_callable(sg, tg, lambda q, t: 1.0 / t ** 2 + 0 * q)
@@ -83,7 +91,7 @@ def test_refuses_oversized_mu():
         solve_he(HomologicalProblem(omega=[1.0], z=z, mu=0.5, sigma=1.0))
 
 
-def coupled_problem(sg, tg, mu_f=0.02, callables=False):
+def coupled_fields(mu_f=0.02):
     def zf(q, t):
         return np.cos(2 * np.pi * q) / t ** 2
 
@@ -93,27 +101,26 @@ def coupled_problem(sg, tg, mu_f=0.02, callables=False):
     def gf(q, t):
         return 1.5 * mu_f * np.cos(2 * np.pi * q) / t
 
-    kw = {}
-    if callables:
-        kw = {
-            "z_callable": lambda q, s: zf(q[..., 0], s)[..., None],
-            "f_callable": lambda q, s: ff(q[..., 0], s)[..., None],
-            "g_callable": lambda q, s: gf(q[..., 0], s)[..., None],
-        }
+    return zf, ff, gf
+
+
+def coupled_problem(sg, tg, mu_f=0.02):
+    zf, ff, gf = coupled_fields(mu_f)
     return HomologicalProblem(
         omega=[1.0],
         z=GridFn.from_callable(sg, tg, zf),
         f=GridFn.from_callable(sg, tg, ff),
         g=GridFn.from_callable(sg, tg, gf),
-        sigma=1.0, **kw)
+        sigma=1.0)
 
 
 def test_spectral_vs_characteristics_dual_route():
     sg, tg = make_grids(32, 24, 8.0)
     p_spec = coupled_problem(sg, tg)
-    s_spec = solve_he(p_spec, quad_tol=1e-10, method="spectral")
-    p_dir = coupled_problem(sg, tg, callables=True)
-    s_dir = solve_he(p_dir, quad_tol=1e-10, method="characteristics")
+    s_spec = solve_he(p_spec, quad_tol=1e-10)
+    on_points = [lambda q, s, fn=fn: fn(q[..., 0], s)[..., None]
+                 for fn in coupled_fields()]
+    s_dir = characteristics_solve(p_spec, *on_points, quad_tol=1e-10)
     diff = np.abs(s_spec.kappa.values - s_dir.kappa.values).max()
     # the direct route truncates the improper integral at t_quad_max;
     # the documented tail bound covers the gap
