@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import exp1
 
 from . import constants
 from .flow import IntegrationError, NormBudgetError, _solve
@@ -125,21 +124,60 @@ def _osc_moments(h, theta, mmax):
     return out
 
 
-def _expn_complex(p, z):
-    """Generalized exponential integral E_p(z), p >= 2, for complex z with
-    Re z >= 0.
+# the E_p continued fraction and series stop once the next term changes
+# the value by less than EXPN_EPS relative; for finite z with Re z >= 0
+# that takes at most about 170 terms (the fraction at |z| = 1), so
+# EXPN_MAX_TERMS only ends the loop on a non-finite z, which gives nan
+EXPN_EPS = 1e-15
+EXPN_MAX_TERMS = 1000
 
-    E_1 comes from scipy; higher orders by the recurrence
-    E_(k+1) = (e^-z - z E_k) / k.  z = 0 (non-oscillatory mode) uses
-    E_p(0) = 1/(p-1).
+
+def _expn_complex(p, z):
+    """Generalized exponential integral E_p(z) = int_1^inf e^(-z s) s^-p ds,
+    p >= 2, for complex z with Re z >= 0.
+
+    |z| >= 1: the continued fraction (Abramowitz & Stegun 5.1.22) in its
+    even form, evaluated by the modified Lentz method (Numerical Recipes,
+    3rd ed., sec. 6.3); 0 < |z| < 1: the power series (A&S 5.1.12) with
+    psi(p) = -euler_gamma + sum_(k<p) 1/k; z = 0 (the non-oscillatory
+    mode): E_p(0) = 1/(p-1).  Neither branch recurs in p; both are within
+    about 1.2e-14 relative of the exact value, the worst being the
+    fraction near |z| = 1.
     """
     z = np.asarray(z, dtype=complex)
-    zero = z == 0
-    zs = np.where(zero, 1.0, z)
-    E = exp1(zs)
-    for k in range(1, p):
-        E = (np.exp(-zs) - zs * E) / k
-    return np.where(zero, 1.0 / (p - 1), E)
+    out = np.full(z.shape, 1.0 / (p - 1), dtype=complex)
+    far = np.abs(z) >= 1.0
+    near = ~far & (z != 0)
+    x = z[far]
+    b = x + p
+    c = np.full_like(x, 1e300)          # Lentz's C_0, "infinity"
+    d = 1.0 / b
+    h = d
+    for i in range(1, EXPN_MAX_TERMS):
+        a = -i * (p - 1 + i)
+        b = b + 2.0
+        d = 1.0 / (a * d + b)
+        c = b + a / c
+        delta = c * d
+        h = h * delta
+        if np.all(np.abs(delta - 1.0) <= EXPN_EPS):
+            break
+    out[far] = h * np.exp(-x)
+    x = z[near]
+    psi = -np.euler_gamma + sum(1.0 / k for k in range(1, p))
+    term = np.ones_like(x)              # (-x)^i / i!
+    acc = out[near]                     # the i = 0 term 1/(p-1)
+    for i in range(1, EXPN_MAX_TERMS):
+        term = term * (-x / i)
+        if i == p - 1:
+            delta = term * (psi - np.log(x))
+        else:
+            delta = -term / (i - p + 1)
+        acc = acc + delta
+        if np.all(np.abs(delta) <= EXPN_EPS * np.abs(acc)):
+            break
+    out[near] = acc
+    return out
 
 
 # --------------------------------------------------------------------
@@ -268,8 +306,9 @@ def _spectral_solve(p, quad_tol):
         return grid.torus_ifft(coeffs.reshape(
             (len(coeffs),) + grid.shape + coeffs.shape[-1:]))
 
-    def to_quad(values):
-        return np.einsum("pt,tmc->pmc", W, modes(values))
+    def to_quad(values):        # (T, *shape, C) -> (P, M, C), one BLAS product
+        c = modes(values)
+        return (W @ c.reshape(len(c), -1)).reshape((P,) + c.shape[1:])
 
     kap = _free_transport_coeffs(plan, to_quad(p.z.values))
     base_scale = np.abs(kap).max()

@@ -4,10 +4,11 @@ from scipy.integrate import quad
 
 from wacyl.flow import NormBudgetError
 from wacyl.grids import GridFn, SpatialGrid, TimeGrid
-from wacyl.homological import (HomologicalProblem, _free_transport_coeffs,
-                               _mode_phases, _time_refine_matrix,
-                               _transport_plan, characteristics_solve,
-                               estimate_check, residual_he, solve_he)
+from wacyl.homological import (HomologicalProblem, _expn_complex,
+                               _free_transport_coeffs, _mode_phases,
+                               _time_refine_matrix, _transport_plan,
+                               characteristics_solve, estimate_check,
+                               residual_he, solve_he)
 from wacyl.norms import weighted_norm
 
 
@@ -34,14 +35,14 @@ def test_constant_in_q_closed_form():
     assert sol.residual_norm <= 1e-8
 
 
-def oracle_rotating_cosine(q, t):
-    # -int_t^inf cos(2 pi (q + tau - t))/tau^2 dtau by Fourier-weighted
+def oracle_rotating_cosine(q, t, nu=1.0):
+    # -int_t^inf cos(2 pi (q + nu (tau - t)))/tau^2 dtau by Fourier-weighted
     # quadrature (QAWF), an algorithm independent of the solver
     c, _ = quad(lambda s: 1.0 / s ** 2, t, np.inf, weight="cos",
-                wvar=2 * np.pi)
+                wvar=2 * np.pi * nu)
     s, _ = quad(lambda s: 1.0 / s ** 2, t, np.inf, weight="sin",
-                wvar=2 * np.pi)
-    ph = 2 * np.pi * (q - t)
+                wvar=2 * np.pi * nu)
+    ph = 2 * np.pi * (q - nu * t)
     return -(np.cos(ph) * c - np.sin(ph) * s)
 
 
@@ -57,6 +58,33 @@ def test_rotating_cosine_vs_quadrature_oracle():
         ti = rng.integers(0, 64)
         want = oracle_rotating_cosine(qi / 128.0, tg.points[ti])
         assert abs(sol.kappa.values[ti, qi, 0] - want) <= 1e-7
+    residual_he(sol, p)
+    assert sol.residual_norm <= 10 * 1e-9
+
+
+def test_rotating_cosine_two_torus_two_components():
+    # z_c = cos(2 pi k_c . q)/t^2 with a different mode k_c per component
+    # and rotation frequency nu_c = k_c . omega; the time refinement then
+    # acts on several torus axes and components at once, and swapping
+    # modes, axes or components moves kappa by O(1)
+    sg, tg = SpatialGrid(2, 8), TimeGrid(20.0, n_points=64)
+    omega = np.array([1.0, 1.5])
+    ks = np.array([[0, 1], [1, 0]])
+    nus = ks @ omega
+    z = GridFn.from_callable(sg, tg, lambda q1, q2, t: np.stack(
+        [np.cos(2 * np.pi * (k[0] * q1 + k[1] * q2)) / t ** 2 for k in ks],
+        axis=-1))
+    p = HomologicalProblem(omega=omega, z=z, sigma=1.0)
+    sol = solve_he(p, quad_tol=1e-11)
+    assert sol.kappa.values.shape == (64, 8, 8, 2)
+    rng = np.random.default_rng(1)
+    for _ in range(12):
+        i1, i2 = rng.integers(0, 8, size=2)
+        ti = rng.integers(0, 64)
+        for comp, (k, nu) in enumerate(zip(ks, nus)):
+            want = oracle_rotating_cosine((k[0] * i1 + k[1] * i2) / 8.0,
+                                          tg.points[ti], nu)
+            assert abs(sol.kappa.values[ti, i1, i2, comp] - want) <= 1e-7
     residual_he(sol, p)
     assert sol.residual_norm <= 10 * 1e-9
 
@@ -235,6 +263,25 @@ def test_transport_plan_built_once_per_grid_and_theta():
         other = _transport_plan(tg, _mode_phases(sg, [0.5]))
         assert other.weights is not plan.weights
         assert not np.array_equal(other.weights, plan.weights)
+
+
+def test_expn_complex_matches_mpmath():
+    # E_p at the tail arguments z = -i theta T of the transport plans
+    # (|theta T| up to 8042 on the default solve grid) and on both sides
+    # of |z| = 1, where the continued fraction hands over to the series
+    import mpmath
+    ring = np.exp(1j * np.linspace(-np.pi / 2, np.pi / 2, 7))
+    z = np.concatenate([-1j * np.geomspace(1e-3, 1e4, 71), [-8042j],
+                        0.5 * ring, 0.99 * ring, 1.01 * ring, 3.0 * ring])
+    for p in (2, 3):
+        got = _expn_complex(p, z)
+        with mpmath.workdps(30):
+            want = np.array([complex(mpmath.expint(
+                p, mpmath.mpc(w.real, w.imag))) for w in z])
+        rel = np.abs(got - want) / np.abs(want)
+        assert rel.max() <= 1e-13, (p, z[rel.argmax()], rel.max())
+        assert _expn_complex(p, np.zeros(3, dtype=complex)).tolist() \
+            == [1.0 / (p - 1)] * 3
 
 
 def test_transport_tail_exact_for_power_law_amplitude():
