@@ -4,6 +4,13 @@ Functions live on a tensor grid: a geometric time grid on [1, t_max]
 crossed with a uniform torus grid (spectral differentiation) and an
 optional symmetric bounded window replacing the R^m factor (centered
 finite differences, value-clamped at the boundary).
+
+Torus axes are handled on the half spectrum of real fields: one rfftn
+over the torus axes per GridFn, built on first use and kept on it.  A
+torus derivative d^alpha is one irfftn of that spectrum times
+(2 pi i k)^alpha.  A derivative of order >= 1 along a torus axis is zero
+at that axis's Nyquist frequency N/2, whose mode has no partner -N/2 and
+so no real derivative (Trefethen, Spectral Methods in MATLAB, ch. 3).
 """
 
 from __future__ import annotations
@@ -56,7 +63,22 @@ def fornberg_weights(x0, x, order):
     return c[:, order]
 
 
-class TimeGrid:
+class _Derived:
+    """Immutable grid whose derived arrays are built once and kept."""
+
+    def derived(self, key, build):
+        """The read-only array (or tuple of arrays) build() returns, built
+        once per key and kept on the grid, which never changes."""
+        cache = self.__dict__.setdefault("_derived", {})
+        if key not in cache:
+            value = build()
+            for arr in value if isinstance(value, tuple) else (value,):
+                arr.flags.writeable = False
+            cache[key] = value
+        return cache[key]
+
+
+class TimeGrid(_Derived):
     """Geometric time grid t_k = gamma^k on [1, t_max].
 
     The grid is uniform in log t, which keeps high-order time
@@ -102,17 +124,6 @@ class TimeGrid:
         self.points.flags.writeable = False
         self.log_points.flags.writeable = False
 
-    def derived(self, key, build):
-        """The read-only array (or tuple of arrays) build() returns, built
-        once per key and kept on the grid, which never changes."""
-        cache = self.__dict__.setdefault("_derived", {})
-        if key not in cache:
-            value = build()
-            for arr in value if isinstance(value, tuple) else (value,):
-                arr.flags.writeable = False
-            cache[key] = value
-        return cache[key]
-
     def __len__(self):
         return len(self.points)
 
@@ -141,7 +152,7 @@ class TimeGrid:
         return D
 
 
-class SpatialGrid:
+class SpatialGrid(_Derived):
     """Uniform torus grid (n axes, power-of-two points) plus an optional
     window grid (m axes, symmetric about 0, odd point count)."""
 
@@ -194,31 +205,76 @@ class SpatialGrid:
     def meshgrid(self):
         return np.meshgrid(*self.torus_axes, *self.window_axes, indexing="ij")
 
+    def torus_half_freqs(self):
+        """Frequencies of each torus axis on the half spectrum: fftfreq
+        on every axis but the last, rfftfreq on the last."""
+        last = np.fft.rfftfreq(self.torus_points, d=1.0 / self.torus_points)
+        return (self.torus_freqs,) * (self.n - 1) + (last,)
+
     def torus_mesh(self):
-        """Frequency of every torus axis on the full mode grid ("ij")."""
-        return np.meshgrid(*(self.torus_freqs,) * self.n, indexing="ij")
+        """Frequency of every torus axis on the half-spectrum mode grid
+        ("ij"), the grid of torus_rfft's coefficients; read-only."""
+        return self.derived("mesh", lambda: tuple(
+            np.meshgrid(*self.torus_half_freqs(), indexing="ij")))
 
-    def torus_fft(self, values):
-        """Fourier coefficients over the torus axes of (L, *shape, C)
-        samples, scaled by 1/N so that the zero mode is the mean."""
-        return np.fft.fftn(values, axes=tuple(range(1, 1 + self.n)),
-                           norm="forward")
+    # both transforms run with the component axis moved next to the
+    # leading one, so that the torus lines are contiguous: pocketfft runs
+    # them faster there (1.3-1.4x on a (379, 16, 16, 2) array, one
+    # thread), with the same result to the bit
+    def torus_rfft(self, values):
+        """Half-spectrum Fourier coefficients over the torus axes of real
+        (L, *shape, C) samples, scaled by 1/N so that the zero mode is the
+        mean."""
+        moved = np.ascontiguousarray(np.moveaxis(values, -1, 1))
+        return np.moveaxis(np.fft.rfftn(
+            moved, axes=tuple(range(2, 2 + self.n)), norm="forward"), 1, -1)
 
-    def torus_ifft(self, coeffs):
-        """Complex samples of torus Fourier coefficients; the inverse of
-        torus_fft."""
-        return np.fft.ifftn(coeffs, axes=tuple(range(1, 1 + self.n)),
-                            norm="forward")
+    def torus_irfft(self, coeffs):
+        """Real samples of half-spectrum torus coefficients; the inverse
+        of torus_rfft."""
+        moved = np.ascontiguousarray(np.moveaxis(coeffs, -1, 1))
+        return np.moveaxis(np.fft.irfftn(
+            moved, s=(self.torus_points,) * self.n,
+            axes=tuple(range(2, 2 + self.n)), norm="forward"), 1, -1)
+
+    def torus_multiplier(self, alpha):
+        """Symbol (2 pi i k)^alpha of the torus derivative of multi-index
+        alpha (one order per torus axis) on the half spectrum, zero at the
+        Nyquist frequency of every axis with alpha_a >= 1; shaped to
+        multiply a torus_rfft spectrum, read-only and built once."""
+        alpha = tuple(int(a) for a in alpha)
+
+        def build():
+            mult = np.full(self.torus_mesh()[0].shape + (1,) * (self.m + 1),
+                           (1, 1j, -1, -1j)[sum(alpha) % 4], dtype=complex)
+            freqs = self.torus_half_freqs()
+            for a, (k, order) in enumerate(zip(freqs, alpha)):
+                if order:
+                    sym = (2 * np.pi * k) ** order
+                    sym[self.torus_points // 2] = 0.0
+                    shape = [1] * mult.ndim
+                    shape[a] = len(k)
+                    mult = mult * sym.reshape(shape)
+            return mult
+
+        return self.derived(("dq", alpha), build)
+
+    def torus_derivative(self, coeffs, alpha):
+        """Real samples of d^alpha over the torus axes of the field whose
+        torus_rfft is coeffs: one irfftn."""
+        return self.torus_irfft(coeffs * self.torus_multiplier(alpha))
 
 
 class GridFn:
     """Sampled vector-valued function on SpatialGrid x TimeGrid.
 
     values has shape (T, *spatial_shape, components).  Torus axes are
-    periodic by construction; all values must be finite.
+    periodic by construction; all values must be finite.  spectrum, when
+    the caller already holds it, is the torus spectrum the derivatives
+    are taken from (see spectrum()).
     """
 
-    def __init__(self, grid, times, values):
+    def __init__(self, grid, times, values, spectrum=None):
         values = np.asarray(values, dtype=float)
         expected = (len(times),) + grid.shape
         if values.shape[:-1] != expected:
@@ -231,6 +287,10 @@ class GridFn:
         self.values = values
         self.values.flags.writeable = False
         self._norm_cache = {}
+        self._spectrum = spectrum
+        if spectrum is not None:
+            spectrum.flags.writeable = False
+        self._jacobian = None
 
     @property
     def components(self):
@@ -283,25 +343,31 @@ class GridFn:
 
     # ---- differentiation ---------------------------------------------
 
+    def spectrum(self):
+        """The torus half spectrum grid.torus_rfft(values), built on first
+        use and kept read-only; a smoothed GridFn carries its filtered
+        spectrum instead (see smoothing.smooth)."""
+        if self._spectrum is None:
+            self._spectrum = self.grid.torus_rfft(self.values)
+            self._spectrum.flags.writeable = False
+        return self._spectrum
+
     def dq(self, axis, order=1):
         """Spatial derivative along one axis (0-based among spatial axes).
 
-        Spectral on torus axes, centered finite differences (np.gradient)
-        on window axes.
+        Spectral on torus axes (one irfftn of the spectrum, zero at the
+        axis's Nyquist frequency), centered finite differences
+        (np.gradient) on window axes.
         """
-        arr_axis = 1 + axis
         if axis < self.grid.n:
-            k = self.grid.torus_freqs
-            shape = [1] * self.values.ndim
-            shape[arr_axis] = len(k)
-            mult = (2j * np.pi * k.reshape(shape)) ** order
-            spec = np.fft.fft(self.values, axis=arr_axis)
-            out = np.fft.ifft(spec * mult, axis=arr_axis).real
-        else:
-            ax = self.grid.window_axes[axis - self.grid.n]
-            out = self.values
-            for _ in range(order):
-                out = np.gradient(out, ax, axis=arr_axis)
+            alpha = [0] * self.grid.n
+            alpha[axis] = order
+            return self._like(self.grid.torus_derivative(self.spectrum(),
+                                                         alpha))
+        ax = self.grid.window_axes[axis - self.grid.n]
+        out = self.values
+        for _ in range(order):
+            out = np.gradient(out, ax, axis=1 + axis)
         return self._like(out)
 
     def dt(self):
@@ -313,9 +379,12 @@ class GridFn:
 
     def jacobian_q(self):
         """All first spatial derivatives with the gradient axis last:
-        (T, *S, comp) -> (T, *S, comp, d)."""
-        return np.stack([self.dq(a).values for a in range(self.grid.dim)],
-                        axis=-1)
+        (T, *S, comp) -> (T, *S, comp, d); built once, read-only."""
+        if self._jacobian is None:
+            self._jacobian = np.stack(
+                [self.dq(a).values for a in range(self.grid.dim)], axis=-1)
+            self._jacobian.flags.writeable = False
+        return self._jacobian
 
     # ---- evaluation ---------------------------------------------------
 

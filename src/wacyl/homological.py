@@ -185,7 +185,7 @@ def _expn_complex(p, z):
 # --------------------------------------------------------------------
 
 def _mode_phases(grid, omega):
-    """2 pi k . omega for every grid mode, flattened."""
+    """2 pi k . omega for every mode of the half spectrum, flattened."""
     theta = 2 * np.pi * sum(w * k for w, k in zip(omega, grid.torus_mesh()))
     return theta.ravel()
 
@@ -298,13 +298,15 @@ def _spectral_solve(p, quad_tol):
     _, W = _time_refine_matrix(times)
     P = W.shape[0]
 
-    def modes(values):          # (L, *shape, C) -> (L, M, C)
-        return grid.torus_fft(values).reshape(len(values), -1,
-                                              values.shape[-1])
+    half = grid.torus_mesh()[0].shape
 
-    def samples(coeffs):        # (L, M, C) -> complex (L, *shape, C)
-        return grid.torus_ifft(coeffs.reshape(
-            (len(coeffs),) + grid.shape + coeffs.shape[-1:]))
+    def modes(values):          # real (L, *shape, C) -> (L, M, C)
+        return grid.torus_rfft(values).reshape(len(values), -1,
+                                               values.shape[-1])
+
+    def samples(coeffs):        # (L, M, C) -> real (L, *shape, C)
+        return grid.torus_irfft(coeffs.reshape(
+            (len(coeffs),) + half + coeffs.shape[-1:]))
 
     def to_quad(values):        # (T, *shape, C) -> (P, M, C), one BLAS product
         c = modes(values)
@@ -315,26 +317,25 @@ def _spectral_solve(p, quad_tol):
     n_corr = 0
     hist = []
     if p.f is not None or p.g is not None:
-        kvecs = grid.torus_mesh()
         # physical (f, g) on the quad grid; fixed through the corrections
         if p.f is not None:
-            f_phys = samples(to_quad(p.f.values)).real
+            f_phys = samples(to_quad(p.f.values))
         if p.g is not None:
-            gm = samples(to_quad(p.g.values)).real.reshape(
+            gm = samples(to_quad(p.g.values)).reshape(
                 (P,) + grid.shape + (d, d))
         cur = kap
         for it in range(MAX_CORRECTIONS):
             # physical fields on the quad grid
-            cur_full = cur.reshape((P,) + grid.shape + (d,))
-            rhs_phys = np.zeros(cur_full.shape, dtype=complex)
+            cur_half = cur.reshape((P,) + half + (d,))
+            rhs_phys = np.zeros((P,) + grid.shape + (d,))
             if p.f is not None:
                 for a in range(grid.n):
-                    da = grid.torus_ifft(
-                        cur_full * (2j * np.pi * kvecs[a])[None, ..., None])
+                    da = grid.torus_derivative(
+                        cur_half, [b == a for b in range(grid.n)])
                     rhs_phys -= da * f_phys[..., a:a + 1]
             if p.g is not None:
                 rhs_phys -= np.einsum("...ij,...j->...i", gm,
-                                      grid.torus_ifft(cur_full))
+                                      grid.torus_irfft(cur_half))
             corr = _free_transport_coeffs(plan, modes(rhs_phys))
             kap = kap + corr
             cur = corr
@@ -349,7 +350,7 @@ def _spectral_solve(p, quad_tol):
                     "perturbation series for (f,g) coupling diverges; "
                     f"correction sizes {hist[-3:]}")
     # restrict to the original nodes (they are a subset of the quad grid)
-    kappa = GridFn(grid, times, samples(kap[::TIME_REFINE]).real)
+    kappa = GridFn(grid, times, samples(kap[::TIME_REFINE]))
     return kappa, n_corr, {"correction_history": hist}
 
 

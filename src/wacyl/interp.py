@@ -1,9 +1,9 @@
 """Evaluation of GridFn data off the grid.
 
 Torus axes use the trigonometric interpolant of the sampled Fourier
-coefficients (exact for band-limited data); window axes use cubic
-local polynomials; time uses degree-6 local Lagrange interpolation on
-the log-uniform grid.
+coefficients (exact for band-limited data), summed over the half
+spectrum of the real field; time uses degree-6 local Lagrange
+interpolation on the log-uniform grid.
 """
 
 from __future__ import annotations
@@ -32,8 +32,14 @@ class GridFnInterpolant:
             raise NotImplementedError(
                 "off-grid evaluation with window axes is not needed by the "
                 "solver; sample on-grid instead")
-        # Fourier coefficients per time slice: shape (T, *modes, comp)
-        self.coeff = self.grid.torus_fft(f.values)
+        # half-spectrum coefficients per time slice, (T, *modes, comp),
+        # weighted 2 on the last axis's bins that stand for a +-k pair and
+        # 1 on its zero and Nyquist bins, so the real part of the sum is
+        # the full trigonometric interpolant
+        N = self.grid.torus_points
+        w = np.full(N // 2 + 1, 2.0)
+        w[[0, N // 2]] = 1.0
+        self.coeff = f.spectrum() * w[:, None]
 
     def _time_weights(self, t):
         lt = np.log(t)
@@ -55,9 +61,7 @@ class GridFnInterpolant:
         q = np.atleast_2d(np.asarray(q, dtype=float))
         c = self._coeff_at(t)  # (*modes, comp)
         # accumulate exp(2 pi i k.q) sums axis by axis
-        phases = 1.0
-        k = self.grid.torus_freqs
-        for a in range(self.grid.n):
+        for a, k in enumerate(self.grid.torus_half_freqs()):
             ph = np.exp(2j * np.pi * np.outer(q[..., a].ravel(), k))
             if derivative == a:
                 ph = ph * (2j * np.pi * k)

@@ -164,9 +164,11 @@ def newton_step(Hs, psi, F, t, zeta, quad_tol):
     """One update psi - S_t eta(phi, psi) F of the scheme on the smoothed
     data Hs (phi), where F = F(phi, psi): the right inverse solves the
     linearized equation with right-hand side -F and the correction is
-    smoothed at rate t."""
+    smoothed at rate t.  Returns the new psi and the smoothed correction,
+    whose spectrum is band-limited to |k| < t."""
     step = right_inverse(Hs, psi, -F, zeta=zeta, quad_tol=quad_tol).kappa
-    return psi + smooth(step, t)
+    dpsi = smooth(step, t)
+    return psi + dpsi, dpsi
 
 
 def _checked(p):
@@ -219,14 +221,15 @@ def iterate(H, p, max_steps=12, target=1e-6, quad_tol=1e-10,
         if j:
             Hs = _smoothed_spec(H, tau)
             Fj = eval_F(Hs, psi)
-        prev_psi = psi
-        psi = newton_step(Hs, psi, Fj, tj, zeta, quad_tol)
+        psi, dpsi = newton_step(Hs, psi, Fj, tj, zeta, quad_tol)
         state.j = j + 1
         r_paired = _z_norm(eval_F(Hs, psi))
         r_true = _z_norm(eval_F(H, psi))
         state.residual_norms.append(r_paired)
         state.true_residuals.append(r_true)
-        dpsi = psi - prev_psi
+        # the smoothed correction's spectrum is zero for |k| >= t_j, so its
+        # C^(s+1) norm measures the step, not rounding noise above the band
+        # amplified by up to (pi N)^(s+1)
         state.step_norms_low.append(v_norm(dpsi, H.omega, 0))
         state.step_norms_high.append(
             weighted_norm(dpsi, p.s + 1, 1, pair_radius=8).value)
@@ -288,7 +291,8 @@ def choose_schedule(H, p, quad_tol=1e-10):
         Hs = _smoothed_spec(H, trial.tau_j(1))
         F0 = eval_F(Hs, psi)
         try:
-            psi1 = newton_step(Hs, psi, F0, trial.t_j(1), p.zeta, quad_tol)
+            psi1, _ = newton_step(Hs, psi, F0, trial.t_j(1), p.zeta,
+                                  quad_tol)
             r1 = _z_norm(eval_F(Hs, psi1))
         except (NormBudgetError, DomainError):
             continue

@@ -7,8 +7,12 @@ every separation up to half the points of the axis (or pair_radius).
 
 The Hölder profile over the time grid is computed in one pass: each
 derivative is taken once on the whole (T, ...) array, each pair shift
-once per offset, and the maxima are reduced per time slice.  The
-profile is cached on the GridFn and shared by every weight t^l.
+once per offset, and the maxima are reduced per time slice.  The torus
+part of every multi-index derivative comes straight from the GridFn's
+cached spectrum, one irfftn each, zero at the Nyquist frequency of every
+differentiated torus axis; window derivatives then follow by centered
+differences along the window axes in ascending order.  The profile is
+cached on the GridFn and shared by every weight t^l.
 """
 
 from __future__ import annotations
@@ -78,10 +82,11 @@ def holder_norm(f, sigma, time_index=0, pair_radius=None):
     """Hölder norm |f^t|_{C^sigma} of one time slice of a GridFn, or with
     time_index=None the list of it over every slice.
 
-    Derivatives are spectral on torus axes and centered finite
-    differences on window axes, taken once per multi-index on the whole
-    (T, ...) array; the fractional part adds the maximal discrete Hölder
-    quotient of the order-floor(sigma) derivatives.
+    Derivatives are spectral on torus axes (from f.spectrum()) and
+    centered finite differences on window axes, taken once per
+    multi-index on the whole (T, ...) array; the fractional part adds the
+    maximal discrete Hölder quotient of the order-floor(sigma)
+    derivatives.
     """
     if sigma < 0:
         raise ValueError("sigma must be nonnegative")
@@ -96,23 +101,30 @@ def holder_norm(f, sigma, time_index=0, pair_radius=None):
     else:
         i = range(len(f.times))[time_index]
         rows = slice(i, i + 1)
-    dims = f.grid.dim
-    level = {(0,) * dims: f}
+    grid = f.grid
+    n = grid.n
+    spec = f.spectrum()[rows] if k else None
+    level = {(0,) * grid.dim: f.values[rows]}
     best = _slice_max(np.abs(f.values[rows]))
     tops = [f.values[rows]] if k == 0 else []
     for order in range(1, k + 1):
         new_level = {}
-        for alpha, g in level.items():
-            for axis in range(dims):
-                beta = list(alpha)
-                beta[axis] += 1
-                beta = tuple(beta)
+        for alpha in level:
+            for axis in range(grid.dim):
+                beta = tuple(a + (b == axis) for b, a in enumerate(alpha))
                 if beta in new_level:
                     continue
-                new_level[beta] = g.dq(axis)
+                window = [w for w in range(n, grid.dim) if beta[w]]
+                if window:
+                    # one more difference along the last window axis
+                    w = window[-1]
+                    parent = tuple(a - (b == w) for b, a in enumerate(beta))
+                    new_level[beta] = np.gradient(
+                        level[parent], grid.window_axes[w - n], axis=1 + w)
+                else:
+                    new_level[beta] = grid.torus_derivative(spec, beta[:n])
         level = new_level
-        for g in level.values():
-            arr = g.values[rows]
+        for arr in level.values():
             best = np.maximum(best, _slice_max(np.abs(arr)))
             if order == k:
                 tops.append(arr)

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -60,6 +63,85 @@ def test_spectral_derivative_exact_for_modes():
     exact = GridFn.from_callable(
         sg, tg, lambda q, t: 6 * np.pi * np.cos(2 * np.pi * 3 * q))
     assert np.abs(df.values - exact.values).max() < 1e-10
+
+
+@pytest.mark.parametrize("torus_points", [8, 16])
+def test_derivative_of_nyquist_wave_is_zero(torus_points):
+    # the Nyquist mode N/2 has no partner -N/2, so no real derivative:
+    # every torus derivative of order >= 1 drops it exactly
+    tg = TimeGrid(4.0, n_points=3)
+    sg = SpatialGrid(2, torus_points)
+    j0, j1 = (np.rint(q * torus_points).astype(int) for q in sg.meshgrid())
+    for wave in ((-1.0) ** j0, (-1.0) ** j1, (-1.0) ** (j0 + j1)):
+        f = GridFn(sg, tg, np.broadcast_to(wave[None, ..., None],
+                                           (len(tg),) + sg.shape + (1,)))
+        for axis in (0, 1):
+            for order in (1, 2, 3):
+                assert not np.any(f.dq(axis, order).values)
+
+
+@pytest.mark.parametrize("n, torus_points", [(1, 32), (2, 16)])
+def test_dq_matches_complex_fft_derivative(n, torus_points):
+    # the complex round trip ifft(fft(f) 2 pi i k).real per axis, chained
+    # for higher orders; its .real drops the Nyquist term as dq does
+    tg = TimeGrid(4.0, n_points=3)
+    sg = SpatialGrid(n, torus_points)
+    values = np.random.default_rng(7).standard_normal(
+        (len(tg),) + sg.shape + (2,))
+    f = GridFn(sg, tg, values)
+    k = np.fft.fftfreq(torus_points, d=1.0 / torus_points)
+    for axis in range(n):
+        shape = [1] * values.ndim
+        shape[1 + axis] = torus_points
+        mult = 2j * np.pi * k.reshape(shape)
+        want = values
+        for order in (1, 2, 3):
+            want = np.fft.ifft(np.fft.fft(want, axis=1 + axis) * mult,
+                               axis=1 + axis).real
+            got = f.dq(axis, order).values
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_spectrum_and_jacobian_are_cached_read_only():
+    tg = TimeGrid(4.0, n_points=3)
+    sg = SpatialGrid(2, 8)
+    f = GridFn.from_callable(sg, tg, lambda q1, q2, t: np.sin(
+        2 * np.pi * (q1 + 2 * q2)) / t)
+    jac = f.jacobian_q()
+    assert f.jacobian_q() is jac and not jac.flags.writeable
+    assert f.spectrum() is f.spectrum()
+    assert not f.spectrum().flags.writeable
+    with pytest.raises(ValueError):
+        jac[0, 0, 0, 0, 0] = 1.0
+
+
+def _c2c_fft_calls(tree):
+    """Names of the complex-to-complex numpy FFTs a module calls or
+    imports (x.fft.fft(...), from numpy.fft import ifftn, ...)."""
+    c2c = {"fft", "ifft", "fftn", "ifftn"}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func,
+                                                     ast.Attribute):
+            owner = node.func.value
+            if node.func.attr in c2c and "fft" in (
+                    getattr(owner, "attr", None), getattr(owner, "id", None)):
+                found.append(node.func.attr)
+        if isinstance(node, ast.ImportFrom) and node.module and \
+                node.module.endswith("fft"):
+            found += [a.name for a in node.names if a.name in c2c]
+    return found
+
+
+def test_no_complex_to_complex_fft_in_library():
+    # every transform of a real field is the real pair rfftn / irfftn
+    assert sorted(_c2c_fft_calls(ast.parse(
+        "np.fft.fftn(x)\nnumpy.fft.ifft(y)\nfrom numpy.fft import ifftn"
+    ))) == ["fftn", "ifft", "ifftn"]
+    src = Path(__file__).resolve().parents[1] / "src" / "wacyl"
+    users = {path.name: calls for path in sorted(src.glob("*.py"))
+             if (calls := _c2c_fft_calls(ast.parse(path.read_text())))}
+    assert users == {}
 
 
 def test_time_derivative_high_order():

@@ -1,3 +1,4 @@
+import copy
 from dataclasses import replace
 
 import numpy as np
@@ -252,6 +253,25 @@ def test_schedule_scan_is_one_newton_step(counted_scan):
                / max(best["upsilon"], 1e-12) * (1 + 1e-9))
     assert chosen == replace(p, Q=best["Q"], upsilon=best["upsilon"],
                              epsilon0=eps0)
+
+
+def test_step_high_stable_under_one_ulp_input_change():
+    # the C^(s+1) step norm is taken on the smoothed correction, whose
+    # spectrum is zero beyond the band |k| < t_j: rounding noise above the
+    # band, which the ninth derivative would amplify by up to (2 pi 64)^9,
+    # does not reach it, so a 1-ulp change of one input value leaves every
+    # row in place
+    H, _ = manufactured_power()
+    p = replace(params_from_order(8.0, Q=float(nashmoser.Q_GRID[2])),
+                epsilon0=1e300)
+    moved = H.a.values.copy()
+    moved[5, 17, 0] = np.nextafter(moved[5, 17, 0], np.inf)
+    H_moved = copy.copy(H)
+    H_moved.a = GridFn(H.grid, H.times, moved)
+    rows = [iterate(h, p, max_steps=2, target=0.0)[1].step_norms_high
+            for h in (H, H_moved)]
+    assert len(rows[0]) == 2
+    np.testing.assert_allclose(rows[1], rows[0], rtol=1e-6, atol=0)
 
 
 def test_schedule_scan_evaluates_each_trial_once(counted_scan):

@@ -2,6 +2,7 @@
 the .wgf round trip, the smoothing symbol, the three-body pair gravity,
 the Hölder profile over the time grid and the time-grid matrix cache."""
 
+import itertools
 import os
 import tempfile
 from types import SimpleNamespace
@@ -235,25 +236,32 @@ def _oracle_shifted_diff(grid, arr, axis, offset):
 
 
 def _oracle_holder_norm(f, sigma, i, pair_radius):
-    """The Hölder norm of time slice i, one slice at a time."""
+    """The Hölder norm of time slice i, one slice at a time: each
+    multi-index derivative from the slice's own torus spectrum, then
+    centered differences along the window axes in ascending order."""
     grid = f.grid
     k = int(np.floor(sigma))
     mu = sigma - k
-    level = {(0,) * grid.dim: f}
+    values = f.values[i:i + 1]
+    spec = grid.torus_rfft(values)
+
+    def derivative(beta):
+        torus = beta[:grid.n]
+        arr = grid.torus_derivative(spec, torus) if any(torus) else values
+        for w in range(grid.m):
+            for _ in range(beta[grid.n + w]):
+                arr = np.gradient(arr, grid.window_axes[w],
+                                  axis=1 + grid.n + w)
+        return arr[0]
+
     best = float(np.abs(f.values[i]).max())
     tops = [f.values[i]] if k == 0 else []
-    for order in range(1, k + 1):
-        new_level = {}
-        for alpha, g in level.items():
-            for axis in range(grid.dim):
-                beta = tuple(a + (b == axis) for b, a in enumerate(alpha))
-                if beta not in new_level:
-                    new_level[beta] = g.dq(axis)
-        level = new_level
-        for g in level.values():
-            best = max(best, float(np.abs(g.values[i]).max()))
-            if order == k:
-                tops.append(g.values[i])
+    for beta in itertools.product(range(k + 1), repeat=grid.dim):
+        if 0 < sum(beta) <= k:
+            arr = derivative(beta)
+            best = max(best, float(np.abs(arr).max()))
+            if sum(beta) == k:
+                tops.append(arr)
     if mu == 0:
         return best
 
