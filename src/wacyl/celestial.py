@@ -24,7 +24,7 @@ from .flow import IntegrationError
 from .smoothing import _ramp, _ramp_derivative
 
 __all__ = ["Masses", "CometOrbit", "CartesianState", "SplitCoords",
-           "ExtensionParams", "solve_hyperbolic_kepler", "comet_position",
+           "ExtensionParams", "solve_hyperbolic_kepler",
            "check_speed_window", "split_coordinates", "split_inverse",
            "eval_H0_cartesian", "eval_H0_split", "eval_Hc", "grad_Hc",
            "hess_Hc", "decay_diagnostics", "extend_Hc",
@@ -180,12 +180,6 @@ class CometOrbit:
         H = self.anomaly(t)
         return self.a_h * self.e * np.sinh(H) * self.mean_motion \
             / (self.e * np.cosh(H) - 1.0)
-
-
-def comet_position(orbit, t):
-    if t < 1.0:
-        raise ValueError("ephemeris is defined for t >= 1")
-    return orbit.position(t)
 
 
 def check_speed_window(orbit, t_grid, eps):

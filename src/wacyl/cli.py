@@ -67,9 +67,15 @@ def load_config(path=None, overrides=()):
 
 
 def cfg_get(cfg, key, default, cast=float):
-    if key in cfg:
+    """cast(cfg[key]), or default when the key is unset; a value cast
+    refuses raises ValueError naming the key and the raw value."""
+    if key not in cfg:
+        return default
+    try:
         return cast(cfg[key])
-    return default
+    except ValueError:
+        raise ValueError(f"{key} = {cfg[key]!r} is not a valid "
+                         f"{cast.__name__}") from None
 
 
 def _write_manifest(outdir, name, payload):
@@ -116,11 +122,12 @@ def cmd_solve(args):
     outdir = args.out
     preset = cfg_get(cfg, "solve.preset", args.preset, str)
     eps = cfg_get(cfg, "solve.eps", 1e-3)
-    torus_points = int(cfg_get(cfg, "solve.torus_points", 128))
-    n_times = int(cfg_get(cfg, "solve.n_times", 64))
+    torus_points = cfg_get(cfg, "solve.torus_points", 128, int)
+    n_times = cfg_get(cfg, "solve.n_times", 64, int)
     t_max = cfg_get(cfg, "solve.t_max", 20.0)
     target = cfg_get(cfg, "solve.target", 1e-6)
     quad_tol = cfg_get(cfg, "solve.quad_tol", 1e-10)
+    max_steps = cfg_get(cfg, "solve.max_steps", 12, int)
     if preset == "manufactured":
         H, vstar = manufactured_single(eps, torus_points=torus_points,
                                        n_times=n_times, t_max=t_max)
@@ -133,7 +140,7 @@ def cmd_solve(args):
         return EXIT_CONFIG_ERROR
     p = params_from_order(cfg_get(cfg, "solve.s", 8.0))
     # explicitly set scheme values override the scanned ones
-    explicit = {name: float(cfg[key]) for key, name in (
+    explicit = {name: cfg_get(cfg, key, None) for key, name in (
         ("solve.q", "Q"), ("solve.upsilon", "upsilon"),
         ("solve.epsilon0", "epsilon0"), ("solve.zeta", "zeta")) if key in cfg}
     if "Q" not in explicit:
@@ -143,9 +150,8 @@ def cmd_solve(args):
                    [[r["Q"], r["upsilon"], r["r1"], r["envelope"]]
                     for r in scan])
     p = replace(p, **explicit)
-    sol, state = iterate(H, p, max_steps=int(
-        cfg_get(cfg, "solve.max_steps", 12)), target=target,
-        quad_tol=quad_tol, min_steps=3)
+    sol, state = iterate(H, p, max_steps=max_steps, target=target,
+                         quad_tol=quad_tol, min_steps=3)
     rows = []
     for d in range(1, state.j + 1):
         rows.append([d, state.tau_values[d - 1], state.t_values[d - 1],
@@ -182,8 +188,8 @@ def cmd_solve(args):
 def cmd_homological(args):
     cfg = load_config(args.config, args.set or [])
     outdir = args.out
-    n_times = int(cfg_get(cfg, "he.n_times", 64))
-    torus_points = int(cfg_get(cfg, "he.torus_points", 128))
+    n_times = cfg_get(cfg, "he.n_times", 64, int)
+    torus_points = cfg_get(cfg, "he.torus_points", 128, int)
     t_max = cfg_get(cfg, "he.t_max", 20.0)
     quad_tol = cfg_get(cfg, "he.quad_tol", 1e-9)
     tg = TimeGrid(t_max, n_points=n_times)
@@ -220,7 +226,7 @@ def cmd_simulate_comet(args):
     v = cfg_get(cfg, "comet.v", 250.0)
     t_max = cfg_get(cfg, "comet.t_max", 100.0)
     tol = cfg_get(cfg, "comet.tol", 1e-11)
-    seed = int(cfg_get(cfg, "comet.seed", 0))
+    seed = cfg_get(cfg, "comet.seed", 0, int)
     if not v > 0:
         raise ValueError(f"comet.v must be positive (got {v})")
     if not 0 < t_max < np.inf:
@@ -313,11 +319,11 @@ def cmd_simulate_comet(args):
 def cmd_verify_norms(args):
     cfg = load_config(args.config, args.set or [])
     outdir = args.out
-    seed = int(cfg_get(cfg, "norms.seed", 0))
+    seed = cfg_get(cfg, "norms.seed", 0, int)
     rng = np.random.default_rng(seed)
     tg = TimeGrid(10.0, n_points=24)
     sg = SpatialGrid(1, 128)
-    trials = int(cfg_get(cfg, "norms.trials", 3))
+    trials = cfg_get(cfg, "norms.trials", 3, int)
     if trials < 1:
         raise ValueError(f"norms.trials must be at least 1 (got {trials})")
     checks = []

@@ -1,5 +1,6 @@
-"""Non-autonomous flows of omega_bar + f(q,t), their spatial Jacobians,
-and the fundamental matrix of the zeroth-order transport system.
+"""Non-autonomous flows of omega + f(q,t) on the torus T^n, their spatial
+Jacobians, and the fundamental matrix of the zeroth-order transport
+system.
 
 Integration uses an adaptive embedded Runge-Kutta pair (DOP853 via
 scipy) with a hand-rolled fixed-step RK4 retained as an independent
@@ -50,38 +51,28 @@ class FundamentalMatrix:
 
 
 class VectorFieldSpec:
-    """F(q,t) = omega_bar + f(q,t) on T^n x R^m.
+    """F(q,t) = omega + f(q,t) on T^n; f None for the free rotation.
 
     f and its spatial Jacobian are callables; from_gridfn builds them
     from sampled data (trigonometric in q, local polynomial in log t).
     """
 
-    def __init__(self, omega, m=0, f=None, jac_f=None, f_gridfn=None):
-        omega = np.atleast_1d(np.asarray(omega, dtype=float))
-        self.n = len(omega)
-        self.m = int(m)
-        self.omega_bar = np.concatenate([omega, np.zeros(self.m)])
+    def __init__(self, omega, f=None, jac_f=None, f_gridfn=None):
+        self.omega = np.atleast_1d(np.asarray(omega, dtype=float))
+        self.dim = len(self.omega)
         self.f = f
         self.jac_f = jac_f
         self.f_gridfn = f_gridfn
 
-    @property
-    def dim(self):
-        return self.n + self.m
-
-    @classmethod
-    def zero(cls, omega, m=0):
-        return cls(omega, m=m)
-
     @classmethod
     def from_gridfn(cls, omega, f):
         interp = f.interpolator()
-        return cls(omega, m=f.grid.m, f=lambda q, t: interp(q, t),
+        return cls(omega, f=lambda q, t: interp(q, t),
                    jac_f=lambda q, t: interp.jacobian(q, t), f_gridfn=f)
 
     def eval(self, q, t):
         q = np.asarray(q, dtype=float)
-        out = np.broadcast_to(self.omega_bar, q.shape).copy()
+        out = np.broadcast_to(self.omega, q.shape).copy()
         if self.f is not None:
             out = out + self.f(q, t).reshape(q.shape)
         return out

@@ -124,7 +124,7 @@ class HamiltonianSpec:
         self.s = float(s)
         self.grid = a.grid
         self.times = a.times
-        self.d = a.grid.dim
+        self.d = a.grid.n
         if len(self.omega) != a.grid.n:
             raise ValueError("omega length must equal torus dimension")
         self.b = b0 + br
@@ -156,7 +156,7 @@ class HamiltonianSpec:
         if self.m_form.C is not None:
             m0 = max(m0, float(np.abs(self.m_form.C.values).max()))
         return {
-            "n": self.grid.n, "m": self.grid.m,
+            "n": self.grid.n,
             "omega": self.omega.tolist(),
             "delta": self.delta, "epsilon": self.epsilon,
             "upsilon": self.upsilon, "lambda": self.lam, "s": self.s,
@@ -343,7 +343,7 @@ def conjugacy_check(X, phi_family, Gamma, t0, t1, samples, omega,
     case).  Torus components compare modulo 1.
     """
     if np.abs(Gamma.values).max() == 0.0:
-        base_field = VectorFieldSpec.zero(omega, m=Gamma.grid.m)
+        base_field = VectorFieldSpec(omega)
     else:
         base_field = VectorFieldSpec.from_gridfn(omega, Gamma)
     n = len(np.atleast_1d(omega))

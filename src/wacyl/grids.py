@@ -1,9 +1,10 @@
-"""Discrete carriers for time-dependent functions on T^n x R^m x J.
+"""Discrete carriers for time-dependent functions on T^n x J.
 
 Functions live on a tensor grid: a geometric time grid on [1, t_max]
-crossed with a uniform torus grid (spectral differentiation) and an
-optional symmetric bounded window replacing the R^m factor (centered
-finite differences, value-clamped at the boundary).
+crossed with a uniform torus grid (spectral differentiation).  The
+sections v(q, t) of the Nash-Moser scheme live on T^n alone; the R^2
+centre of mass of the comet application is carried by the ODE of
+celestial.SurrogateSystem, not by grids.
 
 Torus axes are handled on the half spectrum of real fields: one rfftn
 over the torus axes per GridFn, built on first use and kept on it.  A
@@ -16,6 +17,7 @@ so no real derivative (Trefethen, Spectral Methods in MATLAB, ch. 3).
 from __future__ import annotations
 
 import json
+import operator
 
 import numpy as np
 
@@ -152,58 +154,47 @@ class TimeGrid(_Derived):
         return D
 
 
-class SpatialGrid(_Derived):
-    """Uniform torus grid (n axes, power-of-two points) plus an optional
-    window grid (m axes, symmetric about 0, odd point count)."""
+def _grid_int(name, value):
+    """value as a Python int; a non-integer raises ValueError naming the
+    field (numpy integers are accepted)."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") \
+            from None
 
-    def __init__(self, n, torus_points, m=0, window_halfwidth=1.0,
-                 window_points=17):
-        if m not in (0, 2):
-            raise ValueError("window dimension m must be 0 or 2")
+
+class SpatialGrid(_Derived):
+    """Uniform grid on the n-torus T^n, torus_points (a power of two) per
+    axis."""
+
+    def __init__(self, n, torus_points):
+        n = _grid_int("n", n)
+        torus_points = _grid_int("torus_points", torus_points)
+        if n < 1:
+            raise ValueError(f"n must be a positive integer, got {n!r}")
         if torus_points < 1 or torus_points & (torus_points - 1):
             raise ValueError(f"torus_points must be a power of two, "
                              f"got {torus_points!r}")
-        if m > 0 and (window_points < 3 or window_points % 2 == 0):
-            raise ValueError(f"window_points must be odd (symmetric about 0) "
-                             f"and at least 3, got {window_points!r}")
-        if m > 0 and not 0 < float(window_halfwidth) < np.inf:
-            raise ValueError(f"window_halfwidth must be finite and positive, "
-                             f"got {window_halfwidth!r}")
-        self.n = int(n)
-        self.m = int(m)
-        self.torus_points = int(torus_points)
-        self.window_halfwidth = float(window_halfwidth)
-        self.window_points = int(window_points) if m else 0
+        self.n = n
+        self.torus_points = torus_points
         self.torus_axes = tuple(np.arange(torus_points) / torus_points
                                 for _ in range(n))
         # physical frequencies (cycles per period), shared by every torus axis
         self.torus_freqs = np.fft.fftfreq(self.torus_points,
                                           d=1.0 / self.torus_points)
         self.torus_freqs.flags.writeable = False
-        if m:
-            self.window_axes = tuple(
-                np.linspace(-window_halfwidth, window_halfwidth, window_points)
-                for _ in range(m))
-        else:
-            self.window_axes = ()
-
-    @property
-    def dim(self):
-        return self.n + self.m
 
     @property
     def shape(self):
-        return (self.torus_points,) * self.n + (self.window_points,) * self.m
+        return (self.torus_points,) * self.n
 
     def __eq__(self, other):
         return (isinstance(other, SpatialGrid) and self.n == other.n
-                and self.m == other.m
-                and self.torus_points == other.torus_points
-                and self.window_points == other.window_points
-                and self.window_halfwidth == other.window_halfwidth)
+                and self.torus_points == other.torus_points)
 
     def meshgrid(self):
-        return np.meshgrid(*self.torus_axes, *self.window_axes, indexing="ij")
+        return np.meshgrid(*self.torus_axes, indexing="ij")
 
     def torus_half_freqs(self):
         """Frequencies of each torus axis on the half spectrum: fftfreq
@@ -245,7 +236,7 @@ class SpatialGrid(_Derived):
         alpha = tuple(int(a) for a in alpha)
 
         def build():
-            mult = np.full(self.torus_mesh()[0].shape + (1,) * (self.m + 1),
+            mult = np.full(self.torus_mesh()[0].shape + (1,),
                            (1, 1j, -1, -1j)[sum(alpha) % 4], dtype=complex)
             freqs = self.torus_half_freqs()
             for a, (k, order) in enumerate(zip(freqs, alpha)):
@@ -353,22 +344,11 @@ class GridFn:
         return self._spectrum
 
     def dq(self, axis, order=1):
-        """Spatial derivative along one axis (0-based among spatial axes).
-
-        Spectral on torus axes (one irfftn of the spectrum, zero at the
-        axis's Nyquist frequency), centered finite differences
-        (np.gradient) on window axes.
-        """
-        if axis < self.grid.n:
-            alpha = [0] * self.grid.n
-            alpha[axis] = order
-            return self._like(self.grid.torus_derivative(self.spectrum(),
-                                                         alpha))
-        ax = self.grid.window_axes[axis - self.grid.n]
-        out = self.values
-        for _ in range(order):
-            out = np.gradient(out, ax, axis=1 + axis)
-        return self._like(out)
+        """Spectral derivative along one torus axis: one irfftn of the
+        spectrum, zero at the axis's Nyquist frequency."""
+        alpha = [0] * self.grid.n
+        alpha[axis] = order
+        return self._like(self.grid.torus_derivative(self.spectrum(), alpha))
 
     def dt(self):
         """Time derivative via 8th-order stencils on the log-uniform grid."""
@@ -382,7 +362,7 @@ class GridFn:
         (T, *S, comp) -> (T, *S, comp, d); built once, read-only."""
         if self._jacobian is None:
             self._jacobian = np.stack(
-                [self.dq(a).values for a in range(self.grid.dim)], axis=-1)
+                [self.dq(a).values for a in range(self.grid.n)], axis=-1)
             self._jacobian.flags.writeable = False
         return self._jacobian
 
@@ -398,10 +378,7 @@ class GridFn:
         """Binary format: one JSON header line, then little-endian float64
         values in (time, space, component) order."""
         header = {
-            "n": self.grid.n, "m": self.grid.m,
-            "torus_points": self.grid.torus_points,
-            "window_points": self.grid.window_points,
-            "window_halfwidth": self.grid.window_halfwidth,
+            "n": self.grid.n, "torus_points": self.grid.torus_points,
             "time_points": list(map(float, self.times.points)),
             "components": self.components,
         }
@@ -411,13 +388,16 @@ class GridFn:
 
     @classmethod
     def load(cls, path):
+        """Read a file written by save.  A header with non-torus axes
+        (non-zero "m", which older writers recorded) is refused."""
         with open(path, "rb") as fh:
             header = json.loads(fh.readline().decode())
             buf = fh.read()
+        if header.get("m", 0):
+            raise ValueError(f"{path}: header has m = {header['m']!r} "
+                             f"non-torus axes; grids are torus-only (m = 0)")
         times = TimeGrid.from_points(header["time_points"])
-        grid = SpatialGrid(header["n"], header["torus_points"], header["m"],
-                           header["window_halfwidth"],
-                           header["window_points"])
+        grid = SpatialGrid(header["n"], header["torus_points"])
         shape = (len(times),) + grid.shape + (header["components"],)
         expected = int(np.prod(shape))
         if len(buf) != 8 * expected:

@@ -2,9 +2,9 @@
 
     d_q kappa (omega_bar + f) + d_t kappa + g kappa = z
 
-for its unique decaying solution.  `solve_he` takes each Fourier mode
-by Filon quadrature of the free transport plus a perturbation series in
-(f, g), on torus-only grids.  `characteristics_solve` integrates the
+on T^n x [1, inf) for its unique decaying solution.  `solve_he` takes
+each Fourier mode by Filon quadrature of the free transport plus a
+perturbation series in (f, g).  `characteristics_solve` integrates the
 flow, the adjoint fundamental matrix and the accumulated integral per
 grid node for analytic fields; it is slow but assumption-free, the
 reference the spectral route is tested against.  `transport_operator`
@@ -52,9 +52,9 @@ class HomologicalProblem:
         self.sigma = float(sigma)
         self.grid = z.grid
         self.times = z.times
-        self.dim = z.grid.dim
+        self.dim = z.grid.n
         if z.components != self.dim:
-            raise ValueError("z must have n+m components")
+            raise ValueError("z must have n components")
         if mu is None:
             mu = 0.0
             if f is not None:
@@ -75,7 +75,7 @@ class HomologicalProblem:
 
     def manifest(self):
         return {"mu": self.mu, "sigma": self.sigma,
-                "dim": self.dim, "n": self.grid.n, "m": self.grid.m,
+                "dim": self.dim, "n": self.grid.n,
                 "omega": self.omega.tolist()}
 
 
@@ -366,11 +366,8 @@ def _tail_bound(p, T):
 
 
 def solve_he(p, quad_tol=1e-9):
-    """Solve the transport problem on a torus-only grid for the decaying
-    solution kappa; tail_bound is the integrand majorant beyond t_max."""
-    if p.grid.m:
-        raise ValueError(f"solve_he needs a torus-only grid (m = 0); "
-                         f"got m = {p.grid.m} window axes")
+    """Solve the transport problem for the decaying solution kappa;
+    tail_bound is the integrand majorant beyond t_max."""
     p.validate()
     kappa, n_corr, diagnostics = _spectral_solve(p, quad_tol)
     return HomologicalSolution(kappa=kappa,
@@ -390,7 +387,6 @@ def characteristics_solve(p, z, f=None, g=None, quad_tol=1e-9):
     p.validate()
     grid, times = p.grid, p.times
     d = p.dim
-    omega_bar = np.concatenate([p.omega, np.zeros(grid.m)])
     mesh = np.stack(grid.meshgrid(), axis=-1).reshape(-1, d)
     N = len(mesh)
     T = 4.0 * times.points[-1]
@@ -399,9 +395,8 @@ def characteristics_solve(p, z, f=None, g=None, quad_tol=1e-9):
     def rhs(s, yflat):
         y = yflat[:N * d].reshape(N, d)
         Psi = yflat[N * d:N * d + N * d * d].reshape(N, d, d)
-        yr = y.copy()
-        yr[:, :grid.n] %= 1.0
-        dy = np.broadcast_to(omega_bar, (N, d)).copy()
+        yr = y % 1.0
+        dy = np.broadcast_to(p.omega, (N, d)).copy()
         if f is not None:
             dy = dy + np.asarray(f(yr, s)).reshape(N, d)
         if g is not None:
@@ -428,12 +423,11 @@ def transport_operator(kappa, omega, f=None, g=None):
     (grad kappa) Omega_bar = (d_q kappa) omega_bar + d_t kappa; f is a
     GridFn with d components and g one with d*d, None for zero."""
     jac = kappa.jacobian_q()                      # (T,*S,d,d)
-    omega_bar = np.concatenate([omega, np.zeros(kappa.grid.m)])
-    out = np.einsum("...ij,j->...i", jac, omega_bar) + kappa.dt().values
+    out = np.einsum("...ij,j->...i", jac, omega) + kappa.dt().values
     if f is not None:
         out = out + np.einsum("...ia,...a->...i", jac, f.values)
     if g is not None:
-        d = kappa.grid.dim
+        d = kappa.grid.n
         out = out + np.einsum("...ij,...j->...i",
                               g.values.reshape(g.values.shape[:-1] + (d, d)),
                               kappa.values)

@@ -18,7 +18,7 @@ __all__ = ["GridFnInterpolant"]
 class GridFnInterpolant:
     """Callable (q, t) -> components for a GridFn.
 
-    q has shape (..., dim); broadcasting over leading axes is supported.
+    q has shape (..., n); broadcasting over leading axes is supported.
     Spatial evaluation happens in Fourier space per torus axis, so the
     cost per call scales with torus_points * n.
     """
@@ -28,10 +28,6 @@ class GridFnInterpolant:
         self.grid = f.grid
         self.times = f.times
         self.time_degree = min(6, len(f.times) - 1)
-        if self.grid.m:
-            raise NotImplementedError(
-                "off-grid evaluation with window axes is not needed by the "
-                "solver; sample on-grid instead")
         # half-spectrum coefficients per time slice, (T, *modes, comp),
         # weighted 2 on the last axis's bins that stand for a +-k pair and
         # 1 on its zero and Nyquist bins, so the real part of the sum is

@@ -393,7 +393,7 @@ def lagrangian_check(sol, H, times, samples, t0=1.0, tol=1e-9):
     On a 1-dimensional base the form vanishes identically.
     """
     v = sol.v
-    n_base = v.grid.dim
+    n_base = v.grid.n
     out = []
     if n_base < 2:
         return {"per_time": [{"t": float(t), "max_alpha": 0.0}

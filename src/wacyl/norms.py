@@ -6,13 +6,12 @@ fractional sigma are taken over axis-aligned grid-point pairs only, at
 every separation up to half the points of the axis (or pair_radius).
 
 The Hölder profile over the time grid is computed in one pass: each
-derivative is taken once on the whole (T, ...) array, each pair shift
-once per offset, and the maxima are reduced per time slice.  The torus
-part of every multi-index derivative comes straight from the GridFn's
-cached spectrum, one irfftn each, zero at the Nyquist frequency of every
-differentiated torus axis; window derivatives then follow by centered
-differences along the window axes in ascending order.  The profile is
-cached on the GridFn and shared by every weight t^l.
+derivative is taken once on the whole (T, ...) array, each periodic pair
+shift once per offset, and the maxima are reduced per time slice.  Every
+multi-index derivative comes straight from the GridFn's cached torus
+spectrum, one irfftn each, zero at the Nyquist frequency of every
+differentiated axis.  The profile is cached on the GridFn and shared by
+every weight t^l.
 """
 
 from __future__ import annotations
@@ -35,25 +34,10 @@ class NormReport:
     per_time_profile: list
 
 
-def _axis_distance(grid, axis, offset):
-    if axis < grid.n:
-        return offset / grid.torus_points
-    dw = grid.window_axes[0][1] - grid.window_axes[0][0]
-    return offset * dw
-
-
-def _shifted_diff(grid, arr, axis, offset):
+def _shifted_diff(arr, axis, offset):
     """|arr(x + offset e_axis) - arr(x)| on every time slice of a
-    (T, *spatial, components) array: periodic wrap on torus axes,
-    truncation on window axes."""
-    ax = axis + 1
-    if axis < grid.n:
-        return np.abs(np.roll(arr, -offset, axis=ax) - arr)
-    sl_hi = [slice(None)] * arr.ndim
-    sl_lo = [slice(None)] * arr.ndim
-    sl_hi[ax] = slice(offset, None)
-    sl_lo[ax] = slice(None, -offset)
-    return np.abs(arr[tuple(sl_hi)] - arr[tuple(sl_lo)])
+    (T, *torus, components) array, wrapped periodically."""
+    return np.abs(np.roll(arr, -offset, axis=axis + 1) - arr)
 
 
 def _slice_max(arr):
@@ -65,15 +49,14 @@ def _holder_quotient(grid, top_derivs, mu, pair_radius):
     """Per time slice, max over axis-aligned grid-point pairs of
     |D(x)-D(y)| / dist^mu."""
     best = np.zeros(len(top_derivs[0]))
-    for axis in range(grid.dim):
-        npts = grid.torus_points if axis < grid.n else grid.window_points
-        max_off = npts // 2
-        if pair_radius is not None:
-            max_off = min(max_off, pair_radius)
+    max_off = grid.torus_points // 2
+    if pair_radius is not None:
+        max_off = min(max_off, pair_radius)
+    for axis in range(grid.n):
         for off in range(1, max_off + 1):
-            dist = _axis_distance(grid, axis, off)
+            dist = off / grid.torus_points
             for arr in top_derivs:
-                diff = _slice_max(_shifted_diff(grid, arr, axis, off))
+                diff = _slice_max(_shifted_diff(arr, axis, off))
                 best = np.maximum(best, diff / dist ** mu)
     return best
 
@@ -82,8 +65,7 @@ def holder_norm(f, sigma, time_index=0, pair_radius=None):
     """Hölder norm |f^t|_{C^sigma} of one time slice of a GridFn, or with
     time_index=None the list of it over every slice.
 
-    Derivatives are spectral on torus axes (from f.spectrum()) and
-    centered finite differences on window axes, taken once per
+    Derivatives are spectral (from f.spectrum()), taken once per
     multi-index on the whole (T, ...) array; the fractional part adds the
     maximal discrete Hölder quotient of the order-floor(sigma)
     derivatives.
@@ -102,27 +84,17 @@ def holder_norm(f, sigma, time_index=0, pair_radius=None):
         i = range(len(f.times))[time_index]
         rows = slice(i, i + 1)
     grid = f.grid
-    n = grid.n
     spec = f.spectrum()[rows] if k else None
-    level = {(0,) * grid.dim: f.values[rows]}
+    level = {(0,) * grid.n: f.values[rows]}
     best = _slice_max(np.abs(f.values[rows]))
     tops = [f.values[rows]] if k == 0 else []
     for order in range(1, k + 1):
         new_level = {}
         for alpha in level:
-            for axis in range(grid.dim):
+            for axis in range(grid.n):
                 beta = tuple(a + (b == axis) for b, a in enumerate(alpha))
-                if beta in new_level:
-                    continue
-                window = [w for w in range(n, grid.dim) if beta[w]]
-                if window:
-                    # one more difference along the last window axis
-                    w = window[-1]
-                    parent = tuple(a - (b == w) for b, a in enumerate(beta))
-                    new_level[beta] = np.gradient(
-                        level[parent], grid.window_axes[w - n], axis=1 + w)
-                else:
-                    new_level[beta] = grid.torus_derivative(spec, beta[:n])
+                if beta not in new_level:
+                    new_level[beta] = grid.torus_derivative(spec, beta)
         level = new_level
         for arr in level.values():
             best = np.maximum(best, _slice_max(np.abs(arr)))
@@ -173,10 +145,8 @@ def product(f, g):
 def compose_torus(f, u):
     """f composed with the torus self-map z(q) = q + u(q), per time slice.
 
-    Torus-only grids; evaluation through the trigonometric interpolant.
+    Evaluation through the trigonometric interpolant.
     """
-    if f.grid.m:
-        raise ValueError("composition supported on torus-only grids")
     interp = f.interpolator()
     mesh = np.stack(f.grid.meshgrid(), axis=-1)
     out = np.empty_like(f.values)
@@ -218,7 +188,7 @@ def norm_algebra_check(f, g, sigma, l, m, u=None):
     # (a) weighted_norm(df, sigma-1, l) <= weighted_norm(f, sigma, l)
     if sigma >= 1:
         lhs = max(weighted_norm(f.dq(a), sigma - 1, l).value
-                  for a in range(f.grid.dim))
+                  for a in range(f.grid.n))
         rhs = weighted_norm(f, sigma, l).value
         report["derivative_restriction"] = {
             "lhs": lhs, "rhs": rhs, "pass": lhs <= rhs * (1 + 1e-12)}
@@ -239,7 +209,7 @@ def norm_algebra_check(f, g, sigma, l, m, u=None):
     if u is not None:
         fz = compose_torus(f, u)
         jac = u.jacobian_q()
-        eye = np.eye(u.grid.dim)
+        eye = np.eye(u.grid.n)
         nz = GridFn(u.grid, u.times,
                     (jac + eye).reshape(jac.shape[:-2] + (-1,)))
         num = weighted_norm(fz, sigma, l + m).value

@@ -1,13 +1,12 @@
 """Low-pass smoothing operators S_tau with quantitative bounds.
 
-S_tau is a Fourier multiplier: identity on modes |k| <= tau/2, zero for
-|k| >= tau, with a quintic C^2 ramp in between.  Window axes are handled
-by even reflection (periodification) before the transform.  The operator
-is applied on the half spectrum of the real field as
+S_tau is a Fourier multiplier on the torus: identity on modes
+|k| <= tau/2, zero for |k| >= tau, with a quintic C^2 ramp in between.
+The operator is applied on the GridFn's own half spectrum fhat as
 f + irfft((mult - 1) fhat), so inputs supported in the plateau pass
-through bit-exactly.  On torus-only grids fhat is the GridFn's own
-spectrum, and the result carries mult fhat as its spectrum: every
-derivative of a smoothed field is then exactly band-limited to |k| < tau.
+through bit-exactly.  The result carries mult fhat as its spectrum:
+every derivative of a smoothed field is then exactly band-limited to
+|k| < tau.
 """
 
 from __future__ import annotations
@@ -38,25 +37,12 @@ def multiplier_profile(u):
     return _ramp(2.0 * np.asarray(u, dtype=float) - 1.0)
 
 
-def _freq_radius(grid, reflected_shapes):
-    """|k| on the half-spectrum mesh of the (reflected) array: fftfreq on
-    every axis but the last, rfftfreq on the last."""
-    if not grid.m:
-        return np.sqrt(sum(k ** 2 for k in grid.torus_mesh()))
-    axes = [grid.torus_freqs] * grid.n
-    for a, npts in enumerate(reflected_shapes):
-        width = grid.window_axes[a][1] - grid.window_axes[a][0]
-        freq = np.fft.rfftfreq if a == grid.m - 1 else np.fft.fftfreq
-        axes.append(freq(npts, d=width))
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.sqrt(sum(k ** 2 for k in mesh))
-
-
-def _chop(spec, axes):
-    """spec with roundoff leakage zeroed, so that plateau-band-limited
-    inputs pass bit-exactly."""
-    tol = 64 * np.finfo(float).eps * np.abs(spec).max(axis=axes,
-                                                       keepdims=True)
+def _chop(spec):
+    """A (T, *modes, C) spectrum with roundoff leakage zeroed per time
+    slice and component, so that plateau-band-limited inputs pass
+    bit-exactly."""
+    tol = 64 * np.finfo(float).eps * np.abs(spec).max(
+        axis=tuple(range(1, spec.ndim - 1)), keepdims=True)
     return np.where(np.abs(spec) > tol, spec, 0.0)
 
 
@@ -65,35 +51,11 @@ def smooth(f, tau):
     if tau <= 0:
         raise ValueError("tau must be positive")
     grid = f.grid
-    axes = tuple(range(1, 1 + grid.dim))
-    if not grid.m:
-        spec = f.spectrum()
-        mult = multiplier_profile(_freq_radius(grid, ()) / tau)[
-            None, ..., None]
-        delta = grid.torus_irfft(_chop(spec, axes) * (mult - 1.0))
-        return GridFn(grid, f.times, f.values + delta, spectrum=spec * mult)
-    # even reflection on window axes
-    reflected_shapes = []
-    ref = f.values
-    for a in range(grid.m):
-        axis = 1 + grid.n + a
-        body = np.flip(ref, axis=axis)
-        sl = [slice(None)] * ref.ndim
-        sl[axis] = slice(1, -1)
-        ref = np.concatenate([ref, body[tuple(sl)]], axis=axis)
-        reflected_shapes.append(ref.shape[axis])
-    mult = multiplier_profile(_freq_radius(grid, reflected_shapes) / tau)[
-        None, ..., None]
-    spec = _chop(np.fft.rfftn(ref, axes=axes), axes)
-    out = ref + np.fft.irfftn(spec * (mult - 1.0), s=ref.shape[1:-1],
-                              axes=axes)
-    # restrict back to the window
-    for a in reversed(range(grid.m)):
-        axis = 1 + grid.n + a
-        sl = [slice(None)] * out.ndim
-        sl[axis] = slice(0, grid.window_points)
-        out = out[tuple(sl)]
-    return GridFn(grid, f.times, out)
+    spec = f.spectrum()
+    radius = np.sqrt(sum(k ** 2 for k in grid.torus_mesh()))
+    mult = multiplier_profile(radius / tau)[None, ..., None]
+    delta = grid.torus_irfft(_chop(spec) * (mult - 1.0))
+    return GridFn(grid, f.times, f.values + delta, spectrum=spec * mult)
 
 
 def verify_smoothing_bounds(f, tau, m, d, l=0.0):

@@ -98,7 +98,7 @@ def test_criterion_02_homological_exactness():
 # --------------------------------------------------------------------
 
 def test_criterion_03_fundamental_matrix_closed_form():
-    F = VectorFieldSpec.zero([1.0])
+    F = VectorFieldSpec([1.0])
     worst = 0.0
     for c in (0.1, 0.3, 0.9):
         for ratio in (2.0, 4.0, 16.0):

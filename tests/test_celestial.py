@@ -55,15 +55,11 @@ def test_asymptotic_radial_speed():
 
 
 def test_pericenter_position_and_domain():
-    from wacyl.celestial import comet_position
     orbit = CometOrbit(eccentricity=1.5, a_h=0.01, mu_grav=3.0,
                        t_peri=-1.0, orientation=0.0)
     # mean anomaly 0 at t_peri: position at the pericenter a_h (e - 1)
     pos = orbit.position(orbit.t_peri)
     assert np.allclose(pos, [0.01 * 0.5, 0.0], atol=1e-15)
-    with pytest.raises(ValueError):
-        comet_position(orbit, 0.5)
-    assert np.allclose(comet_position(orbit, 2.0), orbit.position(2.0))
 
 
 def test_speed_window_compliant_and_violating():

@@ -176,6 +176,23 @@ def test_bad_config_is_config_error(tmp_path, capsys, command, name):
     assert err.startswith("configuration error:") and name in err
 
 
+@pytest.mark.parametrize("key", [
+    "solve.torus_points", "solve.n_times", "solve.max_steps",
+    "he.torus_points", "he.n_times", "comet.seed", "norms.seed",
+    "norms.trials"])
+def test_non_integer_int_key_is_config_error(tmp_path, capsys, key):
+    # int(float(...)) used to truncate: he.torus_points=64.9 ran on 64
+    # points without a word
+    command = {"solve": "solve", "he": "homological",
+               "comet": "simulate-comet", "norms": "verify-norms"}
+    code = run_cli(["--out", str(tmp_path), "--set", f"{key}=16.7",
+                    command[key.split(".")[0]]])
+    assert code == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:")
+    assert f"{key} = '16.7' is not a valid int" in err
+
+
 @pytest.mark.parametrize("mc, t_max", [
     ("0", "0"), ("1e-3", "-5"), ("1e-3", "nan"), ("0", "inf"),
 ], ids=["comet-t-max-zero", "comet-t-max-negative", "comet-t-max-nan",

@@ -19,7 +19,7 @@ def small_field(mu=0.1):
 
 
 def test_straight_line_flow():
-    F = VectorFieldSpec.zero([1.0])
+    F = VectorFieldSpec([1.0])
     out = integrate_flow(F, np.array([0.25]), 1.0, 2.0, 1e-10)
     assert out[0] == pytest.approx(1.25, abs=1e-12)
 
@@ -43,7 +43,7 @@ def test_flow_vs_rk4_oracle():
 
 
 def test_jacobian_trivial_and_inverse():
-    F = VectorFieldSpec.zero([1.0])
+    F = VectorFieldSpec([1.0])
     J = flow_jacobian(F, np.array([0.3]), 1.0, 5.0, 1e-10)
     assert np.allclose(J, np.eye(1), atol=1e-12)
     F2 = small_field()
@@ -65,7 +65,7 @@ def test_jacobian_vs_finite_differences():
 
 
 def test_fundamental_matrix_identity_for_zero_g():
-    F = VectorFieldSpec.zero([1.0])
+    F = VectorFieldSpec([1.0])
 
     def g(q, t):
         return np.zeros((len(np.atleast_2d(q)), 1, 1))
@@ -78,7 +78,7 @@ def test_fundamental_matrix_identity_for_zero_g():
 @pytest.mark.parametrize("ratio", [2.0, 4.0, 16.0])
 def test_fundamental_matrix_scalar_closed_form(c, ratio):
     # scalar g = c/t integrates to R^t_tau = (tau/t)^c exactly
-    F = VectorFieldSpec.zero([1.0])
+    F = VectorFieldSpec([1.0])
 
     def g(q, t, c=c):
         return np.full((len(np.atleast_2d(q)), 1, 1), c / t)
@@ -121,7 +121,7 @@ def test_fundamental_matrix_growth_bound():
 def test_liouville_trace_identity():
     # d/dt log det R = -trace g along the flow, checked by quadrature
     from scipy.integrate import quad
-    F = VectorFieldSpec.zero([1.0, 0.5])
+    F = VectorFieldSpec([1.0, 0.5])
 
     def g(q, t):
         q = np.atleast_2d(q)
@@ -146,7 +146,7 @@ def test_liouville_trace_identity():
 
 
 def test_gronwall_diagnostics_zero_fields():
-    F = VectorFieldSpec.zero([1.0])
+    F = VectorFieldSpec([1.0])
 
     def g(q, t):
         return np.zeros((len(np.atleast_2d(q)), 1, 1))
@@ -164,7 +164,7 @@ def test_gronwall_diagnostics_zero_fields():
 
 def test_gronwall_scalar_exponent_exact():
     # scalar g = c/t gives |R^t_tau| = (tau/t)^c: fitted exponent = c
-    F = VectorFieldSpec.zero([1.0])
+    F = VectorFieldSpec([1.0])
     c = 0.3
 
     def g(q, t, c=c):

@@ -1,4 +1,5 @@
 import ast
+import json
 from pathlib import Path
 
 import numpy as np
@@ -28,22 +29,24 @@ def test_spatial_grid_invariants():
         SpatialGrid(1, 100)          # not a power of two
     with pytest.raises(ValueError, match="torus_points.*0"):
         SpatialGrid(1, 0)            # passes the power-of-two bit test
-    with pytest.raises(ValueError, match="window_points.*1"):
-        SpatialGrid(1, 16, m=2, window_points=1)   # no difference stencil
-    with pytest.raises(ValueError):
-        SpatialGrid(1, 64, m=1)      # unsupported window dimension
-    sg = SpatialGrid(2, 32, m=2, window_halfwidth=1.5, window_points=9)
-    assert sg.shape == (32, 32, 9, 9)
-    assert sg.window_axes[0][0] == -1.5 and sg.window_axes[0][-1] == 1.5
-    assert sg.window_axes[0][4] == 0.0
+    sg = SpatialGrid(2, 32)
+    assert sg.shape == (32, 32)
+    assert sg.torus_axes[1][0] == 0.0 and sg.torus_axes[1][-1] == 31 / 32
+    # numpy integers are sizes too
+    assert SpatialGrid(np.int64(2), np.int32(32)) == sg
 
 
-@pytest.mark.parametrize("halfwidth", [0.0, -1.0, np.inf, np.nan])
-def test_spatial_grid_rejects_bad_window_halfwidth(halfwidth):
-    with pytest.raises(ValueError, match="window_halfwidth"):
-        SpatialGrid(1, 16, m=2, window_halfwidth=halfwidth)
-    # without window axes the half-width is not used
-    assert SpatialGrid(1, 16, window_halfwidth=halfwidth).shape == (16,)
+@pytest.mark.parametrize("n, torus_points, field", [
+    (0, 8, "n"), (-1, 8, "n"), (1.5, 8, "n"), (1, 8.0, "torus_points"),
+    (1, "8", "torus_points")],
+    ids=["n-0", "n-minus-1", "n-float", "torus-points-float",
+         "torus-points-str"])
+def test_spatial_grid_rejects_non_integer_sizes(n, torus_points, field):
+    # n = 0 used to build a shape () grid whose spectrum() raised
+    # IndexError; a float size raised TypeError
+    bad = n if field == "n" else torus_points
+    with pytest.raises(ValueError, match=f"{field} must be .*{bad!r}"):
+        SpatialGrid(n, torus_points)
 
 
 def test_gridfn_rejects_nonfinite():
@@ -192,24 +195,43 @@ def test_load_rejects_truncated_file(tmp_path):
         GridFn.load(path)
 
 
-def test_load_rejects_bad_window_halfwidth(tmp_path):
-    tg = TimeGrid(6.0, n_points=4)
-    sg = SpatialGrid(1, 8, m=2, window_points=5)
-    path = tmp_path / "f.wgf"
-    GridFn.zeros(sg, tg).save(path)
+def _rewrite_header(path, **entries):
     header, body = path.read_bytes().split(b"\n", 1)
-    header = header.replace(b'"window_halfwidth": 1.0',
-                            b'"window_halfwidth": -1')
-    path.write_bytes(header + b"\n" + body)
-    with pytest.raises(ValueError, match="window_halfwidth.*-1"):
+    header = {**json.loads(header), **entries}
+    path.write_bytes(json.dumps(header).encode() + b"\n" + body)
+
+
+def test_load_rejects_window_axes(tmp_path):
+    # torus-only headers of older writers carry "m": 0 and the window
+    # keys, and still load; a header with m = 2 window axes of 5 points
+    # is refused even when the file holds exactly the bytes it promises
+    tg = TimeGrid(6.0, n_points=4)
+    path = tmp_path / "f.wgf"
+    GridFn.zeros(SpatialGrid(1, 8), tg).save(path)
+    _rewrite_header(path, m=0, window_points=0, window_halfwidth=1.0)
+    assert GridFn.load(path).grid == SpatialGrid(1, 8)
+    _rewrite_header(path, m=2, window_points=5)
+    path.write_bytes(path.read_bytes() + bytes(8 * 4 * 8 * 24))
+    with pytest.raises(ValueError, match=r"f\.wgf.*m = 2"):
         GridFn.load(path)
 
 
-@pytest.mark.parametrize("field, good, bad", [("torus_points", 8, 0),
-                                              ("window_points", 5, 1)])
+@pytest.mark.parametrize("field, bad", [("n", 0), ("n", -1), ("n", 1.5),
+                                        ("torus_points", 8.0)])
+def test_load_rejects_non_integer_sizes(tmp_path, field, bad):
+    # the header's sizes reach the same SpatialGrid checks
+    tg = TimeGrid(6.0, n_points=4)
+    path = tmp_path / "f.wgf"
+    GridFn.zeros(SpatialGrid(1, 8), tg).save(path)
+    _rewrite_header(path, **{field: bad})
+    with pytest.raises(ValueError, match=f"{field} must be .*{bad!r}"):
+        GridFn.load(path)
+
+
+@pytest.mark.parametrize("field, good, bad", [("torus_points", 8, 0)])
 def test_load_rejects_degenerate_sizes(tmp_path, field, good, bad):
     tg = TimeGrid(6.0, n_points=4)
-    sg = SpatialGrid(1, 8, m=2, window_points=5)
+    sg = SpatialGrid(1, 8)
     path = tmp_path / "f.wgf"
     GridFn.zeros(sg, tg).save(path)
     header, body = path.read_bytes().split(b"\n", 1)

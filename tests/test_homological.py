@@ -104,14 +104,6 @@ def test_linearity():
     assert diff <= 10 * tol
 
 
-def test_refuses_window_grid():
-    sg = SpatialGrid(1, 8, m=2, window_points=5)
-    tg = TimeGrid(8.0, n_points=16)
-    z = GridFn.zeros(sg, tg, sg.dim)
-    with pytest.raises(ValueError, match="m = 2"):
-        solve_he(HomologicalProblem(omega=[1.0], z=z))
-
-
 def test_refuses_oversized_mu():
     sg, tg = make_grids(32, 16, 8.0)
     z = GridFn.from_callable(sg, tg, lambda q, t: 1.0 / t ** 2 + 0 * q)

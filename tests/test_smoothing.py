@@ -83,15 +83,6 @@ def test_single_mode_ratio_sharp_constant():
             assert rep["ratio_S1"] <= constants.cdoc("S1", m, d)
 
 
-def test_window_axes_periodified():
-    tg = TimeGrid(4.0, n_points=3)
-    sg = SpatialGrid(1, 16, m=2, window_halfwidth=1.0, window_points=9)
-    f = GridFn.from_callable(
-        sg, tg, lambda q, w1, w2, t: 2.0 + 0 * q + 0 * w1 + 0 * w2)
-    out = smooth(f, 4.0)
-    assert np.abs(out.values - 2.0).max() < 1e-12
-
-
 def test_corpus_ratios_within_frozen_constants():
     # the frozen C_doc values were swept on this corpus (same seed)
     for f in corpus_32(20240901, n_fns=3):
