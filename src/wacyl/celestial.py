@@ -88,6 +88,13 @@ class ExtensionParams:
             raise ValueError("inner radius must be below outer radius")
 
 
+def _floats(v):
+    """An array or a (nested) sequence of numbers as (nested) lists of
+    Python floats: the input of the float passes below, where numpy's
+    per-call overhead would dominate on 2-vectors and scalars."""
+    return np.asarray(v, dtype=float).tolist()
+
+
 # --------------------------------------------------------------------
 # comet ephemeris
 # --------------------------------------------------------------------
@@ -99,7 +106,9 @@ KEPLER_MAX_ITER = 60
 def solve_hyperbolic_kepler(e, M_h, tol=1e-13):
     """Solve e sinh H - H = M_h by safeguarded Newton with a bisection
     fallback; |residual| <= tol * max(1, |M_h|) at return (the residual
-    is a difference of M_h-sized terms, so the bound is relative)."""
+    is a difference of M_h-sized terms, so the bound is relative).
+    Python floats throughout: numpy's sinh and cosh cost more than the
+    solve on a scalar."""
     if e <= 1.0:
         raise ValueError("hyperbolic orbit requires e > 1")
     M = float(M_h)
@@ -107,24 +116,24 @@ def solve_hyperbolic_kepler(e, M_h, tol=1e-13):
     M = abs(M)
     tol_eff = tol * max(1.0, M)
     # bracket
-    hi = max(1.0, np.arcsinh((M + 2.0) / e) + 1.0)
+    hi = max(1.0, math.asinh((M + 2.0) / e) + 1.0)
     lo = 0.0
-    H = np.arcsinh(M / e)
+    H = math.asinh(M / e)
     for _ in range(KEPLER_MAX_ITER):
-        f = e * np.sinh(H) - H - M
+        f = e * math.sinh(H) - H - M
         if abs(f) <= tol_eff:
             return sign * H
         if f > 0:
             hi = H
         else:
             lo = H
-        df = e * np.cosh(H) - 1.0
+        df = e * math.cosh(H) - 1.0
         step = f / df
         H_new = H - step
         if not (lo < H_new < hi):
             H_new = 0.5 * (lo + hi)
         H = H_new
-    f = e * np.sinh(H) - H - M
+    f = e * math.sinh(H) - H - M
     if abs(f) > tol_eff:
         raise IntegrationError(
             f"hyperbolic Kepler solve stalled: residual {f:.2e}")
@@ -151,35 +160,41 @@ class CometOrbit:
         self.mu_grav = float(mu_grav)
         self.t_peri = float(t_peri)
         self.orientation = float(orientation)
-        self.mean_motion = np.sqrt(mu_grav / a_h ** 3)
+        self.mean_motion = math.sqrt(mu_grav / a_h ** 3)
 
     @property
     def v_asymptotic(self):
-        return np.sqrt(self.mu_grav / self.a_h)
+        return math.sqrt(self.mu_grav / self.a_h)
 
     def anomaly(self, t):
         return solve_hyperbolic_kepler(
             self.e, self.mean_motion * (t - self.t_peri))
 
-    def position_and_radius(self, t):
-        """c(t) and |c(t)| from one solve of the Kepler equation."""
+    def _ephemeris(self, t):
+        """c(t) as two floats and |c(t)|, from one solve of the Kepler
+        equation."""
         H = self.anomaly(t)
-        xp = self.a_h * (self.e - np.cosh(H))
-        yp = self.a_h * np.sqrt(self.e ** 2 - 1.0) * np.sinh(H)
-        c, s = np.cos(self.orientation), np.sin(self.orientation)
-        return (np.array([c * xp - s * yp, s * xp + c * yp]),
-                self.a_h * (self.e * np.cosh(H) - 1.0))
+        ch = math.cosh(H)
+        xp = self.a_h * (self.e - ch)
+        yp = self.a_h * math.sqrt(self.e ** 2 - 1.0) * math.sinh(H)
+        c, s = math.cos(self.orientation), math.sin(self.orientation)
+        return c * xp - s * yp, s * xp + c * yp, self.a_h * (self.e * ch - 1.0)
+
+    def position_and_radius(self, t):
+        """c(t) as a (2,) array and |c(t)|."""
+        cx, cy, radius = self._ephemeris(t)
+        return np.array([cx, cy]), radius
 
     def position(self, t):
         return self.position_and_radius(t)[0]
 
     def radius(self, t):
-        return self.position_and_radius(t)[1]
+        return self._ephemeris(t)[2]
 
     def radial_speed(self, t):
         H = self.anomaly(t)
-        return self.a_h * self.e * np.sinh(H) * self.mean_motion \
-            / (self.e * np.cosh(H) - 1.0)
+        return self.a_h * self.e * math.sinh(H) * self.mean_motion \
+            / (self.e * math.cosh(H) - 1.0)
 
 
 def check_speed_window(orbit, t_grid, eps):
@@ -397,6 +412,10 @@ class CircularChart:
     so the map is 4-torus-periodic, and only the Keplerian pair is
     dynamically active (circular limit).  Reports built on this chart
     carry surrogate=True.
+
+    _circles, _positions and _pullback work on Python floats and (x, y)
+    float pairs, since numpy's per-call overhead dominates on 2-vectors;
+    the public methods wrap their results in arrays once.
     """
 
     n_theta = 4
@@ -406,53 +425,72 @@ class CircularChart:
         self.a1 = float(a1)
         self.a2 = float(a2)
         self.kappa = float(kappa)
-        self.n1 = np.sqrt((masses.m0 + masses.m1) / a1 ** 3)
-        self.n2 = np.sqrt((masses.m0 + masses.m2) / a2 ** 3)
+        self.n1 = math.sqrt((masses.m0 + masses.m1) / a1 ** 3)
+        self.n2 = math.sqrt((masses.m0 + masses.m2) / a2 ** 3)
         self.omega = np.array([self.n1, self.n2, 0.0, 0.0])
+        # the (a_i, b_i) of positions
+        m = masses
+        self._ab = ((m.m1, m.m2), (-(m.m0 + m.m2), m.m2),
+                    (m.m1, -(m.m0 + m.m1)))
         # positions are A^-1 (xi, X1, X2), so covectors on them pull
         # back to (xi, X1, X2) by A^-T = B, the momentum split
-        _, self._B = _split_matrices(masses)
+        self._B = _split_matrices(masses)[1].tolist()
 
     def _circles(self, theta, r):
-        """Unit directions e1, e2 and radii of the two circles."""
-        ang1 = 2 * np.pi * (theta[0] + theta[2])
-        ang2 = 2 * np.pi * (theta[1] + theta[3])
-        rad1 = self.a1 * (1.0 + self.kappa * r[0])
-        rad2 = self.a2 * (1.0 + self.kappa * r[1])
-        return (np.array([np.cos(ang1), np.sin(ang1)]),
-                np.array([np.cos(ang2), np.sin(ang2)]), rad1, rad2)
+        """cos, sin and radius of circle 1, then of circle 2."""
+        ang1 = 2 * math.pi * (theta[0] + theta[2])
+        ang2 = 2 * math.pi * (theta[1] + theta[3])
+        return (math.cos(ang1), math.sin(ang1),
+                self.a1 * (1.0 + self.kappa * r[0]),
+                math.cos(ang2), math.sin(ang2),
+                self.a2 * (1.0 + self.kappa * r[1]))
 
-    def relative_positions(self, theta, r):
-        e1, e2, rad1, rad2 = self._circles(theta, r)
-        return rad1 * e1, rad2 * e2
+    def _positions(self, circles, xi):
+        """The three body positions as (x, y) pairs."""
+        c1, s1, rad1, c2, s2, rad2 = circles
+        X1x, X1y, X2x, X2y = rad1 * c1, rad1 * s1, rad2 * c2, rad2 * s2
+        x, y = xi
+        M = self.masses.M
+        return [(x + (a * X1x + b * X2x) / M, y + (a * X1y + b * X2y) / M)
+                for a, b in self._ab]
+
+    def _pullback(self, circles, dx):
+        """A covector dx, three (x, y) pairs on the body positions,
+        pulled back: ((a1, a2), d_xi, d_r) with d_theta = (a1, a2, a1,
+        a2)."""
+        c1, s1, rad1, c2, s2, rad2 = circles
+        (u0, v0), (u1, v1), (u2, v2) = dx
+        d_xi, (g1x, g1y), (g2x, g2y) = [
+            (b0 * u0 + b1 * u1 + b2 * u2, b0 * v0 + b1 * v1 + b2 * v2)
+            for b0, b1, b2 in self._B]
+        # X_k = rad_k e_k, and d e_k / d theta is 2 pi e_k turned a quarter
+        a1 = 2 * math.pi * rad1 * (g1y * c1 - g1x * s1)
+        a2 = 2 * math.pi * rad2 * (g2y * c2 - g2x * s2)
+        return ((a1, a2), d_xi,
+                (self.kappa * (self.a1 * (g1x * c1 + g1y * s1)),
+                 self.kappa * (self.a2 * (g2x * c2 + g2y * s2))))
 
     def positions(self, theta, xi, r):
         """Cartesian body positions x_i = xi + (a_i X1 + b_i X2) / M."""
-        m = self.masses
-        X1, X2 = self.relative_positions(theta, r)
-        a = np.array([[m.m1], [-(m.m0 + m.m2)], [m.m1]])
-        b = np.array([[m.m2], [m.m2], [-(m.m0 + m.m1)]])
-        return xi + (a * X1 + b * X2) / m.M
+        return np.array(self._positions(
+            self._circles(_floats(theta), _floats(r)), _floats(xi)))
 
     def pullback(self, theta, r, dx):
         """Pull a covector dx (3, 2) on the body positions back through
         positions(theta, xi, r): (d_theta (4,), d_xi (2,), d_r (2,))."""
-        e1, e2, rad1, rad2 = self._circles(theta, r)
-        d_xi, g1, g2 = self._B @ dx
-        # X_k = rad_k e_k, and d e_k / d theta is 2 pi e_k turned a quarter
-        a1 = 2 * np.pi * rad1 * (g1[1] * e1[0] - g1[0] * e1[1])
-        a2 = 2 * np.pi * rad2 * (g2[1] * e2[0] - g2[0] * e2[1])
-        d_r = self.kappa * np.array([self.a1 * (g1 @ e1),
-                                     self.a2 * (g2 @ e2)])
-        return np.array([a1, a2, a1, a2]), d_xi, d_r
+        (a1, a2), d_xi, d_r = self._pullback(
+            self._circles(_floats(theta), _floats(r)), _floats(dx))
+        return np.array([a1, a2, a1, a2]), np.array(d_xi), np.array(d_r)
 
     def momenta(self, theta, r, eta):
         """Covector momenta of the two circles plus the drift eta."""
         m = self.masses
-        e1, e2, rad1, rad2 = self._circles(theta, r)
-        Y1 = m.mu1 * self.n1 * rad1 * np.array([-e1[1], e1[0]])
-        Y2 = m.mu2 * self.n2 * rad2 * np.array([-e2[1], e2[0]])
-        return np.stack([np.asarray(eta, dtype=float), Y1, Y2])
+        c1, s1, rad1, c2, s2, rad2 = self._circles(_floats(theta),
+                                                   _floats(r))
+        k1 = m.mu1 * self.n1 * rad1
+        k2 = m.mu2 * self.n2 * rad2
+        return np.array([_floats(eta), [k1 * -s1, k1 * c1],
+                         [k2 * -s2, k2 * c2]])
 
     def state(self, theta, xi, r, eta, t=1.0):
         pos = self.positions(theta, xi, r)
@@ -465,7 +503,8 @@ class HExtension:
     """Comet interaction composed with the chart and the radial cutoff.
 
     Identity on |xi| <= eps |c(t)|/6, constant in xi beyond
-    eps |c(t)|/3, with a quintic C^2 radial ramp in between.
+    eps |c(t)|/3, with a quintic C^2 radial ramp in between.  Like the
+    chart, it evaluates on Python floats.
     """
 
     def __init__(self, params, comet, masses, chart):
@@ -476,34 +515,50 @@ class HExtension:
 
     def _weight(self, xi, radius):
         """w(|xi|) of the cutoff xi w(|xi|) at comet distance radius,
-        and w'(|xi|) / |xi| (0 wherever w is flat)."""
+        and w'(|xi|) / |xi| (0 wherever w is flat), for an (x, y) pair
+        xi."""
         rin = self.params.epsilon * radius * self.params.inner_factor
         rout = self.params.epsilon * radius * self.params.outer_factor
-        rho = np.linalg.norm(xi)
-        u = (rho - rin) / (rout - rin)
+        x, y = xi
+        rho = math.sqrt(x * x + y * y)
+        u = min(max((rho - rin) / (rout - rin), 0.0), 1.0)
         dw = _ramp_derivative(u)
-        return _ramp(u), (dw / ((rout - rin) * rho) if dw else 0.0)
+        return (min(max(_ramp(u), 0.0), 1.0),
+                dw / ((rout - rin) * rho) if dw else 0.0)
 
     def value(self, theta, xi, r, t):
-        c, radius = self.comet.position_and_radius(t)
-        xi = np.asarray(xi)
-        pos = self.chart.positions(np.asarray(theta),
-                                   xi * self._weight(xi, radius)[0],
-                                   np.asarray(r))
-        return eval_Hc(pos, lambda _: c, self.masses, t)
+        cx, cy, radius = self.comet._ephemeris(t)
+        x, y = xi = _floats(xi)
+        w = self._weight(xi, radius)[0]
+        pos = self.chart._positions(
+            self.chart._circles(_floats(theta), _floats(r)), (x * w, y * w))
+        return eval_Hc(pos, lambda _: (cx, cy), self.masses, t)
+
+    def _gradient(self, theta, xi, r, t):
+        """gradient on float sequences theta, xi, r: ((a1, a2), d_xi,
+        d_r) with d_theta = (a1, a2, a1, a2)."""
+        cx, cy, radius = self.comet._ephemeris(t)
+        w, dw = self._weight(xi, radius)
+        x, y = xi
+        circles = self.chart._circles(theta, r)
+        m = self.masses
+        force = _pair_gravity(
+            self.chart._positions(circles, (x * w, y * w)) + [(cx, cy)],
+            (m.m0, m.m1, m.m2, m.mc), 0.0, _COMET_PAIRS)[0]
+        # grad_Hc: minus the comet's pull on each body
+        d_theta, (gx, gy), d_r = self.chart._pullback(
+            circles, [(-fx, -fy) for fx, fy in force[:3]])
+        # d (xi w(|xi|)) / d xi = w I + (w'(|xi|) / |xi|) xi xi^T
+        s = dw * (gx * x + gy * y)
+        return d_theta, (w * gx + s * x, w * gy + s * y), d_r
 
     def gradient(self, theta, xi, r, t):
         """Exact gradient of value by the chain rule through grad_Hc,
         the chart Jacobian and the cutoff: (d_theta (4,), d_xi (2,),
         d_r (2,))."""
-        c, radius = self.comet.position_and_radius(t)
-        xi = np.asarray(xi, dtype=float)
-        w, dw = self._weight(xi, radius)
-        pos = self.chart.positions(theta, xi * w, r)
-        d_theta, g, d_r = self.chart.pullback(
-            theta, r, grad_Hc(pos, lambda _: c, self.masses, t))
-        # d (xi w(|xi|)) / d xi = w I + (w'(|xi|) / |xi|) xi xi^T
-        return d_theta, w * g + (dw * (g @ xi)) * xi, d_r
+        (a1, a2), d_xi, d_r = self._gradient(_floats(theta), _floats(xi),
+                                             _floats(r), float(t))
+        return np.array([a1, a2, a1, a2]), np.array(d_xi), np.array(d_r)
 
     def b_field_norms(self, t_grid, n_theta=8, seed=0):
         """Norm budget of the linear-in-r coefficient b = d_r H_ex at
@@ -634,17 +689,13 @@ class SurrogateSystem:
         self.omega = self.chart.omega
         self.M = hex_field.masses.M
 
-    def unpack(self, yflat):
-        nt = self.chart.n_theta
-        return (yflat[:nt], yflat[nt:nt + 2],
-                yflat[nt + 2:nt + 4], yflat[nt + 4:nt + 6])
-
     def rhs(self, t, yflat):
-        nt = self.chart.n_theta
-        theta, xi, r, eta = self.unpack(yflat)
-        d_theta, d_xi, dr_H = self.hex.gradient(theta, xi, r, t)
-        dtheta = self.omega + np.concatenate([dr_H, np.zeros(nt - 2)])
-        return np.concatenate([dtheta, eta / self.M, -d_theta[:2], -d_xi])
+        theta1, theta2, phase1, phase2, x, y, r1, r2, eta_x, eta_y = \
+            yflat.tolist()
+        (a1, a2), (gx, gy), (dr1, dr2) = self.hex._gradient(
+            (theta1, theta2, phase1, phase2), (x, y), (r1, r2), t)
+        return np.array([self.chart.n1 + dr1, self.chart.n2 + dr2, 0.0, 0.0,
+                         eta_x / self.M, eta_y / self.M, -a1, -a2, -gx, -gy])
 
     def integrate(self, state0, t0, t1, tol=1e-9, n_samples=120):
         if not t1 > t0:
@@ -661,14 +712,14 @@ class SurrogateSystem:
         """eta(t) = int_t^inf d_xi H_ex along the frozen rotation; the
         decaying-momentum initial condition of the transported section."""
         taus = np.geomspace(t, DRIFT_TAIL_FACTOR * t, DRIFT_NODES)
-        vals = np.zeros((DRIFT_NODES, 2))
-        for i, s in enumerate(taus):
-            th = theta + self.omega * (s - t)
-            vals[i] = self.hex.gradient(th, xi, np.zeros(2), s)[1]
+        theta, xi, omega = _floats(theta), _floats(xi), self.omega.tolist()
+        vals = np.array([
+            self.hex._gradient([a + w * (s - t) for a, w in zip(theta, omega)],
+                               xi, (0.0, 0.0), s)[1]
+            for s in taus.tolist()])
         acc = np.trapezoid(vals, taus, axis=0)
         # integrand ~ A/s^2 beyond the horizon: remaining mass A/T
-        acc = acc + vals[-1] * taus[-1]
-        return acc
+        return acc + vals[-1] * taus[-1]
 
 
 def asymptotic_metric(traj, phi0, base_flow, q0, t0):

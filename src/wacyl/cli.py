@@ -83,9 +83,11 @@ def _write_manifest(outdir, name, payload):
     payload = dict(payload)
     payload["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S")
     path = os.path.join(outdir, name)
+    # numpy scalars as the Python value they hold (np.bool_ stays a bool);
+    # one write of the whole text, json.dump would stream it in pieces
+    text = json.dumps(payload, indent=1, default=lambda x: x.item())
     with open(path, "w") as fh:
-        # numpy scalars as the Python value they hold (np.bool_ stays a bool)
-        json.dump(payload, fh, indent=1, default=lambda x: x.item())
+        fh.write(text)
     return path
 
 

@@ -111,9 +111,22 @@ class TimeGrid(_Derived):
 
     @classmethod
     def from_points(cls, points):
-        """Rebuild a grid from its stored nodes (as written by GridFn.save)."""
+        """Rebuild a grid from its stored nodes (as written by GridFn.save).
+        The nodes must be finite, strictly increasing and start at or
+        above 1; a ValueError names the first one that is not."""
+        points = np.array(points, dtype=float)
+        if points.ndim != 1 or not len(points):
+            raise ValueError(f"time nodes must be a non-empty list, got "
+                             f"shape {points.shape}")
+        bad = ~np.isfinite(points) | (points < 1.0)
+        bad[1:] |= ~(points[1:] > points[:-1])
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise ValueError(f"time nodes must be finite, strictly "
+                             f"increasing and >= 1: node {k} is "
+                             f"{float(points[k])!r}")
         grid = cls.__new__(cls)
-        grid._set_points(np.array(points, dtype=float))
+        grid._set_points(points)
         grid.t_start = float(grid.points[0])
         grid.t_max = float(grid.points[-1])
         grid.gamma = float(grid.points[1] / grid.points[0]) \
@@ -396,9 +409,13 @@ class GridFn:
         if header.get("m", 0):
             raise ValueError(f"{path}: header has m = {header['m']!r} "
                              f"non-torus axes; grids are torus-only (m = 0)")
+        components = header["components"]
+        if type(components) is not int or components < 1:
+            raise ValueError(f"{path}: components must be a positive "
+                             f"integer, got {components!r}")
         times = TimeGrid.from_points(header["time_points"])
         grid = SpatialGrid(header["n"], header["torus_points"])
-        shape = (len(times),) + grid.shape + (header["components"],)
+        shape = (len(times),) + grid.shape + (components,)
         expected = int(np.prod(shape))
         if len(buf) != 8 * expected:
             raise ValueError(f"{path}: header promises {expected} float64 "

@@ -20,21 +20,21 @@ __all__ = ["multiplier_profile", "smooth", "verify_smoothing_bounds"]
 
 
 def _ramp(u):
-    """1 for u <= 0, 0 for u >= 1, quintic C^2 in between, in [0, 1]."""
-    u = np.clip(u, 0.0, 1.0)
-    return np.clip(1.0 - u ** 3 * (10.0 - 15.0 * u + 6.0 * u ** 2),
-                   0.0, 1.0)
+    """Quintic C^2 step 1 - u^3 (10 - 15 u + 6 u^2): 1 at u = 0, 0 at
+    u = 1.  The caller clips u, and the value, to [0, 1] (np.clip on
+    arrays; min/max on a float, where np.clip costs ten times more)."""
+    return 1.0 - u ** 3 * (10.0 - 15.0 * u + 6.0 * u ** 2)
 
 
 def _ramp_derivative(u):
-    """d _ramp / du: -30 u^2 (1 - u)^2 on (0, 1), 0 elsewhere."""
-    u = np.clip(u, 0.0, 1.0)
+    """d _ramp / du = -30 u^2 (1 - u)^2, for u in [0, 1]."""
     return -30.0 * u ** 2 * (1.0 - u) ** 2
 
 
 def multiplier_profile(u):
     """Radial symbol: 1 for u <= 1/2, 0 for u >= 1, quintic C^2 ramp."""
-    return _ramp(2.0 * np.asarray(u, dtype=float) - 1.0)
+    u = np.clip(2.0 * np.asarray(u, dtype=float) - 1.0, 0.0, 1.0)
+    return np.clip(_ramp(u), 0.0, 1.0)
 
 
 def _chop(spec):

@@ -271,21 +271,42 @@ def test_extension_b_field_norm_budget(hex_field):
     assert rep["pass"]
 
 
-def mp_gradient(hexf, theta, xi, r, t, dps=50):
-    """Reference gradient of H_ex: the Kepler solve, chart, cutoff and
-    comet sum rebuilt in mpmath at dps digits, differentiated by
-    mpmath.diff; returns (d_theta, d_xi, d_r) as floats."""
+def mp_context(dps):
     import mpmath
     mp = mpmath.MPContext()     # private precision, mpmath.mp untouched
     mp.dps = dps
-    orbit, chart, m, par = hexf.comet, hexf.chart, hexf.masses, hexf.params
+    return mp
+
+
+def mp_ephemeris(mp, orbit, t):
+    """c(t) and |c(t)| of orbit, the Kepler solve rebuilt in mp."""
     e, a_h = mp.mpf(orbit.e), mp.mpf(orbit.a_h)
     M_h = mp.mpf(orbit.mean_motion) * (mp.mpf(t) - mp.mpf(orbit.t_peri))
     H = mp.findroot(lambda H: e * mp.sinh(H) - H - M_h, mp.asinh(M_h / e))
     xp, yp = a_h * (e - mp.cosh(H)), a_h * mp.sqrt(e ** 2 - 1) * mp.sinh(H)
     co, so = mp.cos(orbit.orientation), mp.sin(orbit.orientation)
-    c = (co * xp - so * yp, so * xp + co * yp)
-    rc = a_h * (e * mp.cosh(H) - 1)
+    return (co * xp - so * yp, so * xp + co * yp), a_h * (e * mp.cosh(H) - 1)
+
+
+@pytest.mark.parametrize("t", [1.0, 10.0, 100.0])
+def test_ephemeris_matches_high_precision(t):
+    mu = MASSES.M + MASSES.mc
+    orbit = CometOrbit(eccentricity=1.5, a_h=mu / 250.0 ** 2, mu_grav=mu,
+                       t_peri=-1.0, orientation=0.7)
+    c, rc = mp_ephemeris(mp_context(40), orbit, t)
+    pos, radius = orbit.position_and_radius(t)
+    assert pos.shape == (2,)
+    assert np.abs(pos - np.array(c, dtype=float)).max() <= 1e-13 * float(rc)
+    assert abs(radius - float(rc)) <= 1e-13 * float(rc)
+
+
+def mp_gradient(hexf, theta, xi, r, t, dps=50):
+    """Reference gradient of H_ex: the Kepler solve, chart, cutoff and
+    comet sum rebuilt in mpmath at dps digits, differentiated by
+    mpmath.diff; returns (d_theta, d_xi, d_r) as floats."""
+    mp = mp_context(dps)
+    chart, m, par = hexf.chart, hexf.masses, hexf.params
+    c, rc = mp_ephemeris(mp, hexf.comet, t)
     rin, rout = (par.epsilon * rc * par.inner_factor,
                  par.epsilon * rc * par.outer_factor)
     M = mp.mpf(m.M)
@@ -358,6 +379,34 @@ def test_extension_gradient_matches_high_precision(v, region):
         if v == 250.0 and t > 1.0:
             d_theta = stencil(lambda th: hexf.value(th, xi, r, t), theta)
             assert relative_error(d_theta, ref[0]) > 1e-9
+
+
+def test_extension_gradient_at_the_origin(hex_field):
+    # at rho = |xi| = 0 the cutoff is flat (w = 1, w' = 0): the gradient
+    # is finite and is the plateau chain rule, the pullback of grad_Hc
+    t, chart = 5.0, hex_field.chart
+    th, r = np.array([0.2, 0.7, 0.1, 0.4]), np.array([0.03, -0.05])
+    got = hex_field.gradient(th, np.zeros(2), r, t)
+    want = chart.pullback(th, r, grad_Hc(chart.positions(th, np.zeros(2), r),
+                                         hex_field.comet, MASSES, t))
+    for g, w in zip(got, want):
+        assert np.all(np.isfinite(g))
+        assert np.array_equal(g, w)
+    rin = 0.1 * hex_field.comet.radius(t) / 6.0
+    near = hex_field.gradient(th, np.array([1e-9 * rin, 0.0]), r, t)
+    for g, h in zip(got, near):
+        assert np.allclose(g, h, rtol=1e-6, atol=0.0)
+
+
+def test_extension_gradient_list_and_array_inputs_agree(hex_field):
+    rin = 0.1 * hex_field.comet.radius(5.0) / 6.0
+    th, xi, r = [0.2, 0.7, 0.1, 0.4], [1.2 * rin, -0.5 * rin], [0.03, -0.05]
+    got = hex_field.gradient(th, xi, r, 5)
+    want = hex_field.gradient(np.array(th), np.array(xi), np.array(r),
+                              np.float64(5.0))
+    assert [g.shape for g in got] == [(4,), (2,), (2,)]
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
 
 
 def test_extension_gradient_vanishes_without_comet():

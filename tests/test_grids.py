@@ -1,5 +1,6 @@
 import ast
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -226,6 +227,39 @@ def test_load_rejects_non_integer_sizes(tmp_path, field, bad):
     _rewrite_header(path, **{field: bad})
     with pytest.raises(ValueError, match=f"{field} must be .*{bad!r}"):
         GridFn.load(path)
+
+
+@pytest.mark.parametrize("bad", [0, -2, 1.5, "1", True, None])
+def test_load_rejects_bad_components(tmp_path, bad):
+    # "components": 0 with an empty body promises 0 bytes and would load
+    # a (T, 8, 0) field
+    path = tmp_path / "f.wgf"
+    GridFn.zeros(SpatialGrid(1, 8), TimeGrid(6.0, n_points=4)).save(path)
+    _rewrite_header(path, components=bad)
+    path.write_bytes(path.read_bytes().split(b"\n", 1)[0] + b"\n")
+    with pytest.raises(ValueError, match=r"f\.wgf.*components.*"
+                       + re.escape(repr(bad))):
+        GridFn.load(path)
+
+
+@pytest.mark.parametrize("points, k", [
+    ([2.0, 1.0, 3.0], 1), ([1.0, 2.0, 2.0], 2), ([0.5, 1.0, 2.0], 0),
+    ([1.0, float("nan"), 3.0], 1), ([1.0, 2.0, float("inf")], 2)])
+def test_load_rejects_bad_time_nodes(tmp_path, points, k):
+    # the nodes that save writes still load (the round-trip tests);
+    # rewritten ones that decrease, repeat, start below 1 or are not
+    # finite are refused, naming the first bad node
+    path = tmp_path / "f.wgf"
+    GridFn.zeros(SpatialGrid(1, 8), TimeGrid(6.0, n_points=3)).save(path)
+    _rewrite_header(path, time_points=points)
+    with pytest.raises(ValueError,
+                       match=rf"node {k} is {re.escape(repr(points[k]))}"):
+        GridFn.load(path)
+
+
+def test_time_grid_from_no_points_is_refused():
+    with pytest.raises(ValueError, match="non-empty"):
+        TimeGrid.from_points([])
 
 
 @pytest.mark.parametrize("field, good, bad", [("torus_points", 8, 0)])
