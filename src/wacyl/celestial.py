@@ -25,7 +25,7 @@ from .smoothing import _ramp, _ramp_derivative
 
 __all__ = ["Masses", "CometOrbit", "CartesianState", "SplitCoords",
            "ExtensionParams", "solve_hyperbolic_kepler",
-           "check_speed_window", "split_coordinates", "split_inverse",
+           "check_speed_window", "split_coordinates",
            "eval_H0_cartesian", "eval_H0_split", "eval_Hc", "grad_Hc",
            "hess_Hc", "decay_diagnostics", "extend_Hc",
            "CircularChart", "HExtension", "SurrogateSystem",
@@ -65,7 +65,6 @@ class Masses:
 class CartesianState:
     x: np.ndarray     # (3, 2) positions
     y: np.ndarray     # (3, 2) momentum covectors
-    t: float = 1.0
 
 
 @dataclass
@@ -99,22 +98,27 @@ def _floats(v):
 # comet ephemeris
 # --------------------------------------------------------------------
 
-# Newton steps of solve_hyperbolic_kepler before it gives up
+# Newton steps of solve_hyperbolic_kepler before it gives up, and its
+# residual tolerance relative to max(1, |M_h|)
 KEPLER_MAX_ITER = 60
+KEPLER_TOL = 1e-13
 
 
-def solve_hyperbolic_kepler(e, M_h, tol=1e-13):
+def solve_hyperbolic_kepler(e, M_h):
     """Solve e sinh H - H = M_h by safeguarded Newton with a bisection
-    fallback; |residual| <= tol * max(1, |M_h|) at return (the residual
-    is a difference of M_h-sized terms, so the bound is relative).
-    Python floats throughout: numpy's sinh and cosh cost more than the
-    solve on a scalar."""
+    fallback; |residual| <= KEPLER_TOL * max(1, |M_h|) at return (the
+    residual is a difference of M_h-sized terms, so the bound is
+    relative).  Python floats throughout: numpy's sinh and cosh cost
+    more than the solve on a scalar."""
     if e <= 1.0:
         raise ValueError("hyperbolic orbit requires e > 1")
     M = float(M_h)
+    if not math.isfinite(M):
+        # the Newton loop would end on a nan residual and return nan
+        raise ValueError(f"mean anomaly M_h = {M} must be finite")
     sign = 1.0 if M >= 0 else -1.0
     M = abs(M)
-    tol_eff = tol * max(1.0, M)
+    tol_eff = KEPLER_TOL * max(1.0, M)
     # bracket
     hi = max(1.0, math.asinh((M + 2.0) / e) + 1.0)
     lo = 0.0
@@ -151,6 +155,12 @@ class CometOrbit:
 
     def __init__(self, eccentricity, a_h, mu_grav, t_peri=0.0,
                  orientation=0.0):
+        for name, value in (("eccentricity", eccentricity), ("a_h", a_h),
+                            ("mu_grav", mu_grav), ("t_peri", t_peri),
+                            ("orientation", orientation)):
+            if not math.isfinite(value):
+                raise ValueError(f"comet orbit {name} = {value} must be "
+                                 "finite")
         if eccentricity <= 1.0:
             raise ValueError("need e > 1")
         if a_h <= 0 or mu_grav <= 0:
@@ -180,13 +190,10 @@ class CometOrbit:
         c, s = math.cos(self.orientation), math.sin(self.orientation)
         return c * xp - s * yp, s * xp + c * yp, self.a_h * (self.e * ch - 1.0)
 
-    def position_and_radius(self, t):
-        """c(t) as a (2,) array and |c(t)|."""
-        cx, cy, radius = self._ephemeris(t)
-        return np.array([cx, cy]), radius
-
     def position(self, t):
-        return self.position_and_radius(t)[0]
+        """c(t) as a (2,) array."""
+        cx, cy, _ = self._ephemeris(t)
+        return np.array([cx, cy])
 
     def radius(self, t):
         return self._ephemeris(t)[2]
@@ -248,12 +255,6 @@ def split_coordinates(state, masses):
     """Linear symplectic map to center-of-mass / relative variables."""
     A, B = _split_matrices(masses)
     return SplitCoords(X=A @ state.x, Y=B @ state.y)
-
-
-def split_inverse(sc, masses, t=1.0):
-    A, B = _split_matrices(masses)
-    return CartesianState(x=np.linalg.solve(A, sc.X),
-                          y=np.linalg.solve(B, sc.Y), t=t)
 
 
 _PAIRS = ((0, 1), (0, 2), (1, 2))
@@ -330,12 +331,16 @@ def _comet_gravity(positions, comet, masses, t):
     return _pair_gravity(x, m, 0.0, _COMET_PAIRS)
 
 
-def eval_Hc(positions, comet, masses, t, proximity=1e-9):
+# eval_Hc refuses a body closer than this to the comet
+HC_PROXIMITY = 1e-9
+
+
+def eval_Hc(positions, comet, masses, t):
     """Interaction with the comet: - sum_i m_i m_c / |x_i - c(t)|."""
     _, out, dmin = _comet_gravity(positions, comet, masses, t)
-    if dmin < proximity:
+    if dmin < HC_PROXIMITY:
         raise ZeroDivisionError(
-            f"a body is {dmin:.3e} from the comet (limit {proximity})")
+            f"a body is {dmin:.3e} from the comet (limit {HC_PROXIMITY})")
     return out
 
 
@@ -415,16 +420,17 @@ class CircularChart:
 
     _circles, _positions and _pullback work on Python floats and (x, y)
     float pairs, since numpy's per-call overhead dominates on 2-vectors;
-    the public methods wrap their results in arrays once.
+    positions and momenta wrap their results in arrays once.
     """
 
     n_theta = 4
+    # relative change of each circle's radius per unit action r_k
+    kappa = 0.2
 
-    def __init__(self, masses, a1=0.05, a2=1.0, kappa=0.2):
+    def __init__(self, masses, a1=0.05, a2=1.0):
         self.masses = masses
         self.a1 = float(a1)
         self.a2 = float(a2)
-        self.kappa = float(kappa)
         self.n1 = math.sqrt((masses.m0 + masses.m1) / a1 ** 3)
         self.n2 = math.sqrt((masses.m0 + masses.m2) / a2 ** 3)
         self.omega = np.array([self.n1, self.n2, 0.0, 0.0])
@@ -475,13 +481,6 @@ class CircularChart:
         return np.array(self._positions(
             self._circles(_floats(theta), _floats(r)), _floats(xi)))
 
-    def pullback(self, theta, r, dx):
-        """Pull a covector dx (3, 2) on the body positions back through
-        positions(theta, xi, r): (d_theta (4,), d_xi (2,), d_r (2,))."""
-        (a1, a2), d_xi, d_r = self._pullback(
-            self._circles(_floats(theta), _floats(r)), _floats(dx))
-        return np.array([a1, a2, a1, a2]), np.array(d_xi), np.array(d_r)
-
     def momenta(self, theta, r, eta):
         """Covector momenta of the two circles plus the drift eta."""
         m = self.masses
@@ -492,11 +491,11 @@ class CircularChart:
         return np.array([_floats(eta), [k1 * -s1, k1 * c1],
                          [k2 * -s2, k2 * c2]])
 
-    def state(self, theta, xi, r, eta, t=1.0):
+    def state(self, theta, xi, r, eta):
         pos = self.positions(theta, xi, r)
         Y = self.momenta(theta, r, eta)
         y = np.linalg.solve(self._B, Y)
-        return CartesianState(x=pos, y=y, t=t)
+        return CartesianState(x=pos, y=y)
 
 
 class HExtension:
@@ -559,25 +558,6 @@ class HExtension:
         (a1, a2), d_xi, d_r = self._gradient(_floats(theta), _floats(xi),
                                              _floats(r), float(t))
         return np.array([a1, a2, a1, a2]), np.array(d_xi), np.array(d_r)
-
-    def b_field_norms(self, t_grid, n_theta=8, seed=0):
-        """Norm budget of the linear-in-r coefficient b = d_r H_ex at
-        r = 0: per-time sup over theta samples, t^2-weighted."""
-        rng = np.random.default_rng(seed)
-        rows = []
-        sup = 0.0
-        for t in t_grid:
-            worst = 0.0
-            for _ in range(n_theta):
-                th = rng.uniform(0, 1, self.chart.n_theta)
-                b = self.gradient(th, np.zeros(2), np.zeros(2), t)[2]
-                worst = max(worst, np.abs(b).max())
-            sup = max(sup, worst * t ** 2)
-            rows.append({"t": float(t), "sup_b_t2": worst * t ** 2})
-        bound = constants.CELESTIAL_CK[1] * self.masses.M \
-            * self.masses.mc * self.params.epsilon
-        return {"sup_b_t2": sup, "bound": bound, "pass": sup <= bound,
-                "rows": rows, "surrogate": True}
 
 
 def extend_Hc(params, comet, masses, chart=None):

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 import time
@@ -78,6 +79,16 @@ def cfg_get(cfg, key, default, cast=float):
                          f"{cast.__name__}") from None
 
 
+def cfg_tol(cfg, key, default):
+    """cfg_get for a tolerance or a target, refused unless finite and
+    positive: with a nan one an adaptive integration never ends, a
+    correction loop runs to its cap and no residual meets it."""
+    value = cfg_get(cfg, key, default)
+    if not 0 < value < math.inf:
+        raise ValueError(f"{key} = {value} must be finite and positive")
+    return value
+
+
 def _write_manifest(outdir, name, payload):
     os.makedirs(outdir, exist_ok=True)
     payload = dict(payload)
@@ -127,9 +138,12 @@ def cmd_solve(args):
     torus_points = cfg_get(cfg, "solve.torus_points", 128, int)
     n_times = cfg_get(cfg, "solve.n_times", 64, int)
     t_max = cfg_get(cfg, "solve.t_max", 20.0)
-    target = cfg_get(cfg, "solve.target", 1e-6)
-    quad_tol = cfg_get(cfg, "solve.quad_tol", 1e-10)
+    target = cfg_tol(cfg, "solve.target", 1e-6)
+    quad_tol = cfg_tol(cfg, "solve.quad_tol", 1e-10)
     max_steps = cfg_get(cfg, "solve.max_steps", 12, int)
+    if max_steps < 2:
+        raise ValueError(f"solve.max_steps = {max_steps}: the convergence "
+                         "monitor needs at least 2 steps")
     if preset == "manufactured":
         H, vstar = manufactured_single(eps, torus_points=torus_points,
                                        n_times=n_times, t_max=t_max)
@@ -193,7 +207,7 @@ def cmd_homological(args):
     n_times = cfg_get(cfg, "he.n_times", 64, int)
     torus_points = cfg_get(cfg, "he.torus_points", 128, int)
     t_max = cfg_get(cfg, "he.t_max", 20.0)
-    quad_tol = cfg_get(cfg, "he.quad_tol", 1e-9)
+    quad_tol = cfg_tol(cfg, "he.quad_tol", 1e-9)
     tg = TimeGrid(t_max, n_points=n_times)
     sg = SpatialGrid(1, torus_points)
     z = GridFn.from_callable(sg, tg,
@@ -227,7 +241,7 @@ def cmd_simulate_comet(args):
     e = cfg_get(cfg, "comet.e", 1.5)
     v = cfg_get(cfg, "comet.v", 250.0)
     t_max = cfg_get(cfg, "comet.t_max", 100.0)
-    tol = cfg_get(cfg, "comet.tol", 1e-11)
+    tol = cfg_tol(cfg, "comet.tol", 1e-11)
     seed = cfg_get(cfg, "comet.seed", 0, int)
     if not v > 0:
         raise ValueError(f"comet.v must be positive (got {v})")

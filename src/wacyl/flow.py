@@ -3,8 +3,8 @@ Jacobians, and the fundamental matrix of the zeroth-order transport
 system.
 
 Integration uses an adaptive embedded Runge-Kutta pair (DOP853 via
-scipy) with a hand-rolled fixed-step RK4 retained as an independent
-cross-check oracle.
+scipy, `_solve`); the tests check it against a fixed-step RK4 oracle
+(`tests/oracles.py`).
 """
 
 from __future__ import annotations
@@ -19,8 +19,7 @@ from .norms import weighted_norm
 
 __all__ = ["VectorFieldSpec", "FundamentalMatrix", "NumericalError",
            "IntegrationError", "NormBudgetError", "integrate_flow",
-           "flow_jacobian", "fundamental_matrix", "gronwall_diagnostics",
-           "rk4"]
+           "flow_jacobian", "fundamental_matrix", "gronwall_diagnostics"]
 
 
 class NumericalError(Exception):
@@ -84,21 +83,6 @@ class VectorFieldSpec:
         if self.jac_f is None:
             return np.zeros(shape)
         return self.jac_f(q, t).reshape(shape)
-
-
-def rk4(fun, y0, t0, t1, n_steps):
-    """Classical fixed-step RK4; the cross-check oracle."""
-    y = np.asarray(y0, dtype=float).copy()
-    h = (t1 - t0) / n_steps
-    t = t0
-    for _ in range(n_steps):
-        k1 = fun(t, y)
-        k2 = fun(t + h / 2, y + h / 2 * k1)
-        k3 = fun(t + h / 2, y + h / 2 * k2)
-        k4 = fun(t + h, y + h * k3)
-        y = y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        t += h
-    return y
 
 
 def _solve(fun, y0, t0, t1, tol):
@@ -177,8 +161,12 @@ def _fit_exponent(ratios, norms):
     return float(coef[0]), float(np.exp(coef[1]))
 
 
+# DOP853 tolerance of the solves of gronwall_diagnostics
+GRONWALL_TOL = 1e-10
+
+
 def gronwall_diagnostics(F, g, mu, sigma, sample_points, time_pairs,
-                         f_gridfn=None, g_gridfn=None, tol=1e-10):
+                         f_gridfn=None):
     """Measure flow-derivative and fundamental-matrix growth exponents.
 
     For each (t, t0) pair the sup over sample points of |d_q psi^t_t0|
@@ -186,23 +174,22 @@ def gronwall_diagnostics(F, g, mu, sigma, sample_points, time_pairs,
     (tau, t) pairs; fitted exponents of growth in log(t/t0) are
     compared against the calibrated constants times mu.
 
-    Norm preconditions |f|_{1,1} <= mu, |g|_{1,1} <= mu are enforced
-    when the sampled fields are supplied.
+    The norm precondition |f|_{1,1} <= mu is enforced when the sampled
+    field is supplied (f_gridfn, else F's own).
     """
     if f_gridfn is None:
         f_gridfn = F.f_gridfn
-    for name, gf in (("|f|_{1,1}", f_gridfn), ("|g|_{1,1}", g_gridfn)):
-        if gf is not None:
-            measured = weighted_norm(gf, 1, 1).value
-            if measured > mu * (1 + 1e-9):
-                raise NormBudgetError(name, measured, mu)
+    if f_gridfn is not None:
+        measured = weighted_norm(f_gridfn, 1, 1).value
+        if measured > mu * (1 + 1e-9):
+            raise NormBudgetError("|f|_{1,1}", measured, mu)
     samples = np.atleast_2d(np.asarray(sample_points, dtype=float))
     records = []
     ratios, norms = [], []
     for (t, t0) in time_pairs:
         sup = 0.0
         for q in samples:
-            J = flow_jacobian(F, q, t0, t, tol)
+            J = flow_jacobian(F, q, t0, t, GRONWALL_TOL)
             sup = max(sup, float(np.abs(J).max()))
         ratios.append(max(t, t0) / min(t, t0))
         norms.append(sup)
@@ -215,7 +202,7 @@ def gronwall_diagnostics(F, g, mu, sigma, sample_points, time_pairs,
         t_lo, t_hi = min(t, tau), max(t, tau)
         sup = 0.0
         for q in samples:
-            R = fundamental_matrix(g, F, q, t_lo, t_hi, tol=tol)
+            R = fundamental_matrix(g, F, q, t_lo, t_hi, tol=GRONWALL_TOL)
             sup = max(sup, float(np.abs(R.matrix).max()))
         ratios2.append(t_hi / t_lo)
         norms2.append(sup)

@@ -81,14 +81,6 @@ class QuadraticForm:
         return self.C.values.reshape(
             self.C.values.shape[:-1] + (self.d, self.d, self.d))
 
-    def m_at(self, v_values):
-        """m(q, v(q,t), t) as (..., d, d) values."""
-        out = self._m0().copy()
-        c = self._c()
-        if c is not None:
-            out = out + np.einsum("...ijk,...k->...ij", c, v_values)
-        return out
-
     def d2H_at(self, v_values):
         """d^2_p H(q, p, t) at p = v:  2 M0 + 6 C . p."""
         out = 2.0 * self._m0()

@@ -301,7 +301,7 @@ class GridFn:
         return self.values.shape[-1]
 
     @classmethod
-    def from_callable(cls, grid, times, fn, components=None):
+    def from_callable(cls, grid, times, fn):
         """Sample fn(*coords, t) -> scalar or vector on the grid."""
         mesh = grid.meshgrid()
         slices = []
@@ -312,10 +312,7 @@ class GridFn:
             elif out.shape[:len(grid.shape)] != grid.shape:
                 out = np.moveaxis(out, 0, -1)
             slices.append(out)
-        vals = np.stack(slices, axis=0)
-        if components is not None and vals.shape[-1] != components:
-            raise ValueError("component count mismatch")
-        return cls(grid, times, vals)
+        return cls(grid, times, np.stack(slices, axis=0))
 
     @classmethod
     def zeros(cls, grid, times, components=1):

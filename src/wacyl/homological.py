@@ -4,11 +4,9 @@
 
 on T^n x [1, inf) for its unique decaying solution.  `solve_he` takes
 each Fourier mode by Filon quadrature of the free transport plus a
-perturbation series in (f, g).  `characteristics_solve` integrates the
-flow, the adjoint fundamental matrix and the accumulated integral per
-grid node for analytic fields; it is slow but assumption-free, the
-reference the spectral route is tested against.  `transport_operator`
-is the left-hand side itself.
+perturbation series in (f, g); the tests check it against a solve along
+the characteristics (`tests/oracles.py`).  `transport_operator` is the
+left-hand side itself.
 
 Improper integrals are truncated at the grid horizon with a two-term
 power-law tail model (integrated analytically to infinity) and an
@@ -23,13 +21,12 @@ from typing import NamedTuple
 import numpy as np
 
 from . import constants
-from .flow import IntegrationError, NormBudgetError, _solve
+from .flow import IntegrationError, NormBudgetError
 from .grids import GridFn, _lagrange_weights
 from .norms import weighted_norm
 
 __all__ = ["HomologicalProblem", "HomologicalSolution", "solve_he",
-           "characteristics_solve", "transport_operator", "residual_he",
-           "estimate_check"]
+           "transport_operator", "residual_he", "estimate_check"]
 
 
 # --------------------------------------------------------------------
@@ -373,49 +370,6 @@ def solve_he(p, quad_tol=1e-9):
     return HomologicalSolution(kappa=kappa,
                                tail_bound=_tail_bound(p, p.times.points[-1]),
                                corrections=n_corr, diagnostics=diagnostics)
-
-
-def characteristics_solve(p, z, f=None, g=None, quad_tol=1e-9):
-    """Reference solution of the problem p whose fields are given
-    analytically: z(q, s), f(q, s) and g(q, s) evaluate at (N, d) points
-    (f and g None for zero).
-
-    Per grid node it integrates the characteristic, the adjoint
-    fundamental matrix and the accumulated integral of z up to
-    T = 4 t_max; tail_bound is the integrand majorant beyond T.
-    """
-    p.validate()
-    grid, times = p.grid, p.times
-    d = p.dim
-    mesh = np.stack(grid.meshgrid(), axis=-1).reshape(-1, d)
-    N = len(mesh)
-    T = 4.0 * times.points[-1]
-    out = np.zeros((len(times), N, d))
-
-    def rhs(s, yflat):
-        y = yflat[:N * d].reshape(N, d)
-        Psi = yflat[N * d:N * d + N * d * d].reshape(N, d, d)
-        yr = y % 1.0
-        dy = np.broadcast_to(p.omega, (N, d)).copy()
-        if f is not None:
-            dy = dy + np.asarray(f(yr, s)).reshape(N, d)
-        if g is not None:
-            G = np.asarray(g(yr, s)).reshape(N, d, d)
-            dPsi = np.einsum("nij,njk->nik", Psi, G)
-        else:
-            dPsi = np.zeros_like(Psi)
-        zval = np.asarray(z(yr, s)).reshape(N, d)
-        dI = np.einsum("nij,nj->ni", Psi, zval)
-        return np.concatenate([dy.ravel(), dPsi.ravel(), dI.ravel()])
-
-    eye = np.broadcast_to(np.eye(d), (N, d, d)).copy()
-    for i, t in enumerate(times.points):
-        y0 = np.concatenate([mesh.ravel(), eye.ravel(), np.zeros(N * d)])
-        out[i] = -_solve(rhs, y0, t, T, quad_tol)[N * d + N * d * d:] \
-            .reshape(N, d)
-    kappa = GridFn(grid, times, out.reshape((len(times),) + grid.shape
-                                            + (d,)))
-    return HomologicalSolution(kappa=kappa, tail_bound=_tail_bound(p, T))
 
 
 def transport_operator(kappa, omega, f=None, g=None):

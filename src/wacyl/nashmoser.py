@@ -386,9 +386,10 @@ def monitor(state, p):
     }
 
 
-def lagrangian_check(sol, H, times, samples, t0=1.0, tol=1e-9):
+def lagrangian_check(sol, H, times, samples, tol=1e-9):
     """Pullback 2-form coefficients of the section along the transported
-    flow; reports the max |alpha^t| per time and a decay verdict.
+    flow from t = 1; reports the max |alpha^t| per time and a decay
+    verdict.
 
     On a 1-dimensional base the form vanishes identically.
     """
@@ -406,8 +407,8 @@ def lagrangian_check(sol, H, times, samples, t0=1.0, tol=1e-9):
     for t in times:
         worst = 0.0
         for q in samples:
-            y = integrate_flow(field, q, t0, t, tol)
-            J = flow_jacobian(field, q, t0, t, tol)
+            y = integrate_flow(field, q, 1.0, t, tol)
+            J = flow_jacobian(field, q, 1.0, t, tol)
             dv = interp.jacobian(y[None, :] % 1.0, min(
                 t, v.times.points[-1]))[0]
             A = dv - dv.T                      # d_i v_j - d_j v_i
@@ -424,16 +425,23 @@ def lagrangian_check(sol, H, times, samples, t0=1.0, tol=1e-9):
 # manufactured data
 # --------------------------------------------------------------------
 
-def manufactured_single(eps=1e-3, omega=1.0, torus_points=128,
-                        n_times=64, t_max=20.0):
+# frequency of the 1-torus manufactured pairs, and the regularity
+# exponent lam of manufactured_power's mode spectrum
+MANUFACTURED_OMEGA = 1.0
+MANUFACTURED_LAM = 3.75
+
+
+def manufactured_single(eps=1e-3, torus_points=128, n_times=64,
+                        t_max=20.0):
     """Single-mode manufactured pair: the data
 
         a(q,t) = omega eps sin(2 pi q)/t^2 + 2 eps cos(2 pi q)/(2 pi t^3)
 
-    transports the exact section v*(q,t) = -eps sin(2 pi q)/t^2
-    (d_q a + (grad v*) Omega_bar = 0)."""
+    with omega = MANUFACTURED_OMEGA transports the exact section
+    v*(q,t) = -eps sin(2 pi q)/t^2 (d_q a + (grad v*) Omega_bar = 0)."""
     tg = TimeGrid(t_max, n_points=n_times)
     sg = SpatialGrid(1, torus_points)
+    omega = MANUFACTURED_OMEGA
 
     def a_fn(q, t):
         return omega * eps * np.sin(2 * np.pi * q) / t ** 2 \
@@ -450,19 +458,21 @@ def manufactured_single(eps=1e-3, omega=1.0, torus_points=128,
     return H, vstar
 
 
-def manufactured_power(eps=1e-3, omega=1.0, lam=3.75, torus_points=128,
-                       n_times=64, t_max=20.0):
+def manufactured_power(eps=1e-3, torus_points=128, n_times=64,
+                       t_max=20.0):
     """Multi-mode manufactured pair with a power-law spectrum, the
     regularity class where the scheme's residual envelope is sharp.
 
-    The exponent lam + 2 of its 32 modes makes the data residual sit in
-    the borderline class for the scheduled envelope: the residual spectrum
-    gains one power of k from d_q and its C^0 tail sums lose one, so
-    the measured contraction saturates Q^(-lambda beta^d)."""
+    The exponent lam + 2 (lam = MANUFACTURED_LAM) of its 32 modes makes
+    the data residual sit in the borderline class for the scheduled
+    envelope: the residual spectrum gains one power of k from d_q and
+    its C^0 tail sums lose one, so the measured contraction saturates
+    Q^(-lambda beta^d).  The frequency is MANUFACTURED_OMEGA."""
     tg = TimeGrid(t_max, n_points=n_times)
     sg = SpatialGrid(1, torus_points)
+    omega = MANUFACTURED_OMEGA
     ks = np.arange(1, 33)
-    cs = ks ** (-(lam + 2.0))
+    cs = ks ** (-(MANUFACTURED_LAM + 2.0))
 
     def vstar_fn(q, t):
         acc = 0.0
@@ -487,18 +497,18 @@ def manufactured_power(eps=1e-3, omega=1.0, lam=3.75, torus_points=128,
     return H, vstar
 
 
-def comet_decay_synthetic(eps=2e-3, torus_points=16, n_times=32,
-                          t_max=12.0):
+def comet_decay_synthetic(eps=2e-3):
     """Synthetic data with the comet decay profile: |d_q a| ~ t^-2,
-    |b| ~ t^-2, plus a genuine quadratic form, on a 2-torus base.
+    |b| ~ t^-2, plus a genuine quadratic form, on a 2-torus base of
+    16 x 16 points and 32 times up to t = 12.
 
     The form is constant in q (its kinetic budget must fit Upsilon in
     the C^(s+1) norm); the coupling is still nonlinear through mbar v.
     The declared epsilon is the measured size of the data, so the spec
     validates by construction.
     """
-    tg = TimeGrid(t_max, n_points=n_times)
-    sg = SpatialGrid(2, torus_points)
+    tg = TimeGrid(12.0, n_points=32)
+    sg = SpatialGrid(2, 16)
     omega = np.array([1.0, 0.618])
 
     def a_fn(q1, q2, t):

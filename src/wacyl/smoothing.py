@@ -58,8 +58,9 @@ def smooth(f, tau):
     return GridFn(grid, f.times, f.values + delta, spectrum=spec * mult)
 
 
-def verify_smoothing_bounds(f, tau, m, d, l=0.0):
-    """Empirical ratios for the two smoothing inequalities.
+def verify_smoothing_bounds(f, tau, m, d):
+    """Empirical ratios for the two smoothing inequalities in the
+    unweighted norms |.|_k = |.|_{k,0}.
 
     ratio1 = |S_tau f|_m / (tau^(m-d) |f|_d)
     ratio2 = |(S_tau - 1) f|_d / (tau^-(m-d) |f|_m)
@@ -68,10 +69,10 @@ def verify_smoothing_bounds(f, tau, m, d, l=0.0):
         raise ValueError("need d <= m")
     sf = smooth(f, tau)
     rf = sf - f
-    n_sf_m = weighted_norm(sf, m, l).value
-    n_f_d = weighted_norm(f, d, l).value
-    n_rf_d = weighted_norm(rf, d, l).value
-    n_f_m = weighted_norm(f, m, l).value
+    n_sf_m = weighted_norm(sf, m, 0.0).value
+    n_f_d = weighted_norm(f, d, 0.0).value
+    n_rf_d = weighted_norm(rf, d, 0.0).value
+    n_f_m = weighted_norm(f, m, 0.0).value
     ratio1 = n_sf_m / (tau ** (m - d) * n_f_d) if n_f_d > 0 else 0.0
     ratio2 = n_rf_d / (tau ** (-(m - d)) * n_f_m) if n_f_m > 0 else 0.0
     return {

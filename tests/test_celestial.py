@@ -1,8 +1,10 @@
+import math
 import re
 
 import numpy as np
 import pytest
 
+from wacyl import constants
 from wacyl.celestial import (CartesianState, CircularChart, CometOrbit,
                              ExtensionParams, Masses, SurrogateSystem,
                              asymptotic_metric, check_speed_window,
@@ -10,7 +12,7 @@ from wacyl.celestial import (CartesianState, CircularChart, CometOrbit,
                              eval_H0_cartesian, eval_H0_split, eval_Hc,
                              extend_Hc, grad_Hc, hess_Hc,
                              integrate_system, solve_hyperbolic_kepler,
-                             split_coordinates, split_inverse)
+                             split_coordinates)
 from wacyl.celestial import _cartesian_rhs, _pair_gravity, _split_matrices
 from wacyl.flow import IntegrationError
 
@@ -45,6 +47,27 @@ def test_kepler_vs_bisection_oracle():
 def test_kepler_rejects_elliptic():
     with pytest.raises(ValueError):
         solve_hyperbolic_kepler(0.9, 1.0)
+
+
+@pytest.mark.parametrize("M_h", [math.nan, math.inf, -math.inf])
+def test_kepler_rejects_non_finite_anomaly(M_h):
+    # without the check the Newton loop ends on a nan residual and hands
+    # back nan (inf for an infinite M_h) as the anomaly
+    with pytest.raises(ValueError, match=f"M_h = {M_h} must be finite"):
+        solve_hyperbolic_kepler(1.5, M_h)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("eccentricity", math.nan), ("eccentricity", math.inf),
+    ("a_h", math.nan), ("a_h", math.inf), ("mu_grav", math.nan),
+    ("mu_grav", math.inf), ("t_peri", math.nan), ("t_peri", -math.inf),
+    ("orientation", math.nan)])
+def test_comet_orbit_rejects_non_finite_input(name, value):
+    # nan <= 1 and nan <= 0 are False: the range checks let nan through
+    kwargs = {"eccentricity": 1.5, "a_h": 0.01, "mu_grav": 3.0,
+              "t_peri": -1.0, "orientation": 0.0, name: value}
+    with pytest.raises(ValueError, match=f"{name} = {value} must be finite"):
+        CometOrbit(**kwargs)
 
 
 def test_asymptotic_radial_speed():
@@ -93,10 +116,9 @@ def test_split_roundtrip_and_symplectic():
     mm = Masses(1.3, 0.7, 2.1)
     st = unit_state()
     sc = split_coordinates(st, mm)
-    back = split_inverse(sc, mm)
-    assert np.abs(back.x - st.x).max() < 1e-14
-    assert np.abs(back.y - st.y).max() < 1e-14
     A, B = _split_matrices(mm)
+    assert np.abs(np.linalg.solve(A, sc.X) - st.x).max() < 1e-14
+    assert np.abs(np.linalg.solve(B, sc.Y) - st.y).max() < 1e-14
     rng = np.random.default_rng(1)
     for _ in range(100):
         dx1, dy1, dx2, dy2 = rng.standard_normal((4, 3, 2))
@@ -266,9 +288,18 @@ def test_extension_constant_outside(hex_field):
 
 
 def test_extension_b_field_norm_budget(hex_field):
-    rep = hex_field.b_field_norms(np.geomspace(1, 100, 10), n_theta=4)
-    assert rep["surrogate"]
-    assert rep["pass"]
+    # the linear-in-r coefficient b = d_r H_ex at xi = r = 0, sup over
+    # theta samples and t^2-weighted, within C(1) M m_c eps
+    rng = np.random.default_rng(0)
+    sup = 0.0
+    for t in np.geomspace(1, 100, 10):
+        for _ in range(4):
+            th = rng.uniform(0, 1, hex_field.chart.n_theta)
+            b = hex_field.gradient(th, np.zeros(2), np.zeros(2), t)[2]
+            sup = max(sup, np.abs(b).max() * t ** 2)
+    m = hex_field.masses
+    assert sup <= constants.CELESTIAL_CK[1] * m.M * m.mc \
+        * hex_field.params.epsilon
 
 
 def mp_context(dps):
@@ -294,7 +325,7 @@ def test_ephemeris_matches_high_precision(t):
     orbit = CometOrbit(eccentricity=1.5, a_h=mu / 250.0 ** 2, mu_grav=mu,
                        t_peri=-1.0, orientation=0.7)
     c, rc = mp_ephemeris(mp_context(40), orbit, t)
-    pos, radius = orbit.position_and_radius(t)
+    pos, radius = orbit.position(t), orbit.radius(t)
     assert pos.shape == (2,)
     assert np.abs(pos - np.array(c, dtype=float)).max() <= 1e-13 * float(rc)
     assert abs(radius - float(rc)) <= 1e-13 * float(rc)
@@ -387,8 +418,11 @@ def test_extension_gradient_at_the_origin(hex_field):
     t, chart = 5.0, hex_field.chart
     th, r = np.array([0.2, 0.7, 0.1, 0.4]), np.array([0.03, -0.05])
     got = hex_field.gradient(th, np.zeros(2), r, t)
-    want = chart.pullback(th, r, grad_Hc(chart.positions(th, np.zeros(2), r),
-                                         hex_field.comet, MASSES, t))
+    dx = grad_Hc(chart.positions(th, np.zeros(2), r), hex_field.comet,
+                 MASSES, t)
+    (a1, a2), d_xi, d_r = chart._pullback(
+        chart._circles(th.tolist(), r.tolist()), dx.tolist())
+    want = np.array([a1, a2, a1, a2]), np.array(d_xi), np.array(d_r)
     for g, w in zip(got, want):
         assert np.all(np.isfinite(g))
         assert np.array_equal(g, w)

@@ -1,6 +1,9 @@
 import json
 import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -159,6 +162,9 @@ def test_fixed_q_from_environment(tmp_path, monkeypatch):
     assert json.loads((tmp_path / "manifest.json").read_text())["Q"] == 2.0
 
 
+SMALL_SOLVE = ["--set", "solve.torus_points=32", "--set", "solve.n_times=16"]
+
+
 @pytest.mark.parametrize("command, name", [
     (["--set", "comet.v=0", "simulate-comet"], "comet.v"),
     (["--set", "comet.eps=0", "simulate-comet"], "epsilon"),
@@ -166,8 +172,29 @@ def test_fixed_q_from_environment(tmp_path, monkeypatch):
     (["--set", "comet.t_max=-5", "simulate-comet"], "t1"),
     (["--set", "comet.m1=-0.001", "simulate-comet", "--mc", "0"], "m1"),
     (["--set", "norms.trials=0", "verify-norms"], "norms.trials"),
+    (["--set", "comet.tol=-1", "simulate-comet", "--mc", "0"],
+     "comet.tol = -1.0 must be finite and positive"),
+    (["--set", "he.quad_tol=nan", "homological"],
+     "he.quad_tol = nan must be finite and positive"),
+    (["--set", "he.quad_tol=-1", "homological"],
+     "he.quad_tol = -1.0 must be finite and positive"),
+    (SMALL_SOLVE + ["--set", "solve.quad_tol=nan", "solve"],
+     "solve.quad_tol = nan must be finite and positive"),
+    (SMALL_SOLVE + ["--set", "solve.target=nan", "solve"],
+     "solve.target = nan must be finite and positive"),
+    (SMALL_SOLVE + ["--set", "solve.max_steps=0", "solve"],
+     "solve.max_steps = 0: the convergence monitor needs at least 2"),
+    (SMALL_SOLVE + ["--set", "solve.max_steps=1", "solve"],
+     "solve.max_steps = 1: the convergence monitor needs at least 2"),
+    (["--set", "comet.e=nan", "simulate-comet"],
+     "eccentricity = nan must be finite"),
+    (["--set", "comet.t_peri=nan", "simulate-comet"],
+     "t_peri = nan must be finite"),
 ], ids=["comet-v-zero", "comet-eps-zero", "comet-t-max-zero",
-        "comet-t-max-negative", "comet-m1-negative", "norms-no-trials"])
+        "comet-t-max-negative", "comet-m1-negative", "norms-no-trials",
+        "comet-tol-negative", "he-quad-tol-nan", "he-quad-tol-negative",
+        "solve-quad-tol-nan", "solve-target-nan", "solve-max-steps-0",
+        "solve-max-steps-1", "comet-e-nan", "comet-t-peri-nan"])
 def test_bad_config_is_config_error(tmp_path, capsys, command, name):
     # refused at the boundary with the offending key or value named,
     # not a traceback, a nan check or a vacuous pass
@@ -210,4 +237,19 @@ def test_bad_t_max_refused_before_any_work(tmp_path, capsys, mc, t_max):
     err = capsys.readouterr().err
     assert f"comet.t_max must be finite and positive (got {float(t_max)}" \
         in err
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("mc", ["0", "1e-3"])
+def test_nan_comet_tol_is_refused_at_once(tmp_path, mc):
+    # DOP853 with a nan rtol never finishes; the subprocess's timeout
+    # turns such a hang into a failure instead of a stalled suite
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run(
+        [sys.executable, "-m", "wacyl.cli", "--out", str(tmp_path), "--set",
+         "comet.tol=nan", "simulate-comet", "--mc", mc],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True,
+        text=True, timeout=60)
+    assert out.returncode == EXIT_CONFIG_ERROR
+    assert "comet.tol = nan must be finite and positive" in out.stderr
     assert os.listdir(tmp_path) == []

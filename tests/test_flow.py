@@ -4,9 +4,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracles import rk4
 from wacyl.flow import (NormBudgetError, VectorFieldSpec, flow_jacobian,
                         fundamental_matrix, gronwall_diagnostics,
-                        integrate_flow, rk4)
+                        integrate_flow)
 from wacyl.grids import GridFn, SpatialGrid, TimeGrid
 
 

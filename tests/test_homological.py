@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from oracles import characteristics_solve
 from wacyl.flow import NormBudgetError
 from wacyl.grids import GridFn, SpatialGrid, TimeGrid
 from wacyl.homological import (HomologicalProblem, _expn_complex,
                                _free_transport_coeffs, _mode_phases,
                                _time_refine_matrix, _transport_plan,
-                               characteristics_solve, estimate_check,
-                               residual_he, solve_he)
+                               estimate_check, residual_he, solve_he)
 from wacyl.norms import weighted_norm
 
 
