@@ -79,14 +79,27 @@ def cfg_get(cfg, key, default, cast=float):
                          f"{cast.__name__}") from None
 
 
+def cfg_in(cfg, key, default, ok, domain):
+    """cfg_get for a float, refused unless ok(value): the ValueError
+    names the key, the value and the domain."""
+    value = cfg_get(cfg, key, default)
+    if not ok(value):
+        raise ValueError(f"{key} = {value} must be {domain}")
+    return value
+
+
 def cfg_tol(cfg, key, default):
-    """cfg_get for a tolerance or a target, refused unless finite and
+    """cfg_in for a tolerance or a target, refused unless finite and
     positive: with a nan one an adaptive integration never ends, a
     correction loop runs to its cap and no residual meets it."""
-    value = cfg_get(cfg, key, default)
-    if not 0 < value < math.inf:
-        raise ValueError(f"{key} = {value} must be finite and positive")
-    return value
+    return cfg_in(cfg, key, default, lambda v: 0 < v < math.inf,
+                  "finite and positive")
+
+
+def cfg_t_max(cfg, key, default):
+    """cfg_in for the horizon of a time grid on [1, t_max]."""
+    return cfg_in(cfg, key, default, lambda v: 1 < v < math.inf,
+                  "finite and > 1 (the time grid starts at t = 1)")
 
 
 def _write_manifest(outdir, name, payload):
@@ -134,10 +147,10 @@ def cmd_solve(args):
     cfg = load_config(args.config, args.set or [])
     outdir = args.out
     preset = cfg_get(cfg, "solve.preset", args.preset, str)
-    eps = cfg_get(cfg, "solve.eps", 1e-3)
+    eps = cfg_in(cfg, "solve.eps", 1e-3, math.isfinite, "finite")
     torus_points = cfg_get(cfg, "solve.torus_points", 128, int)
     n_times = cfg_get(cfg, "solve.n_times", 64, int)
-    t_max = cfg_get(cfg, "solve.t_max", 20.0)
+    t_max = cfg_t_max(cfg, "solve.t_max", 20.0)
     target = cfg_tol(cfg, "solve.target", 1e-6)
     quad_tol = cfg_tol(cfg, "solve.quad_tol", 1e-10)
     max_steps = cfg_get(cfg, "solve.max_steps", 12, int)
@@ -206,7 +219,7 @@ def cmd_homological(args):
     outdir = args.out
     n_times = cfg_get(cfg, "he.n_times", 64, int)
     torus_points = cfg_get(cfg, "he.torus_points", 128, int)
-    t_max = cfg_get(cfg, "he.t_max", 20.0)
+    t_max = cfg_t_max(cfg, "he.t_max", 20.0)
     quad_tol = cfg_tol(cfg, "he.quad_tol", 1e-9)
     tg = TimeGrid(t_max, n_points=n_times)
     sg = SpatialGrid(1, torus_points)

@@ -203,16 +203,23 @@ def _check_ball(H, v):
             f"{H.ball_radius} at grid node {worst}")
 
 
+# the 4-point Gauss-Legendre rule of mbar_from_spec, mapped to [0, 1]:
+# 0.5 (x + 1) and 0.5 w of np.polynomial.legendre.leggauss(4), as
+# literals so that importing the module runs no eigensolver (its first
+# LAPACK call adds about 0.8 MB of resident memory)
+MBAR_NODES = (0.06943184420297371, 0.33000947820757187,
+              0.6699905217924281, 0.9305681557970262)
+MBAR_WEIGHTS = (0.17392742256872679, 0.3260725774312732,
+                0.3260725774312732, 0.17392742256872679)
+
+
 def mbar_from_spec(H, v=None):
     """mbar(q, v(q,t), t) = int_0^1 d^2_p H(q, tau v, t) dtau by 4-point
     Gauss-Legendre quadrature, returned as a GridFn with d*d components."""
     shape = (len(H.times),) + H.grid.shape + (H.d,)
     vv = np.zeros(shape) if v is None else v.values
-    nodes, weights = np.polynomial.legendre.leggauss(4)
-    nodes = 0.5 * (nodes + 1.0)
-    weights = 0.5 * weights
     acc = 0.0
-    for x, w in zip(nodes, weights):
+    for x, w in zip(MBAR_NODES, MBAR_WEIGHTS):
         acc = acc + w * H.m_form.d2H_at(x * vv)
     return GridFn(H.grid, H.times,
                   acc.reshape(shape[:-1] + (H.d * H.d,)))

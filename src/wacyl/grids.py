@@ -25,13 +25,18 @@ __all__ = ["TimeGrid", "SpatialGrid", "GridFn", "fornberg_weights"]
 
 
 def _lagrange_weights(xs, x):
-    """Lagrange interpolation weights for nodes xs at point x, by the
-    product formula (exact for polynomials up to degree len(xs)-1)."""
-    w = np.ones(len(xs))
-    for i in range(len(xs)):
-        for j in range(len(xs)):
-            if i != j:
-                w[i] *= (x - xs[j]) / (xs[i] - xs[j])
+    """Lagrange interpolation weights for nodes xs (..., n) at points x
+    with the leading shape of xs, by the product formula (exact for
+    polynomials up to degree n-1).  Weight i multiplies its factors in
+    ascending j, so a batch gives the bits of the row-by-row calls."""
+    xs = np.asarray(xs, dtype=float)
+    x = np.asarray(x, dtype=float)[..., None]
+    n = xs.shape[-1]
+    w = np.ones(xs.shape)
+    for j in range(n):
+        others = np.arange(n) != j
+        xj = xs[..., j:j + 1]
+        w[..., others] *= (x - xj) / (xs[..., others] - xj)
     return w
 
 

@@ -37,15 +37,16 @@ class HomologicalProblem:
     """Data (omega, f, g, z, mu, sigma) of the linear transport equation.
 
     f (d components), g (d*d components) and z (d components) are
-    GridFns on a common grid.  mu defaults to the measured max of
-    |f|_{1,1} and |g|_{1,1}.
+    GridFns on a common grid; an f or g whose values are all zero counts
+    as absent (None), so the solve takes no coupling correction for it.
+    mu defaults to the measured max of |f|_{1,1} and |g|_{1,1}.
     """
 
     def __init__(self, omega, z, f=None, g=None, mu=None, sigma=1.0):
         self.omega = np.atleast_1d(np.asarray(omega, dtype=float))
         self.z = z
-        self.f = f
-        self.g = g
+        self.f = None if f is None or not f.values.any() else f
+        self.g = None if g is None or not g.values.any() else g
         self.sigma = float(sigma)
         self.grid = z.grid
         self.times = z.times
@@ -54,10 +55,10 @@ class HomologicalProblem:
             raise ValueError("z must have n components")
         if mu is None:
             mu = 0.0
-            if f is not None:
-                mu = max(mu, weighted_norm(f, 1, 1).value)
-            if g is not None:
-                mu = max(mu, weighted_norm(g, 1, 1).value)
+            if self.f is not None:
+                mu = max(mu, weighted_norm(self.f, 1, 1).value)
+            if self.g is not None:
+                mu = max(mu, weighted_norm(self.g, 1, 1).value)
         self.mu = float(mu)
 
     def validate(self):
@@ -203,18 +204,17 @@ def _time_refine_matrix(times):
         gq = times.gamma ** (1.0 / TIME_REFINE)
         P = (T - 1) * TIME_REFINE + 1
         tau = times.points[0] * gq ** np.arange(P)
-        logs = times.log_points
         W = np.zeros((P, T))
         width = min(REFINE_DEGREE + 1, T)
-        lq = np.log(tau)
-        for i in range(P):
-            if i % TIME_REFINE == 0:
-                W[i, i // TIME_REFINE] = 1.0
-                continue
-            j = i // TIME_REFINE
-            lo = min(max(j - width // 2 + 1, 0), T - width)
-            W[i, lo:lo + width] = _lagrange_weights(logs[lo:lo + width],
-                                                    lq[i])
+        rows = np.arange(P)
+        on = rows % TIME_REFINE == 0
+        W[rows[on], rows[on] // TIME_REFINE] = 1.0
+        # each off-node row: the width nodes around its interval
+        off = rows[~on]
+        lo = np.clip(off // TIME_REFINE - width // 2 + 1, 0, T - width)
+        cols = lo[:, None] + np.arange(width)
+        W[off[:, None], cols] = _lagrange_weights(times.log_points[cols],
+                                                  np.log(tau[off]))
         return tau, W
 
     return times.derived(("refine", TIME_REFINE, REFINE_DEGREE), build)

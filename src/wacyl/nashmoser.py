@@ -270,10 +270,11 @@ Q_GRID = np.geomspace(1.15, 3.0, 12)
 
 
 def choose_schedule(H, p, quad_tol=1e-10):
-    """Pick (Q, upsilon) by scanning Q_GRID in order until the first
-    newton_step from psi = 0 lands under its scheduled envelope
-    |F_1| <= (upsilon/2) Q^(-lambda beta); trials the step refuses are
-    skipped.
+    """Pick (Q, upsilon) from one newton_step from psi = 0 per Q of
+    Q_GRID: every trial runs and is recorded, and the first Q in grid
+    order whose step lands under its scheduled envelope
+    |F_1| <= (upsilon/2) Q^(-lambda beta) is chosen (the last Q when
+    none does); trials the step refuses are skipped.
 
     The smallness threshold has no formula, so upsilon is anchored per
     trial at twice the step-0 residual (the envelope then demands a
@@ -473,19 +474,18 @@ def manufactured_power(eps=1e-3, torus_points=128, n_times=64,
     omega = MANUFACTURED_OMEGA
     ks = np.arange(1, 33)
     cs = ks ** (-(MANUFACTURED_LAM + 2.0))
+    # the two q-profiles, summed once and scaled per time slice
+    qs, = sg.meshgrid()
+    sin_sum, cos_sum = 0.0, 0.0
+    for k, c in zip(ks, cs):
+        sin_sum = sin_sum + c * np.sin(2 * np.pi * k * qs)
+        cos_sum = cos_sum + c * np.cos(2 * np.pi * k * qs) / (2 * np.pi * k)
 
-    def vstar_fn(q, t):
-        acc = 0.0
-        for k, c in zip(ks, cs):
-            acc = acc + c * np.sin(2 * np.pi * k * q)
-        return -eps * acc / t ** 2
+    def vstar_fn(_, t):
+        return -eps * sin_sum / t ** 2
 
-    def a_fn(q, t):
-        acc1, acc2 = 0.0, 0.0
-        for k, c in zip(ks, cs):
-            acc1 = acc1 + c * np.sin(2 * np.pi * k * q)
-            acc2 = acc2 + c * np.cos(2 * np.pi * k * q) / (2 * np.pi * k)
-        return omega * eps * acc1 / t ** 2 + 2 * eps * acc2 / t ** 3
+    def a_fn(_, t):
+        return omega * eps * sin_sum / t ** 2 + 2 * eps * cos_sum / t ** 3
 
     zero = GridFn.zeros(sg, tg, 1)
     H = HamiltonianSpec(omega=[omega],

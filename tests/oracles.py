@@ -5,14 +5,17 @@ by the tests, not collected by pytest.
 the adaptive flow.  `characteristics_solve` solves the transport
 problem along the characteristics, the second route of the spectral
 `solve_he`; it keeps the library's DOP853 solve (`flow._solve`) and tail
-bound (`homological._tail_bound`).
+bound (`homological._tail_bound`).  `time_refine_weights` builds the
+interpolation matrix of `homological._time_refine_matrix` row by row,
+with the scalar product-formula Lagrange weights.
 """
 
 import numpy as np
 
 from wacyl.flow import _solve
 from wacyl.grids import GridFn
-from wacyl.homological import HomologicalSolution, _tail_bound
+from wacyl.homological import (REFINE_DEGREE, TIME_REFINE,
+                               HomologicalSolution, _tail_bound)
 
 
 def rk4(fun, y0, t0, t1, n_steps):
@@ -66,3 +69,36 @@ def characteristics_solve(p, z, f, g, quad_tol):
     kappa = GridFn(grid, times, out.reshape((len(times),) + grid.shape
                                             + (d,)))
     return HomologicalSolution(kappa=kappa, tail_bound=_tail_bound(p, T))
+
+
+def _scalar_lagrange_weights(xs, x):
+    """Lagrange weights for nodes xs at one point x, by the product
+    formula in a double loop."""
+    w = np.ones(len(xs))
+    for i in range(len(xs)):
+        for j in range(len(xs)):
+            if i != j:
+                w[i] *= (x - xs[j]) / (xs[i] - xs[j])
+    return w
+
+
+def time_refine_weights(times):
+    """The (P, T) map from the nodes of `times` to its refined quad grid:
+    identity rows on the nodes, and between them the Lagrange weights in
+    log t of the REFINE_DEGREE + 1 nodes around the interval."""
+    T = len(times)
+    gq = times.gamma ** (1.0 / TIME_REFINE)
+    P = (T - 1) * TIME_REFINE + 1
+    lq = np.log(times.points[0] * gq ** np.arange(P))
+    logs = times.log_points
+    W = np.zeros((P, T))
+    width = min(REFINE_DEGREE + 1, T)
+    for i in range(P):
+        if i % TIME_REFINE == 0:
+            W[i, i // TIME_REFINE] = 1.0
+            continue
+        j = i // TIME_REFINE
+        lo = min(max(j - width // 2 + 1, 0), T - width)
+        W[i, lo:lo + width] = _scalar_lagrange_weights(logs[lo:lo + width],
+                                                       lq[i])
+    return W

@@ -190,11 +190,23 @@ SMALL_SOLVE = ["--set", "solve.torus_points=32", "--set", "solve.n_times=16"]
      "eccentricity = nan must be finite"),
     (["--set", "comet.t_peri=nan", "simulate-comet"],
      "t_peri = nan must be finite"),
+    (SMALL_SOLVE + ["--set", "solve.eps=nan", "solve"],
+     "solve.eps = nan must be finite"),
+    (SMALL_SOLVE + ["--set", "solve.t_max=nan", "solve"],
+     "solve.t_max = nan must be finite and > 1"),
+    (SMALL_SOLVE + ["--set", "solve.t_max=1", "solve"],
+     "solve.t_max = 1.0 must be finite and > 1"),
+    (["--set", "he.t_max=nan", "homological"],
+     "he.t_max = nan must be finite and > 1"),
+    (["--set", "he.t_max=0.5", "homological"],
+     "he.t_max = 0.5 must be finite and > 1"),
 ], ids=["comet-v-zero", "comet-eps-zero", "comet-t-max-zero",
         "comet-t-max-negative", "comet-m1-negative", "norms-no-trials",
         "comet-tol-negative", "he-quad-tol-nan", "he-quad-tol-negative",
         "solve-quad-tol-nan", "solve-target-nan", "solve-max-steps-0",
-        "solve-max-steps-1", "comet-e-nan", "comet-t-peri-nan"])
+        "solve-max-steps-1", "comet-e-nan", "comet-t-peri-nan",
+        "solve-eps-nan", "solve-t-max-nan", "solve-t-max-one",
+        "he-t-max-nan", "he-t-max-below-one"])
 def test_bad_config_is_config_error(tmp_path, capsys, command, name):
     # refused at the boundary with the offending key or value named,
     # not a traceback, a nan check or a vacuous pass

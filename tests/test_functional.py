@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from wacyl.flow import IntegrationError, NormBudgetError
-from wacyl.functional import (DomainError, HamiltonianSpec,
-                              QuadraticForm, apply_DF, conjugacy_check,
+from wacyl.functional import (MBAR_NODES, MBAR_WEIGHTS, DomainError,
+                              HamiltonianSpec, QuadraticForm, apply_DF,
+                              conjugacy_check,
                               eval_F, gamma_from_v, grad_omega,
                               hypotheses_report, linearize,
                               mbar_from_spec, right_inverse, v_norm)
@@ -44,6 +45,13 @@ def manufactured_spec(sg, tg, eps=1e-3):
     vstar = GridFn.from_callable(
         sg, tg, lambda q, t: -eps * np.sin(2 * np.pi * q) / t ** 2)
     return H, vstar
+
+
+def test_mbar_rule_is_gauss_legendre_on_unit_interval():
+    # the literal rule is leggauss(4) mapped to [0, 1], to the bit
+    x, w = np.polynomial.legendre.leggauss(4)
+    assert list(MBAR_NODES) == list(0.5 * (x + 1.0))
+    assert list(MBAR_WEIGHTS) == list(0.5 * w)
 
 
 def test_mbar_constant_in_p():

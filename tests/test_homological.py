@@ -150,6 +150,21 @@ def test_spectral_vs_characteristics_dual_route():
         p_spec.z, 0, 2).value
 
 
+def test_zero_coupling_takes_no_correction():
+    # all-zero f and g are the uncoupled problem: the same kappa to the
+    # bit, and no perturbation-series correction on the zero fields
+    sg, tg = make_grids(32, 16, 8.0)
+    z = GridFn.from_callable(sg, tg, coupled_fields()[0])
+    bare = solve_he(HomologicalProblem(omega=[1.0], z=z), quad_tol=1e-10)
+    sol = solve_he(HomologicalProblem(omega=[1.0], z=z,
+                                      f=GridFn.zeros(sg, tg, 1),
+                                      g=GridFn.zeros(sg, tg, 1)),
+                   quad_tol=1e-10)
+    assert (sol.kappa.values == bare.kappa.values).all()
+    assert sol.corrections == 0
+    assert sol.diagnostics["correction_history"] == []
+
+
 def test_coupled_residual_small_relative_to_z():
     sg, tg = make_grids(64, 32, 10.0)
     p = coupled_problem(sg, tg)

@@ -67,6 +67,26 @@ def test_trivial_data_converges_immediately():
     assert sol.residual_norm <= 1e-12
 
 
+def test_manufactured_power_equals_per_slice_formula():
+    # the q-profiles are summed once; every slice must still be the
+    # 32-mode formula evaluated at its time, to the bit
+    eps = 2e-3
+    H, vstar = manufactured_power(eps, torus_points=64, n_times=12,
+                                  t_max=10.0)
+    omega = nashmoser.MANUFACTURED_OMEGA
+    ks = np.arange(1, 33)
+    cs = ks ** (-(nashmoser.MANUFACTURED_LAM + 2.0))
+    q = H.grid.meshgrid()[0]
+    for i, t in enumerate(H.times.points):
+        acc1, acc2 = 0.0, 0.0
+        for k, c in zip(ks, cs):
+            acc1 = acc1 + c * np.sin(2 * np.pi * k * q)
+            acc2 = acc2 + c * np.cos(2 * np.pi * k * q) / (2 * np.pi * k)
+        a = omega * eps * acc1 / t ** 2 + 2 * eps * acc2 / t ** 3
+        assert (H.a.values[i, :, 0] == a).all()
+        assert (vstar.values[i, :, 0] == -eps * acc1 / t ** 2).all()
+
+
 def test_x_smoothing_gap_decreases():
     H, _ = manufactured_power(torus_points=128, n_times=32, t_max=10.0)
     p = params_from_order(8.0, Q=1.6)

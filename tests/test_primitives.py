@@ -14,7 +14,9 @@ from hypothesis import strategies as st
 
 from wacyl.celestial import CartesianState, Masses, _cartesian_rhs, \
     _pair_gravity, eval_H0_cartesian, grad_Hc
+from oracles import time_refine_weights
 from wacyl.grids import GridFn, SpatialGrid, TimeGrid, _lagrange_weights
+from wacyl.homological import _time_refine_matrix
 from wacyl.norms import holder_norm, weighted_norm
 from wacyl.smoothing import multiplier_profile, smooth
 
@@ -60,6 +62,25 @@ def test_lagrange_weights_reproduce_polynomials(case, coeffs):
 def test_lagrange_weights_at_a_node():
     xs = np.array([0.0, 0.4, 0.9, 1.3])
     assert np.array_equal(_lagrange_weights(xs, 0.9), [0.0, 0.0, 1.0, 0.0])
+
+
+def test_batched_lagrange_weights_equal_row_by_row():
+    # one call on (P, n) nodes gives the bits of P scalar calls
+    rng = np.random.default_rng(7)
+    xs = np.sort(rng.uniform(-1.0, 2.0, (40, 9)), axis=1)
+    x = rng.uniform(xs[:, 0], xs[:, -1])
+    rows = np.array([_lagrange_weights(a, b) for a, b in zip(xs, x)])
+    assert (_lagrange_weights(xs, x) == rows).all()
+
+
+@pytest.mark.parametrize("times", [
+    TimeGrid(20.0, n_points=64), TimeGrid(8.0, n_points=12),
+    TimeGrid(3.0, n_points=5)], ids=["T64", "T12", "T5"])
+def test_time_refine_matrix_equals_row_loop(times):
+    # the batched build gives the bits of the per-row loop with the
+    # scalar product formula
+    _, W = _time_refine_matrix(times)
+    assert (W == time_refine_weights(times)).all()
 
 
 # ---- .wgf round trip -----------------------------------------------
