@@ -17,9 +17,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from . import constants
+from .dop853 import solve_ivp
 from .flow import IntegrationError
 from .smoothing import _ramp, _ramp_derivative
 
@@ -615,10 +615,9 @@ def integrate_system(state0, comet, masses, t0, t1, tol=1e-11,
     def encounter(t, y):
         return gravity(t, y.tolist())[2] - proximity
 
-    encounter.terminal = True
     ts = np.linspace(t0, t1, n_samples)
-    sol = solve_ivp(rhs, (t0, t1), y0, method="DOP853", rtol=tol,
-                    atol=tol * 1e-2, t_eval=ts, events=encounter)
+    sol = solve_ivp(rhs, (t0, t1), y0, rtol=tol, atol=tol * 1e-2, t_eval=ts,
+                    events=encounter)
     if not sol.success:
         raise IntegrationError(f"trajectory failed: {sol.message}")
     if sol.t_events[0].size:
@@ -682,8 +681,7 @@ class SurrogateSystem:
             raise ValueError(f"need t1 > t0 (got t0 = {t0}, t1 = {t1})")
         ts = np.geomspace(t0, t1, n_samples)
         sol = solve_ivp(self.rhs, (t0, t1), np.asarray(state0, float),
-                        method="DOP853", rtol=tol, atol=tol * 1e-3,
-                        t_eval=ts)
+                        rtol=tol, atol=tol * 1e-3, t_eval=ts)
         if not sol.success:
             raise IntegrationError(sol.message)
         return {"t": sol.t, "states": sol.y.T, "nfev": int(sol.nfev)}

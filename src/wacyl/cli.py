@@ -18,6 +18,9 @@ import time
 from dataclasses import replace
 
 import numpy as np
+# numpy loads numpy.random on first use; the comet and norm commands
+# draw from it, so it loads with the CLI rather than inside a run
+from numpy.random import default_rng
 
 from . import constants
 from .celestial import (CircularChart, CometOrbit, ExtensionParams,
@@ -256,6 +259,14 @@ def cmd_simulate_comet(args):
     t_max = cfg_get(cfg, "comet.t_max", 100.0)
     tol = cfg_tol(cfg, "comet.tol", 1e-11)
     seed = cfg_get(cfg, "comet.seed", 0, int)
+    a1 = cfg_in(cfg, "comet.a1", 0.05, lambda x: 0 < x < math.inf,
+                "finite and > 0")
+    a2 = cfg_in(cfg, "comet.a2", 1.0, lambda x: 0 < x < math.inf,
+                "finite and > 0")
+    xi0 = np.array([cfg_in(cfg, "comet.xi0x", 0.3, math.isfinite, "finite"),
+                    cfg_in(cfg, "comet.xi0y", -0.2, math.isfinite, "finite")])
+    c_bar = cfg_in(cfg, "comet.cbar", 1.0, lambda x: 0 <= x < math.inf,
+                   "finite and >= 0")
     if not v > 0:
         raise ValueError(f"comet.v must be positive (got {v})")
     if not 0 < t_max < np.inf:
@@ -267,9 +278,8 @@ def cmd_simulate_comet(args):
     mu = masses.M + mc
     orbit = CometOrbit(eccentricity=e, a_h=mu / v ** 2, mu_grav=mu,
                        t_peri=cfg_get(cfg, "comet.t_peri", -1.0))
-    chart = CircularChart(masses, a1=cfg_get(cfg, "comet.a1", 0.05),
-                          a2=cfg_get(cfg, "comet.a2", 1.0))
-    rng = np.random.default_rng(seed)
+    chart = CircularChart(masses, a1=a1, a2=a2)
+    rng = default_rng(seed)
     checks = []
     if mc == 0.0:
         st0 = chart.state(rng.uniform(0, 1, 4), np.zeros(2),
@@ -304,8 +314,6 @@ def cmd_simulate_comet(args):
     hexf = extend_Hc(ext, orbit, masses, chart)
     system = SurrogateSystem(hexf)
     theta0 = rng.uniform(0, 1, 4)
-    xi0 = np.array([cfg_get(cfg, "comet.xi0x", 0.3),
-                    cfg_get(cfg, "comet.xi0y", -0.2)])
     eta0 = system.leading_drift_momentum(theta0, xi0, 1.0)
     state0 = np.concatenate([theta0, xi0, np.zeros(2), eta0])
     traj = system.integrate(state0, 1.0, 1.0 + t_max, tol=max(tol, 1e-10))
@@ -313,7 +321,7 @@ def cmd_simulate_comet(args):
                ["t"] + [f"s{i}" for i in range(10)],
                [[t] + list(s) for t, s in zip(traj["t"], traj["states"])])
     conf = confinement_check(traj["t"], traj["states"][:, 4:6], orbit,
-                             eps, C_bar=cfg_get(cfg, "comet.cbar", 1.0))
+                             eps, C_bar=c_bar)
     _write_manifest(outdir, "confinement.json", conf)
     checks.append({"name": "confinement", "pass": conf["pass"],
                    "detail": f"v = {conf['v_asymptotic']:.1f}, "
@@ -349,7 +357,7 @@ def cmd_verify_norms(args):
     cfg = load_config(args.config, args.set or [])
     outdir = args.out
     seed = cfg_get(cfg, "norms.seed", 0, int)
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     tg = TimeGrid(10.0, n_points=24)
     sg = SpatialGrid(1, 128)
     trials = cfg_get(cfg, "norms.trials", 3, int)

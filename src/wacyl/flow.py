@@ -2,9 +2,9 @@
 Jacobians, and the fundamental matrix of the zeroth-order transport
 system.
 
-Integration uses an adaptive embedded Runge-Kutta pair (DOP853 via
-scipy, `_solve`); the tests check it against a fixed-step RK4 oracle
-(`tests/oracles.py`).
+Integration uses an adaptive embedded Runge-Kutta pair (DOP853 from
+`dop853`, through `_solve`); the tests check it against a fixed-step
+RK4 oracle (`tests/oracles.py`).
 """
 
 from __future__ import annotations
@@ -12,9 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from . import constants
+from .dop853 import solve_ivp
 from .norms import weighted_norm
 
 __all__ = ["VectorFieldSpec", "FundamentalMatrix", "NumericalError",
@@ -90,8 +90,7 @@ def _solve(fun, y0, t0, t1, tol):
     atol = 1e-2 tol; a failed integration raises IntegrationError."""
     if t0 == t1:
         return y0.copy()
-    sol = solve_ivp(fun, (t0, t1), y0, method="DOP853", rtol=tol,
-                    atol=tol * 1e-2)
+    sol = solve_ivp(fun, (t0, t1), y0, rtol=tol, atol=tol * 1e-2)
     if not sol.success:
         raise IntegrationError(f"integration failed on [{t0}, {t1}]: "
                                f"{sol.message}")

@@ -200,13 +200,25 @@ SMALL_SOLVE = ["--set", "solve.torus_points=32", "--set", "solve.n_times=16"]
      "he.t_max = nan must be finite and > 1"),
     (["--set", "he.t_max=0.5", "homological"],
      "he.t_max = 0.5 must be finite and > 1"),
+    (["--set", "comet.a1=nan", "simulate-comet"],
+     "comet.a1 = nan must be finite and > 0"),
+    (["--set", "comet.a2=-1", "simulate-comet", "--mc", "0"],
+     "comet.a2 = -1.0 must be finite and > 0"),
+    (["--set", "comet.xi0x=nan", "simulate-comet"],
+     "comet.xi0x = nan must be finite"),
+    (["--set", "comet.xi0y=inf", "simulate-comet"],
+     "comet.xi0y = inf must be finite"),
+    (["--set", "comet.cbar=nan", "simulate-comet"],
+     "comet.cbar = nan must be finite and >= 0"),
 ], ids=["comet-v-zero", "comet-eps-zero", "comet-t-max-zero",
         "comet-t-max-negative", "comet-m1-negative", "norms-no-trials",
         "comet-tol-negative", "he-quad-tol-nan", "he-quad-tol-negative",
         "solve-quad-tol-nan", "solve-target-nan", "solve-max-steps-0",
         "solve-max-steps-1", "comet-e-nan", "comet-t-peri-nan",
         "solve-eps-nan", "solve-t-max-nan", "solve-t-max-one",
-        "he-t-max-nan", "he-t-max-below-one"])
+        "he-t-max-nan", "he-t-max-below-one", "comet-a1-nan",
+        "comet-a2-negative", "comet-xi0x-nan", "comet-xi0y-inf",
+        "comet-cbar-nan"])
 def test_bad_config_is_config_error(tmp_path, capsys, command, name):
     # refused at the boundary with the offending key or value named,
     # not a traceback, a nan check or a vacuous pass

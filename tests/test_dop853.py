@@ -1,0 +1,184 @@
+"""The DOP853 integrator against scipy's `solve_ivp(method="DOP853")`, whose
+tableau and numpy expressions it copies: on the inputs of every wacyl
+caller the trajectory and the evaluation count are bit-identical."""
+
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+from scipy.integrate import solve_ivp as scipy_solve_ivp
+
+from wacyl import celestial, flow
+from wacyl.celestial import (CartesianState, CircularChart, CometOrbit,
+                             ExtensionParams, Masses, SurrogateSystem,
+                             extend_Hc, integrate_system)
+from wacyl.dop853 import solve_ivp
+from wacyl.flow import IntegrationError, VectorFieldSpec, integrate_flow
+
+MASSES = Masses(1.0, 1e-3, 1e-3, mc=1e-3)
+CHART = CircularChart(MASSES, a1=0.05, a2=1.0)
+
+
+def comet_orbit(v):
+    mu = MASSES.M + MASSES.mc
+    return CometOrbit(eccentricity=1.5, a_h=mu / v ** 2, mu_grav=mu,
+                      t_peri=-1.0)
+
+
+def scipy_reference(fun, t_span, y0, rtol, atol, t_eval=None, events=None):
+    """scipy's DOP853 on the same problem; the event is terminal."""
+    if events is not None:
+        event = events
+
+        def events(t, y):
+            return event(t, y)
+
+        events.terminal = True
+    return scipy_solve_ivp(fun, t_span, y0, method="DOP853", rtol=rtol,
+                           atol=atol, t_eval=t_eval, events=events)
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Route the solve_ivp of flow and celestial through a recorder that
+    also runs scipy on the same arguments; each call's pair of results
+    is appended to the returned list."""
+    pairs = []
+
+    def recorder(*args, **kwargs):
+        ours = solve_ivp(*args, **kwargs)
+        pairs.append((ours, scipy_reference(*args, **kwargs)))
+        return ours
+
+    monkeypatch.setattr(flow, "solve_ivp", recorder)
+    monkeypatch.setattr(celestial, "solve_ivp", recorder)
+    return pairs
+
+
+def assert_identical(ours, ref):
+    assert ours.success and ref.success
+    assert ours.message == ref.message
+    assert ours.nfev == ref.nfev
+    assert np.array_equal(ours.t, ref.t)
+    assert np.array_equal(ours.y, ref.y)
+
+
+def test_conservative_comet_matches_scipy(calls):
+    # the Cartesian right-hand side with its comet, t_eval and the
+    # encounter event, which stays positive here
+    st0 = CHART.state(np.array([0.1, 0.6, 0.0, 0.0]), np.zeros(2),
+                      np.zeros(2), np.zeros(2))
+    traj = integrate_system(st0, comet_orbit(25.0), MASSES, 1.0, 2.0,
+                            tol=1e-11, n_samples=40)
+    (ours, ref), = calls
+    assert_identical(ours, ref)
+    assert ours.t_events[0].size == ref.t_events[0].size == 0
+    assert traj["nfev"] == ref.nfev
+
+
+def test_surrogate_matches_scipy(calls):
+    system = SurrogateSystem(extend_Hc(ExtensionParams(epsilon=0.1),
+                                       comet_orbit(250.0), MASSES, CHART))
+    theta0 = np.array([0.1, 0.7, 0.0, 0.0])
+    xi0 = np.array([0.3, -0.2])
+    eta0 = system.leading_drift_momentum(theta0, xi0, 1.0)
+    state0 = np.concatenate([theta0, xi0, np.zeros(2), eta0])
+    system.integrate(state0, 1.0, 21.0, tol=1e-10, n_samples=30)
+    (ours, ref), = calls
+    assert_identical(ours, ref)
+    assert ours.t_events is None
+
+
+@pytest.mark.parametrize("t0, t1", [(1.0, 7.0), (7.0, 1.0)],
+                         ids=["forward", "backward"])
+def test_flow_solve_matches_scipy(calls, t0, t1):
+    mu = 0.05
+    F = VectorFieldSpec([1.0, 0.5],
+                        f=lambda q, t: mu * np.sin(2 * np.pi * q[..., ::-1])
+                        / t)
+    integrate_flow(F, np.array([[0.1, 0.2], [0.4, 0.9]]), t0, t1, 1e-11)
+    (ours, ref), = calls
+    assert_identical(ours, ref)
+    assert ours.t[-1] == t1
+
+
+def test_close_encounter_root_matches_brentq(calls):
+    # two bodies fall head-on from rest and meet near t = 1.39: the
+    # bisection and scipy's brentq bracket the same sign change
+    masses = Masses(1.0, 1e-3, 1e-12, mc=0.0)
+    x = np.array([[0.0, 0.0], [0.5, 0.0], [-50.0, 0.0]])
+    with pytest.raises(IntegrationError, match="close encounter"):
+        integrate_system(CartesianState(x, np.zeros((3, 2))), None, masses,
+                         1.0, 2.0, proximity=1e-2)
+    (ours, ref), = calls
+    assert ours.message == ref.message == "A termination event occurred."
+    assert ours.nfev == ref.nfev
+    assert np.array_equal(ours.t, ref.t)
+    assert np.array_equal(ours.y, ref.y)
+    root, = ours.t_events[0]
+    ref_root, = ref.t_events[0]
+    assert abs(root - ref_root) <= 1e-12
+
+
+def test_step_size_underflow_fails_as_scipy_does():
+    # y' = y^2 from y(0) = 1 blows up at t = 1
+    def blowup(t, y):
+        return y ** 2
+
+    ours = solve_ivp(blowup, (0.0, 2.0), [1.0], rtol=1e-9, atol=1e-12)
+    ref = scipy_reference(blowup, (0.0, 2.0), [1.0], 1e-9, 1e-12)
+    assert not ours.success and not ref.success
+    assert ours.message == ref.message
+    assert ours.nfev == ref.nfev
+    assert np.array_equal(ours.t, ref.t)
+    assert np.array_equal(ours.y, ref.y)
+
+
+def test_non_finite_initial_state_is_refused():
+    with pytest.raises(ValueError, match="must be finite"):
+        solve_ivp(lambda t, y: y, (0.0, 1.0), [0.0, np.nan], rtol=1e-9,
+                  atol=1e-12)
+
+
+# ---- scipy stays out of the library ----------------------------------
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+NO_SCIPY = """
+import sys
+import wacyl.cli
+loaded = sorted(m for m in sys.modules if m.startswith("scipy"))
+assert not loaded, loaded
+assert wacyl.cli.main(["--out", sys.argv[1], "diagnose"]) == 0
+loaded = sorted(m for m in sys.modules if m.startswith("scipy"))
+assert not loaded, loaded
+"""
+
+
+def test_cli_loads_no_scipy(tmp_path):
+    # importing scipy.integrate used to cost most of every subcommand's
+    # start-up; neither the import nor a diagnose run may load scipy
+    out = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY, str(tmp_path)],
+        env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True,
+        text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+
+
+def test_no_library_module_imports_scipy():
+    importers = set()
+    for path in (SRC / "wacyl").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(n == "scipy" or n.startswith("scipy.") for n in names):
+                importers.add(path.name)
+    assert importers == set()
