@@ -571,31 +571,45 @@ def extend_Hc(params, comet, masses, chart=None):
 # trajectory integration
 # --------------------------------------------------------------------
 
-def _cartesian_gravity(masses, comet):
-    """gravity(t, v): _pair_gravity of the three bodies at the
-    positions v[:6] of a flat state of floats, with the comet c(t) as a
-    fourth attracting point when it has mass."""
-    m = masses.as_array().tolist()
-    if not (masses.mc > 0 and comet is not None):
-        return lambda t, v: _pair_gravity((v[0:2], v[2:4], v[4:6]), m)
-    m.append(masses.mc)
-    pairs = _PAIRS + _COMET_PAIRS
-    return lambda t, v: _pair_gravity(
-        (v[0:2], v[2:4], v[4:6], comet.position(t).tolist()), m, 0.0, pairs)
-
-
 def _cartesian_rhs(masses, comet):
-    """d/dt of the flat state [x (3, 2), y (3, 2)]: [y / m, force]."""
-    gravity = _cartesian_gravity(masses, comet)
-    m0, m1, m2 = masses.as_array().tolist()
+    """d/dt of the flat state [x (3, 2), y (3, 2)]: [y / m, force], by
+    _pair_gravity of the three bodies, with the comet c(t) as a fourth
+    attracting point when it has mass.
+
+    rhs.min_distance(t, y) is the smallest pair distance at (t, y).  On
+    the y and t of the last rhs call it reuses that call's force pass:
+    DOP853 evaluates its event on the state its last stage just saw.
+    """
+    m = masses.as_array().tolist()
+    m0, m1, m2 = m
+    pairs = _PAIRS
+    if masses.mc > 0 and comet is not None:
+        m.append(masses.mc)
+        pairs = _PAIRS + _COMET_PAIRS
+    else:
+        comet = None
+    last_t = last_y = None            # the state of the last force pass
+    last_dmin = math.inf              # and its smallest pair distance
 
     def rhs(t, yflat):
+        nonlocal last_t, last_y, last_dmin
         v = yflat.tolist()
-        (f0x, f0y), (f1x, f1y), (f2x, f2y) = gravity(t, v)[0][:3]
+        x = [v[0:2], v[2:4], v[4:6]]
+        if comet is not None:
+            x.append(comet.position(t).tolist())
+        force, _, last_dmin = _pair_gravity(x, m, 0.0, pairs)
+        last_t, last_y = t, yflat
+        (f0x, f0y), (f1x, f1y), (f2x, f2y) = force[:3]
         return np.array([v[6] / m0, v[7] / m0, v[8] / m1, v[9] / m1,
                          v[10] / m2, v[11] / m2,
                          f0x, f0y, f1x, f1y, f2x, f2y])
 
+    def min_distance(t, y):
+        if not (y is last_y and t == last_t):
+            rhs(t, y)
+        return last_dmin
+
+    rhs.min_distance = min_distance
     return rhs
 
 
@@ -609,11 +623,10 @@ def integrate_system(state0, comet, masses, t0, t1, tol=1e-11,
         raise ValueError(f"the Cartesian velocities y / m need m1, m2 > 0 "
                          f"(got m1 = {masses.m1}, m2 = {masses.m2})")
     rhs = _cartesian_rhs(masses, comet)
-    gravity = _cartesian_gravity(masses, comet)
     y0 = np.concatenate([state0.x.ravel(), state0.y.ravel()])
 
     def encounter(t, y):
-        return gravity(t, y.tolist())[2] - proximity
+        return rhs.min_distance(t, y) - proximity
 
     ts = np.linspace(t0, t1, n_samples)
     sol = solve_ivp(rhs, (t0, t1), y0, rtol=tol, atol=tol * 1e-2, t_eval=ts,

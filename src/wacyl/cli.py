@@ -124,11 +124,10 @@ def _write_csv(outdir, name, header, rows):
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
-        for row in rows:
-            # numpy scalars would repr as "np.float64(...)"
-            w.writerow([repr(float(v))
-                        if isinstance(v, (float, np.floating)) else v
-                        for v in row])
+        # csv writes a float by repr; a numpy scalar would repr as
+        # "np.float64(...)", so it goes in as its Python value
+        w.writerows([v.item() if isinstance(v, np.generic) else v
+                     for v in row] for row in rows)
     return path
 
 
@@ -290,9 +289,9 @@ def cmd_simulate_comet(args):
                    ["t"]
                    + [f"x{i}{c}" for i in range(3) for c in "xy"]
                    + [f"y{i}{c}" for i in range(3) for c in "xy"],
-                   [[t] + list(x.ravel()) + list(y.ravel())
-                    for t, x, y in zip(traj["t"], traj["x"],
-                                       traj["y"])])
+                   np.column_stack((traj["t"],
+                                    traj["x"].reshape(-1, 6),
+                                    traj["y"].reshape(-1, 6))).tolist())
         rel = traj["H0_drift"] / abs(traj["H0"][0])
         checks.append({"name": "H0 conserved (rel)", "pass": rel <= 1e-8,
                        "detail": f"{rel:.3e}", "tolerance": 1e-8})
@@ -319,7 +318,7 @@ def cmd_simulate_comet(args):
     traj = system.integrate(state0, 1.0, 1.0 + t_max, tol=max(tol, 1e-10))
     _write_csv(outdir, "trajectory.csv",
                ["t"] + [f"s{i}" for i in range(10)],
-               [[t] + list(s) for t, s in zip(traj["t"], traj["states"])])
+               np.column_stack((traj["t"], traj["states"])).tolist())
     conf = confinement_check(traj["t"], traj["states"][:, 4:6], orbit,
                              eps, C_bar=c_bar)
     _write_manifest(outdir, "confinement.json", conf)

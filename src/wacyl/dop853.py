@@ -7,9 +7,24 @@ that wacyl uses: Hairer's initial step, the 12-stage step with the
 E5/E3 error norm and the 0.9/0.2/10 step-size control, the three extra
 dense-output stages (built only for a step that holds a `t_eval` point
 or an event sign change) and one terminal event, located on the dense
-output by bisection.  The tableau below and the numpy expressions of
-`solve_ivp` are scipy's (1.17), so trajectories and `nfev` match it
-bit for bit.
+output by bisection.  The tableau below is scipy's (1.17), and
+trajectories and `nfev` match scipy bit for bit: each value is the same
+IEEE operation on the same operands, with less numpy call overhead.
+
+- A stage state is `dy = K[:s].T.dot(A[s, :s]); dy *= h; dy += y`,
+  scipy's `y + np.dot(K[:s].T, A[s, :s]) * h` in place: the same BLAS
+  product, the same product by h and a commutative sum.  The views
+  `K[:s].T` are made once per solve and follow K as it fills; the rows
+  `A[s, :s]` once at import.
+- t, h and the step-size control are Python floats: their arithmetic,
+  `**` (C `pow`) and `math.nextafter` give the bits of numpy's float64
+  scalars.
+- The error norm takes `math.sqrt(x.dot(x))`, which is what
+  `np.linalg.norm` computes for a real vector, and builds the scale
+  `atol + max(|y|, |y_new|) rtol` in place.
+- The Horner loop of the dense output computes x and 1 - x once and
+  starts from zeros, as scipy's does, so a -0.0 in the interpolant's
+  coefficients comes out as +0.0 there too.
 
 The tableau is copied from scipy/integrate/_ivp/dop853_coefficients.py,
 which is distributed under this licence:
@@ -48,7 +63,9 @@ which is distributed under this licence:
 
 from __future__ import annotations
 
+import math
 import warnings
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -250,6 +267,10 @@ D[3, 14] = -0.39177261675615439165231486172e+2
 D[3, 15] = -0.14972683625798562581422125276e+3
 
 
+# the stage rows A[s, :s] (A_ROWS[12] is B) and the nodes C as floats
+A_ROWS = [A[s, :s].copy() for s in range(N_STAGES_EXTENDED)]
+C_NODES = C.tolist()
+
 # ---- integrator -----------------------------------------------------
 
 EPS = np.finfo(float).eps
@@ -298,40 +319,51 @@ def _initial_step(fun, t0, y0, t_bound, f0, direction, rtol, atol):
         h1 = max(1e-6, h0 * 1e-3)
     else:
         h1 = (0.01 / max(d1, d2)) ** (1 / 8)
-    return min(100 * h0, h1, interval_length)
+    return float(min(100 * h0, h1, interval_length))
 
 
-def _rk_step(fun, t, y, f, h, K):
+def _stage_state(KT, s, h, y):
+    """y + h sum_j A[s, j] K[j] over j < s, as y + (K[:s].T A[s, :s]) h."""
+    dy = KT[s].dot(A_ROWS[s])
+    dy *= h
+    dy += y
+    return dy
+
+
+def _rk_step(fun, t, y, f, h, K, KT):
     """One 12-stage step from (t, y) with f = fun(t, y); fills K[:13]
-    with the stages and f(t + h, y_new)."""
+    with the stages and f(t + h, y_new).  KT[s] is the view K[:s].T."""
     K[0] = f
     for s in range(1, N_STAGES):
-        dy = np.dot(K[:s].T, A[s, :s]) * h
-        K[s] = fun(t + C[s] * h, y + dy)
-    y_new = y + h * np.dot(K[:N_STAGES].T, B)
+        K[s] = fun(t + C_NODES[s] * h, _stage_state(KT, s, h, y))
+    y_new = _stage_state(KT, N_STAGES, h, y)
     f_new = fun(t + h, y_new)
     K[N_STAGES] = f_new
     return y_new, f_new
 
 
-def _error_norm(K, h, scale):
-    """RMS norm of the blended 5th/3rd-order error estimate."""
-    err5 = np.dot(K.T, E5) / scale
-    err3 = np.dot(K.T, E3) / scale
-    err5_norm_2 = np.linalg.norm(err5)**2
-    err3_norm_2 = np.linalg.norm(err3)**2
+def _error_norm(KT, h, scale):
+    """RMS norm of the blended 5th/3rd-order error estimate; KT is
+    K[:13].T.  |x|^2 is taken as sqrt(x.x)^2, np.linalg.norm's value
+    squared, for the same bits."""
+    err5 = KT.dot(E5)
+    err5 /= scale
+    err3 = KT.dot(E3)
+    err3 /= scale
+    err5_norm_2 = math.sqrt(err5.dot(err5)) ** 2
+    err3_norm_2 = math.sqrt(err3.dot(err3)) ** 2
     if err5_norm_2 == 0 and err3_norm_2 == 0:
         return 0.0
     denom = err5_norm_2 + 0.01 * err3_norm_2
-    return np.abs(h) * err5_norm_2 / np.sqrt(denom * len(scale))
+    return abs(h) * err5_norm_2 / math.sqrt(denom * len(scale))
 
 
-def _dense_output(fun, K, t_old, t, y_old, y, f, h):
-    """The 7th-order interpolant y(s) on the step [t_old, t] of size h;
-    evaluates the three extra stages into K[13:]."""
+def _dense_output(fun, K, KT, t_old, t, y_old, y, f, h):
+    """The 7th-order interpolant y(s) on the step [t_old, t] of size h,
+    at a float s or a 1-D array of them; evaluates the three extra
+    stages into K[13:]."""
     for s in range(N_STAGES + 1, N_STAGES_EXTENDED):
-        dy = np.dot(K[:s].T, A[s, :s]) * h
-        K[s] = fun(t_old + C[s] * h, y_old + dy)
+        K[s] = fun(t_old + C_NODES[s] * h, _stage_state(KT, s, h, y_old))
     F = np.empty((INTERPOLATOR_POWER, len(y_old)))
     f_old = K[0]
     delta_y = y - y_old
@@ -341,19 +373,18 @@ def _dense_output(fun, K, t_old, t, y_old, y, f, h):
     F[3:] = h * np.dot(D, K)
 
     def sol(s):
-        s = np.asarray(s)
+        # Horner in x and 1 - x from F[6] down to F[0]; out starts from
+        # zeros, so a -0.0 in F comes out as +0.0
         x = (s - t_old) / h
-        if s.ndim == 0:
-            out = np.zeros_like(y_old)
-        else:
+        if isinstance(x, np.ndarray):
             x = x[:, None]
             out = np.zeros((len(x), len(y_old)))
-        for i, row in enumerate(reversed(F)):
+        else:
+            out = np.zeros_like(y_old)
+        x1 = 1 - x
+        for i, row in enumerate(F[::-1]):
             out += row
-            if i % 2 == 0:
-                out *= x
-            else:
-                out *= 1 - x
+            out *= x1 if i % 2 else x
         out += y_old
         return out.T
 
@@ -385,8 +416,8 @@ def solve_ivp(fun, t_span, y0, rtol, atol, t_eval=None, events=None):
     """Solve y' = fun(t, y), y(t_span[0]) = y0 on t_span by DOP853.
 
     The local error is kept below atol + rtol |y|.  The result holds the
-    solution at t_eval (strictly monotone, inside t_span), or at every
-    step without it.  events(t, y) is one terminal event: the
+    solution at t_eval (increasing, inside a forward t_span), or at
+    every step without it.  events(t, y) is one terminal event: the
     integration stops where it changes sign.
     """
     t0, tf = map(float, t_span)
@@ -404,15 +435,15 @@ def solve_ivp(fun, t_span, y0, rtol, atol, t_eval=None, events=None):
         rtol = np.maximum(rtol, 100 * EPS)
     if atol < 0:
         raise ValueError("`atol` must be positive.")
-    direction = np.sign(tf - t0)
+    direction = 1.0 if tf > t0 else -1.0
     if t_eval is not None:
-        # ascending, for np.searchsorted; i is the first point not output
+        if direction < 0:
+            raise ValueError(f"t_eval needs t1 > t0 (got t0 = {t0}, "
+                             f"t1 = {tf})")
+        # i is the first point not yet output
         t_eval = np.asarray(t_eval)
-        if direction > 0:
-            i = 0
-        else:
-            t_eval = t_eval[::-1]
-            i = len(t_eval)
+        t_eval_list = t_eval.tolist()
+        i = 0
 
     nfev = 0
 
@@ -425,13 +456,14 @@ def solve_ivp(fun, t_span, y0, rtol, atol, t_eval=None, events=None):
     f = rhs(t, y)
     h_abs = _initial_step(rhs, t, y, tf, f, direction, rtol, atol)
     K = np.empty((N_STAGES_EXTENDED, len(y)))
+    KT = [K[:s].T for s in range(N_STAGES_EXTENDED)]
     if events is not None:
         g = events(t, y)
         t_events = []
     ts, ys = ([t0], [y0]) if t_eval is None else ([], [])
     status = message = None
     while status is None:
-        min_step = 10 * np.abs(np.nextafter(t, direction * np.inf) - t)
+        min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
         h_abs = max(h_abs, min_step)
         step_rejected = False
         while True:
@@ -443,10 +475,14 @@ def solve_ivp(fun, t_span, y0, rtol, atol, t_eval=None, events=None):
             if direction * (t_new - tf) > 0:
                 t_new = tf
             h = t_new - t
-            h_abs = np.abs(h)
-            y_new, f_new = _rk_step(rhs, t, y, f, h, K)
-            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            error_norm = _error_norm(K[:N_STAGES + 1], h, scale)
+            h_abs = abs(h)
+            y_new, f_new = _rk_step(rhs, t, y, f, h, K, KT)
+            # atol + max(|y|, |y_new|) rtol
+            scale = np.abs(y_new)
+            np.maximum(np.abs(y), scale, out=scale)
+            scale *= rtol
+            scale += atol
+            error_norm = _error_norm(KT[N_STAGES + 1], h, scale)
             if error_norm < 1:
                 if error_norm == 0:
                     factor = MAX_FACTOR
@@ -468,7 +504,7 @@ def solve_ivp(fun, t_span, y0, rtol, atol, t_eval=None, events=None):
         if events is not None:
             g_new = events(t, y)
             if g <= 0 <= g_new or g >= 0 >= g_new:
-                sol = _dense_output(rhs, K, t_old, t, y_old, y, f, h)
+                sol = _dense_output(rhs, K, KT, t_old, t, y_old, y, f, h)
                 root = _bisect(lambda s: events(s, sol(s)), t_old, t)
                 t_events.append(root)
                 status = 1
@@ -479,15 +515,11 @@ def solve_ivp(fun, t_span, y0, rtol, atol, t_eval=None, events=None):
             ys.append(y)
             continue
         # a t_eval point equal to t is output on this step
-        if direction > 0:
-            i_new = np.searchsorted(t_eval, t, side="right")
-            t_step = t_eval[i:i_new]
-        else:
-            i_new = np.searchsorted(t_eval, t, side="left")
-            t_step = t_eval[i_new:i][::-1]
-        if t_step.size > 0:
+        i_new = bisect_right(t_eval_list, t)
+        if i_new > i:
             if sol is None:
-                sol = _dense_output(rhs, K, t_old, t, y_old, y, f, h)
+                sol = _dense_output(rhs, K, KT, t_old, t, y_old, y, f, h)
+            t_step = t_eval[i:i_new]
             ts.append(t_step)
             ys.append(sol(t_step))
             i = i_new

@@ -120,7 +120,10 @@ def weighted_norm(f, sigma, l, pair_radius=None):
     hkey = ("holder", round(float(sigma), 12), pair_radius)
     hvals = f._norm_cache.get(hkey)
     if hvals is None:
-        hvals = holder_norm(f, sigma, None, pair_radius)
+        # an all-zero field (b = m = 0 in the power-law preset) has the
+        # zero profile; skip the spectral derivatives
+        hvals = (holder_norm(f, sigma, None, pair_radius) if f.values.any()
+                 else [0.0] * len(f.values))
         f._norm_cache[hkey] = hvals
     profile = [(float(t), h * float(t) ** l)
                for t, h in zip(f.times.points, hvals)]

@@ -59,12 +59,19 @@ def calls(monkeypatch):
     return pairs
 
 
+def assert_bitwise(a, b):
+    """The same values with the same bits: np.array_equal alone takes
+    -0.0 for 0.0, while trajectory.csv writes each value by repr."""
+    assert np.array_equal(a, b)
+    assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 def assert_identical(ours, ref):
     assert ours.success and ref.success
     assert ours.message == ref.message
     assert ours.nfev == ref.nfev
-    assert np.array_equal(ours.t, ref.t)
-    assert np.array_equal(ours.y, ref.y)
+    assert_bitwise(ours.t, ref.t)
+    assert_bitwise(ours.y, ref.y)
 
 
 def test_conservative_comet_matches_scipy(calls):
@@ -117,8 +124,8 @@ def test_close_encounter_root_matches_brentq(calls):
     (ours, ref), = calls
     assert ours.message == ref.message == "A termination event occurred."
     assert ours.nfev == ref.nfev
-    assert np.array_equal(ours.t, ref.t)
-    assert np.array_equal(ours.y, ref.y)
+    assert_bitwise(ours.t, ref.t)
+    assert_bitwise(ours.y, ref.y)
     root, = ours.t_events[0]
     ref_root, = ref.t_events[0]
     assert abs(root - ref_root) <= 1e-12
@@ -134,8 +141,47 @@ def test_step_size_underflow_fails_as_scipy_does():
     assert not ours.success and not ref.success
     assert ours.message == ref.message
     assert ours.nfev == ref.nfev
-    assert np.array_equal(ours.t, ref.t)
-    assert np.array_equal(ours.y, ref.y)
+    assert_bitwise(ours.t, ref.t)
+    assert_bitwise(ours.y, ref.y)
+
+
+def test_several_t_eval_points_in_one_step_match_scipy():
+    # a loose tolerance on a smooth oscillator takes steps that each hold
+    # several t_eval points, so the dense output is evaluated on a batch
+    def oscillator(t, y):
+        return np.array([y[1], -y[0]])
+
+    t_eval = np.linspace(0.0, 10.0, 400)
+    args = (oscillator, (0.0, 10.0), [1.0, 0.0], 1e-6, 1e-9)
+    ours = solve_ivp(*args, t_eval=t_eval)
+    assert_identical(ours, scipy_reference(*args, t_eval=t_eval))
+    steps = solve_ivp(*args).t
+    assert np.diff(np.searchsorted(t_eval, steps, side="right")).max() >= 2
+
+
+def test_t_eval_on_a_backward_span_is_refused():
+    with pytest.raises(ValueError, match=r"t0 = 2\.0, t1 = 1\.0"):
+        solve_ivp(lambda t, y: -y, (2.0, 1.0), [1.0], rtol=1e-9, atol=1e-12,
+                  t_eval=[1.5])
+
+
+def test_encounter_event_reuses_the_last_force_pass(monkeypatch):
+    # the event reads the smallest distance of the force pass that the
+    # accepted step's last stage made on the same state: one extra pass
+    # for the event at t0, none per step
+    passes = []
+    pair_gravity = celestial._pair_gravity
+
+    def counted(*args):
+        passes.append(1)
+        return pair_gravity(*args)
+
+    monkeypatch.setattr(celestial, "_pair_gravity", counted)
+    st0 = CHART.state(np.array([0.1, 0.6, 0.0, 0.0]), np.zeros(2),
+                      np.zeros(2), np.zeros(2))
+    traj = integrate_system(st0, None, MASSES, 1.0, 2.0, n_samples=40)
+    # + 1 for the event at t0, + 40 for the H0 samples
+    assert len(passes) == traj["nfev"] + 1 + 40
 
 
 def test_non_finite_initial_state_is_refused():

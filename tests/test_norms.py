@@ -65,6 +65,18 @@ def test_weighted_norm_derivative_dominates():
         2 * np.pi, rel=1e-10)
 
 
+@pytest.mark.parametrize("sigma", [0.0, 1.5, 2.0])
+def test_weighted_norm_of_a_zero_field(sigma):
+    # an all-zero field skips holder_norm; its report is the one the
+    # spectral profile gives, zero at every node
+    f = fn_grid(lambda q1, q2, t: np.zeros_like(q1), n=2, torus_points=16)
+    rep = weighted_norm(f, sigma, 1.0)
+    assert rep.value == 0.0
+    assert rep.per_time_profile == [
+        (float(t), h * float(t)) for t, h in
+        zip(f.times.points, holder_norm(f, sigma, time_index=None))]
+
+
 def test_weighted_norm_rejects_bad_params():
     f = fn_grid(lambda q, t: np.sin(2 * np.pi * q))
     with pytest.raises(ValueError):
