@@ -257,28 +257,33 @@ def split_coordinates(state, masses):
     return SplitCoords(X=A @ state.x, Y=B @ state.y)
 
 
-_PAIRS = ((0, 1), (0, 2), (1, 2))
-_COMET_PAIRS = ((0, 3), (1, 3), (2, 3))   # body i and the comet as point 3
+def _pair_table(pairs):
+    """Point pairs (i, j) as (i, j, 2i, 2i + 1, 2j, 2j + 1): the mass
+    indices and the flat indices of x_i, y_i, x_j and y_j."""
+    return tuple((i, j, 2 * i, 2 * i + 1, 2 * j, 2 * j + 1)
+                 for i, j in pairs)
+
+
+_PAIRS = _pair_table(((0, 1), (0, 2), (1, 2)))
+# body i and the comet as point 3
+_COMET_PAIRS = _pair_table(((0, 3), (1, 3), (2, 3)))
 
 
 def _pair_gravity(x, m, energy=0.0, pairs=_PAIRS):
-    """Newtonian gravity between point masses m (floats) at positions x,
-    an (n, 2) array or n (x, y) float pairs, one visit per pair i < j in
-    the order of pairs, on Python floats (numpy call overhead dominates
-    on 2-vectors).
+    """Newtonian gravity between point masses m (floats) at the flat
+    positions x = [x0, y0, x1, y1, ...] (floats), one visit per pair
+    i < j in the order of pairs (a _pair_table), on Python floats
+    (numpy call overhead dominates on 2-vectors).
 
-    Returns the forces -dV/dx as n [fx, fy] lists, energy + V with
+    Returns the forces -dV/dx in the layout of x, energy + V with
     V = -sum m_i m_j / |x_i - x_j| over the pairs, and the smallest
     pair distance.
     """
-    if isinstance(x, np.ndarray):
-        x = x.tolist()
-    force = [[0.0, 0.0] for _ in x]
+    force = [0.0] * len(x)
     dmin = math.inf
-    for i, j in pairs:
-        (xi, yi), (xj, yj) = x[i], x[j]
-        rx = xi - xj
-        ry = yi - yj
+    for i, j, ix, iy, jx, jy in pairs:
+        rx = x[ix] - x[jx]
+        ry = x[iy] - x[jy]
         d = math.sqrt(rx * rx + ry * ry)
         if d == 0:
             raise ZeroDivisionError("collision configuration")
@@ -286,11 +291,10 @@ def _pair_gravity(x, m, energy=0.0, pairs=_PAIRS):
         d3 = d ** 3
         fx = mm * rx / d3
         fy = mm * ry / d3
-        fi, fj = force[i], force[j]
-        fi[0] -= fx
-        fi[1] -= fy
-        fj[0] += fx
-        fj[1] += fy
+        force[ix] -= fx
+        force[iy] -= fy
+        force[jx] += fx
+        force[jy] += fy
         energy -= mm / d
         if d < dmin:
             dmin = d
@@ -302,7 +306,7 @@ def eval_H0_cartesian(state, masses):
     kinetic = 0.0
     for (px, py), mi in zip(state.y.tolist(), m):
         kinetic += 0.5 * (px * px + py * py) / mi
-    return _pair_gravity(state.x, m, kinetic)[1]
+    return _pair_gravity(np.ravel(state.x).tolist(), m, kinetic)[1]
 
 
 def eval_H0_split(sc, masses):
@@ -323,10 +327,11 @@ def eval_H0_split(sc, masses):
 
 def _comet_gravity(positions, comet, masses, t):
     """_pair_gravity over the body-comet pairs alone, with the comet
-    c(t) (an orbit or a callable) as point 3 of mass m_c."""
+    c(t) (an orbit or a callable) as point 3 of mass m_c; positions are
+    (3, 2) or flat."""
     c = comet.position(t) if hasattr(comet, "position") else comet(t)
-    x = np.asarray(positions, dtype=float).tolist()
-    x.append(np.asarray(c, dtype=float).tolist())
+    x = np.asarray(positions, dtype=float).ravel().tolist()
+    x += np.asarray(c, dtype=float).tolist()
     m = masses.as_array().tolist() + [masses.mc]
     return _pair_gravity(x, m, 0.0, _COMET_PAIRS)
 
@@ -347,7 +352,8 @@ def eval_Hc(positions, comet, masses, t):
 def grad_Hc(positions, comet, masses, t):
     """Exact gradient d H_c / d x_i: + m_i m_c (x_i - c)/|x_i - c|^3,
     minus the comet's pull on body i."""
-    return np.negative(_comet_gravity(positions, comet, masses, t)[0][:3])
+    force = _comet_gravity(positions, comet, masses, t)[0]
+    return np.negative(force[:6]).reshape(3, 2)
 
 
 def hess_Hc(positions, comet, masses, t):
@@ -418,9 +424,11 @@ class CircularChart:
     dynamically active (circular limit).  Reports built on this chart
     carry surrogate=True.
 
-    _circles, _positions and _pullback work on Python floats and (x, y)
-    float pairs, since numpy's per-call overhead dominates on 2-vectors;
-    positions and momenta wrap their results in arrays once.
+    _circles, _positions and _pullback work on Python floats, with
+    positions and covectors on them flat, [x0, y0, x1, y1, x2, y2] as
+    _pair_gravity takes and gives them, since numpy's per-call overhead
+    dominates on 2-vectors; positions and momenta wrap their results in
+    arrays once.
     """
 
     n_theta = 4
@@ -452,20 +460,21 @@ class CircularChart:
                 self.a2 * (1.0 + self.kappa * r[1]))
 
     def _positions(self, circles, xi):
-        """The three body positions as (x, y) pairs."""
+        """The three body positions, flat."""
         c1, s1, rad1, c2, s2, rad2 = circles
         X1x, X1y, X2x, X2y = rad1 * c1, rad1 * s1, rad2 * c2, rad2 * s2
         x, y = xi
         M = self.masses.M
-        return [(x + (a * X1x + b * X2x) / M, y + (a * X1y + b * X2y) / M)
-                for a, b in self._ab]
+        out = []
+        for a, b in self._ab:
+            out += (x + (a * X1x + b * X2x) / M, y + (a * X1y + b * X2y) / M)
+        return out
 
     def _pullback(self, circles, dx):
-        """A covector dx, three (x, y) pairs on the body positions,
-        pulled back: ((a1, a2), d_xi, d_r) with d_theta = (a1, a2, a1,
-        a2)."""
+        """A covector dx on the body positions, flat, pulled back:
+        ((a1, a2), d_xi, d_r) with d_theta = (a1, a2, a1, a2)."""
         c1, s1, rad1, c2, s2, rad2 = circles
-        (u0, v0), (u1, v1), (u2, v2) = dx
+        u0, v0, u1, v1, u2, v2 = dx
         d_xi, (g1x, g1y), (g2x, g2y) = [
             (b0 * u0 + b1 * u1 + b2 * u2, b0 * v0 + b1 * v1 + b2 * v2)
             for b0, b1, b2 in self._B]
@@ -479,7 +488,8 @@ class CircularChart:
     def positions(self, theta, xi, r):
         """Cartesian body positions x_i = xi + (a_i X1 + b_i X2) / M."""
         return np.array(self._positions(
-            self._circles(_floats(theta), _floats(r)), _floats(xi)))
+            self._circles(_floats(theta), _floats(r)),
+            _floats(xi))).reshape(3, 2)
 
     def momenta(self, theta, r, eta):
         """Covector momenta of the two circles plus the drift eta."""
@@ -542,11 +552,11 @@ class HExtension:
         circles = self.chart._circles(theta, r)
         m = self.masses
         force = _pair_gravity(
-            self.chart._positions(circles, (x * w, y * w)) + [(cx, cy)],
+            self.chart._positions(circles, (x * w, y * w)) + [cx, cy],
             (m.m0, m.m1, m.m2, m.mc), 0.0, _COMET_PAIRS)[0]
         # grad_Hc: minus the comet's pull on each body
         d_theta, (gx, gy), d_r = self.chart._pullback(
-            circles, [(-fx, -fy) for fx, fy in force[:3]])
+            circles, [-f for f in force[:6]])
         # d (xi w(|xi|)) / d xi = w I + (w'(|xi|) / |xi|) xi xi^T
         s = dw * (gx * x + gy * y)
         return d_theta, (w * gx + s * x, w * gy + s * y), d_r
@@ -572,9 +582,9 @@ def extend_Hc(params, comet, masses, chart=None):
 # --------------------------------------------------------------------
 
 def _cartesian_rhs(masses, comet):
-    """d/dt of the flat state [x (3, 2), y (3, 2)]: [y / m, force], by
-    _pair_gravity of the three bodies, with the comet c(t) as a fourth
-    attracting point when it has mass.
+    """d/dt of the flat state [x (3, 2), y (3, 2)]: [y / m, force] as a
+    float list, by _pair_gravity on the flat x of the three bodies, with
+    the comet c(t) as a fourth attracting point when it has mass.
 
     rhs.min_distance(t, y) is the smallest pair distance at (t, y).  On
     the y and t of the last rhs call it reuses that call's force pass:
@@ -594,15 +604,13 @@ def _cartesian_rhs(masses, comet):
     def rhs(t, yflat):
         nonlocal last_t, last_y, last_dmin
         v = yflat.tolist()
-        x = [v[0:2], v[2:4], v[4:6]]
+        x = v[:6]
         if comet is not None:
-            x.append(comet.position(t).tolist())
+            x += comet.position(t).tolist()
         force, _, last_dmin = _pair_gravity(x, m, 0.0, pairs)
         last_t, last_y = t, yflat
-        (f0x, f0y), (f1x, f1y), (f2x, f2y) = force[:3]
-        return np.array([v[6] / m0, v[7] / m0, v[8] / m1, v[9] / m1,
-                         v[10] / m2, v[11] / m2,
-                         f0x, f0y, f1x, f1y, f2x, f2y])
+        return [v[6] / m0, v[7] / m0, v[8] / m1, v[9] / m1,
+                v[10] / m2, v[11] / m2] + force[:6]
 
     def min_distance(t, y):
         if not (y is last_y and t == last_t):
@@ -686,8 +694,8 @@ class SurrogateSystem:
             yflat.tolist()
         (a1, a2), (gx, gy), (dr1, dr2) = self.hex._gradient(
             (theta1, theta2, phase1, phase2), (x, y), (r1, r2), t)
-        return np.array([self.chart.n1 + dr1, self.chart.n2 + dr2, 0.0, 0.0,
-                         eta_x / self.M, eta_y / self.M, -a1, -a2, -gx, -gy])
+        return [self.chart.n1 + dr1, self.chart.n2 + dr2, 0.0, 0.0,
+                eta_x / self.M, eta_y / self.M, -a1, -a2, -gx, -gy]
 
     def integrate(self, state0, t0, t1, tol=1e-9, n_samples=120):
         if not t1 > t0:

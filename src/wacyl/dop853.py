@@ -22,9 +22,13 @@ IEEE operation on the same operands, with less numpy call overhead.
 - The error norm takes `math.sqrt(x.dot(x))`, which is what
   `np.linalg.norm` computes for a real vector, and builds the scale
   `atol + max(|y|, |y_new|) rtol` in place.
+- fun's result is written straight into its stage row, `K[s] = fun(...)`,
+  the float64 values `np.asarray(..., dtype=float)` would give; only
+  the first f and the initial-step probe are wrapped as arrays.
 - The Horner loop of the dense output computes x and 1 - x once and
   starts from zeros, as scipy's does, so a -0.0 in the interpolant's
-  coefficients comes out as +0.0 there too.
+  coefficients comes out as +0.0 there too.  On one t_eval point it
+  runs on the float: the same operations without a (1, n) block.
 
 The tableau is copied from scipy/integrate/_ivp/dop853_coefficients.py,
 which is distributed under this licence:
@@ -313,7 +317,7 @@ def _initial_step(fun, t0, y0, t_bound, f0, direction, rtol, atol):
         h0 = 0.01 * d0 / d1
     h0 = min(h0, interval_length)
     y1 = y0 + h0 * direction * f0
-    f1 = fun(t0 + h0 * direction, y1)
+    f1 = np.asarray(fun(t0 + h0 * direction, y1), dtype=float)
     d2 = _rms((f1 - f0) / scale) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
@@ -332,14 +336,15 @@ def _stage_state(KT, s, h, y):
 
 def _rk_step(fun, t, y, f, h, K, KT):
     """One 12-stage step from (t, y) with f = fun(t, y); fills K[:13]
-    with the stages and f(t + h, y_new).  KT[s] is the view K[:s].T."""
+    with the stages and f(t + h, y_new), each written straight into its
+    row.  KT[s] is the view K[:s].T.  f_new is a copy: a rejected step
+    overwrites K, and an accepted one starts the next step from f_new."""
     K[0] = f
     for s in range(1, N_STAGES):
         K[s] = fun(t + C_NODES[s] * h, _stage_state(KT, s, h, y))
     y_new = _stage_state(KT, N_STAGES, h, y)
-    f_new = fun(t + h, y_new)
-    K[N_STAGES] = f_new
-    return y_new, f_new
+    K[N_STAGES] = fun(t + h, y_new)
+    return y_new, K[N_STAGES].copy()
 
 
 def _error_norm(KT, h, scale):
@@ -415,10 +420,12 @@ def _bisect(g, a, b):
 def solve_ivp(fun, t_span, y0, rtol, atol, t_eval=None, events=None):
     """Solve y' = fun(t, y), y(t_span[0]) = y0 on t_span by DOP853.
 
-    The local error is kept below atol + rtol |y|.  The result holds the
-    solution at t_eval (increasing, inside a forward t_span), or at
-    every step without it.  events(t, y) is one terminal event: the
-    integration stops where it changes sign.
+    fun may return any sequence of len(y0) floats (a list, an array):
+    each value is written straight into its stage row.  The local error
+    is kept below atol + rtol |y|.  The result holds the solution at
+    t_eval (increasing, inside a forward t_span; anything else is
+    refused), or at every step without it.  events(t, y) is one terminal
+    event: the integration stops where it changes sign.
     """
     t0, tf = map(float, t_span)
     if t0 == tf:
@@ -440,9 +447,16 @@ def solve_ivp(fun, t_span, y0, rtol, atol, t_eval=None, events=None):
         if direction < 0:
             raise ValueError(f"t_eval needs t1 > t0 (got t0 = {t0}, "
                              f"t1 = {tf})")
-        # i is the first point not yet output
         t_eval = np.asarray(t_eval)
         t_eval_list = t_eval.tolist()
+        for k, s in enumerate(t_eval_list):
+            if not t0 <= s <= tf:
+                raise ValueError(f"t_eval[{k}] = {s} lies outside t_span "
+                                 f"[{t0}, {tf}]")
+            if k and s <= t_eval_list[k - 1]:
+                raise ValueError(f"t_eval is not increasing: t_eval[{k}] "
+                                 f"= {s} follows {t_eval_list[k - 1]}")
+        # i is the first point not yet output
         i = 0
 
     nfev = 0
@@ -450,10 +464,10 @@ def solve_ivp(fun, t_span, y0, rtol, atol, t_eval=None, events=None):
     def rhs(t, y):
         nonlocal nfev
         nfev += 1
-        return np.asarray(fun(t, y), dtype=float)
+        return fun(t, y)
 
     t, y = t0, y0
-    f = rhs(t, y)
+    f = np.asarray(rhs(t, y), dtype=float)
     h_abs = _initial_step(rhs, t, y, tf, f, direction, rtol, atol)
     K = np.empty((N_STAGES_EXTENDED, len(y)))
     KT = [K[:s].T for s in range(N_STAGES_EXTENDED)]
@@ -519,9 +533,11 @@ def solve_ivp(fun, t_span, y0, rtol, atol, t_eval=None, events=None):
         if i_new > i:
             if sol is None:
                 sol = _dense_output(rhs, K, KT, t_old, t, y_old, y, f, h)
-            t_step = t_eval[i:i_new]
-            ts.append(t_step)
-            ys.append(sol(t_step))
+            ts.append(t_eval[i:i_new])
+            # one point by the float path of sol: the same bits, without
+            # broadcasting a (1, n) block
+            ys.append(sol(t_eval_list[i])[:, None] if i_new == i + 1
+                      else sol(t_eval[i:i_new]))
             i = i_new
 
     if t_eval is None:

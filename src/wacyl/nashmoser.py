@@ -190,7 +190,9 @@ def iterate(H, p, max_steps=12, target=1e-6, quad_tol=1e-10,
     recorded; stopping and divergence detection use the latter.
     Stops when |F|_{0,2} < target * max(1, initial residual), after at
     least min_steps updates, or flags divergence after two consecutive
-    residual increases.
+    residual increases.  On divergence it returns the iterate of smallest
+    true residual, and the manifest's best_step names its step;
+    otherwise the last iterate.
     """
     rep = _checked(p)
     zeta = p.zeta if zeta is None else zeta
@@ -212,6 +214,7 @@ def iterate(H, p, max_steps=12, target=1e-6, quad_tol=1e-10,
     scale = max(1.0, r_true)
     state.residual_norms.append(_z_norm(Fj))
     state.true_residuals.append(r_true)
+    best_psi = psi                      # the iterate of least r_true
     increases = 0
     for j in range(max_steps):
         tau = p.tau_j(j + 1)
@@ -225,6 +228,8 @@ def iterate(H, p, max_steps=12, target=1e-6, quad_tol=1e-10,
         state.j = j + 1
         r_paired = _z_norm(eval_F(Hs, psi))
         r_true = _z_norm(eval_F(H, psi))
+        if r_true < min(state.true_residuals):
+            best_psi = psi
         state.residual_norms.append(r_paired)
         state.true_residuals.append(r_true)
         # the smoothed correction's spectrum is zero for |k| >= t_j, so its
@@ -251,18 +256,22 @@ def iterate(H, p, max_steps=12, target=1e-6, quad_tol=1e-10,
     if state.status == "max_steps" and \
             state.true_residuals[-1] < target * scale:
         state.status = "converged"
-    gamma = gamma_from_v(H, psi, zeta=zeta)
-    sol = CylinderSolution(
-        v=psi, gamma=gamma, residual_norm=state.true_residuals[-1],
-        manifest={
-            "params": rep["params"],
-            "Q": p.Q, "upsilon": p.upsilon, "epsilon0": p.epsilon0,
-            "zeta": zeta, "target": target, "quad_tol": quad_tol,
-            "status": state.status, "steps": state.j,
-            "paired_residuals": state.residual_norms,
-            "true_residuals": state.true_residuals,
-            "hamiltonian": H.manifest(),
-        })
+    manifest = {
+        "params": rep["params"],
+        "Q": p.Q, "upsilon": p.upsilon, "epsilon0": p.epsilon0,
+        "zeta": zeta, "target": target, "quad_tol": quad_tol,
+        "status": state.status, "steps": state.j,
+        "paired_residuals": state.residual_norms,
+        "true_residuals": state.true_residuals,
+        "hamiltonian": H.manifest(),
+    }
+    residual = state.true_residuals[-1]
+    if state.status == "divergence":
+        residual = min(state.true_residuals)
+        manifest["best_step"] = state.true_residuals.index(residual)
+        psi = best_psi
+    sol = CylinderSolution(v=psi, gamma=gamma_from_v(H, psi, zeta=zeta),
+                           residual_norm=residual, manifest=manifest)
     return sol, state
 
 

@@ -421,7 +421,7 @@ def test_extension_gradient_at_the_origin(hex_field):
     dx = grad_Hc(chart.positions(th, np.zeros(2), r), hex_field.comet,
                  MASSES, t)
     (a1, a2), d_xi, d_r = chart._pullback(
-        chart._circles(th.tolist(), r.tolist()), dx.tolist())
+        chart._circles(th.tolist(), r.tolist()), dx.ravel().tolist())
     want = np.array([a1, a2, a1, a2]), np.array(d_xi), np.array(d_r)
     for g, w in zip(got, want):
         assert np.all(np.isfinite(g))
@@ -505,7 +505,7 @@ def test_collision_is_refused(i, j):
     y = np.ones((3, 2))
     m = MASSES.as_array()
     with pytest.raises(ZeroDivisionError, match="collision"):
-        _pair_gravity(x, m)
+        _pair_gravity(x.ravel().tolist(), m)
     with pytest.raises(ZeroDivisionError, match="collision"):
         _cartesian_rhs(MASSES, None)(1.0, np.concatenate([x.ravel(),
                                                           y.ravel()]))

@@ -159,6 +159,64 @@ def test_several_t_eval_points_in_one_step_match_scipy():
     assert np.diff(np.searchsorted(t_eval, steps, side="right")).max() >= 2
 
 
+def kepler_list(t, s):
+    x, y, vx, vy = s.tolist()
+    r3 = (x * x + y * y) ** 1.5
+    return [vx, vy, -x / r3, -y / r3]
+
+
+def kepler_array(t, s):
+    return np.array(kepler_list(t, s))
+
+
+def test_a_list_and_an_array_rhs_fill_the_same_stage_rows():
+    # an eccentric Kepler orbit from apocentre: the steps near pericentre
+    # are rejected and retried from f, and the terminal event stops the
+    # run just after it.  A list and an array right-hand side give
+    # scipy's bits; an f_new that aliased a row of K would start those
+    # retries from the overwritten row
+    e = 0.9
+    y0 = [1 + e, 0.0, 0.0, ((1 - e) / (1 + e)) ** 0.5]
+    t_eval = np.linspace(0.0, 10.0, 50)
+
+    def past_pericentre(t, s):
+        return s[1] + 0.01
+
+    args = ((0.0, 10.0), y0, 1e-9, 1e-12)
+    ref = scipy_reference(kepler_array, *args, t_eval=t_eval,
+                          events=past_pericentre)
+    assert ref.message == "A termination event occurred."
+    for fun in (kepler_list, kepler_array):
+        ours = solve_ivp(fun, *args, t_eval=t_eval, events=past_pericentre)
+        assert ours.message == ref.message
+        assert ours.nfev == ref.nfev
+        assert_bitwise(ours.t, ref.t)
+        assert_bitwise(ours.y, ref.y)
+        # bisection and scipy's brentq bracket the same sign change
+        assert abs(ours.t_events[0][0] - ref.t_events[0][0]) <= 1e-12
+    # without t_eval and events, nfev = 2 + 12 (steps tried)
+    free = solve_ivp(kepler_list, (0.0, ours.t_events[0][0]), y0,
+                     rtol=1e-9, atol=1e-12)
+    assert (free.nfev - 2) // 12 > len(free.t) - 1
+
+
+@pytest.mark.parametrize("t_eval, bad", [
+    ([-0.5, 0.5, 2.0], r"t_eval\[0\] = -0\.5 lies outside"),
+    ([0.0, 0.5, 2.0], r"t_eval\[2\] = 2\.0 lies outside"),
+    ([0.2, 0.7, 0.5], r"t_eval\[2\] = 0\.5 follows 0\.7"),
+    ([0.2, 0.2], r"t_eval\[1\] = 0\.2 follows 0\.2"),
+], ids=["below", "above", "unsorted", "repeated"])
+def test_t_eval_outside_the_span_or_out_of_order_is_refused(t_eval, bad):
+    # scipy refuses these too; an extrapolated value or a dropped point
+    # would otherwise come back with success=True
+    with pytest.raises(ValueError, match=bad):
+        solve_ivp(lambda t, y: -y, (0.0, 1.0), [1.0], rtol=1e-9,
+                  atol=1e-12, t_eval=t_eval)
+    with pytest.raises(ValueError):
+        scipy_reference(lambda t, y: -y, (0.0, 1.0), [1.0], 1e-9, 1e-12,
+                        t_eval=t_eval)
+
+
 def test_t_eval_on_a_backward_span_is_refused():
     with pytest.raises(ValueError, match=r"t0 = 2\.0, t1 = 1\.0"):
         solve_ivp(lambda t, y: -y, (2.0, 1.0), [1.0], rtol=1e-9, atol=1e-12,

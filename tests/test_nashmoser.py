@@ -6,7 +6,7 @@ import pytest
 
 from wacyl import constants, nashmoser
 from wacyl.flow import NormBudgetError
-from wacyl.functional import DomainError, x_norm
+from wacyl.functional import DomainError, eval_F, x_norm
 from wacyl.grids import GridFn
 from wacyl.nashmoser import (ZehnderParams, choose_schedule,
                              comet_decay_synthetic, iterate,
@@ -199,6 +199,22 @@ def test_divergence_reported_on_envelope_violation():
     first_fail = next(r["d"] for r in mon["rows"]
                       if r["residual"] > r["residual_envelope"])
     assert first_fail >= 1
+
+
+def test_divergence_returns_the_best_iterate():
+    # at Q = 1.6 the coupled 2-torus solve falls to about 1.2e-6 at step
+    # 4, then grows past the solver floor for two steps: the returned v is
+    # the step-4 iterate, not the last one
+    H = comet_decay_synthetic()
+    p = params_from_order(8.0, Q=1.6)
+    sol, st = iterate(H, p, max_steps=10, target=1e-12, min_steps=3,
+                      zeta=0.1, quad_tol=1e-9)
+    assert st.status == "divergence"
+    best = min(st.true_residuals)
+    step = sol.manifest["best_step"]
+    assert 0 < step < st.j and st.true_residuals[step] == best
+    assert sol.residual_norm == best < st.true_residuals[-1]
+    assert weighted_norm(eval_F(H, sol.v), 0, 2).value == best
 
 
 def test_mu_budget_abort():
