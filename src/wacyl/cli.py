@@ -31,9 +31,9 @@ from .flow import NumericalError
 from .grids import GridFn, SpatialGrid, TimeGrid
 from .homological import HomologicalProblem, estimate_check, residual_he, \
     solve_he
-from .nashmoser import (choose_schedule, iterate, manufactured_power,
-                        manufactured_single, monitor, params_from_order,
-                        preset_params, validate_params)
+from .nashmoser import (PARAM_PRESETS, choose_schedule, iterate,
+                        manufactured_power, manufactured_single, monitor,
+                        params_from_order, preset_params, validate_params)
 from .norms import norm_algebra_check, weighted_norm
 from .smoothing import verify_smoothing_bounds
 
@@ -82,10 +82,10 @@ def cfg_get(cfg, key, default, cast=float):
                          f"{cast.__name__}") from None
 
 
-def cfg_in(cfg, key, default, ok, domain):
-    """cfg_get for a float, refused unless ok(value): the ValueError
-    names the key, the value and the domain."""
-    value = cfg_get(cfg, key, default)
+def cfg_in(cfg, key, default, ok, domain, cast=float):
+    """cfg_get, refused unless ok(value): the ValueError names the key,
+    the value and the domain."""
+    value = cfg_get(cfg, key, default, cast)
     if not ok(value):
         raise ValueError(f"{key} = {value} must be {domain}")
     return value
@@ -103,6 +103,23 @@ def cfg_t_max(cfg, key, default):
     """cfg_in for the horizon of a time grid on [1, t_max]."""
     return cfg_in(cfg, key, default, lambda v: 1 < v < math.inf,
                   "finite and > 1 (the time grid starts at t = 1)")
+
+
+def cfg_grid(cfg, section):
+    """The torus points and time points of a section's grids, refused
+    unless SpatialGrid and TimeGrid take them."""
+    torus_points = cfg_in(cfg, f"{section}.torus_points", 128,
+                          lambda n: n >= 1 and not n & (n - 1),
+                          "a power of two", int)
+    n_times = cfg_in(cfg, f"{section}.n_times", 64, lambda n: n >= 2,
+                     "at least 2", int)
+    return torus_points, n_times
+
+
+def cfg_seed(cfg, key):
+    """A seed of numpy.random.default_rng: a non-negative integer."""
+    return cfg_in(cfg, key, 0, lambda n: n >= 0, "a non-negative integer",
+                  int)
 
 
 def _write_manifest(outdir, name, payload):
@@ -150,9 +167,11 @@ def cmd_solve(args):
     outdir = args.out
     preset = cfg_get(cfg, "solve.preset", args.preset, str)
     eps = cfg_in(cfg, "solve.eps", 1e-3, math.isfinite, "finite")
-    torus_points = cfg_get(cfg, "solve.torus_points", 128, int)
-    n_times = cfg_get(cfg, "solve.n_times", 64, int)
+    torus_points, n_times = cfg_grid(cfg, "solve")
     t_max = cfg_t_max(cfg, "solve.t_max", 20.0)
+    # params_from_order's minimal order s >= 8 gamma, with gamma = 1
+    s = cfg_in(cfg, "solve.s", 8.0, lambda x: 8 <= x < math.inf,
+               "finite and >= 8")
     target = cfg_tol(cfg, "solve.target", 1e-6)
     quad_tol = cfg_tol(cfg, "solve.quad_tol", 1e-10)
     max_steps = cfg_get(cfg, "solve.max_steps", 12, int)
@@ -169,7 +188,7 @@ def cmd_solve(args):
         print(f"unknown solve preset {preset!r}; valid: manufactured, "
               "manufactured-power", file=sys.stderr)
         return EXIT_CONFIG_ERROR
-    p = params_from_order(cfg_get(cfg, "solve.s", 8.0))
+    p = params_from_order(s)
     # explicitly set scheme values override the scanned ones
     explicit = {name: cfg_get(cfg, key, None) for key, name in (
         ("solve.q", "Q"), ("solve.upsilon", "upsilon"),
@@ -219,8 +238,7 @@ def cmd_solve(args):
 def cmd_homological(args):
     cfg = load_config(args.config, args.set or [])
     outdir = args.out
-    n_times = cfg_get(cfg, "he.n_times", 64, int)
-    torus_points = cfg_get(cfg, "he.torus_points", 128, int)
+    torus_points, n_times = cfg_grid(cfg, "he")
     t_max = cfg_t_max(cfg, "he.t_max", 20.0)
     quad_tol = cfg_tol(cfg, "he.quad_tol", 1e-9)
     tg = TimeGrid(t_max, n_points=n_times)
@@ -253,11 +271,13 @@ def cmd_simulate_comet(args):
     outdir = args.out
     eps = cfg_get(cfg, "comet.eps", 0.1)
     mc = cfg_get(cfg, "comet.mc", args.mc)
-    e = cfg_get(cfg, "comet.e", 1.5)
-    v = cfg_get(cfg, "comet.v", 250.0)
+    e = cfg_in(cfg, "comet.e", 1.5, lambda x: 1 < x < math.inf,
+               "finite and > 1 (a hyperbolic orbit)")
+    v = cfg_in(cfg, "comet.v", 250.0, lambda x: 0 < x < math.inf,
+               "finite and > 0")
     t_max = cfg_get(cfg, "comet.t_max", 100.0)
     tol = cfg_tol(cfg, "comet.tol", 1e-11)
-    seed = cfg_get(cfg, "comet.seed", 0, int)
+    seed = cfg_seed(cfg, "comet.seed")
     a1 = cfg_in(cfg, "comet.a1", 0.05, lambda x: 0 < x < math.inf,
                 "finite and > 0")
     a2 = cfg_in(cfg, "comet.a2", 1.0, lambda x: 0 < x < math.inf,
@@ -266,8 +286,6 @@ def cmd_simulate_comet(args):
                     cfg_in(cfg, "comet.xi0y", -0.2, math.isfinite, "finite")])
     c_bar = cfg_in(cfg, "comet.cbar", 1.0, lambda x: 0 <= x < math.inf,
                    "finite and >= 0")
-    if not v > 0:
-        raise ValueError(f"comet.v must be positive (got {v})")
     if not 0 < t_max < np.inf:
         raise ValueError(f"comet.t_max must be finite and positive (got "
                          f"{t_max}: the run ends at t1 = 1 + t_max)")
@@ -355,7 +373,7 @@ def cmd_simulate_comet(args):
 def cmd_verify_norms(args):
     cfg = load_config(args.config, args.set or [])
     outdir = args.out
-    seed = cfg_get(cfg, "norms.seed", 0, int)
+    seed = cfg_seed(cfg, "norms.seed")
     rng = default_rng(seed)
     tg = TimeGrid(10.0, n_points=24)
     sg = SpatialGrid(1, 128)
@@ -410,7 +428,9 @@ def cmd_verify_norms(args):
 def cmd_diagnose(args):
     cfg = load_config(args.config, args.set or [])
     outdir = args.out
-    p = preset_params(cfg_get(cfg, "diag.preset", "minimal", str))
+    p = preset_params(cfg_in(cfg, "diag.preset", "minimal",
+                             lambda name: name in PARAM_PRESETS,
+                             "one of " + ", ".join(PARAM_PRESETS), str))
     rep = validate_params(p)
     checks = [{"name": f"scheme inequality: {k}", "pass": v,
                "tolerance": "strict"}

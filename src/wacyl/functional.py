@@ -14,6 +14,7 @@ Gamma = b + mbar v.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -21,7 +22,8 @@ from . import constants
 from .flow import NormBudgetError, NumericalError, VectorFieldSpec, \
     _solve, integrate_flow
 from .grids import GridFn
-from .homological import HomologicalProblem, solve_he, transport_operator
+from .homological import HomologicalProblem, _contract, solve_he, \
+    transport_operator
 from .norms import weighted_norm
 
 __all__ = ["QuadraticForm", "HamiltonianSpec", "GammaField",
@@ -55,6 +57,7 @@ class QuadraticForm:
         self.d = d
         self.M0 = M0
         self.C = C
+        self._mbar = None
         if C is not None:
             vals = C.values.reshape(C.values.shape[:-1] + (d, d, d))
             sym = np.zeros_like(vals)
@@ -86,8 +89,34 @@ class QuadraticForm:
         out = 2.0 * self._m0()
         c = self._c()
         if c is not None:
-            out = out + 6.0 * np.einsum("...ijk,...k->...ij", c, v_values)
+            out = out + 6.0 * _contract(
+                (c[..., k], v_values[..., k, None, None])
+                for k in range(self.d))
         return out
+
+    def mbar(self, v_values):
+        """mbar(q, v, t) = int_0^1 d^2_p H(q, tau v, t) dtau by 4-point
+        Gauss-Legendre quadrature, as (..., d, d) values.  Without C it is
+        sum_k w_k 2 M0 for every v, so it is built once, by the same
+        loop, and kept read-only."""
+        if self._mbar is not None:
+            return self._mbar
+        acc = 0.0
+        for x, w in zip(MBAR_NODES, MBAR_WEIGHTS):
+            acc = acc + w * self.d2H_at(x * v_values)
+        if self.C is None:
+            acc.flags.writeable = False
+            self._mbar = acc
+        return acc
+
+    @cached_property
+    def dq_m0(self):
+        """d_q M0 as (..., i, j, a) values, d_{q_a} M0_ij; None when M0
+        does not depend on q."""
+        jac = self.M0.jacobian_q()
+        if not jac.any():
+            return None
+        return jac.reshape(jac.shape[:-2] + (self.d,) * 3)
 
 
 @dataclass
@@ -120,6 +149,12 @@ class HamiltonianSpec:
         if len(self.omega) != a.grid.n:
             raise ValueError("omega length must equal torus dimension")
         self.b = b0 + br
+
+    @cached_property
+    def db(self):
+        """d_q b as (..., j, a) values, d_{q_a} b_j; None when b is
+        identically zero."""
+        return self.b.jacobian_q() if self.b.values.any() else None
 
     def validate(self, strict=True):
         """Budget checks of the normal form; returns the measured norms."""
@@ -214,41 +249,47 @@ MBAR_WEIGHTS = (0.17392742256872679, 0.3260725774312732,
 
 
 def mbar_from_spec(H, v=None):
-    """mbar(q, v(q,t), t) = int_0^1 d^2_p H(q, tau v, t) dtau by 4-point
-    Gauss-Legendre quadrature, returned as a GridFn with d*d components."""
+    """mbar(q, v(q,t), t) (QuadraticForm.mbar) as a GridFn with d*d
+    components; v = None is the zero section."""
     shape = (len(H.times),) + H.grid.shape + (H.d,)
     vv = np.zeros(shape) if v is None else v.values
-    acc = 0.0
-    for x, w in zip(MBAR_NODES, MBAR_WEIGHTS):
-        acc = acc + w * H.m_form.d2H_at(x * vv)
-    return GridFn(H.grid, H.times,
-                  acc.reshape(shape[:-1] + (H.d * H.d,)))
+    return GridFn(H.grid, H.times, H.m_form.mbar(vv).reshape(
+        shape[:-1] + (H.d * H.d,)))
 
+
+# The sums below run over the component axes, each term one broadcast
+# product of component slices (homological._contract); the comments
+# give them in index notation, summed over repeated indices.
 
 def _mbar_gamma(H, v):
     """mbar(., v, .) as (..., d, d) values and Gamma = b + mbar v."""
-    mbar = mbar_from_spec(H, v).values.reshape(
-        v.values.shape[:-1] + (H.d, H.d))
-    return mbar, H.b.values + np.einsum("...ij,...j->...i", mbar, v.values)
+    vv = v.values
+    mbar = H.m_form.mbar(vv)
+    # (mbar v)_i = mbar_ij v_j
+    return mbar, H.b.values + _contract((mbar[..., j], vv[..., j, None])
+                                        for j in range(H.d))
 
 
 def _coefficients(H, v):
     """What eval_F and linearize share at v: mbar, Gamma = b + mbar v,
-    d_q v, d_q b, d_q C (None without a C term) and
-    d_q m(., v, .) = d_q M0 + (d_q C) v."""
+    d_q v, d_q b (None when b vanishes), d_q C (None without a C term)
+    and d_q m(., v, .) = d_q M0 + (d_q C) v (None when it vanishes: no C
+    and M0 constant in q).  A term whose coefficient is None adds +0.0
+    to a sum that is never -0.0, so skipping it changes no byte."""
     _check_ball(H, v)
-    d = H.d
     vv = v.values
-    lead = vv.shape[:-1]
     mbar, gamma = _mbar_gamma(H, v)
     jac_v = v.jacobian_q()                       # (..., i, a)
-    db = H.b.jacobian_q()                        # (..., j, a) = d_{q_a} b_j
-    mg = H.m_form.M0.jacobian_q().reshape(lead + (d, d, d))
+    mg = H.m_form.dq_m0                          # (..., i, j, a)
     cg = None
     if H.m_form.C is not None:
-        cg = H.m_form.C.jacobian_q().reshape(lead + (d, d, d, d))
-        mg = mg + np.einsum("...ijka,...k->...ija", cg, vv)
-    return mbar, gamma, jac_v, db, cg, mg
+        lead = vv.shape[:-1]
+        cg = H.m_form.C.jacobian_q().reshape(lead + (H.d,) * 4)
+        # (d_q C) v: d_{q_a} C_ijk v_k
+        cgv = _contract((cg[..., k, :], vv[..., k, None, None, None])
+                        for k in range(H.d))
+        mg = cgv if mg is None else mg + cgv
+    return mbar, gamma, jac_v, H.db, cg, mg
 
 
 def eval_F(H, v):
@@ -256,13 +297,18 @@ def eval_F(H, v):
     |.|_{0,2} norm."""
     _, gamma, jac_v, db, _, mg = _coefficients(H, v)
     vv = v.values
-    transport = grad_omega(v, H.omega).values
-    adv = np.einsum("...ia,...a->...i", jac_v, gamma)
-    grad_a = H.a.jacobian_q()[..., 0, :]           # (..., d)
-    b_term = np.einsum("...ja,...j->...a", db, vv)
-    out = transport + adv + grad_a + b_term
-    m_term = np.einsum("...ija,...i,...j->...a", mg, vv, vv)
-    out = out + m_term
+    dims = range(H.d)
+    # (grad v) Omega_bar + (d_q v)_ia Gamma_a + d_q a
+    out = grad_omega(v, H.omega).values \
+        + _contract((jac_v[..., a], gamma[..., a, None]) for a in dims) \
+        + H.a.jacobian_q()[..., 0, :]
+    if db is not None:
+        # (d_q b)_ja v_j
+        out += _contract((db[..., j, :], vv[..., j, None]) for j in dims)
+    if mg is not None:
+        # (d_q m)_ija v_i v_j
+        out += _contract((mg[..., i, j, :], vv[..., i, None],
+                          vv[..., j, None]) for i in dims for j in dims)
     return GridFn(H.grid, H.times, out)
 
 
@@ -271,17 +317,27 @@ def linearize(H, v):
     mbar, gamma, jac_v, db, cg, mg = _coefficients(H, v)
     d = H.d
     vv = v.values
+    dims = range(d)
     f = GridFn(H.grid, H.times, gamma)
-    g = np.swapaxes(db, -1, -2).copy()            # g_{aj} = d_{q_a} b_j
-    g = g + np.einsum("...ia,...ak->...ik", jac_v, mbar)
+    # (d_q v)_ia mbar_ak
+    g = _contract((jac_v[..., :, a, None], mbar[..., None, a, :])
+                  for a in dims)
+    if db is not None:
+        g = np.swapaxes(db, -1, -2) + g           # g_{aj} = d_{q_a} b_j
     if cg is not None:
         C = H.m_form._c()
-        # d_q v (d_p mbar) v:  3 sum_{a j} (d_q v)_{ia} C_{ajk} v_j
-        g = g + 3.0 * np.einsum("...ia,...ajk,...j->...ik", jac_v, C, vv)
-        # v^T (d^2_{pq} m) v: sum_{ij} d_{q_a} C_{ijk} v_i v_j
-        g = g + np.einsum("...ijka,...i,...j->...ak", cg, vv, vv)
-    # 2 (d_q m) v: 2 sum_i d_{q_a} m_{ij}(.,v,.) v_i
-    g = g + 2.0 * np.einsum("...ija,...i->...aj", mg, vv)
+        # d_q v (d_p mbar) v:  3 (d_q v)_ia C_ajk v_j
+        g += 3.0 * _contract((jac_v[..., :, a, None], C[..., None, a, j, :],
+                              vv[..., j, None, None])
+                             for a in dims for j in dims)
+        # v^T (d^2_{pq} m) v:  d_{q_a} C_ijk v_i v_j
+        g += _contract((np.swapaxes(cg[..., i, j, :, :], -1, -2),
+                        vv[..., i, None, None], vv[..., j, None, None])
+                       for i in dims for j in dims)
+    if mg is not None:
+        # 2 (d_q m) v:  2 d_{q_a} m_ij(., v, .) v_i
+        g += 2.0 * _contract((np.swapaxes(mg[..., i, :, :], -1, -2),
+                              vv[..., i, None, None]) for i in dims)
     gf = GridFn(H.grid, H.times, g.reshape(vv.shape[:-1] + (d * d,)))
     return f, gf
 

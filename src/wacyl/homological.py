@@ -8,6 +8,11 @@ perturbation series in (f, g); the tests check it against a solve along
 the characteristics (`tests/oracles.py`).  `transport_operator` is the
 left-hand side itself.
 
+The quadrature runs on a refinement of the time grid, reached by one
+interpolation matrix W on the time axis.  W commutes with the torus
+FFT, so it maps the mode amplitudes of z and the physical samples of
+(f, g), which the series multiplies pointwise, without a round trip.
+
 Improper integrals are truncated at the grid horizon with a two-term
 power-law tail model (integrated analytically to infinity) and an
 explicit tail bound from the integrand majorant.
@@ -84,6 +89,34 @@ class HomologicalSolution:
     residual_norm: float = None
     corrections: int = 0
     diagnostics: dict = field(default_factory=dict)
+
+
+# --------------------------------------------------------------------
+# contractions over short axes
+# --------------------------------------------------------------------
+
+def _contract(products):
+    """Sum of products of broadcast array slices, an np.einsum
+    contraction spelled out: each item is a tuple of factors, multiplied
+    left to right, and the products are added in order onto +0.0, so an
+    exact zero sum is +0.0, never -0.0.
+
+    np.einsum does the same arithmetic where it adds the terms of each
+    output element one by one: in the component contractions of length
+    d <= 2 and in the moment sum of the Filon weights.  So the bytes are
+    its, at a few whole-array operations per term instead of its loop
+    over short rows.
+    """
+    acc = None
+    for factors in products:
+        term = factors[0]
+        for factor in factors[1:]:
+            term = term * factor
+        if acc is None:
+            acc = term + 0.0
+        else:
+            acc += term
+    return acc
 
 
 # --------------------------------------------------------------------
@@ -260,7 +293,8 @@ def _transport_plan(times, theta):
         lagrange = np.linalg.inv(offs[..., None] ** np.arange(npts))
         theta_tau = np.multiply.outer(tau[:-1], theta)       # (P-1, M)
         mom = _osc_moments(gamma - 1.0, theta_tau, FILON_DEGREE)
-        weights = np.einsum("pmk,mpj->pkj", lagrange, mom) \
+        weights = _contract((lagrange[:, m, :, None], mom[m][:, None])
+                            for m in range(npts)) \
             * (tau[:-1, None] * np.exp(1j * theta_tau))[:, None]
         # least-squares projector onto the two tail powers, times their
         # integrals int_T^inf s^-p e^(i theta s) ds = E_p(-i theta T) T^(1-p)
@@ -309,31 +343,41 @@ def _spectral_solve(p, quad_tol):
         c = modes(values)
         return (W @ c.reshape(len(c), -1)).reshape((P,) + c.shape[1:])
 
+    def quad_samples(values):   # real (T, *shape, C) -> (P, *shape, C)
+        return (W @ values.reshape(len(values), -1)).reshape(
+            (P,) + values.shape[1:])
+
     kap = _free_transport_coeffs(plan, to_quad(p.z.values))
     base_scale = np.abs(kap).max()
     n_corr = 0
     hist = []
     if p.f is not None or p.g is not None:
-        # physical (f, g) on the quad grid; fixed through the corrections
+        # physical (f, g) on the quad grid, fixed through the corrections;
+        # W acts on the time axis only, so it commutes with the torus
+        # FFT and interpolates the samples directly
         if p.f is not None:
-            f_phys = samples(to_quad(p.f.values))
+            f_phys = quad_samples(p.f.values)
         if p.g is not None:
-            gm = samples(to_quad(p.g.values)).reshape(
+            gm = quad_samples(p.g.values).reshape(
                 (P,) + grid.shape + (d, d))
-        cur = kap
-        for it in range(MAX_CORRECTIONS):
-            # physical fields on the quad grid
+
+        def coupling(cur):      # -(d_q kappa) f - g kappa, physical samples
             cur_half = cur.reshape((P,) + half + (d,))
-            rhs_phys = np.zeros((P,) + grid.shape + (d,))
+            out = np.zeros((P,) + grid.shape + (d,))
             if p.f is not None:
                 for a in range(grid.n):
                     da = grid.torus_derivative(
                         cur_half, [b == a for b in range(grid.n)])
-                    rhs_phys -= da * f_phys[..., a:a + 1]
+                    out -= da * f_phys[..., a:a + 1]
             if p.g is not None:
-                rhs_phys -= np.einsum("...ij,...j->...i", gm,
-                                      grid.torus_irfft(cur_half))
-            corr = _free_transport_coeffs(plan, modes(rhs_phys))
+                u = grid.torus_irfft(cur_half)
+                out -= _contract((gm[..., j], u[..., j, None])
+                                 for j in range(d))
+            return out
+
+        cur = kap
+        for it in range(MAX_CORRECTIONS):
+            corr = _free_transport_coeffs(plan, modes(coupling(cur)))
             kap = kap + corr
             cur = corr
             n_corr = it + 1
@@ -377,14 +421,16 @@ def transport_operator(kappa, omega, f=None, g=None):
     (grad kappa) Omega_bar = (d_q kappa) omega_bar + d_t kappa; f is a
     GridFn with d components and g one with d*d, None for zero."""
     jac = kappa.jacobian_q()                      # (T,*S,d,d)
-    out = np.einsum("...ij,j->...i", jac, omega) + kappa.dt().values
+    dims = range(kappa.grid.n)
+    out = _contract((jac[..., j], omega[j]) for j in dims) \
+        + kappa.dt().values
     if f is not None:
-        out = out + np.einsum("...ia,...a->...i", jac, f.values)
+        fv = f.values
+        out += _contract((jac[..., a], fv[..., a, None]) for a in dims)
     if g is not None:
-        d = kappa.grid.n
-        out = out + np.einsum("...ij,...j->...i",
-                              g.values.reshape(g.values.shape[:-1] + (d, d)),
-                              kappa.values)
+        gv = g.values.reshape(g.values.shape[:-1] + jac.shape[-2:])
+        kv = kappa.values
+        out += _contract((gv[..., j], kv[..., j, None]) for j in dims)
     return GridFn(kappa.grid, kappa.times, out)
 
 

@@ -21,7 +21,8 @@ from .norms import weighted_norm
 from .smoothing import smooth
 
 __all__ = ["ZehnderParams", "IterationState", "CylinderSolution",
-           "validate_params", "params_from_order", "preset_params",
+           "validate_params", "params_from_order", "PARAM_PRESETS",
+           "preset_params",
            "newton_step", "iterate", "choose_schedule", "monitor",
            "lagrangian_check",
            "manufactured_single", "manufactured_power",
@@ -113,6 +114,10 @@ def params_from_order(s, gamma_loss=1.0, **kw):
     if not rep["pass"]:
         raise ValueError(f"derived parameters fail validation: {rep}")
     return p
+
+
+# the names preset_params knows
+PARAM_PRESETS = ("minimal", "robust")
 
 
 def preset_params(name, **kw):

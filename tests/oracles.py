@@ -8,11 +8,18 @@ problem along the characteristics, the second route of the spectral
 bound (`homological._tail_bound`).  `time_refine_weights` builds the
 interpolation matrix of `homological._time_refine_matrix` row by row,
 with the scalar product-formula Lagrange weights.
+
+`einsum_eval_F`, `einsum_linearize`, `einsum_mbar` and
+`einsum_transport_operator` are the residual functional, its
+linearization, mbar and the transport operator written with
+`np.einsum` over the component axes; the library spells the same sums
+out component by component and must give the same bytes.
 """
 
 import numpy as np
 
 from wacyl.flow import _solve
+from wacyl.functional import MBAR_NODES, MBAR_WEIGHTS, _check_ball
 from wacyl.grids import GridFn
 from wacyl.homological import (REFINE_DEGREE, TIME_REFINE,
                                HomologicalSolution, _tail_bound)
@@ -102,3 +109,84 @@ def time_refine_weights(times):
         W[i, lo:lo + width] = _scalar_lagrange_weights(logs[lo:lo + width],
                                                        lq[i])
     return W
+
+
+def _einsum_d2H(form, v_values):
+    """d^2_p H at p = v:  2 M0 + 6 C . p."""
+    out = 2.0 * form._m0()
+    c = form._c()
+    if c is not None:
+        out = out + 6.0 * np.einsum("...ijk,...k->...ij", c, v_values)
+    return out
+
+
+def einsum_mbar(H, v=None):
+    """mbar(., v, .) by the 4-point Gauss-Legendre rule, (..., d, d)."""
+    shape = (len(H.times),) + H.grid.shape + (H.d,)
+    vv = np.zeros(shape) if v is None else v.values
+    acc = 0.0
+    for x, w in zip(MBAR_NODES, MBAR_WEIGHTS):
+        acc = acc + w * _einsum_d2H(H.m_form, x * vv)
+    return acc
+
+
+def _einsum_coefficients(H, v):
+    _check_ball(H, v)
+    d = H.d
+    vv = v.values
+    lead = vv.shape[:-1]
+    mbar = einsum_mbar(H, v).reshape(lead + (d, d))
+    gamma = H.b.values + np.einsum("...ij,...j->...i", mbar, vv)
+    jac_v = v.jacobian_q()
+    db = H.b.jacobian_q()
+    mg = H.m_form.M0.jacobian_q().reshape(lead + (d, d, d))
+    cg = None
+    if H.m_form.C is not None:
+        cg = H.m_form.C.jacobian_q().reshape(lead + (d, d, d, d))
+        mg = mg + np.einsum("...ijka,...k->...ija", cg, vv)
+    return mbar, gamma, jac_v, db, cg, mg
+
+
+def einsum_transport_operator(kappa, omega, f=None, g=None):
+    """(grad kappa) Omega_bar + (d_q kappa) f + g kappa."""
+    jac = kappa.jacobian_q()
+    out = np.einsum("...ij,j->...i", jac, omega) + kappa.dt().values
+    if f is not None:
+        out = out + np.einsum("...ia,...a->...i", jac, f.values)
+    if g is not None:
+        d = kappa.grid.n
+        out = out + np.einsum("...ij,...j->...i",
+                              g.values.reshape(g.values.shape[:-1] + (d, d)),
+                              kappa.values)
+    return GridFn(kappa.grid, kappa.times, out)
+
+
+def einsum_eval_F(H, v):
+    """The residual field F(v)."""
+    _, gamma, jac_v, db, _, mg = _einsum_coefficients(H, v)
+    vv = v.values
+    transport = einsum_transport_operator(v, H.omega).values
+    adv = np.einsum("...ia,...a->...i", jac_v, gamma)
+    grad_a = H.a.jacobian_q()[..., 0, :]
+    b_term = np.einsum("...ja,...j->...a", db, vv)
+    out = transport + adv + grad_a + b_term
+    m_term = np.einsum("...ija,...i,...j->...a", mg, vv, vv)
+    out = out + m_term
+    return GridFn(H.grid, H.times, out)
+
+
+def einsum_linearize(H, v):
+    """The transport coefficients (f, g) of D_v F."""
+    mbar, gamma, jac_v, db, cg, mg = _einsum_coefficients(H, v)
+    d = H.d
+    vv = v.values
+    f = GridFn(H.grid, H.times, gamma)
+    g = np.swapaxes(db, -1, -2).copy()
+    g = g + np.einsum("...ia,...ak->...ik", jac_v, mbar)
+    if cg is not None:
+        C = H.m_form._c()
+        g = g + 3.0 * np.einsum("...ia,...ajk,...j->...ik", jac_v, C, vv)
+        g = g + np.einsum("...ijka,...i,...j->...ak", cg, vv, vv)
+    g = g + 2.0 * np.einsum("...ija,...i->...aj", mg, vv)
+    gf = GridFn(H.grid, H.times, g.reshape(vv.shape[:-1] + (d * d,)))
+    return f, gf

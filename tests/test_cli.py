@@ -187,7 +187,7 @@ SMALL_SOLVE = ["--set", "solve.torus_points=32", "--set", "solve.n_times=16"]
     (SMALL_SOLVE + ["--set", "solve.max_steps=1", "solve"],
      "solve.max_steps = 1: the convergence monitor needs at least 2"),
     (["--set", "comet.e=nan", "simulate-comet"],
-     "eccentricity = nan must be finite"),
+     "comet.e = nan must be finite and > 1"),
     (["--set", "comet.t_peri=nan", "simulate-comet"],
      "t_peri = nan must be finite"),
     (SMALL_SOLVE + ["--set", "solve.eps=nan", "solve"],
@@ -210,6 +210,26 @@ SMALL_SOLVE = ["--set", "solve.torus_points=32", "--set", "solve.n_times=16"]
      "comet.xi0y = inf must be finite"),
     (["--set", "comet.cbar=nan", "simulate-comet"],
      "comet.cbar = nan must be finite and >= 0"),
+    (SMALL_SOLVE + ["--set", "solve.s=nan", "solve"],
+     "solve.s = nan must be finite and >= 8"),
+    (SMALL_SOLVE + ["--set", "solve.torus_points=7", "solve"],
+     "solve.torus_points = 7 must be a power of two"),
+    (["--set", "he.torus_points=7", "homological"],
+     "he.torus_points = 7 must be a power of two"),
+    (SMALL_SOLVE + ["--set", "solve.n_times=1", "solve"],
+     "solve.n_times = 1 must be at least 2"),
+    (["--set", "he.n_times=1", "homological"],
+     "he.n_times = 1 must be at least 2"),
+    (["--set", "comet.v=inf", "simulate-comet"],
+     "comet.v = inf must be finite and > 0"),
+    (["--set", "comet.e=0.5", "simulate-comet"],
+     "comet.e = 0.5 must be finite and > 1"),
+    (["--set", "comet.seed=-1", "simulate-comet"],
+     "comet.seed = -1 must be a non-negative integer"),
+    (["--set", "norms.seed=-1", "verify-norms"],
+     "norms.seed = -1 must be a non-negative integer"),
+    (["--set", "diag.preset=bogus", "diagnose"],
+     "diag.preset = bogus must be one of minimal, robust"),
 ], ids=["comet-v-zero", "comet-eps-zero", "comet-t-max-zero",
         "comet-t-max-negative", "comet-m1-negative", "norms-no-trials",
         "comet-tol-negative", "he-quad-tol-nan", "he-quad-tol-negative",
@@ -218,7 +238,10 @@ SMALL_SOLVE = ["--set", "solve.torus_points=32", "--set", "solve.n_times=16"]
         "solve-eps-nan", "solve-t-max-nan", "solve-t-max-one",
         "he-t-max-nan", "he-t-max-below-one", "comet-a1-nan",
         "comet-a2-negative", "comet-xi0x-nan", "comet-xi0y-inf",
-        "comet-cbar-nan"])
+        "comet-cbar-nan", "solve-s-nan", "solve-torus-points-7",
+        "he-torus-points-7", "solve-n-times-1", "he-n-times-1",
+        "comet-v-inf", "comet-e-below-one", "comet-seed-negative",
+        "norms-seed-negative", "diag-preset-unknown"])
 def test_bad_config_is_config_error(tmp_path, capsys, command, name):
     # refused at the boundary with the offending key or value named,
     # not a traceback, a nan check or a vacuous pass

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from oracles import einsum_eval_F, einsum_linearize, einsum_mbar, \
+    einsum_transport_operator
 from wacyl.flow import IntegrationError, NormBudgetError
 from wacyl.functional import (MBAR_NODES, MBAR_WEIGHTS, DomainError,
                               HamiltonianSpec, QuadraticForm, apply_DF,
@@ -9,6 +11,8 @@ from wacyl.functional import (MBAR_NODES, MBAR_WEIGHTS, DomainError,
                               hypotheses_report, linearize,
                               mbar_from_spec, right_inverse, v_norm)
 from wacyl.grids import GridFn, SpatialGrid, TimeGrid
+from wacyl.homological import transport_operator
+from wacyl.nashmoser import comet_decay_synthetic
 from wacyl.norms import weighted_norm
 
 
@@ -381,3 +385,68 @@ def test_grad_omega_and_vnorm():
         - np.sin(2 * np.pi * q) / t ** 2)
     assert np.abs(got.values - want.values).max() < 1e-8
     assert v_norm(v, np.array([1.0]), 0) > 0
+
+
+def cubic_spec(d, seed=0):
+    """A d-torus spec with every term of F present: q-dependent M0, a
+    symmetric non-zero C (the cubic branch) and non-zero b."""
+    rng = np.random.default_rng(seed)
+    sg, tg = SpatialGrid(d, 32 if d == 1 else 8), TimeGrid(6.0, n_points=10)
+
+    def field(components, scale):
+        return GridFn(sg, tg, scale * rng.standard_normal(
+            (len(tg),) + sg.shape + (components,)))
+
+    H = HamiltonianSpec(omega=0.7 * np.arange(1, d + 1), a=field(1, 1e-3),
+                        b0=GridFn.zeros(sg, tg, d), br=field(d, 1e-3),
+                        m_form=QuadraticForm(d, field(d * d, 0.05) + 0.2,
+                                             field(d ** 3, 0.02)),
+                        delta=0.01, epsilon=1.0, upsilon=2.0)
+    return H, field(d, 0.05)
+
+
+def comet_spec(seed=0):
+    H = comet_decay_synthetic()
+    rng = np.random.default_rng(seed)
+    return H, GridFn(H.grid, H.times, 1e-3 * rng.standard_normal(
+        H.b.values.shape))
+
+
+@pytest.mark.parametrize("make", [lambda: cubic_spec(1),
+                                  lambda: cubic_spec(2), comet_spec],
+                         ids=["cubic-d1", "cubic-d2",
+                              "comet-decay-synthetic"])
+def test_component_sums_give_the_einsum_bytes(make):
+    # eval_F, linearize, mbar and the transport operator spell their
+    # component sums out; np.einsum adds the same products in the same
+    # order from +0.0, so the bytes (the sign of a zero included) agree
+    H, v = make()
+    d = H.d
+    assert eval_F(H, v).values.tobytes() == \
+        einsum_eval_F(H, v).values.tobytes()
+    f, g = linearize(H, v)
+    f0, g0 = einsum_linearize(H, v)
+    assert f.values.tobytes() == f0.values.tobytes()
+    assert g.values.tobytes() == g0.values.tobytes()
+    assert mbar_from_spec(H, v).values.tobytes() == einsum_mbar(
+        H, v).reshape(v.values.shape[:-1] + (d * d,)).tobytes()
+    assert transport_operator(v, H.omega, f, g).values.tobytes() == \
+        einsum_transport_operator(v, H.omega, f, g).values.tobytes()
+
+
+def test_mbar_without_C_is_built_once(monkeypatch):
+    H, v = comet_spec()
+    first = mbar_from_spec(H, v).values.tobytes()
+    calls = []
+    monkeypatch.setattr(QuadraticForm, "d2H_at",
+                        lambda self, vv: calls.append(1))
+    other = GridFn(H.grid, H.times, 2.0 * v.values)
+    assert mbar_from_spec(H, other).values.tobytes() == first
+    assert calls == []
+
+
+def test_mbar_with_C_follows_v():
+    H, v = cubic_spec(2)
+    a = mbar_from_spec(H, v).values
+    b = mbar_from_spec(H, GridFn(H.grid, H.times, 2.0 * v.values)).values
+    assert np.abs(a - b).max() > 1e-3 * np.abs(a).max()

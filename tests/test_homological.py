@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -5,7 +8,7 @@ from scipy.integrate import quad
 from oracles import characteristics_solve
 from wacyl.flow import NormBudgetError
 from wacyl.grids import GridFn, SpatialGrid, TimeGrid
-from wacyl.homological import (HomologicalProblem, _expn_complex,
+from wacyl.homological import (HomologicalProblem, _contract, _expn_complex,
                                _free_transport_coeffs, _mode_phases,
                                _time_refine_matrix, _transport_plan,
                                estimate_check, residual_he, solve_he)
@@ -308,3 +311,82 @@ def test_transport_tail_exact_for_power_law_amplitude():
         c1 * mpmath.expint(2, z) / T + c2 * mpmath.expint(3, z) / T ** 2))
     assert th != 0
     assert abs(kap[-1, mode, 0] - want) <= 1e-12 * abs(want)
+
+
+def test_time_interpolation_commutes_with_the_torus_fft():
+    # the correction loop puts (f, g) on the quad grid by W @ samples;
+    # W acts on time only, so this is the spectral round trip
+    # irfft(W @ rfft(.)) up to rounding
+    rng = np.random.default_rng(4)
+    sg, tg = SpatialGrid(2, 16), TimeGrid(12.0, n_points=32)
+    p = HomologicalProblem(
+        omega=[1.0, 0.618],
+        z=GridFn(sg, tg, rng.standard_normal((32, 16, 16, 2))),
+        f=GridFn(sg, tg, 1e-3 * rng.standard_normal((32, 16, 16, 2))),
+        g=GridFn(sg, tg, 1e-3 * rng.standard_normal((32, 16, 16, 4))))
+    _, W = _time_refine_matrix(tg)
+    P = W.shape[0]
+    for field in (p.f, p.g):
+        vals = field.values
+        direct = (W @ vals.reshape(32, -1)).reshape((P,) + vals.shape[1:])
+        c = sg.torus_rfft(vals)
+        round_trip = sg.torus_irfft(
+            (W @ c.reshape(32, -1)).reshape((P,) + c.shape[1:]))
+        assert np.abs(direct - round_trip).max() <= \
+            1e-14 * np.abs(direct).max()
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_contract_gives_einsum_bytes_signed_zeros_included(d):
+    # einsum adds onto +0.0: a sum of -0.0 products is +0.0 there, and
+    # must be here too
+    rng = np.random.default_rng(d)
+
+    def draw(shape):
+        x = rng.standard_normal(shape) * 10.0 ** rng.integers(-6, 6, shape)
+        u = rng.random(shape)
+        x[u < 0.2] = 0.0
+        x[u > 0.8] = -0.0
+        return x
+
+    lead = (6, 8, 8)
+    dims = range(d)
+    m, v, c = draw(lead + (d, d)), draw(lead + (d,)), draw(lead + (d,) * 3)
+    omega = draw((d,))
+    pairs = [
+        (np.einsum("...ij,...j->...i", m, v),
+         _contract((m[..., j], v[..., j, None]) for j in dims)),
+        (np.einsum("...ij,j->...i", m, omega),
+         _contract((m[..., j], omega[j]) for j in dims)),
+        (np.einsum("...ija,...i,...j->...a", c, v, v),
+         _contract((c[..., i, j, :], v[..., i, None], v[..., j, None])
+                   for i in dims for j in dims)),
+        (np.einsum("...ia,...ajk,...j->...ik", m, c, v),
+         _contract((m[..., :, a, None], c[..., None, a, j, :],
+                    v[..., j, None, None]) for a in dims for j in dims)),
+    ]
+    for want, got in pairs:
+        assert got.tobytes() == want.tobytes()
+
+
+# the Filon panel and tail sums of _free_transport_coeffs stay einsum
+# calls: complex contractions over the panel stencil and the tail nodes
+FILON_EINSUMS = {("homological.py", "pkm,pkmc->pmc"),
+                 ("homological.py", "km,kmc->mc")}
+
+
+def test_einsum_only_in_the_filon_sums():
+    # every other component sum is spelled out (homological._contract);
+    # a call is named by its subscripts, any other use by its line
+    src = Path(__file__).resolve().parents[1] / "src" / "wacyl"
+    found = set()
+    for name in ("functional.py", "homological.py"):
+        nodes = list(ast.walk(ast.parse((src / name).read_text())))
+        calls = {id(node.func): node.args[0].value for node in nodes
+                 if isinstance(node, ast.Call)
+                 and getattr(node.func, "attr", None) == "einsum"}
+        found |= {(name, calls.get(id(node), node.lineno)) for node in nodes
+                  if "einsum" in (getattr(node, "id", None),
+                                  getattr(node, "attr", None),
+                                  getattr(node, "name", None))}
+    assert found == FILON_EINSUMS
