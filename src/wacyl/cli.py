@@ -178,6 +178,17 @@ def cmd_solve(args):
     if max_steps < 2:
         raise ValueError(f"solve.max_steps = {max_steps}: the convergence "
                          "monitor needs at least 2 steps")
+    # explicitly set scheme values override the scanned ones; the
+    # smoothing times t_j = Q^(alpha beta^j) grow only for Q > 1, and the
+    # other three are sizes
+    explicit = {name: cfg_in(cfg, key, None,
+                             lambda x, lo=lo: lo < x < math.inf,
+                             f"finite and > {lo}")
+                for key, name, lo in (("solve.q", "Q", 1),
+                                      ("solve.upsilon", "upsilon", 0),
+                                      ("solve.epsilon0", "epsilon0", 0),
+                                      ("solve.zeta", "zeta", 0))
+                if key in cfg}
     if preset == "manufactured":
         H, vstar = manufactured_single(eps, torus_points=torus_points,
                                        n_times=n_times, t_max=t_max)
@@ -189,10 +200,6 @@ def cmd_solve(args):
               "manufactured-power", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     p = params_from_order(s)
-    # explicitly set scheme values override the scanned ones
-    explicit = {name: cfg_get(cfg, key, None) for key, name in (
-        ("solve.q", "Q"), ("solve.upsilon", "upsilon"),
-        ("solve.epsilon0", "epsilon0"), ("solve.zeta", "zeta")) if key in cfg}
     if "Q" not in explicit:
         p, scan = choose_schedule(H, p, quad_tol=quad_tol)
         _write_csv(outdir, "schedule_scan.csv",

@@ -9,9 +9,10 @@ the characteristics (`tests/oracles.py`).  `transport_operator` is the
 left-hand side itself.
 
 The quadrature runs on a refinement of the time grid, reached by one
-interpolation matrix W on the time axis.  W commutes with the torus
-FFT, so it maps the mode amplitudes of z and the physical samples of
-(f, g), which the series multiplies pointwise, without a round trip.
+interpolation matrix W on the time axis.  W maps mode amplitudes: those
+of z, and in each correction of the series those of the coupling
+-(d_q kappa) f - g kappa, formed on the time nodes (a subset of the
+quad nodes).  So every torus FFT of a solve runs on the time grid.
 
 Improper integrals are truncated at the grid horizon with a two-term
 power-law tail model (integrated analytically to infinity) and an
@@ -314,8 +315,21 @@ def _transport_plan(times, theta):
 def _free_transport_coeffs(plan, rhs):
     """Decaying solution kappa = -e^(-i theta t) int_t^inf rhs(s)
     e^(i theta s) ds of (d_q kappa) omega + d_t kappa = rhs, in coefficient
-    space on the quad grid; rhs and kappa have shape (P, M, C)."""
-    panels = np.einsum("pkm,pkmc->pmc", plan.weights, rhs[plan.stencil])
+    space on the quad grid; rhs and kappa have shape (P, M, C).
+
+    The interior panels read their stencils as windows of rhs, without
+    a copy; only the clipped panels at the two ends gather theirs.
+    """
+    panels = np.empty((len(rhs) - 1,) + rhs.shape[1:], dtype=complex)
+    lo = FILON_DEGREE // 2
+    inner = slice(lo, lo + len(rhs) - FILON_DEGREE)
+    windows = np.lib.stride_tricks.sliding_window_view(
+        rhs, FILON_DEGREE + 1, axis=0)      # (P - FILON_DEGREE, M, C, k)
+    np.einsum("pkm,pmck->pmc", plan.weights[inner], windows,
+              out=panels[inner])
+    ends = np.r_[:inner.start, inner.stop:len(panels)]
+    panels[ends] = np.einsum("pkm,pkmc->pmc", plan.weights[ends],
+                             rhs[plan.stencil[ends]])
     J = np.zeros_like(rhs)
     J[:-1] = np.cumsum(panels[::-1], axis=0)[::-1]
     tail = np.einsum("km,kmc->mc", plan.tail, rhs[-TAIL_NODES:])
@@ -343,33 +357,22 @@ def _spectral_solve(p, quad_tol):
         c = modes(values)
         return (W @ c.reshape(len(c), -1)).reshape((P,) + c.shape[1:])
 
-    def quad_samples(values):   # real (T, *shape, C) -> (P, *shape, C)
-        return (W @ values.reshape(len(values), -1)).reshape(
-            (P,) + values.shape[1:])
-
     kap = _free_transport_coeffs(plan, to_quad(p.z.values))
     base_scale = np.abs(kap).max()
     n_corr = 0
     hist = []
     if p.f is not None or p.g is not None:
-        # physical (f, g) on the quad grid, fixed through the corrections;
-        # W acts on the time axis only, so it commutes with the torus
-        # FFT and interpolates the samples directly
-        if p.f is not None:
-            f_phys = quad_samples(p.f.values)
-        if p.g is not None:
-            gm = quad_samples(p.g.values).reshape(
-                (P,) + grid.shape + (d, d))
-
-        def coupling(cur):      # -(d_q kappa) f - g kappa, physical samples
-            cur_half = cur.reshape((P,) + half + (d,))
-            out = np.zeros((P,) + grid.shape + (d,))
+        def coupling(cur):      # -(d_q kappa) f - g kappa on the time grid
+            # the original nodes are a subset of the quad grid
+            cur_half = cur[::TIME_REFINE].reshape((len(times),) + half + (d,))
+            out = np.zeros(p.z.values.shape)
             if p.f is not None:
                 for a in range(grid.n):
                     da = grid.torus_derivative(
                         cur_half, [b == a for b in range(grid.n)])
-                    out -= da * f_phys[..., a:a + 1]
+                    out -= da * p.f.values[..., a:a + 1]
             if p.g is not None:
+                gm = p.g.values.reshape(out.shape + (d,))
                 u = grid.torus_irfft(cur_half)
                 out -= _contract((gm[..., j], u[..., j, None])
                                  for j in range(d))
@@ -377,7 +380,7 @@ def _spectral_solve(p, quad_tol):
 
         cur = kap
         for it in range(MAX_CORRECTIONS):
-            corr = _free_transport_coeffs(plan, modes(coupling(cur)))
+            corr = _free_transport_coeffs(plan, to_quad(coupling(cur)))
             kap = kap + corr
             cur = corr
             n_corr = it + 1

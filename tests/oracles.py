@@ -8,6 +8,9 @@ problem along the characteristics, the second route of the spectral
 bound (`homological._tail_bound`).  `time_refine_weights` builds the
 interpolation matrix of `homological._time_refine_matrix` row by row,
 with the scalar product-formula Lagrange weights.
+`einsum_free_transport_coeffs` is the free transport solve with its
+Filon panel sum over a gather of every panel's stencil; the library
+reads the interior stencils as windows and must give the same bytes.
 
 `einsum_eval_F`, `einsum_linearize`, `einsum_mbar` and
 `einsum_transport_operator` are the residual functional, its
@@ -21,7 +24,7 @@ import numpy as np
 from wacyl.flow import _solve
 from wacyl.functional import MBAR_NODES, MBAR_WEIGHTS, _check_ball
 from wacyl.grids import GridFn
-from wacyl.homological import (REFINE_DEGREE, TIME_REFINE,
+from wacyl.homological import (REFINE_DEGREE, TAIL_NODES, TIME_REFINE,
                                HomologicalSolution, _tail_bound)
 
 
@@ -109,6 +112,17 @@ def time_refine_weights(times):
         W[i, lo:lo + width] = _scalar_lagrange_weights(logs[lo:lo + width],
                                                        lq[i])
     return W
+
+
+def einsum_free_transport_coeffs(plan, rhs):
+    """The decaying solution of the free transport in coefficient space
+    on the quad grid, every panel's amplitudes gathered as
+    rhs[plan.stencil], (P-1, FILON_DEGREE+1, M, C)."""
+    panels = np.einsum("pkm,pkmc->pmc", plan.weights, rhs[plan.stencil])
+    J = np.zeros_like(rhs)
+    J[:-1] = np.cumsum(panels[::-1], axis=0)[::-1]
+    tail = np.einsum("km,kmc->mc", plan.tail, rhs[-TAIL_NODES:])
+    return plan.phase[..., None] * (J + tail)
 
 
 def _einsum_d2H(form, v_values):

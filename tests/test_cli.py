@@ -230,6 +230,14 @@ SMALL_SOLVE = ["--set", "solve.torus_points=32", "--set", "solve.n_times=16"]
      "norms.seed = -1 must be a non-negative integer"),
     (["--set", "diag.preset=bogus", "diagnose"],
      "diag.preset = bogus must be one of minimal, robust"),
+    (SMALL_SOLVE + ["--set", "solve.q=nan", "solve"],
+     "solve.q = nan must be finite and > 1"),
+    (SMALL_SOLVE + ["--set", "solve.zeta=-1", "solve"],
+     "solve.zeta = -1.0 must be finite and > 0"),
+    (SMALL_SOLVE + ["--set", "solve.upsilon=0", "solve"],
+     "solve.upsilon = 0.0 must be finite and > 0"),
+    (SMALL_SOLVE + ["--set", "solve.epsilon0=-5", "solve"],
+     "solve.epsilon0 = -5.0 must be finite and > 0"),
 ], ids=["comet-v-zero", "comet-eps-zero", "comet-t-max-zero",
         "comet-t-max-negative", "comet-m1-negative", "norms-no-trials",
         "comet-tol-negative", "he-quad-tol-nan", "he-quad-tol-negative",
@@ -241,7 +249,9 @@ SMALL_SOLVE = ["--set", "solve.torus_points=32", "--set", "solve.n_times=16"]
         "comet-cbar-nan", "solve-s-nan", "solve-torus-points-7",
         "he-torus-points-7", "solve-n-times-1", "he-n-times-1",
         "comet-v-inf", "comet-e-below-one", "comet-seed-negative",
-        "norms-seed-negative", "diag-preset-unknown"])
+        "norms-seed-negative", "diag-preset-unknown", "solve-q-nan",
+        "solve-zeta-negative", "solve-upsilon-zero",
+        "solve-epsilon0-negative"])
 def test_bad_config_is_config_error(tmp_path, capsys, command, name):
     # refused at the boundary with the offending key or value named,
     # not a traceback, a nan check or a vacuous pass

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from oracles import characteristics_solve
+from oracles import characteristics_solve, einsum_free_transport_coeffs
 from wacyl.flow import NormBudgetError
 from wacyl.grids import GridFn, SpatialGrid, TimeGrid
 from wacyl.homological import (HomologicalProblem, _contract, _expn_complex,
@@ -151,6 +151,72 @@ def test_spectral_vs_characteristics_dual_route():
     residual_he(s_spec, p_spec)
     assert s_spec.residual_norm <= 1e-5 * weighted_norm(
         p_spec.z, 0, 2).value
+
+
+def coupled_fields_two_torus(mu_f=0.03):
+    # two components on a 2-torus, every entry of f and g non-zero
+    two_pi = 2 * np.pi
+
+    def zf(q1, q2, t):
+        return np.stack([np.cos(two_pi * q1),
+                         np.sin(two_pi * (q1 + q2))], axis=-1) / t ** 2
+
+    def ff(q1, q2, t):
+        return mu_f * np.stack([np.sin(two_pi * q2),
+                                np.cos(two_pi * q1)], axis=-1) / t
+
+    def gf(q1, q2, t):
+        return mu_f * np.stack([np.cos(two_pi * q1), np.sin(two_pi * q2),
+                                0.5 * np.cos(two_pi * (q1 - q2)),
+                                np.cos(two_pi * q2)], axis=-1) / t
+
+    return zf, ff, gf
+
+
+def coupled_problem_two_torus(sg, tg):
+    zf, ff, gf = coupled_fields_two_torus()
+    return HomologicalProblem(
+        omega=[1.0, 0.618],
+        z=GridFn.from_callable(sg, tg, zf),
+        f=GridFn.from_callable(sg, tg, ff),
+        g=GridFn.from_callable(sg, tg, gf),
+        sigma=1.0)
+
+
+def test_spectral_vs_characteristics_two_torus_two_components():
+    # the coupled path of the Newton solves on comet_decay_synthetic
+    # (n = d = 2) against the solve along the characteristics, with the
+    # bounds of the 1-torus dual route; the oracle's tolerance moves its
+    # kappa by about 1e-11 against the 1e-10 one, at a third of the time
+    sg, tg = SpatialGrid(2, 8), TimeGrid(8.0, n_points=16)
+    p = coupled_problem_two_torus(sg, tg)
+    sol = solve_he(p, quad_tol=1e-10)
+    assert sol.corrections >= 2
+    on_points = [lambda q, s, fn=fn: fn(q[..., 0], q[..., 1], s)
+                 for fn in coupled_fields_two_torus()]
+    ref = characteristics_solve(p, *on_points, quad_tol=1e-6)
+    diff = np.abs(sol.kappa.values - ref.kappa.values).max()
+    assert diff <= ref.tail_bound + 1e-6
+    residual_he(sol, p)
+    assert sol.residual_norm <= 1e-5 * weighted_norm(p.z, 0, 2).value
+
+
+def test_coupled_series_transforms_on_the_time_grid(monkeypatch):
+    # each correction forms its coupling on the time nodes and reaches
+    # the quad nodes by W, as z does: no torus transform of a coupled
+    # solve sees more rows than the time grid has
+    sg, tg = SpatialGrid(2, 8), TimeGrid(8.0, n_points=12)
+    p = coupled_problem_two_torus(sg, tg)
+    rows = []
+    for name in ("torus_rfft", "torus_irfft"):
+        def spy(self, a, method=getattr(SpatialGrid, name)):
+            rows.append(len(a))
+            return method(self, a)
+        monkeypatch.setattr(SpatialGrid, name, spy)
+    sol = solve_he(p, quad_tol=1e-10)
+    assert sol.corrections >= 2
+    assert len(rows) > 3 * sol.corrections
+    assert set(rows) == {len(tg)}
 
 
 def test_zero_coupling_takes_no_correction():
@@ -314,9 +380,9 @@ def test_transport_tail_exact_for_power_law_amplitude():
 
 
 def test_time_interpolation_commutes_with_the_torus_fft():
-    # the correction loop puts (f, g) on the quad grid by W @ samples;
-    # W acts on time only, so this is the spectral round trip
-    # irfft(W @ rfft(.)) up to rounding
+    # W acts on time only, so interpolating the samples of a field and
+    # interpolating its mode amplitudes, as the solve does for z and the
+    # coupling, agree up to rounding
     rng = np.random.default_rng(4)
     sg, tg = SpatialGrid(2, 16), TimeGrid(12.0, n_points=32)
     p = HomologicalProblem(
@@ -334,6 +400,21 @@ def test_time_interpolation_commutes_with_the_torus_fft():
             (W @ c.reshape(32, -1)).reshape((P,) + c.shape[1:]))
         assert np.abs(direct - round_trip).max() <= \
             1e-14 * np.abs(direct).max()
+
+
+@pytest.mark.parametrize("n, omega", [(1, [1.0]), (2, [1.0, 0.618])])
+def test_filon_windows_give_the_gather_bytes(n, omega):
+    # the interior panels read windows of rhs, the clipped ones at the
+    # ends gather: the same sums, in the same order, as one gather of
+    # every stencil
+    rng = np.random.default_rng(n)
+    sg, tg = SpatialGrid(n, 8), TimeGrid(12.0, n_points=16)
+    theta = _mode_phases(sg, omega)
+    plan = _transport_plan(tg, theta)
+    shape = (len(plan.phase), len(theta), n)
+    rhs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    got = _free_transport_coeffs(plan, rhs)
+    assert got.tobytes() == einsum_free_transport_coeffs(plan, rhs).tobytes()
 
 
 @pytest.mark.parametrize("d", [1, 2])
@@ -370,8 +451,10 @@ def test_contract_gives_einsum_bytes_signed_zeros_included(d):
 
 
 # the Filon panel and tail sums of _free_transport_coeffs stay einsum
-# calls: complex contractions over the panel stencil and the tail nodes
-FILON_EINSUMS = {("homological.py", "pkm,pkmc->pmc"),
+# calls: complex contractions over the panel stencil (windows inside,
+# gathers at the ends) and the tail nodes
+FILON_EINSUMS = {("homological.py", "pkm,pmck->pmc"),
+                 ("homological.py", "pkm,pkmc->pmc"),
                  ("homological.py", "km,kmc->mc")}
 
 
