@@ -85,7 +85,8 @@ def sweep_norm_algebra(seed=20240902):
 def sweep_flow_exponents(seed=20240903):
     """Fit growth exponents of |d_q psi| and |R| for scaled fields and
     report exponent/mu ratios."""
-    from .flow import VectorFieldSpec, flow_jacobian, fundamental_matrix
+    from .flow import (VectorFieldSpec, _fit_exponent, flow_jacobian,
+                       fundamental_matrix)
     out = {"cbar1": 0.0, "cR0": 0.0, "cR1": 0.0}
     pairs = [(1.0, t) for t in (2.0, 4.0, 8.0, 16.0)]
     samples = np.linspace(0, 1, 9)[:-1][:, None]
@@ -110,9 +111,8 @@ def sweep_flow_exponents(seed=20240903):
             ratios.append(t1 / t0)
             norms_psi.append(sup_j)
             norms_R.append(sup_r)
-        A = np.vstack([np.log(ratios), np.ones(len(ratios))]).T
-        c_psi = np.linalg.lstsq(A, np.log(norms_psi), rcond=None)[0][0]
-        c_R = np.linalg.lstsq(A, np.log(norms_R), rcond=None)[0][0]
+        c_psi = _fit_exponent(ratios, norms_psi)[0]
+        c_R = _fit_exponent(ratios, norms_R)[0]
         out["cbar1"] = max(out["cbar1"], c_psi / mu)
         out["cR0"] = max(out["cR0"], c_R / (0.9 * mu))
         out["cR1"] = max(out["cR1"], 2.0 * c_R / (0.9 * mu))

@@ -43,83 +43,136 @@ EXIT_CONFIG_ERROR = 2
 EXIT_NUMERICAL_FAILURE = 3
 
 
+def _finite(op, lo, note=""):
+    """The domain of finite values op lo, op one of > and >=."""
+    return ((lambda x: lo < x < math.inf) if op == ">" else
+            (lambda x: lo <= x < math.inf)), f"finite and {op} {lo}{note}"
+
+
+def _one_of(*names):
+    return lambda x: x in names, "one of " + ", ".join(names)
+
+
+# domains shared by several keys: (ok, the domain a refusal names)
+FINITE = (math.isfinite, "finite")
+GT0, GE0 = _finite(">", 0), _finite(">=", 0)
+# with a nan tolerance an adaptive integration never ends, a correction
+# loop runs to its cap and no residual meets it
+TOL = (GT0[0], "finite and positive")
+T_MAX = _finite(">", 1, " (the time grid starts at t = 1)")
+POW2 = (lambda n: n >= 1 and not n & (n - 1), "a power of two")
+AT_LEAST_2 = (lambda n: n >= 2, "at least 2")
+SEED = (lambda n: n >= 0, "a non-negative integer")
+SOLVE_PRESETS = {"manufactured": manufactured_single,
+                 "manufactured-power": manufactured_power}
+# every configuration key: (default, type, (ok, domain)); a None
+# default leaves the key unset unless it is given
+CONFIG = {
+    "solve.preset": ("manufactured", str, _one_of(*SOLVE_PRESETS)),
+    "solve.eps": (1e-3, float, FINITE),
+    "solve.torus_points": (128, int, POW2),
+    "solve.n_times": (64, int, AT_LEAST_2),
+    "solve.t_max": (20.0, float, T_MAX),
+    # params_from_order's minimal order s >= 8 gamma, with gamma = 1
+    "solve.s": (8.0, float, _finite(">=", 8)),
+    "solve.target": (1e-6, float, TOL),
+    "solve.quad_tol": (1e-10, float, TOL),
+    # the convergence monitor needs at least 2 steps
+    "solve.max_steps": (12, int, AT_LEAST_2),
+    # explicit scheme values override the scanned ones; the smoothing
+    # times t_j = Q^(alpha beta^j) grow only for Q > 1, and the other
+    # three are sizes
+    "solve.q": (None, float, _finite(">", 1)),
+    "solve.upsilon": (None, float, GT0),
+    "solve.epsilon0": (None, float, GT0),
+    "solve.zeta": (None, float, GT0),
+    "he.torus_points": (128, int, POW2),
+    "he.n_times": (64, int, AT_LEAST_2),
+    "he.t_max": (20.0, float, T_MAX),
+    "he.quad_tol": (1e-9, float, TOL),
+    "comet.mc": (1e-3, float, GE0),
+    "comet.eps": (0.1, float, (lambda x: 0 < x <= 0.5,
+                               "an extension epsilon in (0, 1/2]")),
+    "comet.e": (1.5, float, _finite(">", 1, " (a hyperbolic orbit)")),
+    "comet.v": (250.0, float, GT0),
+    "comet.t_max": (100.0, float, (GT0[0], "finite and positive (the "
+                                           "run ends at t1 = 1 + t_max)")),
+    "comet.t_peri": (-1.0, float, FINITE),
+    "comet.tol": (1e-11, float, TOL),
+    "comet.seed": (0, int, SEED),
+    "comet.m0": (1.0, float, GT0),
+    "comet.m1": (1e-3, float, GE0),
+    "comet.m2": (1e-3, float, GE0),
+    "comet.a1": (0.05, float, GT0),
+    "comet.a2": (1.0, float, GT0),
+    "comet.xi0x": (0.3, float, FINITE),
+    "comet.xi0y": (-0.2, float, FINITE),
+    "comet.cbar": (1.0, float, GE0),
+    "norms.seed": (0, int, SEED),
+    "norms.trials": (3, int, (lambda n: n >= 1, "at least 1")),
+    "diag.preset": ("minimal", str, _one_of(*PARAM_PRESETS)),
+}
+
+
 def load_config(path=None, overrides=()):
     """Flat key=value pairs with section prefixes (section.key=value);
     environment variables WACYL_SECTION_KEY override file values, and
     explicit overrides win over both.  Keys are case-insensitive and
-    stored lower-case."""
+    stored lower-case; a key CONFIG does not know is refused, naming
+    its source."""
     cfg = {}
+
+    def put(key, val, source):
+        key = key.strip().lower()
+        if key not in CONFIG:
+            from difflib import get_close_matches
+            close = get_close_matches(key, CONFIG, n=1)
+            raise ValueError(f"unknown key {key!r} ({source})" + (
+                f"; did you mean {close[0]!r}?" if close else ""))
+        cfg[key] = val
     if path:
         with open(path) as fh:
-            for line in fh:
+            for number, line in enumerate(fh, 1):
                 line = line.strip()
                 if not line or line.startswith("#"):
                     continue
                 if "=" not in line:
                     raise ValueError(f"bad config line: {line!r}")
                 key, val = line.split("=", 1)
-                cfg[key.strip().lower()] = val.strip()
+                put(key, val.strip(), f"{path}:{number}")
     for key, val in os.environ.items():
         if key.startswith("WACYL_"):
-            cfg[key[len("WACYL_"):].lower().replace("_", ".", 1)] = val
+            put(key[len("WACYL_"):].replace("_", ".", 1), val, key)
     for item in overrides:
         if "=" not in item:
             raise ValueError(f"bad override: {item!r}")
         key, val = item.split("=", 1)
-        cfg[key.strip().lower()] = val.strip()
+        put(key, val.strip(), "--set")
     return cfg
 
 
-def cfg_get(cfg, key, default, cast=float):
-    """cast(cfg[key]), or default when the key is unset; a value cast
-    refuses raises ValueError naming the key and the raw value."""
-    if key not in cfg:
-        return default
-    try:
-        return cast(cfg[key])
-    except ValueError:
-        raise ValueError(f"{key} = {cfg[key]!r} is not a valid "
-                         f"{cast.__name__}") from None
-
-
-def cfg_in(cfg, key, default, ok, domain, cast=float):
-    """cfg_get, refused unless ok(value): the ValueError names the key,
-    the value and the domain."""
-    value = cfg_get(cfg, key, default, cast)
-    if not ok(value):
-        raise ValueError(f"{key} = {value} must be {domain}")
-    return value
-
-
-def cfg_tol(cfg, key, default):
-    """cfg_in for a tolerance or a target, refused unless finite and
-    positive: with a nan one an adaptive integration never ends, a
-    correction loop runs to its cap and no residual meets it."""
-    return cfg_in(cfg, key, default, lambda v: 0 < v < math.inf,
-                  "finite and positive")
-
-
-def cfg_t_max(cfg, key, default):
-    """cfg_in for the horizon of a time grid on [1, t_max]."""
-    return cfg_in(cfg, key, default, lambda v: 1 < v < math.inf,
-                  "finite and > 1 (the time grid starts at t = 1)")
-
-
-def cfg_grid(cfg, section):
-    """The torus points and time points of a section's grids, refused
-    unless SpatialGrid and TimeGrid take them."""
-    torus_points = cfg_in(cfg, f"{section}.torus_points", 128,
-                          lambda n: n >= 1 and not n & (n - 1),
-                          "a power of two", int)
-    n_times = cfg_in(cfg, f"{section}.n_times", 64, lambda n: n >= 2,
-                     "at least 2", int)
-    return torus_points, n_times
-
-
-def cfg_seed(cfg, key):
-    """A seed of numpy.random.default_rng: a non-negative integer."""
-    return cfg_in(cfg, key, 0, lambda n: n >= 0, "a non-negative integer",
-                  int)
+def read_section(cfg, section, **flags):
+    """{name: value} of every key of the section: the cast of cfg's
+    value, else the flag's when it is not None, else the default.  A
+    value the cast or the domain refuses raises ValueError naming the
+    key and the value."""
+    out = {}
+    for key, (default, cast, (ok, domain)) in CONFIG.items():
+        head, _, name = key.partition(".")
+        if head != section:
+            continue
+        if key in cfg:
+            try:
+                value = cast(cfg[key])
+            except ValueError:
+                raise ValueError(f"{key} = {cfg[key]!r} is not a valid "
+                                 f"{cast.__name__}") from None
+        else:
+            value = default if flags.get(name) is None else flags[name]
+        if value is not None and not ok(value):
+            raise ValueError(f"{key} = {value} must be {domain}")
+        out[name] = value
+    return out
 
 
 def _write_manifest(outdir, name, payload):
@@ -165,50 +218,24 @@ def _summary(outdir, checks):
 def cmd_solve(args):
     cfg = load_config(args.config, args.set or [])
     outdir = args.out
-    preset = cfg_get(cfg, "solve.preset", args.preset, str)
-    eps = cfg_in(cfg, "solve.eps", 1e-3, math.isfinite, "finite")
-    torus_points, n_times = cfg_grid(cfg, "solve")
-    t_max = cfg_t_max(cfg, "solve.t_max", 20.0)
-    # params_from_order's minimal order s >= 8 gamma, with gamma = 1
-    s = cfg_in(cfg, "solve.s", 8.0, lambda x: 8 <= x < math.inf,
-               "finite and >= 8")
-    target = cfg_tol(cfg, "solve.target", 1e-6)
-    quad_tol = cfg_tol(cfg, "solve.quad_tol", 1e-10)
-    max_steps = cfg_get(cfg, "solve.max_steps", 12, int)
-    if max_steps < 2:
-        raise ValueError(f"solve.max_steps = {max_steps}: the convergence "
-                         "monitor needs at least 2 steps")
-    # explicitly set scheme values override the scanned ones; the
-    # smoothing times t_j = Q^(alpha beta^j) grow only for Q > 1, and the
-    # other three are sizes
-    explicit = {name: cfg_in(cfg, key, None,
-                             lambda x, lo=lo: lo < x < math.inf,
-                             f"finite and > {lo}")
-                for key, name, lo in (("solve.q", "Q", 1),
-                                      ("solve.upsilon", "upsilon", 0),
-                                      ("solve.epsilon0", "epsilon0", 0),
-                                      ("solve.zeta", "zeta", 0))
-                if key in cfg}
-    if preset == "manufactured":
-        H, vstar = manufactured_single(eps, torus_points=torus_points,
-                                       n_times=n_times, t_max=t_max)
-    elif preset == "manufactured-power":
-        H, vstar = manufactured_power(eps, torus_points=torus_points,
-                                      n_times=n_times, t_max=t_max)
-    else:
-        print(f"unknown solve preset {preset!r}; valid: manufactured, "
-              "manufactured-power", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
-    p = params_from_order(s)
+    conf = read_section(cfg, "solve", preset=args.preset)
+    explicit = {name: conf[name.lower()]
+                for name in ("Q", "upsilon", "epsilon0", "zeta")
+                if conf[name.lower()] is not None}
+    H, vstar = SOLVE_PRESETS[conf["preset"]](
+        conf["eps"], torus_points=conf["torus_points"],
+        n_times=conf["n_times"], t_max=conf["t_max"])
+    p = params_from_order(conf["s"])
     if "Q" not in explicit:
-        p, scan = choose_schedule(H, p, quad_tol=quad_tol)
+        p, scan = choose_schedule(H, p, quad_tol=conf["quad_tol"])
         _write_csv(outdir, "schedule_scan.csv",
                    ["Q", "upsilon", "r1", "envelope"],
                    [[r["Q"], r["upsilon"], r["r1"], r["envelope"]]
                     for r in scan])
     p = replace(p, **explicit)
-    sol, state = iterate(H, p, max_steps=max_steps, target=target,
-                         quad_tol=quad_tol, min_steps=3)
+    target = conf["target"]
+    sol, state = iterate(H, p, max_steps=conf["max_steps"], target=target,
+                         quad_tol=conf["quad_tol"], min_steps=3)
     rows = []
     for d in range(1, state.j + 1):
         rows.append([d, state.tau_values[d - 1], state.t_values[d - 1],
@@ -223,7 +250,7 @@ def cmd_solve(args):
     mon = monitor(state, p)
     _write_manifest(outdir, "manifest.json", {
         **sol.manifest, "monitor": {k: v for k, v in mon.items()
-                                    if k != "rows"}})
+                                    if k != "rows"}, "config": conf})
     checks = [
         {"name": "residual <= target", "pass":
             sol.residual_norm <= target * max(
@@ -243,13 +270,11 @@ def cmd_solve(args):
 
 
 def cmd_homological(args):
-    cfg = load_config(args.config, args.set or [])
+    conf = read_section(load_config(args.config, args.set or []), "he")
     outdir = args.out
-    torus_points, n_times = cfg_grid(cfg, "he")
-    t_max = cfg_t_max(cfg, "he.t_max", 20.0)
-    quad_tol = cfg_tol(cfg, "he.quad_tol", 1e-9)
-    tg = TimeGrid(t_max, n_points=n_times)
-    sg = SpatialGrid(1, torus_points)
+    quad_tol = conf["quad_tol"]
+    tg = TimeGrid(conf["t_max"], n_points=conf["n_times"])
+    sg = SpatialGrid(1, conf["torus_points"])
     z = GridFn.from_callable(sg, tg,
                              lambda q, t: np.cos(2 * np.pi * q) / t ** 2)
     prob = HomologicalProblem(omega=[1.0], z=z, sigma=1.0)
@@ -260,7 +285,7 @@ def cmd_homological(args):
     _write_manifest(outdir, "manifest.json", {
         **prob.manifest(), "tail_bound": sol.tail_bound,
         "residual_norm": sol.residual_norm, "quad_tol": quad_tol,
-        "estimate": est})
+        "estimate": est, "config": conf})
     checks = [
         {"name": "residual <= 10 quad_tol",
          "pass": sol.residual_norm <= 10 * quad_tol,
@@ -276,34 +301,14 @@ def cmd_homological(args):
 def cmd_simulate_comet(args):
     cfg = load_config(args.config, args.set or [])
     outdir = args.out
-    eps = cfg_get(cfg, "comet.eps", 0.1)
-    mc = cfg_get(cfg, "comet.mc", args.mc)
-    e = cfg_in(cfg, "comet.e", 1.5, lambda x: 1 < x < math.inf,
-               "finite and > 1 (a hyperbolic orbit)")
-    v = cfg_in(cfg, "comet.v", 250.0, lambda x: 0 < x < math.inf,
-               "finite and > 0")
-    t_max = cfg_get(cfg, "comet.t_max", 100.0)
-    tol = cfg_tol(cfg, "comet.tol", 1e-11)
-    seed = cfg_seed(cfg, "comet.seed")
-    a1 = cfg_in(cfg, "comet.a1", 0.05, lambda x: 0 < x < math.inf,
-                "finite and > 0")
-    a2 = cfg_in(cfg, "comet.a2", 1.0, lambda x: 0 < x < math.inf,
-                "finite and > 0")
-    xi0 = np.array([cfg_in(cfg, "comet.xi0x", 0.3, math.isfinite, "finite"),
-                    cfg_in(cfg, "comet.xi0y", -0.2, math.isfinite, "finite")])
-    c_bar = cfg_in(cfg, "comet.cbar", 1.0, lambda x: 0 <= x < math.inf,
-                   "finite and >= 0")
-    if not 0 < t_max < np.inf:
-        raise ValueError(f"comet.t_max must be finite and positive (got "
-                         f"{t_max}: the run ends at t1 = 1 + t_max)")
-    masses = Masses(cfg_get(cfg, "comet.m0", 1.0),
-                    cfg_get(cfg, "comet.m1", 1e-3),
-                    cfg_get(cfg, "comet.m2", 1e-3), mc=mc)
+    conf = read_section(cfg, "comet", mc=args.mc)
+    eps, mc, t_max, tol = conf["eps"], conf["mc"], conf["t_max"], conf["tol"]
+    masses = Masses(conf["m0"], conf["m1"], conf["m2"], mc=mc)
     mu = masses.M + mc
-    orbit = CometOrbit(eccentricity=e, a_h=mu / v ** 2, mu_grav=mu,
-                       t_peri=cfg_get(cfg, "comet.t_peri", -1.0))
-    chart = CircularChart(masses, a1=a1, a2=a2)
-    rng = default_rng(seed)
+    orbit = CometOrbit(eccentricity=conf["e"], a_h=mu / conf["v"] ** 2,
+                       mu_grav=mu, t_peri=conf["t_peri"])
+    chart = CircularChart(masses, a1=conf["a1"], a2=conf["a2"])
+    rng = default_rng(conf["seed"])
     checks = []
     if mc == 0.0:
         st0 = chart.state(rng.uniform(0, 1, 4), np.zeros(2),
@@ -326,8 +331,8 @@ def cmd_simulate_comet(args):
                        "tolerance": 1e-8})
         _write_manifest(outdir, "manifest.json", {
             "mode": "conservative", "masses": masses.__dict__,
-            "seed": seed, "tol": tol, "H0_drift_rel": rel,
-            "nfev": traj["nfev"]})
+            "seed": conf["seed"], "tol": tol, "H0_drift_rel": rel,
+            "nfev": traj["nfev"], "config": conf})
         return _summary(outdir, checks)
     ext = ExtensionParams(epsilon=eps)
     speed = check_speed_window(orbit, np.geomspace(1.0, 1.0 + t_max, 40),
@@ -338,18 +343,19 @@ def cmd_simulate_comet(args):
     hexf = extend_Hc(ext, orbit, masses, chart)
     system = SurrogateSystem(hexf)
     theta0 = rng.uniform(0, 1, 4)
+    xi0 = np.array([conf["xi0x"], conf["xi0y"]])
     eta0 = system.leading_drift_momentum(theta0, xi0, 1.0)
     state0 = np.concatenate([theta0, xi0, np.zeros(2), eta0])
     traj = system.integrate(state0, 1.0, 1.0 + t_max, tol=max(tol, 1e-10))
     _write_csv(outdir, "trajectory.csv",
                ["t"] + [f"s{i}" for i in range(10)],
                np.column_stack((traj["t"], traj["states"])).tolist())
-    conf = confinement_check(traj["t"], traj["states"][:, 4:6], orbit,
-                             eps, C_bar=c_bar)
-    _write_manifest(outdir, "confinement.json", conf)
-    checks.append({"name": "confinement", "pass": conf["pass"],
-                   "detail": f"v = {conf['v_asymptotic']:.1f}, "
-                             f"threshold = {conf['v_threshold']:.1f}",
+    confined = confinement_check(traj["t"], traj["states"][:, 4:6], orbit,
+                                 eps, C_bar=conf["cbar"])
+    _write_manifest(outdir, "confinement.json", confined)
+    checks.append({"name": "confinement", "pass": confined["pass"],
+                   "detail": f"v = {confined['v_asymptotic']:.1f}, "
+                             f"threshold = {confined['v_threshold']:.1f}",
                    "tolerance": "log bound"})
 
     def phi0(q):
@@ -370,26 +376,22 @@ def cmd_simulate_comet(args):
                    "tolerance": "monotone envelope"})
     _write_manifest(outdir, "manifest.json", {
         "mode": "comet", "masses": masses.__dict__, "eps": eps,
-        "orbit": {"e": e, "a_h": orbit.a_h, "v": orbit.v_asymptotic,
+        "orbit": {"e": conf["e"], "a_h": orbit.a_h, "v": orbit.v_asymptotic,
                   "t_peri": orbit.t_peri},
-        "seed": seed, "tol": tol, "surrogate_chart": True,
-        "nfev": traj["nfev"]})
+        "seed": conf["seed"], "tol": tol, "surrogate_chart": True,
+        "nfev": traj["nfev"], "config": conf})
     return _summary(outdir, checks)
 
 
 def cmd_verify_norms(args):
-    cfg = load_config(args.config, args.set or [])
+    conf = read_section(load_config(args.config, args.set or []), "norms")
     outdir = args.out
-    seed = cfg_seed(cfg, "norms.seed")
-    rng = default_rng(seed)
+    rng = default_rng(conf["seed"])
     tg = TimeGrid(10.0, n_points=24)
     sg = SpatialGrid(1, 128)
-    trials = cfg_get(cfg, "norms.trials", 3, int)
-    if trials < 1:
-        raise ValueError(f"norms.trials must be at least 1 (got {trials})")
     checks = []
     rows = []
-    for trial in range(trials):
+    for trial in range(conf["trials"]):
         amps = rng.standard_normal(32) / np.arange(1, 33) ** 2
         phases = rng.uniform(0, 1, 32)
 
@@ -428,21 +430,19 @@ def cmd_verify_norms(args):
     _write_csv(outdir, "norm_checks.csv",
                ["trial", "monotone", "derivative", "product_ratio"], rows)
     _write_manifest(outdir, "manifest.json",
-                    {"seed": seed, "trials": len(rows)})
+                    {"seed": conf["seed"], "trials": len(rows),
+                     "config": conf})
     return _summary(outdir, checks)
 
 
 def cmd_diagnose(args):
-    cfg = load_config(args.config, args.set or [])
+    conf = read_section(load_config(args.config, args.set or []), "diag")
     outdir = args.out
-    p = preset_params(cfg_in(cfg, "diag.preset", "minimal",
-                             lambda name: name in PARAM_PRESETS,
-                             "one of " + ", ".join(PARAM_PRESETS), str))
-    rep = validate_params(p)
+    rep = validate_params(preset_params(conf["preset"]))
     checks = [{"name": f"scheme inequality: {k}", "pass": v,
                "tolerance": "strict"}
               for k, v in rep["checks"].items()]
-    _write_manifest(outdir, "manifest.json", rep)
+    _write_manifest(outdir, "manifest.json", {**rep, "config": conf})
     return _summary(outdir, checks)
 
 
@@ -458,12 +458,12 @@ def main(argv=None):
                         help="output directory")
     sub = parser.add_subparsers(dest="command", required=True)
     ps = sub.add_parser("solve", help="run the cylinder solver")
-    ps.add_argument("--preset", default="manufactured")
+    ps.add_argument("--preset")
     ps.set_defaults(fn=cmd_solve)
     ph = sub.add_parser("homological", help="solve a transport problem")
     ph.set_defaults(fn=cmd_homological)
     pc = sub.add_parser("simulate-comet", help="three-body-plus-comet run")
-    pc.add_argument("--mc", type=float, default=1e-3,
+    pc.add_argument("--mc", type=float,
                     help="comet mass (0 for the conservative sub-case)")
     pc.set_defaults(fn=cmd_simulate_comet)
     pv = sub.add_parser("verify-norms", help="norm calculus spot checks")

@@ -14,8 +14,8 @@ from . import constants
 from .flow import NormBudgetError, VectorFieldSpec, flow_jacobian, \
     integrate_flow
 from .functional import (DomainError, HamiltonianSpec, QuadraticForm,
-                         a_norm, eval_F, gamma_from_v, hypotheses_report,
-                         right_inverse, v_norm, x_norm)
+                         a_norm, eval_F, gamma_from_v, right_inverse,
+                         v_norm, x_norm)
 from .grids import GridFn, SpatialGrid, TimeGrid
 from .norms import weighted_norm
 from .smoothing import smooth
@@ -147,24 +147,6 @@ def _z_norm(f):
     return weighted_norm(f, 0, 2).value
 
 
-def _failed_hypothesis(hyp):
-    """(name, measured, bound) of the first failing item of a
-    hypotheses report."""
-    items = (
-        ("H1", hyp["H1_pass"], max(hyp["H1_first"], hyp["H1_second"]),
-         hyp["H1_bound"]),
-        ("H2", hyp["H2_pass"], hyp["H2_ratio"], hyp["H2_bound"]),
-        ("H3 mu", hyp["H3_mu"] <= hyp["H3_budget"], hyp["H3_mu"],
-         hyp["H3_budget"]),
-        ("H3 budget", hyp["H3_budget"] < hyp["H3_gate"], hyp["H3_budget"],
-         hyp["H3_gate"]),
-        ("H4", hyp["H4_pass"], max(hyp["H4_ratios"].values()),
-         hyp["H4_bound"]),
-    )
-    return next((f"hypothesis {name}", measured, bound)
-                for name, ok, measured, bound in items if not ok)
-
-
 def newton_step(Hs, psi, F, t, zeta, quad_tol):
     """One update psi - S_t eta(phi, psi) F of the scheme on the smoothed
     data Hs (phi), where F = F(phi, psi): the right inverse solves the
@@ -184,7 +166,7 @@ def _checked(p):
 
 
 def iterate(H, p, max_steps=12, target=1e-6, quad_tol=1e-10,
-            min_steps=0, check_hypotheses=False, zeta=None):
+            min_steps=0, zeta=None):
     """Run the double-smoothing Newton scheme on the Hamiltonian data.
 
     Updates  psi_{j+1} = psi_j - S_{t_{j+1}} eta(phi_{j+1}, psi_j)
@@ -206,10 +188,6 @@ def iterate(H, p, max_steps=12, target=1e-6, quad_tol=1e-10,
     if xgap > p.upsilon * p.epsilon0:
         raise NormBudgetError("|x - x0|_lambda", xgap,
                               p.upsilon * p.epsilon0)
-    if check_hypotheses:
-        hyp = hypotheses_report(H, zeta)
-        if not hyp["pass"]:
-            raise NormBudgetError(*_failed_hypothesis(hyp))
     psi = GridFn.zeros(H.grid, H.times, H.d)
     # F(phi_1, 0) is both the step-0 paired residual and step 1's
     # right-hand side

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from wacyl.cli import EXIT_CHECK_FAILURE, EXIT_CONFIG_ERROR, \
+from wacyl.cli import CONFIG, EXIT_CHECK_FAILURE, EXIT_CONFIG_ERROR, \
     EXIT_NUMERICAL_FAILURE, EXIT_PASS, load_config, main
 
 
@@ -183,9 +183,9 @@ SMALL_SOLVE = ["--set", "solve.torus_points=32", "--set", "solve.n_times=16"]
     (SMALL_SOLVE + ["--set", "solve.target=nan", "solve"],
      "solve.target = nan must be finite and positive"),
     (SMALL_SOLVE + ["--set", "solve.max_steps=0", "solve"],
-     "solve.max_steps = 0: the convergence monitor needs at least 2"),
+     "solve.max_steps = 0 must be at least 2"),
     (SMALL_SOLVE + ["--set", "solve.max_steps=1", "solve"],
-     "solve.max_steps = 1: the convergence monitor needs at least 2"),
+     "solve.max_steps = 1 must be at least 2"),
     (["--set", "comet.e=nan", "simulate-comet"],
      "comet.e = nan must be finite and > 1"),
     (["--set", "comet.t_peri=nan", "simulate-comet"],
@@ -238,6 +238,21 @@ SMALL_SOLVE = ["--set", "solve.torus_points=32", "--set", "solve.n_times=16"]
      "solve.upsilon = 0.0 must be finite and > 0"),
     (SMALL_SOLVE + ["--set", "solve.epsilon0=-5", "solve"],
      "solve.epsilon0 = -5.0 must be finite and > 0"),
+    (["--set", "solve.typo=3", "diagnose"],
+     "unknown key 'solve.typo' (--set); did you mean 'solve.eps'?"),
+    (["simulate-comet", "--mc", "-1"],
+     "comet.mc = -1.0 must be finite and >= 0"),
+    (["--set", "comet.m0=0", "simulate-comet", "--mc", "0"],
+     "comet.m0 = 0.0 must be finite and > 0"),
+    (["--set", "comet.m0=nan", "simulate-comet"],
+     "comet.m0 = nan must be finite and > 0"),
+    (["--set", "comet.m2=inf", "simulate-comet", "--mc", "0"],
+     "comet.m2 = inf must be finite and >= 0"),
+    (["--set", "comet.eps=0.7", "simulate-comet", "--mc", "0"],
+     "comet.eps = 0.7 must be an extension epsilon in (0, 1/2]"),
+    (["solve", "--preset", "bogus"],
+     "solve.preset = bogus must be one of manufactured, "
+     "manufactured-power"),
 ], ids=["comet-v-zero", "comet-eps-zero", "comet-t-max-zero",
         "comet-t-max-negative", "comet-m1-negative", "norms-no-trials",
         "comet-tol-negative", "he-quad-tol-nan", "he-quad-tol-negative",
@@ -251,7 +266,9 @@ SMALL_SOLVE = ["--set", "solve.torus_points=32", "--set", "solve.n_times=16"]
         "comet-v-inf", "comet-e-below-one", "comet-seed-negative",
         "norms-seed-negative", "diag-preset-unknown", "solve-q-nan",
         "solve-zeta-negative", "solve-upsilon-zero",
-        "solve-epsilon0-negative"])
+        "solve-epsilon0-negative", "unknown-key-set", "comet-mc-negative",
+        "comet-m0-zero-conservative", "comet-m0-nan", "comet-m2-inf",
+        "comet-eps-conservative", "solve-preset-unknown"])
 def test_bad_config_is_config_error(tmp_path, capsys, command, name):
     # refused at the boundary with the offending key or value named,
     # not a traceback, a nan check or a vacuous pass
@@ -292,8 +309,7 @@ def test_bad_t_max_refused_before_any_work(tmp_path, capsys, mc, t_max):
     assert code == EXIT_CONFIG_ERROR
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     err = capsys.readouterr().err
-    assert f"comet.t_max must be finite and positive (got {float(t_max)}" \
-        in err
+    assert f"comet.t_max = {float(t_max)} must be finite and positive" in err
     assert os.listdir(tmp_path) == []
 
 
@@ -310,3 +326,55 @@ def test_nan_comet_tol_is_refused_at_once(tmp_path, mc):
     assert out.returncode == EXIT_CONFIG_ERROR
     assert "comet.tol = nan must be finite and positive" in out.stderr
     assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("source", ["file", "env"])
+def test_unknown_key_names_its_source(tmp_path, capsys, monkeypatch,
+                                      source):
+    # a misspelt key used to be ignored without a word; --set is a case
+    # of test_bad_config_is_config_error
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("# comment\nsolve.eps=2e-3\n\ncomet.tmax=5\n")
+    args = ["--config", str(cfg)] if source == "file" else []
+    if source == "env":
+        monkeypatch.setenv("WACYL_COMET_TMAX", "5")
+    out = tmp_path / "out"
+    assert run_cli(["--out", str(out)] + args + ["diagnose"]) \
+        == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    where = f"{cfg}:4" if source == "file" else "WACYL_COMET_TMAX"
+    assert err == (f"configuration error: unknown key 'comet.tmax' "
+                   f"({where}); did you mean 'comet.t_max'?\n")
+    assert os.listdir(out) == []
+
+
+def test_manifest_records_the_resolved_config(tmp_path):
+    run_cli(["--out", str(tmp_path), "--set", "solve.torus_points=32",
+             "--set", "solve.n_times=24", "--set", "solve.Q=2.0", "solve",
+             "--preset", "manufactured-power"])
+    config = json.loads((tmp_path / "manifest.json").read_text())["config"]
+    # every key of the section, the given ones and the defaults
+    assert config == {
+        "preset": "manufactured-power", "eps": 1e-3, "torus_points": 32,
+        "n_times": 24, "t_max": 20.0, "s": 8.0, "target": 1e-6,
+        "quad_tol": 1e-10, "max_steps": 12, "q": 2.0, "upsilon": None,
+        "epsilon0": None, "zeta": None}
+    assert set(config) == {key.split(".")[1] for key in CONFIG
+                           if key.startswith("solve.")}
+
+
+def test_readme_config_table_matches_config():
+    # the README's key table lists every key of CONFIG with its default
+    # and domain, and no other
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    text = readme.read_text().split("| key | default | domain |\n")[1]
+    rows = [line.split("|")[1:4]
+            for line in text.split("\n\n")[0].splitlines()[1:]]
+    table = {key.strip().strip("`"): (default.strip().strip("`"),
+                                      domain.strip())
+             for key, default, domain in rows}
+    assert set(table) == set(CONFIG)
+    for key, (default, cast, (_, domain)) in CONFIG.items():
+        text, doc_domain = table[key]
+        assert (None if text == "unset" else cast(text)) == default, key
+        assert doc_domain == domain, key

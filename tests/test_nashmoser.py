@@ -6,7 +6,8 @@ import pytest
 
 from wacyl import constants, nashmoser
 from wacyl.flow import NormBudgetError
-from wacyl.functional import DomainError, eval_F, x_norm
+from wacyl.functional import DomainError, eval_F, hypotheses_report, \
+    x_norm
 from wacyl.grids import GridFn
 from wacyl.nashmoser import (ZehnderParams, choose_schedule,
                              comet_decay_synthetic, iterate,
@@ -224,13 +225,28 @@ def test_mu_budget_abort():
         iterate(H, p, max_steps=2, zeta=1e-5)
 
 
+def _failed_hypothesis(hyp):
+    """(name, measured, bound) of the first failing item of a
+    hypotheses report."""
+    items = (
+        ("H1", hyp["H1_pass"], max(hyp["H1_first"], hyp["H1_second"]),
+         hyp["H1_bound"]),
+        ("H2", hyp["H2_pass"], hyp["H2_ratio"], hyp["H2_bound"]),
+        ("H3 mu", hyp["H3_mu"] <= hyp["H3_budget"], hyp["H3_mu"],
+         hyp["H3_budget"]),
+        ("H3 budget", hyp["H3_budget"] < hyp["H3_gate"], hyp["H3_budget"],
+         hyp["H3_gate"]),
+        ("H4", hyp["H4_pass"], max(hyp["H4_ratios"].values()),
+         hyp["H4_bound"]),
+    )
+    return next((f"hypothesis {name}", measured, bound)
+                for name, ok, measured, bound in items if not ok)
+
+
 def test_failed_hypotheses_name_their_numbers(monkeypatch):
     monkeypatch.setitem(constants.HYPOTHESES, "H1", 1e-30)
     H, _ = manufactured_single(torus_points=32, n_times=16)
-    p = params_from_order(8.0, Q=1.6)
-    with pytest.raises(NormBudgetError) as info:
-        iterate(H, p, max_steps=1, check_hypotheses=True, zeta=0.02)
-    err = info.value
+    err = NormBudgetError(*_failed_hypothesis(hypotheses_report(H, 0.02)))
     assert err.name == "hypothesis H1" and err.budget == 1e-30
     assert err.measured > 1e-30
     assert f"{err.measured:.3e}" in str(err) and "1.000e-30" in str(err)
