@@ -1,9 +1,12 @@
 """Command-line orchestration: configuration, dispatch, persistence.
 
 Subcommands: solve, homological, simulate-comet, verify-norms, diagnose.
-Exit codes: 0 pass, 1 check failure, 2 configuration error, 3 numerical
-failure.  Every run writes a manifest with the fully resolved
-configuration; identical config and seed give byte-identical CSV output.
+Each is cmd_x(conf, outdir) -> (manifest, checks) on its resolved
+configuration section and writes only its own files (CSV, .wgf, JSON
+reports).  main reads the configuration, writes manifest.json (the
+section under "config") and summary.json, and exits 0 pass, 1 check
+failure, 2 configuration error (an unreadable --config included),
+3 numerical failure.  Identical config and seed give identical CSVs.
 """
 
 from __future__ import annotations
@@ -131,15 +134,19 @@ def load_config(path=None, overrides=()):
                 f"; did you mean {close[0]!r}?" if close else ""))
         cfg[key] = val
     if path:
-        with open(path) as fh:
-            for number, line in enumerate(fh, 1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise ValueError(f"bad config line: {line!r}")
-                key, val = line.split("=", 1)
-                put(key, val.strip(), f"{path}:{number}")
+        try:
+            with open(path) as fh:
+                lines = fh.readlines()
+        except OSError as exc:
+            raise ValueError(f"cannot read {path}: {exc.strerror}") from None
+        for number, line in enumerate(lines, 1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            if "=" not in line:
+                raise ValueError(f"bad config line: {line!r}")
+            key, val = line.split("=", 1)
+            put(key, val.strip(), f"{path}:{number}")
     for key, val in os.environ.items():
         if key.startswith("WACYL_"):
             put(key[len("WACYL_"):].replace("_", ".", 1), val, key)
@@ -176,7 +183,6 @@ def read_section(cfg, section, **flags):
 
 
 def _write_manifest(outdir, name, payload):
-    os.makedirs(outdir, exist_ok=True)
     payload = dict(payload)
     payload["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S")
     path = os.path.join(outdir, name)
@@ -189,7 +195,6 @@ def _write_manifest(outdir, name, payload):
 
 
 def _write_csv(outdir, name, header, rows):
-    os.makedirs(outdir, exist_ok=True)
     path = os.path.join(outdir, name)
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
@@ -215,10 +220,7 @@ def _summary(outdir, checks):
 # subcommands
 # --------------------------------------------------------------------
 
-def cmd_solve(args):
-    cfg = load_config(args.config, args.set or [])
-    outdir = args.out
-    conf = read_section(cfg, "solve", preset=args.preset)
+def cmd_solve(conf, outdir):
     explicit = {name: conf[name.lower()]
                 for name in ("Q", "upsilon", "epsilon0", "zeta")
                 if conf[name.lower()] is not None}
@@ -248,9 +250,8 @@ def cmd_solve(args):
     sol.v.save(os.path.join(outdir, "v.wgf"))
     sol.gamma.gamma.save(os.path.join(outdir, "gamma.wgf"))
     mon = monitor(state, p)
-    _write_manifest(outdir, "manifest.json", {
-        **sol.manifest, "monitor": {k: v for k, v in mon.items()
-                                    if k != "rows"}, "config": conf})
+    manifest = {**sol.manifest,
+                "monitor": {k: v for k, v in mon.items() if k != "rows"}}
     checks = [
         {"name": "residual <= target", "pass":
             sol.residual_norm <= target * max(
@@ -266,12 +267,10 @@ def cmd_solve(args):
         checks.append({"name": "|v - v*|_{1,1} <= 1e-4",
                        "pass": err <= 1e-4, "detail": f"{err:.3e}",
                        "tolerance": 1e-4})
-    return _summary(outdir, checks)
+    return manifest, checks
 
 
-def cmd_homological(args):
-    conf = read_section(load_config(args.config, args.set or []), "he")
-    outdir = args.out
+def cmd_homological(conf, outdir):
     quad_tol = conf["quad_tol"]
     tg = TimeGrid(conf["t_max"], n_points=conf["n_times"])
     sg = SpatialGrid(1, conf["torus_points"])
@@ -282,10 +281,9 @@ def cmd_homological(args):
     residual_he(sol, prob)
     est = estimate_check(sol, prob)
     sol.kappa.save(os.path.join(outdir, "kappa.wgf"))
-    _write_manifest(outdir, "manifest.json", {
-        **prob.manifest(), "tail_bound": sol.tail_bound,
-        "residual_norm": sol.residual_norm, "quad_tol": quad_tol,
-        "estimate": est, "config": conf})
+    manifest = {**prob.manifest(), "tail_bound": sol.tail_bound,
+                "residual_norm": sol.residual_norm, "quad_tol": quad_tol,
+                "estimate": est}
     checks = [
         {"name": "residual <= 10 quad_tol",
          "pass": sol.residual_norm <= 10 * quad_tol,
@@ -295,13 +293,10 @@ def cmd_homological(args):
          "detail": f"{est['measured']:.3e} <= {est['bound']:.3e}",
          "tolerance": "calibrated"},
     ]
-    return _summary(outdir, checks)
+    return manifest, checks
 
 
-def cmd_simulate_comet(args):
-    cfg = load_config(args.config, args.set or [])
-    outdir = args.out
-    conf = read_section(cfg, "comet", mc=args.mc)
+def cmd_simulate_comet(conf, outdir):
     eps, mc, t_max, tol = conf["eps"], conf["mc"], conf["t_max"], conf["tol"]
     masses = Masses(conf["m0"], conf["m1"], conf["m2"], mc=mc)
     mu = masses.M + mc
@@ -329,11 +324,9 @@ def cmd_simulate_comet(args):
                        "pass": traj["Y0_drift"] <= 1e-8,
                        "detail": f"{traj['Y0_drift']:.3e}",
                        "tolerance": 1e-8})
-        _write_manifest(outdir, "manifest.json", {
-            "mode": "conservative", "masses": masses.__dict__,
-            "seed": conf["seed"], "tol": tol, "H0_drift_rel": rel,
-            "nfev": traj["nfev"], "config": conf})
-        return _summary(outdir, checks)
+        return {"mode": "conservative", "masses": masses.__dict__,
+                "seed": conf["seed"], "tol": tol, "H0_drift_rel": rel,
+                "nfev": traj["nfev"]}, checks
     ext = ExtensionParams(epsilon=eps)
     speed = check_speed_window(orbit, np.geomspace(1.0, 1.0 + t_max, 40),
                                eps)
@@ -374,18 +367,14 @@ def cmd_simulate_comet(args):
                    and am["max"] < 1.0,
                    "detail": f"max = {am['max']:.3e}",
                    "tolerance": "monotone envelope"})
-    _write_manifest(outdir, "manifest.json", {
-        "mode": "comet", "masses": masses.__dict__, "eps": eps,
-        "orbit": {"e": conf["e"], "a_h": orbit.a_h, "v": orbit.v_asymptotic,
-                  "t_peri": orbit.t_peri},
-        "seed": conf["seed"], "tol": tol, "surrogate_chart": True,
-        "nfev": traj["nfev"], "config": conf})
-    return _summary(outdir, checks)
+    return {"mode": "comet", "masses": masses.__dict__, "eps": eps,
+            "orbit": {"e": conf["e"], "a_h": orbit.a_h,
+                      "v": orbit.v_asymptotic, "t_peri": orbit.t_peri},
+            "seed": conf["seed"], "tol": tol, "surrogate_chart": True,
+            "nfev": traj["nfev"]}, checks
 
 
-def cmd_verify_norms(args):
-    conf = read_section(load_config(args.config, args.set or []), "norms")
-    outdir = args.out
+def cmd_verify_norms(conf, outdir):
     rng = default_rng(conf["seed"])
     tg = TimeGrid(10.0, n_points=24)
     sg = SpatialGrid(1, 128)
@@ -429,21 +418,15 @@ def cmd_verify_norms(args):
                               constants.cdoc("S2", m, d))})
     _write_csv(outdir, "norm_checks.csv",
                ["trial", "monotone", "derivative", "product_ratio"], rows)
-    _write_manifest(outdir, "manifest.json",
-                    {"seed": conf["seed"], "trials": len(rows),
-                     "config": conf})
-    return _summary(outdir, checks)
+    return {"seed": conf["seed"], "trials": len(rows)}, checks
 
 
-def cmd_diagnose(args):
-    conf = read_section(load_config(args.config, args.set or []), "diag")
-    outdir = args.out
+def cmd_diagnose(conf, outdir):
     rep = validate_params(preset_params(conf["preset"]))
     checks = [{"name": f"scheme inequality: {k}", "pass": v,
                "tolerance": "strict"}
               for k, v in rep["checks"].items()]
-    _write_manifest(outdir, "manifest.json", {**rep, "config": conf})
-    return _summary(outdir, checks)
+    return rep, checks
 
 
 def main(argv=None):
@@ -452,28 +435,35 @@ def main(argv=None):
         description="Weakly asymptotic cylinders: solver, diagnostics "
                     "and the three-body-plus-comet model.")
     parser.add_argument("--config", help="key=value configuration file")
-    parser.add_argument("--set", action="append", metavar="KEY=VALUE",
+    parser.add_argument("--set", action="append", default=[],
+                        metavar="KEY=VALUE",
                         help="override a configuration key")
     parser.add_argument("--out", default="runs/latest",
                         help="output directory")
     sub = parser.add_subparsers(dest="command", required=True)
     ps = sub.add_parser("solve", help="run the cylinder solver")
     ps.add_argument("--preset")
-    ps.set_defaults(fn=cmd_solve)
+    ps.set_defaults(fn=cmd_solve, section="solve")
     ph = sub.add_parser("homological", help="solve a transport problem")
-    ph.set_defaults(fn=cmd_homological)
+    ph.set_defaults(fn=cmd_homological, section="he")
     pc = sub.add_parser("simulate-comet", help="three-body-plus-comet run")
     pc.add_argument("--mc", type=float,
                     help="comet mass (0 for the conservative sub-case)")
-    pc.set_defaults(fn=cmd_simulate_comet)
+    pc.set_defaults(fn=cmd_simulate_comet, section="comet")
     pv = sub.add_parser("verify-norms", help="norm calculus spot checks")
-    pv.set_defaults(fn=cmd_verify_norms)
+    pv.set_defaults(fn=cmd_verify_norms, section="norms")
     pd = sub.add_parser("diagnose", help="validate scheme parameters")
-    pd.set_defaults(fn=cmd_diagnose)
+    pd.set_defaults(fn=cmd_diagnose, section="diag")
     args = parser.parse_args(argv)
     os.makedirs(args.out, exist_ok=True)
     try:
-        return args.fn(args)
+        conf = read_section(load_config(args.config, args.set), args.section,
+                            preset=getattr(args, "preset", None),
+                            mc=getattr(args, "mc", None))
+        manifest, checks = args.fn(conf, args.out)
+        _write_manifest(args.out, "manifest.json",
+                        {**manifest, "config": conf})
+        return _summary(args.out, checks)
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL_FAILURE

@@ -92,26 +92,15 @@ class TimeGrid(_Derived):
     differentiation stable for the power-law profiles in scope.
     """
 
-    def __init__(self, t_max, n_points=None, gamma=None):
+    def __init__(self, t_max, n_points):
         if t_max <= 1.0:
             raise ValueError("t_max must exceed t_start = 1")
-        if n_points is None and gamma is None:
-            gamma = 1.05
-        if gamma is None:
-            if n_points < 2:
-                raise ValueError("need at least two time points")
-            gamma = t_max ** (1.0 / (n_points - 1))
-        else:
-            if gamma <= 1.0:
-                raise ValueError("gamma must exceed 1")
-            n_points = int(np.ceil(np.log(t_max) / np.log(gamma))) + 1
-        k = np.arange(n_points)
-        self.gamma = float(gamma)
-        self.points = self.gamma ** k
+        if n_points < 2:
+            raise ValueError("need at least two time points")
+        self.gamma = float(t_max ** (1.0 / (n_points - 1)))
+        self.points = self.gamma ** np.arange(n_points)
         self.t_start = 1.0
         self.t_max = float(t_max)
-        if self.points[-1] < t_max * (1 - 1e-12):
-            self.points = np.append(self.points, self.points[-1] * self.gamma)
         self._set_points(self.points)
 
     @classmethod

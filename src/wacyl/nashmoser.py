@@ -58,7 +58,6 @@ class IterationState:
     step_norms_high: list = field(default_factory=list)
     tau_values: list = field(default_factory=list)
     t_values: list = field(default_factory=list)
-    x_smoothing_gap: list = field(default_factory=list)
     status: str = "running"
 
 
@@ -221,7 +220,6 @@ def iterate(H, p, max_steps=12, target=1e-6, quad_tol=1e-10,
         state.step_norms_low.append(v_norm(dpsi, H.omega, 0))
         state.step_norms_high.append(
             weighted_norm(dpsi, p.s + 1, 1, pair_radius=8).value)
-        state.x_smoothing_gap.append(x_norm(H.a - Hs.a, H.br - Hs.br, 1.0))
         # jitter below the convergence target is solver floor, not
         # divergence
         if r_true > state.true_residuals[-2] and r_true >= target * scale:

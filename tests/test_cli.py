@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from wacyl.cli import CONFIG, EXIT_CHECK_FAILURE, EXIT_CONFIG_ERROR, \
-    EXIT_NUMERICAL_FAILURE, EXIT_PASS, load_config, main
+    EXIT_NUMERICAL_FAILURE, EXIT_PASS, load_config, main, read_section
 
 
 def run_cli(args):
@@ -348,19 +349,69 @@ def test_unknown_key_names_its_source(tmp_path, capsys, monkeypatch,
     assert os.listdir(out) == []
 
 
-def test_manifest_records_the_resolved_config(tmp_path):
-    run_cli(["--out", str(tmp_path), "--set", "solve.torus_points=32",
-             "--set", "solve.n_times=24", "--set", "solve.Q=2.0", "solve",
-             "--preset", "manufactured-power"])
+@pytest.mark.parametrize("sets, command, section, flags", [
+    (["solve.torus_points=32", "solve.n_times=24", "solve.Q=2.0"],
+     ["solve", "--preset", "manufactured-power"], "solve",
+     {"preset": "manufactured-power"}),
+    (["he.n_times=16", "he.torus_points=32"], ["homological"], "he", {}),
+    (["comet.t_max=2"], ["simulate-comet", "--mc", "0"], "comet",
+     {"mc": 0.0}),
+    (["comet.t_max=2"], ["simulate-comet", "--mc", "1e-3"], "comet",
+     {"mc": 1e-3}),
+    (["norms.trials=1"], ["verify-norms"], "norms", {}),
+    ([], ["diagnose"], "diag", {}),
+], ids=["solve", "homological", "comet-conservative", "comet-surrogate",
+        "verify-norms", "diagnose"])
+def test_manifest_records_the_resolved_config(tmp_path, sets, command,
+                                              section, flags):
+    overrides = [arg for item in sets for arg in ("--set", item)]
+    code = run_cli(["--out", str(tmp_path)] + overrides + command)
     config = json.loads((tmp_path / "manifest.json").read_text())["config"]
     # every key of the section, the given ones and the defaults
-    assert config == {
-        "preset": "manufactured-power", "eps": 1e-3, "torus_points": 32,
-        "n_times": 24, "t_max": 20.0, "s": 8.0, "target": 1e-6,
-        "quad_tol": 1e-10, "max_steps": 12, "q": 2.0, "upsilon": None,
-        "epsilon0": None, "zeta": None}
+    assert config == read_section(load_config(None, sets), section, **flags)
     assert set(config) == {key.split(".")[1] for key in CONFIG
-                           if key.startswith("solve.")}
+                           if key.startswith(section + ".")}
+    for item in sets:
+        key, value = item.lower().split("=")
+        assert config[key.split(".")[1]] == CONFIG[key][1](value)
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert code == (EXIT_PASS if summary["pass"] else EXIT_CHECK_FAILURE)
+
+
+def test_only_main_runs_the_contract():
+    # the run skeleton lives in main: no command loads the configuration,
+    # reads its section, writes manifest.json or summarises its checks
+    src = Path(__file__).resolve().parents[1] / "src" / "wacyl" / "cli.py"
+    contract = {"load_config", "read_section", "_summary", "manifest.json"}
+    users = {}
+    for fn in ast.parse(src.read_text()).body:
+        if isinstance(fn, ast.FunctionDef):
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Call) and \
+                        isinstance(node.func, ast.Name):
+                    name = node.func.id
+                elif isinstance(node, ast.Constant):
+                    name = node.value
+                else:
+                    continue
+                if name in contract:
+                    users.setdefault(name, set()).add(fn.name)
+    assert users == {name: {"main"} for name in contract}
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+def test_unreadable_config_is_config_error(tmp_path, capsys, kind):
+    # an OSError of the read is a configuration error naming the path,
+    # not a traceback with the exit code of a check failure
+    path = tmp_path / "run.cfg"
+    if kind == "directory":
+        path.mkdir()
+    out = tmp_path / "out"
+    assert run_cli(["--out", str(out), "--config", str(path),
+                    "diagnose"]) == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: cannot read {path}: ")
+    assert os.listdir(out) == []
 
 
 def test_readme_config_table_matches_config():

@@ -22,7 +22,7 @@ def test_time_grid_rejects_bad_input():
     with pytest.raises(ValueError):
         TimeGrid(0.5, n_points=8)
     with pytest.raises(ValueError):
-        TimeGrid(10.0, gamma=0.9)
+        TimeGrid(10.0, n_points=1)
 
 
 def test_spatial_grid_invariants():
