@@ -1,9 +1,14 @@
 """Seeded corpus sweeps that produced the frozen constants.
 
-Each sweep measures the relevant ratios over a reproducible corpus and
-reports the maximum; the values in ``constants.py`` are these maxima
-with a 15 percent safety margin, frozen once.  Rerunning is only needed
-when the corpus definitions change.
+Each sweep measures the relevant ratios over a reproducible corpus
+through the library check that uses the constant
+(``verify_smoothing_bounds``, ``norm_algebra_check`` and
+``convexity_check``, ``flow.gronwall_diagnostics``,
+``homological.estimate_check``, ``hypotheses_report``,
+``decay_diagnostics``), so a change to a check changes its calibration
+too, and reports the maximum; the values in ``constants.py`` are these
+maxima with a 15 percent safety margin, frozen once.  Rerunning is only
+needed when the corpus definitions change.
 """
 
 from __future__ import annotations
@@ -11,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .grids import GridFn, SpatialGrid, TimeGrid
-from .norms import convexity_check, norm_algebra_check, weighted_norm
+from .norms import convexity_check, norm_algebra_check
 from .smoothing import verify_smoothing_bounds
 
 SAFETY = 1.15
@@ -83,12 +88,12 @@ def sweep_norm_algebra(seed=20240902):
 
 
 def sweep_flow_exponents(seed=20240903):
-    """Fit growth exponents of |d_q psi| and |R| for scaled fields and
-    report exponent/mu ratios."""
-    from .flow import (VectorFieldSpec, _fit_exponent, flow_jacobian,
-                       fundamental_matrix)
+    """Growth exponents of |d_q psi| and |R| measured by
+    flow.gronwall_diagnostics for f = mu sin(2 pi q)/t, g = 0.9 mu/t,
+    reported as exponent/mu ratios."""
+    from .flow import VectorFieldSpec, gronwall_diagnostics
     out = {"cbar1": 0.0, "cR0": 0.0, "cR1": 0.0}
-    pairs = [(1.0, t) for t in (2.0, 4.0, 8.0, 16.0)]
+    pairs = [(t, 1.0) for t in (2.0, 4.0, 8.0, 16.0)]
     samples = np.linspace(0, 1, 9)[:-1][:, None]
     for mu in (0.02, 0.05, 0.1):
         F = VectorFieldSpec(
@@ -101,29 +106,19 @@ def sweep_flow_exponents(seed=20240903):
             return np.full((len(np.atleast_2d(q)), 1, 1),
                            mu * 0.9 / t)
 
-        ratios, norms_psi, norms_R = [], [], []
-        for (t0, t1) in pairs:
-            sup_j = max(float(np.abs(flow_jacobian(
-                F, q, t0, t1, 1e-11)).max()) for q in samples)
-            sup_r = max(float(np.abs(fundamental_matrix(
-                gfun, F, q, t0, t1, tol=1e-11).matrix).max())
-                for q in samples[:3])
-            ratios.append(t1 / t0)
-            norms_psi.append(sup_j)
-            norms_R.append(sup_r)
-        c_psi = _fit_exponent(ratios, norms_psi)[0]
-        c_R = _fit_exponent(ratios, norms_R)[0]
-        out["cbar1"] = max(out["cbar1"], c_psi / mu)
-        out["cR0"] = max(out["cR0"], c_R / (0.9 * mu))
-        out["cR1"] = max(out["cR1"], 2.0 * c_R / (0.9 * mu))
+        rep = gronwall_diagnostics(F, gfun, mu, 0, samples, pairs)
+        c_R = rep["R_exponent"] / (0.9 * mu)
+        out["cbar1"] = max(out["cbar1"], rep["flow_exponent"] / mu)
+        out["cR0"] = max(out["cR0"], c_R)
+        out["cR1"] = max(out["cR1"], 2.0 * c_R)
     return {k: v * SAFETY for k, v in out.items()}
 
 
 def sweep_homological(seed=20240904):
-    """Measured |kappa|_{sigma,1} (1 - c_kappa mu) / bound-parts over a
-    family of solvable transport problems."""
-    from .homological import HomologicalProblem, solve_he
-    from . import constants
+    """Constant c_estimate implied by homological.estimate_check
+    (measured |kappa|_{sigma,1} over its bound per unit c_estimate) over
+    a family of solvable transport problems."""
+    from .homological import HomologicalProblem, estimate_check, solve_he
     rng = np.random.default_rng(seed)
     tg = TimeGrid(16.0, n_points=48)
     sg = SpatialGrid(1, 64)
@@ -150,15 +145,8 @@ def sweep_homological(seed=20240904):
         for sigma in (0.0, 1.0, 2.0):
             prob = HomologicalProblem(omega=[1.0], z=z, f=f, g=g,
                                       sigma=sigma)
-            sol = solve_he(prob, quad_tol=1e-9)
-            kn = weighted_norm(sol.kappa, sigma, 1).value
-            ck = constants.c_kappa(sigma)
-            z_s2 = weighted_norm(z, sigma, 2).value
-            z_12 = weighted_norm(z, 1, 2).value
-            fg = weighted_norm(f, sigma, 1).value \
-                + weighted_norm(g, sigma, 1).value
-            denom = 1.0 - ck * prob.mu
-            implied = kn / (z_s2 / denom + fg * z_12 / denom ** 2)
+            est = estimate_check(solve_he(prob, quad_tol=1e-9), prob)
+            implied = est["measured"] * est["c_estimate"] / est["bound"]
             worst[sigma] = max(worst[sigma], implied)
     return {("c_estimate", s): v * SAFETY for s, v in worst.items()}
 

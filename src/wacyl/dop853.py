@@ -436,6 +436,9 @@ def solve_ivp(fun, t_span, y0, rtol, atol, t_eval=None, events=None):
     if not np.isfinite(y0).all():
         raise ValueError("All components of the initial state `y0` must "
                          "be finite.")
+    if not (math.isfinite(rtol) and math.isfinite(atol)):
+        raise ValueError(f"`rtol` and `atol` must be finite (got rtol = "
+                         f"{rtol}, atol = {atol}).")
     if rtol < 100 * EPS:
         warnings.warn("`rtol` is too small. Setting `rtol = "
                       f"np.maximum(rtol, {100 * EPS})`.", stacklevel=2)

@@ -1,15 +1,17 @@
 """Non-autonomous flows of omega + f(q,t) on the torus T^n, their spatial
-Jacobians, and the fundamental matrix of the zeroth-order transport
-system.
+Jacobians, the fundamental matrix of the zeroth-order transport system,
+and the Gronwall-type growth check of both matrices whose exponents
+freeze `constants.FLOW_EXPONENTS` (`calibration.sweep_flow_exponents`
+measures through it).
 
 Integration uses an adaptive embedded Runge-Kutta pair (DOP853 from
-`dop853`, through `_solve`); the tests check it against a fixed-step
-RK4 oracle (`tests/oracles.py`).
+`dop853`, through `_solve`, which refuses a tolerance that is not
+positive); the Jacobian and the fundamental matrix are one variational
+solve (`_variational`).  The tests check it against a fixed-step RK4
+oracle (`tests/oracles.py`).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,9 +19,9 @@ from . import constants
 from .dop853 import solve_ivp
 from .norms import weighted_norm
 
-__all__ = ["VectorFieldSpec", "FundamentalMatrix", "NumericalError",
-           "IntegrationError", "NormBudgetError", "integrate_flow",
-           "flow_jacobian", "fundamental_matrix", "gronwall_diagnostics"]
+__all__ = ["VectorFieldSpec", "NumericalError", "IntegrationError",
+           "NormBudgetError", "integrate_flow", "flow_jacobian",
+           "fundamental_matrix", "gronwall_diagnostics"]
 
 
 class NumericalError(Exception):
@@ -41,14 +43,6 @@ class NormBudgetError(NumericalError):
         self.budget = budget
 
 
-@dataclass
-class FundamentalMatrix:
-    base_point: np.ndarray
-    t: float
-    tau: float
-    matrix: np.ndarray
-
-
 class VectorFieldSpec:
     """F(q,t) = omega + f(q,t) on T^n; f None for the free rotation.
 
@@ -56,18 +50,17 @@ class VectorFieldSpec:
     from sampled data (trigonometric in q, local polynomial in log t).
     """
 
-    def __init__(self, omega, f=None, jac_f=None, f_gridfn=None):
+    def __init__(self, omega, f=None, jac_f=None):
         self.omega = np.atleast_1d(np.asarray(omega, dtype=float))
         self.dim = len(self.omega)
         self.f = f
         self.jac_f = jac_f
-        self.f_gridfn = f_gridfn
 
     @classmethod
     def from_gridfn(cls, omega, f):
         interp = f.interpolator()
         return cls(omega, f=lambda q, t: interp(q, t),
-                   jac_f=lambda q, t: interp.jacobian(q, t), f_gridfn=f)
+                   jac_f=lambda q, t: interp.jacobian(q, t))
 
     def eval(self, q, t):
         q = np.asarray(q, dtype=float)
@@ -87,7 +80,10 @@ class VectorFieldSpec:
 
 def _solve(fun, y0, t0, t1, tol):
     """y(t1) of y' = fun(t, y), y(t0) = y0 by DOP853 with rtol = tol and
-    atol = 1e-2 tol; a failed integration raises IntegrationError."""
+    atol = 1e-2 tol; a tol that is not positive (nan included) raises
+    ValueError, a failed integration IntegrationError."""
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol!r}")
     if t0 == t1:
         return y0.copy()
     sol = solve_ivp(fun, (t0, t1), y0, rtol=tol, atol=tol * 1e-2)
@@ -99,8 +95,6 @@ def _solve(fun, y0, t0, t1, tol):
 
 def integrate_flow(F, q0, t0, t1, tol=1e-9):
     """psi^{t1}_{t0}(q0); torus components are left unreduced."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     q0 = np.asarray(q0, dtype=float)
     single = q0.ndim == 1
     pts = np.atleast_2d(q0)
@@ -114,50 +108,30 @@ def integrate_flow(F, q0, t0, t1, tol=1e-9):
     return out[0] if single else out
 
 
-def flow_jacobian(F, q0, t0, t1, tol=1e-9):
-    """d_q psi^{t1}_{t0}(q0) by the variational equation."""
-    q0 = np.asarray(q0, dtype=float)
+def _variational(F, A, q0, t0, t1, tol):
+    """M(t1) of q' = F(q, s), M' = A(q, s) M with q(t0) = q0, M(t0) = Id:
+    one solve of [q, vec(M)]; A(q, s) takes a (1, d) point."""
     d = F.dim
-    y0 = np.concatenate([q0, np.eye(d).ravel()])
-
-    def rhs(t, y):
-        q = y[:d]
-        J = y[d:].reshape(d, d)
-        dq = F.eval(q[None, :], t)[0]
-        dJ = F.jac(q[None, :], t)[0] @ J
-        return np.concatenate([dq, dJ.ravel()])
-
-    out = _solve(rhs, y0, t0, t1, tol)
-    return out[d:].reshape(d, d)
-
-
-def fundamental_matrix(g, F, q, t, tau, t0=1.0, tol=1e-10):
-    """Solve the matrix system R' = -g(psi^s_{t0}(q), s) R, R(tau)=Id,
-    returning R(q, t, tau).  q is the characteristic label at time t0."""
-    q = np.asarray(q, dtype=float)
-    d = F.dim
-    y_tau = integrate_flow(F, q, t0, tau, tol)
-    y0 = np.concatenate([y_tau, np.eye(d).ravel()])
+    y0 = np.concatenate([np.asarray(q0, dtype=float), np.eye(d).ravel()])
 
     def rhs(s, y):
-        pos = y[:d]
-        R = y[d:].reshape(d, d)
-        dpos = F.eval(pos[None, :], s)[0]
-        G = np.asarray(g(pos[None, :], s)).reshape(d, d)
-        return np.concatenate([dpos, (-G @ R).ravel()])
+        q = y[None, :d]
+        dM = A(q, s).reshape(d, d) @ y[d:].reshape(d, d)
+        return np.concatenate([F.eval(q, s)[0], dM.ravel()])
 
-    out = _solve(rhs, y0, tau, t, tol)
-    return FundamentalMatrix(base_point=q, t=float(t), tau=float(tau),
-                             matrix=out[d:].reshape(d, d))
+    return _solve(rhs, y0, t0, t1, tol)[d:].reshape(d, d)
 
 
-def _fit_exponent(ratios, norms):
-    """Least-squares fit of log(norm) = log C + c * log(ratio)."""
-    x = np.log(np.asarray(ratios, dtype=float))
-    y = np.log(np.maximum(np.asarray(norms, dtype=float), 1e-300))
-    A = np.vstack([x, np.ones_like(x)]).T
-    coef, *_ = np.linalg.lstsq(A, y, rcond=None)
-    return float(coef[0]), float(np.exp(coef[1]))
+def flow_jacobian(F, q0, t0, t1, tol=1e-9):
+    """d_q psi^{t1}_{t0}(q0) by the variational equation."""
+    return _variational(F, F.jac, q0, t0, t1, tol)
+
+
+def fundamental_matrix(g, F, q, t, tau, tol=1e-10):
+    """R(q, t, tau) of the matrix system R' = -g(psi^s_1(q), s) R,
+    R(tau) = Id; q is the characteristic label at time 1."""
+    return _variational(F, lambda p, s: -np.asarray(g(p, s)),
+                        integrate_flow(F, q, 1.0, tau, tol), tau, t, tol)
 
 
 # DOP853 tolerance of the solves of gronwall_diagnostics
@@ -169,58 +143,52 @@ def gronwall_diagnostics(F, g, mu, sigma, sample_points, time_pairs,
     """Measure flow-derivative and fundamental-matrix growth exponents.
 
     For each (t, t0) pair the sup over sample points of |d_q psi^t_t0|
-    (max-entry norm) is recorded, and similarly |R^t_tau| over
-    (tau, t) pairs; fitted exponents of growth in log(t/t0) are
-    compared against the calibrated constants times mu.
+    (max-entry norm) is recorded, and similarly |R^t_tau| with
+    t = min, tau = max of the pair; the exponents of a least-squares fit
+    of log sup against log(max/min) are compared against the calibrated
+    constants times mu.  The fit needs at least two distinct ratios
+    max/min, else ValueError.
 
-    The norm precondition |f|_{1,1} <= mu is enforced when the sampled
-    field is supplied (f_gridfn, else F's own).
+    The norm precondition |f|_{1,1} <= mu is enforced on the sampled
+    field f_gridfn when it is given.
     """
-    if f_gridfn is None:
-        f_gridfn = F.f_gridfn
     if f_gridfn is not None:
         measured = weighted_norm(f_gridfn, 1, 1).value
         if measured > mu * (1 + 1e-9):
             raise NormBudgetError("|f|_{1,1}", measured, mu)
+    ratios = [max(pair) / min(pair) for pair in time_pairs]
+    if len(set(ratios)) < 2:
+        raise ValueError(f"time_pairs {list(time_pairs)} give "
+                         f"{len(set(ratios))} distinct ratio(s) max/min; "
+                         "the growth fit needs at least 2")
     samples = np.atleast_2d(np.asarray(sample_points, dtype=float))
+    # least-squares fit of log sup = c log(max/min) + log C per kind
+    A = np.vstack([np.log(ratios), np.ones(len(ratios))]).T
     records = []
-    ratios, norms = [], []
-    for (t, t0) in time_pairs:
-        sup = 0.0
-        for q in samples:
-            J = flow_jacobian(F, q, t0, t, GRONWALL_TOL)
-            sup = max(sup, float(np.abs(J).max()))
-        ratios.append(max(t, t0) / min(t, t0))
-        norms.append(sup)
-        records.append({"pair": [float(t), float(t0)],
-                        "kind": "flow_jacobian", "measured_norm": sup})
-    exp_psi, _ = _fit_exponent(ratios, norms)
+
+    def growth(kind, pairs, matrix, bound):
+        # sup over samples per pair, fitted exponent c, one record per pair
+        norms = [max(float(np.abs(matrix(q, *pair)).max()) for q in samples)
+                 for pair in pairs]
+        y = np.log(np.maximum(norms, 1e-300))
+        exponent = float(np.linalg.lstsq(A, y, rcond=None)[0][0])
+        ok = exponent <= bound + 1e-9
+        records.extend({"pair": [float(a), float(b)], "kind": kind,
+                        "measured_norm": n, "fitted_exponent": exponent,
+                        "bound": bound, "pass": ok}
+                       for (a, b), n in zip(pairs, norms))
+        return exponent, ok
+
     bound_psi = constants.FLOW_EXPONENTS["cbar1"] * mu
-    ratios2, norms2 = [], []
-    for (t, tau) in time_pairs:
-        t_lo, t_hi = min(t, tau), max(t, tau)
-        sup = 0.0
-        for q in samples:
-            R = fundamental_matrix(g, F, q, t_lo, t_hi, tol=GRONWALL_TOL)
-            sup = max(sup, float(np.abs(R.matrix).max()))
-        ratios2.append(t_hi / t_lo)
-        norms2.append(sup)
-        records.append({"pair": [float(t_lo), float(t_hi)],
-                        "kind": "fundamental_matrix",
-                        "measured_norm": sup})
-    exp_R, _ = _fit_exponent(ratios2, norms2)
-    key = "cR1" if sigma >= 1 else "cR0"
-    bound_R = constants.FLOW_EXPONENTS[key] * mu
-    flow_pass = exp_psi <= bound_psi + 1e-9
-    R_pass = exp_R <= bound_R + 1e-9
-    for rec in records:
-        if rec["kind"] == "flow_jacobian":
-            rec.update(fitted_exponent=exp_psi, bound=bound_psi,
-                       **{"pass": flow_pass})
-        else:
-            rec.update(fitted_exponent=exp_R, bound=bound_R,
-                       **{"pass": R_pass})
-    report = {
+    bound_R = constants.FLOW_EXPONENTS["cR1" if sigma >= 1 else "cR0"] * mu
+    exp_psi, flow_pass = growth(
+        "flow_jacobian", time_pairs,
+        lambda q, t, t0: flow_jacobian(F, q, t0, t, GRONWALL_TOL), bound_psi)
+    exp_R, R_pass = growth(
+        "fundamental_matrix", [(min(p), max(p)) for p in time_pairs],
+        lambda q, t, tau: fundamental_matrix(g, F, q, t, tau, GRONWALL_TOL),
+        bound_R)
+    return {
         "mu": mu, "sigma": sigma,
         "flow_exponent": exp_psi, "flow_bound": bound_psi,
         "flow_pass": flow_pass,
@@ -229,4 +197,3 @@ def gronwall_diagnostics(F, g, mu, sigma, sample_points, time_pairs,
         "records": records,
         "constants_source": "calibrated",
     }
-    return report

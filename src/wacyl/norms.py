@@ -61,9 +61,8 @@ def _holder_quotient(grid, top_derivs, mu, pair_radius):
     return best
 
 
-def holder_norm(f, sigma, time_index=0, pair_radius=None):
-    """Hölder norm |f^t|_{C^sigma} of one time slice of a GridFn, or with
-    time_index=None the list of it over every slice.
+def holder_norm(f, sigma, pair_radius=None):
+    """Hölder norms |f^t|_{C^sigma} of a GridFn, one float per time slice.
 
     Derivatives are spectral (from f.spectrum()), taken once per
     multi-index on the whole (T, ...) array; the fractional part adds the
@@ -78,16 +77,11 @@ def holder_norm(f, sigma, time_index=0, pair_radius=None):
     mu = sigma - k
     if abs(mu) < 1e-12:
         mu = 0.0
-    if time_index is None:
-        rows = slice(None)
-    else:
-        i = range(len(f.times))[time_index]
-        rows = slice(i, i + 1)
     grid = f.grid
-    spec = f.spectrum()[rows] if k else None
-    level = {(0,) * grid.n: f.values[rows]}
-    best = _slice_max(np.abs(f.values[rows]))
-    tops = [f.values[rows]] if k == 0 else []
+    spec = f.spectrum() if k else None
+    level = {(0,) * grid.n: f.values}
+    best = _slice_max(np.abs(f.values))
+    tops = [f.values] if k == 0 else []
     for order in range(1, k + 1):
         new_level = {}
         for alpha in level:
@@ -103,7 +97,7 @@ def holder_norm(f, sigma, time_index=0, pair_radius=None):
     if mu > 0:
         best = np.maximum(best,
                           _holder_quotient(f.grid, tops, mu, pair_radius))
-    return best.tolist() if time_index is None else float(best[0])
+    return best.tolist()
 
 
 def weighted_norm(f, sigma, l, pair_radius=None):
@@ -122,7 +116,7 @@ def weighted_norm(f, sigma, l, pair_radius=None):
     if hvals is None:
         # an all-zero field (b = m = 0 in the power-law preset) has the
         # zero profile; skip the spectral derivatives
-        hvals = (holder_norm(f, sigma, None, pair_radius) if f.values.any()
+        hvals = (holder_norm(f, sigma, pair_radius) if f.values.any()
                  else [0.0] * len(f.values))
         f._norm_cache[hkey] = hvals
     profile = [(float(t), h * float(t) ** l)

@@ -107,7 +107,7 @@ def test_criterion_03_fundamental_matrix_closed_form():
 
             R = fundamental_matrix(g, F, np.array([0.3]), 1.0, ratio,
                                    tol=1e-12)
-            worst = max(worst, abs(R.matrix[0, 0] - ratio ** c))
+            worst = max(worst, abs(R[0, 0] - ratio ** c))
     report(3, worst <= 1e-8,
            f"max |R - (tau/t)^c| = {worst:.2e} <= 1e-8 over "
            "c in {0.1,0.3,0.9}, ratios {2,4,16}")

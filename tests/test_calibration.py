@@ -1,9 +1,12 @@
 """Provenance of the frozen constants: the calibration sweeps, re-run,
 stay at or below every value frozen in ``constants``."""
 
+import ast
+from pathlib import Path
+
 import pytest
 
-from wacyl import calibration, constants
+from wacyl import calibration, constants, flow, homological
 
 # sweep name -> the frozen constant that a key of its report calibrates
 FROZEN_BY_SWEEP = {
@@ -50,3 +53,52 @@ def test_sweeps_reproduce_frozen_constants():
              if not value <= frozen[name]}
     assert not above, f"measured above frozen (measured, frozen): {above}"
     assert set(frozen) - set(produced) == NOT_SWEPT
+
+
+def test_flow_sweep_reads_gronwall_diagnostics(monkeypatch):
+    # the sweep's constants are the exponents gronwall_diagnostics
+    # reports, over mu (0.9 mu for R), times SAFETY
+    calls = []
+
+    def stub(F, g, mu, sigma, sample_points, time_pairs, f_gridfn=None):
+        calls.append((mu, sigma, list(time_pairs)))
+        return {"flow_exponent": 0.007, "R_exponent": 0.011}
+
+    monkeypatch.setattr(flow, "gronwall_diagnostics", stub)
+    out = calibration.sweep_flow_exponents()
+    mus = [mu for mu, _, _ in calls]
+    assert len(mus) == 3
+    assert all(sigma == 0 and pairs == [(t, 1.0) for t in (2, 4, 8, 16)]
+               for _, sigma, pairs in calls)
+    c_psi = max(0.007 / mu for mu in mus)
+    c_R = max(0.011 / (0.9 * mu) for mu in mus)
+    assert out == {"cbar1": c_psi * calibration.SAFETY,
+                   "cR0": c_R * calibration.SAFETY,
+                   "cR1": 2.0 * c_R * calibration.SAFETY}
+
+
+def test_homological_sweep_reads_estimate_check(monkeypatch):
+    # the implied c_estimate is measured * c_estimate / bound of
+    # estimate_check, the worst per sigma, times SAFETY
+    sigmas = []
+
+    def stub(sol, p):
+        sigmas.append(p.sigma)
+        return {"measured": 2.0, "c_estimate": 1.5 + p.sigma, "bound": 3.0}
+
+    monkeypatch.setattr(homological, "estimate_check", stub)
+    out = calibration.sweep_homological()
+    assert sorted(sigmas) == [0.0] * 5 + [1.0] * 5 + [2.0] * 5
+    assert out == {("c_estimate", s): 2.0 * (1.5 + s) / 3.0
+                   * calibration.SAFETY for s in (0, 1, 2)}
+
+
+def test_calibration_imports_no_private_name():
+    # the sweeps measure through the public checks, not copies of their
+    # internals
+    tree = ast.parse(Path(calibration.__file__).read_text())
+    private = [alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom)
+               and (node.level or (node.module or "").startswith("wacyl"))
+               for alias in node.names if alias.name.startswith("_")]
+    assert not private

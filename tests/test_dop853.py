@@ -243,9 +243,15 @@ def test_encounter_event_reuses_the_last_force_pass(monkeypatch):
 
 
 def test_non_finite_initial_state_is_refused():
-    with pytest.raises(ValueError, match="must be finite"):
-        solve_ivp(lambda t, y: y, (0.0, 1.0), [0.0, np.nan], rtol=1e-9,
-                  atol=1e-12)
+    # a non-finite state or tolerance is refused up front; a nan rtol or
+    # atol used to loop forever in the step-size control
+    for y0, rtol, atol in (([0.0, np.nan], 1e-9, 1e-12),
+                           ([1.0, 0.0], np.nan, 1e-12),
+                           ([1.0, 0.0], 1e-9, np.nan),
+                           ([1.0, 0.0], np.inf, 1e-12)):
+        with pytest.raises(ValueError, match="must be finite"):
+            solve_ivp(lambda t, y: y, (0.0, 1.0), y0, rtol=rtol,
+                      atol=atol)
 
 
 # ---- scipy stays out of the library ----------------------------------

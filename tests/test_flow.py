@@ -72,7 +72,7 @@ def test_fundamental_matrix_identity_for_zero_g():
         return np.zeros((len(np.atleast_2d(q)), 1, 1))
 
     R = fundamental_matrix(g, F, np.array([0.1]), 3.0, 5.0)
-    assert np.allclose(R.matrix, np.eye(1), atol=1e-12)
+    assert np.allclose(R, np.eye(1), atol=1e-12)
 
 
 @pytest.mark.parametrize("c", [0.1, 0.3, 0.9])
@@ -85,7 +85,7 @@ def test_fundamental_matrix_scalar_closed_form(c, ratio):
         return np.full((len(np.atleast_2d(q)), 1, 1), c / t)
 
     R = fundamental_matrix(g, F, np.array([0.3]), 1.0, ratio, tol=1e-12)
-    assert abs(R.matrix[0, 0] - ratio ** c) < 1e-8
+    assert abs(R[0, 0] - ratio ** c) < 1e-8
 
 
 def test_fundamental_matrix_cocycle():
@@ -97,9 +97,9 @@ def test_fundamental_matrix_cocycle():
 
     tol = 1e-11
     q = np.array([0.4])
-    R_ts = fundamental_matrix(g, F, q, 2.0, 5.0, tol=tol).matrix
-    R_st = fundamental_matrix(g, F, q, 5.0, 9.0, tol=tol).matrix
-    R_tt = fundamental_matrix(g, F, q, 2.0, 9.0, tol=tol).matrix
+    R_ts = fundamental_matrix(g, F, q, 2.0, 5.0, tol=tol)
+    R_st = fundamental_matrix(g, F, q, 5.0, 9.0, tol=tol)
+    R_tt = fundamental_matrix(g, F, q, 2.0, 9.0, tol=tol)
     assert np.abs(R_ts @ R_st - R_tt).max() <= 100 * 1e-8
 
 
@@ -115,7 +115,7 @@ def test_fundamental_matrix_growth_bound():
     c = amp  # sup over s of |g^s| s
     for (t, tau) in ((1.0, 3.0), (2.0, 8.0), (1.0, 16.0)):
         R = fundamental_matrix(g, F, np.array([0.15]), t, tau, tol=1e-11)
-        norm = np.linalg.norm(R.matrix, 2)
+        norm = np.linalg.norm(R, 2)
         assert norm <= (tau / t) ** c * (1 + 1e-6)
 
 
@@ -134,8 +134,8 @@ def test_liouville_trace_identity():
 
     q0 = np.array([0.3, 0.6])
     t0, tau, t1 = 1.0, 1.0, 6.0
-    R = fundamental_matrix(g, F, q0, t1, tau, t0=t0, tol=1e-12)
-    logdet = np.log(np.linalg.det(R.matrix))
+    R = fundamental_matrix(g, F, q0, t1, tau, tol=1e-12)
+    logdet = np.log(np.linalg.det(R))
 
     def trace_at(s):
         pos = integrate_flow(F, q0, t0, s, 1e-12)
@@ -201,6 +201,34 @@ def test_gronwall_calibrated_bound_and_refusal():
             sample_points=np.array([[0.0]]),
             time_pairs=[(1.0, 2.0)], f_gridfn=fg)
     assert exc.value.measured > mu / 10
+
+
+def test_gronwall_refuses_a_single_ratio():
+    # one distinct ratio leaves the growth fit underdetermined: for
+    # g = 0.3/t the fit through (4, 4^0.3) alone would report 0.197
+    F = VectorFieldSpec([1.0])
+
+    def g(q, t):
+        return np.full((len(np.atleast_2d(q)), 1, 1), 0.3 / t)
+
+    for pairs in ([(1.0, 4.0)], [(1.0, 4.0), (4.0, 1.0), (2.0, 8.0)]):
+        with pytest.raises(ValueError, match="1 distinct ratio"):
+            gronwall_diagnostics(F, g, mu=0.3, sigma=0,
+                                 sample_points=np.array([[0.0]]),
+                                 time_pairs=pairs)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-9, np.nan])
+@pytest.mark.parametrize("solve", [
+    lambda F, tol: integrate_flow(F, np.array([0.3]), 1.0, 2.0, tol),
+    lambda F, tol: flow_jacobian(F, np.array([0.3]), 1.0, 2.0, tol),
+    lambda F, tol: fundamental_matrix(
+        lambda q, t: np.zeros((1, 1, 1)), F, np.array([0.3]), 1.0, 2.0,
+        tol=tol),
+], ids=["integrate_flow", "flow_jacobian", "fundamental_matrix"])
+def test_flow_entry_points_refuse_a_bad_tol(solve, tol):
+    with pytest.raises(ValueError, match=f"tol must be positive, got {tol}"):
+        solve(small_field(), tol)
 
 
 def test_solve_ivp_only_in_flow_and_celestial():

@@ -294,9 +294,8 @@ def test_holder_profile_equals_per_slice_oracle(grid_case, pair_radius,
     f = GridFn(sg, tg, values)
     want = [_oracle_holder_norm(f, sigma, i, pair_radius)
             for i in range(len(tg))]
-    got = holder_norm(f, sigma, None, pair_radius)
+    got = holder_norm(f, sigma, pair_radius)
     assert got == want and all(type(h) is float for h in got)
-    assert holder_norm(f, sigma, -1, pair_radius) == want[-1]
     assert weighted_norm(f, sigma, 0.0, pair_radius).value == max(want)
 
 
@@ -317,7 +316,7 @@ def test_holder_quotient_takes_axis_pairs_only():
         / (np.sqrt(2) / 8) ** 0.5
     assert axis_max == pytest.approx(2 * np.sqrt(2), rel=1e-14)
     assert diagonal > 3.36 > axis_max
-    assert holder_norm(f, 0.5) == axis_max
+    assert holder_norm(f, 0.5)[0] == axis_max
 
 
 def test_time_grid_matrices_are_cached_read_only():
