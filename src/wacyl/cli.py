@@ -248,7 +248,7 @@ def cmd_solve(conf, outdir):
                ["j", "tau_j", "t_j", "paired_residual", "true_residual",
                 "step_low", "step_high"], rows)
     sol.v.save(os.path.join(outdir, "v.wgf"))
-    sol.gamma.gamma.save(os.path.join(outdir, "gamma.wgf"))
+    sol.gamma.save(os.path.join(outdir, "gamma.wgf"))
     mon = monitor(state, p)
     manifest = {**sol.manifest,
                 "monitor": {k: v for k, v in mon.items() if k != "rows"}}

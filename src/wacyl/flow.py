@@ -46,8 +46,7 @@ class NormBudgetError(NumericalError):
 class VectorFieldSpec:
     """F(q,t) = omega + f(q,t) on T^n; f None for the free rotation.
 
-    f and its spatial Jacobian are callables; from_gridfn builds them
-    from sampled data (trigonometric in q, local polynomial in log t).
+    f and its spatial Jacobian are callables of (q, t).
     """
 
     def __init__(self, omega, f=None, jac_f=None):
@@ -55,12 +54,6 @@ class VectorFieldSpec:
         self.dim = len(self.omega)
         self.f = f
         self.jac_f = jac_f
-
-    @classmethod
-    def from_gridfn(cls, omega, f):
-        interp = f.interpolator()
-        return cls(omega, f=lambda q, t: interp(q, t),
-                   jac_f=lambda q, t: interp.jacobian(q, t))
 
     def eval(self, q, t):
         q = np.asarray(q, dtype=float)

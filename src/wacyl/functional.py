@@ -8,35 +8,31 @@ the residual field of a candidate section p = v(q,t) is
 
 with (grad v) Omega_bar = (d_q v) omega_bar + d_t v.  F(v) = 0 makes the
 graph of v an invariant cylinder transported by omega_bar + Gamma,
-Gamma = b + mbar v.
+Gamma = b + mbar v.  Nothing here integrates an ODE: the conjugacy
+check of a section against the phase-space flow is a test oracle.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from . import constants
-from .flow import NormBudgetError, NumericalError, VectorFieldSpec, \
-    _solve, integrate_flow
+from .flow import NormBudgetError, NumericalError
 from .grids import GridFn
 from .homological import HomologicalProblem, _contract, solve_he, \
     transport_operator
 from .norms import weighted_norm
 
-__all__ = ["QuadraticForm", "HamiltonianSpec", "GammaField",
-           "DomainError", "mbar_from_spec", "eval_F", "linearize",
-           "right_inverse", "gamma_from_v", "conjugacy_check",
-           "hypotheses_report", "x_norm", "v_norm", "grad_omega"]
+__all__ = ["QuadraticForm", "HamiltonianSpec", "DomainError", "eval_F",
+           "linearize", "right_inverse", "gamma_from_v",
+           "hypotheses_report", "x_norm", "v_norm"]
 
 
 # the constant C of the solvability budget delta + C Upsilon zeta
 C_GEOM = 2.0
-# geometric checkpoints of conjugacy_check after t0, and the sigmas of the
-# tame ratios in hypotheses_report
-CONJUGACY_CHECKPOINTS = 4
+# the sigmas of the tame ratios in hypotheses_report
 TAME_SIGMAS = (1.0, 2.0, 4.0)
 
 
@@ -119,14 +115,6 @@ class QuadraticForm:
         return jac.reshape(jac.shape[:-2] + (self.d,) * 3)
 
 
-@dataclass
-class GammaField:
-    gamma: GridFn
-    decay_profile: list = field(default_factory=list)
-    decay_bound: float = None
-    decay_pass: bool = None
-
-
 class HamiltonianSpec:
     """Normal-form data (omega, a, b0, br, m) with decay budgets."""
 
@@ -156,7 +144,13 @@ class HamiltonianSpec:
         identically zero."""
         return self.b.jacobian_q() if self.b.values.any() else None
 
-    def validate(self, strict=True):
+    def with_data(self, a, br):
+        """The same normal form with the data (a, br) replaced."""
+        return HamiltonianSpec(self.omega, a, self.b0, br, self.m_form,
+                               self.delta, self.epsilon, self.upsilon,
+                               self.ball_radius, self.lam, self.s)
+
+    def validate(self):
         """Budget checks of the normal form; returns the measured norms."""
         checks = {
             "|b0|_{2,1} < delta": (
@@ -171,10 +165,6 @@ class HamiltonianSpec:
             (len(self.times),) + self.grid.shape + (self.d * self.d,)))
         checks["|d2H/dp2|_{s+1,0} <= Upsilon"] = (
             weighted_norm(d2, self.s + 1, 0).value, self.upsilon)
-        if strict:
-            for name, (measured, budget) in checks.items():
-                if measured > budget:
-                    raise NormBudgetError(name, measured, budget)
         return {k: {"measured": m, "budget": b, "pass": m <= b}
                 for k, (m, b) in checks.items()}
 
@@ -214,15 +204,11 @@ def x_norm(a, b, sigma):
     return max(a_norm(a, sigma), weighted_norm(b, sigma + 1, 1).value)
 
 
-def grad_omega(v, omega):
-    """(grad v) Omega_bar = (d_q v) omega_bar + d_t v."""
-    return transport_operator(v, omega)
-
-
 def v_norm(v, omega, sigma):
-    """|v|_sigma = max(|v|_{sigma+1,1}, |(grad v) Omega_bar|_{sigma,2})."""
+    """|v|_sigma = max(|v|_{sigma+1,1}, |(grad v) Omega_bar|_{sigma,2}),
+    with (grad v) Omega_bar = (d_q v) omega_bar + d_t v."""
     return max(weighted_norm(v, sigma + 1, 1).value,
-               weighted_norm(grad_omega(v, omega), sigma, 2).value)
+               weighted_norm(transport_operator(v, omega), sigma, 2).value)
 
 
 # --------------------------------------------------------------------
@@ -238,7 +224,7 @@ def _check_ball(H, v):
             f"{H.ball_radius} at grid node {worst}")
 
 
-# the 4-point Gauss-Legendre rule of mbar_from_spec, mapped to [0, 1]:
+# the 4-point Gauss-Legendre rule of QuadraticForm.mbar, mapped to [0, 1]:
 # 0.5 (x + 1) and 0.5 w of np.polynomial.legendre.leggauss(4), as
 # literals so that importing the module runs no eigensolver (its first
 # LAPACK call adds about 0.8 MB of resident memory)
@@ -246,15 +232,6 @@ MBAR_NODES = (0.06943184420297371, 0.33000947820757187,
               0.6699905217924281, 0.9305681557970262)
 MBAR_WEIGHTS = (0.17392742256872679, 0.3260725774312732,
                 0.3260725774312732, 0.17392742256872679)
-
-
-def mbar_from_spec(H, v=None):
-    """mbar(q, v(q,t), t) (QuadraticForm.mbar) as a GridFn with d*d
-    components; v = None is the zero section."""
-    shape = (len(H.times),) + H.grid.shape + (H.d,)
-    vv = np.zeros(shape) if v is None else v.values
-    return GridFn(H.grid, H.times, H.m_form.mbar(vv).reshape(
-        shape[:-1] + (H.d * H.d,)))
 
 
 # The sums below run over the component axes, each term one broadcast
@@ -299,7 +276,7 @@ def eval_F(H, v):
     vv = v.values
     dims = range(H.d)
     # (grad v) Omega_bar + (d_q v)_ia Gamma_a + d_q a
-    out = grad_omega(v, H.omega).values \
+    out = transport_operator(v, H.omega).values \
         + _contract((jac_v[..., a], gamma[..., a, None]) for a in dims) \
         + H.a.jacobian_q()[..., 0, :]
     if db is not None:
@@ -374,56 +351,9 @@ def right_inverse(H, v, z, zeta=0.05, quad_tol=1e-9):
     return solve_he(prob, quad_tol=quad_tol)
 
 
-def gamma_from_v(H, v, zeta=None):
-    """Gamma = b + mbar(., v, .) v, with its decay envelope."""
-    gamma = GridFn(H.grid, H.times, _mbar_gamma(H, v)[1])
-    profile = weighted_norm(gamma, 1, 1).per_time_profile
-    bound = None
-    ok = None
-    if zeta is not None:
-        bound = weighted_norm(H.b0, 1, 1).value + H.epsilon \
-            + C_GEOM * H.upsilon * zeta
-        ok = max(p for _, p in profile) <= bound * (1 + 1e-9)
-    return GammaField(gamma=gamma, decay_profile=profile,
-                      decay_bound=bound, decay_pass=ok)
-
-
-def conjugacy_check(X, phi_family, Gamma, t0, t1, samples, omega,
-                    tol=1e-9):
-    """Max over samples and checkpoint times of
-    |psi^t_{t0,X}(phi^{t0}(q)) - phi^t(psi^t_{t0, omega_bar+Gamma}(q))|.
-
-    X(state, t) is the phase-space field, phi_family(q, t) the embedding,
-    Gamma a GridFn on the base (pass a zero GridFn for the invariant
-    case).  Torus components compare modulo 1.
-    """
-    if np.abs(Gamma.values).max() == 0.0:
-        base_field = VectorFieldSpec(omega)
-    else:
-        base_field = VectorFieldSpec.from_gridfn(omega, Gamma)
-    n = len(np.atleast_1d(omega))
-    times = np.geomspace(t0, t1, CONJUGACY_CHECKPOINTS + 1)[1:]
-    worst = 0.0
-    records = []
-
-    def rhs(s, y):
-        return np.asarray(X(y, s), dtype=float)
-
-    for q in np.atleast_2d(samples):
-        state = np.asarray(phi_family(q, t0), dtype=float)
-        base = q.copy()
-        t_prev = t0
-        for t in times:
-            state = _solve(rhs, state, t_prev, t, tol)
-            base = integrate_flow(base_field, base, t_prev, t, tol)
-            t_prev = t
-            predicted = np.asarray(phi_family(base, t), dtype=float)
-            diff = state - predicted
-            diff[:n] = (diff[:n] + 0.5) % 1.0 - 0.5
-            err = float(np.abs(diff).max())
-            worst = max(worst, err)
-            records.append({"q": q.tolist(), "t": float(t), "error": err})
-    return {"max_error": worst, "records": records}
+def gamma_from_v(H, v):
+    """The transport field Gamma = b + mbar(., v, .) v of the section v."""
+    return GridFn(H.grid, H.times, _mbar_gamma(H, v)[1])
 
 
 def hypotheses_report(H, zeta, n_samples=6, seed=0):
@@ -465,17 +395,12 @@ def hypotheses_report(H, zeta, n_samples=6, seed=0):
         n = max(v_norm(vv, H.omega, 1.0), 1e-300)
         return GridFn(grid, times, vv.values * (scale or ball) / n)
 
-    def spec_for(da, dbr):
-        return HamiltonianSpec(H.omega, da, H.b0, dbr, H.m_form,
-                               H.delta, H.epsilon, H.upsilon,
-                               H.ball_radius, H.lam, H.s)
-
     h1_first, h1_second, h2, h3_mu = [], [], [], []
     tame = {s: [] for s in TAME_SIGMAS}
     for _ in range(n_samples):
         da, dbr = x_sample()
         vv = v_sample()
-        Hs = spec_for(da, dbr)
+        Hs = H.with_data(da, dbr)
         # H.1: first and second differentials, unit directions
         vhat = v_sample(scale=1.0)
         nv = max(v_norm(vhat, H.omega, 0.0), 1e-300)
@@ -491,8 +416,8 @@ def hypotheses_report(H, zeta, n_samples=6, seed=0):
         h1_second.append(weighted_norm(second, 0, 2).value)
         # H.2: Lipschitz ratio in x
         da2, dbr2 = x_sample()
-        diff = weighted_norm(eval_F(Hs, vv) - eval_F(spec_for(da2, dbr2), vv),
-                             0, 2).value
+        diff = weighted_norm(
+            eval_F(Hs, vv) - eval_F(H.with_data(da2, dbr2), vv), 0, 2).value
         dx = x_norm(da - da2, dbr - dbr2, 0)
         if dx > 0:
             h2.append(diff / dx)

@@ -85,6 +85,11 @@ class _Derived:
         return cache[key]
 
 
+# relative spread of the ratios t_{k+1}/t_k that TimeGrid.from_points
+# accepts (TimeGrid and np.geomspace nodes spread by at most 1.2e-15)
+GEOMETRIC_RTOL = 1e-9
+
+
 class TimeGrid(_Derived):
     """Geometric time grid t_k = gamma^k on [1, t_max].
 
@@ -106,8 +111,9 @@ class TimeGrid(_Derived):
     @classmethod
     def from_points(cls, points):
         """Rebuild a grid from its stored nodes (as written by GridFn.save).
-        The nodes must be finite, strictly increasing and start at or
-        above 1; a ValueError names the first one that is not."""
+        The nodes must be finite, strictly increasing, >= 1, at least two
+        and geometric (the transport solve builds its quadrature on
+        t_0 gamma^k); a ValueError names the first one that is not."""
         points = np.array(points, dtype=float)
         if points.ndim != 1 or not len(points):
             raise ValueError(f"time nodes must be a non-empty list, got "
@@ -119,12 +125,21 @@ class TimeGrid(_Derived):
             raise ValueError(f"time nodes must be finite, strictly "
                              f"increasing and >= 1: node {k} is "
                              f"{float(points[k])!r}")
+        if len(points) < 2:
+            raise ValueError(f"need at least two time nodes: node 0 is "
+                             f"{float(points[0])!r} and the only one")
+        ratios = points[1:] / points[:-1]
+        off = np.abs(ratios / ratios[0] - 1.0) > GEOMETRIC_RTOL
+        if off.any():
+            k = int(np.argmax(off)) + 1
+            raise ValueError(f"time nodes must be geometric, ratios within "
+                             f"{GEOMETRIC_RTOL:g} of {float(ratios[0])!r}: "
+                             f"node {k} is {float(points[k])!r}")
         grid = cls.__new__(cls)
         grid._set_points(points)
         grid.t_start = float(grid.points[0])
         grid.t_max = float(grid.points[-1])
-        grid.gamma = float(grid.points[1] / grid.points[0]) \
-            if len(grid.points) > 1 else 1.05
+        grid.gamma = float(ratios[0])
         return grid
 
     def _set_points(self, points):

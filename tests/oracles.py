@@ -17,11 +17,20 @@ reads the interior stencils as windows and must give the same bytes.
 linearization, mbar and the transport operator written with
 `np.einsum` over the component axes; the library spells the same sums
 out component by component and must give the same bytes.
+
+Two checks of a solved section against trajectories, which integrate
+ODEs and so stay out of the Newton core: `conjugacy_check` compares the
+phase-space flow started on the section with the section carried by
+the base flow of omega_bar + Gamma, and `lagrangian_check` pulls the
+2-form of a section back along that base flow.
+`vector_field_from_gridfn` is the base flow's field built from a
+sampled `GridFn` (trigonometric in q, local polynomial in log t).
 """
 
 import numpy as np
 
-from wacyl.flow import _solve
+from wacyl.flow import VectorFieldSpec, _solve, flow_jacobian, \
+    integrate_flow
 from wacyl.functional import MBAR_NODES, MBAR_WEIGHTS, _check_ball
 from wacyl.grids import GridFn
 from wacyl.homological import (REFINE_DEGREE, TAIL_NODES, TIME_REFINE,
@@ -204,3 +213,86 @@ def einsum_linearize(H, v):
     g = g + 2.0 * np.einsum("...ija,...i->...aj", mg, vv)
     gf = GridFn(H.grid, H.times, g.reshape(vv.shape[:-1] + (d * d,)))
     return f, gf
+
+
+def vector_field_from_gridfn(omega, f):
+    """The field omega + f of a sampled f, through its interpolant."""
+    interp = f.interpolator()
+    return VectorFieldSpec(omega, f=lambda q, t: interp(q, t),
+                           jac_f=lambda q, t: interp.jacobian(q, t))
+
+
+# geometric checkpoints of conjugacy_check after t0
+CONJUGACY_CHECKPOINTS = 4
+
+
+def conjugacy_check(X, phi_family, Gamma, t0, t1, samples, omega,
+                    tol=1e-9):
+    """Max over samples and checkpoint times of
+    |psi^t_{t0,X}(phi^{t0}(q)) - phi^t(psi^t_{t0, omega_bar+Gamma}(q))|.
+
+    X(state, t) is the phase-space field, phi_family(q, t) the embedding,
+    Gamma a GridFn on the base (pass a zero GridFn for the invariant
+    case).  Torus components compare modulo 1.
+    """
+    if np.abs(Gamma.values).max() == 0.0:
+        base_field = VectorFieldSpec(omega)
+    else:
+        base_field = vector_field_from_gridfn(omega, Gamma)
+    n = len(np.atleast_1d(omega))
+    times = np.geomspace(t0, t1, CONJUGACY_CHECKPOINTS + 1)[1:]
+    worst = 0.0
+    records = []
+
+    def rhs(s, y):
+        return np.asarray(X(y, s), dtype=float)
+
+    for q in np.atleast_2d(samples):
+        state = np.asarray(phi_family(q, t0), dtype=float)
+        base = q.copy()
+        t_prev = t0
+        for t in times:
+            state = _solve(rhs, state, t_prev, t, tol)
+            base = integrate_flow(base_field, base, t_prev, t, tol)
+            t_prev = t
+            predicted = np.asarray(phi_family(base, t), dtype=float)
+            diff = state - predicted
+            diff[:n] = (diff[:n] + 0.5) % 1.0 - 0.5
+            err = float(np.abs(diff).max())
+            worst = max(worst, err)
+            records.append({"q": q.tolist(), "t": float(t), "error": err})
+    return {"max_error": worst, "records": records}
+
+
+def lagrangian_check(sol, H, times, samples, tol=1e-9):
+    """Pullback 2-form coefficients of the section along the transported
+    flow from t = 1; reports the max |alpha^t| per time and a decay
+    verdict.
+
+    On a 1-dimensional base the form vanishes identically.
+    """
+    v = sol.v
+    n_base = v.grid.n
+    out = []
+    if n_base < 2:
+        return {"per_time": [{"t": float(t), "max_alpha": 0.0}
+                             for t in times],
+                "decay_pass": True, "degenerate": True}
+    field = vector_field_from_gridfn(H.omega, sol.gamma)
+    interp = v.interpolator()
+    samples = np.atleast_2d(samples)
+    for t in times:
+        worst = 0.0
+        for q in samples:
+            y = integrate_flow(field, q, 1.0, t, tol)
+            J = flow_jacobian(field, q, 1.0, t, tol)
+            dv = interp.jacobian(y[None, :] % 1.0, min(
+                t, v.times.points[-1]))[0]
+            A = dv - dv.T                      # d_i v_j - d_j v_i
+            M = J.T @ A @ J
+            worst = max(worst, float(np.abs(M).max()) / 2)
+        out.append({"t": float(t), "max_alpha": worst})
+    vals = [r["max_alpha"] for r in out]
+    decay = all(vals[i + 1] <= vals[i] * (1 + 1e-6) or vals[i + 1] < 1e-12
+                for i in range(len(vals) - 1))
+    return {"per_time": out, "decay_pass": decay, "degenerate": False}

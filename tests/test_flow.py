@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import rk4
+from oracles import rk4, vector_field_from_gridfn
 from wacyl.flow import (NormBudgetError, VectorFieldSpec, flow_jacobian,
                         fundamental_matrix, gronwall_diagnostics,
                         integrate_flow)
@@ -183,7 +183,7 @@ def test_gronwall_calibrated_bound_and_refusal():
     sg = SpatialGrid(1, 64)
     fg = GridFn.from_callable(
         sg, tg, lambda q, t: mu * np.sin(2 * np.pi * q) / (2 * np.pi * t))
-    F = VectorFieldSpec.from_gridfn([1.0], fg)
+    F = vector_field_from_gridfn([1.0], fg)
 
     def g(q, t):
         return np.zeros((len(np.atleast_2d(q)), 1, 1))
@@ -242,3 +242,22 @@ def test_solve_ivp_only_in_flow_and_celestial():
                                 getattr(node, "attr", None),
                                 getattr(node, "name", None))}
     assert users == {"flow.py", "celestial.py", "dop853.py"}
+
+
+@pytest.mark.parametrize("module", ["functional.py", "nashmoser.py"])
+def test_newton_core_imports_only_error_classes_from_flow(module):
+    # the Newton core integrates no ODE: trajectory checks of a solution
+    # live with the test oracles, so only the error classes cross over
+    path = Path(__file__).resolve().parents[1] / "src" / "wacyl" / module
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and node.module in (
+                "flow", "wacyl.flow"):
+            names |= {alias.name for alias in node.names}
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            # the module itself, as `from . import flow` or `import
+            # wacyl.flow`
+            names |= {alias.name for alias in node.names
+                      if alias.name in ("flow", "wacyl.flow")}
+    assert names and names <= {"NumericalError", "IntegrationError",
+                               "NormBudgetError"}

@@ -244,11 +244,14 @@ def test_load_rejects_bad_components(tmp_path, bad):
 
 @pytest.mark.parametrize("points, k", [
     ([2.0, 1.0, 3.0], 1), ([1.0, 2.0, 2.0], 2), ([0.5, 1.0, 2.0], 0),
-    ([1.0, float("nan"), 3.0], 1), ([1.0, 2.0, float("inf")], 2)])
+    ([1.0, float("nan"), 3.0], 1), ([1.0, 2.0, float("inf")], 2),
+    ([1.0, 2.0, 3.0], 2), ([1.0, 2.0, 4.0, 8.1], 3), ([3.0], 0)])
 def test_load_rejects_bad_time_nodes(tmp_path, points, k):
     # the nodes that save writes still load (the round-trip tests);
-    # rewritten ones that decrease, repeat, start below 1 or are not
-    # finite are refused, naming the first bad node
+    # rewritten ones that decrease, repeat, start below 1, are not
+    # finite, are not geometric (the transport solve's quadrature is
+    # built on t_0 gamma^k) or are a single node are refused, naming the
+    # first bad node
     path = tmp_path / "f.wgf"
     GridFn.zeros(SpatialGrid(1, 8), TimeGrid(6.0, n_points=3)).save(path)
     _rewrite_header(path, time_points=points)
