@@ -238,18 +238,17 @@ def cmd_solve(conf, outdir):
     target = conf["target"]
     sol, state = iterate(H, p, max_steps=conf["max_steps"], target=target,
                          quad_tol=conf["quad_tol"], min_steps=3)
+    mon = monitor(state, p, H.omega)
     rows = []
-    for d in range(1, state.j + 1):
+    for d, row in enumerate(mon["rows"], start=1):
         rows.append([d, state.tau_values[d - 1], state.t_values[d - 1],
                      state.residual_norms[d], state.true_residuals[d],
-                     state.step_norms_low[d - 1],
-                     state.step_norms_high[d - 1]])
+                     row["step_low"], row["step_high"]])
     _write_csv(outdir, "iterations.csv",
                ["j", "tau_j", "t_j", "paired_residual", "true_residual",
                 "step_low", "step_high"], rows)
     sol.v.save(os.path.join(outdir, "v.wgf"))
     sol.gamma.save(os.path.join(outdir, "gamma.wgf"))
-    mon = monitor(state, p)
     manifest = {**sol.manifest,
                 "monitor": {k: v for k, v in mon.items() if k != "rows"}}
     checks = [

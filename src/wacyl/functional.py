@@ -193,10 +193,8 @@ class HamiltonianSpec:
 
 def a_norm(a, sigma):
     """|a|_sigma = |a|_{sigma+1,0} + |d_q a|_{sigma,2}."""
-    jac = a.jacobian_q()
-    ga = GridFn(a.grid, a.times, jac.reshape(jac.shape[:-2] + (-1,)))
     return weighted_norm(a, sigma + 1, 0).value \
-        + weighted_norm(ga, sigma, 2).value
+        + weighted_norm(a.gradient_field(), sigma, 2).value
 
 
 def x_norm(a, b, sigma):

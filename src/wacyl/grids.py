@@ -304,6 +304,7 @@ class GridFn:
         if spectrum is not None:
             spectrum.flags.writeable = False
         self._jacobian = None
+        self._gradient = None
 
     @property
     def components(self):
@@ -384,6 +385,15 @@ class GridFn:
                 [self.dq(a).values for a in range(self.grid.n)], axis=-1)
             self._jacobian.flags.writeable = False
         return self._jacobian
+
+    def gradient_field(self):
+        """jacobian_q() as a GridFn of comp * d components (the gradient
+        axis folded into the components); built once, so its norm cache
+        is shared by every caller."""
+        if self._gradient is None:
+            jac = self.jacobian_q()
+            self._gradient = self._like(jac.reshape(jac.shape[:-2] + (-1,)))
+        return self._gradient
 
     # ---- evaluation ---------------------------------------------------
 

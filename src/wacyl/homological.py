@@ -134,17 +134,18 @@ def _osc_moments(h, theta, mmax):
     x = theta * h
     small = np.abs(x) < 0.7
     out = np.empty((mmax + 1,) + theta.shape, dtype=complex)
-    # series branch
-    js = np.arange(20)
+    # series branch: each term (i theta h)^j / j! once, added to every
+    # moment's sum
     if np.any(small):
         xs = 1j * theta[small]
+        accs = [np.zeros(xs.shape, dtype=complex) for _ in range(mmax + 1)]
+        term = np.ones(xs.shape, dtype=complex)
+        for j in range(20):
+            for m in range(mmax + 1):
+                accs[m] = accs[m] + term * h ** (m + 1) / (m + j + 1)
+            term = term * xs * (h / (j + 1))
         for m in range(mmax + 1):
-            acc = np.zeros(xs.shape, dtype=complex)
-            term = np.ones(xs.shape, dtype=complex)   # (i theta h)^j / j!
-            for j in js:
-                acc = acc + term * h ** (m + 1) / (m + j + 1)
-                term = term * xs * (h / (j + 1))
-            out[m][small] = acc
+            out[m][small] = accs[m]
     if np.any(~small):
         th = theta[~small]
         eix = np.exp(1j * th * h)

@@ -53,8 +53,7 @@ class IterationState:
     j: int = 0
     residual_norms: list = field(default_factory=list)   # paired F(phi_d, psi_d)
     true_residuals: list = field(default_factory=list)   # F(x, psi_d)
-    step_norms_low: list = field(default_factory=list)
-    step_norms_high: list = field(default_factory=list)
+    corrections: list = field(default_factory=list)      # S_t kappa per step
     tau_values: list = field(default_factory=list)
     t_values: list = field(default_factory=list)
     status: str = "running"
@@ -210,12 +209,7 @@ def iterate(H, p, max_steps=12, target=1e-6, quad_tol=1e-10,
             best_psi = psi
         state.residual_norms.append(r_paired)
         state.true_residuals.append(r_true)
-        # the smoothed correction's spectrum is zero for |k| >= t_j, so its
-        # C^(s+1) norm measures the step, not rounding noise above the band
-        # amplified by up to (pi N)^(s+1)
-        state.step_norms_low.append(v_norm(dpsi, H.omega, 0))
-        state.step_norms_high.append(
-            weighted_norm(dpsi, p.s + 1, 1, pair_radius=8).value)
+        state.corrections.append(dpsi)
         # jitter below the convergence target is solver floor, not
         # divergence
         if r_true > state.true_residuals[-2] and r_true >= target * scale:
@@ -299,12 +293,13 @@ def choose_schedule(H, p, quad_tol=1e-10):
     return replace(p, Q=best, upsilon=chosen_ups, epsilon0=eps0), records
 
 
-def monitor(state, p):
+def monitor(state, p, omega):
     """Measured step quantities against the scheduled envelopes.
 
     Per update d: the paired residual |F(phi_d, psi_d)|_0 against
-    (upsilon/2) Q^(-lambda beta^d); the V^0 and high step norms against
-    the scheduled shapes Q^(-(lambda - beta gamma) beta^(d-1)) and
+    (upsilon/2) Q^(-lambda beta^d); the V^0 norm (frequency omega) and
+    the C^(s+1) norm of the smoothed correction state.corrections[d-1]
+    against the scheduled shapes Q^(-(lambda - beta gamma) beta^(d-1)) and
     Q^((s-lambda) beta^(d+1)), shape-anchored at d = 1 (the absolute
     high-norm prefactor carries derivative factors the abstract
     constants absorb); and the regression slope of log residual on
@@ -323,17 +318,22 @@ def monitor(state, p):
     def high_shape(d):
         return Q ** ((s - lam) * beta ** (d + 1))
 
-    low0 = state.step_norms_low[0]
-    high0 = state.step_norms_high[0]
+    # the smoothed correction's spectrum is zero for |k| >= t_j, so its
+    # C^(s+1) norm measures the step, not rounding noise above the band
+    # amplified by up to (pi N)^(s+1)
+    lows = [v_norm(c, omega, 0) for c in state.corrections]
+    highs = [weighted_norm(c, s + 1, 1, pair_radius=8).value
+             for c in state.corrections]
+    low0, high0 = lows[0], highs[0]
     for d in range(1, state.j + 1):
         rows.append({
             "d": d,
             "residual": res[d - 1],
             "residual_envelope": 0.5 * ups * Q ** (-lam * beta ** d),
-            "step_low": state.step_norms_low[d - 1],
+            "step_low": lows[d - 1],
             "step_low_envelope":
                 constants.MONITOR_C * low0 * low_shape(d) / low_shape(1),
-            "step_high": state.step_norms_high[d - 1],
+            "step_high": highs[d - 1],
             "step_high_envelope":
                 constants.MONITOR_C * high0 * high_shape(d) / high_shape(1),
         })

@@ -171,7 +171,7 @@ def test_criterion_05_nash_moser_convergence():
     dv2 = weighted_norm(GridFn(H2.grid, H2.times,
                                sol2.v.values - vstar2.values),
                         1, 1).value
-    mon = monitor(st2, p2)
+    mon = monitor(st2, p2, H2.omega)
     slope_ok = mon["slope"] is not None and mon["slope"] < 0 \
         and abs(mon["slope_ratio"] - 1.0) <= 0.25
     ok = (res1 <= 1e-6 and dv1 <= 1e-4 and mono and res2

@@ -3,10 +3,11 @@ import pytest
 
 from oracles import conjugacy_check, einsum_eval_F, einsum_linearize, \
     einsum_mbar, einsum_transport_operator
+from wacyl import norms
 from wacyl.flow import IntegrationError, NormBudgetError
 from wacyl.functional import (C_GEOM, MBAR_NODES, MBAR_WEIGHTS,
                               DomainError, HamiltonianSpec, QuadraticForm,
-                              apply_DF, eval_F, gamma_from_v,
+                              a_norm, apply_DF, eval_F, gamma_from_v,
                               hypotheses_report, linearize, right_inverse,
                               v_norm)
 from wacyl.grids import GridFn, SpatialGrid, TimeGrid
@@ -450,3 +451,20 @@ def test_mbar_with_C_follows_v():
     a = H.m_form.mbar(v.values)
     b = H.m_form.mbar(2.0 * v.values)
     assert np.abs(a - b).max() > 1e-3 * np.abs(a).max()
+
+
+def test_a_norm_makes_its_holder_passes_once(monkeypatch):
+    # the gradient field of a is built once per GridFn and keeps its norm
+    # cache, so a second |a|_sigma makes no Hölder pass
+    sg, tg = base_grids(torus_points=32, n_times=12)
+    a = nonlinear_spec(sg, tg).a
+    first = a_norm(a, 3.75)
+    sigmas = []
+
+    def traced(f, sigma, pair_radius=None, _fn=norms.holder_norm):
+        sigmas.append(sigma)
+        return _fn(f, sigma, pair_radius)
+
+    monkeypatch.setattr(norms, "holder_norm", traced)
+    assert a_norm(a, 3.75) == first
+    assert sigmas == []

@@ -117,6 +117,9 @@ def test_spectrum_and_jacobian_are_cached_read_only():
     assert not f.spectrum().flags.writeable
     with pytest.raises(ValueError):
         jac[0, 0, 0, 0, 0] = 1.0
+    grad = f.gradient_field()
+    assert f.gradient_field() is grad and grad.components == 2
+    assert np.array_equal(grad.values, jac.reshape(jac.shape[:-2] + (-1,)))
 
 
 def _c2c_fft_calls(tree):

@@ -10,6 +10,7 @@ from wacyl.flow import NormBudgetError
 from wacyl.grids import GridFn, SpatialGrid, TimeGrid
 from wacyl.homological import (HomologicalProblem, _contract, _expn_complex,
                                _free_transport_coeffs, _mode_phases,
+                               _osc_moments,
                                _time_refine_matrix, _transport_plan,
                                estimate_check, residual_he, solve_he)
 from wacyl.norms import weighted_norm
@@ -358,6 +359,22 @@ def test_expn_complex_matches_mpmath():
         assert rel.max() <= 1e-13, (p, z[rel.argmax()], rel.max())
         assert _expn_complex(p, np.zeros(3, dtype=complex)).tolist() \
             == [1.0 / (p - 1)] * 3
+
+
+def test_osc_moments_match_mpmath():
+    # int_0^h u^m e^(i theta u) du on both sides of |theta h| = 0.7, where
+    # the Taylor series hands over to the recursion
+    import mpmath
+    xs = np.array([0.0, 1e-3, 0.3, 0.69, -0.69, 0.71, 1.5, 7.0, 40.0])
+    for h in (0.05, 1.0):
+        got = _osc_moments(h, xs / h, 4)
+        with mpmath.workdps(30):
+            nodes = mpmath.linspace(0, h, 9)
+            want = np.array([[complex(mpmath.quad(
+                lambda u: u ** m * mpmath.expj(x / h * u), nodes))
+                for x in xs] for m in range(5)])
+        rel = np.abs(got - want) / np.abs(want)
+        assert rel.max() <= 1e-12, (h, rel.max())
 
 
 def test_transport_tail_exact_for_power_law_amplitude():

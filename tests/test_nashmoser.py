@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from oracles import conjugacy_check, lagrangian_check
-from wacyl import constants, nashmoser
+from wacyl import constants, nashmoser, norms
 from wacyl.flow import NormBudgetError
 from wacyl.functional import C_GEOM, DomainError, eval_F, \
-    hypotheses_report, x_norm
+    hypotheses_report, v_norm, x_norm
 from wacyl.grids import GridFn
 from wacyl.nashmoser import (ZehnderParams, choose_schedule,
                              comet_decay_synthetic, iterate,
@@ -141,7 +141,7 @@ class TestManufacturedRuns:
 
     def test_power_run_envelope_slope(self, power_run):
         H, vstar, sol, st, p, scan = power_run
-        mon = monitor(st, p)
+        mon = monitor(st, p, H.omega)
         assert mon["slope"] is not None and mon["slope"] < 0
         assert abs(mon["slope_ratio"] - 1.0) <= 0.25
         assert mon["residual_envelope_pass"]
@@ -198,7 +198,7 @@ def test_divergence_reported_on_envelope_violation():
                               t_max=8.0)
     p = params_from_order(8.0, Q=1.3, upsilon=1e-6, epsilon0=1e12)
     sol, st = iterate(H, p, max_steps=3, target=0.0, quad_tol=1e-8)
-    mon = monitor(st, p)
+    mon = monitor(st, p, H.omega)
     assert not mon["residual_envelope_pass"]
     first_fail = next(r["d"] for r in mon["rows"]
                       if r["residual"] > r["residual_envelope"])
@@ -323,10 +323,49 @@ def test_step_high_stable_under_one_ulp_input_change():
     moved[5, 17, 0] = np.nextafter(moved[5, 17, 0], np.inf)
     H_moved = copy.copy(H)
     H_moved.a = GridFn(H.grid, H.times, moved)
-    rows = [iterate(h, p, max_steps=2, target=0.0)[1].step_norms_high
-            for h in (H, H_moved)]
+    rows = []
+    for h in (H, H_moved):
+        st = iterate(h, p, max_steps=2, target=0.0)[1]
+        rows.append([r["step_high"]
+                     for r in monitor(st, p, h.omega)["rows"]])
     assert len(rows[0]) == 2
     np.testing.assert_allclose(rows[1], rows[0], rtol=1e-6, atol=0)
+
+
+@pytest.fixture(scope="module")
+def norm_traced_run():
+    """A three-step power-law solve, recording the order sigma of every
+    holder_norm call iterate makes."""
+    H, _ = manufactured_power(torus_points=32, n_times=16, t_max=8.0)
+    p = params_from_order(8.0, Q=1.5, epsilon0=1e300)
+    sigmas = []
+
+    def traced(f, sigma, pair_radius=None, _fn=norms.holder_norm):
+        sigmas.append(sigma)
+        return _fn(f, sigma, pair_radius)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(norms, "holder_norm", traced)
+        _, st = iterate(H, p, max_steps=3, target=0.0)
+    return H, p, st, sigmas
+
+
+def test_iterate_takes_no_step_norm(norm_traced_run):
+    # the C^(s+1) step norm is the monitor's; the iteration only keeps
+    # the smoothed corrections it is taken on
+    H, p, st, sigmas = norm_traced_run
+    assert sigmas and p.s + 1 not in sigmas
+    assert st.j == 3 and len(st.corrections) == 3
+
+
+def test_monitor_step_norms_of_the_corrections(norm_traced_run):
+    H, p, st, _ = norm_traced_run
+    rows = monitor(st, p, H.omega)["rows"]
+    assert len(rows) == len(st.corrections)
+    for row, c in zip(rows, st.corrections):
+        assert row["step_low"] == v_norm(c, H.omega, 0)
+        assert row["step_high"] == \
+            weighted_norm(c, p.s + 1, 1, pair_radius=8).value
 
 
 def test_schedule_scan_evaluates_each_trial_once(counted_scan):
