@@ -198,10 +198,15 @@ class CometOrbit:
     def radius(self, t):
         return self._ephemeris(t)[2]
 
-    def radial_speed(self, t):
+    def _radial(self, t):
+        """|c(t)| and d|c|/dt, from one solve of the Kepler equation."""
         H = self.anomaly(t)
-        return self.a_h * self.e * math.sinh(H) * self.mean_motion \
-            / (self.e * math.cosh(H) - 1.0)
+        ech = self.e * math.cosh(H) - 1.0
+        return (self.a_h * ech,
+                self.a_h * self.e * math.sinh(H) * self.mean_motion / ech)
+
+    def radial_speed(self, t):
+        return self._radial(t)[1]
 
 
 def check_speed_window(orbit, t_grid, eps):
@@ -212,8 +217,7 @@ def check_speed_window(orbit, t_grid, eps):
     sup_ratio = 0.0
     speed_ok = True
     for t in t_grid:
-        r = orbit.radius(t)
-        s = orbit.radial_speed(t)
+        r, s = orbit._radial(t)
         sup_ratio = max(sup_ratio, t / r)
         ok = v / 2 <= s <= 2 * v
         speed_ok = speed_ok and ok
@@ -721,24 +725,21 @@ class SurrogateSystem:
         return acc + vals[-1] * taus[-1]
 
 
-def asymptotic_metric(traj, phi0, base_flow, q0, t0):
-    """Profile t -> |g(t) - phi0(psi^t(q0))| with a monotone-envelope
-    decay verdict.
-
-    traj: {"t", "states"}; phi0(q) embeds base points; base_flow(q, t0,
-    t) transports them (rigid rotation when no drift field is given).
-    The first N_ANGLES components compare modulo 1.
+def asymptotic_metric(traj, omega, q0, t0):
+    """Profile t -> |g(t) - phi0(psi^t(q0))| over traj = {"t", "states"}:
+    psi^t turns the angles of q0 = (theta(4), xi(2)) by omega (t - t0),
+    phi0 embeds at r = eta = 0, and the N_ANGLES angles compare modulo
+    1.  envelope_non_increasing tests the running maximum from the
+    right, which never grows: only a NaN in the profile makes it False.
     """
     ts = traj["t"]
-    profile = []
-    for t, state in zip(ts, traj["states"]):
-        q = base_flow(q0, t0, t)
-        ref = np.asarray(phi0(q), dtype=float)
-        d = state - ref
-        d[:N_ANGLES] = (d[:N_ANGLES] + 0.5) % 1.0 - 0.5
-        profile.append(float(np.linalg.norm(d)))
-    profile = np.asarray(profile)
-    # envelope: running max from the right must not grow
+    ref = np.zeros_like(traj["states"])
+    ref[:, :len(q0)] = q0
+    ref[:, :N_ANGLES] += np.multiply.outer(ts - t0, omega)
+    d = traj["states"] - ref
+    d[:, :N_ANGLES] = (d[:, :N_ANGLES] + 0.5) % 1.0 - 0.5
+    # a dot per row, as np.linalg.norm of a vector (axis=1 sums otherwise)
+    profile = np.sqrt([row.dot(row) for row in d])
     env = np.maximum.accumulate(profile[::-1])[::-1]
     non_increasing = bool(np.all(np.diff(env) <= 1e-12))
     return {"t": ts.tolist(), "profile": profile.tolist(),
@@ -749,20 +750,18 @@ def asymptotic_metric(traj, phi0, base_flow, q0, t0):
 
 def confinement_check(times, xi_values, comet, eps, C_bar):
     """|xi(t)| <= |xi(1)| + (1 + C_bar) ln t and |xi(t)|/|c(t)| < eps/6
-    at every sample; returns the first violation if any."""
+    at every sample, in array passes; rows hold Python floats and bools,
+    and first_violation is the first failing row (None when all pass)."""
+    times = np.asarray(times, dtype=float)
     xi_norm = np.linalg.norm(np.asarray(xi_values, dtype=float), axis=1)
-    xi1 = xi_norm[0]
-    rows = []
-    violation = None
-    for t, xn in zip(times, xi_norm):
-        log_bound = xi1 + (1.0 + C_bar) * np.log(t / times[0])
-        ratio = xn / comet.radius(t)
-        ok = xn <= log_bound * (1 + 1e-9) + 1e-12 and ratio < eps / 6.0
-        rows.append({"t": float(t), "xi": float(xn),
-                     "log_bound": float(log_bound),
-                     "ratio": float(ratio), "pass": ok})
-        if not ok and violation is None:
-            violation = rows[-1]
+    log_bound = xi_norm[0] + (1.0 + C_bar) * np.log(times / times[0])
+    ratio = xi_norm / np.array([comet.radius(t) for t in times.tolist()])
+    ok = (xi_norm <= log_bound * (1 + 1e-9) + 1e-12) & (ratio < eps / 6.0)
+    rows = [{"t": t, "xi": xn, "log_bound": b, "ratio": r, "pass": p}
+            for t, xn, b, r, p in zip(times.tolist(), xi_norm.tolist(),
+                                      log_bound.tolist(), ratio.tolist(),
+                                      ok.tolist())]
+    violation = next((row for row in rows if not row["pass"]), None)
     threshold = 12.0 * (1.0 + C_bar) / eps
     return {
         "pass": violation is None,

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -349,15 +350,7 @@ def cmd_simulate_comet(conf, outdir):
                    "detail": f"v = {confined['v_asymptotic']:.1f}, "
                              f"threshold = {confined['v_threshold']:.1f}",
                    "tolerance": "log bound"})
-
-    def phi0(q):
-        return np.concatenate([q[:4], q[4:6], np.zeros(4)])
-
-    def base_flow(q0, t0, t):
-        return np.concatenate([q0[:4] + system.omega * (t - t0),
-                               q0[4:6]])
-
-    am = asymptotic_metric(traj, phi0, base_flow,
+    am = asymptotic_metric(traj, system.omega,
                            np.concatenate([theta0, xi0]), 1.0)
     _write_manifest(outdir, "decay_report.json",
                     {**am, "surrogate": True})
@@ -428,7 +421,10 @@ def cmd_diagnose(conf, outdir):
     return rep, checks
 
 
-def main(argv=None):
+@functools.cache
+def _parser():
+    # built on the first main call, not at import, so set_defaults binds
+    # the cmd_x as they are then (wrapped, if a tracer wrapped them)
     parser = argparse.ArgumentParser(
         prog="wacyl",
         description="Weakly asymptotic cylinders: solver, diagnostics "
@@ -453,7 +449,11 @@ def main(argv=None):
     pv.set_defaults(fn=cmd_verify_norms, section="norms")
     pd = sub.add_parser("diagnose", help="validate scheme parameters")
     pd.set_defaults(fn=cmd_diagnose, section="diag")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None):
+    args = _parser().parse_args(argv)
     os.makedirs(args.out, exist_ok=True)
     try:
         conf = read_section(load_config(args.config, args.set), args.section,

@@ -25,6 +25,11 @@ the base flow of omega_bar + Gamma, and `lagrangian_check` pulls the
 2-form of a section back along that base flow.
 `vector_field_from_gridfn` is the base flow's field built from a
 sampled `GridFn` (trigonometric in q, local polynomial in log t).
+
+`loop_asymptotic_metric` and `loop_confinement_check` are the two
+trajectory checks of the comet run taken one sample at a time, with the
+embedding phi0 and the rigid base flow as per-sample callables; the
+library's array passes must give the same bytes.
 """
 
 import numpy as np
@@ -296,3 +301,41 @@ def lagrangian_check(sol, H, times, samples, tol=1e-9):
     decay = all(vals[i + 1] <= vals[i] * (1 + 1e-6) or vals[i + 1] < 1e-12
                 for i in range(len(vals) - 1))
     return {"per_time": out, "decay_pass": decay, "degenerate": False}
+
+
+def loop_asymptotic_metric(traj, omega, q0, t0):
+    """celestial.asymptotic_metric sample by sample."""
+    def phi0(q):
+        return np.concatenate([q[:4], q[4:6], np.zeros(4)])
+
+    def base_flow(q0, t0, t):
+        return np.concatenate([q0[:4] + omega * (t - t0), q0[4:6]])
+
+    profile = []
+    for t, state in zip(traj["t"], traj["states"]):
+        d = state - np.asarray(phi0(base_flow(q0, t0, t)), dtype=float)
+        d[:4] = (d[:4] + 0.5) % 1.0 - 0.5
+        profile.append(float(np.linalg.norm(d)))
+    profile = np.asarray(profile)
+    env = np.maximum.accumulate(profile[::-1])[::-1]
+    return {"t": np.asarray(traj["t"]).tolist(), "profile": profile.tolist(),
+            "max": float(profile.max()), "final": float(profile[-1]),
+            "envelope_non_increasing": bool(np.all(np.diff(env) <= 1e-12))}
+
+
+def loop_confinement_check(times, xi_values, comet, eps, C_bar):
+    """celestial.confinement_check sample by sample: its rows and first
+    violation."""
+    xi_norm = np.linalg.norm(np.asarray(xi_values, dtype=float), axis=1)
+    rows = []
+    violation = None
+    for t, xn in zip(times, xi_norm):
+        log_bound = xi_norm[0] + (1.0 + C_bar) * np.log(t / times[0])
+        ratio = xn / comet.radius(t)
+        ok = xn <= log_bound * (1 + 1e-9) + 1e-12 and ratio < eps / 6.0
+        rows.append({"t": float(t), "xi": float(xn),
+                     "log_bound": float(log_bound),
+                     "ratio": float(ratio), "pass": bool(ok)})
+        if not ok and violation is None:
+            violation = rows[-1]
+    return {"first_violation": violation, "rows": rows}

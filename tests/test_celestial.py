@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from wacyl import constants
+from wacyl import celestial, constants
 from wacyl.celestial import (CartesianState, CircularChart, CometOrbit,
                              ExtensionParams, Masses, SurrogateSystem,
                              asymptotic_metric, check_speed_window,
@@ -15,6 +15,8 @@ from wacyl.celestial import (CartesianState, CircularChart, CometOrbit,
                              split_coordinates)
 from wacyl.celestial import _cartesian_rhs, _pair_gravity, _split_matrices
 from wacyl.flow import IntegrationError
+
+from oracles import loop_asymptotic_metric, loop_confinement_check
 
 
 MASSES = Masses(1.0, 1e-3, 1e-3, mc=1e-3)
@@ -95,6 +97,24 @@ def test_speed_window_compliant_and_violating():
     rep2 = check_speed_window(slow, np.geomspace(1, 100, 20), eps)
     assert not rep2["precondition_c1"] or not rep2["precondition_v"]
     assert not rep2["pass"]
+
+
+def test_speed_window_solves_kepler_once_per_sample(monkeypatch):
+    # radius and radial speed share one anomaly; radius_at_1 is the 41st
+    calls = []
+
+    def counted(e, M_h):
+        calls.append(M_h)
+        return solve_hyperbolic_kepler(e, M_h)
+
+    monkeypatch.setattr(celestial, "solve_hyperbolic_kepler", counted)
+    orbit = fast_orbit(v=40.0)
+    t_grid = np.geomspace(1.0, 101.0, 40)
+    rep = check_speed_window(orbit, t_grid, 0.1)
+    assert len(calls) == 41
+    for row, t in zip(rep["rows"], t_grid):
+        assert row["radius"] == orbit.radius(t)
+        assert row["radial_speed"] == orbit.radial_speed(t)
 
 
 # ---- splitting and Hamiltonians ------------------------------------
@@ -566,22 +586,42 @@ def test_surrogate_confinement_compliant(surrogate_run):
     assert rep["pass"]
     assert rep["v_above_threshold"]
     assert rep["first_violation"] is None
+    oracle = loop_confinement_check(traj["t"], traj["states"][:, 4:6],
+                                    orbit, 0.1, C_bar=1.0)
+    assert rep["rows"] == oracle["rows"]
+    assert all(type(row["pass"]) is bool for row in rep["rows"])
 
 
 def test_surrogate_asymptotic_profile(surrogate_run):
     orbit, system, theta0, xi0, traj = surrogate_run
-
-    def phi0(q):
-        return np.concatenate([q[:4], q[4:6], np.zeros(4)])
-
-    def base_flow(q0, t0, t):
-        return np.concatenate([q0[:4] + system.omega * (t - t0),
-                               q0[4:6]])
-
-    rep = asymptotic_metric(traj, phi0, base_flow,
-                            np.concatenate([theta0, xi0]), 1.0)
+    q0 = np.concatenate([theta0, xi0])
+    rep = asymptotic_metric(traj, system.omega, q0, 1.0)
     assert rep["max"] <= 1e-3
     assert rep["envelope_non_increasing"]
+    oracle = loop_asymptotic_metric(traj, system.omega, q0, 1.0)
+    assert np.array_equal(rep["profile"], oracle["profile"])
+
+
+def test_asymptotic_metric_wraps_angles_like_the_loop():
+    # angle offsets from -0.9 to 0.9 cross +-1/2, where the wrap flips
+    # sign; the array pass must give the per-sample loop's bytes
+    rng = np.random.default_rng(7)
+    ts = np.geomspace(1.0, 50.0, 64)
+    omega = np.array([1.3, 0.07, 0.0, 0.0])
+    q0 = np.array([0.1, 0.7, 0.0, 0.95, 0.3, -0.2])
+    ref = np.zeros((ts.size, 10))
+    ref[:, :6] = q0
+    ref[:, :4] += np.multiply.outer(ts - 1.0, omega)
+    offsets = np.linspace(-0.9, 0.9, ts.size)[:, None] * [1, -1, 0.5, 1]
+    states = ref + rng.normal(scale=1e-3, size=ref.shape)
+    states[:, :4] += offsets
+    traj = {"t": ts, "states": states}
+    rep = asymptotic_metric(traj, omega, q0, 1.0)
+    oracle = loop_asymptotic_metric(traj, omega, q0, 1.0)
+    assert np.array_equal(rep["profile"], oracle["profile"])
+    # the end rows' offsets (0.9, 0.9, 0.45, 0.9) wrap to (0.1, 0.1,
+    # 0.45, 0.1): norm 0.48, against 1.62 unwrapped
+    assert rep["profile"][0] < 0.5 and rep["profile"][-1] < 0.5
 
 
 def test_exact_invariance_without_comet():
@@ -594,15 +634,7 @@ def test_exact_invariance_without_comet():
     xi0 = np.array([0.3, -0.2])
     state0 = np.concatenate([theta0, xi0, np.zeros(4)])
     traj = system.integrate(state0, 1.0, 51.0, tol=1e-11, n_samples=30)
-
-    def phi0(q):
-        return np.concatenate([q[:4], q[4:6], np.zeros(4)])
-
-    def base_flow(q0, t0, t):
-        return np.concatenate([q0[:4] + system.omega * (t - t0),
-                               q0[4:6]])
-
-    rep = asymptotic_metric(traj, phi0, base_flow,
+    rep = asymptotic_metric(traj, system.omega,
                             np.concatenate([theta0, xi0]), 1.0)
     assert rep["max"] <= 1e-9
 
@@ -625,3 +657,8 @@ def test_confinement_stress_subthreshold_v():
     assert not rep["v_above_threshold"]
     assert not rep["pass"]
     assert rep["first_violation"] is not None
+    oracle = loop_confinement_check(traj["t"], traj["states"][:, 4:6],
+                                    orbit, 0.1, C_bar=C_bar)
+    assert rep["rows"] == oracle["rows"]
+    assert rep["first_violation"] == oracle["first_violation"]
+    assert type(rep["first_violation"]["pass"]) is bool

@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 
 from wacyl.cli import CONFIG, EXIT_CHECK_FAILURE, EXIT_CONFIG_ERROR, \
-    EXIT_NUMERICAL_FAILURE, EXIT_PASS, load_config, main, read_section
+    EXIT_NUMERICAL_FAILURE, EXIT_PASS, _parser, load_config, main, \
+    read_section
 
 
 def run_cli(args):
@@ -93,6 +94,41 @@ def test_simulate_comet_surrogate(tmp_path):
     assert type(man["nfev"]) is int and man["nfev"] > 0
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert all(type(c["pass"]) is bool for c in summary["checks"])
+
+
+def read_run(outdir):
+    """{file name: contents} of a run directory, JSON without its
+    timestamp."""
+    files = {}
+    for path in sorted(outdir.iterdir()):
+        if path.suffix == ".json":
+            payload = json.loads(path.read_text())
+            payload.pop("timestamp")
+            files[path.name] = payload
+        else:
+            files[path.name] = path.read_bytes()
+    return files
+
+
+def test_shared_parser_gives_the_runs_made_alone(tmp_path):
+    # main parses with one parser per process: a --set of one call
+    # (comet.t_max here) must not reach the next through a default
+    runs = [["--set", "comet.seed=3", "--set", "comet.t_max=1",
+             "simulate-comet", "--mc", "0"],
+            ["--set", "comet.seed=5", "simulate-comet", "--mc", "1e-3"]]
+    src = Path(__file__).resolve().parents[1] / "src"
+    for k, argv in enumerate(runs):
+        assert main(["--out", str(tmp_path / f"shared{k}")] + argv) \
+            == EXIT_PASS
+    for k, argv in enumerate(runs):
+        alone = tmp_path / f"alone{k}"
+        out = subprocess.run(
+            [sys.executable, "-m", "wacyl.cli", "--out", str(alone)] + argv,
+            env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True,
+            text=True, timeout=120)
+        assert out.returncode == EXIT_PASS, out.stderr
+        assert read_run(tmp_path / f"shared{k}") == read_run(alone)
+    assert _parser.cache_info().misses == 1
 
 
 def test_unknown_preset_is_config_error(tmp_path):
