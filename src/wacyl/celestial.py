@@ -205,9 +205,6 @@ class CometOrbit:
         return (self.a_h * ech,
                 self.a_h * self.e * math.sinh(H) * self.mean_motion / ech)
 
-    def radial_speed(self, t):
-        return self._radial(t)[1]
-
 
 def check_speed_window(orbit, t_grid, eps):
     """Verify v/2 <= d|c|/dt <= 2v, |c(1)| > 1/eps, v > 2/eps and
@@ -548,8 +545,9 @@ class HExtension:
         return eval_Hc(pos, lambda _: (cx, cy), self.masses, t)
 
     def _gradient(self, theta, xi, r, t):
-        """gradient on float sequences theta, xi, r: ((a1, a2), d_xi,
-        d_r) with d_theta = (a1, a2, a1, a2)."""
+        """Exact gradient of value by the chain rule through grad_Hc,
+        the chart Jacobian and the cutoff, on float sequences theta, xi,
+        r: ((a1, a2), d_xi, d_r) with d_theta = (a1, a2, a1, a2)."""
         cx, cy, radius = self.comet._ephemeris(t)
         w, dw = self._weight(xi, radius)
         x, y = xi
@@ -565,19 +563,9 @@ class HExtension:
         s = dw * (gx * x + gy * y)
         return d_theta, (w * gx + s * x, w * gy + s * y), d_r
 
-    def gradient(self, theta, xi, r, t):
-        """Exact gradient of value by the chain rule through grad_Hc,
-        the chart Jacobian and the cutoff: (d_theta (4,), d_xi (2,),
-        d_r (2,))."""
-        (a1, a2), d_xi, d_r = self._gradient(_floats(theta), _floats(xi),
-                                             _floats(r), float(t))
-        return np.array([a1, a2, a1, a2]), np.array(d_xi), np.array(d_r)
 
-
-def extend_Hc(params, comet, masses, chart=None):
+def extend_Hc(params, comet, masses, chart):
     """Build the globally defined extension of the comet interaction."""
-    if chart is None:
-        raise ValueError("a surrogate torus chart must be supplied")
     return HExtension(params, comet, masses, chart)
 
 
@@ -729,8 +717,8 @@ def asymptotic_metric(traj, omega, q0, t0):
     """Profile t -> |g(t) - phi0(psi^t(q0))| over traj = {"t", "states"}:
     psi^t turns the angles of q0 = (theta(4), xi(2)) by omega (t - t0),
     phi0 embeds at r = eta = 0, and the N_ANGLES angles compare modulo
-    1.  envelope_non_increasing tests the running maximum from the
-    right, which never grows: only a NaN in the profile makes it False.
+    1.  The profile, its max and its final value are reported; no
+    decay verdict is drawn from them.
     """
     ts = traj["t"]
     ref = np.zeros_like(traj["states"])
@@ -740,12 +728,9 @@ def asymptotic_metric(traj, omega, q0, t0):
     d[:, :N_ANGLES] = (d[:, :N_ANGLES] + 0.5) % 1.0 - 0.5
     # a dot per row, as np.linalg.norm of a vector (axis=1 sums otherwise)
     profile = np.sqrt([row.dot(row) for row in d])
-    env = np.maximum.accumulate(profile[::-1])[::-1]
-    non_increasing = bool(np.all(np.diff(env) <= 1e-12))
     return {"t": ts.tolist(), "profile": profile.tolist(),
             "max": float(profile.max()),
-            "final": float(profile[-1]),
-            "envelope_non_increasing": non_increasing}
+            "final": float(profile[-1])}
 
 
 def confinement_check(times, xi_values, comet, eps, C_bar):

@@ -34,6 +34,11 @@ __all__ = ["QuadraticForm", "HamiltonianSpec", "DomainError", "eval_F",
 C_GEOM = 2.0
 # the sigmas of the tame ratios in hypotheses_report
 TAME_SIGMAS = (1.0, 2.0, 4.0)
+# the momentum ball every candidate section stays in, and the orders
+# lambda and s of the norms HamiltonianSpec.validate measures
+BALL_RADIUS = 0.5
+SPEC_LAMBDA = 3.75
+SPEC_S = 8.0
 
 
 class DomainError(NumericalError):
@@ -119,7 +124,7 @@ class HamiltonianSpec:
     """Normal-form data (omega, a, b0, br, m) with decay budgets."""
 
     def __init__(self, omega, a, b0, br, m_form, delta, epsilon,
-                 upsilon=1.0, ball_radius=0.5, lam=3.75, s=8.0):
+                 upsilon=1.0):
         self.omega = np.atleast_1d(np.asarray(omega, dtype=float))
         self.a = a
         self.b0 = b0
@@ -128,9 +133,6 @@ class HamiltonianSpec:
         self.delta = float(delta)
         self.epsilon = float(epsilon)
         self.upsilon = float(upsilon)
-        self.ball_radius = float(ball_radius)
-        self.lam = float(lam)
-        self.s = float(s)
         self.grid = a.grid
         self.times = a.times
         self.d = a.grid.n
@@ -147,8 +149,7 @@ class HamiltonianSpec:
     def with_data(self, a, br):
         """The same normal form with the data (a, br) replaced."""
         return HamiltonianSpec(self.omega, a, self.b0, br, self.m_form,
-                               self.delta, self.epsilon, self.upsilon,
-                               self.ball_radius, self.lam, self.s)
+                               self.delta, self.epsilon, self.upsilon)
 
     def validate(self):
         """Budget checks of the normal form; returns the measured norms."""
@@ -156,15 +157,16 @@ class HamiltonianSpec:
             "|b0|_{2,1} < delta": (
                 weighted_norm(self.b0, 2, 1).value, self.delta),
             "|a|_{lam+1,0}+|d_q a|_{lam,2} < eps": (
-                a_norm(self.a, self.lam), self.epsilon),
+                a_norm(self.a, SPEC_LAMBDA), self.epsilon),
             "|br|_{lam+1,1} < eps": (
-                weighted_norm(self.br, self.lam + 1, 1).value, self.epsilon),
+                weighted_norm(self.br, SPEC_LAMBDA + 1, 1).value,
+                self.epsilon),
         }
         d2 = GridFn(self.grid, self.times, self.m_form.d2H_at(
             np.zeros(self.grid.shape + (self.d,))).reshape(
             (len(self.times),) + self.grid.shape + (self.d * self.d,)))
         checks["|d2H/dp2|_{s+1,0} <= Upsilon"] = (
-            weighted_norm(d2, self.s + 1, 0).value, self.upsilon)
+            weighted_norm(d2, SPEC_S + 1, 0).value, self.upsilon)
         return {k: {"measured": m, "budget": b, "pass": m <= b}
                 for k, (m, b) in checks.items()}
 
@@ -176,7 +178,7 @@ class HamiltonianSpec:
             "n": self.grid.n,
             "omega": self.omega.tolist(),
             "delta": self.delta, "epsilon": self.epsilon,
-            "upsilon": self.upsilon, "lambda": self.lam, "s": self.s,
+            "upsilon": self.upsilon, "lambda": SPEC_LAMBDA, "s": SPEC_S,
             "grid": list(self.grid.shape),
             "time_points": len(self.times),
             "t_max": float(self.times.points[-1]),
@@ -216,10 +218,10 @@ def v_norm(v, omega, sigma):
 def _check_ball(H, v):
     r = np.sqrt((v.values ** 2).sum(axis=-1))
     worst = tuple(int(i) for i in np.unravel_index(np.argmax(r), r.shape))
-    if r[worst] > H.ball_radius:
+    if r[worst] > BALL_RADIUS:
         raise DomainError(
             f"candidate leaves the momentum ball: |v| = {r[worst]:.3e} > "
-            f"{H.ball_radius} at grid node {worst}")
+            f"{BALL_RADIUS} at grid node {worst}")
 
 
 # the 4-point Gauss-Legendre rule of QuadraticForm.mbar, mapped to [0, 1]:
@@ -337,15 +339,12 @@ def right_inverse(H, v, z, zeta=0.05, quad_tol=1e-9):
     delta + C Upsilon zeta budget or that budget reaches 1/c_kappa.
     """
     f, g = linearize(H, v)
-    nf = weighted_norm(f, 1, 1).value
-    ng = weighted_norm(g, 1, 1).value
+    prob = HomologicalProblem(omega=H.omega, z=z, f=f, g=g)
     mu_max, gate = mu_budget(H, zeta)
-    mu = max(nf, ng)
     if mu_max >= gate:
         raise NormBudgetError("delta + C Upsilon zeta", mu_max, gate)
-    if mu > mu_max * (1 + 1e-9):
-        raise NormBudgetError("max(|f|_{1,1}, |g|_{1,1})", mu, mu_max)
-    prob = HomologicalProblem(omega=H.omega, z=z, f=f, g=g, mu=mu)
+    if prob.mu > mu_max * (1 + 1e-9):
+        raise NormBudgetError("max(|f|_{1,1}, |g|_{1,1})", prob.mu, mu_max)
     return solve_he(prob, quad_tol=quad_tol)
 
 

@@ -98,15 +98,16 @@ class TimeGrid(_Derived):
     """
 
     def __init__(self, t_max, n_points):
-        if t_max <= 1.0:
-            raise ValueError("t_max must exceed t_start = 1")
+        n_points = _grid_int("n_points", n_points)
+        if not 1.0 < t_max < np.inf:
+            raise ValueError(f"t_max must be finite and exceed 1 (the grid "
+                             f"starts at t = 1), got {t_max!r}")
         if n_points < 2:
-            raise ValueError("need at least two time points")
+            raise ValueError(f"need at least two time points, got "
+                             f"{n_points!r}")
         self.gamma = float(t_max ** (1.0 / (n_points - 1)))
-        self.points = self.gamma ** np.arange(n_points)
-        self.t_start = 1.0
         self.t_max = float(t_max)
-        self._set_points(self.points)
+        self._set_points(self.gamma ** np.arange(n_points))
 
     @classmethod
     def from_points(cls, points):
@@ -137,7 +138,6 @@ class TimeGrid(_Derived):
                              f"node {k} is {float(points[k])!r}")
         grid = cls.__new__(cls)
         grid._set_points(points)
-        grid.t_start = float(grid.points[0])
         grid.t_max = float(grid.points[-1])
         grid.gamma = float(ratios[0])
         return grid

@@ -65,8 +65,3 @@ class GridFnInterpolant:
                 np.einsum("pk,pk...->p...", ph, c)
         out = c.real
         return out.reshape(q.shape[:-1] + (self.f.components,))
-
-    def jacobian(self, q, t):
-        """Spatial Jacobian d(components)/d(q) at points q, time t."""
-        parts = [self(q, t, derivative=a) for a in range(self.grid.n)]
-        return np.stack(parts, axis=-1)

@@ -13,9 +13,9 @@ import numpy as np
 
 from . import constants
 from .flow import NormBudgetError
-from .functional import (DomainError, HamiltonianSpec, QuadraticForm,
-                         a_norm, eval_F, gamma_from_v, right_inverse,
-                         v_norm, x_norm)
+from .functional import (SPEC_LAMBDA, DomainError, HamiltonianSpec,
+                         QuadraticForm, a_norm, eval_F, gamma_from_v,
+                         right_inverse, v_norm, x_norm)
 from .grids import GridFn, SpatialGrid, TimeGrid
 from .norms import weighted_norm
 from .smoothing import smooth
@@ -478,12 +478,10 @@ def comet_decay_synthetic(eps=2e-3):
     zero = GridFn.zeros(sg, tg, 2)
     a = GridFn.from_callable(sg, tg, a_fn)
     br = GridFn.from_callable(sg, tg, b_fn)
-    lam = 3.75
-    eps_meas = 1.05 * max(a_norm(a, lam),
-                          weighted_norm(br, lam + 1, 1).value)
+    eps_meas = 1.05 * max(a_norm(a, SPEC_LAMBDA),
+                          weighted_norm(br, SPEC_LAMBDA + 1, 1).value)
     H = HamiltonianSpec(omega=omega, a=a, b0=zero, br=br,
                         m_form=QuadraticForm(
                             2, GridFn.from_callable(sg, tg, m_fn), None),
-                        delta=0.01, epsilon=eps_meas, upsilon=1.0,
-                        lam=lam)
+                        delta=0.01, epsilon=eps_meas, upsilon=1.0)
     return H

@@ -224,7 +224,14 @@ def vector_field_from_gridfn(omega, f):
     """The field omega + f of a sampled f, through its interpolant."""
     interp = f.interpolator()
     return VectorFieldSpec(omega, f=lambda q, t: interp(q, t),
-                           jac_f=lambda q, t: interp.jacobian(q, t))
+                           jac_f=lambda q, t: interp_jacobian(interp, q, t))
+
+
+def interp_jacobian(interp, q, t):
+    """Spatial Jacobian d(components)/d(q) of a GridFnInterpolant at
+    points q, time t: its derivatives along each torus axis, stacked."""
+    return np.stack([interp(q, t, derivative=a)
+                     for a in range(interp.grid.n)], axis=-1)
 
 
 # geometric checkpoints of conjugacy_check after t0
@@ -291,7 +298,7 @@ def lagrangian_check(sol, H, times, samples, tol=1e-9):
         for q in samples:
             y = integrate_flow(field, q, 1.0, t, tol)
             J = flow_jacobian(field, q, 1.0, t, tol)
-            dv = interp.jacobian(y[None, :] % 1.0, min(
+            dv = interp_jacobian(interp, y[None, :] % 1.0, min(
                 t, v.times.points[-1]))[0]
             A = dv - dv.T                      # d_i v_j - d_j v_i
             M = J.T @ A @ J
@@ -317,10 +324,8 @@ def loop_asymptotic_metric(traj, omega, q0, t0):
         d[:4] = (d[:4] + 0.5) % 1.0 - 0.5
         profile.append(float(np.linalg.norm(d)))
     profile = np.asarray(profile)
-    env = np.maximum.accumulate(profile[::-1])[::-1]
     return {"t": np.asarray(traj["t"]).tolist(), "profile": profile.tolist(),
-            "max": float(profile.max()), "final": float(profile[-1]),
-            "envelope_non_increasing": bool(np.all(np.diff(env) <= 1e-12))}
+            "max": float(profile.max()), "final": float(profile[-1])}
 
 
 def loop_confinement_check(times, xi_values, comet, eps, C_bar):

@@ -60,7 +60,7 @@ def test_flow_sweep_reads_gronwall_diagnostics(monkeypatch):
     # reports, over mu (0.9 mu for R), times SAFETY
     calls = []
 
-    def stub(F, g, mu, sigma, sample_points, time_pairs, f_gridfn=None):
+    def stub(F, g, mu, sigma, sample_points, time_pairs):
         calls.append((mu, sigma, list(time_pairs)))
         return {"flow_exponent": 0.007, "R_exponent": 0.011}
 

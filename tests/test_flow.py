@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 
 from oracles import rk4, vector_field_from_gridfn
-from wacyl.flow import (NormBudgetError, VectorFieldSpec, flow_jacobian,
-                        fundamental_matrix, gronwall_diagnostics,
-                        integrate_flow)
+from wacyl.flow import (VectorFieldSpec, flow_jacobian, fundamental_matrix,
+                        gronwall_diagnostics, integrate_flow)
 from wacyl.grids import GridFn, SpatialGrid, TimeGrid
 
 
@@ -177,7 +176,7 @@ def test_gronwall_scalar_exponent_exact():
     assert rep["R_exponent"] == pytest.approx(c, abs=1e-6)
 
 
-def test_gronwall_calibrated_bound_and_refusal():
+def test_gronwall_calibrated_bound():
     mu = 0.05
     tg = TimeGrid(16.0, n_points=24)
     sg = SpatialGrid(1, 64)
@@ -191,16 +190,8 @@ def test_gronwall_calibrated_bound_and_refusal():
     rep = gronwall_diagnostics(
         F, g, mu=mu, sigma=0,
         sample_points=np.linspace(0, 1, 5)[:-1][:, None],
-        time_pairs=[(1.0, 2.0), (1.0, 4.0), (1.0, 8.0)],
-        f_gridfn=fg)
+        time_pairs=[(1.0, 2.0), (1.0, 4.0), (1.0, 8.0)])
     assert rep["flow_pass"]
-    # precondition refusal carries the measured norm
-    with pytest.raises(NormBudgetError) as exc:
-        gronwall_diagnostics(
-            F, g, mu=mu / 10, sigma=0,
-            sample_points=np.array([[0.0]]),
-            time_pairs=[(1.0, 2.0)], f_gridfn=fg)
-    assert exc.value.measured > mu / 10
 
 
 def test_gronwall_refuses_a_single_ratio():
@@ -261,3 +252,21 @@ def test_newton_core_imports_only_error_classes_from_flow(module):
                       if alias.name in ("flow", "wacyl.flow")}
     assert names and names <= {"NumericalError", "IntegrationError",
                                "NormBudgetError"}
+
+
+def test_flow_imports_only_constants_and_dop853():
+    # the ODE layer measures growth, not norms: of wacyl it needs the
+    # frozen constants and the integrator alone
+    path = Path(__file__).resolve().parents[1] / "src" / "wacyl" / "flow.py"
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            # `from .x import y` names x, `from . import x` names x
+            names |= ({node.module} if node.module
+                      else {alias.name for alias in node.names})
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            # an absolute `wacyl` import is named in full, so it fails
+            mods = ([alias.name for alias in node.names]
+                    if isinstance(node, ast.Import) else [node.module])
+            names |= {m for m in mods if m.split(".")[0] == "wacyl"}
+    assert names == {"constants", "dop853"}

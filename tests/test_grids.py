@@ -23,6 +23,14 @@ def test_time_grid_rejects_bad_input():
         TimeGrid(0.5, n_points=8)
     with pytest.raises(ValueError):
         TimeGrid(10.0, n_points=1)
+    # unrefused, a non-finite horizon builds nodes [1, nan, ...] or
+    # [1, inf, ...], and a fractional count 9 nodes past t_max
+    for t_max in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match=f"t_max .* got {t_max}"):
+            TimeGrid(t_max, n_points=8)
+    with pytest.raises(ValueError, match="n_points must be an integer, "
+                                         "got 8.5"):
+        TimeGrid(20.0, n_points=8.5)
 
 
 def test_spatial_grid_invariants():

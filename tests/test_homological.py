@@ -6,6 +6,7 @@ import pytest
 from scipy.integrate import quad
 
 from oracles import characteristics_solve, einsum_free_transport_coeffs
+from wacyl import constants
 from wacyl.flow import NormBudgetError
 from wacyl.grids import GridFn, SpatialGrid, TimeGrid
 from wacyl.homological import (HomologicalProblem, _contract, _expn_complex,
@@ -109,10 +110,15 @@ def test_linearity():
 
 
 def test_refuses_oversized_mu():
+    # the coupling f = 0.5/t measures |f|_{1,1} = 0.5 >= 1/c_kappa(1)
     sg, tg = make_grids(32, 16, 8.0)
     z = GridFn.from_callable(sg, tg, lambda q, t: 1.0 / t ** 2 + 0 * q)
+    f = GridFn.from_callable(sg, tg, lambda q, t: 0.5 / t + 0 * q)
+    prob = HomologicalProblem(omega=[1.0], z=z, f=f, sigma=1.0)
+    assert prob.mu == pytest.approx(0.5, rel=1e-12)
+    assert prob.mu >= 1.0 / constants.c_kappa(1.0)
     with pytest.raises(NormBudgetError):
-        solve_he(HomologicalProblem(omega=[1.0], z=z, mu=0.5, sigma=1.0))
+        solve_he(prob)
 
 
 def coupled_fields(mu_f=0.02):

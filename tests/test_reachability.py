@@ -1,0 +1,128 @@
+"""Library code that only the tests reach cannot come back.
+
+An AST walk over `src/wacyl/` starts from what the program runs: every
+function and class of `cli`, `calibration.run_all`, the names used in
+the module-level statements of the library (`__all__` does not count)
+and every identifier and string constant of `perfbench/*.py`, whose
+tracer names the methods it patches as strings.  A reached function or
+method reaches every name its body uses; a reached class reaches its
+dunder methods and its class-body statements; a reached method reaches
+its class.  Names match by name alone, over every module, so the walk
+over-counts what is reached and the unreached set is a lower bound.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+LIBRARY = ROOT / "src" / "wacyl"
+
+SPLITTING = ("the paper's centre-of-mass splitting, checked against the "
+             "Cartesian energy to 1e-12 by acceptance criterion 09; "
+             "CircularChart.momenta rests on its reduced masses mu1, mu2 "
+             "and momentum split B")
+# unreached definitions that stay, each with its reason
+ALLOWED = {
+    "celestial.SplitCoords": SPLITTING,
+    "celestial.split_coordinates": SPLITTING,
+    "celestial.eval_H0_split": SPLITTING,
+}
+
+
+def _names(nodes, strings=False):
+    """Identifiers used in the trees of nodes (names, attributes, the
+    parts of imported names) and, with strings, the parts of string
+    constants that are dotted identifiers."""
+    out = set()
+    for node in nodes:
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                out.add(sub.id)
+            elif isinstance(sub, ast.Attribute):
+                out.add(sub.attr)
+            elif isinstance(sub, ast.alias):
+                out.update(sub.name.split("."))
+            elif (strings and isinstance(sub, ast.Constant)
+                  and isinstance(sub.value, str)
+                  and all(p.isidentifier() for p in sub.value.split("."))):
+                out.update(sub.value.split("."))
+    return out
+
+
+def _is_def(node):
+    return isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef))
+
+
+def _is_all(node):
+    return isinstance(node, ast.Assign) and any(
+        isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+
+
+def _library():
+    """Definitions as {key: (name, names used, keys reached with it)} and
+    the root names.  A class uses its bases, decorators and class-body
+    statements and reaches its dunder methods; a method reaches its
+    class."""
+    defs, roots = {}, {"run_all"}
+    for path in sorted(LIBRARY.glob("*.py")):
+        module = path.stem
+        body = ast.parse(path.read_text()).body
+        roots |= _names(s for s in body if not _is_def(s) and not _is_all(s))
+        for node in filter(_is_def, body):
+            key = f"{module}.{node.name}"
+            if module == "cli":
+                roots.add(node.name)
+            if not isinstance(node, ast.ClassDef):
+                defs[key] = (node.name, _names([node]), ())
+                continue
+            methods = [s for s in node.body if _is_def(s)]
+            own = node.bases + node.keywords + node.decorator_list + [
+                s for s in node.body if not _is_def(s)]
+            own += [d for m in methods for d in m.decorator_list]
+            for m in methods:
+                defs[f"{key}.{m.name}"] = (m.name, _names([m]), (key,))
+            defs[key] = (node.name, _names(own),
+                         [f"{key}.{m.name}" for m in methods
+                          if m.name.startswith("__")
+                          and m.name.endswith("__")])
+    return defs, roots
+
+
+def _perfbench_names():
+    trees = [ast.parse(p.read_text())
+             for p in sorted((ROOT / "perfbench").glob("*.py"))]
+    return _names(trees, strings=True)
+
+
+def unreached():
+    """Keys of the library definitions the walk does not reach."""
+    defs, roots = _library()
+    by_name = {}
+    for key, (name, _, _) in defs.items():
+        by_name.setdefault(name, []).append(key)
+    names = roots | _perfbench_names()
+    todo = [k for n in names for k in by_name.get(n, ())]
+    reached = set()
+    while todo:
+        key = todo.pop()
+        if key in reached:
+            continue
+        reached.add(key)
+        _, uses, linked = defs[key]
+        todo += linked
+        for n in uses - names:
+            names.add(n)
+            todo += by_name.get(n, ())
+    return set(defs) - reached
+
+
+def test_every_unreached_definition_is_allowed():
+    extra = sorted(unreached() - set(ALLOWED))
+    assert not extra, ("library definitions that only tests reach: "
+                       f"{extra}; delete them or give a reason in ALLOWED")
+
+
+def test_every_allowed_definition_is_still_unreached():
+    stale = sorted(set(ALLOWED) - unreached())
+    assert not stale, f"ALLOWED entries the program now reaches: {stale}"
