@@ -73,18 +73,20 @@ class SplitCoords:
     Y: np.ndarray     # (3, 2): Y0 total momentum, Y1, Y2
 
 
+# the cutoff of the extension is 1 for |xi| below CUTOFF_INNER epsilon r
+# and 0 above CUTOFF_OUTER epsilon r, r the comet distance
+CUTOFF_INNER = 1.0 / 6.0
+CUTOFF_OUTER = 1.0 / 3.0
+
+
 @dataclass
 class ExtensionParams:
     epsilon: float
-    inner_factor: float = 1.0 / 6.0
-    outer_factor: float = 1.0 / 3.0
 
     def __post_init__(self):
         if not (0 < self.epsilon <= 0.5):
             raise ValueError(
                 f"epsilon must lie in (0, 1/2] (got {self.epsilon})")
-        if self.inner_factor >= self.outer_factor:
-            raise ValueError("inner radius must be below outer radius")
 
 
 def _floats(v):
@@ -527,8 +529,8 @@ class HExtension:
         """w(|xi|) of the cutoff xi w(|xi|) at comet distance radius,
         and w'(|xi|) / |xi| (0 wherever w is flat), for an (x, y) pair
         xi."""
-        rin = self.params.epsilon * radius * self.params.inner_factor
-        rout = self.params.epsilon * radius * self.params.outer_factor
+        rin = self.params.epsilon * radius * CUTOFF_INNER
+        rout = self.params.epsilon * radius * CUTOFF_OUTER
         x, y = xi
         rho = math.sqrt(x * x + y * y)
         u = min(max((rho - rin) / (rout - rin), 0.0), 1.0)

@@ -64,7 +64,9 @@ GT0, GE0 = _finite(">", 0), _finite(">=", 0)
 # loop runs to its cap and no residual meets it
 TOL = (GT0[0], "finite and positive")
 T_MAX = _finite(">", 1, " (the time grid starts at t = 1)")
-POW2 = (lambda n: n >= 1 and not n & (n - 1), "a power of two")
+# on 2 or fewer torus points every non-constant mode is the Nyquist
+# mode, whose derivative the grid sets to zero
+POW2 = (lambda n: n >= 4 and not n & (n - 1), "a power of two, at least 4")
 AT_LEAST_2 = (lambda n: n >= 2, "at least 2")
 SEED = (lambda n: n >= 0, "a non-negative integer")
 SOLVE_PRESETS = {"manufactured": manufactured_single,

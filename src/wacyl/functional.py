@@ -1,12 +1,13 @@
 """The cylinder functional, its linearization and right inverse.
 
-For a normal-form Hamiltonian  omega.p + a(q,t) + b(q,t).p + m(q,p,t).p^2
+For a normal-form Hamiltonian  omega.p + a(q,t) + b(q,t).p + M0(q,t).p^2
 the residual field of a candidate section p = v(q,t) is
 
-    F(v) = (grad v) Omega_bar + (d_q v)(b + mbar(.,v,.) v)
-           + d_q a + (d_q b) v + (d_q m)(.,v,.) . v^2
+    F(v) = (grad v) Omega_bar + (d_q v)(b + mbar v)
+           + d_q a + (d_q b) v + (d_q M0) . v^2
 
-with (grad v) Omega_bar = (d_q v) omega_bar + d_t v.  F(v) = 0 makes the
+with (grad v) Omega_bar = (d_q v) omega_bar + d_t v and
+mbar = int_0^1 d^2_p H(q, tau v, t) dtau = 2 M0.  F(v) = 0 makes the
 graph of v an invariant cylinder transported by omega_bar + Gamma,
 Gamma = b + mbar v.  Nothing here integrates an ODE: the conjugacy
 check of a section against the phase-space flow is a test oracle.
@@ -25,17 +26,21 @@ from .homological import HomologicalProblem, _contract, solve_he, \
     transport_operator
 from .norms import weighted_norm
 
-__all__ = ["QuadraticForm", "HamiltonianSpec", "DomainError", "eval_F",
-           "linearize", "right_inverse", "gamma_from_v",
-           "hypotheses_report", "x_norm", "v_norm"]
+__all__ = ["HamiltonianSpec", "DomainError", "eval_F", "linearize",
+           "right_inverse", "gamma_from_v", "hypotheses_report", "x_norm",
+           "v_norm"]
 
 
-# the constant C of the solvability budget delta + C Upsilon zeta
+# the constant C of the solvability budget DELTA + C UPSILON zeta
 C_GEOM = 2.0
+# the budgets of the normal form: |b0|_{2,1} < DELTA and
+# |d^2_p H|_{s+1,0} = |2 M0|_{s+1,0} <= UPSILON
+DELTA = 0.01
+UPSILON = 1.0
 # the sigmas of the tame ratios in hypotheses_report
 TAME_SIGMAS = (1.0, 2.0, 4.0)
 # the momentum ball every candidate section stays in, and the orders
-# lambda and s of the norms HamiltonianSpec.validate measures
+# lambda and s of the data norms the manifest records
 BALL_RADIUS = 0.5
 SPEC_LAMBDA = 3.75
 SPEC_S = 8.0
@@ -45,70 +50,30 @@ class DomainError(NumericalError):
     """A candidate section left the momentum ball of the Hamiltonian."""
 
 
-class QuadraticForm:
-    """m(q,p,t) = M0(q,t) + sum_k C[...,k](q,t) p_k as symmetric tensors.
+class HamiltonianSpec:
+    """Normal-form data omega.p + a + (b0 + br).p + M0.p^2, with M0 the
+    p-independent kinetic form, a GridFn of d*d components."""
 
-    M0 is a GridFn with d*d components, C (optional) with d*d*d, fully
-    symmetrized so that the scalar m(q,p,t).p^2 has unambiguous
-    derivatives.  Linear p-dependence covers Hamiltonians up to cubic
-    order in p, which is all the models in scope use.
-    """
-
-    def __init__(self, d, M0=None, C=None):
-        self.d = d
+    def __init__(self, omega, a, b0, br, M0):
+        self.omega = np.atleast_1d(np.asarray(omega, dtype=float))
+        self.a = a
+        self.b0 = b0
+        self.br = br
         self.M0 = M0
-        self.C = C
-        self._mbar = None
-        if C is not None:
-            vals = C.values.reshape(C.values.shape[:-1] + (d, d, d))
-            sym = np.zeros_like(vals)
-            import itertools
-            for perm in itertools.permutations(range(3)):
-                sym += np.transpose(
-                    vals, tuple(range(vals.ndim - 3))
-                    + tuple(vals.ndim - 3 + p for p in perm))
-            sym /= 6.0
-            self.C = GridFn(C.grid, C.times,
-                            sym.reshape(C.values.shape))
+        self.grid = a.grid
+        self.times = a.times
+        self.d = a.grid.n
+        if len(self.omega) != a.grid.n:
+            raise ValueError("omega length must equal torus dimension")
+        self.b = b0 + br
 
-    @classmethod
-    def zero(cls, grid, times, d):
-        return cls(d, GridFn.zeros(grid, times, d * d), None)
-
-    def _m0(self):
-        return self.M0.values.reshape(
-            self.M0.values.shape[:-1] + (self.d, self.d))
-
-    def _c(self):
-        if self.C is None:
-            return None
-        return self.C.values.reshape(
-            self.C.values.shape[:-1] + (self.d, self.d, self.d))
-
-    def d2H_at(self, v_values):
-        """d^2_p H(q, p, t) at p = v:  2 M0 + 6 C . p."""
-        out = 2.0 * self._m0()
-        c = self._c()
-        if c is not None:
-            out = out + 6.0 * _contract(
-                (c[..., k], v_values[..., k, None, None])
-                for k in range(self.d))
-        return out
-
-    def mbar(self, v_values):
-        """mbar(q, v, t) = int_0^1 d^2_p H(q, tau v, t) dtau by 4-point
-        Gauss-Legendre quadrature, as (..., d, d) values.  Without C it is
-        sum_k w_k 2 M0 for every v, so it is built once, by the same
-        loop, and kept read-only."""
-        if self._mbar is not None:
-            return self._mbar
-        acc = 0.0
-        for x, w in zip(MBAR_NODES, MBAR_WEIGHTS):
-            acc = acc + w * self.d2H_at(x * v_values)
-        if self.C is None:
-            acc.flags.writeable = False
-            self._mbar = acc
-        return acc
+    @cached_property
+    def mbar(self):
+        """mbar = 2 M0 as (..., d, d) values, the same for every section;
+        built once, read-only."""
+        out = 2.0 * self.M0.values
+        out.flags.writeable = False
+        return out.reshape(out.shape[:-1] + (self.d, self.d))
 
     @cached_property
     def dq_m0(self):
@@ -119,27 +84,6 @@ class QuadraticForm:
             return None
         return jac.reshape(jac.shape[:-2] + (self.d,) * 3)
 
-
-class HamiltonianSpec:
-    """Normal-form data (omega, a, b0, br, m) with decay budgets."""
-
-    def __init__(self, omega, a, b0, br, m_form, delta, epsilon,
-                 upsilon=1.0):
-        self.omega = np.atleast_1d(np.asarray(omega, dtype=float))
-        self.a = a
-        self.b0 = b0
-        self.br = br
-        self.m_form = m_form
-        self.delta = float(delta)
-        self.epsilon = float(epsilon)
-        self.upsilon = float(upsilon)
-        self.grid = a.grid
-        self.times = a.times
-        self.d = a.grid.n
-        if len(self.omega) != a.grid.n:
-            raise ValueError("omega length must equal torus dimension")
-        self.b = b0 + br
-
     @cached_property
     def db(self):
         """d_q b as (..., j, a) values, d_{q_a} b_j; None when b is
@@ -148,44 +92,21 @@ class HamiltonianSpec:
 
     def with_data(self, a, br):
         """The same normal form with the data (a, br) replaced."""
-        return HamiltonianSpec(self.omega, a, self.b0, br, self.m_form,
-                               self.delta, self.epsilon, self.upsilon)
-
-    def validate(self):
-        """Budget checks of the normal form; returns the measured norms."""
-        checks = {
-            "|b0|_{2,1} < delta": (
-                weighted_norm(self.b0, 2, 1).value, self.delta),
-            "|a|_{lam+1,0}+|d_q a|_{lam,2} < eps": (
-                a_norm(self.a, SPEC_LAMBDA), self.epsilon),
-            "|br|_{lam+1,1} < eps": (
-                weighted_norm(self.br, SPEC_LAMBDA + 1, 1).value,
-                self.epsilon),
-        }
-        d2 = GridFn(self.grid, self.times, self.m_form.d2H_at(
-            np.zeros(self.grid.shape + (self.d,))).reshape(
-            (len(self.times),) + self.grid.shape + (self.d * self.d,)))
-        checks["|d2H/dp2|_{s+1,0} <= Upsilon"] = (
-            weighted_norm(d2, SPEC_S + 1, 0).value, self.upsilon)
-        return {k: {"measured": m, "budget": b, "pass": m <= b}
-                for k, (m, b) in checks.items()}
+        return HamiltonianSpec(self.omega, a, self.b0, br, self.M0)
 
     def manifest(self):
-        m0 = float(np.abs(self.m_form.M0.values).max())
-        if self.m_form.C is not None:
-            m0 = max(m0, float(np.abs(self.m_form.C.values).max()))
         return {
             "n": self.grid.n,
             "omega": self.omega.tolist(),
-            "delta": self.delta, "epsilon": self.epsilon,
-            "upsilon": self.upsilon, "lambda": SPEC_LAMBDA, "s": SPEC_S,
+            "delta": DELTA, "upsilon": UPSILON,
+            "lambda": SPEC_LAMBDA, "s": SPEC_S,
             "grid": list(self.grid.shape),
             "time_points": len(self.times),
             "t_max": float(self.times.points[-1]),
             "norm_a": a_norm(self.a, 1.0),
             "norm_b0": weighted_norm(self.b0, 1, 1).value,
             "norm_br": weighted_norm(self.br, 1, 1).value,
-            "norm_m": m0,
+            "norm_m": float(np.abs(self.M0.values).max()),
         }
 
 
@@ -224,96 +145,61 @@ def _check_ball(H, v):
             f"{BALL_RADIUS} at grid node {worst}")
 
 
-# the 4-point Gauss-Legendre rule of QuadraticForm.mbar, mapped to [0, 1]:
-# 0.5 (x + 1) and 0.5 w of np.polynomial.legendre.leggauss(4), as
-# literals so that importing the module runs no eigensolver (its first
-# LAPACK call adds about 0.8 MB of resident memory)
-MBAR_NODES = (0.06943184420297371, 0.33000947820757187,
-              0.6699905217924281, 0.9305681557970262)
-MBAR_WEIGHTS = (0.17392742256872679, 0.3260725774312732,
-                0.3260725774312732, 0.17392742256872679)
-
-
 # The sums below run over the component axes, each term one broadcast
 # product of component slices (homological._contract); the comments
 # give them in index notation, summed over repeated indices.
 
-def _mbar_gamma(H, v):
-    """mbar(., v, .) as (..., d, d) values and Gamma = b + mbar v."""
-    vv = v.values
-    mbar = H.m_form.mbar(vv)
+def _gamma(H, vv):
+    """Gamma = b + mbar v as (..., d) values."""
     # (mbar v)_i = mbar_ij v_j
-    return mbar, H.b.values + _contract((mbar[..., j], vv[..., j, None])
-                                        for j in range(H.d))
+    return H.b.values + _contract((H.mbar[..., j], vv[..., j, None])
+                                  for j in range(H.d))
 
 
 def _coefficients(H, v):
-    """What eval_F and linearize share at v: mbar, Gamma = b + mbar v,
-    d_q v, d_q b (None when b vanishes), d_q C (None without a C term)
-    and d_q m(., v, .) = d_q M0 + (d_q C) v (None when it vanishes: no C
-    and M0 constant in q).  A term whose coefficient is None adds +0.0
-    to a sum that is never -0.0, so skipping it changes no byte."""
+    """What eval_F and linearize share at v: Gamma = b + mbar v and
+    d_q v.  Their v-independent coefficients H.db and H.dq_m0 are None
+    when they vanish; a term whose coefficient is None adds +0.0 to a
+    sum that is never -0.0, so skipping it changes no byte."""
     _check_ball(H, v)
-    vv = v.values
-    mbar, gamma = _mbar_gamma(H, v)
-    jac_v = v.jacobian_q()                       # (..., i, a)
-    mg = H.m_form.dq_m0                          # (..., i, j, a)
-    cg = None
-    if H.m_form.C is not None:
-        lead = vv.shape[:-1]
-        cg = H.m_form.C.jacobian_q().reshape(lead + (H.d,) * 4)
-        # (d_q C) v: d_{q_a} C_ijk v_k
-        cgv = _contract((cg[..., k, :], vv[..., k, None, None, None])
-                        for k in range(H.d))
-        mg = cgv if mg is None else mg + cgv
-    return mbar, gamma, jac_v, H.db, cg, mg
+    return _gamma(H, v.values), v.jacobian_q()
 
 
 def eval_F(H, v):
     """Residual field of the candidate v; the solver's objective is its
     |.|_{0,2} norm."""
-    _, gamma, jac_v, db, _, mg = _coefficients(H, v)
+    gamma, jac_v = _coefficients(H, v)
     vv = v.values
     dims = range(H.d)
     # (grad v) Omega_bar + (d_q v)_ia Gamma_a + d_q a
     out = transport_operator(v, H.omega).values \
         + _contract((jac_v[..., a], gamma[..., a, None]) for a in dims) \
         + H.a.jacobian_q()[..., 0, :]
-    if db is not None:
+    if H.db is not None:
         # (d_q b)_ja v_j
-        out += _contract((db[..., j, :], vv[..., j, None]) for j in dims)
-    if mg is not None:
-        # (d_q m)_ija v_i v_j
-        out += _contract((mg[..., i, j, :], vv[..., i, None],
+        out += _contract((H.db[..., j, :], vv[..., j, None]) for j in dims)
+    if H.dq_m0 is not None:
+        # (d_q M0)_ija v_i v_j
+        out += _contract((H.dq_m0[..., i, j, :], vv[..., i, None],
                           vv[..., j, None]) for i in dims for j in dims)
     return GridFn(H.grid, H.times, out)
 
 
 def linearize(H, v):
     """Transport coefficient f and zeroth-order coefficient g of D_v F."""
-    mbar, gamma, jac_v, db, cg, mg = _coefficients(H, v)
+    gamma, jac_v = _coefficients(H, v)
     d = H.d
     vv = v.values
     dims = range(d)
     f = GridFn(H.grid, H.times, gamma)
     # (d_q v)_ia mbar_ak
-    g = _contract((jac_v[..., :, a, None], mbar[..., None, a, :])
+    g = _contract((jac_v[..., :, a, None], H.mbar[..., None, a, :])
                   for a in dims)
-    if db is not None:
-        g = np.swapaxes(db, -1, -2) + g           # g_{aj} = d_{q_a} b_j
-    if cg is not None:
-        C = H.m_form._c()
-        # d_q v (d_p mbar) v:  3 (d_q v)_ia C_ajk v_j
-        g += 3.0 * _contract((jac_v[..., :, a, None], C[..., None, a, j, :],
-                              vv[..., j, None, None])
-                             for a in dims for j in dims)
-        # v^T (d^2_{pq} m) v:  d_{q_a} C_ijk v_i v_j
-        g += _contract((np.swapaxes(cg[..., i, j, :, :], -1, -2),
-                        vv[..., i, None, None], vv[..., j, None, None])
-                       for i in dims for j in dims)
-    if mg is not None:
-        # 2 (d_q m) v:  2 d_{q_a} m_ij(., v, .) v_i
-        g += 2.0 * _contract((np.swapaxes(mg[..., i, :, :], -1, -2),
+    if H.db is not None:
+        g = np.swapaxes(H.db, -1, -2) + g         # g_{aj} = d_{q_a} b_j
+    if H.dq_m0 is not None:
+        # 2 (d_q M0) v:  2 d_{q_a} M0_ij v_i
+        g += 2.0 * _contract((np.swapaxes(H.dq_m0[..., i, :, :], -1, -2),
                               vv[..., i, None, None]) for i in dims)
     gf = GridFn(H.grid, H.times, g.reshape(vv.shape[:-1] + (d * d,)))
     return f, gf
@@ -324,9 +210,9 @@ def apply_DF(H, v, vhat):
     return transport_operator(vhat, H.omega, *linearize(H, v))
 
 
-def mu_budget(H, zeta):
-    """The solvability gate delta + C Upsilon zeta < 1/c_kappa(1)."""
-    mu_max = H.delta + C_GEOM * H.upsilon * zeta
+def mu_budget(zeta):
+    """The solvability gate DELTA + C UPSILON zeta < 1/c_kappa(1)."""
+    mu_max = DELTA + C_GEOM * UPSILON * zeta
     gate = 1.0 / constants.c_kappa(1.0)
     return mu_max, gate
 
@@ -340,7 +226,7 @@ def right_inverse(H, v, z, zeta=0.05, quad_tol=1e-9):
     """
     f, g = linearize(H, v)
     prob = HomologicalProblem(omega=H.omega, z=z, f=f, g=g)
-    mu_max, gate = mu_budget(H, zeta)
+    mu_max, gate = mu_budget(zeta)
     if mu_max >= gate:
         raise NormBudgetError("delta + C Upsilon zeta", mu_max, gate)
     if prob.mu > mu_max * (1 + 1e-9):
@@ -349,8 +235,8 @@ def right_inverse(H, v, z, zeta=0.05, quad_tol=1e-9):
 
 
 def gamma_from_v(H, v):
-    """The transport field Gamma = b + mbar(., v, .) v of the section v."""
-    return GridFn(H.grid, H.times, _mbar_gamma(H, v)[1])
+    """The transport field Gamma = b + mbar v of the section v."""
+    return GridFn(H.grid, H.times, _gamma(H, v.values))
 
 
 def hypotheses_report(H, zeta, n_samples=6, seed=0):
@@ -428,7 +314,7 @@ def hypotheses_report(H, zeta, n_samples=6, seed=0):
             if K > 0:
                 tame[s].append(
                     weighted_norm(eval_F(Hs, vv), s, 2).value / K)
-    mu_max, gate = mu_budget(H, zeta)
+    mu_max, gate = mu_budget(zeta)
     cal = constants.HYPOTHESES
     report = {
         "H1_first": max(h1_first), "H1_second": max(h1_second),

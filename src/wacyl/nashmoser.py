@@ -13,9 +13,8 @@ import numpy as np
 
 from . import constants
 from .flow import NormBudgetError
-from .functional import (SPEC_LAMBDA, DomainError, HamiltonianSpec,
-                         QuadraticForm, a_norm, eval_F, gamma_from_v,
-                         right_inverse, v_norm, x_norm)
+from .functional import (DomainError, HamiltonianSpec, eval_F,
+                         gamma_from_v, right_inverse, v_norm, x_norm)
 from .grids import GridFn, SpatialGrid, TimeGrid
 from .norms import weighted_norm
 from .smoothing import smooth
@@ -402,9 +401,7 @@ def manufactured_single(eps=1e-3, torus_points=128, n_times=64,
     zero = GridFn.zeros(sg, tg, 1)
     H = HamiltonianSpec(omega=[omega],
                         a=GridFn.from_callable(sg, tg, a_fn),
-                        b0=zero, br=zero,
-                        m_form=QuadraticForm.zero(sg, tg, 1),
-                        delta=0.01, epsilon=max(10 * eps, 1e-2))
+                        b0=zero, br=zero, M0=zero)
     vstar = GridFn.from_callable(
         sg, tg, lambda q, t: -eps * np.sin(2 * np.pi * q) / t ** 2)
     return H, vstar
@@ -441,9 +438,7 @@ def manufactured_power(eps=1e-3, torus_points=128, n_times=64,
     zero = GridFn.zeros(sg, tg, 1)
     H = HamiltonianSpec(omega=[omega],
                         a=GridFn.from_callable(sg, tg, a_fn),
-                        b0=zero, br=zero,
-                        m_form=QuadraticForm.zero(sg, tg, 1),
-                        delta=0.01, epsilon=max(10 * eps, 1e-2))
+                        b0=zero, br=zero, M0=zero)
     vstar = GridFn.from_callable(sg, tg, vstar_fn)
     return H, vstar
 
@@ -453,10 +448,8 @@ def comet_decay_synthetic(eps=2e-3):
     |b| ~ t^-2, plus a genuine quadratic form, on a 2-torus base of
     16 x 16 points and 32 times up to t = 12.
 
-    The form is constant in q (its kinetic budget must fit Upsilon in
+    The form is constant in q (its kinetic budget must fit UPSILON in
     the C^(s+1) norm); the coupling is still nonlinear through mbar v.
-    The declared epsilon is the measured size of the data, so the spec
-    validates by construction.
     """
     tg = TimeGrid(12.0, n_points=32)
     sg = SpatialGrid(2, 16)
@@ -475,13 +468,8 @@ def comet_decay_synthetic(eps=2e-3):
         return np.broadcast_to((np.eye(2) * 0.25).reshape(4),
                                np.shape(t + q1) + (4,))
 
-    zero = GridFn.zeros(sg, tg, 2)
-    a = GridFn.from_callable(sg, tg, a_fn)
-    br = GridFn.from_callable(sg, tg, b_fn)
-    eps_meas = 1.05 * max(a_norm(a, SPEC_LAMBDA),
-                          weighted_norm(br, SPEC_LAMBDA + 1, 1).value)
-    H = HamiltonianSpec(omega=omega, a=a, b0=zero, br=br,
-                        m_form=QuadraticForm(
-                            2, GridFn.from_callable(sg, tg, m_fn), None),
-                        delta=0.01, epsilon=eps_meas, upsilon=1.0)
-    return H
+    return HamiltonianSpec(omega=omega,
+                           a=GridFn.from_callable(sg, tg, a_fn),
+                           b0=GridFn.zeros(sg, tg, 2),
+                           br=GridFn.from_callable(sg, tg, b_fn),
+                           M0=GridFn.from_callable(sg, tg, m_fn))

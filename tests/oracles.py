@@ -12,11 +12,11 @@ with the scalar product-formula Lagrange weights.
 Filon panel sum over a gather of every panel's stencil; the library
 reads the interior stencils as windows and must give the same bytes.
 
-`einsum_eval_F`, `einsum_linearize`, `einsum_mbar` and
-`einsum_transport_operator` are the residual functional, its
-linearization, mbar and the transport operator written with
-`np.einsum` over the component axes; the library spells the same sums
-out component by component and must give the same bytes.
+`einsum_eval_F`, `einsum_linearize` and `einsum_transport_operator`
+are the residual functional, its linearization and the transport
+operator written with `np.einsum` over the component axes; the library
+spells the same sums out component by component and must give the
+same bytes.
 
 Two checks of a solved section against trajectories, which integrate
 ODEs and so stay out of the Newton core: `conjugacy_check` compares the
@@ -36,7 +36,7 @@ import numpy as np
 
 from wacyl.flow import VectorFieldSpec, _solve, flow_jacobian, \
     integrate_flow
-from wacyl.functional import MBAR_NODES, MBAR_WEIGHTS, _check_ball
+from wacyl.functional import _check_ball
 from wacyl.grids import GridFn
 from wacyl.homological import (REFINE_DEGREE, TAIL_NODES, TIME_REFINE,
                                HomologicalSolution, _tail_bound)
@@ -139,40 +139,17 @@ def einsum_free_transport_coeffs(plan, rhs):
     return plan.phase[..., None] * (J + tail)
 
 
-def _einsum_d2H(form, v_values):
-    """d^2_p H at p = v:  2 M0 + 6 C . p."""
-    out = 2.0 * form._m0()
-    c = form._c()
-    if c is not None:
-        out = out + 6.0 * np.einsum("...ijk,...k->...ij", c, v_values)
-    return out
-
-
-def einsum_mbar(H, v=None):
-    """mbar(., v, .) by the 4-point Gauss-Legendre rule, (..., d, d)."""
-    shape = (len(H.times),) + H.grid.shape + (H.d,)
-    vv = np.zeros(shape) if v is None else v.values
-    acc = 0.0
-    for x, w in zip(MBAR_NODES, MBAR_WEIGHTS):
-        acc = acc + w * _einsum_d2H(H.m_form, x * vv)
-    return acc
-
-
 def _einsum_coefficients(H, v):
     _check_ball(H, v)
     d = H.d
     vv = v.values
     lead = vv.shape[:-1]
-    mbar = einsum_mbar(H, v).reshape(lead + (d, d))
+    mbar = 2.0 * H.M0.values.reshape(lead + (d, d))
     gamma = H.b.values + np.einsum("...ij,...j->...i", mbar, vv)
     jac_v = v.jacobian_q()
     db = H.b.jacobian_q()
-    mg = H.m_form.M0.jacobian_q().reshape(lead + (d, d, d))
-    cg = None
-    if H.m_form.C is not None:
-        cg = H.m_form.C.jacobian_q().reshape(lead + (d, d, d, d))
-        mg = mg + np.einsum("...ijka,...k->...ija", cg, vv)
-    return mbar, gamma, jac_v, db, cg, mg
+    mg = H.M0.jacobian_q().reshape(lead + (d, d, d))
+    return mbar, gamma, jac_v, db, mg
 
 
 def einsum_transport_operator(kappa, omega, f=None, g=None):
@@ -191,7 +168,7 @@ def einsum_transport_operator(kappa, omega, f=None, g=None):
 
 def einsum_eval_F(H, v):
     """The residual field F(v)."""
-    _, gamma, jac_v, db, _, mg = _einsum_coefficients(H, v)
+    _, gamma, jac_v, db, mg = _einsum_coefficients(H, v)
     vv = v.values
     transport = einsum_transport_operator(v, H.omega).values
     adv = np.einsum("...ia,...a->...i", jac_v, gamma)
@@ -205,16 +182,12 @@ def einsum_eval_F(H, v):
 
 def einsum_linearize(H, v):
     """The transport coefficients (f, g) of D_v F."""
-    mbar, gamma, jac_v, db, cg, mg = _einsum_coefficients(H, v)
+    mbar, gamma, jac_v, db, mg = _einsum_coefficients(H, v)
     d = H.d
     vv = v.values
     f = GridFn(H.grid, H.times, gamma)
     g = np.swapaxes(db, -1, -2).copy()
     g = g + np.einsum("...ia,...ak->...ik", jac_v, mbar)
-    if cg is not None:
-        C = H.m_form._c()
-        g = g + 3.0 * np.einsum("...ia,...ajk,...j->...ik", jac_v, C, vv)
-        g = g + np.einsum("...ijka,...i,...j->...ak", cg, vv, vv)
     g = g + 2.0 * np.einsum("...ija,...i->...aj", mg, vv)
     gf = GridFn(H.grid, H.times, g.reshape(vv.shape[:-1] + (d * d,)))
     return f, gf

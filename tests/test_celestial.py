@@ -269,8 +269,6 @@ def test_decay_diagnostics_refuses_bad_region():
 def test_extension_params_validation():
     with pytest.raises(ValueError):
         ExtensionParams(epsilon=0.7)
-    with pytest.raises(ValueError):
-        ExtensionParams(epsilon=0.1, inner_factor=0.5, outer_factor=0.2)
 
 
 @pytest.fixture(scope="module")
@@ -366,8 +364,8 @@ def mp_gradient(hexf, theta, xi, r, t, dps=50):
     mp = mp_context(dps)
     chart, m, par = hexf.chart, hexf.masses, hexf.params
     c, rc = mp_ephemeris(mp, hexf.comet, t)
-    rin, rout = (par.epsilon * rc * par.inner_factor,
-                 par.epsilon * rc * par.outer_factor)
+    rin, rout = (par.epsilon * rc * celestial.CUTOFF_INNER,
+                 par.epsilon * rc * celestial.CUTOFF_OUTER)
     M = mp.mpf(m.M)
     alpha = (m.m1 / M, -(m.m0 + m.m2) / M, m.m1 / M)
     beta = (m.m2 / M, m.m2 / M, -(m.m0 + m.m1) / M)

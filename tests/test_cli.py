@@ -253,6 +253,10 @@ SMALL_SOLVE = ["--set", "solve.torus_points=32", "--set", "solve.n_times=16"]
      "solve.torus_points = 7 must be a power of two"),
     (["--set", "he.torus_points=7", "homological"],
      "he.torus_points = 7 must be a power of two"),
+    (["--set", "solve.torus_points=2", "--set", "solve.n_times=16",
+      "solve"], "solve.torus_points = 2 must be a power of two, at least 4"),
+    (["--set", "he.torus_points=2", "homological"],
+     "he.torus_points = 2 must be a power of two, at least 4"),
     (SMALL_SOLVE + ["--set", "solve.n_times=1", "solve"],
      "solve.n_times = 1 must be at least 2"),
     (["--set", "he.n_times=1", "homological"],
@@ -299,7 +303,8 @@ SMALL_SOLVE = ["--set", "solve.torus_points=32", "--set", "solve.n_times=16"]
         "he-t-max-nan", "he-t-max-below-one", "comet-a1-nan",
         "comet-a2-negative", "comet-xi0x-nan", "comet-xi0y-inf",
         "comet-cbar-nan", "solve-s-nan", "solve-torus-points-7",
-        "he-torus-points-7", "solve-n-times-1", "he-n-times-1",
+        "he-torus-points-7", "solve-torus-points-2", "he-torus-points-2",
+        "solve-n-times-1", "he-n-times-1",
         "comet-v-inf", "comet-e-below-one", "comet-seed-negative",
         "norms-seed-negative", "diag-preset-unknown", "solve-q-nan",
         "solve-zeta-negative", "solve-upsilon-zero",

@@ -7,8 +7,8 @@ import pytest
 from oracles import conjugacy_check, lagrangian_check
 from wacyl import constants, nashmoser, norms
 from wacyl.flow import NormBudgetError
-from wacyl.functional import C_GEOM, DomainError, eval_F, \
-    hypotheses_report, v_norm, x_norm
+from wacyl.functional import (C_GEOM, DELTA, SPEC_S, UPSILON, DomainError,
+                              eval_F, hypotheses_report, v_norm, x_norm)
 from wacyl.grids import GridFn
 from wacyl.nashmoser import (ZehnderParams, choose_schedule,
                              comet_decay_synthetic, iterate,
@@ -156,8 +156,10 @@ class TestManufacturedRuns:
     def test_gamma_decay_budget(self, power_run):
         H, vstar, sol, st, p, scan = power_run
         prof = weighted_norm(sol.gamma, 1, 1).per_time_profile
-        bound = weighted_norm(H.b0, 1, 1).value + H.epsilon \
-            + C_GEOM * H.upsilon * p.zeta
+        # |b0|_{1,1} + eps + C Upsilon zeta, eps = 0.01 the data size
+        # this test allows
+        bound = weighted_norm(H.b0, 1, 1).value + 0.01 \
+            + C_GEOM * UPSILON * p.zeta
         assert all(v <= bound for _, v in prof)
 
     def test_manifest_contents(self, power_run):
@@ -412,9 +414,11 @@ class TestCometDecaySynthetic:
             assert st.true_residuals[i + 1] < st.true_residuals[i]
 
     def test_spec_validates(self, run):
+        # the budgets of the normal form: |b0|_{2,1} < DELTA and
+        # |d^2_p H|_{s+1,0} = |2 M0|_{s+1,0} <= UPSILON
         H, sol, st = run
-        checks = H.validate()
-        assert all(c["pass"] for c in checks.values())
+        assert weighted_norm(H.b0, 2, 1).value < DELTA
+        assert weighted_norm(2.0 * H.M0, SPEC_S + 1, 0).value <= UPSILON
 
     def test_lagrangian_two_torus(self, run):
         H, sol, st = run
