@@ -22,12 +22,13 @@ from .smoothing import verify_smoothing_bounds
 SAFETY = 1.15
 
 
-def corpus_32(seed, n_fns=6, torus_points=256, n_times=16, t_max=10.0,
-              decay=1.0):
-    """The 32-mode random corpus used by the smoothing and norm sweeps."""
+def corpus_32(seed, n_fns=6):
+    """The 32-mode random corpus used by the smoothing and norm sweeps:
+    n_fns functions f(q, t) = sum_k a_k sin(2 pi (k q + phi_k)) / t on
+    256 torus points and 16 times up to t = 10."""
     rng = np.random.default_rng(seed)
-    tg = TimeGrid(t_max, n_points=n_times)
-    sg = SpatialGrid(1, torus_points)
+    tg = TimeGrid(10.0, n_points=16)
+    sg = SpatialGrid(1, 256)
     out = []
     for _ in range(n_fns):
         amps = rng.standard_normal(32) / np.arange(1, 33) ** 1.5
@@ -38,15 +39,15 @@ def corpus_32(seed, n_fns=6, torus_points=256, n_times=16, t_max=10.0,
             for k in range(32):
                 acc = acc + amps[k] * np.sin(
                     2 * np.pi * ((k + 1) * q + phases[k]))
-            return acc / t ** decay
+            return acc / t
 
         out.append(GridFn.from_callable(sg, tg, fn))
     return out
 
 
-def sweep_smoothing(seed=20240901):
+def sweep_smoothing():
     worst = {}
-    for f in corpus_32(seed):
+    for f in corpus_32(20240901):
         for tau in (8.0, 16.0, 32.0, 64.0):
             for (m, d) in ((2, 0), (4, 1), (6, 2)):
                 rep = verify_smoothing_bounds(f, tau, m, d)
@@ -57,10 +58,11 @@ def sweep_smoothing(seed=20240901):
     return {k: v * SAFETY for k, v in worst.items()}
 
 
-def sweep_norm_algebra(seed=20240902):
+def sweep_norm_algebra():
+    seed = 20240902
     worst = {"product": {}, "composition": {}, "convexity": 0.0}
-    fns = corpus_32(seed, n_fns=4, torus_points=256)
-    gs = corpus_32(seed + 1, n_fns=4, torus_points=256)
+    fns = corpus_32(seed, n_fns=4)
+    gs = corpus_32(seed + 1, n_fns=4)
     rng = np.random.default_rng(seed + 2)
     for f, g in zip(fns, gs):
         u = GridFn.from_callable(
@@ -87,7 +89,7 @@ def sweep_norm_algebra(seed=20240902):
     }
 
 
-def sweep_flow_exponents(seed=20240903):
+def sweep_flow_exponents():
     """Growth exponents of |d_q psi| and |R| measured by
     flow.gronwall_diagnostics for f = mu sin(2 pi q)/t, g = 0.9 mu/t,
     reported as exponent/mu ratios."""
@@ -114,12 +116,12 @@ def sweep_flow_exponents(seed=20240903):
     return {k: v * SAFETY for k, v in out.items()}
 
 
-def sweep_homological(seed=20240904):
+def sweep_homological():
     """Constant c_estimate implied by homological.estimate_check
     (measured |kappa|_{sigma,1} over its bound per unit c_estimate) over
     a family of solvable transport problems."""
     from .homological import HomologicalProblem, estimate_check, solve_he
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(20240904)
     tg = TimeGrid(16.0, n_points=48)
     sg = SpatialGrid(1, 64)
     worst = {0: 0.0, 1: 0.0, 2: 0.0}
@@ -151,21 +153,22 @@ def sweep_homological(seed=20240904):
     return {("c_estimate", s): v * SAFETY for s, v in worst.items()}
 
 
-def sweep_hypotheses(seed=20240905):
+def sweep_hypotheses():
     from .functional import hypotheses_report
     from .nashmoser import comet_decay_synthetic, manufactured_single
     worst = {"H1": 0.0, "H2": 0.0, "H4": 0.0}
     H1, _ = manufactured_single(torus_points=64, n_times=32)
     H2 = comet_decay_synthetic()
     for H in (H1, H2):
-        rep = hypotheses_report(H, zeta=0.02, n_samples=4, seed=seed)
+        rep = hypotheses_report(H, zeta=0.02, n_samples=4,
+                                seed=20240905)
         worst["H1"] = max(worst["H1"], rep["H1_first"], rep["H1_second"])
         worst["H2"] = max(worst["H2"], rep["H2_ratio"])
         worst["H4"] = max(worst["H4"], *rep["H4_ratios"].values())
     return {k: v * SAFETY for k, v in worst.items()}
 
 
-def sweep_comet_decay(seed=20240906):
+def sweep_comet_decay():
     from .celestial import CircularChart, CometOrbit, Masses, \
         decay_diagnostics
     out = {0: 0.0, 1: 0.0}
@@ -187,7 +190,7 @@ def sweep_comet_decay(seed=20240906):
             for k in (0, 1):
                 rep = decay_diagnostics(sampler, orbit, masses, eps, k,
                                         np.geomspace(1, 1000, 15),
-                                        n_samples=12, seed=seed)
+                                        n_samples=12, seed=20240906)
                 scale = masses.M * masses.mc * eps
                 out[k] = max(out[k], rep["sup_Hc"] / scale,
                              rep["sup_gradHc_t2"] / scale)

@@ -151,15 +151,13 @@ class CometOrbit:
 
     a_h is the magnitude of the (negative) semi-major axis, mu_grav the
     gravitational parameter, t_peri the pericenter passage time (placed
-    before t = 1 so |c| is increasing on the whole window), and
-    orientation the pericenter direction angle.
+    before t = 1 so |c| is increasing on the whole window).  The
+    pericenter lies on the +x axis.
     """
 
-    def __init__(self, eccentricity, a_h, mu_grav, t_peri=0.0,
-                 orientation=0.0):
+    def __init__(self, eccentricity, a_h, mu_grav, t_peri=0.0):
         for name, value in (("eccentricity", eccentricity), ("a_h", a_h),
-                            ("mu_grav", mu_grav), ("t_peri", t_peri),
-                            ("orientation", orientation)):
+                            ("mu_grav", mu_grav), ("t_peri", t_peri)):
             if not math.isfinite(value):
                 raise ValueError(f"comet orbit {name} = {value} must be "
                                  "finite")
@@ -171,7 +169,6 @@ class CometOrbit:
         self.a_h = float(a_h)
         self.mu_grav = float(mu_grav)
         self.t_peri = float(t_peri)
-        self.orientation = float(orientation)
         self.mean_motion = math.sqrt(mu_grav / a_h ** 3)
 
     @property
@@ -187,10 +184,9 @@ class CometOrbit:
         equation."""
         H = self.anomaly(t)
         ch = math.cosh(H)
-        xp = self.a_h * (self.e - ch)
-        yp = self.a_h * math.sqrt(self.e ** 2 - 1.0) * math.sinh(H)
-        c, s = math.cos(self.orientation), math.sin(self.orientation)
-        return c * xp - s * yp, s * xp + c * yp, self.a_h * (self.e * ch - 1.0)
+        return (self.a_h * (self.e - ch),
+                self.a_h * math.sqrt(self.e ** 2 - 1.0) * math.sinh(H),
+                self.a_h * (self.e * ch - 1.0))
 
     def position(self, t):
         """c(t) as a (2,) array."""
@@ -615,8 +611,15 @@ def _cartesian_rhs(masses, comet):
     return rhs
 
 
-def integrate_system(state0, comet, masses, t0, t1, tol=1e-11,
-                     n_samples=200, proximity=1e-4):
+# integrate_system samples its trajectory at TRAJECTORY_SAMPLES uniform
+# times and aborts once two bodies come closer than PROXIMITY;
+# SurrogateSystem.integrate samples at SURROGATE_SAMPLES geometric times
+TRAJECTORY_SAMPLES = 200
+PROXIMITY = 1e-4
+SURROGATE_SAMPLES = 120
+
+
+def integrate_system(state0, comet, masses, t0, t1, tol=1e-11):
     """Trajectory of the full time-dependent system with energy-drift
     reporting; aborts with a timestamp on close encounters."""
     if not t1 > t0:
@@ -628,9 +631,9 @@ def integrate_system(state0, comet, masses, t0, t1, tol=1e-11,
     y0 = np.concatenate([state0.x.ravel(), state0.y.ravel()])
 
     def encounter(t, y):
-        return rhs.min_distance(t, y) - proximity
+        return rhs.min_distance(t, y) - PROXIMITY
 
-    ts = np.linspace(t0, t1, n_samples)
+    ts = np.linspace(t0, t1, TRAJECTORY_SAMPLES)
     sol = solve_ivp(rhs, (t0, t1), y0, rtol=tol, atol=tol * 1e-2, t_eval=ts,
                     events=encounter)
     if not sol.success:
@@ -691,10 +694,10 @@ class SurrogateSystem:
         return [self.chart.n1 + dr1, self.chart.n2 + dr2, 0.0, 0.0,
                 eta_x / self.M, eta_y / self.M, -a1, -a2, -gx, -gy]
 
-    def integrate(self, state0, t0, t1, tol=1e-9, n_samples=120):
+    def integrate(self, state0, t0, t1, tol=1e-9):
         if not t1 > t0:
             raise ValueError(f"need t1 > t0 (got t0 = {t0}, t1 = {t1})")
-        ts = np.geomspace(t0, t1, n_samples)
+        ts = np.geomspace(t0, t1, SURROGATE_SAMPLES)
         sol = solve_ivp(self.rhs, (t0, t1), np.asarray(state0, float),
                         rtol=tol, atol=tol * 1e-3, t_eval=ts)
         if not sol.success:

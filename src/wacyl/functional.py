@@ -104,8 +104,8 @@ class HamiltonianSpec:
             "time_points": len(self.times),
             "t_max": float(self.times.points[-1]),
             "norm_a": a_norm(self.a, 1.0),
-            "norm_b0": weighted_norm(self.b0, 1, 1).value,
-            "norm_br": weighted_norm(self.br, 1, 1).value,
+            "norm_b0": weighted_norm(self.b0, 1, 1),
+            "norm_br": weighted_norm(self.br, 1, 1),
             "norm_m": float(np.abs(self.M0.values).max()),
         }
 
@@ -116,20 +116,20 @@ class HamiltonianSpec:
 
 def a_norm(a, sigma):
     """|a|_sigma = |a|_{sigma+1,0} + |d_q a|_{sigma,2}."""
-    return weighted_norm(a, sigma + 1, 0).value \
-        + weighted_norm(a.gradient_field(), sigma, 2).value
+    return weighted_norm(a, sigma + 1, 0) \
+        + weighted_norm(a.gradient_field(), sigma, 2)
 
 
 def x_norm(a, b, sigma):
     """|x|_sigma = max(|a|_sigma, |b|_{sigma+1,1})."""
-    return max(a_norm(a, sigma), weighted_norm(b, sigma + 1, 1).value)
+    return max(a_norm(a, sigma), weighted_norm(b, sigma + 1, 1))
 
 
 def v_norm(v, omega, sigma):
     """|v|_sigma = max(|v|_{sigma+1,1}, |(grad v) Omega_bar|_{sigma,2}),
     with (grad v) Omega_bar = (d_q v) omega_bar + d_t v."""
-    return max(weighted_norm(v, sigma + 1, 1).value,
-               weighted_norm(transport_operator(v, omega), sigma, 2).value)
+    return max(weighted_norm(v, sigma + 1, 1),
+               weighted_norm(transport_operator(v, omega), sigma, 2))
 
 
 # --------------------------------------------------------------------
@@ -289,31 +289,31 @@ def hypotheses_report(H, zeta, n_samples=6, seed=0):
         nv = max(v_norm(vhat, H.omega, 0.0), 1e-300)
         vhat = GridFn(grid, times, vhat.values / nv)
         DF = apply_DF(Hs, vv, vhat)
-        h1_first.append(weighted_norm(DF, 0, 2).value)
+        h1_first.append(weighted_norm(DF, 0, 2))
         h = 1e-4
         Fp = eval_F(Hs, vv + h * vhat)
         Fm = eval_F(Hs, vv - h * vhat)
         F0 = eval_F(Hs, vv)
         second = GridFn(grid, times,
                         (Fp.values + Fm.values - 2 * F0.values) / h ** 2)
-        h1_second.append(weighted_norm(second, 0, 2).value)
+        h1_second.append(weighted_norm(second, 0, 2))
         # H.2: Lipschitz ratio in x
         da2, dbr2 = x_sample()
         diff = weighted_norm(
-            eval_F(Hs, vv) - eval_F(H.with_data(da2, dbr2), vv), 0, 2).value
+            eval_F(Hs, vv) - eval_F(H.with_data(da2, dbr2), vv), 0, 2)
         dx = x_norm(da - da2, dbr - dbr2, 0)
         if dx > 0:
             h2.append(diff / dx)
         # H.3 budget
         f, g = linearize(Hs, vv)
-        h3_mu.append(max(weighted_norm(f, 1, 1).value,
-                         weighted_norm(g, 1, 1).value))
+        h3_mu.append(max(weighted_norm(f, 1, 1),
+                         weighted_norm(g, 1, 1)))
         # H.4 tame ratios
         for s in TAME_SIGMAS:
             K = max(x_norm(da, dbr, s), v_norm(vv, H.omega, s))
             if K > 0:
                 tame[s].append(
-                    weighted_norm(eval_F(Hs, vv), s, 2).value / K)
+                    weighted_norm(eval_F(Hs, vv), s, 2) / K)
     mu_max, gate = mu_budget(zeta)
     cal = constants.HYPOTHESES
     report = {

@@ -85,6 +85,9 @@ class _Derived:
         return cache[key]
 
 
+# order of the time derivative's stencils on the log-uniform grid
+DT_ORDER = 8
+
 # relative spread of the ratios t_{k+1}/t_k that TimeGrid.from_points
 # accepts (TimeGrid and np.geomspace nodes spread by at most 1.2e-15)
 GEOMETRIC_RTOL = 1e-9
@@ -155,18 +158,18 @@ class TimeGrid(_Derived):
         return isinstance(other, TimeGrid) and len(self) == len(other) \
             and np.allclose(self.points, other.points)
 
-    def dt_matrix(self, order=8):
+    def dt_matrix(self):
         """Differentiation weights in t as a dense, read-only (T, T)
-        matrix, built once per order.
+        matrix, built once.
 
-        Built from local stencils of `order`+1 nodes on the log-uniform
-        grid; d/dt = (1/t) d/d(log t).
+        Built from local stencils of DT_ORDER + 1 nodes on the
+        log-uniform grid; d/dt = (1/t) d/d(log t).
         """
-        return self.derived(("dt", order), lambda: self._dt_matrix(order))
+        return self.derived("dt", self._dt_matrix)
 
-    def _dt_matrix(self, order):
+    def _dt_matrix(self):
         T = len(self.points)
-        width = min(order + 1, T)
+        width = min(DT_ORDER + 1, T)
         D = np.zeros((T, T))
         for i in range(T):
             lo = min(max(i - width // 2, 0), T - width)
@@ -312,15 +315,14 @@ class GridFn:
 
     @classmethod
     def from_callable(cls, grid, times, fn):
-        """Sample fn(*coords, t) -> scalar or vector on the grid."""
+        """Sample fn(*coords, t) -> scalar or vector, the components on the
+        last axis, on the grid."""
         mesh = grid.meshgrid()
         slices = []
         for t in times.points:
             out = np.asarray(fn(*mesh, t), dtype=float)
             if out.ndim == len(grid.shape):
                 out = out[..., None]
-            elif out.shape[:len(grid.shape)] != grid.shape:
-                out = np.moveaxis(out, 0, -1)
             slices.append(out)
         return cls(grid, times, np.stack(slices, axis=0))
 
@@ -363,15 +365,16 @@ class GridFn:
             self._spectrum.flags.writeable = False
         return self._spectrum
 
-    def dq(self, axis, order=1):
+    def dq(self, axis):
         """Spectral derivative along one torus axis: one irfftn of the
         spectrum, zero at the axis's Nyquist frequency."""
         alpha = [0] * self.grid.n
-        alpha[axis] = order
+        alpha[axis] = 1
         return self._like(self.grid.torus_derivative(self.spectrum(), alpha))
 
     def dt(self):
-        """Time derivative via 8th-order stencils on the log-uniform grid."""
+        """Time derivative via order-DT_ORDER stencils on the log-uniform
+        grid."""
         D = self.times.dt_matrix()
         flat = self.values.reshape(len(self.times), -1)
         out = (D @ flat).reshape(self.values.shape)

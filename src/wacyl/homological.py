@@ -6,13 +6,15 @@ on T^n x [1, inf) for its unique decaying solution.  `solve_he` takes
 each Fourier mode by Filon quadrature of the free transport plus a
 perturbation series in (f, g); the tests check it against a solve along
 the characteristics (`tests/oracles.py`).  `transport_operator` is the
-left-hand side itself.
+left-hand side itself; it and the series form the coupling
+(d_q kappa) f + g kappa with one helper, `_add_coupling`.
 
 The quadrature runs on a refinement of the time grid, reached by one
 interpolation matrix W on the time axis.  W maps mode amplitudes: those
-of z, and in each correction of the series those of the coupling
--(d_q kappa) f - g kappa, formed on the time nodes (a subset of the
-quad nodes).  So every torus FFT of a solve runs on the time grid.
+of z, and in each correction of the series those of the coupling of the
+last correction, formed on the time nodes (a subset of the quad nodes)
+from its half spectrum; the correction solves for minus the coupling.
+So every torus FFT of a solve runs on the time grid.
 
 Improper integrals are truncated at the grid horizon with a two-term
 power-law tail model (integrated analytically to infinity) and an
@@ -60,7 +62,7 @@ class HomologicalProblem:
         self.dim = z.grid.n
         if z.components != self.dim:
             raise ValueError("z must have n components")
-        self.mu = float(max((weighted_norm(h, 1, 1).value
+        self.mu = float(max((weighted_norm(h, 1, 1)
                              for h in (self.f, self.g) if h is not None),
                             default=0.0))
 
@@ -79,7 +81,6 @@ class HomologicalProblem:
 class HomologicalSolution:
     kappa: GridFn
     tail_bound: float
-    residual_norm: float = None
     corrections: int = 0
     diagnostics: dict = field(default_factory=dict)
 
@@ -355,25 +356,15 @@ def _spectral_solve(p, quad_tol):
     n_corr = 0
     hist = []
     if p.f is not None or p.g is not None:
-        def coupling(cur):      # -(d_q kappa) f - g kappa on the time grid
+        def coupling(cur):      # (d_q kappa) f + g kappa on the time grid
             # the original nodes are a subset of the quad grid
-            cur_half = cur[::TIME_REFINE].reshape((len(times),) + half + (d,))
-            out = np.zeros(p.z.values.shape)
-            if p.f is not None:
-                for a in range(grid.n):
-                    da = grid.torus_derivative(
-                        cur_half, [b == a for b in range(grid.n)])
-                    out -= da * p.f.values[..., a:a + 1]
-            if p.g is not None:
-                gm = p.g.values.reshape(out.shape + (d,))
-                u = grid.torus_irfft(cur_half)
-                out -= _contract((gm[..., j], u[..., j, None])
-                                 for j in range(d))
-            return out
+            spec = cur[::TIME_REFINE].reshape((len(times),) + half + (d,))
+            kappa = GridFn(grid, times, grid.torus_irfft(spec), spectrum=spec)
+            return _add_coupling(np.zeros(p.z.values.shape), kappa, p.f, p.g)
 
         cur = kap
         for it in range(MAX_CORRECTIONS):
-            corr = _free_transport_coeffs(plan, to_quad(coupling(cur)))
+            corr = -_free_transport_coeffs(plan, to_quad(coupling(cur)))
             kap = kap + corr
             cur = corr
             n_corr = it + 1
@@ -399,7 +390,7 @@ def _tail_bound(p, T):
     """Integrand majorant |z|_{0,2} T^(e-1)/(1-e), e = cR0 mu, of the
     improper integral beyond T."""
     e = constants.FLOW_EXPONENTS["cR0"] * p.mu
-    return float(weighted_norm(p.z, 0, 2).value * T ** (e - 1.0) / (1.0 - e))
+    return float(weighted_norm(p.z, 0, 2) * T ** (e - 1.0) / (1.0 - e))
 
 
 def solve_he(p, quad_tol=1e-9):
@@ -412,33 +403,41 @@ def solve_he(p, quad_tol=1e-9):
                                corrections=n_corr, diagnostics=diagnostics)
 
 
+def _add_coupling(out, kappa, f, g):
+    """Add (d_q kappa) f, then g kappa, to the (T, *S, d) array out in
+    place and return it; f is a GridFn with d components and g one with
+    d*d, None for zero."""
+    dims = range(kappa.grid.n)
+    if f is not None:
+        jac = kappa.jacobian_q()                  # (T,*S,d,d)
+        fv = f.values
+        out += _contract((jac[..., a], fv[..., a, None]) for a in dims)
+    if g is not None:
+        gv = g.values.reshape(out.shape + (len(dims),))
+        kv = kappa.values
+        out += _contract((gv[..., j], kv[..., j, None]) for j in dims)
+    return out
+
+
 def transport_operator(kappa, omega, f=None, g=None):
     """(grad kappa) Omega_bar + (d_q kappa) f + g kappa, where
     (grad kappa) Omega_bar = (d_q kappa) omega_bar + d_t kappa; f is a
     GridFn with d components and g one with d*d, None for zero."""
     jac = kappa.jacobian_q()                      # (T,*S,d,d)
-    dims = range(kappa.grid.n)
-    out = _contract((jac[..., j], omega[j]) for j in dims) \
+    out = _contract((jac[..., j], omega[j]) for j in range(kappa.grid.n)) \
         + kappa.dt().values
-    if f is not None:
-        fv = f.values
-        out += _contract((jac[..., a], fv[..., a, None]) for a in dims)
-    if g is not None:
-        gv = g.values.reshape(g.values.shape[:-1] + jac.shape[-2:])
-        kv = kappa.values
-        out += _contract((gv[..., j], kv[..., j, None]) for j in dims)
-    return GridFn(kappa.grid, kappa.times, out)
+    return GridFn(kappa.grid, kappa.times, _add_coupling(out, kappa, f, g))
 
 
 def residual_he(sol, p):
-    """Pointwise residual of (HE) on the grid; sets sol.residual_norm.
+    """|transport_operator(kappa) - z|_{0,2}, the residual of (HE) on the
+    grid.
 
     d_q is spectral, d_t uses high-order stencils on the log-uniform
     grid; this is independent of the transport solve.
     """
     resf = transport_operator(sol.kappa, p.omega, p.f, p.g) - p.z
-    sol.residual_norm = weighted_norm(resf, 0, 2).value
-    return resf
+    return weighted_norm(resf, 0, 2)
 
 
 def estimate_check(sol, p):
@@ -446,14 +445,14 @@ def estimate_check(sol, p):
     sigma = p.sigma
     ck = constants.c_kappa(sigma)
     ce = constants.c_estimate(sigma)
-    kn = weighted_norm(sol.kappa, sigma, 1).value
-    z_s2 = weighted_norm(p.z, sigma, 2).value
-    z_12 = weighted_norm(p.z, 1, 2).value
+    kn = weighted_norm(sol.kappa, sigma, 1)
+    z_s2 = weighted_norm(p.z, sigma, 2)
+    z_12 = weighted_norm(p.z, 1, 2)
     fg = 0.0
     if p.f is not None:
-        fg += weighted_norm(p.f, sigma, 1).value
+        fg += weighted_norm(p.f, sigma, 1)
     if p.g is not None:
-        fg += weighted_norm(p.g, sigma, 1).value
+        fg += weighted_norm(p.g, sigma, 1)
     denom = 1.0 - ck * p.mu
     bound = ce * z_s2 / denom + ce * fg * z_12 / denom ** 2
     return {

@@ -49,18 +49,13 @@ class GridFnInterpolant:
         lo, w = self._time_weights(t)
         return np.tensordot(w, self.coeff[lo:lo + len(w)], axes=(0, 0))
 
-    def __call__(self, q, t, derivative=None):
-        """Evaluate at points q (shape (..., n)) and scalar time t.
-
-        derivative: None for values, or an axis index for d/dq_axis.
-        """
+    def __call__(self, q, t):
+        """Evaluate at points q (shape (..., n)) and scalar time t."""
         q = np.atleast_2d(np.asarray(q, dtype=float))
         c = self._coeff_at(t)  # (*modes, comp)
         # accumulate exp(2 pi i k.q) sums axis by axis
         for a, k in enumerate(self.grid.torus_half_freqs()):
             ph = np.exp(2j * np.pi * np.outer(q[..., a].ravel(), k))
-            if derivative == a:
-                ph = ph * (2j * np.pi * k)
             c = np.tensordot(ph, c, axes=(1, 0)) if a == 0 else \
                 np.einsum("pk,pk...->p...", ph, c)
         out = c.real

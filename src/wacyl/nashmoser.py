@@ -137,7 +137,7 @@ def _smoothed_spec(H, tau):
 
 
 def _z_norm(f):
-    return weighted_norm(f, 0, 2).value
+    return weighted_norm(f, 0, 2)
 
 
 def newton_step(Hs, psi, F, t, zeta, quad_tol):
@@ -321,7 +321,7 @@ def monitor(state, p, omega):
     # C^(s+1) norm measures the step, not rounding noise above the band
     # amplified by up to (pi N)^(s+1)
     lows = [v_norm(c, omega, 0) for c in state.corrections]
-    highs = [weighted_norm(c, s + 1, 1, pair_radius=8).value
+    highs = [weighted_norm(c, s + 1, 1, pair_radius=8)
              for c in state.corrections]
     low0, high0 = lows[0], highs[0]
     for d in range(1, state.j + 1):
@@ -443,14 +443,15 @@ def manufactured_power(eps=1e-3, torus_points=128, n_times=64,
     return H, vstar
 
 
-def comet_decay_synthetic(eps=2e-3):
-    """Synthetic data with the comet decay profile: |d_q a| ~ t^-2,
-    |b| ~ t^-2, plus a genuine quadratic form, on a 2-torus base of
-    16 x 16 points and 32 times up to t = 12.
+def comet_decay_synthetic():
+    """Synthetic data of size eps = 2e-3 with the comet decay profile:
+    |d_q a| ~ t^-2, |b| ~ t^-2, plus a genuine quadratic form, on a
+    2-torus base of 16 x 16 points and 32 times up to t = 12.
 
     The form is constant in q (its kinetic budget must fit UPSILON in
     the C^(s+1) norm); the coupling is still nonlinear through mbar v.
     """
+    eps = 2e-3
     tg = TimeGrid(12.0, n_points=32)
     sg = SpatialGrid(2, 16)
     omega = np.array([1.0, 0.618])

@@ -11,27 +11,19 @@ shift once per offset, and the maxima are reduced per time slice.  Every
 multi-index derivative comes straight from the GridFn's cached torus
 spectrum, one irfftn each, zero at the Nyquist frequency of every
 differentiated axis.  The profile is cached on the GridFn and shared by
-every weight t^l.
+every weight t^l; weighted_norm returns the float max_i h_i t_i^l and
+caches it too.  GridFn values are finite and its time grid has at least
+two nodes, so neither is checked here.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .grids import GridFn
 
-__all__ = ["NormReport", "holder_norm", "weighted_norm", "product",
-           "compose_torus", "convexity_check", "norm_algebra_check"]
-
-
-@dataclass
-class NormReport:
-    sigma: float
-    l: float
-    value: float
-    per_time_profile: list
+__all__ = ["holder_norm", "weighted_norm", "product", "compose_torus",
+           "convexity_check", "norm_algebra_check"]
 
 
 def _shifted_diff(arr, axis, offset):
@@ -71,8 +63,6 @@ def holder_norm(f, sigma, pair_radius=None):
     """
     if sigma < 0:
         raise ValueError("sigma must be nonnegative")
-    if not np.all(np.isfinite(f.values)):
-        raise ValueError("non-finite values")
     k = int(np.floor(sigma))
     mu = sigma - k
     if abs(mu) < 1e-12:
@@ -101,11 +91,10 @@ def holder_norm(f, sigma, pair_radius=None):
 
 
 def weighted_norm(f, sigma, l, pair_radius=None):
-    """|f|_{sigma,l} = max over the time grid of |f^t|_{C^sigma} t^l."""
+    """|f|_{sigma,l} = max over the time grid of |f^t|_{C^sigma} t^l, a
+    float kept on f per (sigma, l, pair_radius)."""
     if sigma < 0 or l < 0:
         raise ValueError("sigma and l must be nonnegative")
-    if len(f.times) == 0:
-        raise ValueError("empty time grid")
     key = (round(float(sigma), 12), round(float(l), 12), pair_radius)
     cached = f._norm_cache.get(key)
     if cached is not None:
@@ -119,23 +108,18 @@ def weighted_norm(f, sigma, l, pair_radius=None):
         hvals = (holder_norm(f, sigma, pair_radius) if f.values.any()
                  else [0.0] * len(f.values))
         f._norm_cache[hkey] = hvals
-    profile = [(float(t), h * float(t) ** l)
-               for t, h in zip(f.times.points, hvals)]
-    report = NormReport(sigma=float(sigma), l=float(l),
-                        value=max(p for _, p in profile),
-                        per_time_profile=profile)
-    f._norm_cache[key] = report
-    return report
+    value = float(max(h * float(t) ** l
+                      for t, h in zip(f.times.points, hvals)))
+    f._norm_cache[key] = value
+    return value
 
 
 def product(f, g):
-    """Pointwise product; scalar (1-component) factors broadcast."""
+    """Pointwise product; a scalar (1-component) g broadcasts."""
     if f.grid != g.grid or not (f.times == g.times):
         raise ValueError("grid mismatch")
     if f.components == g.components or g.components == 1:
         return GridFn(f.grid, f.times, f.values * g.values)
-    if f.components == 1:
-        return GridFn(f.grid, f.times, g.values * f.values)
     raise ValueError("incompatible component counts")
 
 
@@ -162,9 +146,9 @@ def convexity_check(f, lambda1, lambda2, alpha, l=0.0):
     if not (0 <= alpha <= 1):
         raise ValueError("alpha must lie in [0,1]")
     lam = (1 - alpha) * lambda1 + alpha * lambda2
-    n_mid = weighted_norm(f, lam, l).value
-    n_lo = weighted_norm(f, lambda1, l).value
-    n_hi = weighted_norm(f, lambda2, l).value
+    n_mid = weighted_norm(f, lam, l)
+    n_lo = weighted_norm(f, lambda1, l)
+    n_hi = weighted_norm(f, lambda2, l)
     denom = n_lo ** (1 - alpha) * n_hi ** alpha
     ratio = n_mid / denom if denom > 0 else (0.0 if n_mid == 0 else np.inf)
     return {"lambda": lam, "norm_mid": n_mid, "norm_lo": n_lo,
@@ -184,23 +168,23 @@ def norm_algebra_check(f, g, sigma, l, m, u=None):
     report = {}
     # (a) weighted_norm(df, sigma-1, l) <= weighted_norm(f, sigma, l)
     if sigma >= 1:
-        lhs = max(weighted_norm(f.dq(a), sigma - 1, l).value
+        lhs = max(weighted_norm(f.dq(a), sigma - 1, l)
                   for a in range(f.grid.n))
-        rhs = weighted_norm(f, sigma, l).value
+        rhs = weighted_norm(f, sigma, l)
         report["derivative_restriction"] = {
             "lhs": lhs, "rhs": rhs, "pass": lhs <= rhs * (1 + 1e-12)}
     # (b) |f|_{sigma,l} <= |f|_{sigma,l+m}
-    lo = weighted_norm(f, sigma, l).value
-    hi = weighted_norm(f, sigma, l + m).value
+    lo = weighted_norm(f, sigma, l)
+    hi = weighted_norm(f, sigma, l + m)
     report["l_monotonicity"] = {"lhs": lo, "rhs": hi,
                                 "pass": lo <= hi * (1 + 1e-12)}
     # (c) product ratio
     fg = product(f, g)
-    num = weighted_norm(fg, sigma, l + m).value
-    den = (weighted_norm(f, 0, l).value
-           * weighted_norm(g, sigma, m).value
-           + weighted_norm(f, sigma, l).value
-           * weighted_norm(g, 0, m).value)
+    num = weighted_norm(fg, sigma, l + m)
+    den = (weighted_norm(f, 0, l)
+           * weighted_norm(g, sigma, m)
+           + weighted_norm(f, sigma, l)
+           * weighted_norm(g, 0, m))
     report["product_ratio"] = num / den if den > 0 else 0.0
     # (d) composition ratio, torus self-map z = id + u
     if u is not None:
@@ -209,11 +193,11 @@ def norm_algebra_check(f, g, sigma, l, m, u=None):
         eye = np.eye(u.grid.n)
         nz = GridFn(u.grid, u.times,
                     (jac + eye).reshape(jac.shape[:-2] + (-1,)))
-        num = weighted_norm(fz, sigma, l + m).value
-        den = (weighted_norm(f, sigma, l).value
-               * weighted_norm(nz, 0, m).value ** sigma
-               + weighted_norm(f, 1, l).value
-               * weighted_norm(nz, max(sigma - 1, 0), m).value
-               + weighted_norm(f, 0, l + m).value)
+        num = weighted_norm(fz, sigma, l + m)
+        den = (weighted_norm(f, sigma, l)
+               * weighted_norm(nz, 0, m) ** sigma
+               + weighted_norm(f, 1, l)
+               * weighted_norm(nz, max(sigma - 1, 0), m)
+               + weighted_norm(f, 0, l + m))
         report["composition_ratio"] = num / den if den > 0 else 0.0
     return report

@@ -69,10 +69,10 @@ def verify_smoothing_bounds(f, tau, m, d):
         raise ValueError("need d <= m")
     sf = smooth(f, tau)
     rf = sf - f
-    n_sf_m = weighted_norm(sf, m, 0.0).value
-    n_f_d = weighted_norm(f, d, 0.0).value
-    n_rf_d = weighted_norm(rf, d, 0.0).value
-    n_f_m = weighted_norm(f, m, 0.0).value
+    n_sf_m = weighted_norm(sf, m, 0.0)
+    n_f_d = weighted_norm(f, d, 0.0)
+    n_rf_d = weighted_norm(rf, d, 0.0)
+    n_f_m = weighted_norm(f, m, 0.0)
     ratio1 = n_sf_m / (tau ** (m - d) * n_f_d) if n_f_d > 0 else 0.0
     ratio2 = n_rf_d / (tau ** (-(m - d)) * n_f_m) if n_f_m > 0 else 0.0
     return {

@@ -197,14 +197,15 @@ def vector_field_from_gridfn(omega, f):
     """The field omega + f of a sampled f, through its interpolant."""
     interp = f.interpolator()
     return VectorFieldSpec(omega, f=lambda q, t: interp(q, t),
-                           jac_f=lambda q, t: interp_jacobian(interp, q, t))
+                           jac_f=interp_jacobian(f))
 
 
-def interp_jacobian(interp, q, t):
-    """Spatial Jacobian d(components)/d(q) of a GridFnInterpolant at
-    points q, time t: its derivatives along each torus axis, stacked."""
-    return np.stack([interp(q, t, derivative=a)
-                     for a in range(interp.grid.n)], axis=-1)
+def interp_jacobian(f):
+    """Spatial Jacobian d(components)/d(q) of a GridFn off the grid, as a
+    callable (q, t): the interpolants of its derivatives f.dq(a) along
+    each torus axis, stacked on the last axis."""
+    interps = [f.dq(a).interpolator() for a in range(f.grid.n)]
+    return lambda q, t: np.stack([i(q, t) for i in interps], axis=-1)
 
 
 # geometric checkpoints of conjugacy_check after t0
@@ -264,14 +265,14 @@ def lagrangian_check(sol, H, times, samples, tol=1e-9):
                              for t in times],
                 "decay_pass": True, "degenerate": True}
     field = vector_field_from_gridfn(H.omega, sol.gamma)
-    interp = v.interpolator()
+    jacobian = interp_jacobian(v)
     samples = np.atleast_2d(samples)
     for t in times:
         worst = 0.0
         for q in samples:
             y = integrate_flow(field, q, 1.0, t, tol)
             J = flow_jacobian(field, q, 1.0, t, tol)
-            dv = interp_jacobian(interp, y[None, :] % 1.0, min(
+            dv = jacobian(y[None, :] % 1.0, min(
                 t, v.times.points[-1]))[0]
             A = dv - dv.T                      # d_i v_j - d_j v_i
             M = J.T @ A @ J

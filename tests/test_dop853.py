@@ -80,7 +80,7 @@ def test_conservative_comet_matches_scipy(calls):
     st0 = CHART.state(np.array([0.1, 0.6, 0.0, 0.0]), np.zeros(2),
                       np.zeros(2), np.zeros(2))
     traj = integrate_system(st0, comet_orbit(25.0), MASSES, 1.0, 2.0,
-                            tol=1e-11, n_samples=40)
+                            tol=1e-11)
     (ours, ref), = calls
     assert_identical(ours, ref)
     assert ours.t_events[0].size == ref.t_events[0].size == 0
@@ -94,7 +94,7 @@ def test_surrogate_matches_scipy(calls):
     xi0 = np.array([0.3, -0.2])
     eta0 = system.leading_drift_momentum(theta0, xi0, 1.0)
     state0 = np.concatenate([theta0, xi0, np.zeros(2), eta0])
-    system.integrate(state0, 1.0, 21.0, tol=1e-10, n_samples=30)
+    system.integrate(state0, 1.0, 21.0, tol=1e-10)
     (ours, ref), = calls
     assert_identical(ours, ref)
     assert ours.t_events is None
@@ -120,7 +120,7 @@ def test_close_encounter_root_matches_brentq(calls):
     x = np.array([[0.0, 0.0], [0.5, 0.0], [-50.0, 0.0]])
     with pytest.raises(IntegrationError, match="close encounter"):
         integrate_system(CartesianState(x, np.zeros((3, 2))), None, masses,
-                         1.0, 2.0, proximity=1e-2)
+                         1.0, 2.0)
     (ours, ref), = calls
     assert ours.message == ref.message == "A termination event occurred."
     assert ours.nfev == ref.nfev
@@ -237,9 +237,9 @@ def test_encounter_event_reuses_the_last_force_pass(monkeypatch):
     monkeypatch.setattr(celestial, "_pair_gravity", counted)
     st0 = CHART.state(np.array([0.1, 0.6, 0.0, 0.0]), np.zeros(2),
                       np.zeros(2), np.zeros(2))
-    traj = integrate_system(st0, None, MASSES, 1.0, 2.0, n_samples=40)
-    # + 1 for the event at t0, + 40 for the H0 samples
-    assert len(passes) == traj["nfev"] + 1 + 40
+    traj = integrate_system(st0, None, MASSES, 1.0, 2.0)
+    # + 1 for the event at t0, + 1 per H0 sample
+    assert len(passes) == traj["nfev"] + 1 + celestial.TRAJECTORY_SAMPLES
 
 
 def test_non_finite_initial_state_is_refused():

@@ -48,33 +48,33 @@ def test_holder_rejects_bad_sigma():
 
 def test_weighted_norm_t_decay():
     f = fn_grid(lambda q, t: 1.0 / t + 0 * q)
-    rep = weighted_norm(f, 0, 1)
-    assert rep.value == pytest.approx(1.0, rel=1e-12)
+    value = weighted_norm(f, 0, 1)
+    assert type(value) is float
+    assert value == pytest.approx(1.0, rel=1e-12)
     # profile is flat: t * (1/t) = 1 at every node
-    assert all(abs(v - 1.0) < 1e-12 for _, v in rep.per_time_profile)
+    assert all(abs(h * t - 1.0) < 1e-12
+               for t, h in zip(f.times.points, holder_norm(f, 0)))
 
 
 def test_weighted_norm_sin_over_t2():
     f = fn_grid(lambda q, t: np.sin(2 * np.pi * q) / t ** 2)
-    assert weighted_norm(f, 0, 2).value == pytest.approx(1.0, rel=1e-10)
+    assert weighted_norm(f, 0, 2) == pytest.approx(1.0, rel=1e-10)
 
 
 def test_weighted_norm_derivative_dominates():
     f = fn_grid(lambda q, t: np.cos(2 * np.pi * q) / t)
-    assert weighted_norm(f, 1, 1).value == pytest.approx(
+    assert weighted_norm(f, 1, 1) == pytest.approx(
         2 * np.pi, rel=1e-10)
 
 
 @pytest.mark.parametrize("sigma", [0.0, 1.5, 2.0])
 def test_weighted_norm_of_a_zero_field(sigma):
-    # an all-zero field skips holder_norm; its report is the one the
+    # an all-zero field skips holder_norm; its norm is the one the
     # spectral profile gives, zero at every node
     f = fn_grid(lambda q1, q2, t: np.zeros_like(q1), n=2, torus_points=16)
-    rep = weighted_norm(f, sigma, 1.0)
-    assert rep.value == 0.0
-    assert rep.per_time_profile == [
-        (float(t), h * float(t)) for t, h in
-        zip(f.times.points, holder_norm(f, sigma))]
+    value = weighted_norm(f, sigma, 1.0)
+    assert type(value) is float and value == 0.0
+    assert holder_norm(f, sigma) == [0.0] * len(f.times)
 
 
 def test_weighted_norm_rejects_bad_params():
@@ -96,8 +96,8 @@ def test_l_monotonicity_exact():
             return acc / t ** rng.uniform(0.5, 2.0)
 
         f = fn_grid(fn, torus_points=64)
-        lo = weighted_norm(f, 1, 1).value
-        hi = weighted_norm(f, 1, 2).value
+        lo = weighted_norm(f, 1, 1)
+        hi = weighted_norm(f, 1, 2)
         assert lo <= hi * (1 + 1e-12)
 
 
@@ -107,17 +107,17 @@ def test_derivative_restriction_exact():
         df = f
         for _ in range(beta):
             df = df.dq(0)
-        assert weighted_norm(df, s, 1).value <= \
-            weighted_norm(f, s + beta, 1).value * (1 + 1e-12)
+        assert weighted_norm(df, s, 1) <= \
+            weighted_norm(f, s + beta, 1) * (1 + 1e-12)
 
 
 def test_product_trivial():
     one = fn_grid(lambda q, t: 1.0 + 0 * q, torus_points=32)
     fg = product(one, one)
-    num = weighted_norm(fg, 2, 2).value
-    den = (weighted_norm(one, 0, 1).value * weighted_norm(one, 2, 1).value
-           + weighted_norm(one, 2, 1).value
-           * weighted_norm(one, 0, 1).value)
+    num = weighted_norm(fg, 2, 2)
+    den = (weighted_norm(one, 0, 1) * weighted_norm(one, 2, 1)
+           + weighted_norm(one, 2, 1)
+           * weighted_norm(one, 0, 1))
     assert num <= den
 
 
@@ -133,11 +133,11 @@ def test_norm_algebra_check_full():
     assert rep["composition_ratio"] <= constants.cdoc("composition", 2)
     # direct-evaluation oracle for the product norm
     fg = product(f, g)
-    direct = weighted_norm(fg, 2, 2).value
+    direct = weighted_norm(fg, 2, 2)
     half_angle = fn_grid(lambda q, t: 0.5 * np.sin(4 * np.pi * q) / t ** 2,
                          torus_points=64)
     assert direct == pytest.approx(
-        weighted_norm(half_angle, 2, 2).value, rel=1e-10)
+        weighted_norm(half_angle, 2, 2), rel=1e-10)
 
 
 def test_norm_algebra_grid_mismatch():

@@ -1,4 +1,4 @@
-"""Library code that only the tests reach cannot come back.
+"""Library code and options that only the tests reach cannot come back.
 
 An AST walk over `src/wacyl/` starts from what the program runs: every
 function and class of `cli`, `calibration.run_all`, the names used in
@@ -9,6 +9,15 @@ method reaches every name its body uses; a reached class reaches its
 dunder methods and its class-body statements; a reached method reaches
 its class.  Names match by name alone, over every module, so the walk
 over-counts what is reached and the unreached set is a lower bound.
+
+A second guard reads every call in `src/wacyl/` and `perfbench/*.py`
+and fails on a parameter default of a library function or method that
+no call overrides, by name as the walk does: a call overrides a default
+when it passes it by keyword, passes enough positional arguments to
+reach it, or passes * or **.  A call through a subscript of a
+module-level dict literal (`cli.SOLVE_PRESETS[...]`) reaches each of its
+values; an `__init__` is called by its class name; dunder methods other
+than `__init__` are out of reach.
 """
 
 import ast
@@ -126,3 +135,106 @@ def test_every_unreached_definition_is_allowed():
 def test_every_allowed_definition_is_still_unreached():
     stale = sorted(set(ALLOWED) - unreached())
     assert not stale, f"ALLOWED entries the program now reaches: {stale}"
+
+
+# --------------------------------------------------------------------
+# parameter defaults
+# --------------------------------------------------------------------
+
+def _dict_values(body):
+    """{name: names of its values} for the module-level names bound to a
+    dict literal, such as cli.SOLVE_PRESETS."""
+    out = {}
+    for node in body:
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Dict):
+            values = _names(node.value.values)
+            for target in node.targets:
+                if isinstance(target, ast.Name):
+                    out[target.id] = values
+    return out
+
+
+def _callee_names(func, tables):
+    """Names a call of func may reach: its name or attribute, or every
+    value of a module-level dict literal that it subscripts."""
+    if isinstance(func, ast.Name):
+        return {func.id}
+    if isinstance(func, ast.Attribute):
+        return {func.attr}
+    if isinstance(func, ast.Subscript) and isinstance(func.value, ast.Name):
+        return tables.get(func.value.id, set())
+    return set()
+
+
+def _program_calls():
+    """Every call in src/wacyl/ and perfbench/*.py as (names it may
+    reach, positional arguments, keywords, whether it passes * or **)."""
+    calls = []
+    paths = sorted(LIBRARY.glob("*.py")) + sorted(
+        (ROOT / "perfbench").glob("*.py"))
+    for path in paths:
+        tree = ast.parse(path.read_text())
+        tables = _dict_values(tree.body)
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            starred = any(isinstance(a, ast.Starred) for a in node.args) \
+                or any(k.arg is None for k in node.keywords)
+            calls.append((_callee_names(node.func, tables), len(node.args),
+                          {k.arg for k in node.keywords}, starred))
+    return calls
+
+
+def _defaults():
+    """(key, name called, position, parameter) for every parameter with a
+    default of a module-level function or a method; position counts
+    from the first argument a call passes (self and cls skipped)."""
+    out = []
+    for path in sorted(LIBRARY.glob("*.py")):
+        body = ast.parse(path.read_text()).body
+        funcs = [(f"{path.stem}.{n.name}", n.name, n, False)
+                 for n in body if isinstance(n, ast.FunctionDef)]
+        for cls in (n for n in body if isinstance(n, ast.ClassDef)):
+            for m in cls.body:
+                if not isinstance(m, ast.FunctionDef) or (
+                        m.name.startswith("__") and m.name != "__init__"):
+                    continue
+                static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                             for d in m.decorator_list)
+                called = cls.name if m.name == "__init__" else m.name
+                funcs.append((f"{path.stem}.{cls.name}.{m.name}", called, m,
+                              not static))
+        for key, called, fn, bound in funcs:
+            args = fn.args
+            positional = (args.posonlyargs + args.args)[int(bound):]
+            first = len(positional) - len(args.defaults)
+            for i, arg in enumerate(positional[first:], first):
+                out.append((key, called, i, arg.arg))
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    out.append((key, called, None, arg.arg))
+    return out
+
+
+def unvaried_defaults():
+    """`module.function(parameter)` for each parameter default that no
+    call in the program overrides: no call of that name passes it by
+    keyword, passes enough positional arguments to reach it, or passes
+    * or **.  Calls match by name alone, like the walk above, so a
+    default passed through an unnamed callable goes unseen; dunder
+    methods other than __init__ are out of reach."""
+    calls = _program_calls()
+    flagged = set()
+    for key, called, position, param in _defaults():
+        if not any(called in names and (
+                starred or param in keywords
+                or (position is not None and n_args > position))
+                for names, n_args, keywords, starred in calls):
+            flagged.add(f"{key}({param})")
+    return flagged
+
+
+def test_every_parameter_default_is_varied():
+    unvaried = sorted(unvaried_defaults())
+    assert not unvaried, ("parameter defaults that no call in the program "
+                          f"overrides: {unvaried}; make them constants")

@@ -59,7 +59,7 @@ def test_commutes_with_spatial_derivative():
     f = fn_grid(lambda q, t: np.sin(2 * np.pi * 5 * q) / t)
     lhs = smooth(f.dq(0), 12.0).values
     rhs = smooth(f, 12.0).dq(0).values
-    bound = 1e-10 * weighted_norm(f, 1, 0).value
+    bound = 1e-10 * weighted_norm(f, 1, 0)
     assert np.abs(lhs - rhs).max() <= bound
 
 
