@@ -211,8 +211,11 @@ def _expn_complex(p, z):
 # --------------------------------------------------------------------
 
 def _mode_phases(grid, omega):
-    """2 pi k . omega for every mode of the half spectrum, flattened."""
-    theta = 2 * np.pi * sum(w * k for w, k in zip(omega, grid.torus_mesh()))
+    """theta = sum_a omega_a 2 pi k_a for every mode of the half spectrum,
+    flattened: each 2 pi i k_a is the derivative symbol of its axis, so a
+    Nyquist frequency gets no phase, as d_q gives it none."""
+    theta = sum(w * grid.torus_multiplier(np.eye(grid.n, dtype=int)[a]).imag
+                for a, w in enumerate(omega))
     return theta.ravel()
 
 

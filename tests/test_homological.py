@@ -91,6 +91,27 @@ def test_rotating_cosine_two_torus_two_components():
     assert residual_he(sol, p) <= 10 * 1e-9
 
 
+@pytest.mark.parametrize("n, torus_points, omega", [
+    (1, 8, [1.0]), (1, 128, [1.0]), (2, 8, [1.0, 0.618])],
+    ids=["1-torus-8", "1-torus-128", "2-torus-8"])
+def test_nyquist_content_is_solved_as_the_operator_sees_it(n, torus_points,
+                                                           omega):
+    # cos(pi N q_1) is the Nyquist wave (-1)^j on the grid, which d_q
+    # (and so transport_operator) maps to zero; the solve must transport
+    # it with no phase, or the residual is O(1)
+    sg, tg = SpatialGrid(n, torus_points), TimeGrid(20.0, n_points=64)
+
+    def zfn(*args):
+        *q, t = args
+        wave = (np.cos(np.pi * torus_points * q[0])
+                + np.cos(2 * np.pi * q[-1])) / t ** 2
+        return np.stack([wave] * n, axis=-1)
+
+    p = HomologicalProblem(omega=omega, z=GridFn.from_callable(sg, tg, zfn))
+    quad_tol = 1e-9
+    assert residual_he(solve_he(p, quad_tol=quad_tol), p) <= 10 * quad_tol
+
+
 def test_linearity():
     sg, tg = make_grids(64, 32, 10.0)
     z1 = GridFn.from_callable(sg, tg, lambda q, t: 1.0 / t ** 2 + 0 * q)
