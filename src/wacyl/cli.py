@@ -79,7 +79,7 @@ CONFIG = {
     "solve.torus_points": (128, int, POW2),
     "solve.n_times": (64, int, AT_LEAST_2),
     "solve.t_max": (20.0, float, T_MAX),
-    # params_from_order's minimal order s >= 8 gamma, with gamma = 1
+    # params_from_order's minimal order s >= 8 (loss exponent gamma = 1)
     "solve.s": (8.0, float, _finite(">=", 8)),
     "solve.target": (1e-6, float, TOL),
     "solve.quad_tol": (1e-10, float, TOL),

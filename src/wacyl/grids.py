@@ -116,8 +116,8 @@ class TimeGrid(_Derived):
     def from_points(cls, points):
         """Rebuild a grid from its stored nodes (as written by GridFn.save).
         The nodes must be finite, strictly increasing, >= 1, at least two
-        and geometric (the transport solve builds its quadrature on
-        t_0 gamma^k); a ValueError names the first one that is not."""
+        and geometric (a TimeGrid is t_0 gamma^k by definition); a
+        ValueError names the first one that is not."""
         points = np.array(points, dtype=float)
         if points.ndim != 1 or not len(points):
             raise ValueError(f"time nodes must be a non-empty list, got "

@@ -2,35 +2,37 @@
 
     d_q kappa (omega_bar + f) + d_t kappa + g kappa = z
 
-on T^n x [1, inf) for its unique decaying solution.  `solve_he` takes
-each Fourier mode by Filon quadrature of the free transport plus a
-perturbation series in (f, g); the tests check it against a solve along
-the characteristics (`tests/oracles.py`).  `transport_operator` is the
-left-hand side itself; it and the series form the coupling
-(d_q kappa) f + g kappa with one helper, `_add_coupling`.
+on T^n x [1, inf) for its unique decaying solution.  `solve_he` solves
+each Fourier mode on the time nodes with the residual's own discrete
+operator, plus a perturbation series in (f, g); the tests check it
+against a solve along the characteristics (`tests/oracles.py`).
+`transport_operator` is the left-hand side itself; it and the series
+form the coupling (d_q kappa) f + g kappa with one helper,
+`_add_coupling`.
 
-The quadrature runs on a refinement of the time grid, reached by one
-interpolation matrix W on the time axis.  W maps mode amplitudes: those
-of z, and in each correction of the series those of the coupling of the
-last correction, formed on the time nodes (a subset of the quad nodes)
-from its half spectrum; the correction solves for minus the coupling.
-So every torus FFT of a solve runs on the time grid.
-
-Improper integrals are truncated at the grid horizon with a two-term
-power-law tail model (integrated analytically to infinity) and an
-explicit tail bound from the integrand majorant.
+A mode of phase theta obeys d_t kappa + i theta kappa = z.  With d_t
+the stencil matrix D of `TimeGrid.dt_matrix`, the one
+transport_operator takes, each mode is one product with the cached
+inverse of D + i theta I (see `_transport_inverse`): transport_operator
+maps the solution of an uncoupled mode with theta != 0 back to z up to
+rounding, whatever the number of time nodes.  The mean mode (theta = 0)
+closes D with a two-term power-law tail model at the horizon,
+integrated analytically to infinity; the solution reports an explicit
+tail bound from the integrand majorant.  Each correction of the series
+solves for minus the coupling of the last correction, formed on the
+time nodes from its half spectrum, so every torus FFT of a solve runs
+on the time grid.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
 from . import constants
 from .flow import IntegrationError, NormBudgetError
-from .grids import GridFn, _lagrange_weights
+from .grids import GridFn
 from .norms import weighted_norm
 
 __all__ = ["HomologicalProblem", "HomologicalSolution", "solve_he",
@@ -96,10 +98,9 @@ def _contract(products):
     exact zero sum is +0.0, never -0.0.
 
     np.einsum does the same arithmetic where it adds the terms of each
-    output element one by one: in the component contractions of length
-    d <= 2 and in the moment sum of the Filon weights.  So the bytes are
-    its, at a few whole-array operations per term instead of its loop
-    over short rows.
+    output element one by one, as in the component contractions of
+    length d <= 2.  So the bytes are its, at a few whole-array operations
+    per term instead of its loop over short rows.
     """
     acc = None
     for factors in products:
@@ -111,99 +112,6 @@ def _contract(products):
         else:
             acc += term
     return acc
-
-
-# --------------------------------------------------------------------
-# Filon machinery (oscillatory quadrature with explicit phase)
-# --------------------------------------------------------------------
-
-def _osc_moments(h, theta, mmax):
-    """mu_m = int_0^h u^m e^(i theta u) du for m = 0..mmax.
-
-    theta is an array; a Taylor branch handles |theta h| < 0.7 where the
-    recursion cancels.
-    """
-    theta = np.asarray(theta, dtype=float)
-    x = theta * h
-    small = np.abs(x) < 0.7
-    out = np.empty((mmax + 1,) + theta.shape, dtype=complex)
-    # series branch: each term (i theta h)^j / j! once, added to every
-    # moment's sum
-    if np.any(small):
-        xs = 1j * theta[small]
-        accs = [np.zeros(xs.shape, dtype=complex) for _ in range(mmax + 1)]
-        term = np.ones(xs.shape, dtype=complex)
-        for j in range(20):
-            for m in range(mmax + 1):
-                accs[m] = accs[m] + term * h ** (m + 1) / (m + j + 1)
-            term = term * xs * (h / (j + 1))
-        for m in range(mmax + 1):
-            out[m][small] = accs[m]
-    if np.any(~small):
-        th = theta[~small]
-        eix = np.exp(1j * th * h)
-        mu = (eix - 1.0) / (1j * th)
-        out[0][~small] = mu
-        for m in range(1, mmax + 1):
-            mu = (h ** m * eix - m * mu) / (1j * th)
-            out[m][~small] = mu
-    return out
-
-
-# the E_p continued fraction and series stop once the next term changes
-# the value by less than EXPN_EPS relative; for finite z with Re z >= 0
-# that takes at most about 170 terms (the fraction at |z| = 1), so
-# EXPN_MAX_TERMS only ends the loop on a non-finite z, which gives nan
-EXPN_EPS = 1e-15
-EXPN_MAX_TERMS = 1000
-
-
-def _expn_complex(p, z):
-    """Generalized exponential integral E_p(z) = int_1^inf e^(-z s) s^-p ds,
-    p >= 2, for complex z with Re z >= 0.
-
-    |z| >= 1: the continued fraction (Abramowitz & Stegun 5.1.22) in its
-    even form, evaluated by the modified Lentz method (Numerical Recipes,
-    3rd ed., sec. 6.3); 0 < |z| < 1: the power series (A&S 5.1.12) with
-    psi(p) = -euler_gamma + sum_(k<p) 1/k; z = 0 (the non-oscillatory
-    mode): E_p(0) = 1/(p-1).  Neither branch recurs in p; both are within
-    about 1.2e-14 relative of the exact value, the worst being the
-    fraction near |z| = 1.
-    """
-    z = np.asarray(z, dtype=complex)
-    out = np.full(z.shape, 1.0 / (p - 1), dtype=complex)
-    far = np.abs(z) >= 1.0
-    near = ~far & (z != 0)
-    x = z[far]
-    b = x + p
-    c = np.full_like(x, 1e300)          # Lentz's C_0, "infinity"
-    d = 1.0 / b
-    h = d
-    for i in range(1, EXPN_MAX_TERMS):
-        a = -i * (p - 1 + i)
-        b = b + 2.0
-        d = 1.0 / (a * d + b)
-        c = b + a / c
-        delta = c * d
-        h = h * delta
-        if np.all(np.abs(delta - 1.0) <= EXPN_EPS):
-            break
-    out[far] = h * np.exp(-x)
-    x = z[near]
-    psi = -np.euler_gamma + sum(1.0 / k for k in range(1, p))
-    term = np.ones_like(x)              # (-x)^i / i!
-    acc = out[near]                     # the i = 0 term 1/(p-1)
-    for i in range(1, EXPN_MAX_TERMS):
-        term = term * (-x / i)
-        if i == p - 1:
-            delta = term * (psi - np.log(x))
-        else:
-            delta = -term / (i - p + 1)
-        acc = acc + delta
-        if np.all(np.abs(delta) <= EXPN_EPS * np.abs(acc)):
-            break
-    out[near] = acc
-    return out
 
 
 # --------------------------------------------------------------------
@@ -219,155 +127,73 @@ def _mode_phases(grid, omega):
     return theta.ravel()
 
 
-# quadrature nodes per time-grid interval of the spectral route, the
-# degree of the log-time Lagrange interpolation onto them and the most
-# perturbation-series corrections one (f, g) solve may take
-TIME_REFINE = 6
-REFINE_DEGREE = 8
+# the mean mode (theta = 0) ends at kappa(t_max) = -int_(t_max)^inf of
+# the least-squares fit c1 t^-TAIL_POWER + c2 t^-(TAIL_POWER + 1) of its
+# amplitude on the last TAIL_NODES time nodes; an (f, g) solve takes at
+# most MAX_CORRECTIONS perturbation-series corrections
+TAIL_POWER = 2
+TAIL_NODES = 6
 MAX_CORRECTIONS = 30
 
 
-def _time_refine_matrix(times):
-    """Quad grid (refined geometric) and interpolation weights from the
-    time grid, exact on the original nodes; built once per grid."""
+def _transport_inverse(times, theta):
+    """(M, T, T) matrices, one per mode phase theta_m, each mapping the
+    mode's amplitudes on the T time nodes from z to kappa; read-only,
+    built once per (grid, theta), mode by mode into the one array.
+
+    theta != 0: the inverse of D + i theta I, where D = times.dt_matrix()
+    is the time derivative of transport_operator, so the solve inverts
+    the residual's own operator and needs no boundary condition.
+    theta = 0: D maps constants to zero, so its last row gives way to the
+    tail condition above, linear in the last TAIL_NODES amplitudes.
+    """
     def build():
+        D = times.dt_matrix()
         T = len(times)
-        gq = times.gamma ** (1.0 / TIME_REFINE)
-        P = (T - 1) * TIME_REFINE + 1
-        tau = times.points[0] * gq ** np.arange(P)
-        W = np.zeros((P, T))
-        width = min(REFINE_DEGREE + 1, T)
-        rows = np.arange(P)
-        on = rows % TIME_REFINE == 0
-        W[rows[on], rows[on] // TIME_REFINE] = 1.0
-        # each off-node row: the width nodes around its interval
-        off = rows[~on]
-        lo = np.clip(off // TIME_REFINE - width // 2 + 1, 0, T - width)
-        cols = lo[:, None] + np.arange(width)
-        W[off[:, None], cols] = _lagrange_weights(times.log_points[cols],
-                                                  np.log(tau[off]))
-        return tau, W
+        ts = times.points[-TAIL_NODES:]
+        powers = np.array([TAIL_POWER, TAIL_POWER + 1])
+        fit = np.linalg.pinv(ts[:, None] ** -powers)
+        tail = (ts[-1] ** (1 - powers) / (powers - 1)) @ fit
+        mean, rhs = D.copy(), np.eye(T)
+        mean[-1] = rhs[-1]
+        rhs[-1] = 0.0
+        rhs[-1, -len(ts):] = -tail
+        inv = np.empty((len(theta), T, T), dtype=complex)
+        for m, th in enumerate(theta):
+            inv[m] = np.linalg.inv(D + 1j * th * np.eye(T)) if th \
+                else np.linalg.solve(mean, rhs)
+        return inv
 
-    return times.derived(("refine", TIME_REFINE, REFINE_DEGREE), build)
-
-
-# Filon panels interpolate the amplitude by a polynomial of FILON_DEGREE
-# on FILON_DEGREE + 1 quad nodes; beyond the horizon the amplitude follows its
-# least-squares fit c1 t^-TAIL_POWER + c2 t^-(TAIL_POWER + 1) on the last
-# TAIL_NODES quad nodes, integrated analytically
-FILON_DEGREE = 4
-TAIL_POWER = 2
-TAIL_NODES = 6
-
-
-class _TransportPlan(NamedTuple):
-    weights: np.ndarray     # (P-1, FILON_DEGREE+1, M) per-panel weights
-    stencil: np.ndarray     # (P-1, FILON_DEGREE+1) quad node of each weight
-    tail: np.ndarray        # (TAIL_NODES, M) last nodes -> tail integral
-    phase: np.ndarray       # (P, M) -e^(-i theta tau)
-
-
-def _transport_plan(times, theta):
-    """Everything of the free transport solve that depends only on the
-    quad nodes tau of `times` and the mode phases theta; read-only and
-    built once per (grid, theta).
-
-    Panel i = [tau_i, tau_(i+1)] interpolates the amplitude on the quad
-    nodes stencil[i] by a polynomial in u = s/tau_i - 1, so that
-      int_panel amp(s) e^(i theta s) ds
-          = sum_k weights[i, k] amp[stencil[i, k]],
-    weights[i, k] = tau_i e^(i theta tau_i) sum_m L_i[m, k] mu_m(theta tau_i)
-    with L_i the Lagrange map from stencil values to coefficients and mu_m
-    the oscillatory moments (Filon weights are moments against a fixed
-    oscillator: Iserles & Norsett, Proc. R. Soc. A 461 (2005) 1383-1399).
-    """
-    def build():
-        tau, _ = _time_refine_matrix(times)
-        npts = FILON_DEGREE + 1
-        gamma = tau[1] / tau[0]
-        panels = np.arange(len(tau) - 1)
-        starts = np.clip(panels - FILON_DEGREE // 2, 0, len(tau) - npts)
-        offs = gamma ** (np.arange(npts) - (panels - starts)[:, None]) - 1.0
-        lagrange = np.linalg.inv(offs[..., None] ** np.arange(npts))
-        theta_tau = np.multiply.outer(tau[:-1], theta)       # (P-1, M)
-        mom = _osc_moments(gamma - 1.0, theta_tau, FILON_DEGREE)
-        weights = _contract((lagrange[:, m, :, None], mom[m][:, None])
-                            for m in range(npts)) \
-            * (tau[:-1, None] * np.exp(1j * theta_tau))[:, None]
-        # least-squares projector onto the two tail powers, times their
-        # integrals int_T^inf s^-p e^(i theta s) ds = E_p(-i theta T) T^(1-p)
-        ts = tau[-TAIL_NODES:]
-        fit = np.linalg.pinv(np.stack([ts ** -TAIL_POWER,
-                                       ts ** -(TAIL_POWER + 1)], axis=1))
-        z = -1j * theta * tau[-1] + 0j
-        ints = np.stack([_expn_complex(p, z) * tau[-1] ** (1 - p)
-                         for p in (TAIL_POWER, TAIL_POWER + 1)])
-        phase = -np.exp(-1j * np.multiply.outer(tau, theta))
-        return _TransportPlan(weights, starts[:, None] + np.arange(npts),
-                              fit.T @ ints, phase)
-
-    return times.derived(("transport", TIME_REFINE, theta.tobytes()), build)
-
-
-def _free_transport_coeffs(plan, rhs):
-    """Decaying solution kappa = -e^(-i theta t) int_t^inf rhs(s)
-    e^(i theta s) ds of (d_q kappa) omega + d_t kappa = rhs, in coefficient
-    space on the quad grid; rhs and kappa have shape (P, M, C).
-
-    The interior panels read their stencils as windows of rhs, without
-    a copy; only the clipped panels at the two ends gather theirs.
-    """
-    panels = np.empty((len(rhs) - 1,) + rhs.shape[1:], dtype=complex)
-    lo = FILON_DEGREE // 2
-    inner = slice(lo, lo + len(rhs) - FILON_DEGREE)
-    windows = np.lib.stride_tricks.sliding_window_view(
-        rhs, FILON_DEGREE + 1, axis=0)      # (P - FILON_DEGREE, M, C, k)
-    np.einsum("pkm,pmck->pmc", plan.weights[inner], windows,
-              out=panels[inner])
-    ends = np.r_[:inner.start, inner.stop:len(panels)]
-    panels[ends] = np.einsum("pkm,pkmc->pmc", plan.weights[ends],
-                             rhs[plan.stencil[ends]])
-    J = np.zeros_like(rhs)
-    J[:-1] = np.cumsum(panels[::-1], axis=0)[::-1]
-    tail = np.einsum("km,kmc->mc", plan.tail, rhs[-TAIL_NODES:])
-    return plan.phase[..., None] * (J + tail)
+    return times.derived(("transport", theta.tobytes()), build)
 
 
 def _spectral_solve(p, quad_tol):
     grid, times = p.grid, p.times
-    d = p.dim
-    plan = _transport_plan(times, _mode_phases(grid, p.omega))
-    _, W = _time_refine_matrix(times)
-    P = W.shape[0]
-
+    inv = _transport_inverse(times, _mode_phases(grid, p.omega))
+    T = len(times)
     half = grid.torus_mesh()[0].shape
 
-    def modes(values):          # real (L, *shape, C) -> (L, M, C)
-        return grid.torus_rfft(values).reshape(len(values), -1,
-                                               values.shape[-1])
+    def solve(values):          # real (T, *shape, C) -> kappa's (M, T, C)
+        c = grid.torus_rfft(values)
+        return inv @ c.reshape(T, -1, c.shape[-1]).transpose(1, 0, 2)
 
-    def samples(coeffs):        # (L, M, C) -> real (L, *shape, C)
-        return grid.torus_irfft(coeffs.reshape(
-            (len(coeffs),) + half + coeffs.shape[-1:]))
+    def spectrum(coeffs):       # (M, T, C) -> (T, *half, C)
+        return coeffs.transpose(1, 0, 2).reshape(
+            (T,) + half + coeffs.shape[-1:])
 
-    def to_quad(values):        # (T, *shape, C) -> (P, M, C), one BLAS product
-        c = modes(values)
-        return (W @ c.reshape(len(c), -1)).reshape((P,) + c.shape[1:])
-
-    kap = _free_transport_coeffs(plan, to_quad(p.z.values))
+    kap = solve(p.z.values)
     base_scale = np.abs(kap).max()
     n_corr = 0
     hist = []
     if p.f is not None or p.g is not None:
-        def coupling(cur):      # (d_q kappa) f + g kappa on the time grid
-            # the original nodes are a subset of the quad grid
-            spec = cur[::TIME_REFINE].reshape((len(times),) + half + (d,))
+        def coupling(cur):      # (d_q kappa) f + g kappa
+            spec = spectrum(cur)
             kappa = GridFn(grid, times, grid.torus_irfft(spec), spectrum=spec)
             return _add_coupling(np.zeros(p.z.values.shape), kappa, p.f, p.g)
 
         cur = kap
         for it in range(MAX_CORRECTIONS):
-            corr = -_free_transport_coeffs(plan, to_quad(coupling(cur)))
+            corr = -solve(coupling(cur))
             kap = kap + corr
             cur = corr
             n_corr = it + 1
@@ -380,8 +206,7 @@ def _spectral_solve(p, quad_tol):
                 raise IntegrationError(
                     "perturbation series for (f,g) coupling diverges; "
                     f"correction sizes {hist[-3:]}")
-    # restrict to the original nodes (they are a subset of the quad grid)
-    kappa = GridFn(grid, times, samples(kap[::TIME_REFINE]))
+    kappa = GridFn(grid, times, grid.torus_irfft(spectrum(kap)))
     return kappa, n_corr, {"correction_history": hist}
 
 

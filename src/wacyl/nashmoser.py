@@ -92,20 +92,14 @@ def validate_params(p):
                        "gamma": g}}
 
 
-def params_from_order(s, gamma_loss=1.0, **kw):
-    """Minimal-order parameterization: requires s >= 8 gamma, and uses
-    lambda(s) = 2 gamma + 14 gamma^2/s, beta = 1 + 7 gamma/(3s),
-    alpha = 7/6, rho = gamma."""
-    if s < 8.0 * gamma_loss:
-        raise ValueError(
-            f"minimal order requires s >= 8 gamma (got s = {s}, "
-            f"gamma = {gamma_loss})")
-    p = ZehnderParams(s=float(s),
-                      lam=2.0 * gamma_loss + 14.0 * gamma_loss ** 2 / s,
-                      rho=gamma_loss,
-                      beta=1.0 + 7.0 * gamma_loss / (3.0 * s),
-                      alpha=7.0 / 6.0,
-                      gamma_loss=gamma_loss, **kw)
+def params_from_order(s, **kw):
+    """Minimal-order parameterization with loss exponent gamma = 1:
+    requires s >= 8, and uses lambda(s) = 2 + 14/s, beta = 1 + 7/(3s),
+    alpha = 7/6, rho = 1."""
+    if s < 8.0:
+        raise ValueError(f"minimal order requires s >= 8 (got s = {s})")
+    p = ZehnderParams(s=float(s), lam=2.0 + 14.0 / s, rho=1.0,
+                      beta=1.0 + 7.0 / (3.0 * s), alpha=7.0 / 6.0, **kw)
     rep = validate_params(p)
     if not rep["pass"]:
         raise ValueError(f"derived parameters fail validation: {rep}")
@@ -120,7 +114,7 @@ def preset_params(name, **kw):
     """Named parameter presets: 'minimal' (s=8 order-optimal set) and
     'robust' (beta=3/2, alpha=7/6, lambda=6.5, s=10)."""
     if name == "minimal":
-        return params_from_order(8.0, 1.0, **kw)
+        return params_from_order(8.0, **kw)
     if name == "robust":
         return ZehnderParams(s=10.0, lam=6.5, rho=1.0, beta=1.5,
                              alpha=7.0 / 6.0, gamma_loss=1.0, **kw)

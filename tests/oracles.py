@@ -5,12 +5,7 @@ by the tests, not collected by pytest.
 the adaptive flow.  `characteristics_solve` solves the transport
 problem along the characteristics, the second route of the spectral
 `solve_he`; it keeps the library's DOP853 solve (`flow._solve`) and tail
-bound (`homological._tail_bound`).  `time_refine_weights` builds the
-interpolation matrix of `homological._time_refine_matrix` row by row,
-with the scalar product-formula Lagrange weights.
-`einsum_free_transport_coeffs` is the free transport solve with its
-Filon panel sum over a gather of every panel's stencil; the library
-reads the interior stencils as windows and must give the same bytes.
+bound (`homological._tail_bound`).
 
 `einsum_eval_F`, `einsum_linearize` and `einsum_transport_operator`
 are the residual functional, its linearization and the transport
@@ -38,8 +33,7 @@ from wacyl.flow import VectorFieldSpec, _solve, flow_jacobian, \
     integrate_flow
 from wacyl.functional import _check_ball
 from wacyl.grids import GridFn
-from wacyl.homological import (REFINE_DEGREE, TAIL_NODES, TIME_REFINE,
-                               HomologicalSolution, _tail_bound)
+from wacyl.homological import HomologicalSolution, _tail_bound
 
 
 def rk4(fun, y0, t0, t1, n_steps):
@@ -93,50 +87,6 @@ def characteristics_solve(p, z, f, g, quad_tol):
     kappa = GridFn(grid, times, out.reshape((len(times),) + grid.shape
                                             + (d,)))
     return HomologicalSolution(kappa=kappa, tail_bound=_tail_bound(p, T))
-
-
-def _scalar_lagrange_weights(xs, x):
-    """Lagrange weights for nodes xs at one point x, by the product
-    formula in a double loop."""
-    w = np.ones(len(xs))
-    for i in range(len(xs)):
-        for j in range(len(xs)):
-            if i != j:
-                w[i] *= (x - xs[j]) / (xs[i] - xs[j])
-    return w
-
-
-def time_refine_weights(times):
-    """The (P, T) map from the nodes of `times` to its refined quad grid:
-    identity rows on the nodes, and between them the Lagrange weights in
-    log t of the REFINE_DEGREE + 1 nodes around the interval."""
-    T = len(times)
-    gq = times.gamma ** (1.0 / TIME_REFINE)
-    P = (T - 1) * TIME_REFINE + 1
-    lq = np.log(times.points[0] * gq ** np.arange(P))
-    logs = times.log_points
-    W = np.zeros((P, T))
-    width = min(REFINE_DEGREE + 1, T)
-    for i in range(P):
-        if i % TIME_REFINE == 0:
-            W[i, i // TIME_REFINE] = 1.0
-            continue
-        j = i // TIME_REFINE
-        lo = min(max(j - width // 2 + 1, 0), T - width)
-        W[i, lo:lo + width] = _scalar_lagrange_weights(logs[lo:lo + width],
-                                                       lq[i])
-    return W
-
-
-def einsum_free_transport_coeffs(plan, rhs):
-    """The decaying solution of the free transport in coefficient space
-    on the quad grid, every panel's amplitudes gathered as
-    rhs[plan.stencil], (P-1, FILON_DEGREE+1, M, C)."""
-    panels = np.einsum("pkm,pkmc->pmc", plan.weights, rhs[plan.stencil])
-    J = np.zeros_like(rhs)
-    J[:-1] = np.cumsum(panels[::-1], axis=0)[::-1]
-    tail = np.einsum("km,kmc->mc", plan.tail, rhs[-TAIL_NODES:])
-    return plan.phase[..., None] * (J + tail)
 
 
 def _einsum_coefficients(H, v):

@@ -71,6 +71,20 @@ def test_solve_manufactured(tmp_path, capsys):
     assert all("tolerance" in c for c in summary["checks"])
 
 
+@pytest.mark.parametrize("n_times", [32, 128])
+def test_solve_power_passes_on_every_time_grid(tmp_path, n_times):
+    # the transport solve inverts the residual's own time derivative, so
+    # the verdict does not depend on the number of time nodes
+    code = run_cli(["--out", str(tmp_path),
+                    "--set", f"solve.n_times={n_times}",
+                    "solve", "--preset", "manufactured-power"])
+    assert code == EXIT_PASS
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    checks = {c["name"]: c["pass"] for c in summary["checks"]}
+    assert checks["residual <= target"]
+    assert checks["|v - v*|_{1,1} <= 1e-4"]
+
+
 def test_simulate_comet_conservative(tmp_path):
     code = run_cli(["--out", str(tmp_path), "--set", "comet.t_max=50",
                     "simulate-comet", "--mc", "0"])

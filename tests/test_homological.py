@@ -5,15 +5,13 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from oracles import characteristics_solve, einsum_free_transport_coeffs
+from oracles import characteristics_solve
 from wacyl import constants
 from wacyl.flow import NormBudgetError
 from wacyl.grids import GridFn, SpatialGrid, TimeGrid
-from wacyl.homological import (HomologicalProblem, _contract, _expn_complex,
-                               _free_transport_coeffs, _mode_phases,
-                               _osc_moments,
-                               _time_refine_matrix, _transport_plan,
-                               estimate_check, residual_he, solve_he)
+from wacyl.homological import (HomologicalProblem, _contract, _mode_phases,
+                               _transport_inverse, estimate_check,
+                               residual_he, solve_he)
 from wacyl.norms import weighted_norm
 
 
@@ -67,8 +65,8 @@ def test_rotating_cosine_vs_quadrature_oracle():
 
 def test_rotating_cosine_two_torus_two_components():
     # z_c = cos(2 pi k_c . q)/t^2 with a different mode k_c per component
-    # and rotation frequency nu_c = k_c . omega; the time refinement then
-    # acts on several torus axes and components at once, and swapping
+    # and rotation frequency nu_c = k_c . omega; the per-mode inverses
+    # then act on several torus axes and components at once, and swapping
     # modes, axes or components moves kappa by O(1)
     sg, tg = SpatialGrid(2, 8), TimeGrid(20.0, n_points=64)
     omega = np.array([1.0, 1.5])
@@ -225,9 +223,9 @@ def test_spectral_vs_characteristics_two_torus_two_components():
 
 
 def test_coupled_series_transforms_on_the_time_grid(monkeypatch):
-    # each correction forms its coupling on the time nodes and reaches
-    # the quad nodes by W, as z does: no torus transform of a coupled
-    # solve sees more rows than the time grid has
+    # each correction forms its coupling on the time nodes and solves
+    # for it there, as for z: every torus transform of a coupled solve
+    # sees exactly the rows of the time grid
     sg, tg = SpatialGrid(2, 8), TimeGrid(8.0, n_points=12)
     p = coupled_problem_two_torus(sg, tg)
     rows = []
@@ -347,112 +345,79 @@ def test_solution_manifest_serialization(tmp_path):
     assert man["mu"] == p.mu and man["sigma"] == 1.0
 
 
-# ---- transport plan ------------------------------------------------
+# ---- transport inverse -----------------------------------------------
 
-def test_transport_plan_built_once_per_grid_and_theta():
+def test_transport_inverse_built_once_per_grid_and_theta():
     sg = SpatialGrid(1, 16)
     for tg in (TimeGrid(8.0, n_points=12),
                TimeGrid.from_points(np.geomspace(1.0, 8.0, 12))):
         theta = _mode_phases(sg, [1.0])
-        plan = _transport_plan(tg, theta)
-        again = _transport_plan(tg, _mode_phases(sg, [1.0]))
-        for a, b in zip(plan, again):
-            assert a is b and not a.flags.writeable
-        other = _transport_plan(tg, _mode_phases(sg, [0.5]))
-        assert other.weights is not plan.weights
-        assert not np.array_equal(other.weights, plan.weights)
+        inv = _transport_inverse(tg, theta)
+        assert inv.shape == (len(theta), 12, 12) and not inv.flags.writeable
+        assert _transport_inverse(tg, _mode_phases(sg, [1.0])) is inv
+        other = _transport_inverse(tg, _mode_phases(sg, [0.5]))
+        assert other is not inv and not np.array_equal(other, inv)
 
 
-def test_expn_complex_matches_mpmath():
-    # E_p at the tail arguments z = -i theta T of the transport plans
-    # (|theta T| up to 8042 on the default solve grid) and on both sides
-    # of |z| = 1, where the continued fraction hands over to the series
-    import mpmath
-    ring = np.exp(1j * np.linspace(-np.pi / 2, np.pi / 2, 7))
-    z = np.concatenate([-1j * np.geomspace(1e-3, 1e4, 71), [-8042j],
-                        0.5 * ring, 0.99 * ring, 1.01 * ring, 3.0 * ring])
-    for p in (2, 3):
-        got = _expn_complex(p, z)
-        with mpmath.workdps(30):
-            want = np.array([complex(mpmath.expint(
-                p, mpmath.mpc(w.real, w.imag))) for w in z])
-        rel = np.abs(got - want) / np.abs(want)
-        assert rel.max() <= 1e-13, (p, z[rel.argmax()], rel.max())
-        assert _expn_complex(p, np.zeros(3, dtype=complex)).tolist() \
-            == [1.0 / (p - 1)] * 3
-
-
-def test_osc_moments_match_mpmath():
-    # int_0^h u^m e^(i theta u) du on both sides of |theta h| = 0.7, where
-    # the Taylor series hands over to the recursion
-    import mpmath
-    xs = np.array([0.0, 1e-3, 0.3, 0.69, -0.69, 0.71, 1.5, 7.0, 40.0])
-    for h in (0.05, 1.0):
-        got = _osc_moments(h, xs / h, 4)
-        with mpmath.workdps(30):
-            nodes = mpmath.linspace(0, h, 9)
-            want = np.array([[complex(mpmath.quad(
-                lambda u: u ** m * mpmath.expj(x / h * u), nodes))
-                for x in xs] for m in range(5)])
-        rel = np.abs(got - want) / np.abs(want)
-        assert rel.max() <= 1e-12, (h, rel.max())
+def test_transport_inverse_inverts_the_operator_of_the_residual():
+    # theta != 0: the inverse of D + i theta I, with D the time
+    # derivative transport_operator takes; theta = 0: D on every row but
+    # the last, which holds the tail condition
+    sg, tg = SpatialGrid(1, 8), TimeGrid(20.0, n_points=32)
+    theta = _mode_phases(sg, [1.0])
+    inv = _transport_inverse(tg, theta)
+    D = tg.dt_matrix()
+    for m in np.flatnonzero(theta):
+        A = D + 1j * theta[m] * np.eye(32)
+        assert np.abs(A @ inv[m] - np.eye(32)).max() <= 1e-10
+    assert theta[0] == 0.0
+    assert np.abs(D[:-1] @ inv[0] - np.eye(32)[:-1]).max() <= 1e-10
 
 
 def test_transport_tail_exact_for_power_law_amplitude():
-    # an amplitude c1 t^-2 + c2 t^-3 lies in the span of the tail fit, so
-    # kappa at the horizon T is its tail integral in closed form
-    import mpmath
+    # a mean amplitude c1 t^-2 + c2 t^-3 lies in the span of the tail
+    # fit, so kappa at the horizon T is its tail integral in closed form
     sg, tg = SpatialGrid(1, 8), TimeGrid(20.0, n_points=16)
-    theta = _mode_phases(sg, [0.3])
-    tau, _ = _time_refine_matrix(tg)
-    c1, c2, mode = 1.5, -0.7, 1
-    rhs = np.zeros((len(tau), len(theta), 1), dtype=complex)
-    rhs[:, mode, 0] = c1 * tau ** -2 + c2 * tau ** -3
-    kap = _free_transport_coeffs(_transport_plan(tg, theta), rhs)
-    T, th = tau[-1], theta[mode]
-    z = mpmath.mpc(0, -th * T)
-    want = complex(-mpmath.exp(z) * (
-        c1 * mpmath.expint(2, z) / T + c2 * mpmath.expint(3, z) / T ** 2))
-    assert th != 0
-    assert abs(kap[-1, mode, 0] - want) <= 1e-12 * abs(want)
+    c1, c2 = 1.5, -0.7
+    z = GridFn.from_callable(sg, tg,
+                             lambda q, t: c1 / t ** 2 + c2 / t ** 3 + 0 * q)
+    kappa = solve_he(HomologicalProblem(omega=[0.3], z=z)).kappa
+    T = tg.points[-1]
+    want = -(c1 / T + c2 / (2 * T ** 2))
+    assert np.abs(kappa.values[-1] - want).max() <= 1e-12 * abs(want)
 
 
-def test_time_interpolation_commutes_with_the_torus_fft():
-    # W acts on time only, so interpolating the samples of a field and
-    # interpolating its mode amplitudes, as the solve does for z and the
-    # coupling, agree up to rounding
-    rng = np.random.default_rng(4)
-    sg, tg = SpatialGrid(2, 16), TimeGrid(12.0, n_points=32)
-    p = HomologicalProblem(
-        omega=[1.0, 0.618],
-        z=GridFn(sg, tg, rng.standard_normal((32, 16, 16, 2))),
-        f=GridFn(sg, tg, 1e-3 * rng.standard_normal((32, 16, 16, 2))),
-        g=GridFn(sg, tg, 1e-3 * rng.standard_normal((32, 16, 16, 4))))
-    _, W = _time_refine_matrix(tg)
-    P = W.shape[0]
-    for field in (p.f, p.g):
-        vals = field.values
-        direct = (W @ vals.reshape(32, -1)).reshape((P,) + vals.shape[1:])
-        c = sg.torus_rfft(vals)
-        round_trip = sg.torus_irfft(
-            (W @ c.reshape(32, -1)).reshape((P,) + c.shape[1:]))
-        assert np.abs(direct - round_trip).max() <= \
-            1e-14 * np.abs(direct).max()
+def exact_rotating_cosine_amplitude(t, nu=1.0):
+    """A(t) with kappa = Re(A(t) e^(2 pi i q)) the decaying solution for
+    z = cos(2 pi q)/t^2: -e^(-i theta t) int_t^inf s^-2 e^(i theta s) ds
+    = -e^(-i theta t) E_2(-i theta t)/t, theta = 2 pi nu, in 30 digits."""
+    import mpmath
+    with mpmath.workdps(30):
+        z = [mpmath.mpc(0, -2 * np.pi * nu * s) for s in t]
+        return np.array([complex(-mpmath.exp(w) * mpmath.expint(2, w) / s)
+                         for w, s in zip(z, t)])
 
 
-@pytest.mark.parametrize("n, omega", [(1, [1.0]), (2, [1.0, 0.618])])
-def test_filon_windows_give_the_gather_bytes(n, omega):
-    # the interior panels read windows of rhs, the clipped ones at the
-    # ends gather: the same sums, in the same order, as one gather of
-    # every stencil
-    rng = np.random.default_rng(n)
-    sg, tg = SpatialGrid(n, 8), TimeGrid(12.0, n_points=16)
-    theta = _mode_phases(sg, omega)
-    plan = _transport_plan(tg, theta)
-    shape = (len(plan.phase), len(theta), n)
-    rhs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    got = _free_transport_coeffs(plan, rhs)
-    assert got.tobytes() == einsum_free_transport_coeffs(plan, rhs).tobytes()
+def test_homological_problem_converges_at_the_stencil_order():
+    # the CLI's homological problem on 32, 64 and 128 time nodes: the
+    # error |kappa - kappa_exact|_{0,1} falls as n^-7 or faster (the time
+    # stencils are of order DT_ORDER = 8); the order is the least-squares
+    # slope over the three grids, since the 128-node error (about 5e-15)
+    # is at the rounding floor
+    sg = SpatialGrid(1, 8)
+    ns = (32, 64, 128)
+    errs = []
+    for n in ns:
+        tg = TimeGrid(20.0, n_points=n)
+        z = GridFn.from_callable(sg, tg,
+                                 lambda q, t: np.cos(2 * np.pi * q) / t ** 2)
+        kappa = solve_he(HomologicalProblem(omega=[1.0], z=z)).kappa
+        amp = exact_rotating_cosine_amplitude(tg.points)
+        exact = (amp[:, None] * np.exp(2j * np.pi * sg.torus_axes[0])).real
+        errs.append(weighted_norm(GridFn(sg, tg, kappa.values
+                                         - exact[..., None]), 0, 1))
+    order = -np.polyfit(np.log2(ns), np.log2(errs), 1)[0]
+    assert order >= 7, (errs, order)
 
 
 @pytest.mark.parametrize("d", [1, 2])
@@ -488,26 +453,15 @@ def test_contract_gives_einsum_bytes_signed_zeros_included(d):
         assert got.tobytes() == want.tobytes()
 
 
-# the Filon panel and tail sums of _free_transport_coeffs stay einsum
-# calls: complex contractions over the panel stencil (windows inside,
-# gathers at the ends) and the tail nodes
-FILON_EINSUMS = {("homological.py", "pkm,pmck->pmc"),
-                 ("homological.py", "pkm,pkmc->pmc"),
-                 ("homological.py", "km,kmc->mc")}
-
-
-def test_einsum_only_in_the_filon_sums():
-    # every other component sum is spelled out (homological._contract);
-    # a call is named by its subscripts, any other use by its line
+def test_no_einsum_in_functional_or_homological():
+    # every component sum is spelled out (homological._contract); the
+    # first line that names einsum is reported
     src = Path(__file__).resolve().parents[1] / "src" / "wacyl"
-    found = set()
+    found = []
     for name in ("functional.py", "homological.py"):
-        nodes = list(ast.walk(ast.parse((src / name).read_text())))
-        calls = {id(node.func): node.args[0].value for node in nodes
-                 if isinstance(node, ast.Call)
-                 and getattr(node.func, "attr", None) == "einsum"}
-        found |= {(name, calls.get(id(node), node.lineno)) for node in nodes
+        found += [(name, node.lineno)
+                  for node in ast.walk(ast.parse((src / name).read_text()))
                   if "einsum" in (getattr(node, "id", None),
                                   getattr(node, "attr", None),
-                                  getattr(node, "name", None))}
-    assert found == FILON_EINSUMS
+                                  getattr(node, "name", None))]
+    assert found == []

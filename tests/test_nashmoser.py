@@ -8,7 +8,8 @@ from oracles import conjugacy_check, lagrangian_check
 from wacyl import constants, nashmoser, norms
 from wacyl.flow import NormBudgetError
 from wacyl.functional import (C_GEOM, DELTA, SPEC_S, UPSILON, DomainError,
-                              eval_F, hypotheses_report, v_norm, x_norm)
+                              eval_F, hypotheses_report, right_inverse,
+                              v_norm, x_norm)
 from wacyl.grids import GridFn
 from wacyl.nashmoser import (ZehnderParams, choose_schedule,
                              comet_decay_synthetic, iterate,
@@ -209,12 +210,13 @@ def test_divergence_reported_on_envelope_violation():
 
 
 def test_divergence_returns_the_best_iterate():
-    # at Q = 1.6 the coupled 2-torus solve falls to about 1.2e-6 at step
-    # 4, then grows past the solver floor for two steps: the returned v is
-    # the step-4 iterate, not the last one
+    # with target 0 the coupled 2-torus solve at Q = 1.6 runs into its
+    # rounding floor: the residual falls to about 1.5e-15 at step 7, then
+    # rises at steps 8 and 9 on rounding alone, which counts as
+    # divergence; the returned v is the step-7 iterate, not the last one
     H = comet_decay_synthetic()
     p = params_from_order(8.0, Q=1.6)
-    sol, st = iterate(H, p, max_steps=10, target=1e-12, min_steps=3,
+    sol, st = iterate(H, p, max_steps=12, target=0.0, min_steps=3,
                       zeta=0.1, quad_tol=1e-9)
     assert st.status == "divergence"
     best = min(st.true_residuals)
@@ -431,6 +433,20 @@ class TestCometDecaySynthetic:
         vals = [r["max_alpha"] for r in rep["per_time"]]
         assert rep["decay_pass"]
         assert vals[0] < 1e-8  # near-exact Lagrangian section
+
+    def test_unsmoothed_newton_steps_keep_the_residual(self, run):
+        # the transport solve inverts the residual's own discrete operator,
+        # so full Newton steps psi - DF(psi)^-1 F(psi) from the converged
+        # iterate, with no smoothing, do not raise |F|_{0,2}
+        H, sol, st = run
+        psi = sol.v
+        norms = [weighted_norm(eval_F(H, psi), 0, 2)]
+        for _ in range(3):
+            step = right_inverse(H, psi, -eval_F(H, psi), zeta=0.1,
+                                 quad_tol=1e-9).kappa
+            psi = psi + step
+            norms.append(weighted_norm(eval_F(H, psi), 0, 2))
+        assert max(norms[1:]) <= norms[0], norms
 
 
 def test_lagrangian_degenerate_on_circle():

@@ -14,9 +14,7 @@ from hypothesis import strategies as st
 
 from wacyl.celestial import CartesianState, Masses, _cartesian_rhs, \
     _pair_gravity, eval_H0_cartesian, grad_Hc
-from oracles import time_refine_weights
 from wacyl.grids import GridFn, SpatialGrid, TimeGrid, _lagrange_weights
-from wacyl.homological import _time_refine_matrix
 from wacyl.norms import holder_norm, weighted_norm
 from wacyl.smoothing import multiplier_profile, smooth
 
@@ -71,16 +69,6 @@ def test_batched_lagrange_weights_equal_row_by_row():
     x = rng.uniform(xs[:, 0], xs[:, -1])
     rows = np.array([_lagrange_weights(a, b) for a, b in zip(xs, x)])
     assert (_lagrange_weights(xs, x) == rows).all()
-
-
-@pytest.mark.parametrize("times", [
-    TimeGrid(20.0, n_points=64), TimeGrid(8.0, n_points=12),
-    TimeGrid(3.0, n_points=5)], ids=["T64", "T12", "T5"])
-def test_time_refine_matrix_equals_row_loop(times):
-    # the batched build gives the bits of the per-row loop with the
-    # scalar product formula
-    _, W = _time_refine_matrix(times)
-    assert (W == time_refine_weights(times)).all()
 
 
 # ---- .wgf round trip -----------------------------------------------
