@@ -430,7 +430,6 @@ class CircularChart:
     arrays once.
     """
 
-    n_theta = 4
     # relative change of each circle's radius per unit action r_k
     kappa = 0.2
 

@@ -12,6 +12,11 @@ torus derivative d^alpha is one irfftn of that spectrum times
 (2 pi i k)^alpha.  A derivative of order >= 1 along a torus axis is zero
 at that axis's Nyquist frequency N/2, whose mode has no partner -N/2 and
 so no real derivative (Trefethen, Spectral Methods in MATLAB, ch. 3).
+
+Off the grid, GridFnInterpolant evaluates a GridFn by the trigonometric
+interpolant of its torus spectrum (exact for band-limited data) and by
+degree-TIME_DEGREE Lagrange interpolation in log t on the stencil window
+of the time grid.
 """
 
 from __future__ import annotations
@@ -21,22 +26,20 @@ import operator
 
 import numpy as np
 
-__all__ = ["TimeGrid", "SpatialGrid", "GridFn", "fornberg_weights"]
+__all__ = ["TimeGrid", "SpatialGrid", "GridFn", "GridFnInterpolant",
+           "fornberg_weights"]
 
 
 def _lagrange_weights(xs, x):
-    """Lagrange interpolation weights for nodes xs (..., n) at points x
-    with the leading shape of xs, by the product formula (exact for
-    polynomials up to degree n-1).  Weight i multiplies its factors in
-    ascending j, so a batch gives the bits of the row-by-row calls."""
+    """Lagrange interpolation weights for nodes xs at the point x, by the
+    product formula (exact for polynomials up to degree len(xs)-1);
+    weight i multiplies its factors in ascending j."""
     xs = np.asarray(xs, dtype=float)
-    x = np.asarray(x, dtype=float)[..., None]
-    n = xs.shape[-1]
-    w = np.ones(xs.shape)
+    n = len(xs)
+    w = np.ones(n)
     for j in range(n):
         others = np.arange(n) != j
-        xj = xs[..., j:j + 1]
-        w[..., others] *= (x - xj) / (xs[..., others] - xj)
+        w[others] *= (x - xs[j]) / (xs[others] - xs[j])
     return w
 
 
@@ -88,6 +91,9 @@ class _Derived:
 # order of the time derivative's stencils on the log-uniform grid
 DT_ORDER = 8
 
+# degree of GridFnInterpolant's Lagrange interpolation in log t
+TIME_DEGREE = 6
+
 # relative spread of the ratios t_{k+1}/t_k that TimeGrid.from_points
 # accepts (TimeGrid and np.geomspace nodes spread by at most 1.2e-15)
 GEOMETRIC_RTOL = 1e-9
@@ -108,16 +114,16 @@ class TimeGrid(_Derived):
         if n_points < 2:
             raise ValueError(f"need at least two time points, got "
                              f"{n_points!r}")
-        self.gamma = float(t_max ** (1.0 / (n_points - 1)))
-        self.t_max = float(t_max)
-        self._set_points(self.gamma ** np.arange(n_points))
+        gamma = float(t_max ** (1.0 / (n_points - 1)))
+        self._set_points(gamma ** np.arange(n_points))
 
     @classmethod
     def from_points(cls, points):
         """Rebuild a grid from its stored nodes (as written by GridFn.save).
         The nodes must be finite, strictly increasing, >= 1, at least two
-        and geometric (a TimeGrid is t_0 gamma^k by definition); a
-        ValueError names the first one that is not."""
+        and geometric (a TimeGrid is t_0 gamma^k by definition, and the
+        DT_ORDER stencils are stable on log-uniform nodes); a ValueError
+        names the first one that is not."""
         points = np.array(points, dtype=float)
         if points.ndim != 1 or not len(points):
             raise ValueError(f"time nodes must be a non-empty list, got "
@@ -141,8 +147,6 @@ class TimeGrid(_Derived):
                              f"node {k} is {float(points[k])!r}")
         grid = cls.__new__(cls)
         grid._set_points(points)
-        grid.t_max = float(grid.points[-1])
-        grid.gamma = float(ratios[0])
         return grid
 
     def _set_points(self, points):
@@ -158,6 +162,14 @@ class TimeGrid(_Derived):
         return isinstance(other, TimeGrid) and len(self) == len(other) \
             and np.allclose(self.points, other.points)
 
+    def window(self, i, width):
+        """The slice of min(width, T) consecutive nodes centred on
+        insertion index i, shifted inside the grid at its ends: the
+        stencil of dt_matrix's row i and of the time interpolation."""
+        width = min(width, len(self))
+        lo = min(max(i - width // 2, 0), len(self) - width)
+        return slice(lo, lo + width)
+
     def dt_matrix(self):
         """Differentiation weights in t as a dense, read-only (T, T)
         matrix, built once.
@@ -169,13 +181,11 @@ class TimeGrid(_Derived):
 
     def _dt_matrix(self):
         T = len(self.points)
-        width = min(DT_ORDER + 1, T)
         D = np.zeros((T, T))
         for i in range(T):
-            lo = min(max(i - width // 2, 0), T - width)
-            nodes = self.log_points[lo:lo + width]
-            w = fornberg_weights(self.log_points[i], nodes, 1)
-            D[i, lo:lo + width] = w / self.points[i]
+            win = self.window(i, DT_ORDER + 1)
+            w = fornberg_weights(self.log_points[i], self.log_points[win], 1)
+            D[i, win] = w / self.points[i]
         return D
 
 
@@ -401,7 +411,6 @@ class GridFn:
     # ---- evaluation ---------------------------------------------------
 
     def interpolator(self):
-        from .interp import GridFnInterpolant
         return GridFnInterpolant(self)
 
     # ---- serialization -------------------------------------------------
@@ -442,3 +451,43 @@ class GridFn:
                              f"({len(buf) / 8:g} values)")
         values = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
         return cls(grid, times, values)
+
+
+class GridFnInterpolant:
+    """Callable (q, t) -> components for a GridFn.
+
+    q has shape (..., n); broadcasting over leading axes is supported.
+    Spatial evaluation happens in Fourier space per torus axis, so the
+    cost per call scales with torus_points * n.
+    """
+
+    def __init__(self, f):
+        self.f = f
+        # half-spectrum coefficients per time slice, (T, *modes, comp),
+        # weighted 2 on the last axis's bins that stand for a +-k pair and
+        # 1 on its zero and Nyquist bins, so the real part of the sum is
+        # the full trigonometric interpolant
+        N = f.grid.torus_points
+        w = np.full(N // 2 + 1, 2.0)
+        w[[0, N // 2]] = 1.0
+        self.coeff = f.spectrum() * w[:, None]
+
+    def _coeff_at(self, t):
+        lt = np.log(t)
+        logs = self.f.times.log_points
+        win = self.f.times.window(int(np.searchsorted(logs, lt)),
+                                  TIME_DEGREE + 1)
+        w = _lagrange_weights(logs[win], lt)
+        return np.tensordot(w, self.coeff[win], axes=(0, 0))
+
+    def __call__(self, q, t):
+        """Evaluate at points q (shape (..., n)) and scalar time t."""
+        q = np.atleast_2d(np.asarray(q, dtype=float))
+        c = self._coeff_at(t)  # (*modes, comp)
+        # accumulate exp(2 pi i k.q) sums axis by axis
+        for a, k in enumerate(self.f.grid.torus_half_freqs()):
+            ph = np.exp(2j * np.pi * np.outer(q[..., a].ravel(), k))
+            c = np.tensordot(ph, c, axes=(1, 0)) if a == 0 else \
+                np.einsum("pk,pk...->p...", ph, c)
+        out = c.real
+        return out.reshape(q.shape[:-1] + (self.f.components,))

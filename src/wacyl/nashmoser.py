@@ -27,6 +27,11 @@ __all__ = ["ZehnderParams", "IterationState", "CylinderSolution",
            "comet_decay_synthetic"]
 
 
+# the loss exponent gamma of the scheme inequalities, which every
+# parameter set (params_from_order, both presets) is built for
+GAMMA_LOSS = 1.0
+
+
 @dataclass
 class ZehnderParams:
     s: float
@@ -34,7 +39,6 @@ class ZehnderParams:
     rho: float
     beta: float
     alpha: float
-    gamma_loss: float = 1.0
     Q: float = 2.0
     upsilon: float = 1.0
     epsilon0: float = 100.0     # desk-scale size threshold, see README
@@ -68,7 +72,7 @@ class CylinderSolution:
 
 def validate_params(p):
     """Check the scheme inequalities; pass/fail per item."""
-    g = p.gamma_loss
+    g = GAMMA_LOSS
     checks = {
         "1 < beta < 2": 1.0 < p.beta < 2.0,
         "alpha > 1": p.alpha > 1.0,
@@ -117,7 +121,7 @@ def preset_params(name, **kw):
         return params_from_order(8.0, **kw)
     if name == "robust":
         return ZehnderParams(s=10.0, lam=6.5, rho=1.0, beta=1.5,
-                             alpha=7.0 / 6.0, gamma_loss=1.0, **kw)
+                             alpha=7.0 / 6.0, **kw)
     raise ValueError(f"unknown preset {name!r}")
 
 
@@ -300,7 +304,7 @@ def monitor(state, p, omega):
     """
     if state.j < 2:
         raise ValueError("need at least two recorded steps")
-    Q, lam, beta, g, s = p.Q, p.lam, p.beta, p.gamma_loss, p.s
+    Q, lam, beta, g, s = p.Q, p.lam, p.beta, GAMMA_LOSS, p.s
     ups = p.upsilon
     rows = []
     res = state.residual_norms[1:]

@@ -319,7 +319,7 @@ def test_extension_b_field_norm_budget(hex_field):
     sup = 0.0
     for t in np.geomspace(1, 100, 10):
         for _ in range(4):
-            th = rng.uniform(0, 1, hex_field.chart.n_theta)
+            th = rng.uniform(0, 1, celestial.N_ANGLES)
             b = hex_gradient(hex_field, th, np.zeros(2), np.zeros(2), t)[2]
             sup = max(sup, np.abs(b).max() * t ** 2)
     m = hex_field.masses

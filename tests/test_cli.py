@@ -9,8 +9,8 @@ from pathlib import Path
 import pytest
 
 from wacyl.cli import CONFIG, EXIT_CHECK_FAILURE, EXIT_CONFIG_ERROR, \
-    EXIT_NUMERICAL_FAILURE, EXIT_PASS, _parser, load_config, main, \
-    read_section
+    EXIT_NUMERICAL_FAILURE, EXIT_PASS, HE_RESIDUAL_TOL, _parser, \
+    load_config, main, read_section
 
 
 def run_cli(args):
@@ -52,7 +52,8 @@ def test_homological_subcommand(tmp_path):
     assert code == EXIT_PASS
     assert (tmp_path / "kappa.wgf").exists()
     man = json.loads((tmp_path / "manifest.json").read_text())
-    assert man["residual_norm"] <= 10 * man["quad_tol"]
+    assert "quad_tol" not in man and "quad_tol" not in man["config"]
+    assert man["residual_norm"] <= HE_RESIDUAL_TOL
 
 
 def test_solve_manufactured(tmp_path, capsys):
@@ -225,10 +226,13 @@ SMALL_SOLVE = ["--set", "solve.torus_points=32", "--set", "solve.n_times=16"]
     (["--set", "norms.trials=0", "verify-norms"], "norms.trials"),
     (["--set", "comet.tol=-1", "simulate-comet", "--mc", "0"],
      "comet.tol = -1.0 must be finite and positive"),
+    # homological's problem is uncoupled (f = g = 0): it has no quad_tol
     (["--set", "he.quad_tol=nan", "homological"],
-     "he.quad_tol = nan must be finite and positive"),
+     "unknown key 'he.quad_tol' (--set)"),
     (["--set", "he.quad_tol=-1", "homological"],
-     "he.quad_tol = -1.0 must be finite and positive"),
+     "unknown key 'he.quad_tol' (--set)"),
+    (["--set", "he.quad_tol=1e-9", "homological"],
+     "unknown key 'he.quad_tol' (--set)"),
     (SMALL_SOLVE + ["--set", "solve.quad_tol=nan", "solve"],
      "solve.quad_tol = nan must be finite and positive"),
     (SMALL_SOLVE + ["--set", "solve.target=nan", "solve"],
@@ -311,6 +315,7 @@ SMALL_SOLVE = ["--set", "solve.torus_points=32", "--set", "solve.n_times=16"]
 ], ids=["comet-v-zero", "comet-eps-zero", "comet-t-max-zero",
         "comet-t-max-negative", "comet-m1-negative", "norms-no-trials",
         "comet-tol-negative", "he-quad-tol-nan", "he-quad-tol-negative",
+        "he-quad-tol-old-default",
         "solve-quad-tol-nan", "solve-target-nan", "solve-max-steps-0",
         "solve-max-steps-1", "comet-e-nan", "comet-t-peri-nan",
         "solve-eps-nan", "solve-t-max-nan", "solve-t-max-one",

@@ -6,7 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wacyl.grids import GridFn, SpatialGrid, TimeGrid, fornberg_weights
+from wacyl.grids import DT_ORDER, TIME_DEGREE, GridFn, SpatialGrid, \
+    TimeGrid, fornberg_weights
 
 
 def test_time_grid_geometric():
@@ -14,8 +15,37 @@ def test_time_grid_geometric():
     assert tg.points[0] == 1.0
     assert tg.points[-1] >= 20.0 * (1 - 1e-12)
     ratios = tg.points[1:] / tg.points[:-1]
-    assert np.allclose(ratios, tg.gamma, rtol=1e-12)
-    assert tg.gamma > 1.0
+    assert np.allclose(ratios, ratios[0], rtol=1e-12)
+    assert ratios[0] > 1.0
+    assert np.allclose(tg.points, np.geomspace(1.0, 20.0, 64), rtol=1e-13)
+
+
+def test_window_is_centred_and_shifted_inside():
+    tg = TimeGrid(20.0, n_points=64)
+    assert tg.window(30, 9) == slice(26, 35)
+    assert tg.window(0, 9) == slice(0, 9)
+    assert tg.window(2, 9) == slice(0, 9)
+    # insertion index T: a time past the last node
+    assert tg.window(64, 9) == slice(55, 64)
+    assert tg.window(30, 8) == slice(26, 34)
+    # a window wider than the grid is the whole grid
+    assert TimeGrid(20.0, n_points=5).window(2, 9) == slice(0, 5)
+
+
+@pytest.mark.parametrize("T", [2, 5, 9, 64])
+def test_dt_matrix_rows_live_on_their_window(T):
+    # every row of dt_matrix is a stencil on window(i, DT_ORDER + 1); only
+    # a centred stencil's own node may carry a zero weight
+    tg = TimeGrid(20.0, n_points=T)
+    D = tg.dt_matrix()
+    width = min(DT_ORDER + 1, T)
+    for i in range(T):
+        win = tg.window(i, DT_ORDER + 1)
+        assert win.stop - win.start == width and win.start <= i < win.stop
+        outside = np.ones(T, dtype=bool)
+        outside[win] = False
+        assert not D[i, outside].any()
+        assert np.count_nonzero(D[i, win]) >= width - 1
 
 
 def test_time_grid_rejects_bad_input():
@@ -292,6 +322,29 @@ def test_load_rejects_degenerate_sizes(tmp_path, field, good, bad):
     path.write_bytes(header + b"\n" + body)
     with pytest.raises(ValueError, match=f"{field}.*{bad}"):
         GridFn.load(path)
+
+
+@pytest.mark.parametrize("k", [0, 10, 30])
+def test_interpolant_reads_only_its_window(k):
+    # at an off-node t between nodes k and k + 1 the interpolant reads
+    # the TIME_DEGREE + 1 slices of its window and no other
+    tg = TimeGrid(20.0, n_points=32)
+    sg = SpatialGrid(2, 8)
+    rng = np.random.default_rng(k)
+    values = rng.standard_normal((32,) + sg.shape + (2,))
+    t = float(np.sqrt(tg.points[k] * tg.points[k + 1]))
+    win = tg.window(k + 1, TIME_DEGREE + 1)
+    q = rng.uniform(0, 1, (5, 2))
+    want = GridFn(sg, tg, values).interpolator()(q, t)
+    outside = np.ones(32, dtype=bool)
+    outside[win] = False
+    altered = values.copy()
+    altered[outside] += rng.standard_normal(altered[outside].shape)
+    assert np.array_equal(GridFn(sg, tg, altered).interpolator()(q, t), want)
+    altered = values.copy()
+    altered[win.start] += 1.0
+    assert not np.array_equal(
+        GridFn(sg, tg, altered).interpolator()(q, t), want)
 
 
 def test_interpolant_matches_band_limited():

@@ -62,15 +62,6 @@ def test_lagrange_weights_at_a_node():
     assert np.array_equal(_lagrange_weights(xs, 0.9), [0.0, 0.0, 1.0, 0.0])
 
 
-def test_batched_lagrange_weights_equal_row_by_row():
-    # one call on (P, n) nodes gives the bits of P scalar calls
-    rng = np.random.default_rng(7)
-    xs = np.sort(rng.uniform(-1.0, 2.0, (40, 9)), axis=1)
-    x = rng.uniform(xs[:, 0], xs[:, -1])
-    rows = np.array([_lagrange_weights(a, b) for a, b in zip(xs, x)])
-    assert (_lagrange_weights(xs, x) == rows).all()
-
-
 # ---- .wgf round trip -----------------------------------------------
 
 @PROPERTY
@@ -93,7 +84,7 @@ def test_wgf_round_trip_exact(n, torus_points, n_times, t_max, components,
     assert np.array_equal(g.values, f.values)
     assert np.array_equal(g.times.points, f.times.points)
     assert np.array_equal(g.times.log_points, f.times.log_points)
-    assert g.times.gamma == f.times.gamma
+    assert np.array_equal(g.times.dt_matrix(), f.times.dt_matrix())
 
 
 # ---- smoothing symbol ------------------------------------------------

@@ -18,6 +18,14 @@ reach it, or passes * or **.  A call through a subscript of a
 module-level dict literal (`cli.SOLVE_PRESETS[...]`) reaches each of its
 values; an `__init__` is called by its class name; dunder methods other
 than `__init__` are out of reach.
+
+A third guard fails on an attribute that a library class stores and no
+program code reads: a class-level name or dataclass field, or an
+attribute a method assigns on its instance, that no attribute load in
+`src/wacyl/` or `perfbench/*.py` and no dotted string of `perfbench/`
+names.  It matches by name too, so it cannot see a stored name that
+another class reads under the same name: `TimeGrid.gamma` went unflagged
+while `CylinderSolution.gamma` was read.
 """
 
 import ast
@@ -238,3 +246,92 @@ def test_every_parameter_default_is_varied():
     unvaried = sorted(unvaried_defaults())
     assert not unvaried, ("parameter defaults that no call in the program "
                           f"overrides: {unvaried}; make them constants")
+
+
+# --------------------------------------------------------------------
+# stored attributes
+# --------------------------------------------------------------------
+
+CARRIED = ("the measured value an exception carries to whoever catches "
+           "it; its message already names the value and the budget")
+# stored attributes that no program code reads, each with its reason
+UNREAD_ALLOWED = {
+    "flow.NormBudgetError.name": CARRIED,
+    "flow.NormBudgetError.measured": CARRIED,
+    "flow.NormBudgetError.budget": CARRIED,
+    "homological.HomologicalSolution.diagnostics":
+        "the transport solve's correction history, which the manifest's "
+        "Newton-step diagnostics (ROADMAP item 3) will read",
+}
+
+
+def _stored(cls):
+    """Attribute names a class stores: its class-level names (dataclass
+    fields included) and what its methods assign on their first
+    parameter or on an instance they make with __new__."""
+    out = set()
+    for node in cls.body:
+        if isinstance(node, ast.Assign):
+            out |= {t.id for t in node.targets if isinstance(t, ast.Name)}
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target,
+                                                            ast.Name):
+            out.add(node.target.id)
+        elif isinstance(node, ast.FunctionDef) and node.args.args:
+            owners = {node.args.args[0].arg} | {
+                t.id for sub in ast.walk(node)
+                if isinstance(sub, ast.Assign)
+                and isinstance(sub.value, ast.Call)
+                and isinstance(sub.value.func, ast.Attribute)
+                and sub.value.func.attr == "__new__"
+                for t in sub.targets if isinstance(t, ast.Name)}
+            out |= {sub.attr for sub in ast.walk(node)
+                    if isinstance(sub, ast.Attribute)
+                    and isinstance(sub.ctx, ast.Store)
+                    and isinstance(sub.value, ast.Name)
+                    and sub.value.id in owners}
+    return {n for n in out if not n.startswith("__")}
+
+
+def _attribute_reads():
+    """Attribute loads in src/wacyl/ and perfbench/*.py, and the parts of
+    perfbench's dotted string constants, which name what its tracer
+    patches."""
+    reads = set()
+    for path in sorted(LIBRARY.glob("*.py")) + sorted(
+            (ROOT / "perfbench").glob("*.py")):
+        for sub in ast.walk(ast.parse(path.read_text())):
+            if isinstance(sub, ast.Attribute) and isinstance(sub.ctx,
+                                                             ast.Load):
+                reads.add(sub.attr)
+            elif (path.parent.name == "perfbench"
+                  and isinstance(sub, ast.Constant)
+                  and isinstance(sub.value, str) and "." in sub.value
+                  and all(p.isidentifier() for p in sub.value.split("."))):
+                reads.update(sub.value.split("."))
+    return reads
+
+
+def unread_attributes():
+    """`module.Class.attribute` for each attribute a library class stores
+    that _attribute_reads does not name; a read through vars() or
+    __dict__ is not counted."""
+    reads = _attribute_reads()
+    flagged = set()
+    for path in sorted(LIBRARY.glob("*.py")):
+        for cls in ast.parse(path.read_text()).body:
+            if isinstance(cls, ast.ClassDef):
+                flagged |= {f"{path.stem}.{cls.name}.{name}"
+                            for name in _stored(cls) - reads}
+    return flagged
+
+
+def test_every_stored_attribute_is_read():
+    extra = sorted(unread_attributes() - set(UNREAD_ALLOWED))
+    assert not extra, ("attributes that no program code reads: "
+                       f"{extra}; delete them or give a reason in "
+                       "UNREAD_ALLOWED")
+
+
+def test_every_allowed_attribute_is_still_unread():
+    stale = sorted(set(UNREAD_ALLOWED) - unread_attributes())
+    assert not stale, f"UNREAD_ALLOWED entries the program now reads: {stale}"
