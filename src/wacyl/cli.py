@@ -7,12 +7,14 @@ reports).  main reads the configuration, writes manifest.json (the
 section under "config") and summary.json, and exits 0 pass, 1 check
 failure, 2 configuration error (an unreadable --config included),
 3 numerical failure.  Identical config and seed give identical CSVs.
+A CSV cell is the repr of a number and a line ends in \\r\\n, the bytes
+csv.writer writes; a JSON file holds one top-level key per line, its
+value compact.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import math
@@ -187,27 +189,43 @@ def read_section(cfg, section, **flags):
     return out
 
 
+# numpy scalars as the Python value they hold (np.bool_ stays a bool);
+# without indent, encode runs in the C encoder
+_JSON = json.JSONEncoder(default=lambda x: x.item())
+# the cell types whose repr is the number itself
+_NUMBER = frozenset((float, int, bool))
+
+
 def _write_manifest(outdir, name, payload):
+    """One top-level key per line, each value compact JSON."""
     payload = dict(payload)
     payload["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S")
     path = os.path.join(outdir, name)
-    # numpy scalars as the Python value they hold (np.bool_ stays a bool);
-    # one write of the whole text, json.dump would stream it in pieces
-    text = json.dumps(payload, indent=1, default=lambda x: x.item())
+    text = "{\n" + ",\n".join(f" {json.dumps(key)}: {_JSON.encode(value)}"
+                               for key, value in payload.items()) + "\n}"
     with open(path, "w") as fh:
         fh.write(text)
     return path
 
 
 def _write_csv(outdir, name, header, rows):
+    """csv.writer's bytes for a table of numbers; any other cell is
+    refused."""
     path = os.path.join(outdir, name)
+    lines = [",".join(header)]
+    for row in rows:
+        if not _NUMBER.issuperset(map(type, row)):
+            # a numpy scalar would repr as "np.float64(...)", so it goes
+            # in as its Python value
+            row = [v.item() if isinstance(v, np.generic) else v for v in row]
+            for column, v in zip(header, row):
+                if type(v) not in _NUMBER:
+                    raise ValueError(f"{name}: column {column} holds {v!r}, "
+                                     "not a number")
+        lines.append(",".join(map(repr, row)))
+    lines.append("")
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        # csv writes a float by repr; a numpy scalar would repr as
-        # "np.float64(...)", so it goes in as its Python value
-        w.writerows([v.item() if isinstance(v, np.generic) else v
-                     for v in row] for row in rows)
+        fh.write("\r\n".join(lines))
     return path
 
 

@@ -139,7 +139,8 @@ MAX_CORRECTIONS = 30
 def _transport_inverse(times, theta):
     """(M, T, T) matrices, one per mode phase theta_m, each mapping the
     mode's amplitudes on the T time nodes from z to kappa; read-only,
-    built once per (grid, theta), mode by mode into the one array.
+    built once per (grid, theta) with one inversion per distinct phase,
+    copied into the slots of its modes (Nyquist modes repeat a phase).
 
     theta != 0: the inverse of D + i theta I, where D = times.dt_matrix()
     is the time derivative of transport_operator, so the solve inverts
@@ -159,8 +160,12 @@ def _transport_inverse(times, theta):
         rhs[-1] = 0.0
         rhs[-1, -len(ts):] = -tail
         inv = np.empty((len(theta), T, T), dtype=complex)
-        for m, th in enumerate(theta):
-            inv[m] = np.linalg.inv(D + 1j * th * np.eye(T)) if th \
+        # the first mode of each phase (np.unique would import numpy.ma)
+        first = {}
+        for m, th in enumerate(theta.tolist()):
+            k = first.setdefault(th, m)
+            inv[m] = inv[k] if k < m else \
+                np.linalg.inv(D + 1j * th * np.eye(T)) if th \
                 else np.linalg.solve(mean, rhs)
         return inv
 

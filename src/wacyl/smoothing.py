@@ -6,7 +6,7 @@ The operator is applied on the GridFn's own half spectrum fhat as
 f + irfft((mult - 1) fhat), so inputs supported in the plateau pass
 through bit-exactly.  The result carries mult fhat as its spectrum:
 every derivative of a smoothed field is then exactly band-limited to
-|k| < tau.
+|k| < tau.  A field whose values are all zero is returned as it is.
 """
 
 from __future__ import annotations
@@ -50,6 +50,8 @@ def smooth(f, tau):
     """Apply S_tau to every time slice of a GridFn."""
     if tau <= 0:
         raise ValueError("tau must be positive")
+    if not f.values.any():
+        return f
     grid = f.grid
     spec = f.spectrum()
     radius = np.sqrt(sum(k ** 2 for k in grid.torus_mesh()))

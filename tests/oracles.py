@@ -25,7 +25,12 @@ sampled `GridFn` (trigonometric in q, local polynomial in log t).
 trajectory checks of the comet run taken one sample at a time, with the
 embedding phi0 and the rigid base flow as per-sample callables; the
 library's array passes must give the same bytes.
+
+`csv_writer_csv` writes a CLI table with `csv.writer`, as the CLI once
+did; its own writer must give the same bytes.
 """
+
+import csv
 
 import numpy as np
 
@@ -268,3 +273,13 @@ def loop_confinement_check(times, xi_values, comet, eps, C_bar):
         if not ok and violation is None:
             violation = rows[-1]
     return {"first_violation": violation, "rows": rows}
+
+
+def csv_writer_csv(path, header, rows):
+    """The table through csv.writer, numpy scalars as their Python
+    values (a numpy scalar would repr as "np.float64(...)")."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows([v.item() if isinstance(v, np.generic) else v
+                     for v in row] for row in rows)

@@ -1,16 +1,23 @@
 import ast
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from wacyl.cli import CONFIG, EXIT_CHECK_FAILURE, EXIT_CONFIG_ERROR, \
     EXIT_NUMERICAL_FAILURE, EXIT_PASS, HE_RESIDUAL_TOL, _parser, \
-    load_config, main, read_section
+    _write_csv, _write_manifest, load_config, main, read_section
+
+from oracles import csv_writer_csv
 
 
 def run_cli(args):
@@ -489,3 +496,70 @@ def test_readme_config_table_matches_config():
         text, doc_domain = table[key]
         assert (None if text == "unset" else cast(text)) == default, key
         assert doc_domain == domain, key
+
+
+# ---- output writers --------------------------------------------------
+
+EDGE_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 5e-324,
+               1.7976931348623157e308, 1e-17]
+# every cell type a CLI table holds: Python and numpy numbers and bools
+CELLS = st.one_of(
+    st.floats(), st.sampled_from(EDGE_FLOATS), st.integers(), st.booleans(),
+    st.floats().map(np.float64), st.floats(width=32).map(np.float32),
+    st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64),
+    st.booleans().map(np.bool_))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(st.integers(1, 6).flatmap(lambda width: st.lists(
+    st.lists(CELLS, min_size=width, max_size=width), max_size=8)))
+@example([EDGE_FLOATS, [1, True, np.float64(-0.0), np.float32(0.1),
+                        np.int64(-7), np.bool_(False), np.float64(5e-324)]])
+def test_csv_writer_writes_the_bytes_of_csv_writer(rows):
+    header = [f"c{i}" for i in range(max(map(len, rows), default=1))]
+    with tempfile.TemporaryDirectory() as tmp:
+        want = Path(tmp) / "want.csv"
+        csv_writer_csv(want, header, rows)
+        got = Path(_write_csv(tmp, "got.csv", header, rows))
+        assert got.read_bytes() == want.read_bytes()
+
+
+@pytest.mark.parametrize("cell", ["1.0", None, np.str_("x")])
+def test_csv_writer_refuses_a_cell_that_is_not_a_number(tmp_path, cell):
+    with pytest.raises(ValueError, match=r"^t\.csv: column b holds "):
+        _write_csv(tmp_path, "t.csv", ["a", "b"], [[1.0, 2.0], [3.0, cell]])
+
+
+def test_manifest_is_one_key_per_line_with_the_payload_of_indented_json(
+        tmp_path):
+    payload = {"count": np.int64(3), "ratio": np.float64(0.1),
+               "single": np.float32(0.1), "ok": np.bool_(True),
+               "missing": math.nan, "empty": {}, "name": "Hölder \u03c3",
+               "rows": [{"t": 1.0, "pass": np.bool_(False)}, [1, [2.5]]],
+               "nested": {"a": {"b": [np.float64(-0.0), None]}}}
+    text = Path(_write_manifest(tmp_path, "m.json", payload)).read_text()
+    got = json.loads(text)
+    assert got.pop("timestamp")
+    want = json.loads(json.dumps(payload, indent=1,
+                                 default=lambda x: x.item()))
+    # nan is not equal to itself, so the payloads compare as text
+    assert json.dumps(got) == json.dumps(want)
+    lines = text.splitlines()
+    assert lines[0] == "{" and lines[-1] == "}"
+    assert [line.split(":")[0] for line in lines[1:-1]] == \
+        [f" {json.dumps(key)}" for key in [*payload, "timestamp"]]
+
+
+def test_no_json_call_in_the_library_passes_indent():
+    # an indent sends json to its pure-Python encoder; the first line
+    # that passes one is reported
+    src = Path(__file__).resolve().parents[1] / "src" / "wacyl"
+    found = [(path.name, node.lineno)
+             for path in sorted(src.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Attribute)
+             and node.func.attr in ("dump", "dumps")
+             and getattr(node.func.value, "id", None) == "json"
+             and any(kw.arg == "indent" for kw in node.keywords)]
+    assert found == []

@@ -374,6 +374,23 @@ def test_transport_inverse_inverts_the_operator_of_the_residual():
     assert np.abs(D[:-1] @ inv[0] - np.eye(32)[:-1]).max() <= 1e-10
 
 
+def test_transport_inverse_inverts_each_distinct_phase_once():
+    # the Nyquist rows and columns of a 16 x 16 half spectrum repeat a
+    # phase: each repeat gets the bytes of its own inversion
+    sg, tg = SpatialGrid(2, 16), TimeGrid(12.0, n_points=16)
+    theta = _mode_phases(sg, [1.0, 0.618])
+    assert len(np.unique(theta)) < len(theta)
+    inv = _transport_inverse(tg, theta)
+    D = tg.dt_matrix()
+    for m, th in enumerate(theta):
+        if th:
+            want = np.linalg.inv(D + 1j * th * np.eye(16))
+        else:
+            # the mean mode's inverse is the one cached for phase 0 alone
+            want = _transport_inverse(tg, np.zeros(1))[0]
+        assert inv[m].tobytes() == want.tobytes(), m
+
+
 def test_transport_tail_exact_for_power_law_amplitude():
     # a mean amplitude c1 t^-2 + c2 t^-3 lies in the span of the tail
     # fit, so kappa at the horizon T is its tail integral in closed form

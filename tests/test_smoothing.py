@@ -5,7 +5,7 @@ from wacyl import constants
 from wacyl.calibration import corpus_32
 from wacyl.grids import GridFn, SpatialGrid, TimeGrid
 from wacyl.norms import weighted_norm
-from wacyl.smoothing import multiplier_profile, smooth, \
+from wacyl.smoothing import _chop, multiplier_profile, smooth, \
     verify_smoothing_bounds
 
 
@@ -28,6 +28,23 @@ def test_multiplier_plateau_and_support():
 def test_constant_preserved():
     c = fn_grid(lambda q, t: 2.5 + 0 * q)
     assert np.array_equal(smooth(c, 1.0).values, c.values)
+
+
+def test_all_zero_field_returned_with_the_fft_route_values():
+    # S_tau 0 = 0 without a transform: the values and spectrum are those
+    # the route through rfft, _chop and irfft gives
+    z = GridFn.zeros(SpatialGrid(2, 16), TimeGrid(10.0, n_points=6), 2)
+    tau = 5.0
+    out = smooth(z, tau)
+    assert out is z
+    spec = z.spectrum()
+    radius = np.sqrt(sum(k ** 2 for k in z.grid.torus_mesh()))
+    mult = multiplier_profile(radius / tau)[None, ..., None]
+    values = z.values + z.grid.torus_irfft(_chop(spec) * (mult - 1.0))
+    assert out.values.tobytes() == values.tobytes()
+    # equal, though not in the sign of every zero: the rfft of zeros
+    # holds some -0.0 that the product with mult turns into +0.0
+    assert np.array_equal(out.spectrum(), spec * mult)
 
 
 def test_plateau_mode_unchanged_bit_exact():
