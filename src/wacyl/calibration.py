@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .grids import GridFn, SpatialGrid, TimeGrid
-from .norms import convexity_check, norm_algebra_check
+from .norms import convexity_check, norm_algebra_check, random_modes
 from .smoothing import verify_smoothing_bounds
 
 SAFETY = 1.15
@@ -24,25 +24,12 @@ SAFETY = 1.15
 
 def corpus_32(seed, n_fns=6):
     """The 32-mode random corpus used by the smoothing and norm sweeps:
-    n_fns functions f(q, t) = sum_k a_k sin(2 pi (k q + phi_k)) / t on
-    256 torus points and 16 times up to t = 10."""
+    n_fns functions random_modes(..., power=1.5) on 256 torus points and
+    16 times up to t = 10."""
     rng = np.random.default_rng(seed)
     tg = TimeGrid(10.0, n_points=16)
     sg = SpatialGrid(1, 256)
-    out = []
-    for _ in range(n_fns):
-        amps = rng.standard_normal(32) / np.arange(1, 33) ** 1.5
-        phases = rng.uniform(0, 1, 32)
-
-        def fn(q, t, amps=amps, phases=phases):
-            acc = 0.0
-            for k in range(32):
-                acc = acc + amps[k] * np.sin(
-                    2 * np.pi * ((k + 1) * q + phases[k]))
-            return acc / t
-
-        out.append(GridFn.from_callable(sg, tg, fn))
-    return out
+    return [random_modes(rng, sg, tg, 1.5) for _ in range(n_fns)]
 
 
 def sweep_smoothing():
@@ -147,7 +134,7 @@ def sweep_homological():
         for sigma in (0.0, 1.0, 2.0):
             prob = HomologicalProblem(omega=[1.0], z=z, f=f, g=g,
                                       sigma=sigma)
-            est = estimate_check(solve_he(prob, quad_tol=1e-9), prob)
+            est = estimate_check(solve_he(prob), prob)
             implied = est["measured"] * est["c_estimate"] / est["bound"]
             worst[sigma] = max(worst[sigma], implied)
     return {("c_estimate", s): v * SAFETY for s, v in worst.items()}

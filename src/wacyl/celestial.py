@@ -324,13 +324,12 @@ def eval_H0_split(sc, masses):
     return float(H)
 
 
-def _comet_gravity(positions, comet, masses, t):
-    """_pair_gravity over the body-comet pairs alone, with the comet
-    c(t) (an orbit or a callable) as point 3 of mass m_c; positions are
-    (3, 2) or flat."""
-    c = comet.position(t) if hasattr(comet, "position") else comet(t)
+def _comet_gravity(positions, c, masses):
+    """_pair_gravity over the body-comet pairs alone, with the comet at
+    c, an (x, y) pair, as point 3 of mass m_c; positions are (3, 2) or
+    flat."""
     x = np.asarray(positions, dtype=float).ravel().tolist()
-    x += np.asarray(c, dtype=float).tolist()
+    x += _floats(c)
     m = masses.as_array().tolist() + [masses.mc]
     return _pair_gravity(x, m, 0.0, _COMET_PAIRS)
 
@@ -339,25 +338,26 @@ def _comet_gravity(positions, comet, masses, t):
 HC_PROXIMITY = 1e-9
 
 
-def eval_Hc(positions, comet, masses, t):
-    """Interaction with the comet: - sum_i m_i m_c / |x_i - c(t)|."""
-    _, out, dmin = _comet_gravity(positions, comet, masses, t)
+def eval_Hc(positions, c, masses):
+    """Interaction with the comet at c: - sum_i m_i m_c / |x_i - c|."""
+    _, out, dmin = _comet_gravity(positions, c, masses)
     if dmin < HC_PROXIMITY:
         raise ZeroDivisionError(
             f"a body is {dmin:.3e} from the comet (limit {HC_PROXIMITY})")
     return out
 
 
-def grad_Hc(positions, comet, masses, t):
+def grad_Hc(positions, c, masses):
     """Exact gradient d H_c / d x_i: + m_i m_c (x_i - c)/|x_i - c|^3,
-    minus the comet's pull on body i."""
-    force = _comet_gravity(positions, comet, masses, t)[0]
+    minus the pull of the comet at c on body i."""
+    force = _comet_gravity(positions, c, masses)[0]
     return np.negative(force[:6]).reshape(3, 2)
 
 
-def hess_Hc(positions, comet, masses, t):
-    """Per-body Hessian of the interaction: m_i m_c (I - 3 rhat rhat^T)/d^3."""
-    c = comet.position(t) if hasattr(comet, "position") else comet(t)
+def hess_Hc(positions, c, masses):
+    """Per-body Hessian of the interaction with the comet at c:
+    m_i m_c (I - 3 rhat rhat^T)/d^3."""
+    c = np.asarray(c, dtype=float)
     m = masses.as_array()
     out = np.zeros((3, 2, 2))
     for i in range(3):
@@ -375,7 +375,8 @@ def decay_diagnostics(sampler, comet, masses, eps, k, t_grid,
     (plus second derivatives when k >= 1), against C(k) M m_c eps.
 
     sampler(rng, t) must yield position triples inside the region
-    |x_i|/|c(t)| < eps; configurations violating it are refused.
+    |x_i|/|c(t)| < eps; configurations violating it are refused.  c(t)
+    comes from one Kepler solve per time node.
     """
     rng = np.random.default_rng(seed)
     Ck = constants.CELESTIAL_CK[min(k, max(constants.CELESTIAL_CK))]
@@ -383,17 +384,17 @@ def decay_diagnostics(sampler, comet, masses, eps, k, t_grid,
     rows = []
     sup_h, sup_g = 0.0, 0.0
     for t in t_grid:
-        rt = comet.radius(t)
+        *c, rt = comet._ephemeris(t)
         h_t, g_t = 0.0, 0.0
         for _ in range(n_samples):
             pos = np.asarray(sampler(rng, t), dtype=float)
             if (np.linalg.norm(pos, axis=1) / rt >= eps).any():
                 raise ValueError(
                     "sampler left the admissible region |x|/|c(t)| < eps")
-            h_t = max(h_t, abs(eval_Hc(pos, comet, masses, t)))
-            g = np.abs(grad_Hc(pos, comet, masses, t)).max()
+            h_t = max(h_t, abs(eval_Hc(pos, c, masses)))
+            g = np.abs(grad_Hc(pos, c, masses)).max()
             if k >= 1:
-                g = max(g, np.abs(hess_Hc(pos, comet, masses, t)).max())
+                g = max(g, np.abs(hess_Hc(pos, c, masses)).max())
             g_t = max(g_t, g)
         sup_h = max(sup_h, h_t)
         sup_g = max(sup_g, g_t * t ** 2)
@@ -539,7 +540,7 @@ class HExtension:
         w = self._weight(xi, radius)[0]
         pos = self.chart._positions(
             self.chart._circles(_floats(theta), _floats(r)), (x * w, y * w))
-        return eval_Hc(pos, lambda _: (cx, cy), self.masses, t)
+        return eval_Hc(pos, (cx, cy), self.masses)
 
     def _gradient(self, theta, xi, r, t):
         """Exact gradient of value by the chain rule through grad_Hc,

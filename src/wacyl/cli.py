@@ -40,7 +40,7 @@ from .homological import HomologicalProblem, estimate_check, residual_he, \
 from .nashmoser import (PARAM_PRESETS, choose_schedule, iterate,
                         manufactured_power, manufactured_single, monitor,
                         params_from_order, preset_params, validate_params)
-from .norms import norm_algebra_check, weighted_norm
+from .norms import norm_algebra_check, random_modes, weighted_norm
 from .smoothing import verify_smoothing_bounds
 
 EXIT_PASS = 0
@@ -74,6 +74,8 @@ SEED = (lambda n: n >= 0, "a non-negative integer")
 # homological's bound on |F(kappa)|: its f = g = 0 problem has no
 # correction series for a quad_tol to stop
 HE_RESIDUAL_TOL = 1e-8
+# the surrogate run integrates at max(comet.tol, SURROGATE_TOL_FLOOR)
+SURROGATE_TOL_FLOOR = 1e-10
 SOLVE_PRESETS = {"manufactured": manufactured_single,
                  "manufactured-power": manufactured_power}
 # every configuration key: (default, type, (ok, domain)); a None
@@ -87,7 +89,6 @@ CONFIG = {
     # params_from_order's minimal order s >= 8 (loss exponent gamma = 1)
     "solve.s": (8.0, float, _finite(">=", 8)),
     "solve.target": (1e-6, float, TOL),
-    "solve.quad_tol": (1e-10, float, TOL),
     # the convergence monitor needs at least 2 steps
     "solve.max_steps": (12, int, AT_LEAST_2),
     # explicit scheme values override the scanned ones; the smoothing
@@ -108,7 +109,9 @@ CONFIG = {
     "comet.t_max": (100.0, float, (GT0[0], "finite and positive (the "
                                            "run ends at t1 = 1 + t_max)")),
     "comet.t_peri": (-1.0, float, FINITE),
-    "comet.tol": (1e-11, float, TOL),
+    "comet.tol": (1e-11, float, (TOL[0], (
+        f"finite and positive (a run with mc > 0 integrates at "
+        f"max(comet.tol, {SURROGATE_TOL_FLOOR:g}))"))),
     "comet.seed": (0, int, SEED),
     "comet.m0": (1.0, float, GT0),
     "comet.m1": (1e-3, float, GE0),
@@ -252,7 +255,7 @@ def cmd_solve(conf, outdir):
         n_times=conf["n_times"], t_max=conf["t_max"])
     p = params_from_order(conf["s"])
     if "Q" not in explicit:
-        p, scan = choose_schedule(H, p, quad_tol=conf["quad_tol"])
+        p, scan = choose_schedule(H, p)
         _write_csv(outdir, "schedule_scan.csv",
                    ["Q", "upsilon", "r1", "envelope"],
                    [[r["Q"], r["upsilon"], r["r1"], r["envelope"]]
@@ -260,7 +263,7 @@ def cmd_solve(conf, outdir):
     p = replace(p, **explicit)
     target = conf["target"]
     sol, state = iterate(H, p, max_steps=conf["max_steps"], target=target,
-                         quad_tol=conf["quad_tol"], min_steps=3)
+                         min_steps=3)
     mon = monitor(state, p, H.omega)
     rows = []
     for d, row in enumerate(mon["rows"], start=1):
@@ -358,7 +361,8 @@ def cmd_simulate_comet(conf, outdir):
     xi0 = np.array([conf["xi0x"], conf["xi0y"]])
     eta0 = system.leading_drift_momentum(theta0, xi0, 1.0)
     state0 = np.concatenate([theta0, xi0, np.zeros(2), eta0])
-    traj = system.integrate(state0, 1.0, 1.0 + t_max, tol=max(tol, 1e-10))
+    tol = max(tol, SURROGATE_TOL_FLOOR)
+    traj = system.integrate(state0, 1.0, 1.0 + t_max, tol=tol)
     _write_csv(outdir, "trajectory.csv",
                ["t"] + [f"s{i}" for i in range(10)],
                np.column_stack((traj["t"], traj["states"])).tolist())
@@ -391,17 +395,7 @@ def cmd_verify_norms(conf, outdir):
     checks = []
     rows = []
     for trial in range(conf["trials"]):
-        amps = rng.standard_normal(32) / np.arange(1, 33) ** 2
-        phases = rng.uniform(0, 1, 32)
-
-        def fn(q, t, amps=amps, phases=phases):
-            out = 0.0
-            for k in range(32):
-                out = out + amps[k] * np.sin(
-                    2 * np.pi * ((k + 1) * q + phases[k]))
-            return out / t
-
-        f = GridFn.from_callable(sg, tg, fn)
+        f = random_modes(rng, sg, tg, 2)
         g = GridFn.from_callable(sg, tg, lambda q, t: np.cos(
             2 * np.pi * q) / t)
         rep = norm_algebra_check(f, g, 2.0, 1.0, 1.0)

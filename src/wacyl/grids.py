@@ -16,7 +16,7 @@ so no real derivative (Trefethen, Spectral Methods in MATLAB, ch. 3).
 Off the grid, GridFnInterpolant evaluates a GridFn by the trigonometric
 interpolant of its torus spectrum (exact for band-limited data) and by
 degree-TIME_DEGREE Lagrange interpolation in log t on the stencil window
-of the time grid.
+of the time grid, its weights the order-0 fornberg_weights.
 """
 
 from __future__ import annotations
@@ -30,24 +30,11 @@ __all__ = ["TimeGrid", "SpatialGrid", "GridFn", "GridFnInterpolant",
            "fornberg_weights"]
 
 
-def _lagrange_weights(xs, x):
-    """Lagrange interpolation weights for nodes xs at the point x, by the
-    product formula (exact for polynomials up to degree len(xs)-1);
-    weight i multiplies its factors in ascending j."""
-    xs = np.asarray(xs, dtype=float)
-    n = len(xs)
-    w = np.ones(n)
-    for j in range(n):
-        others = np.arange(n) != j
-        w[others] *= (x - xs[j]) / (xs[others] - xs[j])
-    return w
-
-
 def fornberg_weights(x0, x, order):
-    """Finite-difference weights for d^order/dx^order at x0 on nodes x.
-
-    Fornberg's recursion; exact for polynomials up to degree len(x)-1.
-    """
+    """Weights of d^order/dx^order at x0 on nodes x by Fornberg's
+    recursion (Math. Comp. 51 (1988) 699): order 0 interpolates (the
+    Lagrange weights), order 1 differentiates; exact for polynomials up
+    to degree len(x)-1."""
     x = np.asarray(x, dtype=float)
     n = len(x)
     c = np.zeros((n, order + 1))
@@ -74,16 +61,18 @@ def fornberg_weights(x0, x, order):
 
 
 class _Derived:
-    """Immutable grid whose derived arrays are built once and kept."""
+    """Immutable object whose derived data are built once and kept."""
 
     def derived(self, key, build):
-        """The read-only array (or tuple of arrays) build() returns, built
-        once per key and kept on the grid, which never changes."""
+        """The value build() returns, built once per key and kept on the
+        object, which never changes.  An array, or each array of a tuple,
+        is marked read-only; any other value is kept as it is."""
         cache = self.__dict__.setdefault("_derived", {})
         if key not in cache:
             value = build()
             for arr in value if isinstance(value, tuple) else (value,):
-                arr.flags.writeable = False
+                if isinstance(arr, np.ndarray):
+                    arr.flags.writeable = False
             cache[key] = value
         return cache[key]
 
@@ -215,10 +204,6 @@ class SpatialGrid(_Derived):
         self.torus_points = torus_points
         self.torus_axes = tuple(np.arange(torus_points) / torus_points
                                 for _ in range(n))
-        # physical frequencies (cycles per period), shared by every torus axis
-        self.torus_freqs = np.fft.fftfreq(self.torus_points,
-                                          d=1.0 / self.torus_points)
-        self.torus_freqs.flags.writeable = False
 
     @property
     def shape(self):
@@ -232,10 +217,13 @@ class SpatialGrid(_Derived):
         return np.meshgrid(*self.torus_axes, indexing="ij")
 
     def torus_half_freqs(self):
-        """Frequencies of each torus axis on the half spectrum: fftfreq
-        on every axis but the last, rfftfreq on the last."""
-        last = np.fft.rfftfreq(self.torus_points, d=1.0 / self.torus_points)
-        return (self.torus_freqs,) * (self.n - 1) + (last,)
+        """Physical frequencies (cycles per period) of each torus axis on
+        the half spectrum: fftfreq on every axis but the last, rfftfreq
+        on the last; read-only and built once."""
+        N = self.torus_points
+        return self.derived("half_freqs", lambda: (
+            (np.fft.fftfreq(N, d=1.0 / N),) * (self.n - 1)
+            + (np.fft.rfftfreq(N, d=1.0 / N),)))
 
     def torus_mesh(self):
         """Frequency of every torus axis on the half-spectrum mode grid
@@ -291,13 +279,14 @@ class SpatialGrid(_Derived):
         return self.torus_irfft(coeffs * self.torus_multiplier(alpha))
 
 
-class GridFn:
+class GridFn(_Derived):
     """Sampled vector-valued function on SpatialGrid x TimeGrid.
 
     values has shape (T, *spatial_shape, components).  Torus axes are
     periodic by construction; all values must be finite.  spectrum, when
     the caller already holds it, is the torus spectrum the derivatives
-    are taken from (see spectrum()).
+    are taken from (see spectrum()).  Its spectrum, Jacobian, gradient
+    field and weighted norms are kept on it by derived.
     """
 
     def __init__(self, grid, times, values, spectrum=None):
@@ -312,12 +301,8 @@ class GridFn:
         self.times = times
         self.values = values
         self.values.flags.writeable = False
-        self._norm_cache = {}
-        self._spectrum = spectrum
         if spectrum is not None:
-            spectrum.flags.writeable = False
-        self._jacobian = None
-        self._gradient = None
+            self.derived("spectrum", lambda: spectrum)
 
     @property
     def components(self):
@@ -370,10 +355,8 @@ class GridFn:
         """The torus half spectrum grid.torus_rfft(values), built on first
         use and kept read-only; a smoothed GridFn carries its filtered
         spectrum instead (see smoothing.smooth)."""
-        if self._spectrum is None:
-            self._spectrum = self.grid.torus_rfft(self.values)
-            self._spectrum.flags.writeable = False
-        return self._spectrum
+        return self.derived("spectrum",
+                            lambda: self.grid.torus_rfft(self.values))
 
     def dq(self, axis):
         """Spectral derivative along one torus axis: one irfftn of the
@@ -393,20 +376,16 @@ class GridFn:
     def jacobian_q(self):
         """All first spatial derivatives with the gradient axis last:
         (T, *S, comp) -> (T, *S, comp, d); built once, read-only."""
-        if self._jacobian is None:
-            self._jacobian = np.stack(
-                [self.dq(a).values for a in range(self.grid.n)], axis=-1)
-            self._jacobian.flags.writeable = False
-        return self._jacobian
+        return self.derived("jacobian", lambda: np.stack(
+            [self.dq(a).values for a in range(self.grid.n)], axis=-1))
 
     def gradient_field(self):
         """jacobian_q() as a GridFn of comp * d components (the gradient
         axis folded into the components); built once, so its norm cache
         is shared by every caller."""
-        if self._gradient is None:
-            jac = self.jacobian_q()
-            self._gradient = self._like(jac.reshape(jac.shape[:-2] + (-1,)))
-        return self._gradient
+        jac = self.jacobian_q()
+        return self.derived("gradient", lambda: self._like(
+            jac.reshape(jac.shape[:-2] + (-1,))))
 
     # ---- evaluation ---------------------------------------------------
 
@@ -477,7 +456,7 @@ class GridFnInterpolant:
         logs = self.f.times.log_points
         win = self.f.times.window(int(np.searchsorted(logs, lt)),
                                   TIME_DEGREE + 1)
-        w = _lagrange_weights(logs[win], lt)
+        w = fornberg_weights(lt, logs[win], 0)
         return np.tensordot(w, self.coeff[win], axes=(0, 0))
 
     def __call__(self, q, t):

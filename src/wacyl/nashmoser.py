@@ -134,6 +134,11 @@ def _smoothed_spec(H, tau):
     return H.with_data(smooth(H.a, tau), smooth(H.br, tau))
 
 
+# relative size at which the transport solve's (f, g) correction series
+# stops: iterate's default and the tolerance of choose_schedule's trials
+SERIES_TOL = 1e-10
+
+
 def _z_norm(f):
     return weighted_norm(f, 0, 2)
 
@@ -156,7 +161,7 @@ def _checked(p):
     return rep
 
 
-def iterate(H, p, max_steps=12, target=1e-6, quad_tol=1e-10,
+def iterate(H, p, max_steps=12, target=1e-6, quad_tol=SERIES_TOL,
             min_steps=0, zeta=None):
     """Run the double-smoothing Newton scheme on the Hamiltonian data.
 
@@ -246,7 +251,7 @@ def iterate(H, p, max_steps=12, target=1e-6, quad_tol=1e-10,
 Q_GRID = np.geomspace(1.15, 3.0, 12)
 
 
-def choose_schedule(H, p, quad_tol=1e-10):
+def choose_schedule(H, p):
     """Pick (Q, upsilon) from one newton_step from psi = 0 per Q of
     Q_GRID: every trial runs and is recorded, and the first Q in grid
     order whose step lands under its scheduled envelope
@@ -270,7 +275,7 @@ def choose_schedule(H, p, quad_tol=1e-10):
         F0 = eval_F(Hs, psi)
         try:
             psi1, _ = newton_step(Hs, psi, F0, trial.t_j(1), p.zeta,
-                                  quad_tol)
+                                  SERIES_TOL)
             r1 = _z_norm(eval_F(Hs, psi1))
         except (NormBudgetError, DomainError):
             continue

@@ -10,10 +10,10 @@ derivative is taken once on the whole (T, ...) array, each periodic pair
 shift once per offset, and the maxima are reduced per time slice.  Every
 multi-index derivative comes straight from the GridFn's cached torus
 spectrum, one irfftn each, zero at the Nyquist frequency of every
-differentiated axis.  The profile is cached on the GridFn and shared by
-every weight t^l; weighted_norm returns the float max_i h_i t_i^l and
-caches it too.  GridFn values are finite and its time grid has at least
-two nodes, so neither is checked here.
+differentiated axis.  The profile is kept on the GridFn (GridFn.derived)
+and shared by every weight t^l; weighted_norm returns the float
+max_i h_i t_i^l and keeps it there too.  GridFn values are finite and
+its time grid has at least two nodes, so neither is checked here.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import numpy as np
 from .grids import GridFn
 
 __all__ = ["holder_norm", "weighted_norm", "product", "compose_torus",
-           "convexity_check", "norm_algebra_check"]
+           "convexity_check", "norm_algebra_check", "random_modes"]
 
 
 def _shifted_diff(arr, axis, offset):
@@ -92,26 +92,18 @@ def holder_norm(f, sigma, pair_radius=None):
 
 def weighted_norm(f, sigma, l, pair_radius=None):
     """|f|_{sigma,l} = max over the time grid of |f^t|_{C^sigma} t^l, a
-    float kept on f per (sigma, l, pair_radius)."""
+    float kept on f per (sigma, l, pair_radius), from the Hölder profile
+    kept on f per (sigma, pair_radius)."""
     if sigma < 0 or l < 0:
         raise ValueError("sigma and l must be nonnegative")
-    key = (round(float(sigma), 12), round(float(l), 12), pair_radius)
-    cached = f._norm_cache.get(key)
-    if cached is not None:
-        return cached
-    # share the spatial Hölder norms across l values
-    hkey = ("holder", round(float(sigma), 12), pair_radius)
-    hvals = f._norm_cache.get(hkey)
-    if hvals is None:
-        # an all-zero field (b = m = 0 in the power-law preset) has the
-        # zero profile; skip the spectral derivatives
-        hvals = (holder_norm(f, sigma, pair_radius) if f.values.any()
-                 else [0.0] * len(f.values))
-        f._norm_cache[hkey] = hvals
-    value = float(max(h * float(t) ** l
-                      for t, h in zip(f.times.points, hvals)))
-    f._norm_cache[key] = value
-    return value
+    skey, lkey = round(float(sigma), 12), round(float(l), 12)
+    # an all-zero field (b = m = 0 in the power-law preset) has the zero
+    # profile; skip the spectral derivatives
+    hvals = f.derived(("holder", skey, pair_radius), lambda: (
+        holder_norm(f, sigma, pair_radius) if f.values.any()
+        else [0.0] * len(f.values)))
+    return f.derived(("norm", skey, lkey, pair_radius), lambda: float(max(
+        h * float(t) ** l for t, h in zip(f.times.points, hvals))))
 
 
 def product(f, g):
@@ -201,3 +193,20 @@ def norm_algebra_check(f, g, sigma, l, m, u=None):
                + weighted_norm(f, 0, l + m))
         report["composition_ratio"] = num / den if den > 0 else 0.0
     return report
+
+
+def random_modes(rng, grid, times, power):
+    """The GridFn f(q, t) = sum_k a_k sin(2 pi (k q + phi_k)) / t over
+    k = 1..32 on a 1-torus grid, with a_k = N(0, 1) / k^power and phi_k
+    uniform in [0, 1), drawn from rng in that order."""
+    amps = rng.standard_normal(32) / np.arange(1, 33) ** power
+    phases = rng.uniform(0, 1, 32)
+
+    def fn(q, t):
+        acc = 0.0
+        for k in range(32):
+            acc = acc + amps[k] * np.sin(
+                2 * np.pi * ((k + 1) * q + phases[k]))
+        return acc / t
+
+    return GridFn.from_callable(grid, times, fn)

@@ -54,7 +54,8 @@ def smooth(f, tau):
         return f
     grid = f.grid
     spec = f.spectrum()
-    radius = np.sqrt(sum(k ** 2 for k in grid.torus_mesh()))
+    radius = grid.derived("radius", lambda: np.sqrt(
+        sum(k ** 2 for k in grid.torus_mesh())))
     mult = multiplier_profile(radius / tau)[None, ..., None]
     delta = grid.torus_irfft(_chop(spec) * (mult - 1.0))
     return GridFn(grid, f.times, f.values + delta, spectrum=spec * mult)

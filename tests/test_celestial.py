@@ -179,18 +179,18 @@ def test_K_translation_invariant():
 def test_Hc_zero_mass_and_single_body():
     pos = np.array([[0.1, 0.0], [0.0, 0.2], [-0.1, -0.05]])
     orbit = fast_orbit()
-    assert eval_Hc(pos, orbit, Masses(1.0, 1.0, 1.0, mc=0.0), 2.0) == 0.0
+    assert eval_Hc(pos, orbit.position(2.0),
+                   Masses(1.0, 1.0, 1.0, mc=0.0)) == 0.0
     lone = Masses(1.0, 0.0, 0.0, mc=2.0)
-    got = eval_Hc(np.zeros((3, 2)), lambda t: np.array([3.0, 0.0]),
-                  lone, 2.0)
+    got = eval_Hc(np.zeros((3, 2)), (3.0, 0.0), lone)
     assert got == pytest.approx(-2.0 / 3.0)
 
 
 def test_grad_and_hess_vs_finite_differences():
     pos = np.array([[0.1, 0.0], [0.0, 0.2], [-0.1, -0.05]])
     orbit = fast_orbit(v=25.0)
-    t = 5.0
-    g = grad_Hc(pos, orbit, MASSES, t)
+    c = orbit.position(5.0)
+    g = grad_Hc(pos, c, MASSES)
     h = 1e-6
     for i in range(3):
         for a in range(2):
@@ -198,18 +198,17 @@ def test_grad_and_hess_vs_finite_differences():
             pp[i, a] += h
             pm = pos.copy()
             pm[i, a] -= h
-            fd = (eval_Hc(pp, orbit, MASSES, t)
-                  - eval_Hc(pm, orbit, MASSES, t)) / (2 * h)
+            fd = (eval_Hc(pp, c, MASSES) - eval_Hc(pm, c, MASSES)) / (2 * h)
             assert abs(g[i, a] - fd) <= 1e-8 * max(1.0, abs(fd))
-    Hs = hess_Hc(pos, orbit, MASSES, t)
+    Hs = hess_Hc(pos, c, MASSES)
     for i in range(3):
         for a in range(2):
             pp = pos.copy()
             pp[i, a] += h
             pm = pos.copy()
             pm[i, a] -= h
-            fd = (grad_Hc(pp, orbit, MASSES, t)[i]
-                  - grad_Hc(pm, orbit, MASSES, t)[i]) / (2 * h)
+            fd = (grad_Hc(pp, c, MASSES)[i]
+                  - grad_Hc(pm, c, MASSES)[i]) / (2 * h)
             assert np.abs(Hs[i][:, a] - fd).max() <= 1e-5 * np.abs(
                 fd).max()
 
@@ -218,8 +217,9 @@ def test_Hc_linear_in_comet_mass():
     pos = np.array([[0.1, 0.0], [0.0, 0.2], [-0.1, -0.05]])
     orbit = fast_orbit()
     m2 = Masses(1.0, 1e-3, 1e-3, mc=2e-3)
-    assert eval_Hc(pos, orbit, m2, 4.0) == pytest.approx(
-        2.0 * eval_Hc(pos, orbit, MASSES, 4.0), rel=1e-14)
+    c = orbit.position(4.0)
+    assert eval_Hc(pos, c, m2) == pytest.approx(
+        2.0 * eval_Hc(pos, c, MASSES), rel=1e-14)
 
 
 # ---- decay diagnostics ---------------------------------------------
@@ -263,6 +263,26 @@ def test_decay_diagnostics_refuses_bad_region():
         decay_diagnostics(bad_sampler, orbit, MASSES, 0.1, 0, [1.0])
 
 
+@pytest.mark.parametrize("k", [0, 1])
+def test_decay_diagnostics_solves_kepler_once_per_time_node(monkeypatch, k):
+    # eval_Hc, grad_Hc and hess_Hc take the comet's position, read once
+    # per node; the sampler here solves none itself
+    orbit = fast_orbit(v=40.0)
+    solves = []
+    real = celestial.solve_hyperbolic_kepler
+
+    def counted(e, M_h):
+        solves.append(M_h)
+        return real(e, M_h)
+    monkeypatch.setattr(celestial, "solve_hyperbolic_kepler", counted)
+    pos = np.array([[0.1, 0.0], [0.0, 0.2], [-0.1, -0.05]])
+    t_grid = np.geomspace(1, 1000, 6)
+    rep = decay_diagnostics(lambda rng, t: pos, orbit, MASSES, 0.1, k,
+                            t_grid, n_samples=4)
+    assert len(solves) == len(t_grid)
+    assert len(rep["rows"]) == len(t_grid) and rep["sup_Hc"] > 0
+
+
 # ---- extension ------------------------------------------------------
 
 def test_extension_params_validation():
@@ -291,7 +311,7 @@ def test_extension_identity_inside(hex_field):
     xi = np.array([0.3 * rin, 0.1 * rin])
     th = np.array([0.2, 0.7, 0.0, 0.0])
     direct = eval_Hc(hex_field.chart.positions(th, xi, np.zeros(2)),
-                     hex_field.comet, MASSES, t)
+                     hex_field.comet.position(t), MASSES)
     assert hex_field.value(th, xi, np.zeros(2), t) == pytest.approx(
         direct, rel=1e-14)
 
@@ -443,8 +463,8 @@ def test_extension_gradient_at_the_origin(hex_field):
     t, chart = 5.0, hex_field.chart
     th, r = np.array([0.2, 0.7, 0.1, 0.4]), np.array([0.03, -0.05])
     got = hex_gradient(hex_field, th, np.zeros(2), r, t)
-    dx = grad_Hc(chart.positions(th, np.zeros(2), r), hex_field.comet,
-                 MASSES, t)
+    dx = grad_Hc(chart.positions(th, np.zeros(2), r),
+                 hex_field.comet.position(t), MASSES)
     (a1, a2), d_xi, d_r = chart._pullback(
         chart._circles(th.tolist(), r.tolist()), dx.ravel().tolist())
     want = np.array([a1, a2, a1, a2]), np.array(d_xi), np.array(d_r)
@@ -515,7 +535,7 @@ def test_comet_coupling_energy_drift_bounded():
                       np.zeros(2), np.zeros(2))
     traj = integrate_system(st0, orbit, MASSES, 1.0, 21.0, tol=1e-11)
     speeds = np.abs(traj["y"] / MASSES.as_array()[None, :, None]).max()
-    grad_sup = max(np.abs(grad_Hc(x, orbit, MASSES, t)).max()
+    grad_sup = max(np.abs(grad_Hc(x, orbit.position(t), MASSES)).max()
                    for t, x in zip(traj["t"], traj["x"]))
     # |dH0/dt| <= |grad Hc| |xdot| along the run, integrated over 20 units
     assert traj["H0_drift"] <= 6 * 20.0 * grad_sup * speeds

@@ -1,10 +1,15 @@
 import ast
+import importlib
+import inspect
 import json
 import math
 import os
+import pkgutil
+import re
 import subprocess
 import sys
 import tempfile
+import textwrap
 import warnings
 from pathlib import Path
 
@@ -13,9 +18,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import wacyl
+from wacyl.celestial import SurrogateSystem
 from wacyl.cli import CONFIG, EXIT_CHECK_FAILURE, EXIT_CONFIG_ERROR, \
-    EXIT_NUMERICAL_FAILURE, EXIT_PASS, HE_RESIDUAL_TOL, _parser, \
-    _write_csv, _write_manifest, load_config, main, read_section
+    EXIT_NUMERICAL_FAILURE, EXIT_PASS, HE_RESIDUAL_TOL, \
+    SURROGATE_TOL_FLOOR, _parser, _write_csv, _write_manifest, \
+    load_config, main, read_section
 
 from oracles import csv_writer_csv
 
@@ -116,6 +124,41 @@ def test_simulate_comet_surrogate(tmp_path):
     assert type(man["nfev"]) is int and man["nfev"] > 0
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert all(type(c["pass"]) is bool for c in summary["checks"])
+
+
+@pytest.mark.parametrize("mc, tol, want", [
+    ("1e-3", None, SURROGATE_TOL_FLOOR),
+    ("1e-3", "1e-12", SURROGATE_TOL_FLOOR),
+    ("1e-3", "1e-9", 1e-9),
+    ("0", None, CONFIG["comet.tol"][0]),
+    ("0", "1e-12", 1e-12),
+], ids=["surrogate-default", "surrogate-below-floor", "surrogate-above-floor",
+        "conservative-default", "conservative-1e-12"])
+def test_comet_manifest_records_the_tolerance_integrated_at(
+        tmp_path, monkeypatch, mc, tol, want):
+    # the surrogate run integrates at max(comet.tol, SURROGATE_TOL_FLOOR)
+    # and the conservative one at comet.tol; the manifest says which
+    seen = []
+    if mc == "0":
+        real = wacyl.cli.integrate_system
+
+        def spy(*args, tol, **kw):
+            seen.append(tol)
+            return real(*args, tol=tol, **kw)
+        monkeypatch.setattr(wacyl.cli, "integrate_system", spy)
+    else:
+        real = SurrogateSystem.integrate
+
+        def spy(self, *args, tol, **kw):
+            seen.append(tol)
+            return real(self, *args, tol=tol, **kw)
+        monkeypatch.setattr(SurrogateSystem, "integrate", spy)
+    sets = ["--set", "comet.t_max=2"] + (["--set", f"comet.tol={tol}"]
+                                         if tol else [])
+    assert run_cli(["--out", str(tmp_path)] + sets
+                   + ["simulate-comet", "--mc", mc]) == EXIT_PASS
+    man = json.loads((tmp_path / "manifest.json").read_text())
+    assert seen == [want] and man["tol"] == want
 
 
 def read_run(outdir):
@@ -240,8 +283,9 @@ SMALL_SOLVE = ["--set", "solve.torus_points=32", "--set", "solve.n_times=16"]
      "unknown key 'he.quad_tol' (--set)"),
     (["--set", "he.quad_tol=1e-9", "homological"],
      "unknown key 'he.quad_tol' (--set)"),
+    # no CLI solve has a coupled (f, g) series for a quad_tol to stop
     (SMALL_SOLVE + ["--set", "solve.quad_tol=nan", "solve"],
-     "solve.quad_tol = nan must be finite and positive"),
+     "unknown key 'solve.quad_tol' (--set)"),
     (SMALL_SOLVE + ["--set", "solve.target=nan", "solve"],
      "solve.target = nan must be finite and positive"),
     (SMALL_SOLVE + ["--set", "solve.max_steps=0", "solve"],
@@ -496,6 +540,47 @@ def test_readme_config_table_matches_config():
         text, doc_domain = table[key]
         assert (None if text == "unset" else cast(text)) == default, key
         assert doc_domain == domain, key
+
+
+def _assigned_on_self(cls):
+    """Names the methods of cls assign as self.<name>."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(cls)))
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Store)
+            and getattr(node.value, "id", None) == "self"}
+
+
+def test_readme_primitive_table_owners_exist():
+    # every backticked dotted name in the owner column of the README's
+    # primitive table, call parentheses stripped, is a module attribute,
+    # a class attribute or an attribute a method of the class assigns on
+    # self: a deleted or renamed owner cannot stay in the table
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    text = readme.read_text().split("| primitive | owner | used by |\n")[1]
+    owners = [re.split(r"(?<!\\)\|", line)[2]
+              for line in text.split("\n\n")[0].splitlines()[1:]]
+    names = [re.sub(r"\(.*\)$", "", name)
+             for cell in owners for name in re.findall(r"`([^`]+)`", cell)]
+    names = [name for name in names if "." in name]
+    modules = {info.name: importlib.import_module(f"wacyl.{info.name}")
+               for info in pkgutil.iter_modules(wacyl.__path__)}
+    classes = {name: obj for mod in modules.values()
+               for name, obj in vars(mod).items()
+               if inspect.isclass(obj) and obj.__module__ == mod.__name__}
+    assert len(names) > 20
+    missing = []
+    for name in names:
+        head, attr = name.split(".", 1)
+        if head in modules:
+            found = hasattr(modules[head], attr)
+        else:
+            cls = classes.get(head)
+            found = cls is not None and (
+                hasattr(cls, attr) or attr in _assigned_on_self(cls))
+        if not found:
+            missing.append(name)
+    assert missing == []
 
 
 # ---- output writers --------------------------------------------------

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from wacyl import norms
 from wacyl.grids import DT_ORDER, TIME_DEGREE, GridFn, SpatialGrid, \
     TimeGrid, fornberg_weights
 
@@ -147,20 +148,61 @@ def test_dq_matches_complex_fft_derivative(n, torus_points):
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
-def test_spectrum_and_jacobian_are_cached_read_only():
+def test_spectrum_and_jacobian_are_cached_read_only(monkeypatch):
+    # spectrum, Jacobian, gradient field and weighted norms each live in
+    # the GridFn's one derived cache and are built on first use only
     tg = TimeGrid(4.0, n_points=3)
     sg = SpatialGrid(2, 8)
     f = GridFn.from_callable(sg, tg, lambda q1, q2, t: np.sin(
         2 * np.pi * (q1 + 2 * q2)) / t)
-    jac = f.jacobian_q()
-    assert f.jacobian_q() is jac and not jac.flags.writeable
-    assert f.spectrum() is f.spectrum()
-    assert not f.spectrum().flags.writeable
+    calls = {"rfft": 0, "dq": 0, "holder": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kw):
+            calls[name] += 1
+            return fn(*args, **kw)
+        return wrapper
+    monkeypatch.setattr(sg, "torus_rfft", counted("rfft", sg.torus_rfft))
+    monkeypatch.setattr(GridFn, "dq", counted("dq", GridFn.dq))
+    monkeypatch.setattr(norms, "holder_norm",
+                        counted("holder", norms.holder_norm))
+
+    def build():
+        return (f.spectrum(), f.jacobian_q(), f.gradient_field(),
+                norms.weighted_norm(f, 1.5, 1.0),
+                norms.weighted_norm(f, 1.5, 2.0))
+    first = build()
+    assert all(a is b for a, b in zip(first, build()))
+    assert calls == {"rfft": 1, "dq": 2, "holder": 1}
+    spec, jac, grad = first[:3]
+    unbuildable = None
+    for key, value in (("spectrum", spec), ("jacobian", jac),
+                       ("gradient", grad)):
+        assert f.derived(key, unbuildable) is value
+    assert not spec.flags.writeable and not jac.flags.writeable
     with pytest.raises(ValueError):
         jac[0, 0, 0, 0, 0] = 1.0
-    grad = f.gradient_field()
-    assert f.gradient_field() is grad and grad.components == 2
+    assert grad.components == 2
     assert np.array_equal(grad.values, jac.reshape(jac.shape[:-2] + (-1,)))
+
+    # a spectrum passed in is kept as given, read-only, and not rebuilt
+    given = np.array(spec)
+    g = GridFn(sg, tg, f.values, spectrum=given)
+    assert g.spectrum() is given
+    assert g.derived("spectrum", unbuildable) is given
+    assert not given.flags.writeable and calls["rfft"] == 1
+
+
+def test_torus_half_freqs_are_built_once_read_only():
+    # the interpolant reads them on every evaluation
+    sg = SpatialGrid(3, 8)
+    freqs = sg.torus_half_freqs()
+    assert sg.torus_half_freqs() is freqs
+    assert [len(k) for k in freqs] == [8, 8, 5]
+    assert np.array_equal(freqs[0], np.fft.fftfreq(8, d=1.0 / 8))
+    assert np.array_equal(freqs[-1], np.fft.rfftfreq(8, d=1.0 / 8))
+    for k in freqs:
+        assert not k.flags.writeable
 
 
 def _c2c_fft_calls(tree):

@@ -1,20 +1,20 @@
-"""Property tests of the shared numerical primitives: Lagrange weights,
-the .wgf round trip, the smoothing symbol, the three-body pair gravity,
-the Hölder profile over the time grid and the time-grid matrix cache."""
+"""Property tests of the shared numerical primitives: Lagrange weights
+(Fornberg's recursion at order 0), the .wgf round trip, the smoothing
+symbol, the three-body pair gravity, the Hölder profile over the time
+grid and the time-grid matrix cache."""
 
 import itertools
 import os
 import tempfile
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from wacyl.celestial import CartesianState, Masses, _cartesian_rhs, \
-    _pair_gravity, eval_H0_cartesian, grad_Hc
-from wacyl.grids import GridFn, SpatialGrid, TimeGrid, _lagrange_weights
+from wacyl.celestial import CartesianState, CometOrbit, Masses, \
+    _cartesian_rhs, _pair_gravity, eval_H0_cartesian, grad_Hc
+from wacyl.grids import GridFn, SpatialGrid, TimeGrid, fornberg_weights
 from wacyl.norms import holder_norm, weighted_norm
 from wacyl.smoothing import multiplier_profile, smooth
 
@@ -25,7 +25,7 @@ PROPERTY = settings(derandomize=True, database=None, deadline=None,
 finite = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
 
 
-# ---- Lagrange weights ----------------------------------------------
+# ---- Lagrange weights: Fornberg's recursion at order 0 -------------
 
 @st.composite
 def nodes_and_point(draw):
@@ -39,7 +39,7 @@ def nodes_and_point(draw):
 @given(nodes_and_point())
 def test_lagrange_weights_partition_of_unity(case):
     xs, x = case
-    w = _lagrange_weights(xs, x)
+    w = fornberg_weights(x, xs, 0)
     assert abs(w.sum() - 1.0) <= 1e-12 * np.abs(w).sum()
 
 
@@ -47,7 +47,7 @@ def test_lagrange_weights_partition_of_unity(case):
 @given(nodes_and_point(), st.lists(finite, min_size=9, max_size=9))
 def test_lagrange_weights_reproduce_polynomials(case, coeffs):
     xs, x = case
-    w = _lagrange_weights(xs, x)
+    w = fornberg_weights(x, xs, 0)
     for degree in range(len(xs)):
         c = coeffs[:degree + 1]
         # centred variable keeps the monomials O(1)
@@ -59,7 +59,7 @@ def test_lagrange_weights_reproduce_polynomials(case, coeffs):
 
 def test_lagrange_weights_at_a_node():
     xs = np.array([0.0, 0.4, 0.9, 1.3])
-    assert np.array_equal(_lagrange_weights(xs, 0.9), [0.0, 0.0, 1.0, 0.0])
+    assert np.array_equal(fornberg_weights(0.9, xs, 0), [0.0, 0.0, 1.0, 0.0])
 
 
 # ---- .wgf round trip -----------------------------------------------
@@ -186,10 +186,12 @@ def _close(got, want, rel=1e-14):
 @given(st.lists(finite, min_size=8, max_size=8),
        st.lists(finite, min_size=6, max_size=6),
        st.tuples(st.floats(1e-3, 1.0), st.floats(1e-3, 1.0),
-                 st.floats(1e-3, 1.0), st.floats(1e-3, 1.0)))
-def test_pair_gravity_matches_numpy_oracle(coords, momenta, ms):
-    # point 3 is the comet; the float kernel may differ from
-    # np.linalg.norm in the last bit of each distance, nothing more
+                 st.floats(1e-3, 1.0), st.floats(1e-3, 1.0)),
+       st.floats(-1.0, 1.0))
+def test_pair_gravity_matches_numpy_oracle(coords, momenta, ms, lag):
+    # point 3 is the comet, anywhere in the box; the float kernel may
+    # differ from np.linalg.norm in the last bit of each distance,
+    # nothing more
     x = np.array(coords).reshape(4, 2)
     body_pairs = ((0, 1), (0, 2), (1, 2))
     comet_pairs = ((0, 3), (1, 3), (2, 3))
@@ -197,6 +199,7 @@ def test_pair_gravity_matches_numpy_oracle(coords, momenta, ms):
                for i, j in body_pairs + comet_pairs) >= 0.1)
     masses = Masses(*ms)
     m = masses.as_array()
+    mm = np.append(m, masses.mc)
 
     force, potential, dmin = _pair_gravity(x[:3].ravel().tolist(), m)
     f_ref, v_ref, d_ref = _numpy_pair_gravity(x[:3], m, body_pairs)
@@ -204,15 +207,20 @@ def test_pair_gravity_matches_numpy_oracle(coords, momenta, ms):
     assert abs(potential - v_ref) <= 1e-14 * abs(v_ref)
     assert abs(dmin - d_ref) <= 1e-15 * d_ref
 
-    g_ref = -_numpy_pair_gravity(x, np.append(m, masses.mc),
-                                 comet_pairs)[0][:3]
-    comet = SimpleNamespace(position=lambda t: x[3])
-    assert _close(grad_Hc(x[:3], comet, masses, 2.0), g_ref)
+    g_ref = -_numpy_pair_gravity(x, mm, comet_pairs)[0][:3]
+    assert _close(grad_Hc(x[:3], x[3], masses), g_ref)
+
+    # at t = 2 the comet is lag after (lag > 0, y > 0) or before (y < 0)
+    # its pericentre (0.5, 0)
+    orbit = CometOrbit(1.5, 1.0, 1.0, t_peri=2.0 - lag)
+    xc = np.concatenate([x[:3], orbit.position(2.0)[None]])
+    assume(min(np.linalg.norm(xc[i] - xc[3]) for i in range(3)) >= 0.1)
+    gc_ref = -_numpy_pair_gravity(xc, mm, comet_pairs)[0][:3]
 
     y = np.array(momenta).reshape(3, 2)
     state = np.concatenate([x[:3].ravel(), y.ravel()])
-    for orbit, f_want in ((None, f_ref), (comet, f_ref - g_ref)):
-        dstate = _cartesian_rhs(masses, orbit)(2.0, state)
+    for comet, f_want in ((None, f_ref), (orbit, f_ref - gc_ref)):
+        dstate = _cartesian_rhs(masses, comet)(2.0, state)
         assert np.array_equal(dstate[:6], (y / m[:, None]).ravel())
         assert _close(dstate[6:], f_want.ravel())
 
