@@ -33,17 +33,18 @@ __all__ = ["HamiltonianSpec", "DomainError", "eval_F", "linearize",
 
 # the constant C of the solvability budget DELTA + C UPSILON zeta
 C_GEOM = 2.0
-# the budgets of the normal form: |b0|_{2,1} < DELTA and
-# |d^2_p H|_{s+1,0} = |2 M0|_{s+1,0} <= UPSILON
+# the budgets of the solvability gate DELTA + C UPSILON zeta.  DELTA
+# is the paper's bound |b0|_{2,1} < DELTA on a fixed part b0 of b; every
+# problem built here has b0 = 0, so DELTA enters the gate only.  UPSILON
+# bounds the kinetic form: |d^2_p H|_{s+1,0} = |2 M0|_{s+1,0} <= UPSILON
 DELTA = 0.01
 UPSILON = 1.0
+# the order s of that kinetic budget
+SPEC_S = 8.0
 # the sigmas of the tame ratios in hypotheses_report
 TAME_SIGMAS = (1.0, 2.0, 4.0)
-# the momentum ball every candidate section stays in, and the orders
-# lambda and s of the data norms the manifest records
+# the momentum ball every candidate section stays in
 BALL_RADIUS = 0.5
-SPEC_LAMBDA = 3.75
-SPEC_S = 8.0
 
 
 class DomainError(NumericalError):
@@ -51,21 +52,19 @@ class DomainError(NumericalError):
 
 
 class HamiltonianSpec:
-    """Normal-form data omega.p + a + (b0 + br).p + M0.p^2, with M0 the
+    """Normal-form data omega.p + a + b.p + M0.p^2, with M0 the
     p-independent kinetic form, a GridFn of d*d components."""
 
-    def __init__(self, omega, a, b0, br, M0):
+    def __init__(self, omega, a, b, M0):
         self.omega = np.atleast_1d(np.asarray(omega, dtype=float))
         self.a = a
-        self.b0 = b0
-        self.br = br
+        self.b = b
         self.M0 = M0
         self.grid = a.grid
         self.times = a.times
         self.d = a.grid.n
         if len(self.omega) != a.grid.n:
             raise ValueError("omega length must equal torus dimension")
-        self.b = b0 + br
 
     @cached_property
     def mbar(self):
@@ -90,22 +89,20 @@ class HamiltonianSpec:
         identically zero."""
         return self.b.jacobian_q() if self.b.values.any() else None
 
-    def with_data(self, a, br):
-        """The same normal form with the data (a, br) replaced."""
-        return HamiltonianSpec(self.omega, a, self.b0, br, self.M0)
+    def with_data(self, a, b):
+        """The same normal form with the data (a, b) replaced."""
+        return HamiltonianSpec(self.omega, a, b, self.M0)
 
     def manifest(self):
         return {
             "n": self.grid.n,
             "omega": self.omega.tolist(),
             "delta": DELTA, "upsilon": UPSILON,
-            "lambda": SPEC_LAMBDA, "s": SPEC_S,
             "grid": list(self.grid.shape),
             "time_points": len(self.times),
             "t_max": float(self.times.points[-1]),
             "norm_a": a_norm(self.a, 1.0),
-            "norm_b0": weighted_norm(self.b0, 1, 1),
-            "norm_br": weighted_norm(self.br, 1, 1),
+            "norm_b": weighted_norm(self.b, 1, 1),
             "norm_m": float(np.abs(self.M0.values).max()),
         }
 
@@ -149,31 +146,30 @@ def _check_ball(H, v):
 # product of component slices (homological._contract); the comments
 # give them in index notation, summed over repeated indices.
 
-def _gamma(H, vv):
-    """Gamma = b + mbar v as (..., d) values."""
+def gamma_from_v(H, v):
+    """The transport field Gamma = b + mbar v of the section v."""
     # (mbar v)_i = mbar_ij v_j
-    return H.b.values + _contract((H.mbar[..., j], vv[..., j, None])
-                                  for j in range(H.d))
+    return GridFn(H.grid, H.times, H.b.values + _contract(
+        (H.mbar[..., j], v.values[..., j, None]) for j in range(H.d)))
 
 
 def _coefficients(H, v):
-    """What eval_F and linearize share at v: Gamma = b + mbar v and
-    d_q v.  Their v-independent coefficients H.db and H.dq_m0 are None
-    when they vanish; a term whose coefficient is None adds +0.0 to a
-    sum that is never -0.0, so skipping it changes no byte."""
+    """What eval_F and linearize share at v: the ball check, and
+    Gamma = b + mbar v, their transport coefficient f.  Their
+    v-independent coefficients H.db and H.dq_m0 are None when they
+    vanish; a term whose coefficient is None adds +0.0 to a sum that is
+    never -0.0, so skipping it changes no byte."""
     _check_ball(H, v)
-    return _gamma(H, v.values), v.jacobian_q()
+    return gamma_from_v(H, v)
 
 
 def eval_F(H, v):
     """Residual field of the candidate v; the solver's objective is its
     |.|_{0,2} norm."""
-    gamma, jac_v = _coefficients(H, v)
     vv = v.values
     dims = range(H.d)
-    # (grad v) Omega_bar + (d_q v)_ia Gamma_a + d_q a
-    out = transport_operator(v, H.omega).values \
-        + _contract((jac_v[..., a], gamma[..., a, None]) for a in dims) \
+    # (grad v) Omega_bar + (d_q v) Gamma + d_q a
+    out = transport_operator(v, H.omega, _coefficients(H, v)).values \
         + H.a.jacobian_q()[..., 0, :]
     if H.db is not None:
         # (d_q b)_ja v_j
@@ -187,11 +183,11 @@ def eval_F(H, v):
 
 def linearize(H, v):
     """Transport coefficient f and zeroth-order coefficient g of D_v F."""
-    gamma, jac_v = _coefficients(H, v)
+    f = _coefficients(H, v)
+    jac_v = v.jacobian_q()
     d = H.d
     vv = v.values
     dims = range(d)
-    f = GridFn(H.grid, H.times, gamma)
     # (d_q v)_ia mbar_ak
     g = _contract((jac_v[..., :, a, None], H.mbar[..., None, a, :])
                   for a in dims)
@@ -234,14 +230,10 @@ def right_inverse(H, v, z, zeta=0.05, quad_tol=1e-9):
     return solve_he(prob, quad_tol=quad_tol)
 
 
-def gamma_from_v(H, v):
-    """The transport field Gamma = b + mbar v of the section v."""
-    return GridFn(H.grid, H.times, _gamma(H, v.values))
-
-
 def hypotheses_report(H, zeta, n_samples=6, seed=0):
     """Empirical constants for the four solvability hypotheses on the
-    zeta-ball around (x0, 0) = ((0, b0), 0), against the frozen values.
+    zeta-ball around (x0, 0) = ((0, 0), 0), against the frozen values
+    (x0 = (0, b0) in the paper, and b0 = 0 in every problem built here).
 
     Samples are normalized in the sigma = 1 scale norms (the H.3 ball),
     so the measured mu stays inside the delta + C Upsilon zeta budget.
@@ -268,10 +260,10 @@ def hypotheses_report(H, zeta, n_samples=6, seed=0):
 
     def x_sample():
         da = band_limited(1, 2.0)
-        dbr = band_limited(d, 1.0)
-        n = max(x_norm(da, dbr, 1.0), 1e-300)
+        db = band_limited(d, 1.0)
+        n = max(x_norm(da, db, 1.0), 1e-300)
         return GridFn(grid, times, da.values * ball / n), \
-            GridFn(grid, times, dbr.values * ball / n)
+            GridFn(grid, times, db.values * ball / n)
 
     def v_sample(scale=None):
         vv = band_limited(d, 1.0)
@@ -281,9 +273,9 @@ def hypotheses_report(H, zeta, n_samples=6, seed=0):
     h1_first, h1_second, h2, h3_mu = [], [], [], []
     tame = {s: [] for s in TAME_SIGMAS}
     for _ in range(n_samples):
-        da, dbr = x_sample()
+        da, db = x_sample()
         vv = v_sample()
-        Hs = H.with_data(da, dbr)
+        Hs = H.with_data(da, db)
         # H.1: first and second differentials, unit directions
         vhat = v_sample(scale=1.0)
         nv = max(v_norm(vhat, H.omega, 0.0), 1e-300)
@@ -298,10 +290,10 @@ def hypotheses_report(H, zeta, n_samples=6, seed=0):
                         (Fp.values + Fm.values - 2 * F0.values) / h ** 2)
         h1_second.append(weighted_norm(second, 0, 2))
         # H.2: Lipschitz ratio in x
-        da2, dbr2 = x_sample()
+        da2, db2 = x_sample()
         diff = weighted_norm(
-            eval_F(Hs, vv) - eval_F(H.with_data(da2, dbr2), vv), 0, 2)
-        dx = x_norm(da - da2, dbr - dbr2, 0)
+            eval_F(Hs, vv) - eval_F(H.with_data(da2, db2), vv), 0, 2)
+        dx = x_norm(da - da2, db - db2, 0)
         if dx > 0:
             h2.append(diff / dx)
         # H.3 budget
@@ -310,7 +302,7 @@ def hypotheses_report(H, zeta, n_samples=6, seed=0):
                          weighted_norm(g, 1, 1)))
         # H.4 tame ratios
         for s in TAME_SIGMAS:
-            K = max(x_norm(da, dbr, s), v_norm(vv, H.omega, s))
+            K = max(x_norm(da, db, s), v_norm(vv, H.omega, s))
             if K > 0:
                 tame[s].append(
                     weighted_norm(eval_F(Hs, vv), s, 2) / K)

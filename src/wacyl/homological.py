@@ -61,8 +61,7 @@ class HomologicalProblem:
         self.sigma = float(sigma)
         self.grid = z.grid
         self.times = z.times
-        self.dim = z.grid.n
-        if z.components != self.dim:
+        if z.components != z.grid.n:
             raise ValueError("z must have n components")
         self.mu = float(max((weighted_norm(h, 1, 1)
                              for h in (self.f, self.g) if h is not None),
@@ -75,7 +74,7 @@ class HomologicalProblem:
 
     def manifest(self):
         return {"mu": self.mu, "sigma": self.sigma,
-                "dim": self.dim, "n": self.grid.n,
+                "n": self.grid.n,
                 "omega": self.omega.tolist()}
 
 

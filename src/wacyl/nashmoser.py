@@ -57,8 +57,6 @@ class IterationState:
     residual_norms: list = field(default_factory=list)   # paired F(phi_d, psi_d)
     true_residuals: list = field(default_factory=list)   # F(x, psi_d)
     corrections: list = field(default_factory=list)      # S_t kappa per step
-    tau_values: list = field(default_factory=list)
-    t_values: list = field(default_factory=list)
     status: str = "running"
 
 
@@ -130,8 +128,8 @@ def preset_params(name, **kw):
 # --------------------------------------------------------------------
 
 def _smoothed_spec(H, tau):
-    """phi_j(x) - x0 = S_tau (x - x0): smooth (a, br) about (0, b0)."""
-    return H.with_data(smooth(H.a, tau), smooth(H.br, tau))
+    """phi_j(x) - x0 = S_tau (x - x0) with x0 = (0, 0): smooth (a, b)."""
+    return H.with_data(smooth(H.a, tau), smooth(H.b, tau))
 
 
 # relative size at which the transport solve's (f, g) correction series
@@ -180,7 +178,7 @@ def iterate(H, p, max_steps=12, target=1e-6, quad_tol=SERIES_TOL,
     rep = _checked(p)
     zeta = p.zeta if zeta is None else zeta
     state = IterationState()
-    xgap = x_norm(H.a, H.br, p.lam)
+    xgap = x_norm(H.a, H.b, p.lam)
     if xgap > p.upsilon * p.epsilon0:
         raise NormBudgetError("|x - x0|_lambda", xgap,
                               p.upsilon * p.epsilon0)
@@ -196,14 +194,10 @@ def iterate(H, p, max_steps=12, target=1e-6, quad_tol=SERIES_TOL,
     best_psi = psi                      # the iterate of least r_true
     increases = 0
     for j in range(max_steps):
-        tau = p.tau_j(j + 1)
-        tj = p.t_j(j + 1)
-        state.tau_values.append(tau)
-        state.t_values.append(tj)
         if j:
-            Hs = _smoothed_spec(H, tau)
+            Hs = _smoothed_spec(H, p.tau_j(j + 1))
             Fj = eval_F(Hs, psi)
-        psi, dpsi = newton_step(Hs, psi, Fj, tj, zeta, quad_tol)
+        psi, dpsi = newton_step(Hs, psi, Fj, p.t_j(j + 1), zeta, quad_tol)
         state.j = j + 1
         r_paired = _z_norm(eval_F(Hs, psi))
         r_true = _z_norm(eval_F(H, psi))
@@ -264,7 +258,7 @@ def choose_schedule(H, p):
     measured |x - x0|_lambda; both land in the run manifest.
     """
     _checked(p)
-    xlam = x_norm(H.a, H.br, p.lam)
+    xlam = x_norm(H.a, H.b, p.lam)
     psi = GridFn.zeros(H.grid, H.times, H.d)
     best = None
     records = []
@@ -385,46 +379,15 @@ MANUFACTURED_OMEGA = 1.0
 MANUFACTURED_LAM = 3.75
 
 
-def manufactured_single(eps=1e-3, torus_points=128, n_times=64,
-                        t_max=20.0):
-    """Single-mode manufactured pair: the data
-
-        a(q,t) = omega eps sin(2 pi q)/t^2 + 2 eps cos(2 pi q)/(2 pi t^3)
-
-    with omega = MANUFACTURED_OMEGA transports the exact section
-    v*(q,t) = -eps sin(2 pi q)/t^2 (d_q a + (grad v*) Omega_bar = 0)."""
+def _manufactured(eps, ks, cs, torus_points, n_times, t_max):
+    """The manufactured pair of the modes ks with amplitudes cs: with
+    S = sum c_k sin(2 pi k q) and C = sum c_k cos(2 pi k q)/(2 pi k), the
+    data a = omega eps S/t^2 + 2 eps C/t^3, omega = MANUFACTURED_OMEGA,
+    transports the exact section v* = -eps S/t^2
+    (d_q a + (grad v*) Omega_bar = 0)."""
     tg = TimeGrid(t_max, n_points=n_times)
     sg = SpatialGrid(1, torus_points)
     omega = MANUFACTURED_OMEGA
-
-    def a_fn(q, t):
-        return omega * eps * np.sin(2 * np.pi * q) / t ** 2 \
-            + 2 * eps * np.cos(2 * np.pi * q) / (2 * np.pi * t ** 3)
-
-    zero = GridFn.zeros(sg, tg, 1)
-    H = HamiltonianSpec(omega=[omega],
-                        a=GridFn.from_callable(sg, tg, a_fn),
-                        b0=zero, br=zero, M0=zero)
-    vstar = GridFn.from_callable(
-        sg, tg, lambda q, t: -eps * np.sin(2 * np.pi * q) / t ** 2)
-    return H, vstar
-
-
-def manufactured_power(eps=1e-3, torus_points=128, n_times=64,
-                       t_max=20.0):
-    """Multi-mode manufactured pair with a power-law spectrum, the
-    regularity class where the scheme's residual envelope is sharp.
-
-    The exponent lam + 2 (lam = MANUFACTURED_LAM) of its 32 modes makes
-    the data residual sit in the borderline class for the scheduled
-    envelope: the residual spectrum gains one power of k from d_q and
-    its C^0 tail sums lose one, so the measured contraction saturates
-    Q^(-lambda beta^d).  The frequency is MANUFACTURED_OMEGA."""
-    tg = TimeGrid(t_max, n_points=n_times)
-    sg = SpatialGrid(1, torus_points)
-    omega = MANUFACTURED_OMEGA
-    ks = np.arange(1, 33)
-    cs = ks ** (-(MANUFACTURED_LAM + 2.0))
     # the two q-profiles, summed once and scaled per time slice
     qs, = sg.meshgrid()
     sin_sum, cos_sum = 0.0, 0.0
@@ -439,11 +402,32 @@ def manufactured_power(eps=1e-3, torus_points=128, n_times=64,
         return omega * eps * sin_sum / t ** 2 + 2 * eps * cos_sum / t ** 3
 
     zero = GridFn.zeros(sg, tg, 1)
-    H = HamiltonianSpec(omega=[omega],
-                        a=GridFn.from_callable(sg, tg, a_fn),
-                        b0=zero, br=zero, M0=zero)
-    vstar = GridFn.from_callable(sg, tg, vstar_fn)
-    return H, vstar
+    H = HamiltonianSpec(omega=[omega], a=GridFn.from_callable(sg, tg, a_fn),
+                        b=zero, M0=zero)
+    return H, GridFn.from_callable(sg, tg, vstar_fn)
+
+
+def manufactured_single(eps=1e-3, torus_points=128, n_times=64,
+                        t_max=20.0):
+    """Single-mode manufactured pair, the mode k = 1 of amplitude 1:
+    a = omega eps sin(2 pi q)/t^2 + 2 eps cos(2 pi q)/(2 pi t^3) and
+    v* = -eps sin(2 pi q)/t^2."""
+    return _manufactured(eps, (1,), (1.0,), torus_points, n_times, t_max)
+
+
+def manufactured_power(eps=1e-3, torus_points=128, n_times=64,
+                       t_max=20.0):
+    """Multi-mode manufactured pair with a power-law spectrum, the
+    regularity class where the scheme's residual envelope is sharp.
+
+    The exponent lam + 2 (lam = MANUFACTURED_LAM) of its 32 modes makes
+    the data residual sit in the borderline class for the scheduled
+    envelope: the residual spectrum gains one power of k from d_q and
+    its C^0 tail sums lose one, so the measured contraction saturates
+    Q^(-lambda beta^d)."""
+    ks = np.arange(1, 33)
+    return _manufactured(eps, ks, ks ** (-(MANUFACTURED_LAM + 2.0)),
+                         torus_points, n_times, t_max)
 
 
 def comet_decay_synthetic():
@@ -474,6 +458,5 @@ def comet_decay_synthetic():
 
     return HamiltonianSpec(omega=omega,
                            a=GridFn.from_callable(sg, tg, a_fn),
-                           b0=GridFn.zeros(sg, tg, 2),
-                           br=GridFn.from_callable(sg, tg, b_fn),
+                           b=GridFn.from_callable(sg, tg, b_fn),
                            M0=GridFn.from_callable(sg, tg, m_fn))

@@ -66,7 +66,7 @@ def characteristics_solve(p, z, f, g, quad_tol):
     """
     p.validate()
     grid, times = p.grid, p.times
-    d = p.dim
+    d = p.grid.n
     mesh = np.stack(grid.meshgrid(), axis=-1).reshape(-1, d)
     N = len(mesh)
     T = 4.0 * times.points[-1]

@@ -19,11 +19,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import wacyl
+from wacyl import norms
 from wacyl.celestial import SurrogateSystem
 from wacyl.cli import CONFIG, EXIT_CHECK_FAILURE, EXIT_CONFIG_ERROR, \
     EXIT_NUMERICAL_FAILURE, EXIT_PASS, HE_RESIDUAL_TOL, \
     SURROGATE_TOL_FLOOR, _parser, _write_csv, _write_manifest, \
     load_config, main, read_section
+from wacyl.grids import GridFn, SpatialGrid, TimeGrid
 
 from oracles import csv_writer_csv
 
@@ -61,6 +63,35 @@ def test_verify_norms_and_reproducibility(tmp_path, capsys):
     assert csv1 == csv2   # identical config + seed: identical bytes
 
 
+def test_verify_norms_makes_the_profiles_of_g_once(tmp_path, monkeypatch):
+    # g = cos(2 pi q)/t is the same in every trial: it is built once, so
+    # its two Hölder profiles (sigma 0 and 2, in the product ratio) are
+    # made once per run, not once per trial
+    calls = []
+    holder = norms.holder_norm
+
+    def counted(f, sigma, pair_radius=None):
+        calls.append(f.values)
+        return holder(f, sigma, pair_radius)
+
+    monkeypatch.setattr(norms, "holder_norm", counted)
+    assert run_cli(["--out", str(tmp_path), "verify-norms"]) == EXIT_PASS
+    g = GridFn.from_callable(SpatialGrid(1, 128), TimeGrid(10.0, n_points=24),
+                             lambda q, t: np.cos(2 * np.pi * q) / t)
+    assert sum(np.array_equal(values, g.values) for values in calls) == 2
+
+
+def test_solve_manifest_keeps_the_run_orders_in_params(tmp_path):
+    # the scheme's orders s and lambda are the run's, recorded once under
+    # params; the hamiltonian entry describes the data only
+    code = run_cli(["--out", str(tmp_path), "--set", "solve.s=10", "solve"])
+    assert code == EXIT_PASS
+    man = json.loads((tmp_path / "manifest.json").read_text())
+    assert man["params"]["s"] == 10
+    assert "s" not in man["hamiltonian"]
+    assert "lambda" not in man["hamiltonian"]
+
+
 def test_homological_subcommand(tmp_path):
     code = run_cli(["--out", str(tmp_path), "--set", "he.n_times=48",
                     "--set", "he.torus_points=64", "homological"])
@@ -69,6 +100,7 @@ def test_homological_subcommand(tmp_path):
     man = json.loads((tmp_path / "manifest.json").read_text())
     assert "quad_tol" not in man and "quad_tol" not in man["config"]
     assert man["residual_norm"] <= HE_RESIDUAL_TOL
+    assert man["n"] == 1 and "dim" not in man
 
 
 def test_solve_manufactured(tmp_path, capsys):
@@ -581,6 +613,55 @@ def test_readme_primitive_table_owners_exist():
         if not found:
             missing.append(name)
     assert missing == []
+
+
+def _wacyl_namespace():
+    """The wacyl modules by name, and every class and function a wacyl
+    module defines, by its bare name."""
+    modules = {info.name: importlib.import_module(f"wacyl.{info.name}")
+               for info in pkgutil.iter_modules(wacyl.__path__)}
+    defined = {name: obj for mod in modules.values()
+               for name, obj in vars(mod).items()
+               if (inspect.isclass(obj) or inspect.isfunction(obj))
+               and obj.__module__ == mod.__name__}
+    return modules, defined
+
+
+def test_readme_calls_match_their_signatures():
+    # a backticked call in README.md of a wacyl module or class attribute
+    # (`HamiltonianSpec(omega, a, b, M0)`, `TimeGrid.window(i, width)`,
+    # `norms.holder_norm(f, sigma)`) whose arguments are bare names
+    # spells a prefix of the callable's parameters, self left out: a
+    # renamed or dropped parameter cannot stay in the README.  Calls with
+    # literals or keywords, and names outside wacyl, are not checked.
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    text = re.sub(r"```.*?```", "", readme.read_text(), flags=re.S)
+    modules, defined = _wacyl_namespace()
+    checked, wrong = [], []
+    for code in re.findall(r"`([^`]+)`", text):
+        call = re.fullmatch(r"([A-Za-z_][\w.]*)\(([^()]*)\)", code.strip())
+        if call is None:
+            continue
+        name, arglist = call.groups()
+        args = [arg.strip() for arg in arglist.split(",") if arg.strip()]
+        if not all(arg.isidentifier() for arg in args):
+            continue
+        head, _, attr = name.partition(".")
+        if head in modules and attr:
+            obj = getattr(modules[head], attr, None)
+        elif head in defined:
+            obj = getattr(defined[head], attr, None) if attr \
+                else defined[head]
+        else:
+            continue
+        assert callable(obj), code
+        params = [p for p in inspect.signature(obj).parameters
+                  if p != "self"]
+        checked.append(code)
+        if args != params[:len(args)]:
+            wrong.append((code, params))
+    assert len(checked) >= 5
+    assert wrong == []
 
 
 # ---- output writers --------------------------------------------------

@@ -11,7 +11,8 @@ from wacyl.functional import (C_GEOM, UPSILON, DomainError,
                               right_inverse, v_norm)
 from wacyl.grids import GridFn, SpatialGrid, TimeGrid
 from wacyl.homological import transport_operator
-from wacyl.nashmoser import comet_decay_synthetic
+from wacyl.nashmoser import comet_decay_synthetic, manufactured_power, \
+    manufactured_single
 from wacyl.norms import holder_norm, weighted_norm
 
 
@@ -23,24 +24,12 @@ def nonlinear_spec(sg, tg, eps=1e-3):
     a = GridFn.from_callable(
         sg, tg, lambda q, t: eps * np.sin(2 * np.pi * q) / t ** 2
         + 2 * eps * np.cos(2 * np.pi * q) / (2 * np.pi * t ** 3))
-    br = GridFn.from_callable(
+    b = GridFn.from_callable(
         sg, tg, lambda q, t: 0.5 * eps * np.sin(2 * np.pi * q) / t ** 2)
     M0 = GridFn.from_callable(sg, tg,
                               lambda q, t: 0.2 + 0.05 * np.cos(
                                   2 * np.pi * q) / t)
-    zero = GridFn.zeros(sg, tg, 1)
-    return HamiltonianSpec(omega=[1.0], a=a, b0=zero, br=br, M0=M0)
-
-
-def manufactured_spec(sg, tg, eps=1e-3):
-    a = GridFn.from_callable(
-        sg, tg, lambda q, t: eps * np.sin(2 * np.pi * q) / t ** 2
-        + 2 * eps * np.cos(2 * np.pi * q) / (2 * np.pi * t ** 3))
-    zero = GridFn.zeros(sg, tg, 1)
-    H = HamiltonianSpec(omega=[1.0], a=a, b0=zero, br=zero, M0=zero)
-    vstar = GridFn.from_callable(
-        sg, tg, lambda q, t: -eps * np.sin(2 * np.pi * q) / t ** 2)
-    return H, vstar
+    return HamiltonianSpec(omega=[1.0], a=a, b=b, M0=M0)
 
 
 def test_mbar_constant_in_p():
@@ -56,7 +45,7 @@ def test_mbar_quadratic_hamiltonian():
     # H_p = p^2/2 means M0 = 1/2 and mbar = 1
     sg, tg = base_grids(32, 8, 4.0)
     zero = GridFn.zeros(sg, tg, 1)
-    H = HamiltonianSpec(omega=[1.0], a=zero, b0=zero, br=zero,
+    H = HamiltonianSpec(omega=[1.0], a=zero, b=zero,
                         M0=GridFn.from_callable(sg, tg,
                                                 lambda q, t: 0.5 + 0 * q))
     assert np.all(H.mbar == 1.0)
@@ -66,8 +55,7 @@ def test_F_zero_section_zero_data():
     # F(0, b, m, mbar, 0) = 0 identically for every b and m
     sg, tg = base_grids()
     H = nonlinear_spec(sg, tg)
-    H0 = HamiltonianSpec(H.omega, GridFn.zeros(sg, tg, 1), H.b0, H.br,
-                         H.M0)
+    H0 = HamiltonianSpec(H.omega, GridFn.zeros(sg, tg, 1), H.b, H.M0)
     F = eval_F(H0, GridFn.zeros(sg, tg, 1))
     assert np.abs(F.values).max() == 0.0
 
@@ -79,22 +67,23 @@ def test_F_gradient_only_term():
     a = GridFn.from_callable(
         sg, tg, lambda q, t: eps * np.sin(2 * np.pi * q) / t ** 2)
     zero = GridFn.zeros(sg, tg, 1)
-    H = HamiltonianSpec(omega=[1.0], a=a, b0=zero, br=zero, M0=zero)
+    H = HamiltonianSpec(omega=[1.0], a=a, b=zero, M0=zero)
     F = eval_F(H, GridFn.zeros(sg, tg, 1))
     assert weighted_norm(F, 0, 2) == pytest.approx(
         2 * np.pi * eps, rel=1e-10)
 
 
 def test_manufactured_pair_is_exact():
-    sg, tg = base_grids(128, 64, 20.0)
-    H, vstar = manufactured_spec(sg, tg)
-    F = eval_F(H, vstar)
-    assert weighted_norm(F, 0, 2) <= 1e-8
+    # both presets have b = M0 = 0, so F(v*) = d_q a + (grad v*) Omega_bar
+    for preset in (manufactured_single, manufactured_power):
+        H, vstar = preset()
+        F = eval_F(H, vstar)
+        assert weighted_norm(F, 0, 2) <= 1e-8
 
 
 def test_ball_exit_reports_worst_node():
-    sg, tg = base_grids(32, 8, 4.0)
-    H, _ = manufactured_spec(sg, tg)
+    H, _ = manufactured_single(torus_points=32, n_times=8, t_max=4.0)
+    sg, tg = H.grid, H.times
     big = GridFn.from_callable(sg, tg, lambda q, t: 2.0 + 0 * q)
     with pytest.raises(DomainError) as exc:
         eval_F(H, big)
@@ -155,7 +144,7 @@ def test_quadratic_scaling_of_m_terms():
     sg, tg = base_grids()
     H = nonlinear_spec(sg, tg)
     Hm = HamiltonianSpec(H.omega, GridFn.zeros(sg, tg, 1),
-                         H.b0, GridFn.zeros(sg, tg, 1), H.M0)
+                         GridFn.zeros(sg, tg, 1), H.M0)
     v1 = GridFn.from_callable(
         sg, tg, lambda q, t: 0.004 * np.sin(2 * np.pi * q) / t)
     v2 = GridFn(sg, tg, 2 * v1.values)
@@ -170,8 +159,8 @@ def test_quadratic_scaling_of_m_terms():
 
 
 def test_right_inverse_trivial_and_composed():
-    sg, tg = base_grids(128, 48, 16.0)
-    H, _ = manufactured_spec(sg, tg)
+    H, _ = manufactured_single(torus_points=128, n_times=48, t_max=16.0)
+    sg, tg = H.grid, H.times
     zero = GridFn.zeros(sg, tg, 1)
     sol = right_inverse(H, zero, zero, quad_tol=1e-10)
     assert np.abs(sol.kappa.values).max() == 0.0
@@ -221,19 +210,19 @@ def test_gamma_trivial_and_decay_budget():
     H = nonlinear_spec(sg, tg)
     zero = GridFn.zeros(sg, tg, 1)
     # b = 0 and v = 0: Gamma = 0
-    H0 = HamiltonianSpec(H.omega, H.a, zero, zero, H.M0)
+    H0 = HamiltonianSpec(H.omega, H.a, zero, H.M0)
     gam0 = gamma_from_v(H0, zero)
     assert np.abs(gam0.values).max() == 0.0
     # v = 0: Gamma = b exactly
     gam1 = gamma_from_v(H, zero)
     assert np.abs(gam1.values - H.b.values).max() < 1e-14
-    # decay budget |b0|_{1,1} + eps + C Upsilon zeta, eps = 1 the data
-    # size this test allows
+    # decay budget eps + C Upsilon zeta, eps = 1 the data size this test
+    # allows
     eps = 1.0
     v = GridFn.from_callable(
         sg, tg, lambda q, t: 0.002 * np.sin(2 * np.pi * q) / t ** 2)
     gam2 = gamma_from_v(H, v)
-    bound = weighted_norm(H.b0, 1, 1) + eps + C_GEOM * UPSILON * 0.05
+    bound = eps + C_GEOM * UPSILON * 0.05
     profile = [h * t for t, h in zip(tg.points, holder_norm(gam2, 1))]
     assert max(profile) <= bound * (1 + 1e-9)
 
@@ -268,9 +257,9 @@ def test_conjugacy_check_refuses_a_failed_integration():
 
 
 def test_conjugacy_check_manufactured_cylinder():
-    sg, tg = base_grids(128, 64, 20.0)
     eps = 1e-3
-    H, vstar = manufactured_spec(sg, tg, eps)
+    H, vstar = manufactured_single(eps)
+    tg = H.times
     interp = vstar.interpolator()
 
     def X(state, t):
@@ -285,7 +274,7 @@ def test_conjugacy_check_manufactured_cylinder():
         return np.array([q[0], interp(np.array([[q[0] % 1.0]]),
                                       min(t, tg.points[-1]))[0, 0]])
 
-    gamma = GridFn.zeros(sg, tg, 1)
+    gamma = GridFn.zeros(H.grid, tg, 1)
     rep = conjugacy_check(X, phi, gamma, 1.0, 19.0,
                           np.array([[0.2], [0.8]]), H.omega, tol=1e-11)
     assert rep["max_error"] <= 1e-5
@@ -329,7 +318,7 @@ def random_spec(d, seed=0):
             (len(tg),) + sg.shape + (components,)))
 
     H = HamiltonianSpec(omega=0.7 * np.arange(1, d + 1), a=field(1, 1e-3),
-                        b0=GridFn.zeros(sg, tg, d), br=field(d, 1e-3),
+                        b=field(d, 1e-3),
                         M0=field(d * d, 0.05) + 0.2)
     return H, field(d, 0.05)
 

@@ -7,7 +7,7 @@ import pytest
 from oracles import conjugacy_check, lagrangian_check
 from wacyl import constants, nashmoser, norms
 from wacyl.flow import NormBudgetError
-from wacyl.functional import (C_GEOM, DELTA, SPEC_S, UPSILON, DomainError,
+from wacyl.functional import (C_GEOM, SPEC_S, UPSILON, DomainError,
                               eval_F, hypotheses_report, right_inverse,
                               v_norm, x_norm)
 from wacyl.grids import GridFn
@@ -62,7 +62,7 @@ def test_schedule_exactness():
 
 
 def test_trivial_data_converges_immediately():
-    # a = 0, br = 0 (x = x0): F(x0, 0) = 0 already
+    # a = 0, b = 0 (x = x0): F(x0, 0) = 0 already
     H, _ = manufactured_single(eps=0.0, torus_points=32, n_times=16,
                                t_max=8.0)
     p = params_from_order(8.0, Q=2.0)
@@ -91,12 +91,29 @@ def test_manufactured_power_equals_per_slice_formula():
         assert (vstar.values[i, :, 0] == -eps * acc1 / t ** 2).all()
 
 
+def test_single_preset_is_the_one_mode_builder():
+    # manufactured_single is the pair of the one mode k = 1, c = 1
+    H, vstar = manufactured_single()
+    H1, vstar1 = nashmoser._manufactured(1e-3, np.arange(1, 2), [1.0],
+                                         128, 64, 20.0)
+    assert H.a.values.tobytes() == H1.a.values.tobytes()
+    assert vstar.values.tobytes() == vstar1.values.tobytes()
+
+
+def test_smoothed_b_keeps_its_band_limited_spectrum():
+    # S_tau b carries the spectrum smooth gave it, exactly zero for
+    # |k| >= tau, and d_q b is taken from it
+    Hs = nashmoser._smoothed_spec(comet_decay_synthetic(), 3.0)
+    radius = np.sqrt(sum(k ** 2 for k in Hs.grid.torus_mesh()))
+    assert not Hs.b.spectrum()[:, radius >= 3.0].any()
+
+
 def test_x_smoothing_gap_decreases():
     # |x - S_tau_j x|_1 over the smoothing times of the first four steps
     H, _ = manufactured_power(torus_points=128, n_times=32, t_max=10.0)
     p = params_from_order(8.0, Q=1.6)
     gaps = [x_norm(H.a - smooth(H.a, p.tau_j(j)),
-                   H.br - smooth(H.br, p.tau_j(j)), 1.0)
+                   H.b - smooth(H.b, p.tau_j(j)), 1.0)
             for j in range(1, 5)]
     assert all(gaps[i + 1] < gaps[i] or gaps[i + 1] < 1e-12
                for i in range(3))
@@ -158,10 +175,8 @@ class TestManufacturedRuns:
         H, vstar, sol, st, p, scan = power_run
         prof = [h * t for t, h in zip(sol.gamma.times.points,
                                       holder_norm(sol.gamma, 1))]
-        # |b0|_{1,1} + eps + C Upsilon zeta, eps = 0.01 the data size
-        # this test allows
-        bound = weighted_norm(H.b0, 1, 1) + 0.01 \
-            + C_GEOM * UPSILON * p.zeta
+        # eps + C Upsilon zeta, eps = 0.01 the data size this test allows
+        bound = 0.01 + C_GEOM * UPSILON * p.zeta
         assert all(v <= bound for v in prof)
 
     def test_manifest_contents(self, power_run):
@@ -309,7 +324,7 @@ def test_schedule_scan_is_one_newton_step(counted_scan):
     assert records == want
     best = best or {"Q": float(nashmoser.Q_GRID[-1]),
                     "upsilon": want[-1]["upsilon"]}
-    eps0 = max(p.epsilon0, x_norm(H.a, H.br, p.lam)
+    eps0 = max(p.epsilon0, x_norm(H.a, H.b, p.lam)
                / max(best["upsilon"], 1e-12) * (1 + 1e-9))
     assert chosen == replace(p, Q=best["Q"], upsilon=best["upsilon"],
                              epsilon0=eps0)
@@ -417,10 +432,8 @@ class TestCometDecaySynthetic:
             assert st.true_residuals[i + 1] < st.true_residuals[i]
 
     def test_spec_validates(self, run):
-        # the budgets of the normal form: |b0|_{2,1} < DELTA and
-        # |d^2_p H|_{s+1,0} = |2 M0|_{s+1,0} <= UPSILON
+        # the kinetic budget |d^2_p H|_{s+1,0} = |2 M0|_{s+1,0} <= UPSILON
         H, sol, st = run
-        assert weighted_norm(H.b0, 2, 1) < DELTA
         assert weighted_norm(2.0 * H.M0, SPEC_S + 1, 0) <= UPSILON
 
     def test_lagrangian_two_torus(self, run):
