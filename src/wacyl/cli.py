@@ -1,6 +1,6 @@
 """Command-line orchestration: configuration, dispatch, persistence.
 
-Subcommands: solve, homological, simulate-comet, verify-norms, diagnose.
+Subcommands: solve, homological, simulate-comet, verify-norms.
 Each is cmd_x(conf, outdir) -> (manifest, checks) on its resolved
 configuration section and writes only its own files (CSV, .wgf, JSON
 reports).  main reads the configuration, writes manifest.json (the
@@ -37,9 +37,8 @@ from .flow import NumericalError
 from .grids import GridFn, SpatialGrid, TimeGrid
 from .homological import HomologicalProblem, estimate_check, residual_he, \
     solve_he
-from .nashmoser import (PARAM_PRESETS, choose_schedule, iterate,
-                        manufactured_power, manufactured_single, monitor,
-                        params_from_order, preset_params, validate_params)
+from .nashmoser import (choose_schedule, iterate, manufactured_power,
+                        manufactured_single, monitor, params_from_order)
 from .norms import norm_algebra_check, random_modes, weighted_norm
 from .smoothing import verify_smoothing_bounds
 
@@ -76,21 +75,27 @@ SEED = (lambda n: n >= 0, "a non-negative integer")
 HE_RESIDUAL_TOL = 1e-8
 # the surrogate run integrates at max(comet.tol, SURROGATE_TOL_FLOOR)
 SURROGATE_TOL_FLOOR = 1e-10
+# solve runs at least MIN_STEPS Newton steps, and its monotone-decrease
+# check reads that many
+MIN_STEPS = 3
 SOLVE_PRESETS = {"manufactured": manufactured_single,
                  "manufactured-power": manufactured_power}
 # every configuration key: (default, type, (ok, domain)); a None
 # default leaves the key unset unless it is given
 CONFIG = {
     "solve.preset": ("manufactured", str, _one_of(*SOLVE_PRESETS)),
-    "solve.eps": (1e-3, float, FINITE),
+    # eps = 0 is the zero problem: its residual is 0 at every step, so
+    # the strict monotone-decrease check cannot pass
+    "solve.eps": (1e-3, float, (lambda x: math.isfinite(x) and x != 0,
+                                "finite and non-zero")),
     "solve.torus_points": (128, int, POW2),
     "solve.n_times": (64, int, AT_LEAST_2),
     "solve.t_max": (20.0, float, T_MAX),
     # params_from_order's minimal order s >= 8 (loss exponent gamma = 1)
     "solve.s": (8.0, float, _finite(">=", 8)),
     "solve.target": (1e-6, float, TOL),
-    # the convergence monitor needs at least 2 steps
-    "solve.max_steps": (12, int, AT_LEAST_2),
+    "solve.max_steps": (12, int, (lambda n: n >= MIN_STEPS,
+                                  f"at least {MIN_STEPS}")),
     # explicit scheme values override the scanned ones; the smoothing
     # times t_j = Q^(alpha beta^j) grow only for Q > 1, and the other
     # three are sizes
@@ -123,7 +128,6 @@ CONFIG = {
     "comet.cbar": (1.0, float, GE0),
     "norms.seed": (0, int, SEED),
     "norms.trials": (3, int, (lambda n: n >= 1, "at least 1")),
-    "diag.preset": ("minimal", str, _one_of(*PARAM_PRESETS)),
 }
 
 
@@ -263,7 +267,7 @@ def cmd_solve(conf, outdir):
     p = replace(p, **explicit)
     target = conf["target"]
     sol, state = iterate(H, p, max_steps=conf["max_steps"], target=target,
-                         min_steps=3)
+                         min_steps=MIN_STEPS)
     mon = monitor(state, p, H.omega)
     rows = []
     for d, row in enumerate(mon["rows"], start=1):
@@ -282,10 +286,10 @@ def cmd_solve(conf, outdir):
             sol.residual_norm <= target * max(
                 1.0, state.true_residuals[0]),
          "detail": f"{sol.residual_norm:.3e}", "tolerance": target},
-        {"name": "monotone decrease (>=3 steps)", "pass":
-            state.j >= 3 and all(
+        {"name": f"monotone decrease (>={MIN_STEPS} steps)", "pass":
+            state.j >= MIN_STEPS and all(
                 state.true_residuals[i + 1] < state.true_residuals[i]
-                for i in range(3)), "tolerance": "strict"},
+                for i in range(MIN_STEPS)), "tolerance": "strict"},
     ]
     err = weighted_norm(sol.v - vstar, 1, 1)
     checks.append({"name": "|v - v*|_{1,1} <= 1e-4",
@@ -424,14 +428,6 @@ def cmd_verify_norms(conf, outdir):
     return {"seed": conf["seed"], "trials": len(rows)}, checks
 
 
-def cmd_diagnose(conf, outdir):
-    rep = validate_params(preset_params(conf["preset"]))
-    checks = [{"name": f"scheme inequality: {k}", "pass": v,
-               "tolerance": "strict"}
-              for k, v in rep["checks"].items()]
-    return rep, checks
-
-
 @functools.cache
 def _parser():
     # built on the first main call, not at import, so set_defaults binds
@@ -458,8 +454,6 @@ def _parser():
     pc.set_defaults(fn=cmd_simulate_comet, section="comet")
     pv = sub.add_parser("verify-norms", help="norm calculus spot checks")
     pv.set_defaults(fn=cmd_verify_norms, section="norms")
-    pd = sub.add_parser("diagnose", help="validate scheme parameters")
-    pd.set_defaults(fn=cmd_diagnose, section="diag")
     return parser
 
 

@@ -22,8 +22,8 @@ import numpy as np
 from . import constants
 from .flow import NormBudgetError, NumericalError
 from .grids import GridFn
-from .homological import HomologicalProblem, _contract, solve_he, \
-    transport_operator
+from .homological import SERIES_TOL, HomologicalProblem, _contract, \
+    solve_he, transport_operator
 from .norms import weighted_norm
 
 __all__ = ["HamiltonianSpec", "DomainError", "eval_F", "linearize",
@@ -213,7 +213,7 @@ def mu_budget(zeta):
     return mu_max, gate
 
 
-def right_inverse(H, v, z, zeta=0.05, quad_tol=1e-9):
+def right_inverse(H, v, z, zeta=0.05, quad_tol=SERIES_TOL):
     """Solve D_v F(v) vhat = z through the transport solver; returns its
     HomologicalSolution, whose kappa is vhat.
 

@@ -16,19 +16,19 @@ from .flow import NormBudgetError
 from .functional import (DomainError, HamiltonianSpec, eval_F,
                          gamma_from_v, right_inverse, v_norm, x_norm)
 from .grids import GridFn, SpatialGrid, TimeGrid
+from .homological import SERIES_TOL
 from .norms import weighted_norm
 from .smoothing import smooth
 
 __all__ = ["ZehnderParams", "IterationState", "CylinderSolution",
-           "validate_params", "params_from_order", "PARAM_PRESETS",
-           "preset_params",
+           "validate_params", "params_from_order",
            "newton_step", "iterate", "choose_schedule", "monitor",
            "manufactured_single", "manufactured_power",
            "comet_decay_synthetic"]
 
 
-# the loss exponent gamma of the scheme inequalities, which every
-# parameter set (params_from_order, both presets) is built for
+# the loss exponent gamma of the scheme inequalities, which
+# params_from_order builds every parameter set for
 GAMMA_LOSS = 1.0
 
 
@@ -108,21 +108,6 @@ def params_from_order(s, **kw):
     return p
 
 
-# the names preset_params knows
-PARAM_PRESETS = ("minimal", "robust")
-
-
-def preset_params(name, **kw):
-    """Named parameter presets: 'minimal' (s=8 order-optimal set) and
-    'robust' (beta=3/2, alpha=7/6, lambda=6.5, s=10)."""
-    if name == "minimal":
-        return params_from_order(8.0, **kw)
-    if name == "robust":
-        return ZehnderParams(s=10.0, lam=6.5, rho=1.0, beta=1.5,
-                             alpha=7.0 / 6.0, **kw)
-    raise ValueError(f"unknown preset {name!r}")
-
-
 # --------------------------------------------------------------------
 # the iteration
 # --------------------------------------------------------------------
@@ -130,11 +115,6 @@ def preset_params(name, **kw):
 def _smoothed_spec(H, tau):
     """phi_j(x) - x0 = S_tau (x - x0) with x0 = (0, 0): smooth (a, b)."""
     return H.with_data(smooth(H.a, tau), smooth(H.b, tau))
-
-
-# relative size at which the transport solve's (f, g) correction series
-# stops: iterate's default and the tolerance of choose_schedule's trials
-SERIES_TOL = 1e-10
 
 
 def _z_norm(f):

@@ -1,3 +1,4 @@
+import argparse
 import ast
 import importlib
 import inspect
@@ -42,15 +43,6 @@ def assert_plain_numbers(path, header):
     for row in rows[1:]:
         for cell in row.split(","):
             float(cell)
-
-
-def test_diagnose(tmp_path, capsys):
-    code = run_cli(["--out", str(tmp_path), "diagnose"])
-    assert code == EXIT_PASS
-    out = capsys.readouterr().out
-    assert "[PASS]" in out
-    man = json.loads((tmp_path / "manifest.json").read_text())
-    assert man["pass"]
 
 
 def test_verify_norms_and_reproducibility(tmp_path, capsys):
@@ -259,7 +251,7 @@ def test_check_failure_exit_code(tmp_path):
     # an impossible residual target must exit with a check failure
     code = run_cli(["--out", str(tmp_path),
                     "--set", "solve.target=1e-30",
-                    "--set", "solve.max_steps=2",
+                    "--set", "solve.max_steps=3",
                     "--set", "solve.torus_points=64",
                     "--set", "solve.n_times=32",
                     "solve", "--preset", "manufactured"])
@@ -321,15 +313,23 @@ SMALL_SOLVE = ["--set", "solve.torus_points=32", "--set", "solve.n_times=16"]
     (SMALL_SOLVE + ["--set", "solve.target=nan", "solve"],
      "solve.target = nan must be finite and positive"),
     (SMALL_SOLVE + ["--set", "solve.max_steps=0", "solve"],
-     "solve.max_steps = 0 must be at least 2"),
+     "solve.max_steps = 0 must be at least 3"),
     (SMALL_SOLVE + ["--set", "solve.max_steps=1", "solve"],
-     "solve.max_steps = 1 must be at least 2"),
+     "solve.max_steps = 1 must be at least 3"),
+    # the monotone-decrease check reads MIN_STEPS = 3 steps, so a run
+    # of 2 fails it whatever it computes
+    (SMALL_SOLVE + ["--set", "solve.max_steps=2", "solve"],
+     "solve.max_steps = 2 must be at least 3"),
     (["--set", "comet.e=nan", "simulate-comet"],
      "comet.e = nan must be finite and > 1"),
     (["--set", "comet.t_peri=nan", "simulate-comet"],
      "t_peri = nan must be finite"),
     (SMALL_SOLVE + ["--set", "solve.eps=nan", "solve"],
      "solve.eps = nan must be finite"),
+    # zero data: the residual is 0 at every step and 0 < 0 is false, so
+    # the strict monotone-decrease check cannot pass
+    (SMALL_SOLVE + ["--set", "solve.eps=0", "solve"],
+     "solve.eps = 0.0 must be finite and non-zero"),
     (SMALL_SOLVE + ["--set", "solve.t_max=nan", "solve"],
      "solve.t_max = nan must be finite and > 1"),
     (SMALL_SOLVE + ["--set", "solve.t_max=1", "solve"],
@@ -370,8 +370,6 @@ SMALL_SOLVE = ["--set", "solve.torus_points=32", "--set", "solve.n_times=16"]
      "comet.seed = -1 must be a non-negative integer"),
     (["--set", "norms.seed=-1", "verify-norms"],
      "norms.seed = -1 must be a non-negative integer"),
-    (["--set", "diag.preset=bogus", "diagnose"],
-     "diag.preset = bogus must be one of minimal, robust"),
     (SMALL_SOLVE + ["--set", "solve.q=nan", "solve"],
      "solve.q = nan must be finite and > 1"),
     (SMALL_SOLVE + ["--set", "solve.zeta=-1", "solve"],
@@ -380,7 +378,7 @@ SMALL_SOLVE = ["--set", "solve.torus_points=32", "--set", "solve.n_times=16"]
      "solve.upsilon = 0.0 must be finite and > 0"),
     (SMALL_SOLVE + ["--set", "solve.epsilon0=-5", "solve"],
      "solve.epsilon0 = -5.0 must be finite and > 0"),
-    (["--set", "solve.typo=3", "diagnose"],
+    (["--set", "solve.typo=3", "--set", "norms.trials=1", "verify-norms"],
      "unknown key 'solve.typo' (--set); did you mean 'solve.eps'?"),
     (["simulate-comet", "--mc", "-1"],
      "comet.mc = -1.0 must be finite and >= 0"),
@@ -400,15 +398,16 @@ SMALL_SOLVE = ["--set", "solve.torus_points=32", "--set", "solve.n_times=16"]
         "comet-tol-negative", "he-quad-tol-nan", "he-quad-tol-negative",
         "he-quad-tol-old-default",
         "solve-quad-tol-nan", "solve-target-nan", "solve-max-steps-0",
-        "solve-max-steps-1", "comet-e-nan", "comet-t-peri-nan",
-        "solve-eps-nan", "solve-t-max-nan", "solve-t-max-one",
+        "solve-max-steps-1", "solve-max-steps-2", "comet-e-nan",
+        "comet-t-peri-nan", "solve-eps-nan", "solve-eps-zero",
+        "solve-t-max-nan", "solve-t-max-one",
         "he-t-max-nan", "he-t-max-below-one", "comet-a1-nan",
         "comet-a2-negative", "comet-xi0x-nan", "comet-xi0y-inf",
         "comet-cbar-nan", "solve-s-nan", "solve-torus-points-7",
         "he-torus-points-7", "solve-torus-points-2", "he-torus-points-2",
         "solve-n-times-1", "he-n-times-1",
         "comet-v-inf", "comet-e-below-one", "comet-seed-negative",
-        "norms-seed-negative", "diag-preset-unknown", "solve-q-nan",
+        "norms-seed-negative", "solve-q-nan",
         "solve-zeta-negative", "solve-upsilon-zero",
         "solve-epsilon0-negative", "unknown-key-set", "comet-mc-negative",
         "comet-m0-zero-conservative", "comet-m0-nan", "comet-m2-inf",
@@ -483,8 +482,8 @@ def test_unknown_key_names_its_source(tmp_path, capsys, monkeypatch,
     if source == "env":
         monkeypatch.setenv("WACYL_COMET_TMAX", "5")
     out = tmp_path / "out"
-    assert run_cli(["--out", str(out)] + args + ["diagnose"]) \
-        == EXIT_CONFIG_ERROR
+    assert run_cli(["--out", str(out)] + args + [
+        "--set", "norms.trials=1", "verify-norms"]) == EXIT_CONFIG_ERROR
     err = capsys.readouterr().err
     where = f"{cfg}:4" if source == "file" else "WACYL_COMET_TMAX"
     assert err == (f"configuration error: unknown key 'comet.tmax' "
@@ -502,9 +501,8 @@ def test_unknown_key_names_its_source(tmp_path, capsys, monkeypatch,
     (["comet.t_max=2"], ["simulate-comet", "--mc", "1e-3"], "comet",
      {"mc": 1e-3}),
     (["norms.trials=1"], ["verify-norms"], "norms", {}),
-    ([], ["diagnose"], "diag", {}),
 ], ids=["solve", "homological", "comet-conservative", "comet-surrogate",
-        "verify-norms", "diagnose"])
+        "verify-norms"])
 def test_manifest_records_the_resolved_config(tmp_path, sets, command,
                                               section, flags):
     overrides = [arg for item in sets for arg in ("--set", item)]
@@ -551,7 +549,8 @@ def test_unreadable_config_is_config_error(tmp_path, capsys, kind):
         path.mkdir()
     out = tmp_path / "out"
     assert run_cli(["--out", str(out), "--config", str(path),
-                    "diagnose"]) == EXIT_CONFIG_ERROR
+                    "--set", "norms.trials=1", "verify-norms"]) \
+        == EXIT_CONFIG_ERROR
     err = capsys.readouterr().err
     assert err.startswith(f"configuration error: cannot read {path}: ")
     assert os.listdir(out) == []
@@ -662,6 +661,25 @@ def test_readme_calls_match_their_signatures():
             wrong.append((code, params))
     assert len(checked) >= 5
     assert wrong == []
+
+
+def test_documented_subcommands_are_the_parsers():
+    # the subcommands named in README's layout row of wacyl.cli, in its
+    # CLI block and in the cli docstring are the parser's subparsers:
+    # a removed or renamed subcommand cannot stay documented
+    sub, = [action for action in _parser()._actions
+            if isinstance(action, argparse._SubParsersAction)]
+    parsers = set(sub.choices)
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    row, = [line for line in readme.splitlines()
+            if line.startswith("| `wacyl.cli`")]
+    block = readme.split("## CLI\n\n```\n")[1].split("```")[0]
+    docline, = [line for line in wacyl.cli.__doc__.splitlines()
+                if line.startswith("Subcommands: ")]
+    assert set(re.findall(r"`([a-z-]+)`", row.split("|")[2])) == parsers
+    assert {line.split()[3] for line in block.splitlines()} == parsers
+    assert set(docline[len("Subcommands: "):].rstrip(".").split(", ")) \
+        == parsers
 
 
 # ---- output writers --------------------------------------------------

@@ -263,7 +263,8 @@ import sys
 import wacyl.cli
 loaded = sorted(m for m in sys.modules if m.startswith("scipy"))
 assert not loaded, loaded
-assert wacyl.cli.main(["--out", sys.argv[1], "diagnose"]) == 0
+assert wacyl.cli.main(["--out", sys.argv[1], "--set", "norms.trials=1",
+                       "verify-norms"]) == 0
 loaded = sorted(m for m in sys.modules if m.startswith("scipy"))
 assert not loaded, loaded
 """
@@ -271,7 +272,7 @@ assert not loaded, loaded
 
 def test_cli_loads_no_scipy(tmp_path):
     # importing scipy.integrate used to cost most of every subcommand's
-    # start-up; neither the import nor a diagnose run may load scipy
+    # start-up; neither the import nor a verify-norms run may load scipy
     out = subprocess.run(
         [sys.executable, "-c", NO_SCIPY, str(tmp_path)],
         env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True,

@@ -15,8 +15,7 @@ from wacyl.nashmoser import (ZehnderParams, choose_schedule,
                              comet_decay_synthetic, iterate,
                              manufactured_power,
                              manufactured_single, monitor,
-                             params_from_order, preset_params,
-                             validate_params)
+                             params_from_order, validate_params)
 from wacyl.norms import holder_norm, weighted_norm
 from wacyl.smoothing import smooth
 
@@ -43,13 +42,6 @@ def test_validate_rejects_beta_two():
 def test_minimal_order_rejects_below_eight():
     with pytest.raises(ValueError):
         params_from_order(7.9)
-
-
-def test_presets():
-    assert validate_params(preset_params("minimal"))["pass"]
-    assert validate_params(preset_params("robust"))["pass"]
-    with pytest.raises(ValueError):
-        preset_params("nope")
 
 
 def test_schedule_exactness():
