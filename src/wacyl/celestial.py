@@ -372,14 +372,15 @@ def hess_Hc(positions, c, masses):
 def decay_diagnostics(sampler, comet, masses, eps, k, t_grid,
                       n_samples=40, seed=0):
     """sup over the admissible region of |H_c^t| and |d_x H_c^t| t^2
-    (plus second derivatives when k >= 1), against C(k) M m_c eps.
+    (plus second derivatives when k = 1), against C(k) M m_c eps for
+    k in {0, 1}, the orders constants.CELESTIAL_CK holds.
 
     sampler(rng, t) must yield position triples inside the region
     |x_i|/|c(t)| < eps; configurations violating it are refused.  c(t)
     comes from one Kepler solve per time node.
     """
     rng = np.random.default_rng(seed)
-    Ck = constants.CELESTIAL_CK[min(k, max(constants.CELESTIAL_CK))]
+    Ck = constants.CELESTIAL_CK[k]
     scale = Ck * masses.M * masses.mc * eps
     rows = []
     sup_h, sup_g = 0.0, 0.0

@@ -96,12 +96,9 @@ CONFIG = {
     "solve.target": (1e-6, float, TOL),
     "solve.max_steps": (12, int, (lambda n: n >= MIN_STEPS,
                                   f"at least {MIN_STEPS}")),
-    # explicit scheme values override the scanned ones; the smoothing
-    # times t_j = Q^(alpha beta^j) grow only for Q > 1, and the other
-    # three are sizes
+    # an explicit Q replaces the scanned one; the smoothing times
+    # t_j = Q^(alpha beta^j) grow only for Q > 1, and zeta is a size
     "solve.q": (None, float, _finite(">", 1)),
-    "solve.upsilon": (None, float, GT0),
-    "solve.epsilon0": (None, float, GT0),
     "solve.zeta": (None, float, GT0),
     "he.torus_points": (128, int, POW2),
     "he.n_times": (64, int, AT_LEAST_2),
@@ -252,7 +249,7 @@ def _summary(outdir, checks):
 
 def cmd_solve(conf, outdir):
     explicit = {name: conf[name.lower()]
-                for name in ("Q", "upsilon", "epsilon0", "zeta")
+                for name in ("Q", "zeta")
                 if conf[name.lower()] is not None}
     H, vstar = SOLVE_PRESETS[conf["preset"]](
         conf["eps"], torus_points=conf["torus_points"],

@@ -26,7 +26,6 @@ CDOC = {
     ("S2", 2, 0): 0.030,
     ("S2", 4, 1): 0.0060,
     ("S2", 6, 2): 0.0012,
-    ("product", 0): 1.0,
     ("product", 1): 1.0,
     ("product", 2): 1.0,
     ("composition", 1): 1.0,
@@ -38,10 +37,7 @@ CDOC = {
 # (calibration.sweep_flow_exponents): fitted exponent <= constant * mu.
 FLOW_EXPONENTS = {
     "cbar1": 0.30,   # |d_q psi^t_t0|_{C^0} <= C (t/t0)^(cbar1 mu)
-    "c1": 0.25,      # sigma = 1 flow-derivative constant
     "cR0": 1.20,     # |R^t_tau|_{C^0} <= (tau/t)^(cR0 mu)
-    "cR1": 2.40,     # |Rtilde^t_tau|_{C^1} growth constant
-    "cbarR1": 2.60,
 }
 
 # Transport-solution constants, per reported sigma
@@ -65,7 +61,7 @@ MONITOR_C = 5.0
 # Comet interaction decay: sup_t |d^k H_c^t| (t^2-weighted for the
 # gradient) <= C(k) M m_c eps over compliant orbits
 # (calibration.sweep_comet_decay).
-CELESTIAL_CK = {0: 0.40, 1: 0.40, 2: 0.60}
+CELESTIAL_CK = {0: 0.40, 1: 0.40}
 
 
 def cdoc(kind, *key):
@@ -73,10 +69,8 @@ def cdoc(kind, *key):
 
 
 def c_kappa(sigma):
-    s = int(round(sigma))
-    return HOMOLOGICAL["c_kappa"].get(s, HOMOLOGICAL["c_kappa"][2] * s / 2)
+    return HOMOLOGICAL["c_kappa"][int(round(sigma))]
 
 
 def c_estimate(sigma):
-    s = int(round(sigma))
-    return HOMOLOGICAL["c_estimate"].get(s, HOMOLOGICAL["c_estimate"][2])
+    return HOMOLOGICAL["c_estimate"][int(round(sigma))]

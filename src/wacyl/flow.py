@@ -1,8 +1,8 @@
 """Non-autonomous flows of omega + f(q,t) on the torus T^n, their spatial
 Jacobians, the fundamental matrix of the zeroth-order transport system,
-and the Gronwall-type growth check of both matrices whose exponents
-freeze `constants.FLOW_EXPONENTS` (`calibration.sweep_flow_exponents`
-measures through it).
+and the Gronwall-type C^0 growth check of both matrices whose two
+exponents freeze `constants.FLOW_EXPONENTS` (`cbar1` and `cR0`;
+`calibration.sweep_flow_exponents` measures through it).
 
 Integration uses an adaptive embedded Runge-Kutta pair (DOP853 from
 `dop853`, through `_solve`, which refuses a tolerance that is not
@@ -130,7 +130,7 @@ def fundamental_matrix(g, F, q, t, tau, tol=1e-10):
 GRONWALL_TOL = 1e-10
 
 
-def gronwall_diagnostics(F, g, mu, sigma, sample_points, time_pairs):
+def gronwall_diagnostics(F, g, mu, sample_points, time_pairs):
     """Measure flow-derivative and fundamental-matrix growth exponents.
 
     For each (t, t0) pair the sup over sample points of |d_q psi^t_t0|
@@ -165,7 +165,7 @@ def gronwall_diagnostics(F, g, mu, sigma, sample_points, time_pairs):
         return exponent, ok
 
     bound_psi = constants.FLOW_EXPONENTS["cbar1"] * mu
-    bound_R = constants.FLOW_EXPONENTS["cR1" if sigma >= 1 else "cR0"] * mu
+    bound_R = constants.FLOW_EXPONENTS["cR0"] * mu
     exp_psi, flow_pass = growth(
         "flow_jacobian", time_pairs,
         lambda q, t, t0: flow_jacobian(F, q, t0, t, GRONWALL_TOL), bound_psi)
@@ -174,7 +174,7 @@ def gronwall_diagnostics(F, g, mu, sigma, sample_points, time_pairs):
         lambda q, t, tau: fundamental_matrix(g, F, q, t, tau, GRONWALL_TOL),
         bound_R)
     return {
-        "mu": mu, "sigma": sigma,
+        "mu": mu,
         "flow_exponent": exp_psi, "flow_bound": bound_psi,
         "flow_pass": flow_pass,
         "R_exponent": exp_R, "R_bound": bound_R,

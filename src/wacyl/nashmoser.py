@@ -14,7 +14,7 @@ import numpy as np
 from . import constants
 from .flow import NormBudgetError
 from .functional import (DomainError, HamiltonianSpec, eval_F,
-                         gamma_from_v, right_inverse, v_norm, x_norm)
+                         gamma_from_v, right_inverse, v_norm)
 from .grids import GridFn, SpatialGrid, TimeGrid
 from .homological import SERIES_TOL
 from .norms import weighted_norm
@@ -41,7 +41,6 @@ class ZehnderParams:
     alpha: float
     Q: float = 2.0
     upsilon: float = 1.0
-    epsilon0: float = 100.0     # desk-scale size threshold, see README
     zeta: float = 0.05
 
     def tau_j(self, j):
@@ -158,10 +157,6 @@ def iterate(H, p, max_steps=12, target=1e-6, quad_tol=SERIES_TOL,
     rep = _checked(p)
     zeta = p.zeta if zeta is None else zeta
     state = IterationState()
-    xgap = x_norm(H.a, H.b, p.lam)
-    if xgap > p.upsilon * p.epsilon0:
-        raise NormBudgetError("|x - x0|_lambda", xgap,
-                              p.upsilon * p.epsilon0)
     psi = GridFn.zeros(H.grid, H.times, H.d)
     # F(phi_1, 0) is both the step-0 paired residual and step 1's
     # right-hand side
@@ -205,7 +200,7 @@ def iterate(H, p, max_steps=12, target=1e-6, quad_tol=SERIES_TOL,
         state.status = "converged"
     manifest = {
         "params": rep["params"],
-        "Q": p.Q, "upsilon": p.upsilon, "epsilon0": p.epsilon0,
+        "Q": p.Q, "upsilon": p.upsilon,
         "zeta": zeta, "target": target, "quad_tol": quad_tol,
         "status": state.status, "steps": state.j,
         "paired_residuals": state.residual_norms,
@@ -234,11 +229,10 @@ def choose_schedule(H, p):
 
     The smallness threshold has no formula, so upsilon is anchored per
     trial at twice the step-0 residual (the envelope then demands a
-    genuine one-step contraction) and epsilon0 is back-filled from the
-    measured |x - x0|_lambda; both land in the run manifest.
+    genuine one-step contraction); the chosen one lands in the run
+    manifest.
     """
     _checked(p)
-    xlam = x_norm(H.a, H.b, p.lam)
     psi = GridFn.zeros(H.grid, H.times, H.d)
     best = None
     records = []
@@ -265,8 +259,7 @@ def choose_schedule(H, p):
     if best is None:
         best = float(Q_GRID[-1])
         chosen_ups = records[-1]["upsilon"] if records else 1.0
-    eps0 = max(p.epsilon0, xlam / max(chosen_ups, 1e-12) * (1 + 1e-9))
-    return replace(p, Q=best, upsilon=chosen_ups, epsilon0=eps0), records
+    return replace(p, Q=best, upsilon=chosen_ups), records
 
 
 def monitor(state, p, omega):

@@ -19,11 +19,7 @@ FROZEN_BY_SWEEP = {
 }
 
 # frozen by hand or from runs outside the sweeps
-NOT_SWEPT = {
-    ("FLOW_EXPONENTS", "c1"), ("FLOW_EXPONENTS", "cbarR1"),
-    ("CELESTIAL_CK", 2), ("HOMOLOGICAL", "c_kappa"), ("MONITOR_C",),
-    ("CDOC", ("product", 0)),
-}
+NOT_SWEPT = {("HOMOLOGICAL", "c_kappa"), ("MONITOR_C",)}
 
 
 def frozen_constants():
@@ -60,21 +56,20 @@ def test_flow_sweep_reads_gronwall_diagnostics(monkeypatch):
     # reports, over mu (0.9 mu for R), times SAFETY
     calls = []
 
-    def stub(F, g, mu, sigma, sample_points, time_pairs):
-        calls.append((mu, sigma, list(time_pairs)))
+    def stub(F, g, mu, sample_points, time_pairs):
+        calls.append((mu, list(time_pairs)))
         return {"flow_exponent": 0.007, "R_exponent": 0.011}
 
     monkeypatch.setattr(flow, "gronwall_diagnostics", stub)
     out = calibration.sweep_flow_exponents()
-    mus = [mu for mu, _, _ in calls]
+    mus = [mu for mu, _ in calls]
     assert len(mus) == 3
-    assert all(sigma == 0 and pairs == [(t, 1.0) for t in (2, 4, 8, 16)]
-               for _, sigma, pairs in calls)
+    assert all(pairs == [(t, 1.0) for t in (2, 4, 8, 16)]
+               for _, pairs in calls)
     c_psi = max(0.007 / mu for mu in mus)
     c_R = max(0.011 / (0.9 * mu) for mu in mus)
     assert out == {"cbar1": c_psi * calibration.SAFETY,
-                   "cR0": c_R * calibration.SAFETY,
-                   "cR1": 2.0 * c_R * calibration.SAFETY}
+                   "cR0": c_R * calibration.SAFETY}
 
 
 def test_homological_sweep_reads_estimate_check(monkeypatch):

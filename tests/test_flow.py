@@ -152,7 +152,7 @@ def test_gronwall_diagnostics_zero_fields():
         return np.zeros((len(np.atleast_2d(q)), 1, 1))
 
     rep = gronwall_diagnostics(
-        F, g, mu=0.01, sigma=0,
+        F, g, mu=0.01,
         sample_points=np.linspace(0, 1, 4)[:-1][:, None],
         time_pairs=[(1.0, 2.0), (1.0, 4.0)])
     assert abs(rep["flow_exponent"]) < 1e-6
@@ -171,7 +171,7 @@ def test_gronwall_scalar_exponent_exact():
         return np.full((len(np.atleast_2d(q)), 1, 1), c / t)
 
     rep = gronwall_diagnostics(
-        F, g, mu=c, sigma=0, sample_points=np.array([[0.0]]),
+        F, g, mu=c, sample_points=np.array([[0.0]]),
         time_pairs=[(1.0, 2.0), (1.0, 4.0), (1.0, 8.0)])
     assert rep["R_exponent"] == pytest.approx(c, abs=1e-6)
 
@@ -188,7 +188,7 @@ def test_gronwall_calibrated_bound():
         return np.zeros((len(np.atleast_2d(q)), 1, 1))
 
     rep = gronwall_diagnostics(
-        F, g, mu=mu, sigma=0,
+        F, g, mu=mu,
         sample_points=np.linspace(0, 1, 5)[:-1][:, None],
         time_pairs=[(1.0, 2.0), (1.0, 4.0), (1.0, 8.0)])
     assert rep["flow_pass"]
@@ -204,7 +204,7 @@ def test_gronwall_refuses_a_single_ratio():
 
     for pairs in ([(1.0, 4.0)], [(1.0, 4.0), (4.0, 1.0), (2.0, 8.0)]):
         with pytest.raises(ValueError, match="1 distinct ratio"):
-            gronwall_diagnostics(F, g, mu=0.3, sigma=0,
+            gronwall_diagnostics(F, g, mu=0.3,
                                  sample_points=np.array([[0.0]]),
                                  time_pairs=pairs)
 
