@@ -34,10 +34,14 @@ def fornberg_weights(x0, x, order):
     """Weights of d^order/dx^order at x0 on nodes x by Fornberg's
     recursion (Math. Comp. 51 (1988) 699): order 0 interpolates (the
     Lagrange weights), order 1 differentiates; exact for polynomials up
-    to degree len(x)-1."""
+    to degree len(x)-1.  An (R,) x0 with (R, n) nodes x gives the (R, n)
+    weights of each row, each by the same operations in the same order
+    as a call for that row alone."""
+    x0 = np.asarray(x0, dtype=float)
     x = np.asarray(x, dtype=float)
-    n = len(x)
-    c = np.zeros((n, order + 1))
+    n = x.shape[-1]
+    c = np.zeros((n, order + 1) + x0.shape)
+    x = np.moveaxis(x, -1, 0)
     c1 = 1.0
     c4 = x[0] - x0
     c[0, 0] = 1.0
@@ -57,7 +61,7 @@ def fornberg_weights(x0, x, order):
                 c[j, k] = (c4 * c[j, k] - k * c[j, k - 1]) / c3
             c[j, 0] = c4 * c[j, 0] / c3
         c1 = c2
-    return c[:, order]
+    return np.moveaxis(c[:, order], 0, -1)
 
 
 class _Derived:
@@ -170,11 +174,13 @@ class TimeGrid(_Derived):
 
     def _dt_matrix(self):
         T = len(self.points)
+        rows = np.arange(T)[:, None]
+        cols = np.array([self.window(i, DT_ORDER + 1).start
+                         for i in range(T)])[:, None] \
+            + np.arange(min(DT_ORDER + 1, T))
+        w = fornberg_weights(self.log_points, self.log_points[cols], 1)
         D = np.zeros((T, T))
-        for i in range(T):
-            win = self.window(i, DT_ORDER + 1)
-            w = fornberg_weights(self.log_points[i], self.log_points[win], 1)
-            D[i, win] = w / self.points[i]
+        D[rows, cols] = w / self.points[:, None]
         return D
 
 
@@ -285,8 +291,9 @@ class GridFn(_Derived):
     values has shape (T, *spatial_shape, components).  Torus axes are
     periodic by construction; all values must be finite.  spectrum, when
     the caller already holds it, is the torus spectrum the derivatives
-    are taken from (see spectrum()).  Its spectrum, Jacobian, gradient
-    field and weighted norms are kept on it by derived.
+    are taken from (see spectrum()).  Its spectrum, Jacobian, time
+    derivative, gradient field and weighted norms are kept on it by
+    derived.
     """
 
     def __init__(self, grid, times, values, spectrum=None):
@@ -367,11 +374,10 @@ class GridFn(_Derived):
 
     def dt(self):
         """Time derivative via order-DT_ORDER stencils on the log-uniform
-        grid."""
-        D = self.times.dt_matrix()
-        flat = self.values.reshape(len(self.times), -1)
-        out = (D @ flat).reshape(self.values.shape)
-        return self._like(out)
+        grid; built once."""
+        return self.derived("dt", lambda: self._like(
+            (self.times.dt_matrix() @ self.values.reshape(len(self.times), -1))
+            .reshape(self.values.shape)))
 
     def jacobian_q(self):
         """All first spatial derivatives with the gradient axis last:

@@ -12,19 +12,23 @@ form the coupling (d_q kappa) f + g kappa with one helper,
 
 A mode of phase theta obeys d_t kappa + i theta kappa = z.  With d_t
 the stencil matrix D of `TimeGrid.dt_matrix`, the one
-transport_operator takes, each mode is one product with the cached
-inverse of D + i theta I (see `_transport_inverse`): transport_operator
-maps the solution of an uncoupled mode with theta != 0 back to z up to
-rounding.  That square system has no condition at t_max, so it is the
-decaying solution only for large |theta| t_max: for z = cos(2 pi q)/t^2
-on 64 time nodes the error is 1.1e-9 at theta t_max = 126 and 2.2e-1 at
-0.38, with a small residual, and more nodes make it worse (ROADMAP item
-14).  The mean mode (theta = 0) closes D with a two-term power-law tail
-model at the horizon, integrated analytically to infinity; the solution
-reports an explicit tail bound from the integrand majorant.  Each
-correction of the series solves for minus the coupling of the last
-correction, formed on the time nodes from its half spectrum, so every
-torus FFT of a solve runs on the time grid.
+transport_operator takes, each mode is solved with D + i theta I by
+block forward and back substitution through its block LU factors,
+cached per time grid and phases (see `_transport_factors`):
+transport_operator maps the solution of an uncoupled mode with
+theta != 0 back to z up to rounding.  That square system has no
+condition at t_max, so it is the decaying solution only for large
+|theta| t_max: for z = cos(2 pi q)/t^2 on 64 time nodes the error
+|kappa - kappa_exact|_{0,1} is 6e-13 at theta t_max = 126 and 1.8e-1
+at 0.38, with a small residual, and more nodes make it worse (ROADMAP
+item 14).  The mean mode
+(theta = 0) closes D with a two-term power-law tail model at the
+horizon, integrated analytically to infinity, as the last row of its
+own factored matrix; the solution reports an explicit tail bound from
+the integrand majorant.  Each correction of the series solves for
+minus the coupling of the last correction, formed on the time nodes
+from its half spectrum, so every torus FFT of a solve runs on the time
+grid.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ import numpy as np
 
 from . import constants
 from .flow import IntegrationError, NormBudgetError
-from .grids import GridFn
+from .grids import DT_ORDER, GridFn
 from .norms import weighted_norm
 
 __all__ = ["HomologicalProblem", "HomologicalSolution", "solve_he",
@@ -53,7 +57,9 @@ class HomologicalProblem:
     GridFns on a common grid; an f or g whose values are all zero counts
     as absent (None), so the solve takes no coupling correction for it.
     mu is always measured: the max of |f|_{1,1} and |g|_{1,1}, 0 when
-    both are absent.
+    both are absent.  sigma must round to an order of the calibrated
+    c_kappa and c_estimate tables; any other value, NaN included, is
+    refused when the problem is built.
     """
 
     def __init__(self, omega, z, f=None, g=None, sigma=1.0):
@@ -62,6 +68,13 @@ class HomologicalProblem:
         self.f = None if f is None or not f.values.any() else f
         self.g = None if g is None or not g.values.any() else g
         self.sigma = float(sigma)
+        orders = sorted(constants.HOMOLOGICAL["c_kappa"].keys()
+                        & constants.HOMOLOGICAL["c_estimate"].keys())
+        if not (np.isfinite(self.sigma)
+                and int(round(self.sigma)) in orders):
+            raise ValueError(f"sigma must round to one of {orders}, the "
+                             f"orders of the calibrated constants, got "
+                             f"{sigma!r}")
         self.grid = z.grid
         self.times = z.times
         if z.components != z.grid.n:
@@ -140,55 +153,98 @@ MAX_CORRECTIONS = 30
 SERIES_TOL = 1e-10
 
 
-def _transport_inverse(times, theta):
-    """(M, T, T) matrices, one per mode phase theta_m, each mapping the
-    mode's amplitudes on the T time nodes from z to kappa; read-only,
-    built once per (grid, theta) with one inversion per distinct phase,
-    copied into the slots of its modes (Nyquist modes repeat a phase).
+# every dt_matrix stencil reaches at most DT_ORDER nodes from its row, so
+# D + i theta I is block tridiagonal in BLOCK x BLOCK blocks
+BLOCK = DT_ORDER
 
-    theta != 0: the inverse of D + i theta I, where D = times.dt_matrix()
-    is the time derivative of transport_operator, so the solve inverts
-    the residual's own operator and needs no boundary condition.
-    theta = 0: D maps constants to zero, so its last row gives way to the
-    tail condition above, linear in the last TAIL_NODES amplitudes.
+
+def _transport_factors(times, theta):
+    """Block LU factors (Golub & Van Loan, Matrix Computations, 4.5) of
+    each mode's operator A_m on the T time nodes, padded with identity
+    rows to nb = ceil(T / BLOCK) blocks: read-only, built once per
+    (grid, theta) with batched inversions of BLOCK x BLOCK blocks.
+
+    theta != 0: A_m = D + i theta I, where D = times.dt_matrix() is the
+    time derivative of transport_operator, so the solve inverts the
+    residual's own operator and needs no boundary condition.
+    theta = 0 (a closed mode): D maps constants to zero, so its last row
+    gives way to kappa(t_max) = the tail condition above, whose weights
+    on the last TAIL_NODES amplitudes of z the solve applies.
+
+    Returns (inv, mult, upper, closed, tail): inv[k] (nb, M, b, b) the
+    inverse of the Schur block S_k = A_kk - L_k A_(k-1)k, mult[k - 1]
+    (nb - 1, M, b, b) the multiplier L_k = A_k(k-1) S_(k-1)^-1, upper
+    (nb - 1, b, b) the blocks A_(k-1)k, which are D's for every mode,
+    closed the indices of the theta = 0 modes and tail the weights of
+    their last row.
     """
     def build():
-        D = times.dt_matrix()
-        T = len(times)
+        T, b = len(times), BLOCK
+        nb = -(-T // b)
+        D = np.eye(nb * b)
+        D[:T, :T] = times.dt_matrix()
+        blocks = D.reshape(nb, b, nb, b).swapaxes(1, 2)
+        upper = blocks[range(nb - 1), range(1, nb)]
+        closed = np.flatnonzero(theta == 0)
+        last = (T - 1) % b
+        shift = 1j * theta[:, None, None] * np.eye(b)
+        inv = np.empty((nb, len(theta), b, b), dtype=complex)
+        mult = np.empty((nb - 1, len(theta), b, b), dtype=complex)
+        for k in range(nb):
+            S = blocks[k, k] + shift
+            if k:
+                mult[k - 1] = blocks[k, k - 1] @ inv[k - 1]
+                if k == nb - 1:     # a closed row has no lower block
+                    mult[k - 1][closed, last] = 0.0
+                S -= mult[k - 1] @ upper[k - 1]
+            if k == nb - 1:         # and is the unit row of node T - 1
+                S[closed, last] = np.eye(b)[last]
+            inv[k] = np.linalg.inv(S)
         ts = times.points[-TAIL_NODES:]
         powers = np.array([TAIL_POWER, TAIL_POWER + 1])
         fit = np.linalg.pinv(ts[:, None] ** -powers)
-        tail = (ts[-1] ** (1 - powers) / (powers - 1)) @ fit
-        mean, rhs = D.copy(), np.eye(T)
-        mean[-1] = rhs[-1]
-        rhs[-1] = 0.0
-        rhs[-1, -len(ts):] = -tail
-        inv = np.empty((len(theta), T, T), dtype=complex)
-        # the first mode of each phase (np.unique would import numpy.ma)
-        first = {}
-        for m, th in enumerate(theta.tolist()):
-            k = first.setdefault(th, m)
-            inv[m] = inv[k] if k < m else \
-                np.linalg.inv(D + 1j * th * np.eye(T)) if th \
-                else np.linalg.solve(mean, rhs)
-        return inv
+        tail = -(ts[-1] ** (1 - powers) / (powers - 1)) @ fit
+        return inv, mult, upper, closed, tail
 
     return times.derived(("transport", theta.tobytes()), build)
 
 
+def _transport_solve(factors, c):
+    """kappa's (T, M, C) amplitudes for z's (T, M, C) amplitudes c: the
+    closed modes' last row takes the tail condition, then one block
+    forward and one block back substitution of nb batched steps, on the
+    amplitudes laid out (block, C, M, BLOCK), so that each step is one
+    batched matrix-vector product per mode or, for the upper blocks of
+    D, one product for all modes."""
+    inv, mult, upper, closed, tail = factors
+    nb, M, b, _ = inv.shape
+    T, C = c.shape[0], c.shape[-1]
+    y = np.zeros((nb * b, C, M), dtype=complex)
+    y[:T] = c.transpose(0, 2, 1)
+    y[T - 1, :, closed] = tail @ c[T - len(tail):, closed].swapaxes(0, 1)
+    y = np.ascontiguousarray(y.reshape(nb, b, C, M).transpose(0, 2, 3, 1))
+    for k in range(1, nb):
+        y[k] -= (mult[k - 1] @ y[k - 1, ..., None])[..., 0]
+    y[-1] = (inv[-1] @ y[-1, ..., None])[..., 0]
+    for k in range(nb - 2, -1, -1):
+        y[k] -= y[k + 1] @ upper[k].T
+        y[k] = (inv[k] @ y[k, ..., None])[..., 0]
+    kap = y.transpose(0, 3, 1, 2).reshape(nb * b, C, M)[:T]
+    return kap.transpose(0, 2, 1)
+
+
 def _spectral_solve(p, quad_tol):
     grid, times = p.grid, p.times
-    inv = _transport_inverse(times, _mode_phases(grid, p.omega))
+    factors = _transport_factors(times, _mode_phases(grid, p.omega))
     T = len(times)
     half = grid.torus_mesh()[0].shape
 
-    def solve(values):          # real (T, *shape, C) -> kappa's (M, T, C)
+    def solve(values):          # real (T, *shape, C) -> kappa's (T, M, C)
         c = grid.torus_rfft(values)
-        return inv @ c.reshape(T, -1, c.shape[-1]).transpose(1, 0, 2)
+        return _transport_solve(factors, c.reshape(T, -1, c.shape[-1]))
 
-    def spectrum(coeffs):       # (M, T, C) -> (T, *half, C)
-        return coeffs.transpose(1, 0, 2).reshape(
-            (T,) + half + coeffs.shape[-1:])
+    def spectrum(coeffs):       # (T, M, C) -> (T, *half, C)
+        return coeffs.reshape((T,) + half + coeffs.shape[-1:])
 
     kap = solve(p.z.values)
     base_scale = np.abs(kap).max()

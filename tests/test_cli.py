@@ -111,6 +111,25 @@ def test_solve_manufactured(tmp_path, capsys):
     assert all("tolerance" in c for c in summary["checks"])
 
 
+@pytest.mark.parametrize("preset, steps", [("manufactured", 3),
+                                           ("manufactured-power", 8)])
+def test_solve_presets_keep_their_schedule_and_verdicts(tmp_path, preset,
+                                                         steps):
+    # outputs that move at the rounding level (a new elimination order in
+    # the transport solve, say) must not flip the scan's choice of Q, the
+    # number of Newton steps or any check's verdict
+    code = run_cli(["--out", str(tmp_path), "solve", "--preset", preset])
+    assert code == EXIT_PASS
+    man = json.loads((tmp_path / "manifest.json").read_text())
+    assert man["Q"] == 1.3690243994493276
+    assert (man["status"], man["steps"]) == ("converged", steps)
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert {c["name"]: c["pass"] for c in summary["checks"]} == {
+        "residual <= target": True,
+        "monotone decrease (>=3 steps)": True,
+        "|v - v*|_{1,1} <= 1e-4": True}
+
+
 @pytest.mark.parametrize("n_times", [32, 128])
 def test_solve_power_passes_on_every_time_grid(tmp_path, n_times):
     # the transport solve inverts the residual's own time derivative, so

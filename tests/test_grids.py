@@ -244,6 +244,32 @@ def test_time_derivative_high_order():
     assert (err * tg.points ** 2).max() < 1e-9
 
 
+def test_time_derivative_is_kept():
+    # dt is built once per GridFn, with the bytes of one product with
+    # dt_matrix
+    tg, sg = TimeGrid(20.0, n_points=24), SpatialGrid(2, 8)
+    f = GridFn.from_callable(sg, tg, lambda q1, q2, t: np.stack(
+        [np.cos(2 * np.pi * q1) / t, np.sin(2 * np.pi * q2) / t ** 2], -1))
+    df = f.dt()
+    assert f.dt() is df and not df.values.flags.writeable
+    want = tg.dt_matrix() @ f.values.reshape(24, -1)
+    assert df.values.tobytes() == want.reshape(f.values.shape).tobytes()
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_fornberg_weights_of_many_rows_are_those_of_each_row(order):
+    # an (R,) x0 with (R, n) nodes runs each row's recursion: the bytes
+    # of R single calls
+    rng = np.random.default_rng(order)
+    x = np.sort(rng.standard_normal((7, 9)), axis=-1)
+    x0 = rng.standard_normal(7)
+    rows = fornberg_weights(x0, x, order)
+    assert rows.shape == (7, 9)
+    for r in range(7):
+        assert rows[r].tobytes() == fornberg_weights(x0[r], x[r],
+                                                     order).tobytes()
+
+
 def test_fornberg_weights_differentiate_polynomials():
     x = np.array([0.0, 0.3, 0.7, 1.1, 1.6])
     w = fornberg_weights(0.7, x, 1)

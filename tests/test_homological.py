@@ -9,8 +9,9 @@ from oracles import characteristics_solve
 from wacyl import constants
 from wacyl.flow import NormBudgetError
 from wacyl.grids import GridFn, SpatialGrid, TimeGrid
-from wacyl.homological import (HomologicalProblem, _contract, _mode_phases,
-                               _transport_inverse, estimate_check,
+from wacyl.homological import (BLOCK, TAIL_NODES, HomologicalProblem,
+                               _contract, _mode_phases, _transport_factors,
+                               _transport_solve, estimate_check,
                                residual_he, solve_he)
 from wacyl.norms import weighted_norm
 
@@ -123,6 +124,20 @@ def test_linearity():
     diff = np.abs(s3.kappa.values - 0.4 * s1.kappa.values
                   - 2.0 * s2.kappa.values).max()
     assert diff <= 10 * tol
+
+
+@pytest.mark.parametrize("sigma", [3.0, -1.0, float("nan")],
+                         ids=["above-the-tables", "negative", "nan"])
+def test_refuses_a_sigma_the_constant_tables_cannot_serve(sigma):
+    # c_kappa and c_estimate are tabled for sigma in {0, 1, 2} only: any
+    # other order is refused when the problem is built, naming the value
+    # and the accepted set
+    sg, tg = make_grids(32, 16, 8.0)
+    z = GridFn.from_callable(sg, tg, lambda q, t: 1.0 / t ** 2 + 0 * q)
+    with pytest.raises(ValueError,
+                       match=rf"one of \[0, 1, 2\].* got {sigma!r}"):
+        HomologicalProblem(omega=[1.0], z=z, sigma=sigma)
+    assert HomologicalProblem(omega=[1.0], z=z, sigma=2.4).sigma == 2.4
 
 
 def test_refuses_oversized_mu():
@@ -345,50 +360,144 @@ def test_solution_manifest_serialization(tmp_path):
     assert man["mu"] == p.mu and man["sigma"] == 1.0
 
 
-# ---- transport inverse -----------------------------------------------
+# ---- transport factors -----------------------------------------------
 
-def test_transport_inverse_built_once_per_grid_and_theta():
+def unit_solve(tg, theta):
+    """(M, T, T): each mode's solve applied to the T unit vectors, taken
+    as T components of one right-hand side."""
+    T = len(tg)
+    c = np.broadcast_to(np.eye(T, dtype=complex)[:, None],
+                        (T, len(theta), T))
+    return _transport_solve(_transport_factors(tg, theta), c) \
+        .transpose(1, 0, 2)
+
+
+def dense_solve(tg, theta, c):
+    """np.linalg.solve of each mode's dense operator: D + i theta I, and
+    for theta = 0 D with its last row replaced by the tail condition
+    kappa(t_max) = -int_(t_max)^inf of the fit c1 t^-2 + c2 t^-3 of z on
+    the last TAIL_NODES nodes."""
+    D, T = tg.dt_matrix(), len(tg)
+    ts = tg.points[-TAIL_NODES:]
+    fit = np.linalg.pinv(ts[:, None] ** -np.array([2.0, 3.0]))
+    tail = -(ts[-1] ** np.array([-1.0, -2.0]) / np.array([1.0, 2.0])) @ fit
+    out = np.empty(c.shape, dtype=complex)
+    for m, th in enumerate(theta):
+        A, rhs = D + 1j * th * np.eye(T), c[:, m].astype(complex)
+        if not th:
+            A[-1] = np.eye(T)[-1]
+            rhs[-1] = tail @ c[-TAIL_NODES:, m]
+        out[:, m] = np.linalg.solve(A, rhs)
+    return out
+
+
+def test_transport_factors_built_once_per_grid_and_theta():
     sg = SpatialGrid(1, 16)
     for tg in (TimeGrid(8.0, n_points=12),
                TimeGrid.from_points(np.geomspace(1.0, 8.0, 12))):
         theta = _mode_phases(sg, [1.0])
-        inv = _transport_inverse(tg, theta)
-        assert inv.shape == (len(theta), 12, 12) and not inv.flags.writeable
-        assert _transport_inverse(tg, _mode_phases(sg, [1.0])) is inv
-        other = _transport_inverse(tg, _mode_phases(sg, [0.5]))
-        assert other is not inv and not np.array_equal(other, inv)
+        factors = _transport_factors(tg, theta)
+        assert all(not a.flags.writeable for a in factors)
+        assert _transport_factors(tg, _mode_phases(sg, [1.0])) is factors
+        other = _transport_factors(tg, _mode_phases(sg, [0.5]))
+        assert other is not factors
+        assert not np.array_equal(other[0], factors[0])
 
 
-def test_transport_inverse_inverts_the_operator_of_the_residual():
+def test_transport_solve_inverts_the_operator_of_the_residual():
     # theta != 0: the inverse of D + i theta I, with D the time
     # derivative transport_operator takes; theta = 0: D on every row but
     # the last, which holds the tail condition
     sg, tg = SpatialGrid(1, 8), TimeGrid(20.0, n_points=32)
     theta = _mode_phases(sg, [1.0])
-    inv = _transport_inverse(tg, theta)
+    inv = unit_solve(tg, theta)
     D = tg.dt_matrix()
     for m in np.flatnonzero(theta):
         A = D + 1j * theta[m] * np.eye(32)
         assert np.abs(A @ inv[m] - np.eye(32)).max() <= 1e-10
     assert theta[0] == 0.0
     assert np.abs(D[:-1] @ inv[0] - np.eye(32)[:-1]).max() <= 1e-10
+    tail = dense_solve(tg, np.zeros(1), np.eye(32)[:, None])[-1, 0]
+    assert np.abs(inv[0][-1] - tail).max() <= 1e-10
+    assert np.count_nonzero(tail) == TAIL_NODES
 
 
-def test_transport_inverse_inverts_each_distinct_phase_once():
+def test_transport_solve_repeated_phases_give_identical_bytes():
     # the Nyquist rows and columns of a 16 x 16 half spectrum repeat a
-    # phase: each repeat gets the bytes of its own inversion
+    # phase: each repeat gets the same factors and the same solution
     sg, tg = SpatialGrid(2, 16), TimeGrid(12.0, n_points=16)
     theta = _mode_phases(sg, [1.0, 0.618])
     assert len(np.unique(theta)) < len(theta)
-    inv = _transport_inverse(tg, theta)
-    D = tg.dt_matrix()
+    inv = unit_solve(tg, theta)
+    factors = _transport_factors(tg, theta)
     for m, th in enumerate(theta):
-        if th:
-            want = np.linalg.inv(D + 1j * th * np.eye(16))
-        else:
-            # the mean mode's inverse is the one cached for phase 0 alone
-            want = _transport_inverse(tg, np.zeros(1))[0]
-        assert inv[m].tobytes() == want.tobytes(), m
+        k = int(np.argmax(theta == th))
+        assert inv[m].tobytes() == inv[k].tobytes(), m
+        for a in factors[:2]:
+            assert a[:, m].tobytes() == a[:, k].tobytes(), m
+
+
+@pytest.mark.parametrize("T", [2, 3, 9, 10, 12])
+def test_transport_solve_on_grids_off_the_block_size(T):
+    # below BLOCK or not a multiple of it, the padded factors solve the
+    # T x T operator of every mode
+    assert T < BLOCK or T % BLOCK
+    sg, tg = SpatialGrid(1, 8), TimeGrid(8.0, n_points=T)
+    theta = _mode_phases(sg, [1.0])
+    rng = np.random.default_rng(T)
+    c = rng.standard_normal((T, len(theta), 2)) \
+        + 1j * rng.standard_normal((T, len(theta), 2))
+    got = _transport_solve(_transport_factors(tg, theta), c)
+    want = dense_solve(tg, theta, c)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_transport_cache_holds_no_dense_operator_per_mode():
+    # the factors are O(T BLOCK) per mode, no array of T^2 entries per
+    # mode is kept on the grid
+    sg, tg = SpatialGrid(1, 32), TimeGrid(20.0, n_points=64)
+    theta = _mode_phases(sg, [1.0])
+    z = GridFn.from_callable(sg, tg,
+                             lambda q, t: np.cos(2 * np.pi * q) / t ** 2)
+    solve_he(HomologicalProblem(omega=[1.0], z=z))
+    kept = [a for value in tg.__dict__["_derived"].values()
+            for a in (value if isinstance(value, tuple) else (value,))
+            if isinstance(a, np.ndarray)]
+    assert any(a.shape[1:] == (len(theta), BLOCK, BLOCK) for a in kept)
+    assert all(a.size < len(theta) * 64 ** 2 for a in kept)
+    assert sum(a.size for a in _transport_factors(tg, theta)) \
+        <= 2 * (len(theta) + 1) * 64 * BLOCK
+
+
+@pytest.mark.parametrize("workload", ["solve-power", "newton-coupled"])
+def test_transport_solve_matches_a_dense_solve_on_the_workloads(
+        workload, monkeypatch):
+    # every transport solve of one run of each benchmark workload agrees
+    # with np.linalg.solve of the dense operators
+    from wacyl import homological
+    from wacyl.nashmoser import (comet_decay_synthetic, iterate,
+                                 manufactured_power, params_from_order)
+    calls = []
+    solve = homological._transport_solve
+
+    def recorded(factors, c):
+        calls.append((c.copy(), solve(factors, c)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(homological, "_transport_solve", recorded)
+    if workload == "solve-power":
+        H, _ = manufactured_power(1e-3)
+        iterate(H, params_from_order(8.0, Q=1.3690243994493276),
+                max_steps=12, target=1e-6, min_steps=3)
+    else:
+        H = comet_decay_synthetic()
+        iterate(H, params_from_order(8.0, Q=1.8), max_steps=8,
+                target=1e-6, quad_tol=1e-9, min_steps=3, zeta=0.1)
+    theta = _mode_phases(H.grid, H.omega)
+    assert calls
+    for c, got in calls:
+        want = dense_solve(H.times, theta, c)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_transport_tail_exact_for_power_law_amplitude():
