@@ -256,56 +256,117 @@ def split_coordinates(state, masses):
     return SplitCoords(X=A @ state.x, Y=B @ state.y)
 
 
-def _pair_table(pairs):
-    """Point pairs (i, j) as (i, j, 2i, 2i + 1, 2j, 2j + 1): the mass
-    indices and the flat indices of x_i, y_i, x_j and y_j."""
-    return tuple((i, j, 2 * i, 2 * i + 1, 2 * j, 2 * j + 1)
-                 for i, j in pairs)
+def _mass_products(masses):
+    """The pair products (m0 m1, m0 m2, m1 m2) of _body_gravity and
+    (m0 mc, m1 mc, m2 mc) of _comet_pull, as floats; formed once per
+    system, not per force pass."""
+    m0, m1, m2, mc = (float(masses.m0), float(masses.m1),
+                      float(masses.m2), float(masses.mc))
+    return (m0 * m1, m0 * m2, m1 * m2), (m0 * mc, m1 * mc, m2 * mc)
 
 
-_PAIRS = _pair_table(((0, 1), (0, 2), (1, 2)))
-# body i and the comet as point 3
-_COMET_PAIRS = _pair_table(((0, 3), (1, 3), (2, 3)))
+# The two force passes below are the one implementation of Newtonian
+# pair gravity, unrolled for the fixed topology: the three bodies, then
+# the comet's pull on them.  They run on Python floats, since numpy's
+# per-call overhead dominates on 2-vectors.  Each pair (i, j) gives
+# f = m_i m_j (x_i - x_j) / |x_i - x_j|^3, subtracted from body i's
+# force and added to body j's, starting from 0.0, in pair order, and
+# -m_i m_j / |x_i - x_j| to the energy.
 
+def _body_gravity(x0, y0, x1, y1, x2, y2, mm, energy=0.0):
+    """Gravity between the three bodies at (x0, y0), (x1, y1) and
+    (x2, y2), mm their pair products (_mass_products), over the pairs
+    (0, 1), (0, 2), (1, 2).
 
-def _pair_gravity(x, m, energy=0.0, pairs=_PAIRS):
-    """Newtonian gravity between point masses m (floats) at the flat
-    positions x = [x0, y0, x1, y1, ...] (floats), one visit per pair
-    i < j in the order of pairs (a _pair_table), on Python floats
-    (numpy call overhead dominates on 2-vectors).
-
-    Returns the forces -dV/dx in the layout of x, energy + V with
-    V = -sum m_i m_j / |x_i - x_j| over the pairs, and the smallest
+    Returns the forces -dV/dx as (f0x, f0y, f1x, f1y, f2x, f2y),
+    energy + V with V = -sum m_i m_j / |x_i - x_j|, and the smallest
     pair distance.
     """
-    force = [0.0] * len(x)
+    mm01, mm02, mm12 = mm
     dmin = math.inf
-    for i, j, ix, iy, jx, jy in pairs:
-        rx = x[ix] - x[jx]
-        ry = x[iy] - x[jy]
-        d = math.sqrt(rx * rx + ry * ry)
-        if d == 0:
-            raise ZeroDivisionError("collision configuration")
-        mm = m[i] * m[j]
-        d3 = d ** 3
-        fx = mm * rx / d3
-        fy = mm * ry / d3
-        force[ix] -= fx
-        force[iy] -= fy
-        force[jx] += fx
-        force[jy] += fy
-        energy -= mm / d
-        if d < dmin:
-            dmin = d
-    return force, energy, dmin
+    rx, ry = x0 - x1, y0 - y1
+    d01 = math.sqrt(rx * rx + ry * ry)
+    if d01 == 0:
+        raise ZeroDivisionError("collision configuration")
+    d3 = d01 ** 3
+    fx01, fy01 = mm01 * rx / d3, mm01 * ry / d3
+    if d01 < dmin:
+        dmin = d01
+    rx, ry = x0 - x2, y0 - y2
+    d02 = math.sqrt(rx * rx + ry * ry)
+    if d02 == 0:
+        raise ZeroDivisionError("collision configuration")
+    d3 = d02 ** 3
+    fx02, fy02 = mm02 * rx / d3, mm02 * ry / d3
+    if d02 < dmin:
+        dmin = d02
+    rx, ry = x1 - x2, y1 - y2
+    d12 = math.sqrt(rx * rx + ry * ry)
+    if d12 == 0:
+        raise ZeroDivisionError("collision configuration")
+    d3 = d12 ** 3
+    fx12, fy12 = mm12 * rx / d3, mm12 * ry / d3
+    if d12 < dmin:
+        dmin = d12
+    return (((0.0 - fx01) - fx02, (0.0 - fy01) - fy02,
+             (0.0 + fx01) - fx12, (0.0 + fy01) - fy12,
+             (0.0 + fx02) + fx12, (0.0 + fy02) + fy12),
+            energy - mm01 / d01 - mm02 / d02 - mm12 / d12, dmin)
+
+
+def _comet_pull(x0, y0, x1, y1, x2, y2, cx, cy, mmc):
+    """The comet at (cx, cy) on the three bodies, mmc the body-comet
+    products (_mass_products), over the pairs (0, c), (1, c), (2, c).
+
+    Returns the forces on the bodies as (f0x, f0y, f1x, f1y, f2x, f2y),
+    the interaction energy -sum m_i m_c / |x_i - c| and the smallest
+    body-comet distance.
+    """
+    mm0, mm1, mm2 = mmc
+    dmin = math.inf
+    rx, ry = x0 - cx, y0 - cy
+    d0 = math.sqrt(rx * rx + ry * ry)
+    if d0 == 0:
+        raise ZeroDivisionError("collision configuration")
+    d3 = d0 ** 3
+    fx0, fy0 = mm0 * rx / d3, mm0 * ry / d3
+    if d0 < dmin:
+        dmin = d0
+    rx, ry = x1 - cx, y1 - cy
+    d1 = math.sqrt(rx * rx + ry * ry)
+    if d1 == 0:
+        raise ZeroDivisionError("collision configuration")
+    d3 = d1 ** 3
+    fx1, fy1 = mm1 * rx / d3, mm1 * ry / d3
+    if d1 < dmin:
+        dmin = d1
+    rx, ry = x2 - cx, y2 - cy
+    d2 = math.sqrt(rx * rx + ry * ry)
+    if d2 == 0:
+        raise ZeroDivisionError("collision configuration")
+    d3 = d2 ** 3
+    fx2, fy2 = mm2 * rx / d3, mm2 * ry / d3
+    if d2 < dmin:
+        dmin = d2
+    return ((0.0 - fx0, 0.0 - fy0, 0.0 - fx1, 0.0 - fy1,
+             0.0 - fx2, 0.0 - fy2),
+            0.0 - mm0 / d0 - mm1 / d1 - mm2 / d2, dmin)
 
 
 def eval_H0_cartesian(state, masses):
-    m = masses.as_array().tolist()
-    kinetic = 0.0
-    for (px, py), mi in zip(state.y.tolist(), m):
-        kinetic += 0.5 * (px * px + py * py) / mi
-    return _pair_gravity(np.ravel(state.x).tolist(), m, kinetic)[1]
+    """H0 = sum |y_i|^2 / 2 m_i + V at state, or the (n,) array of it at
+    the n states of a state whose x and y are (n, 3, 2)."""
+    m0, m1, m2 = masses.as_array().tolist()
+    mm = _mass_products(masses)[0]
+    rows = np.concatenate([np.reshape(state.x, (-1, 6)),
+                           np.reshape(state.y, (-1, 6))], axis=1).tolist()
+    h0 = []
+    for x0, y0, x1, y1, x2, y2, p0x, p0y, p1x, p1y, p2x, p2y in rows:
+        kinetic = (0.5 * (p0x * p0x + p0y * p0y) / m0
+                   + 0.5 * (p1x * p1x + p1y * p1y) / m1
+                   + 0.5 * (p2x * p2x + p2y * p2y) / m2)
+        h0.append(_body_gravity(x0, y0, x1, y1, x2, y2, mm, kinetic)[1])
+    return h0[0] if np.ndim(state.x) == 2 else np.array(h0)
 
 
 def eval_H0_split(sc, masses):
@@ -325,13 +386,10 @@ def eval_H0_split(sc, masses):
 
 
 def _comet_gravity(positions, c, masses):
-    """_pair_gravity over the body-comet pairs alone, with the comet at
-    c, an (x, y) pair, as point 3 of mass m_c; positions are (3, 2) or
-    flat."""
+    """_comet_pull with the comet at c, an (x, y) pair, on the bodies
+    at positions, (3, 2) or flat."""
     x = np.asarray(positions, dtype=float).ravel().tolist()
-    x += _floats(c)
-    m = masses.as_array().tolist() + [masses.mc]
-    return _pair_gravity(x, m, 0.0, _COMET_PAIRS)
+    return _comet_pull(*x, *_floats(c), _mass_products(masses)[1])
 
 
 # eval_Hc refuses a body closer than this to the comet
@@ -351,7 +409,7 @@ def grad_Hc(positions, c, masses):
     """Exact gradient d H_c / d x_i: + m_i m_c (x_i - c)/|x_i - c|^3,
     minus the pull of the comet at c on body i."""
     force = _comet_gravity(positions, c, masses)[0]
-    return np.negative(force[:6]).reshape(3, 2)
+    return np.negative(force).reshape(3, 2)
 
 
 def hess_Hc(positions, c, masses):
@@ -426,10 +484,10 @@ class CircularChart:
     carry surrogate=True.
 
     _circles, _positions and _pullback work on Python floats, with
-    positions and covectors on them flat, [x0, y0, x1, y1, x2, y2] as
-    _pair_gravity takes and gives them, since numpy's per-call overhead
-    dominates on 2-vectors; positions and momenta wrap their results in
-    arrays once.
+    positions and covectors on them flat, [x0, y0, x1, y1, x2, y2], the
+    layout in which _comet_pull takes positions and gives forces, since
+    numpy's per-call overhead dominates on 2-vectors; positions and
+    momenta wrap their results in arrays once.
     """
 
     # relative change of each circle's radius per unit action r_k
@@ -521,6 +579,7 @@ class HExtension:
         self.comet = comet
         self.masses = masses
         self.chart = chart
+        self._mmc = _mass_products(masses)[1]
 
     def _weight(self, xi, radius):
         """w(|xi|) of the cutoff xi w(|xi|) at comet distance radius,
@@ -551,13 +610,12 @@ class HExtension:
         w, dw = self._weight(xi, radius)
         x, y = xi
         circles = self.chart._circles(theta, r)
-        m = self.masses
-        force = _pair_gravity(
-            self.chart._positions(circles, (x * w, y * w)) + [cx, cy],
-            (m.m0, m.m1, m.m2, m.mc), 0.0, _COMET_PAIRS)[0]
+        force = _comet_pull(
+            *self.chart._positions(circles, (x * w, y * w)), cx, cy,
+            self._mmc)[0]
         # grad_Hc: minus the comet's pull on each body
         d_theta, (gx, gy), d_r = self.chart._pullback(
-            circles, [-f for f in force[:6]])
+            circles, [-f for f in force])
         # d (xi w(|xi|)) / d xi = w I + (w'(|xi|) / |xi|) xi xi^T
         s = dw * (gx * x + gy * y)
         return d_theta, (w * gx + s * x, w * gy + s * y), d_r
@@ -574,34 +632,38 @@ def extend_Hc(params, comet, masses, chart):
 
 def _cartesian_rhs(masses, comet):
     """d/dt of the flat state [x (3, 2), y (3, 2)]: [y / m, force] as a
-    float list, by _pair_gravity on the flat x of the three bodies, with
-    the comet c(t) as a fourth attracting point when it has mass.
+    float list, by _body_gravity on the three bodies, plus _comet_pull
+    of the comet at c(t) when it has mass.
 
     rhs.min_distance(t, y) is the smallest pair distance at (t, y).  On
     the y and t of the last rhs call it reuses that call's force pass:
     DOP853 evaluates its event on the state its last stage just saw.
     """
-    m = masses.as_array().tolist()
-    m0, m1, m2 = m
-    pairs = _PAIRS
-    if masses.mc > 0 and comet is not None:
-        m.append(masses.mc)
-        pairs = _PAIRS + _COMET_PAIRS
-    else:
+    m0, m1, m2 = masses.as_array().tolist()
+    mm, mmc = _mass_products(masses)
+    if not (masses.mc > 0 and comet is not None):
         comet = None
     last_t = last_y = None            # the state of the last force pass
     last_dmin = math.inf              # and its smallest pair distance
 
     def rhs(t, yflat):
         nonlocal last_t, last_y, last_dmin
-        v = yflat.tolist()
-        x = v[:6]
+        x0, y0, x1, y1, x2, y2, p0x, p0y, p1x, p1y, p2x, p2y = \
+            yflat.tolist()
+        (f0x, f0y, f1x, f1y, f2x, f2y), _, dmin = _body_gravity(
+            x0, y0, x1, y1, x2, y2, mm)
         if comet is not None:
-            x += comet.position(t).tolist()
-        force, _, last_dmin = _pair_gravity(x, m, 0.0, pairs)
-        last_t, last_y = t, yflat
-        return [v[6] / m0, v[7] / m0, v[8] / m1, v[9] / m1,
-                v[10] / m2, v[11] / m2] + force[:6]
+            cx, cy = comet.position(t).tolist()
+            (g0x, g0y, g1x, g1y, g2x, g2y), _, dc = _comet_pull(
+                x0, y0, x1, y1, x2, y2, cx, cy, mmc)
+            # a + (0.0 - f) is a - f: the bytes of one pass over all pairs
+            f0x, f0y, f1x, f1y, f2x, f2y = (f0x + g0x, f0y + g0y, f1x + g1x,
+                                            f1y + g1y, f2x + g2x, f2y + g2y)
+            if dc < dmin:
+                dmin = dc
+        last_t, last_y, last_dmin = t, yflat, dmin
+        return [p0x / m0, p0y / m0, p1x / m1, p1y / m1, p2x / m2, p2y / m2,
+                f0x, f0y, f1x, f1y, f2x, f2y]
 
     def min_distance(t, y):
         if not (y is last_y and t == last_t):
@@ -644,8 +706,7 @@ def integrate_system(state0, comet, masses, t0, t1, tol=1e-11):
             f"close encounter at t = {sol.t_events[0][0]:.6f}")
     xs = sol.y[:6].T.reshape(-1, 3, 2)
     ys = sol.y[6:].T.reshape(-1, 3, 2)
-    h0 = np.array([eval_H0_cartesian(CartesianState(x, y), masses)
-                   for x, y in zip(xs, ys)])
+    h0 = eval_H0_cartesian(CartesianState(xs, ys), masses)
     y0tot = ys.sum(axis=1)
     return {
         "t": sol.t, "x": xs, "y": ys,

@@ -28,9 +28,16 @@ library's array passes must give the same bytes.
 
 `csv_writer_csv` writes a CLI table with `csv.writer`, as the CLI once
 did; its own writer must give the same bytes.
+
+`table_pair_gravity` is Newtonian pair gravity as one loop over a table
+of point pairs, the form the library's unrolled force passes replaced;
+`PAIRS` (the three bodies) and `COMET_PAIRS` (each body and the comet
+as point 3) are its tables, and the unrolled passes must give the same
+bytes.
 """
 
 import csv
+import math
 
 import numpy as np
 
@@ -283,3 +290,47 @@ def csv_writer_csv(path, header, rows):
         w.writerow(header)
         w.writerows([v.item() if isinstance(v, np.generic) else v
                      for v in row] for row in rows)
+
+
+def _pair_table(pairs):
+    """Point pairs (i, j) as (i, j, 2i, 2i + 1, 2j, 2j + 1): the mass
+    indices and the flat indices of x_i, y_i, x_j and y_j."""
+    return tuple((i, j, 2 * i, 2 * i + 1, 2 * j, 2 * j + 1)
+                 for i, j in pairs)
+
+
+PAIRS = _pair_table(((0, 1), (0, 2), (1, 2)))
+# body i and the comet as point 3
+COMET_PAIRS = _pair_table(((0, 3), (1, 3), (2, 3)))
+
+
+def table_pair_gravity(x, m, energy=0.0, pairs=PAIRS):
+    """Newtonian gravity between point masses m (floats) at the flat
+    positions x = [x0, y0, x1, y1, ...] (floats), one visit per pair
+    i < j in the order of pairs (a _pair_table), on Python floats
+    (numpy call overhead dominates on 2-vectors).
+
+    Returns the forces -dV/dx in the layout of x, energy + V with
+    V = -sum m_i m_j / |x_i - x_j| over the pairs, and the smallest
+    pair distance.
+    """
+    force = [0.0] * len(x)
+    dmin = math.inf
+    for i, j, ix, iy, jx, jy in pairs:
+        rx = x[ix] - x[jx]
+        ry = x[iy] - x[jy]
+        d = math.sqrt(rx * rx + ry * ry)
+        if d == 0:
+            raise ZeroDivisionError("collision configuration")
+        mm = m[i] * m[j]
+        d3 = d ** 3
+        fx = mm * rx / d3
+        fy = mm * ry / d3
+        force[ix] -= fx
+        force[iy] -= fy
+        force[jx] += fx
+        force[jy] += fy
+        energy -= mm / d
+        if d < dmin:
+            dmin = d
+    return force, energy, dmin

@@ -13,7 +13,8 @@ from wacyl.celestial import (CartesianState, CircularChart, CometOrbit,
                              extend_Hc, grad_Hc, hess_Hc,
                              integrate_system, solve_hyperbolic_kepler,
                              split_coordinates)
-from wacyl.celestial import _cartesian_rhs, _pair_gravity, _split_matrices
+from wacyl.celestial import _body_gravity, _cartesian_rhs, _comet_pull, \
+    _mass_products, _split_matrices
 from wacyl.flow import IntegrationError
 
 from oracles import loop_asymptotic_metric, loop_confinement_check
@@ -546,9 +547,12 @@ def test_collision_is_refused(i, j):
     x = np.array([[0.0, 0.0], [0.5, 0.1], [-0.3, 0.8]])
     x[j] = x[i]
     y = np.ones((3, 2))
-    m = MASSES.as_array()
     with pytest.raises(ZeroDivisionError, match="collision"):
-        _pair_gravity(x.ravel().tolist(), m)
+        _body_gravity(*x.ravel().tolist(), _mass_products(MASSES)[0])
+    # the comet on body i
+    with pytest.raises(ZeroDivisionError, match="collision"):
+        _comet_pull(*x.ravel().tolist(), *x[i].tolist(),
+                    _mass_products(MASSES)[1])
     with pytest.raises(ZeroDivisionError, match="collision"):
         _cartesian_rhs(MASSES, None)(1.0, np.concatenate([x.ravel(),
                                                           y.ravel()]))

@@ -290,6 +290,22 @@ def test_check_failure_exit_code(tmp_path):
     assert code == EXIT_CHECK_FAILURE
 
 
+def test_a_solve_at_the_rounding_floor_passes_the_decrease_check(tmp_path):
+    # Q = 1.8 reaches the rounding floor in the first step, and the next
+    # two jitter upwards below target * max(1, r0), as iterate allows
+    code = run_cli(["--out", str(tmp_path), "--set", "solve.q=1.8",
+                    "solve"])
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert {c["name"]: c["pass"] for c in summary["checks"]} == {
+        "residual <= target": True,
+        "monotone decrease (>=3 steps)": True,
+        "|v - v*|_{1,1} <= 1e-4": True}
+    r = json.loads((tmp_path / "manifest.json").read_text())[
+        "true_residuals"]
+    assert r[2] > r[1] and max(r[1:]) < 1e-6
+    assert code == EXIT_PASS
+
+
 @pytest.mark.parametrize("fixed_q", [True, False],
                          ids=["fixed-Q", "schedule-scan"])
 def test_ball_exit_is_numerical_failure(tmp_path, capsys, fixed_q):
@@ -357,8 +373,7 @@ SMALL_SOLVE = ["--set", "solve.torus_points=32", "--set", "solve.n_times=16"]
      "t_peri = nan must be finite"),
     (SMALL_SOLVE + ["--set", "solve.eps=nan", "solve"],
      "solve.eps = nan must be finite"),
-    # zero data: the residual is 0 at every step and 0 < 0 is false, so
-    # the strict monotone-decrease check cannot pass
+    # zero data: every residual is 0, so there is nothing to solve
     (SMALL_SOLVE + ["--set", "solve.eps=0", "solve"],
      "solve.eps = 0.0 must be finite and non-zero"),
     (SMALL_SOLVE + ["--set", "solve.t_max=nan", "solve"],

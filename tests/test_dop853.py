@@ -228,13 +228,13 @@ def test_encounter_event_reuses_the_last_force_pass(monkeypatch):
     # accepted step's last stage made on the same state: one extra pass
     # for the event at t0, none per step
     passes = []
-    pair_gravity = celestial._pair_gravity
+    body_gravity = celestial._body_gravity
 
     def counted(*args):
         passes.append(1)
-        return pair_gravity(*args)
+        return body_gravity(*args)
 
-    monkeypatch.setattr(celestial, "_pair_gravity", counted)
+    monkeypatch.setattr(celestial, "_body_gravity", counted)
     st0 = CHART.state(np.array([0.1, 0.6, 0.0, 0.0]), np.zeros(2),
                       np.zeros(2), np.zeros(2))
     traj = integrate_system(st0, None, MASSES, 1.0, 2.0)

@@ -5,6 +5,7 @@ grid and the time-grid matrix cache."""
 
 import itertools
 import os
+import struct
 import tempfile
 
 import numpy as np
@@ -13,10 +14,13 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from wacyl.celestial import CartesianState, CometOrbit, Masses, \
-    _cartesian_rhs, _pair_gravity, eval_H0_cartesian, grad_Hc
+    _body_gravity, _cartesian_rhs, _comet_pull, _mass_products, \
+    eval_H0_cartesian, grad_Hc
 from wacyl.grids import GridFn, SpatialGrid, TimeGrid, fornberg_weights
 from wacyl.norms import holder_norm, weighted_norm
 from wacyl.smoothing import multiplier_profile, smooth
+
+from oracles import COMET_PAIRS, PAIRS, table_pair_gravity
 
 # deterministic example sequences, no example database on disk
 PROPERTY = settings(derandomize=True, database=None, deadline=None,
@@ -141,8 +145,8 @@ def test_pair_forces_are_minus_potential_gradient(coords, ms):
     assume(min(np.linalg.norm(x[i] - x[j])
                for i, j in ((0, 1), (0, 2), (1, 2))) >= 0.1)
     masses = Masses(*ms)
-    m = masses.as_array()
-    force, potential, dmin = _pair_gravity(x.ravel().tolist(), m)
+    force, potential, dmin = _body_gravity(*x.ravel().tolist(),
+                                           _mass_products(masses)[0])
     force = np.reshape(force, (3, 2))
     at_rest = np.zeros((3, 2))
     assert potential == eval_H0_cartesian(CartesianState(x, at_rest),
@@ -201,7 +205,8 @@ def test_pair_gravity_matches_numpy_oracle(coords, momenta, ms, lag):
     m = masses.as_array()
     mm = np.append(m, masses.mc)
 
-    force, potential, dmin = _pair_gravity(x[:3].ravel().tolist(), m)
+    force, potential, dmin = _body_gravity(*x[:3].ravel().tolist(),
+                                           _mass_products(masses)[0])
     f_ref, v_ref, d_ref = _numpy_pair_gravity(x[:3], m, body_pairs)
     assert _close(force, f_ref.ravel())
     assert abs(potential - v_ref) <= 1e-14 * abs(v_ref)
@@ -223,6 +228,95 @@ def test_pair_gravity_matches_numpy_oracle(coords, momenta, ms, lag):
         dstate = _cartesian_rhs(masses, comet)(2.0, state)
         assert np.array_equal(dstate[:6], (y / m[:, None]).ravel())
         assert _close(dstate[6:], f_want.ravel())
+
+
+def _outcome(fn, *args):
+    """The bytes of fn(*args), its values flattened to doubles, or the
+    type and message of what it raised."""
+    try:
+        out = fn(*args)
+    except ArithmeticError as exc:
+        return type(exc).__name__, str(exc)
+    flat = []
+    for v in out:
+        flat.extend(v if isinstance(v, (list, tuple)) else [v])
+    return struct.pack(f"<{len(flat)}d", *flat)
+
+
+def _table_rhs(masses, comet, t, state):
+    """The Cartesian right-hand side and its smallest pair distance by
+    one table_pair_gravity pass over all pairs, the comet as point 3."""
+    m = masses.as_array().tolist()
+    m0, m1, m2 = m
+    v = state.tolist()
+    x, pairs = v[:6], PAIRS
+    if masses.mc > 0 and comet is not None:
+        m.append(masses.mc)
+        x += comet.position(t).tolist()
+        pairs = PAIRS + COMET_PAIRS
+    force, _, dmin = table_pair_gravity(x, m, 0.0, pairs)
+    return [v[6] / m0, v[7] / m0, v[8] / m1, v[9] / m1,
+            v[10] / m2, v[11] / m2] + force[:6], dmin
+
+
+def _rhs_and_distance(masses, comet, t, state):
+    rhs = _cartesian_rhs(masses, comet)
+    return rhs(t, state), rhs.min_distance(t, state)
+
+
+# coordinates that often coincide in a component (signed-zero forces)
+# or as points (collisions), and masses that may vanish
+coordinate = st.one_of(st.sampled_from([0.0, -0.0, 0.5, -1.25]),
+                       st.floats(-1e3, 1e3))
+mass = st.one_of(st.just(0.0), st.floats(1e-3, 10.0))
+
+
+@PROPERTY
+@given(st.lists(coordinate, min_size=8, max_size=8),
+       st.lists(finite, min_size=6, max_size=6),
+       st.floats(1e-3, 10.0), mass, mass, mass, st.floats(-1e3, 1e3),
+       st.floats(-1.0, 1.0))
+@example([0.0, 0.0, 0.0, 1.0, 0.0, -2.0, 0.0, 0.5], [1.0] * 6,
+         1.0, 0.0, 1e-3, 0.0, 0.0, 0.5)
+def test_force_passes_keep_the_bytes_of_the_pair_table_loop(
+        coords, momenta, m0, m1, m2, mc, energy, lag):
+    # the unrolled passes accumulate in the table's pair order: forces
+    # from 0.0 (signed zeros included), the energy from its start, the
+    # comet's pull after the bodies'; collisions raise as the loop did
+    x, (cx, cy) = coords[:6], coords[6:]
+    masses = Masses(m0, m1, m2, mc)
+    m = masses.as_array().tolist()
+    mm, mmc = _mass_products(masses)
+
+    assert _outcome(_body_gravity, *x, mm, energy) \
+        == _outcome(table_pair_gravity, x, m, energy)
+    comet_want = _outcome(table_pair_gravity, x + [cx, cy], m + [mc], 0.0,
+                          COMET_PAIRS)
+    if isinstance(comet_want, bytes):
+        # the loop also returns the comet's own force, doubles 6 and 7
+        comet_want = comet_want[:48] + comet_want[64:]
+    assert _outcome(_comet_pull, *x, cx, cy, mmc) == comet_want
+
+    xs, ys = np.reshape(x, (3, 2)), np.reshape(momenta, (3, 2))
+
+    def table_h0():
+        kinetic = 0.0
+        for (px, py), mi in zip(ys.tolist(), m):
+            kinetic += 0.5 * (px * px + py * py) / mi
+        return (table_pair_gravity(x, m, kinetic)[1],) * 3
+
+    def h0_of_one_and_of_a_stack():
+        stack = CartesianState(np.stack([xs, xs]), np.stack([ys, ys]))
+        return (eval_H0_cartesian(CartesianState(xs, ys), masses),
+                *eval_H0_cartesian(stack, masses).tolist())
+
+    assert _outcome(h0_of_one_and_of_a_stack) == _outcome(table_h0)
+
+    state = np.array(x + momenta)
+    orbit = CometOrbit(1.5, 1.0, 1.0, t_peri=2.0 - lag)
+    for comet in (None, orbit):
+        assert _outcome(_rhs_and_distance, masses, comet, 2.0, state) \
+            == _outcome(_table_rhs, masses, comet, 2.0, state)
 
 
 # ---- Hölder profile over the time grid -------------------------------
