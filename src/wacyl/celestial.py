@@ -257,62 +257,21 @@ def split_coordinates(state, masses):
 
 
 def _mass_products(masses):
-    """The pair products (m0 m1, m0 m2, m1 m2) of _body_gravity and
-    (m0 mc, m1 mc, m2 mc) of _comet_pull, as floats; formed once per
-    system, not per force pass."""
+    """The pair products (m0 m1, m0 m2, m1 m2) of the bodies' force pass
+    in _cartesian_rhs and (m0 mc, m1 mc, m2 mc) of _comet_pull, as
+    floats; formed once per system, not per force pass."""
     m0, m1, m2, mc = (float(masses.m0), float(masses.m1),
                       float(masses.m2), float(masses.mc))
     return (m0 * m1, m0 * m2, m1 * m2), (m0 * mc, m1 * mc, m2 * mc)
 
 
-# The two force passes below are the one implementation of Newtonian
-# pair gravity, unrolled for the fixed topology: the three bodies, then
-# the comet's pull on them.  They run on Python floats, since numpy's
-# per-call overhead dominates on 2-vectors.  Each pair (i, j) gives
+# Newtonian pair gravity runs on Python floats, since numpy's per-call
+# overhead dominates on 2-vectors, unrolled for the fixed topology: the
+# bodies' forces in _cartesian_rhs, their energy in eval_H0_cartesian
+# and the comet's pull on them in _comet_pull.  Each pair (i, j) gives
 # f = m_i m_j (x_i - x_j) / |x_i - x_j|^3, subtracted from body i's
 # force and added to body j's, starting from 0.0, in pair order, and
 # -m_i m_j / |x_i - x_j| to the energy.
-
-def _body_gravity(x0, y0, x1, y1, x2, y2, mm, energy=0.0):
-    """Gravity between the three bodies at (x0, y0), (x1, y1) and
-    (x2, y2), mm their pair products (_mass_products), over the pairs
-    (0, 1), (0, 2), (1, 2).
-
-    Returns the forces -dV/dx as (f0x, f0y, f1x, f1y, f2x, f2y),
-    energy + V with V = -sum m_i m_j / |x_i - x_j|, and the smallest
-    pair distance.
-    """
-    mm01, mm02, mm12 = mm
-    dmin = math.inf
-    rx, ry = x0 - x1, y0 - y1
-    d01 = math.sqrt(rx * rx + ry * ry)
-    if d01 == 0:
-        raise ZeroDivisionError("collision configuration")
-    d3 = d01 ** 3
-    fx01, fy01 = mm01 * rx / d3, mm01 * ry / d3
-    if d01 < dmin:
-        dmin = d01
-    rx, ry = x0 - x2, y0 - y2
-    d02 = math.sqrt(rx * rx + ry * ry)
-    if d02 == 0:
-        raise ZeroDivisionError("collision configuration")
-    d3 = d02 ** 3
-    fx02, fy02 = mm02 * rx / d3, mm02 * ry / d3
-    if d02 < dmin:
-        dmin = d02
-    rx, ry = x1 - x2, y1 - y2
-    d12 = math.sqrt(rx * rx + ry * ry)
-    if d12 == 0:
-        raise ZeroDivisionError("collision configuration")
-    d3 = d12 ** 3
-    fx12, fy12 = mm12 * rx / d3, mm12 * ry / d3
-    if d12 < dmin:
-        dmin = d12
-    return (((0.0 - fx01) - fx02, (0.0 - fy01) - fy02,
-             (0.0 + fx01) - fx12, (0.0 + fy01) - fy12,
-             (0.0 + fx02) + fx12, (0.0 + fy02) + fy12),
-            energy - mm01 / d01 - mm02 / d02 - mm12 / d12, dmin)
-
 
 def _comet_pull(x0, y0, x1, y1, x2, y2, cx, cy, mmc):
     """The comet at (cx, cy) on the three bodies, mmc the body-comet
@@ -355,9 +314,10 @@ def _comet_pull(x0, y0, x1, y1, x2, y2, cx, cy, mmc):
 
 def eval_H0_cartesian(state, masses):
     """H0 = sum |y_i|^2 / 2 m_i + V at state, or the (n,) array of it at
-    the n states of a state whose x and y are (n, 3, 2)."""
+    the n states of a state whose x and y are (n, 3, 2); V is
+    -m0 m1 / d01 - m0 m2 / d02 - m1 m2 / d12, subtracted in pair order."""
     m0, m1, m2 = masses.as_array().tolist()
-    mm = _mass_products(masses)[0]
+    mm01, mm02, mm12 = _mass_products(masses)[0]
     rows = np.concatenate([np.reshape(state.x, (-1, 6)),
                            np.reshape(state.y, (-1, 6))], axis=1).tolist()
     h0 = []
@@ -365,7 +325,15 @@ def eval_H0_cartesian(state, masses):
         kinetic = (0.5 * (p0x * p0x + p0y * p0y) / m0
                    + 0.5 * (p1x * p1x + p1y * p1y) / m1
                    + 0.5 * (p2x * p2x + p2y * p2y) / m2)
-        h0.append(_body_gravity(x0, y0, x1, y1, x2, y2, mm, kinetic)[1])
+        rx, ry = x0 - x1, y0 - y1
+        d01 = math.sqrt(rx * rx + ry * ry)
+        rx, ry = x0 - x2, y0 - y2
+        d02 = math.sqrt(rx * rx + ry * ry)
+        rx, ry = x1 - x2, y1 - y2
+        d12 = math.sqrt(rx * rx + ry * ry)
+        if d01 == 0 or d02 == 0 or d12 == 0:
+            raise ZeroDivisionError("collision configuration")
+        h0.append(kinetic - mm01 / d01 - mm02 / d02 - mm12 / d12)
     return h0[0] if np.ndim(state.x) == 2 else np.array(h0)
 
 
@@ -385,24 +353,31 @@ def eval_H0_split(sc, masses):
     return float(H)
 
 
-def _comet_gravity(positions, c, masses):
-    """_comet_pull with the comet at c, an (x, y) pair, on the bodies
-    at positions, (3, 2) or flat."""
-    x = np.asarray(positions, dtype=float).ravel().tolist()
-    return _comet_pull(*x, *_floats(c), _mass_products(masses)[1])
-
-
-# eval_Hc refuses a body closer than this to the comet
+# eval_Hc, grad_Hc and hess_Hc refuse a body closer than this to the comet
 HC_PROXIMITY = 1e-9
 
 
-def eval_Hc(positions, c, masses):
-    """Interaction with the comet at c: - sum_i m_i m_c / |x_i - c|."""
-    _, out, dmin = _comet_gravity(positions, c, masses)
+def _comet_gravity(positions, c, masses):
+    """_comet_pull with the comet at c, an (x, y) pair, on the bodies
+    at positions, (3, 2) or flat; refuses a body within HC_PROXIMITY of
+    the comet."""
+    x = np.asarray(positions, dtype=float).ravel().tolist()
+    cx, cy = _floats(c)
+    try:
+        out = _comet_pull(*x, cx, cy, _mass_products(masses)[1])
+        dmin = out[2]
+    except ZeroDivisionError:
+        # a body on the comet, or so close that d^3 underflows to 0
+        dmin = min(math.hypot(x[k] - cx, x[k + 1] - cy) for k in (0, 2, 4))
     if dmin < HC_PROXIMITY:
         raise ZeroDivisionError(
             f"a body is {dmin:.3e} from the comet (limit {HC_PROXIMITY})")
     return out
+
+
+def eval_Hc(positions, c, masses):
+    """Interaction with the comet at c: - sum_i m_i m_c / |x_i - c|."""
+    return _comet_gravity(positions, c, masses)[1]
 
 
 def grad_Hc(positions, c, masses):
@@ -415,6 +390,7 @@ def grad_Hc(positions, c, masses):
 def hess_Hc(positions, c, masses):
     """Per-body Hessian of the interaction with the comet at c:
     m_i m_c (I - 3 rhat rhat^T)/d^3."""
+    _comet_gravity(positions, c, masses)        # for its refusal only
     c = np.asarray(c, dtype=float)
     m = masses.as_array()
     out = np.zeros((3, 2, 2))
@@ -632,15 +608,15 @@ def extend_Hc(params, comet, masses, chart):
 
 def _cartesian_rhs(masses, comet):
     """d/dt of the flat state [x (3, 2), y (3, 2)]: [y / m, force] as a
-    float list, by _body_gravity on the three bodies, plus _comet_pull
-    of the comet at c(t) when it has mass.
+    float list, the bodies' forces over the pairs (0, 1), (0, 2), (1, 2),
+    plus _comet_pull of the comet at c(t) when it has mass.
 
     rhs.min_distance(t, y) is the smallest pair distance at (t, y).  On
     the y and t of the last rhs call it reuses that call's force pass:
     DOP853 evaluates its event on the state its last stage just saw.
     """
     m0, m1, m2 = masses.as_array().tolist()
-    mm, mmc = _mass_products(masses)
+    (mm01, mm02, mm12), mmc = _mass_products(masses)
     if not (masses.mc > 0 and comet is not None):
         comet = None
     last_t = last_y = None            # the state of the last force pass
@@ -650,8 +626,35 @@ def _cartesian_rhs(masses, comet):
         nonlocal last_t, last_y, last_dmin
         x0, y0, x1, y1, x2, y2, p0x, p0y, p1x, p1y, p2x, p2y = \
             yflat.tolist()
-        (f0x, f0y, f1x, f1y, f2x, f2y), _, dmin = _body_gravity(
-            x0, y0, x1, y1, x2, y2, mm)
+        rx, ry = x0 - x1, y0 - y1
+        d01 = math.sqrt(rx * rx + ry * ry)
+        if d01 == 0:
+            raise ZeroDivisionError("collision configuration")
+        d3 = d01 ** 3
+        fx01, fy01 = mm01 * rx / d3, mm01 * ry / d3
+        rx, ry = x0 - x2, y0 - y2
+        d02 = math.sqrt(rx * rx + ry * ry)
+        if d02 == 0:
+            raise ZeroDivisionError("collision configuration")
+        d3 = d02 ** 3
+        fx02, fy02 = mm02 * rx / d3, mm02 * ry / d3
+        rx, ry = x1 - x2, y1 - y2
+        d12 = math.sqrt(rx * rx + ry * ry)
+        if d12 == 0:
+            raise ZeroDivisionError("collision configuration")
+        d3 = d12 ** 3
+        fx12, fy12 = mm12 * rx / d3, mm12 * ry / d3
+        f0x, f0y = (0.0 - fx01) - fx02, (0.0 - fy01) - fy02
+        f1x, f1y = (0.0 + fx01) - fx12, (0.0 + fy01) - fy12
+        f2x, f2y = (0.0 + fx02) + fx12, (0.0 + fy02) + fy12
+        # from math.inf, so that a nan distance is passed over
+        dmin = math.inf
+        if d01 < dmin:
+            dmin = d01
+        if d02 < dmin:
+            dmin = d02
+        if d12 < dmin:
+            dmin = d12
         if comet is not None:
             cx, cy = comet.position(t).tolist()
             (g0x, g0y, g1x, g1y, g2x, g2y), _, dc = _comet_pull(

@@ -13,9 +13,11 @@ IEEE operation on the same operands, with less numpy call overhead.
 
 - A stage state is `dy = K[:s].T.dot(A[s, :s]); dy *= h; dy += y`,
   scipy's `y + np.dot(K[:s].T, A[s, :s]) * h` in place: the same BLAS
-  product, the same product by h and a commutative sum.  The views
-  `K[:s].T` are made once per solve and follow K as it fills; the rows
-  `A[s, :s]` once at import.
+  product, the same product by h and a commutative sum, written out in
+  the stage loop.  The views `K[:s].T` are made once per solve and
+  follow K as it fills; the rows `A[s, :s]` once at import.
+- `nfev` is counted, not wrapped around fun: 2 at the start (f and the
+  initial-step probe), 12 per step tried and 3 per dense output.
 - t, h and the step-size control are Python floats: their arithmetic,
   `**` (C `pow`) and `math.nextafter` give the bits of numpy's float64
   scalars.
@@ -326,25 +328,20 @@ def _initial_step(fun, t0, y0, t_bound, f0, direction, rtol, atol):
     return float(min(100 * h0, h1, interval_length))
 
 
-def _stage_state(KT, s, h, y):
-    """y + h sum_j A[s, j] K[j] over j < s, as y + (K[:s].T A[s, :s]) h."""
-    dy = KT[s].dot(A_ROWS[s])
-    dy *= h
-    dy += y
-    return dy
-
-
 def _rk_step(fun, t, y, f, h, K, KT):
     """One 12-stage step from (t, y) with f = fun(t, y); fills K[:13]
     with the stages and f(t + h, y_new), each written straight into its
-    row.  KT[s] is the view K[:s].T.  f_new is a copy: a rejected step
-    overwrites K, and an accepted one starts the next step from f_new."""
+    row, by 12 calls of fun.  KT[s] is the view K[:s].T; stage s is at
+    y + h sum_j A[s, j] K[j] over j < s, and stage 12, at t + 1.0 h, is
+    y_new.  f_new is a copy: a rejected step overwrites K, and an
+    accepted one starts the next step from f_new."""
     K[0] = f
-    for s in range(1, N_STAGES):
-        K[s] = fun(t + C_NODES[s] * h, _stage_state(KT, s, h, y))
-    y_new = _stage_state(KT, N_STAGES, h, y)
-    K[N_STAGES] = fun(t + h, y_new)
-    return y_new, K[N_STAGES].copy()
+    for s in range(1, N_STAGES + 1):
+        dy = KT[s].dot(A_ROWS[s])
+        dy *= h
+        dy += y
+        K[s] = fun(t + C_NODES[s] * h, dy)
+    return dy, K[N_STAGES].copy()
 
 
 def _error_norm(KT, h, scale):
@@ -366,9 +363,12 @@ def _error_norm(KT, h, scale):
 def _dense_output(fun, K, KT, t_old, t, y_old, y, f, h):
     """The 7th-order interpolant y(s) on the step [t_old, t] of size h,
     at a float s or a 1-D array of them; evaluates the three extra
-    stages into K[13:]."""
+    stages into K[13:], by 3 calls of fun."""
     for s in range(N_STAGES + 1, N_STAGES_EXTENDED):
-        K[s] = fun(t_old + C_NODES[s] * h, _stage_state(KT, s, h, y_old))
+        dy = KT[s].dot(A_ROWS[s])
+        dy *= h
+        dy += y_old
+        K[s] = fun(t_old + C_NODES[s] * h, dy)
     F = np.empty((INTERPOLATOR_POWER, len(y_old)))
     f_old = K[0]
     delta_y = y - y_old
@@ -462,16 +462,10 @@ def solve_ivp(fun, t_span, y0, rtol, atol, t_eval=None, events=None):
         # i is the first point not yet output
         i = 0
 
-    nfev = 0
-
-    def rhs(t, y):
-        nonlocal nfev
-        nfev += 1
-        return fun(t, y)
-
     t, y = t0, y0
-    f = np.asarray(rhs(t, y), dtype=float)
-    h_abs = _initial_step(rhs, t, y, tf, f, direction, rtol, atol)
+    f = np.asarray(fun(t, y), dtype=float)
+    h_abs = _initial_step(fun, t, y, tf, f, direction, rtol, atol)
+    nfev = 2                    # f and the initial-step probe
     K = np.empty((N_STAGES_EXTENDED, len(y)))
     KT = [K[:s].T for s in range(N_STAGES_EXTENDED)]
     if events is not None:
@@ -493,7 +487,8 @@ def solve_ivp(fun, t_span, y0, rtol, atol, t_eval=None, events=None):
                 t_new = tf
             h = t_new - t
             h_abs = abs(h)
-            y_new, f_new = _rk_step(rhs, t, y, f, h, K, KT)
+            y_new, f_new = _rk_step(fun, t, y, f, h, K, KT)
+            nfev += 12
             # atol + max(|y|, |y_new|) rtol
             scale = np.abs(y_new)
             np.maximum(np.abs(y), scale, out=scale)
@@ -521,7 +516,8 @@ def solve_ivp(fun, t_span, y0, rtol, atol, t_eval=None, events=None):
         if events is not None:
             g_new = events(t, y)
             if g <= 0 <= g_new or g >= 0 >= g_new:
-                sol = _dense_output(rhs, K, KT, t_old, t, y_old, y, f, h)
+                sol = _dense_output(fun, K, KT, t_old, t, y_old, y, f, h)
+                nfev += 3
                 root = _bisect(lambda s: events(s, sol(s)), t_old, t)
                 t_events.append(root)
                 status = 1
@@ -535,7 +531,8 @@ def solve_ivp(fun, t_span, y0, rtol, atol, t_eval=None, events=None):
         i_new = bisect_right(t_eval_list, t)
         if i_new > i:
             if sol is None:
-                sol = _dense_output(rhs, K, KT, t_old, t, y_old, y, f, h)
+                sol = _dense_output(fun, K, KT, t_old, t, y_old, y, f, h)
+                nfev += 3
             ts.append(t_eval[i:i_new])
             # one point by the float path of sol: the same bits, without
             # broadcasting a (1, n) block

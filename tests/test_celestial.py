@@ -13,8 +13,8 @@ from wacyl.celestial import (CartesianState, CircularChart, CometOrbit,
                              extend_Hc, grad_Hc, hess_Hc,
                              integrate_system, solve_hyperbolic_kepler,
                              split_coordinates)
-from wacyl.celestial import _body_gravity, _cartesian_rhs, _comet_pull, \
-    _mass_products, _split_matrices
+from wacyl.celestial import _cartesian_rhs, _comet_pull, _mass_products, \
+    _split_matrices
 from wacyl.flow import IntegrationError
 
 from oracles import loop_asymptotic_metric, loop_confinement_check
@@ -212,6 +212,18 @@ def test_grad_and_hess_vs_finite_differences():
                   - grad_Hc(pm, c, MASSES)[i]) / (2 * h)
             assert np.abs(Hs[i][:, a] - fd).max() <= 1e-5 * np.abs(
                 fd).max()
+
+
+@pytest.mark.parametrize("gap", [0.0, 1e-12], ids=["on", "1e-12"])
+def test_a_body_at_the_comet_is_refused(gap):
+    # all three refuse a body within HC_PROXIMITY of the comet; grad_Hc
+    # used to return a force of 1e18 at 1e-12, and hess_Hc nan on it
+    pos = np.array([[0.1, 0.0], [0.0, 0.2], [-0.1, -0.05]])
+    c = pos[1] + [gap, 0.0]
+    for fn in (eval_Hc, grad_Hc, hess_Hc):
+        with pytest.raises(ZeroDivisionError, match=re.escape(
+                f"a body is {gap:.3e} from the comet (limit 1e-09)")):
+            fn(pos, c, MASSES)
 
 
 def test_Hc_linear_in_comet_mass():
@@ -547,15 +559,15 @@ def test_collision_is_refused(i, j):
     x = np.array([[0.0, 0.0], [0.5, 0.1], [-0.3, 0.8]])
     x[j] = x[i]
     y = np.ones((3, 2))
+    state = np.concatenate([x.ravel(), y.ravel()])
     with pytest.raises(ZeroDivisionError, match="collision"):
-        _body_gravity(*x.ravel().tolist(), _mass_products(MASSES)[0])
+        _cartesian_rhs(MASSES, None).min_distance(1.0, state)
     # the comet on body i
     with pytest.raises(ZeroDivisionError, match="collision"):
         _comet_pull(*x.ravel().tolist(), *x[i].tolist(),
                     _mass_products(MASSES)[1])
     with pytest.raises(ZeroDivisionError, match="collision"):
-        _cartesian_rhs(MASSES, None)(1.0, np.concatenate([x.ravel(),
-                                                          y.ravel()]))
+        _cartesian_rhs(MASSES, None)(1.0, state)
     with pytest.raises(ZeroDivisionError, match="collision"):
         eval_H0_cartesian(CartesianState(x, y), MASSES)
 

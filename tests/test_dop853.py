@@ -3,10 +3,12 @@ tableau and numpy expressions it copies: on the inputs of every wacyl
 caller the trajectory and the evaluation count are bit-identical."""
 
 import ast
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -226,20 +228,66 @@ def test_t_eval_on_a_backward_span_is_refused():
 def test_encounter_event_reuses_the_last_force_pass(monkeypatch):
     # the event reads the smallest distance of the force pass that the
     # accepted step's last stage made on the same state: one extra pass
-    # for the event at t0, none per step
-    passes = []
-    body_gravity = celestial._body_gravity
+    # for the event at t0, none per step.  A pass over the three bodies,
+    # in the right-hand side or in H0, takes one square root per pair
+    roots = []
 
-    def counted(*args):
-        passes.append(1)
-        return body_gravity(*args)
+    def counted(v):
+        roots.append(1)
+        return math.sqrt(v)
 
-    monkeypatch.setattr(celestial, "_body_gravity", counted)
+    counting_math = SimpleNamespace(**vars(math))
+    counting_math.sqrt = counted
+    monkeypatch.setattr(celestial, "math", counting_math)
     st0 = CHART.state(np.array([0.1, 0.6, 0.0, 0.0]), np.zeros(2),
                       np.zeros(2), np.zeros(2))
     traj = integrate_system(st0, None, MASSES, 1.0, 2.0)
+    passes, rest = divmod(len(roots), 3)
+    assert rest == 0
     # + 1 for the event at t0, + 1 per H0 sample
-    assert len(passes) == traj["nfev"] + 1 + celestial.TRAJECTORY_SAMPLES
+    assert passes == traj["nfev"] + 1 + celestial.TRAJECTORY_SAMPLES
+
+
+def test_nfev_is_the_number_of_calls():
+    # nfev is counted as 2 + 12 per step tried + 3 per dense output;
+    # a wrapping fun counts the calls themselves
+    def oscillator(t, y):
+        return np.array([y[1], -y[0]])
+
+    e = 0.9
+    kepler_y0 = [1 + e, 0.0, 0.0, ((1 - e) / (1 + e)) ** 0.5]
+    runs = {
+        "plain": (oscillator, (0.0, 10.0), [1.0, 0.0], 1e-9, 1e-12, {}),
+        "t_eval points in one step": (
+            oscillator, (0.0, 10.0), [1.0, 0.0], 1e-6, 1e-9,
+            {"t_eval": np.linspace(0.0, 10.0, 400)}),
+        "terminal event": (
+            oscillator, (0.0, 10.0), [1.0, 0.0], 1e-9, 1e-12,
+            {"events": lambda t, y: y[0] - 0.5}),
+        "rejected steps": (kepler_list, (0.0, 10.0), kepler_y0, 1e-9,
+                           1e-12, {"t_eval": np.linspace(0.0, 10.0, 50)}),
+        "step-size underflow": (lambda t, y: y ** 2, (0.0, 2.0), [1.0],
+                                1e-9, 1e-12, {}),
+    }
+    for name, (fun, t_span, y0, rtol, atol, kwargs) in runs.items():
+        calls = []
+
+        def counted(t, y, fun=fun):
+            calls.append(t)
+            return fun(t, y)
+
+        sol = solve_ivp(counted, t_span, y0, rtol=rtol, atol=atol, **kwargs)
+        assert sol.nfev == len(calls), name
+        ref = scipy_reference(fun, t_span, y0, rtol, atol, **kwargs)
+        assert sol.nfev == ref.nfev, name
+        if name == "terminal event":
+            assert sol.message == "A termination event occurred."
+        if name == "step-size underflow":
+            assert not sol.success
+        if name == "rejected steps":
+            # more steps tried than taken
+            assert (sol.nfev - 2) // 12 > len(
+                solve_ivp(fun, t_span, y0, rtol=rtol, atol=atol).t) - 1
 
 
 def test_non_finite_initial_state_is_refused():
