@@ -373,10 +373,17 @@ def cmd_simulate_comet(conf, outdir):
     confined = confinement_check(traj["t"], traj["states"][:, 4:6], orbit,
                                  eps, C_bar=conf["cbar"])
     _write_manifest(outdir, "confinement.json", confined)
+    # the two quantities the verdict reads, at their worst sample; the
+    # first sample meets the log bound with equality, so the excess is
+    # taken after it
+    rows = confined["rows"]
+    ratio = max(row["ratio"] for row in rows)
+    excess = max(row["xi"] - row["log_bound"] for row in rows[1:])
     checks.append({"name": "confinement", "pass": confined["pass"],
-                   "detail": f"v = {confined['v_asymptotic']:.1f}, "
-                             f"threshold = {confined['v_threshold']:.1f}",
-                   "tolerance": "log bound"})
+                   "detail": f"max |xi|/|c| = {ratio:.3e} < eps/6 = "
+                             f"{eps / 6.0:.3e}, max |xi| - log bound = "
+                             f"{excess:.3e} <= 0",
+                   "tolerance": "eps/6 and log bound"})
     am = asymptotic_metric(traj, system.omega,
                            np.concatenate([theta0, xi0]), 1.0)
     _write_manifest(outdir, "decay_report.json",

@@ -222,10 +222,12 @@ Q_GRID = np.geomspace(1.15, 3.0, 12)
 
 def choose_schedule(H, p):
     """Pick (Q, upsilon) from one newton_step from psi = 0 per Q of
-    Q_GRID: every trial runs and is recorded, and the first Q in grid
-    order whose step lands under its scheduled envelope
-    |F_1| <= (upsilon/2) Q^(-lambda beta) is chosen (the last Q when
-    none does); trials the step refuses are skipped.
+    Q_GRID, in grid order: the scan stops at the first Q whose step
+    lands under its scheduled envelope |F_1| <= (upsilon/2)
+    Q^(-lambda beta), and records every trial up to and including it.
+    The choice is the last recorded trial, which is the last trial the
+    step did not refuse when none contracts; (Q_GRID[-1], 1.0) when the
+    step refuses every trial.
 
     The smallness threshold has no formula, so upsilon is anchored per
     trial at twice the step-0 residual (the envelope then demands a
@@ -234,9 +236,7 @@ def choose_schedule(H, p):
     """
     _checked(p)
     psi = GridFn.zeros(H.grid, H.times, H.d)
-    best = None
     records = []
-    chosen_ups = 1.0
     for Q in Q_GRID:
         trial = replace(p, Q=float(Q))
         Hs = _smoothed_spec(H, trial.tau_j(1))
@@ -253,13 +253,12 @@ def choose_schedule(H, p):
         envelope = 0.5 * ups * Q ** (-trial.lam * trial.beta)
         records.append({"Q": float(Q), "upsilon": ups, "r1": r1,
                         "envelope": envelope})
-        if r1 <= envelope and best is None:
-            best = float(Q)
-            chosen_ups = ups
-    if best is None:
-        best = float(Q_GRID[-1])
-        chosen_ups = records[-1]["upsilon"] if records else 1.0
-    return replace(p, Q=best, upsilon=chosen_ups), records
+        if r1 <= envelope:
+            break
+    if not records:
+        return replace(p, Q=float(Q_GRID[-1]), upsilon=1.0), records
+    return replace(p, Q=records[-1]["Q"],
+                   upsilon=records[-1]["upsilon"]), records
 
 
 def monitor(state, p, omega):

@@ -130,6 +130,20 @@ def test_solve_presets_keep_their_schedule_and_verdicts(tmp_path, preset,
         "|v - v*|_{1,1} <= 1e-4": True}
 
 
+@pytest.mark.parametrize("preset", ["manufactured", "manufactured-power"])
+def test_schedule_scan_ends_at_the_chosen_schedule(tmp_path, preset):
+    # the scan stops at its choice, so its last row is the run's schedule
+    code = run_cli(["--out", str(tmp_path), "solve", "--preset", preset])
+    assert code == EXIT_PASS
+    man = json.loads((tmp_path / "manifest.json").read_text())
+    lines = (tmp_path / "schedule_scan.csv").read_text().splitlines()
+    rows = [[float(cell) for cell in line.split(",")] for line in lines[1:]]
+    assert rows[-1][:2] == [man["Q"], man["upsilon"]]
+    # only the last trial lands under its envelope
+    assert [r1 <= envelope for *_, r1, envelope in rows] == \
+        [False] * (len(rows) - 1) + [True]
+
+
 @pytest.mark.parametrize("n_times", [32, 128])
 def test_solve_power_passes_on_every_time_grid(tmp_path, n_times):
     # the transport solve inverts the residual's own time derivative, so
@@ -180,6 +194,25 @@ def test_simulate_comet_surrogate(tmp_path):
     assert type(man["nfev"]) is int and man["nfev"] > 0
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert all(type(c["pass"]) is bool for c in summary["checks"])
+
+
+def test_confinement_detail_shows_what_the_verdict_reads(tmp_path):
+    # the verdict reads |xi|/|c| < eps/6 and |xi| <= log bound at every
+    # sample; the printed detail carries the worst of each
+    code = run_cli(["--out", str(tmp_path), "--set", "comet.t_max=10",
+                    "simulate-comet", "--mc", "1e-3"])
+    assert code == EXIT_PASS
+    rows = json.loads((tmp_path / "confinement.json").read_text())["rows"]
+    eps = json.loads((tmp_path / "manifest.json").read_text())["eps"]
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    detail = next(c["detail"] for c in summary["checks"]
+                  if c["name"] == "confinement")
+    ratio = max(r["ratio"] for r in rows)
+    excess = max(r["xi"] - r["log_bound"] for r in rows[1:])
+    assert excess < 0
+    assert detail == (f"max |xi|/|c| = {ratio:.3e} < eps/6 = "
+                      f"{eps / 6.0:.3e}, max |xi| - log bound = "
+                      f"{excess:.3e} <= 0")
 
 
 @pytest.mark.parametrize("mc, tol, want", [
@@ -306,19 +339,23 @@ def test_a_solve_at_the_rounding_floor_passes_the_decrease_check(tmp_path):
     assert code == EXIT_PASS
 
 
-@pytest.mark.parametrize("fixed_q", [True, False],
+@pytest.mark.parametrize("fixed_q, v", [(True, "6.000e-01"),
+                                         (False, "5.713e-01")],
                          ids=["fixed-Q", "schedule-scan"])
-def test_ball_exit_is_numerical_failure(tmp_path, capsys, fixed_q):
-    # eps = 0.6 puts the first candidate outside the momentum ball of
-    # radius 0.5; with or without the schedule scan this is a numerical
-    # failure, not a configuration error
+def test_ball_exit_is_numerical_failure(tmp_path, capsys, fixed_q, v):
+    # eps = 0.6 puts the first candidate at Q = 2 outside the momentum
+    # ball of radius 0.5; the scan's choice Q = 1.369 (no trial contracts,
+    # and the step refuses every larger Q) smooths more, so its first step
+    # passes and its second candidate leaves the ball.  With or without
+    # the schedule scan this is a numerical failure, not a configuration
+    # error
     args = ["--out", str(tmp_path), "--set", "solve.eps=0.6",
             "--set", "solve.torus_points=32", "--set", "solve.n_times=24"]
     if fixed_q:
         args += ["--set", "solve.Q=2.0"]
     assert run_cli(args + ["solve"]) == EXIT_NUMERICAL_FAILURE
     err = capsys.readouterr().err
-    assert "|v| = 6.000e-01 > 0.5" in err
+    assert f"|v| = {v} > 0.5" in err
     # the scan skips the trials that leave the ball instead of aborting
     assert (tmp_path / "schedule_scan.csv").exists() != fixed_q
 

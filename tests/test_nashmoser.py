@@ -300,10 +300,11 @@ def counted_scan():
 
 
 def test_schedule_scan_is_one_newton_step(counted_scan):
-    # the oracle: a one-step iterate run per Q; its step 1 is the scan's
+    # the oracle: a one-step iterate run per Q, stopping at the first Q
+    # whose step lands under its envelope; its step 1 is the scan's
     # trial, so records and choice match exactly
     H, p, chosen, records, _ = counted_scan
-    want, best = [], None
+    want = []
     for Q in nashmoser.Q_GRID:
         try:
             _, st = iterate(H, replace(p, Q=Q), max_steps=1, target=0.0)
@@ -313,12 +314,29 @@ def test_schedule_scan_is_one_newton_step(counted_scan):
         want.append({"Q": float(Q), "upsilon": ups,
                      "r1": st.residual_norms[-1],
                      "envelope": 0.5 * ups * Q ** (-p.lam * p.beta)})
-        if best is None and want[-1]["r1"] <= want[-1]["envelope"]:
-            best = want[-1]
+        if want[-1]["r1"] <= want[-1]["envelope"]:
+            break
     assert records == want
-    best = best or {"Q": float(nashmoser.Q_GRID[-1]),
-                    "upsilon": want[-1]["upsilon"]}
-    assert chosen == replace(p, Q=best["Q"], upsilon=best["upsilon"])
+    assert chosen == replace(p, Q=want[-1]["Q"], upsilon=want[-1]["upsilon"])
+
+
+@pytest.mark.parametrize("builder, grid, n_trials", [
+    (lambda: manufactured_power()[0], nashmoser.Q_GRID[:2], 2),
+    (lambda: manufactured_single(0.7)[0], nashmoser.Q_GRID, 3),
+], ids=["two-trial-grid", "eps-0.7"])
+def test_schedule_fallback_is_the_last_unrefused_trial(monkeypatch, builder,
+                                                       grid, n_trials):
+    # when no trial contracts, the choice is the last trial the step did
+    # not refuse, with that trial's own upsilon; at eps = 0.7 the step
+    # refuses every Q above the third, so the choice is not the grid's
+    # last Q
+    monkeypatch.setattr(nashmoser, "Q_GRID", grid)
+    p = params_from_order(8.0)
+    chosen, records = choose_schedule(builder(), p)
+    assert [r["Q"] for r in records] == [float(Q) for Q in grid[:n_trials]]
+    assert all(r["r1"] > r["envelope"] for r in records)
+    assert chosen == replace(p, Q=records[-1]["Q"],
+                             upsilon=records[-1]["upsilon"])
 
 
 def test_step_high_stable_under_one_ulp_input_change():
@@ -380,9 +398,9 @@ def test_monitor_step_norms_of_the_corrections(norm_traced_run):
 
 def test_schedule_scan_evaluates_each_trial_once(counted_scan):
     # per recorded trial F(phi_1, 0) and F(phi_1, psi_1), and no driver
-    # run
+    # run; the scan stops at its choice, the third Q of the grid
     *_, records, calls = counted_scan
-    assert len(records) == len(nashmoser.Q_GRID)
+    assert len(records) == 3 < len(nashmoser.Q_GRID)
     assert calls == {"iterate": 0, "eval_F": 2 * len(records)}
 
 

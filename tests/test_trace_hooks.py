@@ -36,7 +36,7 @@ def test_every_traced_name_exists():
 
 
 # a scan and a two-step solve under the unedited tracer, printing the
-# parents of every newton_step span
+# parents of every newton_step span and the number of scan trials
 TRACED_SOLVE = f"""
 import json, sys
 sys.path.insert(0, {str(TRACER.parent)!r})
@@ -45,9 +45,10 @@ tr = tracer.Tracer()
 tracer.install(tr)
 from wacyl import nashmoser
 H, _ = nashmoser.manufactured_single(torus_points=32, n_times=16, t_max=8.0)
-p, _ = nashmoser.choose_schedule(H, nashmoser.params_from_order(8.0))
+p, records = nashmoser.choose_schedule(H, nashmoser.params_from_order(8.0))
 nashmoser.iterate(H, p, max_steps=2, target=0.0)
-print(json.dumps(tr.summary()["parents"]["nashmoser.newton_step"]))
+print(json.dumps([tr.summary()["parents"]["nashmoser.newton_step"],
+                  len(records)]))
 """
 
 
@@ -64,6 +65,8 @@ def test_newton_step_span_counts_scan_trials():
     out = subprocess.run([sys.executable, "-c", TRACED_SOLVE], env=env,
                          capture_output=True, text=True, check=True,
                          timeout=300)
-    parents = json.loads(out.stdout.splitlines()[-1])
-    assert parents == {"nashmoser.choose_schedule": len(nashmoser.Q_GRID),
+    parents, trials = json.loads(out.stdout.splitlines()[-1])
+    # the scan stops at its choice, the third Q of the grid
+    assert trials == 3
+    assert parents == {"nashmoser.choose_schedule": trials,
                        "nashmoser.iterate": 2}
