@@ -611,19 +611,18 @@ def _cartesian_rhs(masses, comet):
     float list, the bodies' forces over the pairs (0, 1), (0, 2), (1, 2),
     plus _comet_pull of the comet at c(t) when it has mass.
 
-    rhs.min_distance(t, y) is the smallest pair distance at (t, y).  On
-    the y and t of the last rhs call it reuses that call's force pass:
-    DOP853 evaluates its event on the state its last stage just saw.
+    A force pass whose smallest distance is below PROXIMITY raises
+    IntegrationError: DOP853 calls rhs on every stage it tries and on its
+    initial-step probe, so the check reads those states too, not only
+    the accepted steps.
     """
     m0, m1, m2 = masses.as_array().tolist()
     (mm01, mm02, mm12), mmc = _mass_products(masses)
     if not (masses.mc > 0 and comet is not None):
         comet = None
-    last_t = last_y = None            # the state of the last force pass
-    last_dmin = math.inf              # and its smallest pair distance
+    proximity = PROXIMITY
 
     def rhs(t, yflat):
-        nonlocal last_t, last_y, last_dmin
         x0, y0, x1, y1, x2, y2, p0x, p0y, p1x, p1y, p2x, p2y = \
             yflat.tolist()
         rx, ry = x0 - x1, y0 - y1
@@ -664,22 +663,20 @@ def _cartesian_rhs(masses, comet):
                                             f1y + g1y, f2x + g2x, f2y + g2y)
             if dc < dmin:
                 dmin = dc
-        last_t, last_y, last_dmin = t, yflat, dmin
+        if dmin < proximity:
+            raise IntegrationError(
+                f"close encounter at t = {t:.6f} (smallest distance "
+                f"{dmin:.3e} < {proximity:g})")
         return [p0x / m0, p0y / m0, p1x / m1, p1y / m1, p2x / m2, p2y / m2,
                 f0x, f0y, f1x, f1y, f2x, f2y]
 
-    def min_distance(t, y):
-        if not (y is last_y and t == last_t):
-            rhs(t, y)
-        return last_dmin
-
-    rhs.min_distance = min_distance
     return rhs
 
 
 # integrate_system samples its trajectory at TRAJECTORY_SAMPLES uniform
-# times and aborts once two bodies come closer than PROXIMITY;
-# SurrogateSystem.integrate samples at SURROGATE_SAMPLES geometric times
+# times and aborts once two bodies, or a body and a comet with mass,
+# come closer than PROXIMITY; SurrogateSystem.integrate samples at
+# SURROGATE_SAMPLES geometric times
 TRAJECTORY_SAMPLES = 200
 PROXIMITY = 1e-4
 SURROGATE_SAMPLES = 120
@@ -687,7 +684,8 @@ SURROGATE_SAMPLES = 120
 
 def integrate_system(state0, comet, masses, t0, t1, tol=1e-11):
     """Trajectory of the full time-dependent system with energy-drift
-    reporting; aborts with a timestamp on close encounters."""
+    reporting; a close encounter (_cartesian_rhs) raises IntegrationError
+    naming its time and distance."""
     if not t1 > t0:
         raise ValueError(f"need t1 > t0 (got t0 = {t0}, t1 = {t1})")
     if not min(masses.m1, masses.m2) > 0:
@@ -695,18 +693,10 @@ def integrate_system(state0, comet, masses, t0, t1, tol=1e-11):
                          f"(got m1 = {masses.m1}, m2 = {masses.m2})")
     rhs = _cartesian_rhs(masses, comet)
     y0 = np.concatenate([state0.x.ravel(), state0.y.ravel()])
-
-    def encounter(t, y):
-        return rhs.min_distance(t, y) - PROXIMITY
-
     ts = np.linspace(t0, t1, TRAJECTORY_SAMPLES)
-    sol = solve_ivp(rhs, (t0, t1), y0, rtol=tol, atol=tol * 1e-2, t_eval=ts,
-                    events=encounter)
+    sol = solve_ivp(rhs, (t0, t1), y0, rtol=tol, atol=tol * 1e-2, t_eval=ts)
     if not sol.success:
         raise IntegrationError(f"trajectory failed: {sol.message}")
-    if sol.t_events[0].size:
-        raise IntegrationError(
-            f"close encounter at t = {sol.t_events[0][0]:.6f}")
     xs = sol.y[:6].T.reshape(-1, 3, 2)
     ys = sol.y[6:].T.reshape(-1, 3, 2)
     h0 = eval_H0_cartesian(CartesianState(xs, ys), masses)

@@ -84,10 +84,7 @@ SOLVE_PRESETS = {"manufactured": manufactured_single,
 # default leaves the key unset unless it is given
 CONFIG = {
     "solve.preset": ("manufactured", str, _one_of(*SOLVE_PRESETS)),
-    # eps = 0 is the zero problem: its data and every residual are 0,
-    # so there is nothing to solve
-    "solve.eps": (1e-3, float, (lambda x: math.isfinite(x) and x != 0,
-                                "finite and non-zero")),
+    "solve.eps": (1e-3, float, FINITE),
     "solve.torus_points": (128, int, POW2),
     "solve.n_times": (64, int, AT_LEAST_2),
     "solve.t_max": (20.0, float, T_MAX),

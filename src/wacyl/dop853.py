@@ -5,9 +5,9 @@ Prince with its 7th-order dense output (Hairer, Norsett & Wanner,
 `solve_ivp` is the part of scipy's `solve_ivp(..., method="DOP853")`
 that wacyl uses: Hairer's initial step, the 12-stage step with the
 E5/E3 error norm and the 0.9/0.2/10 step-size control, the three extra
-dense-output stages (built only for a step that holds a `t_eval` point
-or an event sign change) and one terminal event, located on the dense
-output by bisection.  The tableau below is scipy's (1.17), and
+dense-output stages (built only for a step that holds a `t_eval`
+point).  Events are not supported: a right-hand side that must stop the
+run raises.  The tableau below is scipy's (1.17), and
 trajectories and `nfev` match scipy bit for bit: each value is the same
 IEEE operation on the same operands, with less numpy call overhead.
 
@@ -286,19 +286,16 @@ MIN_FACTOR = 0.2
 MAX_FACTOR = 10
 ERROR_EXPONENT = -1 / 8         # the error estimate is of order 7
 TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
-MESSAGES = {0: "The solver successfully reached the end of the "
-               "integration interval.",
-            1: "A termination event occurred."}
+REACHED_END = ("The solver successfully reached the end of the "
+               "integration interval.")
 
 
 @dataclass
 class OdeResult:
-    """t (n_points,), y (n, n_points); t_events is [roots] of the one
-    event, or None without one."""
+    """t (n_points,), y (n, n_points)."""
     t: np.ndarray
     y: np.ndarray
     nfev: int
-    t_events: list | None
     success: bool
     message: str
 
@@ -396,36 +393,16 @@ def _dense_output(fun, K, KT, t_old, t, y_old, y, f, h):
     return sol
 
 
-def _bisect(g, a, b):
-    """A root of g between a and b, where g changes sign, to within
-    4 eps relative and absolute."""
-    ga = g(a)
-    if ga == 0:
-        return a
-    if g(b) == 0:
-        return b
-    while True:
-        m = 0.5 * (a + b)
-        if abs(b - a) <= 4 * EPS * (1 + abs(m)) or m == a or m == b:
-            return m
-        gm = g(m)
-        if gm == 0:
-            return m
-        if (gm > 0) == (ga > 0):
-            a, ga = m, gm
-        else:
-            b = m
-
-
-def solve_ivp(fun, t_span, y0, rtol, atol, t_eval=None, events=None):
+def solve_ivp(fun, t_span, y0, rtol, atol, t_eval=None):
     """Solve y' = fun(t, y), y(t_span[0]) = y0 on t_span by DOP853.
 
     fun may return any sequence of len(y0) floats (a list, an array):
     each value is written straight into its stage row.  The local error
     is kept below atol + rtol |y|.  The result holds the solution at
     t_eval (increasing, inside a forward t_span; anything else is
-    refused), or at every step without it.  events(t, y) is one terminal
-    event: the integration stops where it changes sign.
+    refused), or at every step without it.  fun may raise to end the
+    run: it sees every stage tried and the initial-step probe, not only
+    the accepted steps.
     """
     t0, tf = map(float, t_span)
     if t0 == tf:
@@ -468,18 +445,15 @@ def solve_ivp(fun, t_span, y0, rtol, atol, t_eval=None, events=None):
     nfev = 2                    # f and the initial-step probe
     K = np.empty((N_STAGES_EXTENDED, len(y)))
     KT = [K[:s].T for s in range(N_STAGES_EXTENDED)]
-    if events is not None:
-        g = events(t, y)
-        t_events = []
     ts, ys = ([t0], [y0]) if t_eval is None else ([], [])
-    status = message = None
-    while status is None:
+    message = None
+    while message is None:
         min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
         h_abs = max(h_abs, min_step)
         step_rejected = False
         while True:
             if h_abs < min_step:
-                status, message = -1, TOO_SMALL_STEP
+                message = TOO_SMALL_STEP
                 break
             h = h_abs * direction
             t_new = t + h
@@ -507,22 +481,11 @@ def solve_ivp(fun, t_span, y0, rtol, atol, t_eval=None, events=None):
                 break
             h_abs *= max(MIN_FACTOR, SAFETY * error_norm ** ERROR_EXPONENT)
             step_rejected = True
-        if status is not None:
+        if message is not None:
             break
         t_old, y_old, t, y, f = t, y, t_new, y_new, f_new
         if direction * (t - tf) >= 0:
-            status = 0
-        sol = None
-        if events is not None:
-            g_new = events(t, y)
-            if g <= 0 <= g_new or g >= 0 >= g_new:
-                sol = _dense_output(fun, K, KT, t_old, t, y_old, y, f, h)
-                nfev += 3
-                root = _bisect(lambda s: events(s, sol(s)), t_old, t)
-                t_events.append(root)
-                status = 1
-                t, y = root, sol(root)
-            g = g_new
+            message = REACHED_END
         if t_eval is None:
             ts.append(t)
             ys.append(y)
@@ -530,9 +493,8 @@ def solve_ivp(fun, t_span, y0, rtol, atol, t_eval=None, events=None):
         # a t_eval point equal to t is output on this step
         i_new = bisect_right(t_eval_list, t)
         if i_new > i:
-            if sol is None:
-                sol = _dense_output(fun, K, KT, t_old, t, y_old, y, f, h)
-                nfev += 3
+            sol = _dense_output(fun, K, KT, t_old, t, y_old, y, f, h)
+            nfev += 3
             ts.append(t_eval[i:i_new])
             # one point by the float path of sol: the same bits, without
             # broadcasting a (1, n) block
@@ -546,8 +508,5 @@ def solve_ivp(fun, t_span, y0, rtol, atol, t_eval=None, events=None):
         ts, ys = np.hstack(ts), np.hstack(ys)
     else:
         ts, ys = np.empty(0), np.empty((len(y0), 0))
-    return OdeResult(t=ts, y=ys, nfev=nfev,
-                     t_events=None if events is None
-                     else [np.asarray(t_events)],
-                     success=status >= 0,
-                     message=MESSAGES.get(status, message))
+    return OdeResult(t=ts, y=ys, nfev=nfev, success=message == REACHED_END,
+                     message=message)

@@ -290,8 +290,7 @@ def monitor(state, p, omega):
     # C^(s+1) norm measures the step, not rounding noise above the band
     # amplified by up to (pi N)^(s+1)
     lows = [v_norm(c, omega, 0) for c in state.corrections]
-    highs = [weighted_norm(c, s + 1, 1, pair_radius=8)
-             for c in state.corrections]
+    highs = [weighted_norm(c, s + 1, 1) for c in state.corrections]
     low0, high0 = lows[0], highs[0]
     for d in range(1, state.j + 1):
         rows.append({

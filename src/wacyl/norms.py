@@ -3,7 +3,7 @@
 The weighted norm of a time-dependent function is the sup over the time
 grid of the spatial Hölder norm multiplied by t^l.  Hölder quotients for
 fractional sigma are taken over axis-aligned grid-point pairs only, at
-every separation up to half the points of the axis (or pair_radius).
+every separation up to half the points of the axis.
 
 The Hölder profile over the time grid is computed in one pass: each
 derivative is taken once on the whole (T, ...) array, each periodic pair
@@ -37,13 +37,11 @@ def _slice_max(arr):
     return arr.max(axis=tuple(range(1, arr.ndim)))
 
 
-def _holder_quotient(grid, top_derivs, mu, pair_radius):
+def _holder_quotient(grid, top_derivs, mu):
     """Per time slice, max over axis-aligned grid-point pairs of
     |D(x)-D(y)| / dist^mu."""
     best = np.zeros(len(top_derivs[0]))
     max_off = grid.torus_points // 2
-    if pair_radius is not None:
-        max_off = min(max_off, pair_radius)
     for axis in range(grid.n):
         for off in range(1, max_off + 1):
             dist = off / grid.torus_points
@@ -53,7 +51,7 @@ def _holder_quotient(grid, top_derivs, mu, pair_radius):
     return best
 
 
-def holder_norm(f, sigma, pair_radius=None):
+def holder_norm(f, sigma):
     """Hölder norms |f^t|_{C^sigma} of a GridFn, one float per time slice.
 
     Derivatives are spectral (from f.spectrum()), taken once per
@@ -85,24 +83,23 @@ def holder_norm(f, sigma, pair_radius=None):
             if order == k:
                 tops.append(arr)
     if mu > 0:
-        best = np.maximum(best,
-                          _holder_quotient(f.grid, tops, mu, pair_radius))
+        best = np.maximum(best, _holder_quotient(f.grid, tops, mu))
     return best.tolist()
 
 
-def weighted_norm(f, sigma, l, pair_radius=None):
+def weighted_norm(f, sigma, l):
     """|f|_{sigma,l} = max over the time grid of |f^t|_{C^sigma} t^l, a
-    float kept on f per (sigma, l, pair_radius), from the Hölder profile
-    kept on f per (sigma, pair_radius)."""
+    float kept on f per (sigma, l), from the Hölder profile kept on f per
+    sigma."""
     if sigma < 0 or l < 0:
         raise ValueError("sigma and l must be nonnegative")
     skey, lkey = round(float(sigma), 12), round(float(l), 12)
     # an all-zero field (b = m = 0 in the power-law preset) has the zero
     # profile; skip the spectral derivatives
-    hvals = f.derived(("holder", skey, pair_radius), lambda: (
-        holder_norm(f, sigma, pair_radius) if f.values.any()
+    hvals = f.derived(("holder", skey), lambda: (
+        holder_norm(f, sigma) if f.values.any()
         else [0.0] * len(f.values)))
-    return f.derived(("norm", skey, lkey, pair_radius), lambda: float(max(
+    return f.derived(("norm", skey, lkey), lambda: float(max(
         h * float(t) ** l for t, h in zip(f.times.points, hvals))))
 
 

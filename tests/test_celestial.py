@@ -560,8 +560,6 @@ def test_collision_is_refused(i, j):
     x[j] = x[i]
     y = np.ones((3, 2))
     state = np.concatenate([x.ravel(), y.ravel()])
-    with pytest.raises(ZeroDivisionError, match="collision"):
-        _cartesian_rhs(MASSES, None).min_distance(1.0, state)
     # the comet on body i
     with pytest.raises(ZeroDivisionError, match="collision"):
         _comet_pull(*x.ravel().tolist(), *x[i].tolist(),
@@ -585,7 +583,8 @@ def test_close_encounter_aborts_before_the_bodies_meet():
     # bodies 0 and 1 fall head-on from rest at distance r0 (body 2 far
     # out on the same line) and meet after the radial free-fall time;
     # near the meeting d(t) = (9 M / 2)^(1/3) (t_meet - t)^(2/3), so the
-    # event fires gap = (2/3) PROXIMITY^(3/2) / sqrt(2 M) before it
+    # distance falls below PROXIMITY gap = (2/3) PROXIMITY^(3/2) / sqrt(2 M)
+    # before it
     masses = Masses(1.0, 1e-3, 1e-12, mc=0.0)
     M = masses.m0 + masses.m1
     r0 = 0.5
@@ -599,6 +598,50 @@ def test_close_encounter_aborts_before_the_bodies_meet():
     t_hit = float(re.search(r"t = (\S+)", str(err.value)).group(1))
     # the message rounds t to 1e-6
     assert 0.9 * gap - 1e-6 <= t_meet - t_hit <= 1.1 * gap + 1e-6
+    d_hit = float(re.search(r"distance (\S+) < 0\.0001\)$",
+                            str(err.value)).group(1))
+    assert d_hit < celestial.PROXIMITY
+
+
+def _pair_at(separation, vx, vy):
+    """Bodies 0 and 1 separation apart on the x axis with relative
+    velocity (vx, vy) of body 1, their centre of mass at rest; body 2
+    (1e-12) far out on the same line."""
+    masses = Masses(1.0, 1e-3, 1e-12, mc=0.0)
+    mu = masses.m0 * masses.m1 / (masses.m0 + masses.m1)
+    x = np.array([[0.0, 0.0], [separation, 0.0], [-50.0, 0.0]])
+    y = np.array([[-mu * vx, -mu * vy], [mu * vx, mu * vy], [0.0, 0.0]])
+    return CartesianState(x, y), masses
+
+
+@pytest.mark.parametrize("vx", [-1.0, 0.0, 1.0],
+                         ids=["approaching", "at-rest", "receding"])
+def test_a_run_that_starts_within_proximity_fails_at_its_start(vx):
+    # the first force pass, f(t0, y0), already reads the distance
+    state0, masses = _pair_at(5e-5, vx, 0.0)
+    with pytest.raises(IntegrationError, match=re.escape(
+            "close encounter at t = 1.000000 (smallest distance 5.000e-05 "
+            "< 0.0001)")):
+        integrate_system(state0, None, masses, 1.0, 2.0)
+
+
+@pytest.mark.parametrize("tol", [1e-11, 1e-8, 1e-6])
+@pytest.mark.parametrize("pericentre", [1.05e-4, 2e-4])
+def test_a_near_miss_above_proximity_completes(monkeypatch, pericentre,
+                                               tol):
+    # from apocentre 0.5 at rest in the radial direction, the relative
+    # orbit passes pericentre near t = 1.39; the trial stages of the
+    # steps there stay above PROXIMITY too
+    r_a, M = 0.5, 1.0 + 1e-3
+    v_a = math.sqrt(2 * M * pericentre / (r_a * (r_a + pericentre)))
+    state0, masses = _pair_at(r_a, 0.0, v_a)
+    traj = integrate_system(state0, None, masses, 1.0, 2.0, tol=tol)
+    assert traj["t"][-1] == 2.0
+    # the run does come that near: 1 % above the pericentre, it stops
+    monkeypatch.setattr(celestial, "PROXIMITY", 1.01 * pericentre)
+    with pytest.raises(IntegrationError, match=r"close encounter at "
+                                               r"t = 1\.392"):
+        integrate_system(state0, None, masses, 1.0, 2.0, tol=tol)
 
 
 # ---- surrogate system: metric and confinement -----------------------

@@ -62,9 +62,9 @@ def test_verify_norms_makes_the_profiles_of_g_once(tmp_path, monkeypatch):
     calls = []
     holder = norms.holder_norm
 
-    def counted(f, sigma, pair_radius=None):
+    def counted(f, sigma):
         calls.append(f.values)
-        return holder(f, sigma, pair_radius)
+        return holder(f, sigma)
 
     monkeypatch.setattr(norms, "holder_norm", counted)
     assert run_cli(["--out", str(tmp_path), "verify-norms"]) == EXIT_PASS
@@ -410,9 +410,6 @@ SMALL_SOLVE = ["--set", "solve.torus_points=32", "--set", "solve.n_times=16"]
      "t_peri = nan must be finite"),
     (SMALL_SOLVE + ["--set", "solve.eps=nan", "solve"],
      "solve.eps = nan must be finite"),
-    # zero data: every residual is 0, so there is nothing to solve
-    (SMALL_SOLVE + ["--set", "solve.eps=0", "solve"],
-     "solve.eps = 0.0 must be finite and non-zero"),
     (SMALL_SOLVE + ["--set", "solve.t_max=nan", "solve"],
      "solve.t_max = nan must be finite and > 1"),
     (SMALL_SOLVE + ["--set", "solve.t_max=1", "solve"],
@@ -482,7 +479,7 @@ SMALL_SOLVE = ["--set", "solve.torus_points=32", "--set", "solve.n_times=16"]
         "he-quad-tol-old-default",
         "solve-quad-tol-nan", "solve-target-nan", "solve-max-steps-0",
         "solve-max-steps-1", "solve-max-steps-2", "comet-e-nan",
-        "comet-t-peri-nan", "solve-eps-nan", "solve-eps-zero",
+        "comet-t-peri-nan", "solve-eps-nan",
         "solve-t-max-nan", "solve-t-max-one",
         "he-t-max-nan", "he-t-max-below-one", "comet-a1-nan",
         "comet-a2-negative", "comet-xi0x-nan", "comet-xi0y-inf",
@@ -501,6 +498,18 @@ def test_bad_config_is_config_error(tmp_path, capsys, command, name):
     assert run_cli(["--out", str(tmp_path)] + command) == EXIT_CONFIG_ERROR
     err = capsys.readouterr().err
     assert err.startswith("configuration error:") and name in err
+
+
+def test_zero_eps_is_the_zero_problem(tmp_path):
+    # eps = 0 scales the data to zero: v = 0 solves it, so every residual
+    # and step is 0 and all three checks pass
+    code = run_cli(["--out", str(tmp_path)] + SMALL_SOLVE
+                   + ["--set", "solve.eps=0", "solve"])
+    assert code == EXIT_PASS
+    rows = (tmp_path / "iterations.csv").read_text().splitlines()
+    assert len(rows) > 3
+    for row in rows[1:]:
+        assert [float(c) for c in row.split(",")[3:]] == [0.0] * 4
 
 
 @pytest.mark.parametrize("key", [

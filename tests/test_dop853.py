@@ -31,17 +31,10 @@ def comet_orbit(v):
                       t_peri=-1.0)
 
 
-def scipy_reference(fun, t_span, y0, rtol, atol, t_eval=None, events=None):
-    """scipy's DOP853 on the same problem; the event is terminal."""
-    if events is not None:
-        event = events
-
-        def events(t, y):
-            return event(t, y)
-
-        events.terminal = True
+def scipy_reference(fun, t_span, y0, rtol, atol, t_eval=None):
+    """scipy's DOP853 on the same problem."""
     return scipy_solve_ivp(fun, t_span, y0, method="DOP853", rtol=rtol,
-                           atol=atol, t_eval=t_eval, events=events)
+                           atol=atol, t_eval=t_eval)
 
 
 @pytest.fixture
@@ -77,15 +70,14 @@ def assert_identical(ours, ref):
 
 
 def test_conservative_comet_matches_scipy(calls):
-    # the Cartesian right-hand side with its comet, t_eval and the
-    # encounter event, which stays positive here
+    # the Cartesian right-hand side with its comet and t_eval; no force
+    # pass comes within PROXIMITY here
     st0 = CHART.state(np.array([0.1, 0.6, 0.0, 0.0]), np.zeros(2),
                       np.zeros(2), np.zeros(2))
     traj = integrate_system(st0, comet_orbit(25.0), MASSES, 1.0, 2.0,
                             tol=1e-11)
     (ours, ref), = calls
     assert_identical(ours, ref)
-    assert ours.t_events[0].size == ref.t_events[0].size == 0
     assert traj["nfev"] == ref.nfev
 
 
@@ -99,7 +91,6 @@ def test_surrogate_matches_scipy(calls):
     system.integrate(state0, 1.0, 21.0, tol=1e-10)
     (ours, ref), = calls
     assert_identical(ours, ref)
-    assert ours.t_events is None
 
 
 @pytest.mark.parametrize("t0, t1", [(1.0, 7.0), (7.0, 1.0)],
@@ -115,22 +106,35 @@ def test_flow_solve_matches_scipy(calls, t0, t1):
     assert ours.t[-1] == t1
 
 
-def test_close_encounter_root_matches_brentq(calls):
-    # two bodies fall head-on from rest and meet near t = 1.39: the
-    # bisection and scipy's brentq bracket the same sign change
+def test_close_encounter_fails_on_scipys_force_pass(monkeypatch):
+    # two bodies fall head-on from rest and meet near t = 1.39: under
+    # scipy the right-hand side sees the same states, bit for bit, up to
+    # the first force pass within PROXIMITY, which raises the same error
     masses = Masses(1.0, 1e-3, 1e-12, mc=0.0)
     x = np.array([[0.0, 0.0], [0.5, 0.0], [-50.0, 0.0]])
-    with pytest.raises(IntegrationError, match="close encounter"):
-        integrate_system(CartesianState(x, np.zeros((3, 2))), None, masses,
-                         1.0, 2.0)
-    (ours, ref), = calls
-    assert ours.message == ref.message == "A termination event occurred."
-    assert ours.nfev == ref.nfev
-    assert_bitwise(ours.t, ref.t)
-    assert_bitwise(ours.y, ref.y)
-    root, = ours.t_events[0]
-    ref_root, = ref.t_events[0]
-    assert abs(root - ref_root) <= 1e-12
+    make_rhs = celestial._cartesian_rhs
+    runs = []
+
+    def recording_rhs(masses, comet):
+        rhs, seen = make_rhs(masses, comet), runs[-1]
+
+        def recorded(t, y):
+            seen.append((t, y.tobytes()))
+            return rhs(t, y)
+
+        return recorded
+
+    monkeypatch.setattr(celestial, "_cartesian_rhs", recording_rhs)
+    messages = []
+    for solver in (solve_ivp, scipy_reference):
+        monkeypatch.setattr(celestial, "solve_ivp", solver)
+        runs.append([])
+        with pytest.raises(IntegrationError, match="close encounter") as err:
+            integrate_system(CartesianState(x, np.zeros((3, 2))), None,
+                             masses, 1.0, 2.0)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+    assert runs[0] == runs[1]
 
 
 def test_step_size_underflow_fails_as_scipy_does():
@@ -172,33 +176,19 @@ def kepler_array(t, s):
 
 
 def test_a_list_and_an_array_rhs_fill_the_same_stage_rows():
-    # an eccentric Kepler orbit from apocentre: the steps near pericentre
-    # are rejected and retried from f, and the terminal event stops the
-    # run just after it.  A list and an array right-hand side give
-    # scipy's bits; an f_new that aliased a row of K would start those
-    # retries from the overwritten row
+    # an eccentric Kepler orbit from apocentre, once round and on: the
+    # steps near pericentre are rejected and retried from f.  A list and
+    # an array right-hand side give scipy's bits; an f_new that aliased
+    # a row of K would start those retries from the overwritten row
     e = 0.9
     y0 = [1 + e, 0.0, 0.0, ((1 - e) / (1 + e)) ** 0.5]
     t_eval = np.linspace(0.0, 10.0, 50)
-
-    def past_pericentre(t, s):
-        return s[1] + 0.01
-
     args = ((0.0, 10.0), y0, 1e-9, 1e-12)
-    ref = scipy_reference(kepler_array, *args, t_eval=t_eval,
-                          events=past_pericentre)
-    assert ref.message == "A termination event occurred."
+    ref = scipy_reference(kepler_array, *args, t_eval=t_eval)
     for fun in (kepler_list, kepler_array):
-        ours = solve_ivp(fun, *args, t_eval=t_eval, events=past_pericentre)
-        assert ours.message == ref.message
-        assert ours.nfev == ref.nfev
-        assert_bitwise(ours.t, ref.t)
-        assert_bitwise(ours.y, ref.y)
-        # bisection and scipy's brentq bracket the same sign change
-        assert abs(ours.t_events[0][0] - ref.t_events[0][0]) <= 1e-12
-    # without t_eval and events, nfev = 2 + 12 (steps tried)
-    free = solve_ivp(kepler_list, (0.0, ours.t_events[0][0]), y0,
-                     rtol=1e-9, atol=1e-12)
+        assert_identical(solve_ivp(fun, *args, t_eval=t_eval), ref)
+    # without t_eval, nfev = 2 + 12 (steps tried)
+    free = solve_ivp(kepler_list, *args)
     assert (free.nfev - 2) // 12 > len(free.t) - 1
 
 
@@ -225,11 +215,11 @@ def test_t_eval_on_a_backward_span_is_refused():
                   t_eval=[1.5])
 
 
-def test_encounter_event_reuses_the_last_force_pass(monkeypatch):
-    # the event reads the smallest distance of the force pass that the
-    # accepted step's last stage made on the same state: one extra pass
-    # for the event at t0, none per step.  A pass over the three bodies,
-    # in the right-hand side or in H0, takes one square root per pair
+def test_the_encounter_check_adds_no_force_pass(monkeypatch):
+    # the right-hand side checks the distances of its own force pass:
+    # one pass per evaluation counted in nfev, and none besides.  A pass
+    # over the three bodies, in the right-hand side or in H0, takes one
+    # square root per pair
     roots = []
 
     def counted(v):
@@ -244,8 +234,8 @@ def test_encounter_event_reuses_the_last_force_pass(monkeypatch):
     traj = integrate_system(st0, None, MASSES, 1.0, 2.0)
     passes, rest = divmod(len(roots), 3)
     assert rest == 0
-    # + 1 for the event at t0, + 1 per H0 sample
-    assert passes == traj["nfev"] + 1 + celestial.TRAJECTORY_SAMPLES
+    # + 1 per H0 sample
+    assert passes == traj["nfev"] + celestial.TRAJECTORY_SAMPLES
 
 
 def test_nfev_is_the_number_of_calls():
@@ -261,9 +251,6 @@ def test_nfev_is_the_number_of_calls():
         "t_eval points in one step": (
             oscillator, (0.0, 10.0), [1.0, 0.0], 1e-6, 1e-9,
             {"t_eval": np.linspace(0.0, 10.0, 400)}),
-        "terminal event": (
-            oscillator, (0.0, 10.0), [1.0, 0.0], 1e-9, 1e-12,
-            {"events": lambda t, y: y[0] - 0.5}),
         "rejected steps": (kepler_list, (0.0, 10.0), kepler_y0, 1e-9,
                            1e-12, {"t_eval": np.linspace(0.0, 10.0, 50)}),
         "step-size underflow": (lambda t, y: y ** 2, (0.0, 2.0), [1.0],
@@ -280,8 +267,6 @@ def test_nfev_is_the_number_of_calls():
         assert sol.nfev == len(calls), name
         ref = scipy_reference(fun, t_span, y0, rtol, atol, **kwargs)
         assert sol.nfev == ref.nfev, name
-        if name == "terminal event":
-            assert sol.message == "A termination event occurred."
         if name == "step-size underflow":
             assert not sol.success
         if name == "rejected steps":

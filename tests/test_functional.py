@@ -357,9 +357,9 @@ def test_a_norm_makes_its_holder_passes_once(monkeypatch):
     first = a_norm(a, 3.75)
     sigmas = []
 
-    def traced(f, sigma, pair_radius=None, _fn=norms.holder_norm):
+    def traced(f, sigma, _fn=norms.holder_norm):
         sigmas.append(sigma)
-        return _fn(f, sigma, pair_radius)
+        return _fn(f, sigma)
 
     monkeypatch.setattr(norms, "holder_norm", traced)
     assert a_norm(a, 3.75) == first

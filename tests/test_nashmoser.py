@@ -368,9 +368,9 @@ def norm_traced_run():
     p = params_from_order(8.0, Q=1.5)
     sigmas = []
 
-    def traced(f, sigma, pair_radius=None, _fn=norms.holder_norm):
+    def traced(f, sigma, _fn=norms.holder_norm):
         sigmas.append(sigma)
-        return _fn(f, sigma, pair_radius)
+        return _fn(f, sigma)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(norms, "holder_norm", traced)
@@ -392,8 +392,7 @@ def test_monitor_step_norms_of_the_corrections(norm_traced_run):
     assert len(rows) == len(st.corrections)
     for row, c in zip(rows, st.corrections):
         assert row["step_low"] == v_norm(c, H.omega, 0)
-        assert row["step_high"] == \
-            weighted_norm(c, p.s + 1, 1, pair_radius=8)
+        assert row["step_high"] == weighted_norm(c, p.s + 1, 1)
 
 
 def test_schedule_scan_evaluates_each_trial_once(counted_scan):
