@@ -6,10 +6,11 @@ Prince with its 7th-order dense output (Hairer, Norsett & Wanner,
 that wacyl uses: Hairer's initial step, the 12-stage step with the
 E5/E3 error norm and the 0.9/0.2/10 step-size control, the three extra
 dense-output stages (built only for a step that holds a `t_eval`
-point).  Events are not supported: a right-hand side that must stop the
-run raises.  The tableau below is scipy's (1.17), and
-trajectories and `nfev` match scipy bit for bit: each value is the same
-IEEE operation on the same operands, with less numpy call overhead.
+point) and the 7th-order interpolant.  Events are not supported: a
+right-hand side that must stop the run raises.  The tableau below is
+scipy's (1.17), and trajectories and `nfev` match scipy bit for bit:
+each value is the same IEEE operation on the same operands, with less
+numpy call overhead.
 
 - A stage state is `dy = K[:s].T.dot(A[s, :s]); dy *= h; dy += y`,
   scipy's `y + np.dot(K[:s].T, A[s, :s]) * h` in place: the same BLAS
@@ -22,15 +23,16 @@ IEEE operation on the same operands, with less numpy call overhead.
   `**` (C `pow`) and `math.nextafter` give the bits of numpy's float64
   scalars.
 - The error norm takes `math.sqrt(x.dot(x))`, which is what
-  `np.linalg.norm` computes for a real vector, and builds the scale
-  `atol + max(|y|, |y_new|) rtol` in place.
+  `np.linalg.norm` computes for a real vector.  The scale
+  `atol + max(|y|, |y_new|) rtol` is built in place, with |y| the
+  previous accepted step's |y_new|.
 - fun's result is written straight into its stage row, `K[s] = fun(...)`,
   the float64 values `np.asarray(..., dtype=float)` would give; only
   the first f and the initial-step probe are wrapped as arrays.
-- The Horner loop of the dense output computes x and 1 - x once and
-  starts from zeros, as scipy's does, so a -0.0 in the interpolant's
-  coefficients comes out as +0.0 there too.  On one t_eval point it
-  runs on the float: the same operations without a (1, n) block.
+- A step that holds t_eval points keeps its extra stages' `D K`; after
+  the run, scipy's F rows and Horner loop run once, elementwise, on an
+  (n_points, n) block.  The loop computes x and 1 - x once and starts
+  from zeros, as scipy's does, so a -0.0 in F comes out as +0.0 too.
 
 The tableau is copied from scipy/integrate/_ivp/dop853_coefficients.py,
 which is distributed under this licence:
@@ -357,40 +359,26 @@ def _error_norm(KT, h, scale):
     return abs(h) * err5_norm_2 / math.sqrt(denom * len(scale))
 
 
-def _dense_output(fun, K, KT, t_old, t, y_old, y, f, h):
-    """The 7th-order interpolant y(s) on the step [t_old, t] of size h,
-    at a float s or a 1-D array of them; evaluates the three extra
-    stages into K[13:], by 3 calls of fun."""
-    for s in range(N_STAGES + 1, N_STAGES_EXTENDED):
-        dy = KT[s].dot(A_ROWS[s])
-        dy *= h
-        dy += y_old
-        K[s] = fun(t_old + C_NODES[s] * h, dy)
-    F = np.empty((INTERPOLATOR_POWER, len(y_old)))
-    f_old = K[0]
+def _interpolate(t_points, steps, counts):
+    """The 7th-order interpolants at t_points, counts[k] of them on
+    steps[k] = (t_old, h, y_old, y, f_old, f, D K), as an (n, n_points)
+    array: each step's row repeated per point, then scipy's operations."""
+    k = np.repeat(np.arange(len(steps)), counts)
+    t_old, h, y_old, y, f_old, f, DK = (np.array(v)[k] for v in zip(*steps))
+    x = ((t_points - t_old) / h)[:, None]
+    h = h[:, None]
     delta_y = y - y_old
-    F[0] = delta_y
-    F[1] = h * f_old - delta_y
-    F[2] = 2 * delta_y - h * (f + f_old)
-    F[3:] = h * np.dot(D, K)
-
-    def sol(s):
-        # Horner in x and 1 - x from F[6] down to F[0]; out starts from
-        # zeros, so a -0.0 in F comes out as +0.0
-        x = (s - t_old) / h
-        if isinstance(x, np.ndarray):
-            x = x[:, None]
-            out = np.zeros((len(x), len(y_old)))
-        else:
-            out = np.zeros_like(y_old)
-        x1 = 1 - x
-        for i, row in enumerate(F[::-1]):
-            out += row
-            out *= x1 if i % 2 else x
-        out += y_old
-        return out.T
-
-    return sol
+    F = [delta_y, h * f_old - delta_y, 2 * delta_y - h * (f + f_old),
+         *np.moveaxis(h[:, None] * DK, 1, 0)]
+    # Horner in x and 1 - x from F[6] down to F[0]; out starts from zeros,
+    # so a -0.0 in F comes out as +0.0
+    x1 = 1 - x
+    out = np.zeros(y_old.shape)
+    for i, row in enumerate(reversed(F)):
+        out += row
+        out *= x1 if i % 2 else x
+    out += y_old
+    return out.T
 
 
 def solve_ivp(fun, t_span, y0, rtol, atol, t_eval=None):
@@ -399,10 +387,11 @@ def solve_ivp(fun, t_span, y0, rtol, atol, t_eval=None):
     fun may return any sequence of len(y0) floats (a list, an array):
     each value is written straight into its stage row.  The local error
     is kept below atol + rtol |y|.  The result holds the solution at
-    t_eval (increasing, inside a forward t_span; anything else is
-    refused), or at every step without it.  fun may raise to end the
-    run: it sees every stage tried and the initial-step probe, not only
-    the accepted steps.
+    t_eval (1-D, increasing, inside a forward t_span; anything else is
+    refused), interpolated after the run, or at every step without it.
+    fun may raise to end the run: it sees every stage tried, the extra
+    stages of each step that holds a t_eval point and the initial-step
+    probe, not only the accepted steps.
     """
     t0, tf = map(float, t_span)
     if t0 == tf:
@@ -428,6 +417,8 @@ def solve_ivp(fun, t_span, y0, rtol, atol, t_eval=None):
             raise ValueError(f"t_eval needs t1 > t0 (got t0 = {t0}, "
                              f"t1 = {tf})")
         t_eval = np.asarray(t_eval)
+        if t_eval.ndim != 1:
+            raise ValueError("`t_eval` must be 1-dimensional.")
         t_eval_list = t_eval.tolist()
         for k, s in enumerate(t_eval_list):
             if not t0 <= s <= tf:
@@ -445,7 +436,9 @@ def solve_ivp(fun, t_span, y0, rtol, atol, t_eval=None):
     nfev = 2                    # f and the initial-step probe
     K = np.empty((N_STAGES_EXTENDED, len(y)))
     KT = [K[:s].T for s in range(N_STAGES_EXTENDED)]
-    ts, ys = ([t0], [y0]) if t_eval is None else ([], [])
+    abs_y = np.abs(y)
+    ts, ys = [t0], [y0]         # every step, without t_eval
+    steps, counts = [], []      # the steps that hold t_eval points
     message = None
     while message is None:
         min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
@@ -464,8 +457,8 @@ def solve_ivp(fun, t_span, y0, rtol, atol, t_eval=None):
             y_new, f_new = _rk_step(fun, t, y, f, h, K, KT)
             nfev += 12
             # atol + max(|y|, |y_new|) rtol
-            scale = np.abs(y_new)
-            np.maximum(np.abs(y), scale, out=scale)
+            abs_new = np.abs(y_new)
+            scale = np.maximum(abs_y, abs_new)
             scale *= rtol
             scale += atol
             error_norm = _error_norm(KT[N_STAGES + 1], h, scale)
@@ -483,7 +476,8 @@ def solve_ivp(fun, t_span, y0, rtol, atol, t_eval=None):
             step_rejected = True
         if message is not None:
             break
-        t_old, y_old, t, y, f = t, y, t_new, y_new, f_new
+        t_old, y_old, f_old = t, y, f
+        t, y, f, abs_y = t_new, y_new, f_new, abs_new
         if direction * (t - tf) >= 0:
             message = REACHED_END
         if t_eval is None:
@@ -493,19 +487,22 @@ def solve_ivp(fun, t_span, y0, rtol, atol, t_eval=None):
         # a t_eval point equal to t is output on this step
         i_new = bisect_right(t_eval_list, t)
         if i_new > i:
-            sol = _dense_output(fun, K, KT, t_old, t, y_old, y, f, h)
+            # the extra stages and D K before the next step overwrites K
+            for s in range(N_STAGES + 1, N_STAGES_EXTENDED):
+                dy = KT[s].dot(A_ROWS[s])
+                dy *= h
+                dy += y_old
+                K[s] = fun(t_old + C_NODES[s] * h, dy)
             nfev += 3
-            ts.append(t_eval[i:i_new])
-            # one point by the float path of sol: the same bits, without
-            # broadcasting a (1, n) block
-            ys.append(sol(t_eval_list[i])[:, None] if i_new == i + 1
-                      else sol(t_eval[i:i_new]))
+            steps.append((t_old, h, y_old, y, f_old, f, np.dot(D, K)))
+            counts.append(i_new - i)
             i = i_new
 
     if t_eval is None:
         ts, ys = np.array(ts), np.vstack(ys).T
-    elif ts:
-        ts, ys = np.hstack(ts), np.hstack(ys)
+    elif steps:
+        ts = t_eval[:i].copy()
+        ys = _interpolate(ts, steps, counts)
     else:
         ts, ys = np.empty(0), np.empty((len(y0), 0))
     return OdeResult(t=ts, y=ys, nfev=nfev, success=message == REACHED_END,

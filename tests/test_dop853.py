@@ -138,17 +138,23 @@ def test_close_encounter_fails_on_scipys_force_pass(monkeypatch):
 
 
 def test_step_size_underflow_fails_as_scipy_does():
-    # y' = y^2 from y(0) = 1 blows up at t = 1
+    # y' = y^2 from y(0) = 1 blows up at t = 1; with t_eval, the points
+    # up to the last accepted step are output
     def blowup(t, y):
         return y ** 2
 
-    ours = solve_ivp(blowup, (0.0, 2.0), [1.0], rtol=1e-9, atol=1e-12)
-    ref = scipy_reference(blowup, (0.0, 2.0), [1.0], 1e-9, 1e-12)
-    assert not ours.success and not ref.success
-    assert ours.message == ref.message
-    assert ours.nfev == ref.nfev
-    assert_bitwise(ours.t, ref.t)
-    assert_bitwise(ours.y, ref.y)
+    for t_eval, n_out in ((None, None), (np.linspace(0.0, 2.0, 41), 21)):
+        ours = solve_ivp(blowup, (0.0, 2.0), [1.0], rtol=1e-9, atol=1e-12,
+                         t_eval=t_eval)
+        ref = scipy_reference(blowup, (0.0, 2.0), [1.0], 1e-9, 1e-12,
+                              t_eval=t_eval)
+        assert not ours.success and not ref.success
+        assert ours.message == ref.message
+        assert ours.nfev == ref.nfev
+        assert_bitwise(ours.t, ref.t)
+        assert_bitwise(ours.y, ref.y)
+        if n_out is not None:
+            assert len(ours.t) == n_out
 
 
 def test_several_t_eval_points_in_one_step_match_scipy():
@@ -175,6 +181,33 @@ def kepler_array(t, s):
     return np.array(kepler_list(t, s))
 
 
+def test_t_eval_at_span_and_step_ends_matches_scipy():
+    # the interpolant at x = 0 and x = 1: t0 is output on the first step,
+    # and tf and every point equal to an accepted step's end on the step
+    # that ends there
+    e = 0.9
+    y0 = [1 + e, 0.0, 0.0, ((1 - e) / (1 + e)) ** 0.5]
+    args = ((0.0, 10.0), y0, 1e-9, 1e-12)
+    step_ends = solve_ivp(kepler_array, *args).t
+    for t_eval in ([0.0], [10.0], step_ends[1::3], step_ends):
+        assert_identical(solve_ivp(kepler_array, *args, t_eval=t_eval),
+                         scipy_reference(kepler_array, *args, t_eval=t_eval))
+
+
+def test_empty_t_eval_and_the_returned_t_owns_its_points():
+    args = (lambda t, y: -y, (0.0, 1.0), [1.0, 2.0], 1e-9, 1e-12)
+    ours = solve_ivp(*args, t_eval=[])
+    ref = scipy_reference(*args, t_eval=[])
+    assert ours.t.shape == (0,) and ours.y.shape == (2, 0)
+    assert ours.success and ours.message == ref.message
+    assert ours.nfev == ref.nfev
+    # sol.t is no view of the caller's t_eval
+    t_eval = np.linspace(0.0, 1.0, 5)
+    ours = solve_ivp(*args, t_eval=t_eval)
+    t_eval[:] = -1.0
+    assert_bitwise(ours.t, np.linspace(0.0, 1.0, 5))
+
+
 def test_a_list_and_an_array_rhs_fill_the_same_stage_rows():
     # an eccentric Kepler orbit from apocentre, once round and on: the
     # steps near pericentre are rejected and retried from f.  A list and
@@ -197,7 +230,9 @@ def test_a_list_and_an_array_rhs_fill_the_same_stage_rows():
     ([0.0, 0.5, 2.0], r"t_eval\[2\] = 2\.0 lies outside"),
     ([0.2, 0.7, 0.5], r"t_eval\[2\] = 0\.5 follows 0\.7"),
     ([0.2, 0.2], r"t_eval\[1\] = 0\.2 follows 0\.2"),
-], ids=["below", "above", "unsorted", "repeated"])
+    ([[0.2, 0.5]], r"`t_eval` must be 1-dimensional\."),
+    (0.5, r"`t_eval` must be 1-dimensional\."),
+], ids=["below", "above", "unsorted", "repeated", "2-d", "scalar"])
 def test_t_eval_outside_the_span_or_out_of_order_is_refused(t_eval, bad):
     # scipy refuses these too; an extrapolated value or a dropped point
     # would otherwise come back with success=True
