@@ -175,30 +175,23 @@ class CometOrbit:
     def v_asymptotic(self):
         return math.sqrt(self.mu_grav / self.a_h)
 
-    def anomaly(self, t):
-        return solve_hyperbolic_kepler(
-            self.e, self.mean_motion * (t - self.t_peri))
-
     def _ephemeris(self, t):
         """c(t) as two floats and |c(t)|, from one solve of the Kepler
         equation."""
-        H = self.anomaly(t)
+        H = solve_hyperbolic_kepler(
+            self.e, self.mean_motion * (t - self.t_peri))
         ch = math.cosh(H)
         return (self.a_h * (self.e - ch),
                 self.a_h * math.sqrt(self.e ** 2 - 1.0) * math.sinh(H),
                 self.a_h * (self.e * ch - 1.0))
-
-    def position(self, t):
-        """c(t) as a (2,) array."""
-        cx, cy, _ = self._ephemeris(t)
-        return np.array([cx, cy])
 
     def radius(self, t):
         return self._ephemeris(t)[2]
 
     def _radial(self, t):
         """|c(t)| and d|c|/dt, from one solve of the Kepler equation."""
-        H = self.anomaly(t)
+        H = solve_hyperbolic_kepler(
+            self.e, self.mean_motion * (t - self.t_peri))
         ech = self.e * math.cosh(H) - 1.0
         return (self.a_h * ech,
                 self.a_h * self.e * math.sinh(H) * self.mean_motion / ech)
@@ -611,8 +604,9 @@ def _cartesian_rhs(masses, comet):
     float list, the bodies' forces over the pairs (0, 1), (0, 2), (1, 2),
     plus _comet_pull of the comet at c(t) when it has mass.
 
-    A force pass whose smallest distance is below PROXIMITY raises
-    IntegrationError: DOP853 calls rhs on every stage it tries and on its
+    A force pass whose smallest distance is below PROXIMITY, coincident
+    bodies included, raises IntegrationError before the bodies' forces
+    are formed.  DOP853 calls rhs on every stage it tries and on its
     initial-step probe, so the check reads those states too, not only
     the accepted steps.
     """
@@ -625,27 +619,12 @@ def _cartesian_rhs(masses, comet):
     def rhs(t, yflat):
         x0, y0, x1, y1, x2, y2, p0x, p0y, p1x, p1y, p2x, p2y = \
             yflat.tolist()
-        rx, ry = x0 - x1, y0 - y1
-        d01 = math.sqrt(rx * rx + ry * ry)
-        if d01 == 0:
-            raise ZeroDivisionError("collision configuration")
-        d3 = d01 ** 3
-        fx01, fy01 = mm01 * rx / d3, mm01 * ry / d3
-        rx, ry = x0 - x2, y0 - y2
-        d02 = math.sqrt(rx * rx + ry * ry)
-        if d02 == 0:
-            raise ZeroDivisionError("collision configuration")
-        d3 = d02 ** 3
-        fx02, fy02 = mm02 * rx / d3, mm02 * ry / d3
-        rx, ry = x1 - x2, y1 - y2
-        d12 = math.sqrt(rx * rx + ry * ry)
-        if d12 == 0:
-            raise ZeroDivisionError("collision configuration")
-        d3 = d12 ** 3
-        fx12, fy12 = mm12 * rx / d3, mm12 * ry / d3
-        f0x, f0y = (0.0 - fx01) - fx02, (0.0 - fy01) - fy02
-        f1x, f1y = (0.0 + fx01) - fx12, (0.0 + fy01) - fy12
-        f2x, f2y = (0.0 + fx02) + fx12, (0.0 + fy02) + fy12
+        rx01, ry01 = x0 - x1, y0 - y1
+        d01 = math.sqrt(rx01 * rx01 + ry01 * ry01)
+        rx02, ry02 = x0 - x2, y0 - y2
+        d02 = math.sqrt(rx02 * rx02 + ry02 * ry02)
+        rx12, ry12 = x1 - x2, y1 - y2
+        d12 = math.sqrt(rx12 * rx12 + ry12 * ry12)
         # from math.inf, so that a nan distance is passed over
         dmin = math.inf
         if d01 < dmin:
@@ -655,18 +634,28 @@ def _cartesian_rhs(masses, comet):
         if d12 < dmin:
             dmin = d12
         if comet is not None:
-            cx, cy = comet.position(t).tolist()
-            (g0x, g0y, g1x, g1y, g2x, g2y), _, dc = _comet_pull(
-                x0, y0, x1, y1, x2, y2, cx, cy, mmc)
-            # a + (0.0 - f) is a - f: the bytes of one pass over all pairs
-            f0x, f0y, f1x, f1y, f2x, f2y = (f0x + g0x, f0y + g0y, f1x + g1x,
-                                            f1y + g1y, f2x + g2x, f2y + g2y)
+            cx, cy, _ = comet._ephemeris(t)
+            pull, _, dc = _comet_pull(x0, y0, x1, y1, x2, y2, cx, cy, mmc)
             if dc < dmin:
                 dmin = dc
         if dmin < proximity:
             raise IntegrationError(
                 f"close encounter at t = {t:.6f} (smallest distance "
                 f"{dmin:.3e} < {proximity:g})")
+        d3 = d01 ** 3
+        fx01, fy01 = mm01 * rx01 / d3, mm01 * ry01 / d3
+        d3 = d02 ** 3
+        fx02, fy02 = mm02 * rx02 / d3, mm02 * ry02 / d3
+        d3 = d12 ** 3
+        fx12, fy12 = mm12 * rx12 / d3, mm12 * ry12 / d3
+        f0x, f0y = (0.0 - fx01) - fx02, (0.0 - fy01) - fy02
+        f1x, f1y = (0.0 + fx01) - fx12, (0.0 + fy01) - fy12
+        f2x, f2y = (0.0 + fx02) + fx12, (0.0 + fy02) + fy12
+        if comet is not None:
+            g0x, g0y, g1x, g1y, g2x, g2y = pull
+            # a + (0.0 - f) is a - f: the bytes of one pass over all pairs
+            f0x, f0y, f1x, f1y, f2x, f2y = (f0x + g0x, f0y + g0y, f1x + g1x,
+                                            f1y + g1y, f2x + g2x, f2y + g2y)
         return [p0x / m0, p0y / m0, p1x / m1, p1y / m1, p2x / m2, p2y / m2,
                 f0x, f0y, f1x, f1y, f2x, f2y]
 

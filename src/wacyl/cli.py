@@ -6,10 +6,10 @@ configuration section and writes only its own files (CSV, .wgf, JSON
 reports).  main reads the configuration, writes manifest.json (the
 section under "config") and summary.json, and exits 0 pass, 1 check
 failure, 2 configuration error (an unreadable --config included),
-3 numerical failure.  Identical config and seed give identical CSVs.
-A CSV cell is the repr of a number and a line ends in \\r\\n, the bytes
-csv.writer writes; a JSON file holds one top-level key per line, its
-value compact.
+3 numerical failure (an overflow or a division by zero included).
+Identical config and seed give identical CSVs.  A CSV cell is the repr
+of a number and a line ends in \\r\\n, the bytes csv.writer writes; a
+JSON file holds one top-level key per line, its value compact.
 """
 
 from __future__ import annotations
@@ -259,9 +259,8 @@ def cmd_solve(conf, outdir):
                    [[r["Q"], r["upsilon"], r["r1"], r["envelope"]]
                     for r in scan])
     p = replace(p, **explicit)
-    target = conf["target"]
-    sol, state = iterate(H, p, max_steps=conf["max_steps"], target=target,
-                         min_steps=MIN_STEPS)
+    sol, state = iterate(H, p, max_steps=conf["max_steps"],
+                         target=conf["target"], min_steps=MIN_STEPS)
     mon = monitor(state, p, H.omega)
     rows = []
     for d, row in enumerate(mon["rows"], start=1):
@@ -275,13 +274,12 @@ def cmd_solve(conf, outdir):
     sol.gamma.save(os.path.join(outdir, "gamma.wgf"))
     manifest = {**sol.manifest,
                 "monitor": {k: v for k, v in mon.items() if k != "rows"}}
-    # iterate's rule: a true residual below target * max(1, r0) is the
-    # solver's rounding floor, where jitter is no increase
-    floor = target * max(1.0, state.true_residuals[0])
+    # iterate's stopping floor, target * max(1, r0)
+    floor = sol.manifest["floor"]
     r = state.true_residuals
     checks = [
         {"name": "residual <= target", "pass": sol.residual_norm <= floor,
-         "detail": f"{sol.residual_norm:.3e}", "tolerance": target},
+         "detail": f"{sol.residual_norm:.3e}", "tolerance": floor},
         {"name": f"monotone decrease (>={MIN_STEPS} steps)", "pass":
             state.j >= MIN_STEPS and all(
                 r[i + 1] < r[i] or r[i + 1] < floor
@@ -406,14 +404,10 @@ def cmd_verify_norms(conf, outdir):
     for trial in range(conf["trials"]):
         f = random_modes(rng, sg, tg, 2)
         rep = norm_algebra_check(f, g, 2.0, 1.0, 1.0)
-        rows.append([trial, rep["l_monotonicity"]["pass"],
-                     rep["derivative_restriction"]["pass"],
-                     rep["product_ratio"]])
+        rows.append([trial, rep["product_ratio"]])
         checks.append({
             "name": f"norm algebra trial {trial}",
-            "pass": rep["l_monotonicity"]["pass"]
-            and rep["derivative_restriction"]["pass"]
-            and rep["product_ratio"] <= constants.cdoc("product", 2),
+            "pass": rep["product_ratio"] <= constants.cdoc("product", 2),
             "detail": f"product ratio {rep['product_ratio']:.3f}",
             "tolerance": constants.cdoc("product", 2)})
         for (m, d) in ((2, 0), (4, 1)):
@@ -428,7 +422,7 @@ def cmd_verify_norms(conf, outdir):
                 "tolerance": (constants.cdoc("S1", m, d),
                               constants.cdoc("S2", m, d))})
     _write_csv(outdir, "norm_checks.csv",
-               ["trial", "monotone", "derivative", "product_ratio"], rows)
+               ["trial", "product_ratio"], rows)
     return {"seed": conf["seed"], "trials": len(rows)}, checks
 
 
@@ -474,6 +468,10 @@ def main(argv=None):
         return _summary(args.out, checks)
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL_FAILURE
+    except ArithmeticError as exc:
+        print(f"numerical failure: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
         return EXIT_NUMERICAL_FAILURE
     except (ValueError, KeyError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -152,8 +152,8 @@ class TimeGrid(_Derived):
         return len(self.points)
 
     def __eq__(self, other):
-        return isinstance(other, TimeGrid) and len(self) == len(other) \
-            and np.allclose(self.points, other.points)
+        return isinstance(other, TimeGrid) and np.array_equal(
+            self.points, other.points)
 
     def window(self, i, width):
         """The slice of min(width, T) consecutive nodes centred on

@@ -148,11 +148,11 @@ def iterate(H, p, max_steps=12, target=1e-6, quad_tol=SERIES_TOL,
     Both the paired residuals |F(phi_d, psi_d)| (the scheduled
     quantities) and the residuals against the unsmoothed data are
     recorded; stopping and divergence detection use the latter.
-    Stops when |F|_{0,2} < target * max(1, initial residual), after at
-    least min_steps updates, or flags divergence after two consecutive
-    residual increases.  On divergence it returns the iterate of smallest
-    true residual, and the manifest's best_step names its step;
-    otherwise the last iterate.
+    Stops when |F|_{0,2} < target * max(1, initial residual), the
+    manifest's floor, after at least min_steps updates, or flags
+    divergence after two consecutive residual increases.  On divergence
+    it returns the iterate of smallest true residual, and the manifest's
+    best_step names its step; otherwise the last iterate.
     """
     rep = _checked(p)
     zeta = p.zeta if zeta is None else zeta
@@ -163,7 +163,9 @@ def iterate(H, p, max_steps=12, target=1e-6, quad_tol=SERIES_TOL,
     Hs = _smoothed_spec(H, p.tau_j(1))
     Fj = eval_F(Hs, psi)
     r_true = _z_norm(eval_F(H, psi))
-    scale = max(1.0, r_true)
+    # a true residual below floor is the solver's rounding floor, where
+    # jitter is no increase
+    floor = target * max(1.0, r_true)
     state.residual_norms.append(_z_norm(Fj))
     state.true_residuals.append(r_true)
     best_psi = psi                      # the iterate of least r_true
@@ -181,27 +183,25 @@ def iterate(H, p, max_steps=12, target=1e-6, quad_tol=SERIES_TOL,
         state.residual_norms.append(r_paired)
         state.true_residuals.append(r_true)
         state.corrections.append(dpsi)
-        # jitter below the convergence target is solver floor, not
-        # divergence
-        if r_true > state.true_residuals[-2] and r_true >= target * scale:
+        if r_true > state.true_residuals[-2] and r_true >= floor:
             increases += 1
             if increases >= 2:
                 state.status = "divergence"
                 break
         else:
             increases = 0
-        if r_true < target * scale and state.j >= min_steps:
+        if r_true < floor and state.j >= min_steps:
             state.status = "converged"
             break
     else:
         state.status = "max_steps"
-    if state.status == "max_steps" and \
-            state.true_residuals[-1] < target * scale:
+    if state.status == "max_steps" and state.true_residuals[-1] < floor:
         state.status = "converged"
     manifest = {
         "params": rep["params"],
         "Q": p.Q, "upsilon": p.upsilon,
-        "zeta": zeta, "target": target, "quad_tol": quad_tol,
+        "zeta": zeta, "target": target, "floor": floor,
+        "quad_tol": quad_tol,
         "status": state.status, "steps": state.j,
         "paired_residuals": state.residual_norms,
         "true_residuals": state.true_residuals,

@@ -145,37 +145,22 @@ def convexity_check(f, lambda1, lambda2, alpha, l=0.0):
 
 
 def norm_algebra_check(f, g, sigma, l, m, u=None):
-    """Quantitative checks of the weighted-norm calculus.
-
-    (a) derivative restriction and (b) l-monotonicity are exact grid
-    facts and return pass/fail; the product ratio (c) and, when a
-    displacement u is supplied, the composition ratio (d) are returned
-    for comparison against documented constants.
+    """The product ratio of the weighted-norm calculus and, when a
+    displacement u is supplied, its composition ratio, for comparison
+    against documented constants.  (The derivative restriction and
+    l-monotonicity hold for every GridFn: f.dq is the derivative that
+    holder_norm takes, and t >= 1 on every TimeGrid.)
     """
     if f.grid != g.grid:
         raise ValueError("grid mismatch")
-    report = {}
-    # (a) weighted_norm(df, sigma-1, l) <= weighted_norm(f, sigma, l)
-    if sigma >= 1:
-        lhs = max(weighted_norm(f.dq(a), sigma - 1, l)
-                  for a in range(f.grid.n))
-        rhs = weighted_norm(f, sigma, l)
-        report["derivative_restriction"] = {
-            "lhs": lhs, "rhs": rhs, "pass": lhs <= rhs * (1 + 1e-12)}
-    # (b) |f|_{sigma,l} <= |f|_{sigma,l+m}
-    lo = weighted_norm(f, sigma, l)
-    hi = weighted_norm(f, sigma, l + m)
-    report["l_monotonicity"] = {"lhs": lo, "rhs": hi,
-                                "pass": lo <= hi * (1 + 1e-12)}
-    # (c) product ratio
     fg = product(f, g)
     num = weighted_norm(fg, sigma, l + m)
     den = (weighted_norm(f, 0, l)
            * weighted_norm(g, sigma, m)
            + weighted_norm(f, sigma, l)
            * weighted_norm(g, 0, m))
-    report["product_ratio"] = num / den if den > 0 else 0.0
-    # (d) composition ratio, torus self-map z = id + u
+    report = {"product_ratio": num / den if den > 0 else 0.0}
+    # composition ratio, torus self-map z = id + u
     if u is not None:
         fz = compose_torus(f, u)
         jac = u.jacobian_q()

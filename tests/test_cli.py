@@ -53,6 +53,7 @@ def test_verify_norms_and_reproducibility(tmp_path, capsys):
     csv1 = (out1 / "norm_checks.csv").read_bytes()
     csv2 = (out2 / "norm_checks.csv").read_bytes()
     assert csv1 == csv2   # identical config + seed: identical bytes
+    assert csv1.startswith(b"trial,product_ratio\r\n")
 
 
 def test_verify_norms_makes_the_profiles_of_g_once(tmp_path, monkeypatch):
@@ -156,6 +157,23 @@ def test_solve_power_passes_on_every_time_grid(tmp_path, n_times):
     checks = {c["name"]: c["pass"] for c in summary["checks"]}
     assert checks["residual <= target"]
     assert checks["|v - v*|_{1,1} <= 1e-4"]
+
+
+def test_residual_verdict_reports_the_floor_it_applies(tmp_path):
+    # at eps 0.3 the initial residual r0 = 2.05 exceeds 1, so iterate
+    # stops below target * r0; the residual check passes up to that
+    # floor, and says so rather than the bare target
+    code = run_cli(["--out", str(tmp_path), "--set", "solve.eps=0.3",
+                    "solve", "--preset", "manufactured-power"])
+    assert code == EXIT_PASS
+    man = json.loads((tmp_path / "manifest.json").read_text())
+    r0 = man["true_residuals"][0]
+    assert r0 > 2.0 and man["floor"] == man["target"] * r0
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    checks = {c["name"]: c for c in summary["checks"]}
+    assert checks["residual <= target"]["tolerance"] == man["floor"]
+    assert checks["monotone decrease (>=3 steps)"]["tolerance"] == \
+        f"strict above {man['floor']:.3e}"
 
 
 @pytest.mark.parametrize("eps", ["1e-15", "1e-300"])
@@ -358,6 +376,39 @@ def test_ball_exit_is_numerical_failure(tmp_path, capsys, fixed_q, v):
     assert f"|v| = {v} > 0.5" in err
     # the scan skips the trials that leave the ball instead of aborting
     assert (tmp_path / "schedule_scan.csv").exists() != fixed_q
+
+
+@pytest.mark.parametrize("args, error", [
+    (["--set", "solve.t_max=1e300", "solve"], "OverflowError"),
+    (["--set", "he.t_max=1e300", "homological"], "OverflowError"),
+    (["--set", "solve.q=1e300", "solve"], "OverflowError"),
+    (["--set", "comet.e=1e300", "simulate-comet", "--mc", "1e-3"],
+     "OverflowError"),
+    (["--set", "comet.v=1e150", "simulate-comet", "--mc", "1e-3"],
+     "ZeroDivisionError"),
+    (["--set", "comet.v=1e-150", "simulate-comet", "--mc", "1e-3"],
+     "OverflowError"),
+    (["--set", "comet.m0=1e300", "simulate-comet", "--mc", "1e-3"],
+     "OverflowError"),
+    (["--set", "comet.mc=1e300", "simulate-comet", "--mc", "1e-3"],
+     "OverflowError"),
+    (["--set", "comet.a1=1e-300", "simulate-comet", "--mc", "0"],
+     "ZeroDivisionError"),
+], ids=["solve-t-max", "he-t-max", "solve-q", "comet-e", "comet-v-large",
+        "comet-v-small", "comet-m0", "comet-mc", "comet-a1"])
+def test_arithmetic_error_is_numerical_failure(tmp_path, args, error):
+    # accepted values whose float arithmetic overflows or divides by zero
+    # exit as a numerical failure, not on a traceback with the exit code
+    # of a check failure; numpy may warn of the overflow first
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run(
+        [sys.executable, "-m", "wacyl.cli", "--out", str(tmp_path)] + args,
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True,
+        text=True, timeout=60)
+    assert out.returncode == EXIT_NUMERICAL_FAILURE
+    assert "Traceback" not in out.stderr
+    assert out.stderr.splitlines()[-1].startswith(
+        f"numerical failure: {error}: ")
 
 
 def test_fixed_q_from_environment(tmp_path, monkeypatch):

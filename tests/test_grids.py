@@ -21,6 +21,19 @@ def test_time_grid_geometric():
     assert np.allclose(tg.points, np.geomspace(1.0, 20.0, 64), rtol=1e-13)
 
 
+def test_time_grids_compare_node_for_node():
+    # nodes that differ by a relative 3e-6 make another grid, so fields
+    # sampled at different times are not multiplied
+    grid = TimeGrid(20.0, n_points=64)
+    assert grid == TimeGrid(20.0, n_points=64)
+    assert grid != TimeGrid(20.0001, n_points=64)
+    assert grid != TimeGrid(20.0, n_points=65)
+    sg = SpatialGrid(1, 8)
+    with pytest.raises(ValueError, match="grid mismatch"):
+        norms.product(GridFn.zeros(sg, grid, 1),
+                      GridFn.zeros(sg, TimeGrid(20.0001, n_points=64), 1))
+
+
 def test_window_is_centred_and_shifted_inside():
     tg = TimeGrid(20.0, n_points=64)
     assert tg.window(30, 9) == slice(26, 35)
@@ -292,7 +305,8 @@ def test_serialization_roundtrip(tmp_path):
     g = GridFn.load(path)
     assert g.components == 2
     assert np.array_equal(g.values, f.values)
-    assert np.allclose(g.times.points, f.times.points)
+    # the nodes come back bit for bit
+    assert g.times == f.times
 
 
 def test_load_rejects_truncated_file(tmp_path):

@@ -127,8 +127,9 @@ def test_norm_algebra_check_full():
     u = fn_grid(lambda q, t: 0.03 * np.sin(2 * np.pi * q) / t,
                 torus_points=64)
     rep = norm_algebra_check(f, g, 2.0, 1.0, 1.0, u=u)
-    assert rep["l_monotonicity"]["pass"]
-    assert rep["derivative_restriction"]["pass"]
+    # the derivative restriction and l-monotonicity hold for every
+    # input (test_derivative_restriction_exact, test_l_monotonicity_exact)
+    assert set(rep) == {"product_ratio", "composition_ratio"}
     assert rep["product_ratio"] <= constants.cdoc("product", 2)
     assert rep["composition_ratio"] <= constants.cdoc("composition", 2)
     # direct-evaluation oracle for the product norm

@@ -4,6 +4,7 @@ symbol, the three-body pair gravity, the Hölder profile over the time
 grid and the time-grid matrix cache."""
 
 import itertools
+import math
 import os
 import struct
 import tempfile
@@ -221,7 +222,7 @@ def test_pair_gravity_matches_numpy_oracle(coords, momenta, ms, lag):
     # at t = 2 the comet is lag after (lag > 0, y > 0) or before (y < 0)
     # its pericentre (0.5, 0)
     orbit = CometOrbit(1.5, 1.0, 1.0, t_peri=2.0 - lag)
-    xc = np.concatenate([x[:3], orbit.position(2.0)[None]])
+    xc = np.concatenate([x[:3], [orbit._ephemeris(2.0)[:2]]])
     assume(min(np.linalg.norm(xc[i] - xc[3]) for i in range(3)) >= 0.1)
     gc_ref = -_numpy_pair_gravity(xc, mm, comet_pairs)[0][:3]
 
@@ -248,20 +249,27 @@ def _outcome(fn, *args):
 
 def _table_rhs(masses, comet, t, state):
     """The Cartesian right-hand side by one table_pair_gravity pass over
-    all pairs, the comet as point 3, refused as a close encounter when
-    the pass's smallest pair distance is below PROXIMITY."""
+    all pairs, the comet as point 3, after the refusal of a close
+    encounter: a smallest pair distance below PROXIMITY, a collision
+    included.  A comet with mass first makes its own table pass, which
+    raises on a body at the comet."""
     m = masses.as_array().tolist()
     m0, m1, m2 = m
     v = state.tolist()
     x, pairs = v[:6], PAIRS
     if masses.mc > 0 and comet is not None:
         m.append(masses.mc)
-        x += comet.position(t).tolist()
+        x += comet._ephemeris(t)[:2]
         pairs = PAIRS + COMET_PAIRS
-    force, _, dmin = table_pair_gravity(x, m, 0.0, pairs)
+        table_pair_gravity(x, m, 0.0, COMET_PAIRS)
+    dmin = math.inf
+    for _, _, ix, iy, jx, jy in pairs:
+        rx, ry = x[ix] - x[jx], x[iy] - x[jy]
+        dmin = min(dmin, math.sqrt(rx * rx + ry * ry))
     if dmin < PROXIMITY:
         raise IntegrationError(f"close encounter at t = {t:.6f} (smallest "
                                f"distance {dmin:.3e} < {PROXIMITY:g})")
+    force = table_pair_gravity(x, m, 0.0, pairs)[0]
     return [v[6] / m0, v[7] / m0, v[8] / m1, v[9] / m1,
             v[10] / m2, v[11] / m2] + force[:6]
 
@@ -296,13 +304,21 @@ mass = st.one_of(st.just(0.0), st.floats(1e-3, 10.0))
 # encounter only when the comet has mass
 @example([0.5, 5e-5, 0.0, 1.0, 0.0, -2.0, 0.0, 0.5], [1.0] * 6,
          1.0, 1e-3, 1e-3, 1e-3, 0.0)
+# bodies 0 and 1 coincide: a close encounter at distance 0
+@example([0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.5], [1.0] * 6,
+         1.0, 1e-3, 1e-3, 1e-3, 0.5)
+# bodies 0 and 1 coincide at the comet's pericentre: the comet's pull
+# raises on the collision before the refusal, when the comet has mass
+@example([0.5, 0.0, 0.5, 0.0, 0.0, 1.0, 0.0, 0.5], [1.0] * 6,
+         1.0, 1e-3, 1e-3, 1e-3, 0.0)
 def test_force_passes_keep_the_bytes_of_the_pair_table_loop(
         coords, momenta, m0, m1, m2, mc, lag):
     # the unrolled passes accumulate in the table's pair order: forces
     # from 0.0 (signed zeros included), the energy from the kinetic
-    # energy, the comet's pull after the bodies'; collisions and zero
-    # masses raise as the loop did, and a smallest distance below
-    # PROXIMITY is refused as a close encounter
+    # energy, the comet's pull after the bodies'; a body at the comet and
+    # zero masses raise as the loop does, and a smallest distance below
+    # PROXIMITY, a collision of two bodies included, is refused as a
+    # close encounter
     x, (cx, cy) = coords[:6], coords[6:]
     masses = Masses(m0, m1, m2, mc)
     m = masses.as_array().tolist()
