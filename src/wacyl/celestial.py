@@ -264,7 +264,18 @@ def _mass_products(masses):
 # and the comet's pull on them in _comet_pull.  Each pair (i, j) gives
 # f = m_i m_j (x_i - x_j) / |x_i - x_j|^3, subtracted from body i's
 # force and added to body j's, starting from 0.0, in pair order, and
-# -m_i m_j / |x_i - x_j| to the energy.
+# -m_i m_j / |x_i - x_j| to the energy.  A force pass refuses a pair
+# closer than PROXIMITY before it divides: the bodies' pass in
+# _cartesian_rhs and every comet pass, each one a call of _comet_pull.
+PROXIMITY = 1e-4
+
+
+def _close_encounter(t, dmin):
+    """The IntegrationError of a force pass at time t whose smallest
+    distance dmin is below PROXIMITY."""
+    return IntegrationError(f"close encounter at t = {t:.6f} (smallest "
+                            f"distance {dmin:.3e} < {PROXIMITY:g})")
+
 
 def _comet_pull(x0, y0, x1, y1, x2, y2, cx, cy, mmc):
     """The comet at (cx, cy) on the three bodies, mmc the body-comet
@@ -272,34 +283,32 @@ def _comet_pull(x0, y0, x1, y1, x2, y2, cx, cy, mmc):
 
     Returns the forces on the bodies as (f0x, f0y, f1x, f1y, f2x, f2y),
     the interaction energy -sum m_i m_c / |x_i - c| and the smallest
-    body-comet distance.
+    body-comet distance, or (None, None, that distance) before any
+    division when it is below PROXIMITY (from math.inf, so that a nan
+    distance is passed over).
     """
-    mm0, mm1, mm2 = mmc
+    rx0, ry0 = x0 - cx, y0 - cy
+    d0 = math.sqrt(rx0 * rx0 + ry0 * ry0)
+    rx1, ry1 = x1 - cx, y1 - cy
+    d1 = math.sqrt(rx1 * rx1 + ry1 * ry1)
+    rx2, ry2 = x2 - cx, y2 - cy
+    d2 = math.sqrt(rx2 * rx2 + ry2 * ry2)
     dmin = math.inf
-    rx, ry = x0 - cx, y0 - cy
-    d0 = math.sqrt(rx * rx + ry * ry)
-    if d0 == 0:
-        raise ZeroDivisionError("collision configuration")
-    d3 = d0 ** 3
-    fx0, fy0 = mm0 * rx / d3, mm0 * ry / d3
     if d0 < dmin:
         dmin = d0
-    rx, ry = x1 - cx, y1 - cy
-    d1 = math.sqrt(rx * rx + ry * ry)
-    if d1 == 0:
-        raise ZeroDivisionError("collision configuration")
-    d3 = d1 ** 3
-    fx1, fy1 = mm1 * rx / d3, mm1 * ry / d3
     if d1 < dmin:
         dmin = d1
-    rx, ry = x2 - cx, y2 - cy
-    d2 = math.sqrt(rx * rx + ry * ry)
-    if d2 == 0:
-        raise ZeroDivisionError("collision configuration")
-    d3 = d2 ** 3
-    fx2, fy2 = mm2 * rx / d3, mm2 * ry / d3
     if d2 < dmin:
         dmin = d2
+    if dmin < PROXIMITY:
+        return None, None, dmin
+    mm0, mm1, mm2 = mmc
+    d3 = d0 ** 3
+    fx0, fy0 = mm0 * rx0 / d3, mm0 * ry0 / d3
+    d3 = d1 ** 3
+    fx1, fy1 = mm1 * rx1 / d3, mm1 * ry1 / d3
+    d3 = d2 ** 3
+    fx2, fy2 = mm2 * rx2 / d3, mm2 * ry2 / d3
     return ((0.0 - fx0, 0.0 - fy0, 0.0 - fx1, 0.0 - fy1,
              0.0 - fx2, 0.0 - fy2),
             0.0 - mm0 / d0 - mm1 / d1 - mm2 / d2, dmin)
@@ -324,8 +333,6 @@ def eval_H0_cartesian(state, masses):
         d02 = math.sqrt(rx * rx + ry * ry)
         rx, ry = x1 - x2, y1 - y2
         d12 = math.sqrt(rx * rx + ry * ry)
-        if d01 == 0 or d02 == 0 or d12 == 0:
-            raise ZeroDivisionError("collision configuration")
         h0.append(kinetic - mm01 / d01 - mm02 / d02 - mm12 / d12)
     return h0[0] if np.ndim(state.x) == 2 else np.array(h0)
 
@@ -333,38 +340,25 @@ def eval_H0_cartesian(state, masses):
 def eval_H0_split(sc, masses):
     """|Y0|^2/2M plus the translation-reduced Hamiltonian K."""
     X, Y = sc.X, sc.Y
-    for v in (X[1], X[2], X[2] - X[1]):
-        if np.linalg.norm(v) == 0:
-            raise ZeroDivisionError("collision configuration")
+    # Python floats, on which a zero distance raises ZeroDivisionError
+    d1, d2, d12 = map(float, map(np.linalg.norm, (X[1], X[2], X[2] - X[1])))
     H = (Y[0] ** 2).sum() / (2 * masses.M)
-    H += (Y[1] ** 2).sum() / (2 * masses.mu1) \
-        - masses.m0 * masses.m1 / np.linalg.norm(X[1])
-    H += (Y[2] ** 2).sum() / (2 * masses.mu2) \
-        - masses.m0 * masses.m2 / np.linalg.norm(X[2])
-    H += (Y[1] * Y[2]).sum() / masses.m0 \
-        - masses.m1 * masses.m2 / np.linalg.norm(X[2] - X[1])
+    H += (Y[1] ** 2).sum() / (2 * masses.mu1) - masses.m0 * masses.m1 / d1
+    H += (Y[2] ** 2).sum() / (2 * masses.mu2) - masses.m0 * masses.m2 / d2
+    H += (Y[1] * Y[2]).sum() / masses.m0 - masses.m1 * masses.m2 / d12
     return float(H)
-
-
-# eval_Hc, grad_Hc and hess_Hc refuse a body closer than this to the comet
-HC_PROXIMITY = 1e-9
 
 
 def _comet_gravity(positions, c, masses):
     """_comet_pull with the comet at c, an (x, y) pair, on the bodies
-    at positions, (3, 2) or flat; refuses a body within HC_PROXIMITY of
-    the comet."""
+    at positions, (3, 2) or flat; a body within PROXIMITY of the comet
+    raises ZeroDivisionError naming its distance."""
     x = np.asarray(positions, dtype=float).ravel().tolist()
     cx, cy = _floats(c)
-    try:
-        out = _comet_pull(*x, cx, cy, _mass_products(masses)[1])
-        dmin = out[2]
-    except ZeroDivisionError:
-        # a body on the comet, or so close that d^3 underflows to 0
-        dmin = min(math.hypot(x[k] - cx, x[k + 1] - cy) for k in (0, 2, 4))
-    if dmin < HC_PROXIMITY:
-        raise ZeroDivisionError(
-            f"a body is {dmin:.3e} from the comet (limit {HC_PROXIMITY})")
+    out = _comet_pull(*x, cx, cy, _mass_products(masses)[1])
+    if out[0] is None:
+        raise ZeroDivisionError(f"a body is {out[2]:.3e} from the comet "
+                                f"(limit {PROXIMITY:g})")
     return out
 
 
@@ -579,9 +573,11 @@ class HExtension:
         w, dw = self._weight(xi, radius)
         x, y = xi
         circles = self.chart._circles(theta, r)
-        force = _comet_pull(
+        force, _, dmin = _comet_pull(
             *self.chart._positions(circles, (x * w, y * w)), cx, cy,
-            self._mmc)[0]
+            self._mmc)
+        if force is None:
+            raise _close_encounter(t, dmin)
         # grad_Hc: minus the comet's pull on each body
         d_theta, (gx, gy), d_r = self.chart._pullback(
             circles, [-f for f in force])
@@ -604,17 +600,16 @@ def _cartesian_rhs(masses, comet):
     float list, the bodies' forces over the pairs (0, 1), (0, 2), (1, 2),
     plus _comet_pull of the comet at c(t) when it has mass.
 
-    A force pass whose smallest distance is below PROXIMITY, coincident
-    bodies included, raises IntegrationError before the bodies' forces
-    are formed.  DOP853 calls rhs on every stage it tries and on its
-    initial-step probe, so the check reads those states too, not only
-    the accepted steps.
+    A force pass whose smallest distance, the comet's included when it
+    has mass, is below PROXIMITY raises IntegrationError before any
+    force is formed.  DOP853 calls rhs on every stage it tries and on
+    its initial-step probe, so the check reads those states too, not
+    only the accepted steps.
     """
     m0, m1, m2 = masses.as_array().tolist()
     (mm01, mm02, mm12), mmc = _mass_products(masses)
     if not (masses.mc > 0 and comet is not None):
         comet = None
-    proximity = PROXIMITY
 
     def rhs(t, yflat):
         x0, y0, x1, y1, x2, y2, p0x, p0y, p1x, p1y, p2x, p2y = \
@@ -638,10 +633,8 @@ def _cartesian_rhs(masses, comet):
             pull, _, dc = _comet_pull(x0, y0, x1, y1, x2, y2, cx, cy, mmc)
             if dc < dmin:
                 dmin = dc
-        if dmin < proximity:
-            raise IntegrationError(
-                f"close encounter at t = {t:.6f} (smallest distance "
-                f"{dmin:.3e} < {proximity:g})")
+        if dmin < PROXIMITY:
+            raise _close_encounter(t, dmin)
         d3 = d01 ** 3
         fx01, fy01 = mm01 * rx01 / d3, mm01 * ry01 / d3
         d3 = d02 ** 3
@@ -663,11 +656,8 @@ def _cartesian_rhs(masses, comet):
 
 
 # integrate_system samples its trajectory at TRAJECTORY_SAMPLES uniform
-# times and aborts once two bodies, or a body and a comet with mass,
-# come closer than PROXIMITY; SurrogateSystem.integrate samples at
-# SURROGATE_SAMPLES geometric times
+# times, SurrogateSystem.integrate at SURROGATE_SAMPLES geometric times
 TRAJECTORY_SAMPLES = 200
-PROXIMITY = 1e-4
 SURROGATE_SAMPLES = 120
 
 

@@ -34,6 +34,7 @@ from .celestial import (CircularChart, CometOrbit, ExtensionParams,
                         check_speed_window, confinement_check,
                         extend_Hc, integrate_system)
 from .flow import NumericalError
+from .functional import mu_budget
 from .grids import GridFn, SpatialGrid, TimeGrid
 from .homological import HomologicalProblem, estimate_check, residual_he, \
     solve_he
@@ -65,6 +66,13 @@ GT0, GE0 = _finite(">", 0), _finite(">=", 0)
 # loop runs to its cap and no residual meets it
 TOL = (GT0[0], "finite and positive")
 T_MAX = _finite(">", 1, " (the time grid starts at t = 1)")
+# right_inverse refuses, whatever the data, a zeta whose budget
+# delta + C Upsilon zeta (affine in zeta) reaches its gate
+_DELTA, _GATE = mu_budget(0.0)
+_ZETA_MAX = (_GATE - _DELTA) / (mu_budget(1.0)[0] - _DELTA)
+ZETA = (lambda z: GT0[0](z) and mu_budget(z)[0] < _GATE,
+        f"finite and > 0 with delta + C Upsilon zeta < 1/c_kappa(1) = "
+        f"{_GATE:g} (zeta < {_ZETA_MAX:g})")
 # on 2 or fewer torus points every non-constant mode is the Nyquist
 # mode, whose derivative the grid sets to zero
 POW2 = (lambda n: n >= 4 and not n & (n - 1), "a power of two, at least 4")
@@ -96,7 +104,7 @@ CONFIG = {
     # an explicit Q replaces the scanned one; the smoothing times
     # t_j = Q^(alpha beta^j) grow only for Q > 1, and zeta is a size
     "solve.q": (None, float, _finite(">", 1)),
-    "solve.zeta": (None, float, GT0),
+    "solve.zeta": (None, float, ZETA),
     "he.torus_points": (128, int, POW2),
     "he.n_times": (64, int, AT_LEAST_2),
     "he.t_max": (20.0, float, T_MAX),
@@ -251,14 +259,13 @@ def cmd_solve(conf, outdir):
     H, vstar = SOLVE_PRESETS[conf["preset"]](
         conf["eps"], torus_points=conf["torus_points"],
         n_times=conf["n_times"], t_max=conf["t_max"])
-    p = params_from_order(conf["s"])
+    p = replace(params_from_order(conf["s"]), **explicit)
     if "Q" not in explicit:
         p, scan = choose_schedule(H, p)
         _write_csv(outdir, "schedule_scan.csv",
                    ["Q", "upsilon", "r1", "envelope"],
                    [[r["Q"], r["upsilon"], r["r1"], r["envelope"]]
                     for r in scan])
-    p = replace(p, **explicit)
     sol, state = iterate(H, p, max_steps=conf["max_steps"],
                          target=conf["target"], min_steps=MIN_STEPS)
     mon = monitor(state, p, H.omega)
@@ -320,9 +327,6 @@ def cmd_homological(conf, outdir):
 def cmd_simulate_comet(conf, outdir):
     eps, mc, t_max, tol = conf["eps"], conf["mc"], conf["t_max"], conf["tol"]
     masses = Masses(conf["m0"], conf["m1"], conf["m2"], mc=mc)
-    mu = masses.M + mc
-    orbit = CometOrbit(eccentricity=conf["e"], a_h=mu / conf["v"] ** 2,
-                       mu_grav=mu, t_peri=conf["t_peri"])
     chart = CircularChart(masses, a1=conf["a1"], a2=conf["a2"])
     rng = default_rng(conf["seed"])
     checks = []
@@ -348,6 +352,9 @@ def cmd_simulate_comet(conf, outdir):
         return {"mode": "conservative", "masses": masses.__dict__,
                 "seed": conf["seed"], "tol": tol, "H0_drift_rel": rel,
                 "nfev": traj["nfev"]}, checks
+    mu = masses.M + mc
+    orbit = CometOrbit(eccentricity=conf["e"], a_h=mu / conf["v"] ** 2,
+                       mu_grav=mu, t_peri=conf["t_peri"])
     ext = ExtensionParams(epsilon=eps)
     speed = check_speed_window(orbit, np.geomspace(1.0, 1.0 + t_max, 40),
                                eps)
@@ -462,7 +469,9 @@ def main(argv=None):
         conf = read_section(load_config(args.config, args.set), args.section,
                             preset=getattr(args, "preset", None),
                             mc=getattr(args, "mc", None))
-        manifest, checks = args.fn(conf, args.out)
+        # numpy faults raise where they happen; an underflow to 0 is kept
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            manifest, checks = args.fn(conf, args.out)
         _write_manifest(args.out, "manifest.json",
                         {**manifest, "config": conf})
         return _summary(args.out, checks)

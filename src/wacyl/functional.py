@@ -292,7 +292,7 @@ def hypotheses_report(H, zeta, n_samples=6, seed=0):
         # H.2: Lipschitz ratio in x
         da2, db2 = x_sample()
         diff = weighted_norm(
-            eval_F(Hs, vv) - eval_F(H.with_data(da2, db2), vv), 0, 2)
+            F0 - eval_F(H.with_data(da2, db2), vv), 0, 2)
         dx = x_norm(da - da2, db - db2, 0)
         if dx > 0:
             h2.append(diff / dx)
@@ -304,8 +304,7 @@ def hypotheses_report(H, zeta, n_samples=6, seed=0):
         for s in TAME_SIGMAS:
             K = max(x_norm(da, db, s), v_norm(vv, H.omega, s))
             if K > 0:
-                tame[s].append(
-                    weighted_norm(eval_F(Hs, vv), s, 2) / K)
+                tame[s].append(weighted_norm(F0, s, 2) / K)
     mu_max, gate = mu_budget(zeta)
     cal = constants.HYPOTHESES
     report = {

@@ -312,7 +312,7 @@ def table_pair_gravity(x, m, energy=0.0, pairs=PAIRS):
 
     Returns the forces -dV/dx in the layout of x, energy + V with
     V = -sum m_i m_j / |x_i - x_j| over the pairs, and the smallest
-    pair distance.
+    pair distance; coincident points raise Python's ZeroDivisionError.
     """
     force = [0.0] * len(x)
     dmin = math.inf
@@ -320,8 +320,6 @@ def table_pair_gravity(x, m, energy=0.0, pairs=PAIRS):
         rx = x[ix] - x[jx]
         ry = x[iy] - x[jy]
         d = math.sqrt(rx * rx + ry * ry)
-        if d == 0:
-            raise ZeroDivisionError("collision configuration")
         mm = m[i] * m[j]
         d3 = d ** 3
         fx = mm * rx / d3

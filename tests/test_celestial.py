@@ -214,15 +214,18 @@ def test_grad_and_hess_vs_finite_differences():
                 fd).max()
 
 
-@pytest.mark.parametrize("gap", [0.0, 1e-12], ids=["on", "1e-12"])
+@pytest.mark.parametrize("gap", [0.0, 1e-12, 1e-120,
+                                 0.5 * celestial.PROXIMITY],
+                         ids=["on", "1e-12", "1e-120", "half-proximity"])
 def test_a_body_at_the_comet_is_refused(gap):
-    # all three refuse a body within HC_PROXIMITY of the comet; grad_Hc
-    # used to return a force of 1e18 at 1e-12, and hess_Hc nan on it
+    # all three refuse a body within PROXIMITY of the comet before they
+    # divide, d^3 underflowing to 0 at 1e-120 included; grad_Hc used to
+    # return a force of 1e18 at 1e-12, and hess_Hc nan on it
     pos = np.array([[0.1, 0.0], [0.0, 0.2], [-0.1, -0.05]])
     c = pos[1] + [gap, 0.0]
     for fn in (eval_Hc, grad_Hc, hess_Hc):
         with pytest.raises(ZeroDivisionError, match=re.escape(
-                f"a body is {gap:.3e} from the comet (limit 1e-09)")):
+                f"a body is {gap:.3e} from the comet (limit 0.0001)")):
             fn(pos, c, MASSES)
 
 
@@ -560,17 +563,53 @@ def test_collision_is_refused(i, j):
     x[j] = x[i]
     y = np.ones((3, 2))
     state = np.concatenate([x.ravel(), y.ravel()])
-    # the comet on body i
-    with pytest.raises(ZeroDivisionError, match="collision"):
-        _comet_pull(*x.ravel().tolist(), *x[i].tolist(),
-                    _mass_products(MASSES)[1])
+    # the comet on body i: its pass returns before it divides
+    assert _comet_pull(*x.ravel().tolist(), *x[i].tolist(),
+                       _mass_products(MASSES)[1]) == (None, None, 0.0)
     # the force pass refuses them as a close encounter before it divides
     with pytest.raises(IntegrationError, match=re.escape(
             "close encounter at t = 1.000000 (smallest distance "
             "0.000e+00 < 0.0001)")):
         _cartesian_rhs(MASSES, None)(1.0, state)
-    with pytest.raises(ZeroDivisionError, match="collision"):
+    with pytest.raises(ZeroDivisionError, match="float division by zero"):
         eval_H0_cartesian(CartesianState(x, y), MASSES)
+
+
+@pytest.mark.parametrize("gap", [0.0, 1e-120], ids=["on", "1e-120"])
+def test_a_body_at_a_massive_comet_is_a_close_encounter(gap):
+    # the comet's pass refuses before it divides, so a body on the comet,
+    # or one whose d^3 underflows to 0, ends as the close encounter of
+    # the force pass, not as a division by zero; at its pericentre the
+    # comet is at (0.5, 0), so body 1 is exactly gap from it
+    t = 2.0
+    orbit = CometOrbit(1.5, 1.0, 1.0, t_peri=t)
+    assert orbit._ephemeris(t)[:2] == (0.5, 0.0)
+    x = np.array([[0.0, 0.0], [0.5, gap], [-0.3, 0.8]])
+    state = np.concatenate([x.ravel(), np.ones(6)])
+    with pytest.raises(IntegrationError, match=re.escape(
+            f"close encounter at t = 2.000000 (smallest distance "
+            f"{gap:.3e} < 0.0001)")):
+        _cartesian_rhs(MASSES, orbit)(t, state)
+
+
+def test_the_surrogate_refuses_a_chart_body_on_the_comet(monkeypatch):
+    # the extension's gradient goes through the same refusal: with the
+    # comet's ephemeris placed on body 1 of the chart, the surrogate
+    # right-hand side ends as a close encounter naming t
+    t = 2.0
+    orbit = fast_orbit()
+    chart = CircularChart(MASSES, a1=0.05, a2=1.0)
+    system = SurrogateSystem(extend_Hc(ExtensionParams(epsilon=0.1), orbit,
+                                       MASSES, chart))
+    theta = np.array([0.1, 0.7, 0.0, 0.0])
+    bx, by = chart.positions(theta, np.zeros(2), np.zeros(2))[1].tolist()
+    radius = orbit.radius(t)
+    monkeypatch.setattr(orbit, "_ephemeris", lambda s: (bx, by, radius))
+    state = np.concatenate([theta, np.zeros(6)])
+    with pytest.raises(IntegrationError, match=re.escape(
+            "close encounter at t = 2.000000 (smallest distance "
+            "0.000e+00 < 0.0001)")):
+        system.rhs(t, state)
 
 
 def test_cartesian_run_refuses_a_massless_body():

@@ -379,8 +379,11 @@ def test_ball_exit_is_numerical_failure(tmp_path, capsys, fixed_q, v):
 
 
 @pytest.mark.parametrize("args, error", [
-    (["--set", "solve.t_max=1e300", "solve"], "OverflowError"),
-    (["--set", "he.t_max=1e300", "homological"], "OverflowError"),
+    (["--set", "solve.t_max=1e300", "solve"], "FloatingPointError"),
+    (["--set", "he.t_max=1e300", "homological"], "FloatingPointError"),
+    # finite data whose numpy arithmetic overflows: no configuration
+    # error on the inf samples built from it
+    (["--set", "solve.eps=1e307", "solve"], "FloatingPointError"),
     (["--set", "solve.q=1e300", "solve"], "OverflowError"),
     (["--set", "comet.e=1e300", "simulate-comet", "--mc", "1e-3"],
      "OverflowError"),
@@ -394,12 +397,13 @@ def test_ball_exit_is_numerical_failure(tmp_path, capsys, fixed_q, v):
      "OverflowError"),
     (["--set", "comet.a1=1e-300", "simulate-comet", "--mc", "0"],
      "ZeroDivisionError"),
-], ids=["solve-t-max", "he-t-max", "solve-q", "comet-e", "comet-v-large",
-        "comet-v-small", "comet-m0", "comet-mc", "comet-a1"])
+], ids=["solve-t-max", "he-t-max", "solve-eps", "solve-q", "comet-e",
+        "comet-v-large", "comet-v-small", "comet-m0", "comet-mc",
+        "comet-a1"])
 def test_arithmetic_error_is_numerical_failure(tmp_path, args, error):
     # accepted values whose float arithmetic overflows or divides by zero
     # exit as a numerical failure, not on a traceback with the exit code
-    # of a check failure; numpy may warn of the overflow first
+    # of a check failure; numpy raises at the overflow instead of warning
     src = Path(__file__).resolve().parents[1] / "src"
     out = subprocess.run(
         [sys.executable, "-m", "wacyl.cli", "--out", str(tmp_path)] + args,
@@ -407,8 +411,32 @@ def test_arithmetic_error_is_numerical_failure(tmp_path, args, error):
         text=True, timeout=60)
     assert out.returncode == EXIT_NUMERICAL_FAILURE
     assert "Traceback" not in out.stderr
+    assert "RuntimeWarning" not in out.stderr
     assert out.stderr.splitlines()[-1].startswith(
         f"numerical failure: {error}: ")
+
+
+def test_a_conservative_run_builds_no_comet_orbit(tmp_path):
+    # with mc = 0 the comet does not enter the run, so an orbit whose
+    # a_h ** 3 overflows (comet.v = 1e-150) is never built
+    code = run_cli(["--out", str(tmp_path), "--set", "comet.v=1e-150",
+                    "--set", "comet.t_max=1", "simulate-comet", "--mc", "0"])
+    assert code == EXIT_PASS
+
+
+def test_zeta_below_the_budget_runs_the_scan_and_the_run(tmp_path,
+                                                         monkeypatch):
+    # just below the budget's bound, an explicit zeta is the budget of
+    # the schedule scan's trials too, not only of the Newton run
+    seen, scan = [], wacyl.cli.choose_schedule
+    monkeypatch.setattr(wacyl.cli, "choose_schedule",
+                        lambda H, p: seen.append(p.zeta) or scan(H, p))
+    code = run_cli(["--out", str(tmp_path)] + SMALL_SOLVE
+                   + ["--set", "solve.zeta=0.1199", "solve"])
+    assert code == EXIT_PASS
+    assert seen == [0.1199]
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["zeta"] == 0.1199
 
 
 def test_fixed_q_from_environment(tmp_path, monkeypatch):
@@ -505,6 +533,11 @@ SMALL_SOLVE = ["--set", "solve.torus_points=32", "--set", "solve.n_times=16"]
      "solve.q = nan must be finite and > 1"),
     (SMALL_SOLVE + ["--set", "solve.zeta=-1", "solve"],
      "solve.zeta = -1.0 must be finite and > 0"),
+    # delta + C Upsilon zeta reaches 1/c_kappa(1) = 0.25 at zeta = 0.12,
+    # where right_inverse refuses every step whatever the data
+    (SMALL_SOLVE + ["--set", "solve.zeta=0.12", "solve"],
+     "solve.zeta = 0.12 must be finite and > 0 with delta + C Upsilon "
+     "zeta < 1/c_kappa(1) = 0.25 (zeta < 0.12)"),
     (SMALL_SOLVE + ["--set", "solve.upsilon=0", "solve"],
      "unknown key 'solve.upsilon' (--set)"),
     (SMALL_SOLVE + ["--set", "solve.epsilon0=-5", "solve"],
@@ -539,7 +572,7 @@ SMALL_SOLVE = ["--set", "solve.torus_points=32", "--set", "solve.n_times=16"]
         "solve-n-times-1", "he-n-times-1",
         "comet-v-inf", "comet-e-below-one", "comet-seed-negative",
         "norms-seed-negative", "solve-q-nan",
-        "solve-zeta-negative", "solve-upsilon-zero",
+        "solve-zeta-negative", "solve-zeta-budget", "solve-upsilon-zero",
         "solve-epsilon0-negative", "unknown-key-set", "comet-mc-negative",
         "comet-m0-zero-conservative", "comet-m0-nan", "comet-m2-inf",
         "comet-eps-conservative", "solve-preset-unknown"])

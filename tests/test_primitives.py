@@ -247,12 +247,21 @@ def _outcome(fn, *args):
     return struct.pack(f"<{len(flat)}d", *flat)
 
 
+def _smallest_distance(x, pairs):
+    """The smallest distance over the pairs (a _pair_table) of the flat
+    positions x."""
+    dmin = math.inf
+    for _, _, ix, iy, jx, jy in pairs:
+        rx, ry = x[ix] - x[jx], x[iy] - x[jy]
+        dmin = min(dmin, math.sqrt(rx * rx + ry * ry))
+    return dmin
+
+
 def _table_rhs(masses, comet, t, state):
     """The Cartesian right-hand side by one table_pair_gravity pass over
-    all pairs, the comet as point 3, after the refusal of a close
-    encounter: a smallest pair distance below PROXIMITY, a collision
-    included.  A comet with mass first makes its own table pass, which
-    raises on a body at the comet."""
+    all pairs, the comet as point 3 when it has mass, after the refusal
+    of a close encounter: a smallest pair distance below PROXIMITY, a
+    collision or a body on the comet included."""
     m = masses.as_array().tolist()
     m0, m1, m2 = m
     v = state.tolist()
@@ -261,11 +270,7 @@ def _table_rhs(masses, comet, t, state):
         m.append(masses.mc)
         x += comet._ephemeris(t)[:2]
         pairs = PAIRS + COMET_PAIRS
-        table_pair_gravity(x, m, 0.0, COMET_PAIRS)
-    dmin = math.inf
-    for _, _, ix, iy, jx, jy in pairs:
-        rx, ry = x[ix] - x[jx], x[iy] - x[jy]
-        dmin = min(dmin, math.sqrt(rx * rx + ry * ry))
+    dmin = _smallest_distance(x, pairs)
     if dmin < PROXIMITY:
         raise IntegrationError(f"close encounter at t = {t:.6f} (smallest "
                                f"distance {dmin:.3e} < {PROXIMITY:g})")
@@ -307,29 +312,34 @@ mass = st.one_of(st.just(0.0), st.floats(1e-3, 10.0))
 # bodies 0 and 1 coincide: a close encounter at distance 0
 @example([0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.5], [1.0] * 6,
          1.0, 1e-3, 1e-3, 1e-3, 0.5)
-# bodies 0 and 1 coincide at the comet's pericentre: the comet's pull
-# raises on the collision before the refusal, when the comet has mass
+# bodies 0 and 1 coincide at the comet's pericentre: a close encounter
+# at distance 0, and the comet's pass refuses before it divides
 @example([0.5, 0.0, 0.5, 0.0, 0.0, 1.0, 0.0, 0.5], [1.0] * 6,
          1.0, 1e-3, 1e-3, 1e-3, 0.0)
 def test_force_passes_keep_the_bytes_of_the_pair_table_loop(
         coords, momenta, m0, m1, m2, mc, lag):
     # the unrolled passes accumulate in the table's pair order: forces
     # from 0.0 (signed zeros included), the energy from the kinetic
-    # energy, the comet's pull after the bodies'; a body at the comet and
-    # zero masses raise as the loop does, and a smallest distance below
-    # PROXIMITY, a collision of two bodies included, is refused as a
-    # close encounter
+    # energy, the comet's pull after the bodies'; coincident bodies and
+    # zero masses raise as the loop does, the comet's pass returns no
+    # forces when a body is within PROXIMITY of it, and a smallest
+    # distance below PROXIMITY, a collision or a body on the comet
+    # included, is refused as a close encounter
     x, (cx, cy) = coords[:6], coords[6:]
     masses = Masses(m0, m1, m2, mc)
     m = masses.as_array().tolist()
     mmc = _mass_products(masses)[1]
 
-    comet_want = _outcome(table_pair_gravity, x + [cx, cy], m + [mc], 0.0,
-                          COMET_PAIRS)
-    if isinstance(comet_want, bytes):
+    dc = _smallest_distance(x + [cx, cy], COMET_PAIRS)
+    if dc < PROXIMITY:
+        # refused before any division
+        assert _comet_pull(*x, cx, cy, mmc) == (None, None, dc)
+    else:
+        comet_want = _outcome(table_pair_gravity, x + [cx, cy], m + [mc],
+                              0.0, COMET_PAIRS)
         # the loop also returns the comet's own force, doubles 6 and 7
         comet_want = comet_want[:48] + comet_want[64:]
-    assert _outcome(_comet_pull, *x, cx, cy, mmc) == comet_want
+        assert _outcome(_comet_pull, *x, cx, cy, mmc) == comet_want
 
     xs, ys = np.reshape(x, (3, 2)), np.reshape(momenta, (3, 2))
 
