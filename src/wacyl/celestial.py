@@ -1,9 +1,10 @@
 """Planar three-body problem with a prescribed hyperbolic comet.
 
-Coordinates and splitting, comet ephemeris, interaction-decay
-diagnostics, the cutoff extension of the interaction through a
-surrogate torus chart, trajectory integration, and the convergence
-metrics of weakly asymptotic dynamics.
+Coordinates and splitting, comet ephemeris, the comet interaction and
+its cutoff extension through a surrogate torus chart, trajectory
+integration, and the convergence metrics of weakly asymptotic dynamics.
+The interaction's derivatives and its decay diagnostics are test and
+calibration checks (`tests/oracles.py`, `tests/calibration.py`).
 
 The invariant torus of the unperturbed system is not computable at
 desk scale; a synthetic integrable normal form and a hierarchical
@@ -14,11 +15,9 @@ them says so.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from . import constants
 from .dop853 import solve_ivp
 from .flow import IntegrationError
 from .smoothing import _ramp, _ramp_derivative
@@ -26,20 +25,21 @@ from .smoothing import _ramp, _ramp_derivative
 __all__ = ["Masses", "CometOrbit", "CartesianState", "SplitCoords",
            "ExtensionParams", "solve_hyperbolic_kepler",
            "check_speed_window", "split_coordinates",
-           "eval_H0_cartesian", "eval_H0_split", "eval_Hc", "grad_Hc",
-           "hess_Hc", "decay_diagnostics", "extend_Hc",
+           "eval_H0_cartesian", "eval_H0_split", "eval_Hc", "extend_Hc",
            "CircularChart", "HExtension", "SurrogateSystem",
            "integrate_system", "asymptotic_metric", "confinement_check"]
 
 
-@dataclass
 class Masses:
-    m0: float
-    m1: float
-    m2: float
-    mc: float = 0.0
+    """The three bodies' masses and the comet's; the instance holds the
+    four in this order and nothing else (the manifest records
+    vars(masses))."""
 
-    def __post_init__(self):
+    def __init__(self, m0, m1, m2, mc=0.0):
+        self.m0 = m0
+        self.m1 = m1
+        self.m2 = m2
+        self.mc = mc
         for name, m in vars(self).items():
             if not (np.isfinite(m) and m >= 0) or (name == "m0" and m == 0):
                 raise ValueError(f"mass {name} = {m}: masses must be "
@@ -61,16 +61,16 @@ class Masses:
         return np.array([self.m0, self.m1, self.m2])
 
 
-@dataclass
 class CartesianState:
-    x: np.ndarray     # (3, 2) positions
-    y: np.ndarray     # (3, 2) momentum covectors
+    def __init__(self, x, y):
+        self.x = x      # (3, 2) positions
+        self.y = y      # (3, 2) momentum covectors
 
 
-@dataclass
 class SplitCoords:
-    X: np.ndarray     # (3, 2): X0 center of mass, X1, X2 relative
-    Y: np.ndarray     # (3, 2): Y0 total momentum, Y1, Y2
+    def __init__(self, X, Y):
+        self.X = X      # (3, 2): X0 center of mass, X1, X2 relative
+        self.Y = Y      # (3, 2): Y0 total momentum, Y1, Y2
 
 
 # the cutoff of the extension is 1 for |xi| below CUTOFF_INNER epsilon r
@@ -79,14 +79,11 @@ CUTOFF_INNER = 1.0 / 6.0
 CUTOFF_OUTER = 1.0 / 3.0
 
 
-@dataclass
 class ExtensionParams:
-    epsilon: float
-
-    def __post_init__(self):
-        if not (0 < self.epsilon <= 0.5):
-            raise ValueError(
-                f"epsilon must lie in (0, 1/2] (got {self.epsilon})")
+    def __init__(self, epsilon):
+        if not (0 < epsilon <= 0.5):
+            raise ValueError(f"epsilon must lie in (0, 1/2] (got {epsilon})")
+        self.epsilon = epsilon
 
 
 def _floats(v):
@@ -367,70 +364,6 @@ def eval_Hc(positions, c, masses):
     return _comet_gravity(positions, c, masses)[1]
 
 
-def grad_Hc(positions, c, masses):
-    """Exact gradient d H_c / d x_i: + m_i m_c (x_i - c)/|x_i - c|^3,
-    minus the pull of the comet at c on body i."""
-    force = _comet_gravity(positions, c, masses)[0]
-    return np.negative(force).reshape(3, 2)
-
-
-def hess_Hc(positions, c, masses):
-    """Per-body Hessian of the interaction with the comet at c:
-    m_i m_c (I - 3 rhat rhat^T)/d^3."""
-    _comet_gravity(positions, c, masses)        # for its refusal only
-    c = np.asarray(c, dtype=float)
-    m = masses.as_array()
-    out = np.zeros((3, 2, 2))
-    for i in range(3):
-        r = positions[i] - c
-        d = np.linalg.norm(r)
-        rh = r / d
-        out[i] = m[i] * masses.mc * (np.eye(2) - 3 * np.outer(rh, rh)) \
-            / d ** 3
-    return out
-
-
-def decay_diagnostics(sampler, comet, masses, eps, k, t_grid,
-                      n_samples=40, seed=0):
-    """sup over the admissible region of |H_c^t| and |d_x H_c^t| t^2
-    (plus second derivatives when k = 1), against C(k) M m_c eps for
-    k in {0, 1}, the orders constants.CELESTIAL_CK holds.
-
-    sampler(rng, t) must yield position triples inside the region
-    |x_i|/|c(t)| < eps; configurations violating it are refused.  c(t)
-    comes from one Kepler solve per time node.
-    """
-    rng = np.random.default_rng(seed)
-    Ck = constants.CELESTIAL_CK[k]
-    scale = Ck * masses.M * masses.mc * eps
-    rows = []
-    sup_h, sup_g = 0.0, 0.0
-    for t in t_grid:
-        *c, rt = comet._ephemeris(t)
-        h_t, g_t = 0.0, 0.0
-        for _ in range(n_samples):
-            pos = np.asarray(sampler(rng, t), dtype=float)
-            if (np.linalg.norm(pos, axis=1) / rt >= eps).any():
-                raise ValueError(
-                    "sampler left the admissible region |x|/|c(t)| < eps")
-            h_t = max(h_t, abs(eval_Hc(pos, c, masses)))
-            g = np.abs(grad_Hc(pos, c, masses)).max()
-            if k >= 1:
-                g = max(g, np.abs(hess_Hc(pos, c, masses)).max())
-            g_t = max(g_t, g)
-        sup_h = max(sup_h, h_t)
-        sup_g = max(sup_g, g_t * t ** 2)
-        rows.append({"t": float(t), "sup_Hc": h_t,
-                     "sup_gradHc_t2": g_t * t ** 2})
-    return {
-        "k": k, "eps": eps, "bound": scale,
-        "sup_Hc": sup_h, "sup_Hc_pass": sup_h <= scale,
-        "sup_gradHc_t2": sup_g, "sup_grad_pass": sup_g <= scale,
-        "rows": rows, "constants_source": "calibrated",
-        "pass": sup_h <= scale and sup_g <= scale,
-    }
-
-
 # --------------------------------------------------------------------
 # surrogate chart and extension
 # --------------------------------------------------------------------
@@ -566,7 +499,7 @@ class HExtension:
         return eval_Hc(pos, (cx, cy), self.masses)
 
     def _gradient(self, theta, xi, r, t):
-        """Exact gradient of value by the chain rule through grad_Hc,
+        """Exact gradient of value by the chain rule through d H_c / d x,
         the chart Jacobian and the cutoff, on float sequences theta, xi,
         r: ((a1, a2), d_xi, d_r) with d_theta = (a1, a2, a1, a2)."""
         cx, cy, radius = self.comet._ephemeris(t)
@@ -578,7 +511,7 @@ class HExtension:
             self._mmc)
         if force is None:
             raise _close_encounter(t, dmin)
-        # grad_Hc: minus the comet's pull on each body
+        # d H_c / d x: minus the comet's pull on each body
         d_theta, (gx, gy), d_r = self.chart._pullback(
             circles, [-f for f in force])
         # d (xi w(|xi|)) / d xi = w I + (w'(|xi|) / |xi|) xi xi^T

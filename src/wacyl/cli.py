@@ -21,7 +21,6 @@ import math
 import os
 import sys
 import time
-from dataclasses import replace
 
 import numpy as np
 # numpy loads numpy.random on first use; the comet and norm commands
@@ -59,13 +58,22 @@ def _one_of(*names):
     return lambda x: x in names, "one of " + ", ".join(names)
 
 
+def _t_max(power, source):
+    """The domain of a t_max whose largest time power t^power, which
+    source forms on the time grid, is a finite float: 1 < t_max <
+    (largest float)^(1/power)."""
+    bound = sys.float_info.max ** (1.0 / power)
+    return (lambda t: 1 < t < bound,
+            f"finite and > 1 (the time grid starts at t = 1) and < "
+            f"{bound:.6g} ({source} forms t^{power})")
+
+
 # domains shared by several keys: (ok, the domain a refusal names)
 FINITE = (math.isfinite, "finite")
 GT0, GE0 = _finite(">", 0), _finite(">=", 0)
 # with a nan tolerance an adaptive integration never ends, a correction
 # loop runs to its cap and no residual meets it
 TOL = (GT0[0], "finite and positive")
-T_MAX = _finite(">", 1, " (the time grid starts at t = 1)")
 # right_inverse refuses, whatever the data, a zeta whose budget
 # delta + C Upsilon zeta (affine in zeta) reaches its gate
 _DELTA, _GATE = mu_budget(0.0)
@@ -95,7 +103,7 @@ CONFIG = {
     "solve.eps": (1e-3, float, FINITE),
     "solve.torus_points": (128, int, POW2),
     "solve.n_times": (64, int, AT_LEAST_2),
-    "solve.t_max": (20.0, float, T_MAX),
+    "solve.t_max": (20.0, float, _t_max(3, "the manufactured data")),
     # params_from_order's minimal order s >= 8 (loss exponent gamma = 1)
     "solve.s": (8.0, float, _finite(">=", 8)),
     "solve.target": (1e-6, float, TOL),
@@ -107,7 +115,7 @@ CONFIG = {
     "solve.zeta": (None, float, ZETA),
     "he.torus_points": (128, int, POW2),
     "he.n_times": (64, int, AT_LEAST_2),
-    "he.t_max": (20.0, float, T_MAX),
+    "he.t_max": (20.0, float, _t_max(2, "z = cos(2 pi q)/t^2")),
     "comet.mc": (1e-3, float, GE0),
     "comet.eps": (0.1, float, (lambda x: 0 < x <= 0.5,
                                "an extension epsilon in (0, 1/2]")),
@@ -259,7 +267,7 @@ def cmd_solve(conf, outdir):
     H, vstar = SOLVE_PRESETS[conf["preset"]](
         conf["eps"], torus_points=conf["torus_points"],
         n_times=conf["n_times"], t_max=conf["t_max"])
-    p = replace(params_from_order(conf["s"]), **explicit)
+    p = params_from_order(conf["s"]).replace(**explicit)
     if "Q" not in explicit:
         p, scan = choose_schedule(H, p)
         _write_csv(outdir, "schedule_scan.csv",

@@ -1,17 +1,18 @@
-"""Frozen calibrated constants.
+"""Frozen calibrated constants that a command reads.
 
 The underlying estimates assert existence of constants without giving
 numbers.  The values below were produced once by the seeded corpus
-sweeps in ``calibration.py`` (maximum measured ratio plus margin) and
-then frozen; tests compare measured ratios against these.  They are
+sweeps in ``tests/calibration.py`` (maximum measured ratio plus margin)
+and then frozen; tests compare measured ratios against these.  They are
 calibrated metadata, not derived quantities, and every report that uses
-them says so.
+them says so.  The constants that only the calibration checks read are
+frozen with those checks, in ``tests/calibration.py``.
 """
 
 from __future__ import annotations
 
-__all__ = ["CDOC", "FLOW_EXPONENTS", "HOMOLOGICAL", "HYPOTHESES",
-           "MONITOR_C", "CELESTIAL_CK", "cdoc", "c_kappa", "c_estimate"]
+__all__ = ["CDOC", "FLOW_EXPONENTS", "HOMOLOGICAL", "MONITOR_C", "cdoc",
+           "c_kappa", "c_estimate"]
 
 # Smoothing and norm-calculus ratio bounds over the seeded 32-mode
 # corpus (calibration.sweep_smoothing / sweep_norm_algebra).  The S1
@@ -33,10 +34,10 @@ CDOC = {
     ("convexity",): 1.10,
 }
 
-# Gronwall-type growth exponents of the flow and fundamental matrix
-# (calibration.sweep_flow_exponents): fitted exponent <= constant * mu.
+# Gronwall-type growth exponent of the fundamental matrix
+# (calibration.sweep_flow_exponents): fitted exponent <= constant * mu;
+# the flow Jacobian's cbar1 is frozen with the sweep.
 FLOW_EXPONENTS = {
-    "cbar1": 0.30,   # |d_q psi^t_t0|_{C^0} <= C (t/t0)^(cbar1 mu)
     "cR0": 1.20,     # |R^t_tau|_{C^0} <= (tau/t)^(cR0 mu)
 }
 
@@ -49,19 +50,9 @@ HOMOLOGICAL = {
     "c_estimate": {0: 1.25, 1: 1.25, 2: 1.25},
 }
 
-# Solvability-hypotheses constants over the zeta-ball corpus
-# (calibration.sweep_hypotheses): first/second differential bound,
-# Lipschitz ratio in the data, and the tame ratio.
-HYPOTHESES = {"H1": 2.0, "H2": 1.5, "H4": 2.0}
-
 # Envelope prefactor for the low-norm step bound in the iteration
 # monitor; calibrated alongside the manufactured runs.
 MONITOR_C = 5.0
-
-# Comet interaction decay: sup_t |d^k H_c^t| (t^2-weighted for the
-# gradient) <= C(k) M m_c eps over compliant orbits
-# (calibration.sweep_comet_decay).
-CELESTIAL_CK = {0: 0.40, 1: 0.40}
 
 
 def cdoc(kind, *key):

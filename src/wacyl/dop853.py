@@ -74,7 +74,6 @@ from __future__ import annotations
 import math
 import warnings
 from bisect import bisect_right
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -292,14 +291,15 @@ REACHED_END = ("The solver successfully reached the end of the "
                "integration interval.")
 
 
-@dataclass
 class OdeResult:
     """t (n_points,), y (n, n_points)."""
-    t: np.ndarray
-    y: np.ndarray
-    nfev: int
-    success: bool
-    message: str
+
+    def __init__(self, t, y, nfev, success, message):
+        self.t = t
+        self.y = y
+        self.nfev = nfev
+        self.success = success
+        self.message = message
 
 
 def _rms(x):

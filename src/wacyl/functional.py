@@ -27,8 +27,7 @@ from .homological import SERIES_TOL, HomologicalProblem, _contract, \
 from .norms import weighted_norm
 
 __all__ = ["HamiltonianSpec", "DomainError", "eval_F", "linearize",
-           "right_inverse", "gamma_from_v", "hypotheses_report", "x_norm",
-           "v_norm"]
+           "right_inverse", "gamma_from_v", "x_norm", "v_norm"]
 
 
 # the constant C of the solvability budget DELTA + C UPSILON zeta
@@ -41,8 +40,6 @@ DELTA = 0.01
 UPSILON = 1.0
 # the order s of that kinetic budget
 SPEC_S = 8.0
-# the sigmas of the tame ratios in hypotheses_report
-TAME_SIGMAS = (1.0, 2.0, 4.0)
 # the momentum ball every candidate section stays in
 BALL_RADIUS = 0.5
 
@@ -201,11 +198,6 @@ def linearize(H, v):
     return f, gf
 
 
-def apply_DF(H, v, vhat):
-    """D_v F(v) vhat = (grad vhat) Omega_bar + (d_q vhat) f + g vhat."""
-    return transport_operator(vhat, H.omega, *linearize(H, v))
-
-
 def mu_budget(zeta):
     """The solvability gate DELTA + C UPSILON zeta < 1/c_kappa(1)."""
     mu_max = DELTA + C_GEOM * UPSILON * zeta
@@ -228,99 +220,3 @@ def right_inverse(H, v, z, zeta=0.05, quad_tol=SERIES_TOL):
     if prob.mu > mu_max * (1 + 1e-9):
         raise NormBudgetError("max(|f|_{1,1}, |g|_{1,1})", prob.mu, mu_max)
     return solve_he(prob, quad_tol=quad_tol)
-
-
-def hypotheses_report(H, zeta, n_samples=6, seed=0):
-    """Empirical constants for the four solvability hypotheses on the
-    zeta-ball around (x0, 0) = ((0, 0), 0), against the frozen values
-    (x0 = (0, b0) in the paper, and b0 = 0 in every problem built here).
-
-    Samples are normalized in the sigma = 1 scale norms (the H.3 ball),
-    so the measured mu stays inside the delta + C Upsilon zeta budget.
-    """
-    rng = np.random.default_rng(seed)
-    grid, times, d = H.grid, H.times, H.d
-    ball = 0.5 * zeta
-
-    def band_limited(components, decay):
-        def fn(*args):
-            mesh = args[:-1]
-            t = args[-1]
-            out = 0.0
-            for k in range(1, 4):
-                phs = rng.uniform(0, 1, size=components)
-                amp = rng.uniform(-1, 1, size=components)
-                wave = 0.0
-                for ax_vals in mesh[:grid.n]:
-                    wave = wave + k * ax_vals
-                out = out + amp * np.sin(
-                    2 * np.pi * (wave[..., None] + phs)) / k ** 4
-            return out / t ** decay
-        return GridFn.from_callable(grid, times, fn)
-
-    def x_sample():
-        da = band_limited(1, 2.0)
-        db = band_limited(d, 1.0)
-        n = max(x_norm(da, db, 1.0), 1e-300)
-        return GridFn(grid, times, da.values * ball / n), \
-            GridFn(grid, times, db.values * ball / n)
-
-    def v_sample(scale=None):
-        vv = band_limited(d, 1.0)
-        n = max(v_norm(vv, H.omega, 1.0), 1e-300)
-        return GridFn(grid, times, vv.values * (scale or ball) / n)
-
-    h1_first, h1_second, h2, h3_mu = [], [], [], []
-    tame = {s: [] for s in TAME_SIGMAS}
-    for _ in range(n_samples):
-        da, db = x_sample()
-        vv = v_sample()
-        Hs = H.with_data(da, db)
-        # H.1: first and second differentials, unit directions
-        vhat = v_sample(scale=1.0)
-        nv = max(v_norm(vhat, H.omega, 0.0), 1e-300)
-        vhat = GridFn(grid, times, vhat.values / nv)
-        DF = apply_DF(Hs, vv, vhat)
-        h1_first.append(weighted_norm(DF, 0, 2))
-        h = 1e-4
-        Fp = eval_F(Hs, vv + h * vhat)
-        Fm = eval_F(Hs, vv - h * vhat)
-        F0 = eval_F(Hs, vv)
-        second = GridFn(grid, times,
-                        (Fp.values + Fm.values - 2 * F0.values) / h ** 2)
-        h1_second.append(weighted_norm(second, 0, 2))
-        # H.2: Lipschitz ratio in x
-        da2, db2 = x_sample()
-        diff = weighted_norm(
-            F0 - eval_F(H.with_data(da2, db2), vv), 0, 2)
-        dx = x_norm(da - da2, db - db2, 0)
-        if dx > 0:
-            h2.append(diff / dx)
-        # H.3 budget
-        f, g = linearize(Hs, vv)
-        h3_mu.append(max(weighted_norm(f, 1, 1),
-                         weighted_norm(g, 1, 1)))
-        # H.4 tame ratios
-        for s in TAME_SIGMAS:
-            K = max(x_norm(da, db, s), v_norm(vv, H.omega, s))
-            if K > 0:
-                tame[s].append(weighted_norm(F0, s, 2) / K)
-    mu_max, gate = mu_budget(zeta)
-    cal = constants.HYPOTHESES
-    report = {
-        "H1_first": max(h1_first), "H1_second": max(h1_second),
-        "H1_bound": cal["H1"],
-        "H1_pass": max(h1_first + h1_second) <= cal["H1"],
-        "H2_ratio": max(h2) if h2 else 0.0, "H2_bound": cal["H2"],
-        "H2_pass": (max(h2) if h2 else 0.0) <= cal["H2"],
-        "H3_mu": max(h3_mu), "H3_budget": mu_max, "H3_gate": gate,
-        "H3_pass": max(h3_mu) <= mu_max and mu_max < gate,
-        "H4_ratios": {s: (max(r) if r else 0.0) for s, r in tame.items()},
-        "H4_bound": cal["H4"],
-        "H4_pass": all((max(r) if r else 0.0) <= cal["H4"]
-                       for r in tame.values()),
-        "constants_source": "calibrated",
-    }
-    report["pass"] = all(report[k] for k in
-                         ("H1_pass", "H2_pass", "H3_pass", "H4_pass"))
-    return report

@@ -13,10 +13,9 @@ torus derivative d^alpha is one irfftn of that spectrum times
 at that axis's Nyquist frequency N/2, whose mode has no partner -N/2 and
 so no real derivative (Trefethen, Spectral Methods in MATLAB, ch. 3).
 
-Off the grid, GridFnInterpolant evaluates a GridFn by the trigonometric
-interpolant of its torus spectrum (exact for band-limited data) and by
-degree-TIME_DEGREE Lagrange interpolation in log t on the stencil window
-of the time grid, its weights the order-0 fornberg_weights.
+No command evaluates a GridFn off the grid; the tests' interpolant
+(`tests/oracles.py`) does, on the stencil window of the time grid and
+the order-0 fornberg_weights.
 """
 
 from __future__ import annotations
@@ -26,8 +25,7 @@ import operator
 
 import numpy as np
 
-__all__ = ["TimeGrid", "SpatialGrid", "GridFn", "GridFnInterpolant",
-           "fornberg_weights"]
+__all__ = ["TimeGrid", "SpatialGrid", "GridFn", "fornberg_weights"]
 
 
 def fornberg_weights(x0, x, order):
@@ -83,9 +81,6 @@ class _Derived:
 
 # order of the time derivative's stencils on the log-uniform grid
 DT_ORDER = 8
-
-# degree of GridFnInterpolant's Lagrange interpolation in log t
-TIME_DEGREE = 6
 
 # relative spread of the ratios t_{k+1}/t_k that TimeGrid.from_points
 # accepts (TimeGrid and np.geomspace nodes spread by at most 1.2e-15)
@@ -158,7 +153,8 @@ class TimeGrid(_Derived):
     def window(self, i, width):
         """The slice of min(width, T) consecutive nodes centred on
         insertion index i, shifted inside the grid at its ends: the
-        stencil of dt_matrix's row i and of the time interpolation."""
+        stencil of dt_matrix's row i and of the tests' time
+        interpolation."""
         width = min(width, len(self))
         lo = min(max(i - width // 2, 0), len(self) - width)
         return slice(lo, lo + width)
@@ -393,11 +389,6 @@ class GridFn(_Derived):
         return self.derived("gradient", lambda: self._like(
             jac.reshape(jac.shape[:-2] + (-1,))))
 
-    # ---- evaluation ---------------------------------------------------
-
-    def interpolator(self):
-        return GridFnInterpolant(self)
-
     # ---- serialization -------------------------------------------------
 
     def save(self, path):
@@ -437,42 +428,3 @@ class GridFn(_Derived):
         values = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
         return cls(grid, times, values)
 
-
-class GridFnInterpolant:
-    """Callable (q, t) -> components for a GridFn.
-
-    q has shape (..., n); broadcasting over leading axes is supported.
-    Spatial evaluation happens in Fourier space per torus axis, so the
-    cost per call scales with torus_points * n.
-    """
-
-    def __init__(self, f):
-        self.f = f
-        # half-spectrum coefficients per time slice, (T, *modes, comp),
-        # weighted 2 on the last axis's bins that stand for a +-k pair and
-        # 1 on its zero and Nyquist bins, so the real part of the sum is
-        # the full trigonometric interpolant
-        N = f.grid.torus_points
-        w = np.full(N // 2 + 1, 2.0)
-        w[[0, N // 2]] = 1.0
-        self.coeff = f.spectrum() * w[:, None]
-
-    def _coeff_at(self, t):
-        lt = np.log(t)
-        logs = self.f.times.log_points
-        win = self.f.times.window(int(np.searchsorted(logs, lt)),
-                                  TIME_DEGREE + 1)
-        w = fornberg_weights(lt, logs[win], 0)
-        return np.tensordot(w, self.coeff[win], axes=(0, 0))
-
-    def __call__(self, q, t):
-        """Evaluate at points q (shape (..., n)) and scalar time t."""
-        q = np.atleast_2d(np.asarray(q, dtype=float))
-        c = self._coeff_at(t)  # (*modes, comp)
-        # accumulate exp(2 pi i k.q) sums axis by axis
-        for a, k in enumerate(self.f.grid.torus_half_freqs()):
-            ph = np.exp(2j * np.pi * np.outer(q[..., a].ravel(), k))
-            c = np.tensordot(ph, c, axes=(1, 0)) if a == 0 else \
-                np.einsum("pk,pk...->p...", ph, c)
-        out = c.real
-        return out.reshape(q.shape[:-1] + (self.f.components,))

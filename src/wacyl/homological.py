@@ -33,8 +33,6 @@ grid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from . import constants
@@ -94,12 +92,12 @@ class HomologicalProblem:
                 "omega": self.omega.tolist()}
 
 
-@dataclass
 class HomologicalSolution:
-    kappa: GridFn
-    tail_bound: float
-    corrections: int = 0
-    diagnostics: dict = field(default_factory=dict)
+    def __init__(self, kappa, tail_bound, corrections, diagnostics):
+        self.kappa = kappa
+        self.tail_bound = tail_bound
+        self.corrections = corrections
+        self.diagnostics = diagnostics
 
 
 # --------------------------------------------------------------------

@@ -7,8 +7,6 @@ solution (Lagrangian pullback, conjugacy) are test oracles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-
 import numpy as np
 
 from . import constants
@@ -32,16 +30,28 @@ __all__ = ["ZehnderParams", "IterationState", "CylinderSolution",
 GAMMA_LOSS = 1.0
 
 
-@dataclass
 class ZehnderParams:
-    s: float
-    lam: float
-    rho: float
-    beta: float
-    alpha: float
-    Q: float = 2.0
-    upsilon: float = 1.0
-    zeta: float = 0.05
+    """The scheme's orders and schedule; two are equal when every field
+    is, and replace gives a copy with some fields changed."""
+
+    def __init__(self, s, lam, rho, beta, alpha, Q=2.0, upsilon=1.0,
+                 zeta=0.05):
+        self.s = s
+        self.lam = lam
+        self.rho = rho
+        self.beta = beta
+        self.alpha = alpha
+        self.Q = Q
+        self.upsilon = upsilon
+        self.zeta = zeta
+
+    def __eq__(self, other):
+        if type(other) is not ZehnderParams:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def replace(self, **changes):
+        return ZehnderParams(**{**vars(self), **changes})
 
     def tau_j(self, j):
         return float(self.Q ** (self.beta ** j))
@@ -50,21 +60,21 @@ class ZehnderParams:
         return float(self.Q ** (self.alpha * self.beta ** j))
 
 
-@dataclass
 class IterationState:
-    j: int = 0
-    residual_norms: list = field(default_factory=list)   # paired F(phi_d, psi_d)
-    true_residuals: list = field(default_factory=list)   # F(x, psi_d)
-    corrections: list = field(default_factory=list)      # S_t kappa per step
-    status: str = "running"
+    def __init__(self):
+        self.j = 0
+        self.residual_norms = []    # paired F(phi_d, psi_d)
+        self.true_residuals = []    # F(x, psi_d)
+        self.corrections = []       # S_t kappa per step
+        self.status = "running"
 
 
-@dataclass
 class CylinderSolution:
-    v: GridFn
-    gamma: GridFn          # Gamma = b + mbar(., v, .) v
-    residual_norm: float
-    manifest: dict
+    def __init__(self, v, gamma, residual_norm, manifest):
+        self.v = v
+        self.gamma = gamma          # Gamma = b + mbar(., v, .) v
+        self.residual_norm = residual_norm
+        self.manifest = manifest
 
 
 def validate_params(p):
@@ -238,7 +248,7 @@ def choose_schedule(H, p):
     psi = GridFn.zeros(H.grid, H.times, H.d)
     records = []
     for Q in Q_GRID:
-        trial = replace(p, Q=float(Q))
+        trial = p.replace(Q=float(Q))
         Hs = _smoothed_spec(H, trial.tau_j(1))
         F0 = eval_F(Hs, psi)
         try:
@@ -256,9 +266,9 @@ def choose_schedule(H, p):
         if r1 <= envelope:
             break
     if not records:
-        return replace(p, Q=float(Q_GRID[-1]), upsilon=1.0), records
-    return replace(p, Q=records[-1]["Q"],
-                   upsilon=records[-1]["upsilon"]), records
+        return p.replace(Q=float(Q_GRID[-1]), upsilon=1.0), records
+    return p.replace(Q=records[-1]["Q"],
+                     upsilon=records[-1]["upsilon"]), records
 
 
 def monitor(state, p, omega):

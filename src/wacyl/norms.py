@@ -22,8 +22,8 @@ import numpy as np
 
 from .grids import GridFn
 
-__all__ = ["holder_norm", "weighted_norm", "product", "compose_torus",
-           "convexity_check", "norm_algebra_check", "random_modes"]
+__all__ = ["holder_norm", "weighted_norm", "product", "norm_algebra_check",
+           "random_modes"]
 
 
 def _shifted_diff(arr, axis, offset):
@@ -112,44 +112,12 @@ def product(f, g):
     raise ValueError("incompatible component counts")
 
 
-def compose_torus(f, u):
-    """f composed with the torus self-map z(q) = q + u(q), per time slice.
-
-    Evaluation through the trigonometric interpolant.
-    """
-    interp = f.interpolator()
-    mesh = np.stack(f.grid.meshgrid(), axis=-1)
-    out = np.empty_like(f.values)
-    for i, t in enumerate(f.times.points):
-        pts = mesh + u.values[i]
-        out[i] = interp(pts.reshape(-1, f.grid.n), t).reshape(
-            f.grid.shape + (f.components,))
-    return GridFn(f.grid, f.times, out)
-
-
-def convexity_check(f, lambda1, lambda2, alpha, l=0.0):
-    """Ratio |f|_lam / (|f|_{lam1}^{1-alpha} |f|_{lam2}^alpha) with
-    lam = (1-alpha) lam1 + alpha lam2, for boundedness testing."""
-    if not (0 <= lambda1 <= lambda2):
-        raise ValueError("need 0 <= lambda1 <= lambda2")
-    if not (0 <= alpha <= 1):
-        raise ValueError("alpha must lie in [0,1]")
-    lam = (1 - alpha) * lambda1 + alpha * lambda2
-    n_mid = weighted_norm(f, lam, l)
-    n_lo = weighted_norm(f, lambda1, l)
-    n_hi = weighted_norm(f, lambda2, l)
-    denom = n_lo ** (1 - alpha) * n_hi ** alpha
-    ratio = n_mid / denom if denom > 0 else (0.0 if n_mid == 0 else np.inf)
-    return {"lambda": lam, "norm_mid": n_mid, "norm_lo": n_lo,
-            "norm_hi": n_hi, "ratio": ratio}
-
-
-def norm_algebra_check(f, g, sigma, l, m, u=None):
-    """The product ratio of the weighted-norm calculus and, when a
-    displacement u is supplied, its composition ratio, for comparison
+def norm_algebra_check(f, g, sigma, l, m):
+    """The product ratio of the weighted-norm calculus, for comparison
     against documented constants.  (The derivative restriction and
     l-monotonicity hold for every GridFn: f.dq is the derivative that
-    holder_norm takes, and t >= 1 on every TimeGrid.)
+    holder_norm takes, and t >= 1 on every TimeGrid.  The composition
+    ratio is a calibration check, in tests/calibration.py.)
     """
     if f.grid != g.grid:
         raise ValueError("grid mismatch")
@@ -159,22 +127,7 @@ def norm_algebra_check(f, g, sigma, l, m, u=None):
            * weighted_norm(g, sigma, m)
            + weighted_norm(f, sigma, l)
            * weighted_norm(g, 0, m))
-    report = {"product_ratio": num / den if den > 0 else 0.0}
-    # composition ratio, torus self-map z = id + u
-    if u is not None:
-        fz = compose_torus(f, u)
-        jac = u.jacobian_q()
-        eye = np.eye(u.grid.n)
-        nz = GridFn(u.grid, u.times,
-                    (jac + eye).reshape(jac.shape[:-2] + (-1,)))
-        num = weighted_norm(fz, sigma, l + m)
-        den = (weighted_norm(f, sigma, l)
-               * weighted_norm(nz, 0, m) ** sigma
-               + weighted_norm(f, 1, l)
-               * weighted_norm(nz, max(sigma - 1, 0), m)
-               + weighted_norm(f, 0, l + m))
-        report["composition_ratio"] = num / den if den > 0 else 0.0
-    return report
+    return {"product_ratio": num / den if den > 0 else 0.0}
 
 
 def random_modes(rng, grid, times, power):

@@ -1,11 +1,25 @@
 """Independent reference routes the library is tested against; imported
 by the tests, not collected by pytest.
 
-`rk4` is a fixed-step classical Runge-Kutta integrator, the oracle of
-the adaptive flow.  `characteristics_solve` solves the transport
-problem along the characteristics, the second route of the spectral
-`solve_he`; it keeps the library's DOP853 solve (`flow._solve`) and tail
-bound (`homological._tail_bound`).
+The ODE layer on the torus T^n, which no command runs: the flow of
+`VectorFieldSpec` (omega + f(q, t)) by `integrate_flow`, its spatial
+Jacobian `flow_jacobian` and the fundamental matrix `fundamental_matrix`
+of the zeroth-order transport system, the last two from one variational
+solve (`_variational`).  Every solve is the library's DOP853 through
+`_solve`, which refuses a tolerance that is not positive.  `rk4` is a
+fixed-step classical Runge-Kutta integrator, the oracle of the adaptive
+flow.  `characteristics_solve` solves the transport problem along the
+characteristics, the second route of the spectral `solve_he`; it keeps
+`_solve` and the library's tail bound (`homological._tail_bound`).
+
+`grad_Hc` and `hess_Hc` are the first and second derivatives of the
+comet interaction `celestial.eval_Hc`, and `apply_DF` the derivative of
+the residual functional in a direction; the calibration sweeps measure
+through them too.  `GridFnInterpolant` evaluates a `GridFn` off the
+grid: by the trigonometric interpolant of its torus spectrum (exact for
+band-limited data) and by degree-TIME_DEGREE Lagrange interpolation in
+log t on the stencil window of the time grid, its weights the order-0
+`grids.fornberg_weights`.
 
 `einsum_eval_F`, `einsum_linearize` and `einsum_transport_operator`
 are the residual functional, its linearization and the transport
@@ -41,11 +55,169 @@ import math
 
 import numpy as np
 
-from wacyl.flow import VectorFieldSpec, _solve, flow_jacobian, \
-    integrate_flow
-from wacyl.functional import _check_ball
-from wacyl.grids import GridFn
-from wacyl.homological import HomologicalSolution, _tail_bound
+from wacyl.celestial import _comet_gravity
+from wacyl.dop853 import solve_ivp
+from wacyl.flow import IntegrationError
+from wacyl.functional import _check_ball, linearize
+from wacyl.grids import GridFn, fornberg_weights
+from wacyl.homological import HomologicalSolution, _tail_bound, \
+    transport_operator
+
+
+class VectorFieldSpec:
+    """F(q,t) = omega + f(q,t) on T^n; f None for the free rotation.
+
+    f and its spatial Jacobian are callables of (q, t).
+    """
+
+    def __init__(self, omega, f=None, jac_f=None):
+        self.omega = np.atleast_1d(np.asarray(omega, dtype=float))
+        self.dim = len(self.omega)
+        self.f = f
+        self.jac_f = jac_f
+
+    def eval(self, q, t):
+        q = np.asarray(q, dtype=float)
+        out = np.broadcast_to(self.omega, q.shape).copy()
+        if self.f is not None:
+            out = out + self.f(q, t).reshape(q.shape)
+        return out
+
+    def jac(self, q, t):
+        q = np.asarray(q, dtype=float)
+        d = self.dim
+        shape = q.shape[:-1] + (d, d)
+        if self.jac_f is None:
+            return np.zeros(shape)
+        return self.jac_f(q, t).reshape(shape)
+
+
+def _solve(fun, y0, t0, t1, tol):
+    """y(t1) of y' = fun(t, y), y(t0) = y0 by DOP853 with rtol = tol and
+    atol = 1e-2 tol; a tol that is not positive (nan included) raises
+    ValueError, a failed integration IntegrationError."""
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol!r}")
+    if t0 == t1:
+        return y0.copy()
+    sol = solve_ivp(fun, (t0, t1), y0, rtol=tol, atol=tol * 1e-2)
+    if not sol.success:
+        raise IntegrationError(f"integration failed on [{t0}, {t1}]: "
+                               f"{sol.message}")
+    return sol.y[:, -1]
+
+
+def integrate_flow(F, q0, t0, t1, tol=1e-9):
+    """psi^{t1}_{t0}(q0); torus components are left unreduced."""
+    q0 = np.asarray(q0, dtype=float)
+    single = q0.ndim == 1
+    pts = np.atleast_2d(q0)
+
+    def rhs(t, y):
+        q = y.reshape(pts.shape)
+        return F.eval(q, t).ravel()
+
+    out = _solve(rhs, pts.ravel(), t0, t1, tol)
+    out = out.reshape(pts.shape)
+    return out[0] if single else out
+
+
+def _variational(F, A, q0, t0, t1, tol):
+    """M(t1) of q' = F(q, s), M' = A(q, s) M with q(t0) = q0, M(t0) = Id:
+    one solve of [q, vec(M)]; A(q, s) takes a (1, d) point."""
+    d = F.dim
+    y0 = np.concatenate([np.asarray(q0, dtype=float), np.eye(d).ravel()])
+
+    def rhs(s, y):
+        q = y[None, :d]
+        dM = A(q, s).reshape(d, d) @ y[d:].reshape(d, d)
+        return np.concatenate([F.eval(q, s)[0], dM.ravel()])
+
+    return _solve(rhs, y0, t0, t1, tol)[d:].reshape(d, d)
+
+
+def flow_jacobian(F, q0, t0, t1, tol=1e-9):
+    """d_q psi^{t1}_{t0}(q0) by the variational equation."""
+    return _variational(F, F.jac, q0, t0, t1, tol)
+
+
+def fundamental_matrix(g, F, q, t, tau, tol=1e-10):
+    """R(q, t, tau) of the matrix system R' = -g(psi^s_1(q), s) R,
+    R(tau) = Id; q is the characteristic label at time 1."""
+    return _variational(F, lambda p, s: -np.asarray(g(p, s)),
+                        integrate_flow(F, q, 1.0, tau, tol), tau, t, tol)
+
+
+def grad_Hc(positions, c, masses):
+    """Exact gradient d H_c / d x_i: + m_i m_c (x_i - c)/|x_i - c|^3,
+    minus the pull of the comet at c on body i."""
+    force = _comet_gravity(positions, c, masses)[0]
+    return np.negative(force).reshape(3, 2)
+
+
+def hess_Hc(positions, c, masses):
+    """Per-body Hessian of the interaction with the comet at c:
+    m_i m_c (I - 3 rhat rhat^T)/d^3."""
+    _comet_gravity(positions, c, masses)        # for its refusal only
+    c = np.asarray(c, dtype=float)
+    m = masses.as_array()
+    out = np.zeros((3, 2, 2))
+    for i in range(3):
+        r = positions[i] - c
+        d = np.linalg.norm(r)
+        rh = r / d
+        out[i] = m[i] * masses.mc * (np.eye(2) - 3 * np.outer(rh, rh)) \
+            / d ** 3
+    return out
+
+
+def apply_DF(H, v, vhat):
+    """D_v F(v) vhat = (grad vhat) Omega_bar + (d_q vhat) f + g vhat."""
+    return transport_operator(vhat, H.omega, *linearize(H, v))
+
+
+# degree of GridFnInterpolant's Lagrange interpolation in log t
+TIME_DEGREE = 6
+
+
+class GridFnInterpolant:
+    """Callable (q, t) -> components for a GridFn.
+
+    q has shape (..., n); broadcasting over leading axes is supported.
+    Spatial evaluation happens in Fourier space per torus axis, so the
+    cost per call scales with torus_points * n.
+    """
+
+    def __init__(self, f):
+        self.f = f
+        # half-spectrum coefficients per time slice, (T, *modes, comp),
+        # weighted 2 on the last axis's bins that stand for a +-k pair and
+        # 1 on its zero and Nyquist bins, so the real part of the sum is
+        # the full trigonometric interpolant
+        N = f.grid.torus_points
+        w = np.full(N // 2 + 1, 2.0)
+        w[[0, N // 2]] = 1.0
+        self.coeff = f.spectrum() * w[:, None]
+
+    def _coeff_at(self, t):
+        lt = np.log(t)
+        logs = self.f.times.log_points
+        win = self.f.times.window(int(np.searchsorted(logs, lt)),
+                                  TIME_DEGREE + 1)
+        w = fornberg_weights(lt, logs[win], 0)
+        return np.tensordot(w, self.coeff[win], axes=(0, 0))
+
+    def __call__(self, q, t):
+        """Evaluate at points q (shape (..., n)) and scalar time t."""
+        q = np.atleast_2d(np.asarray(q, dtype=float))
+        c = self._coeff_at(t)  # (*modes, comp)
+        # accumulate exp(2 pi i k.q) sums axis by axis
+        for a, k in enumerate(self.f.grid.torus_half_freqs()):
+            ph = np.exp(2j * np.pi * np.outer(q[..., a].ravel(), k))
+            c = np.tensordot(ph, c, axes=(1, 0)) if a == 0 else \
+                np.einsum("pk,pk...->p...", ph, c)
+        out = c.real
+        return out.reshape(q.shape[:-1] + (self.f.components,))
 
 
 def rk4(fun, y0, t0, t1, n_steps):
@@ -98,7 +270,8 @@ def characteristics_solve(p, z, f, g, quad_tol):
             .reshape(N, d)
     kappa = GridFn(grid, times, out.reshape((len(times),) + grid.shape
                                             + (d,)))
-    return HomologicalSolution(kappa=kappa, tail_bound=_tail_bound(p, T))
+    return HomologicalSolution(kappa=kappa, tail_bound=_tail_bound(p, T),
+                               corrections=0, diagnostics={})
 
 
 def _einsum_coefficients(H, v):
@@ -157,7 +330,7 @@ def einsum_linearize(H, v):
 
 def vector_field_from_gridfn(omega, f):
     """The field omega + f of a sampled f, through its interpolant."""
-    interp = f.interpolator()
+    interp = GridFnInterpolant(f)
     return VectorFieldSpec(omega, f=lambda q, t: interp(q, t),
                            jac_f=interp_jacobian(f))
 
@@ -166,7 +339,7 @@ def interp_jacobian(f):
     """Spatial Jacobian d(components)/d(q) of a GridFn off the grid, as a
     callable (q, t): the interpolants of its derivatives f.dq(a) along
     each torus axis, stacked on the last axis."""
-    interps = [f.dq(a).interpolator() for a in range(f.grid.n)]
+    interps = [GridFnInterpolant(f.dq(a)) for a in range(f.grid.n)]
     return lambda q, t: np.stack([i(q, t) for i in interps], axis=-1)
 
 

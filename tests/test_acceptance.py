@@ -9,23 +9,23 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from calibration import composition_check, convexity_check, corpus_32, \
+    decay_diagnostics
+from oracles import GridFnInterpolant, VectorFieldSpec, apply_DF, \
+    fundamental_matrix
 from wacyl import constants
-from wacyl.calibration import corpus_32
 from wacyl.celestial import (CartesianState, CircularChart, CometOrbit,
                              ExtensionParams, Masses, SurrogateSystem,
                              check_speed_window, confinement_check,
-                             decay_diagnostics, eval_H0_cartesian,
-                             eval_H0_split, extend_Hc, integrate_system,
-                             split_coordinates)
-from wacyl.flow import VectorFieldSpec, fundamental_matrix
-from wacyl.functional import apply_DF, right_inverse
+                             eval_H0_cartesian, eval_H0_split, extend_Hc,
+                             integrate_system, split_coordinates)
+from wacyl.functional import right_inverse
 from wacyl.grids import GridFn, SpatialGrid, TimeGrid
 from wacyl.homological import HomologicalProblem, solve_he
 from wacyl.nashmoser import (ZehnderParams, choose_schedule, iterate,
                              manufactured_power, manufactured_single,
                              monitor, params_from_order, validate_params)
-from wacyl.norms import convexity_check, norm_algebra_check, \
-    weighted_norm
+from wacyl.norms import norm_algebra_check, weighted_norm
 from wacyl.smoothing import smooth, verify_smoothing_bounds
 
 
@@ -232,7 +232,8 @@ def test_criterion_07_norm_calculus():
             f.grid, f.times,
             lambda q, t, a=rng.uniform(0.01, 0.04):
                 a * np.sin(2 * np.pi * q) / t)
-        rep = norm_algebra_check(f, g, 2.0, 1.0, 1.0, u=u)
+        rep = {**norm_algebra_check(f, g, 2.0, 1.0, 1.0),
+               **composition_check(f, u, 2.0, 1.0, 1.0)}
         prod_worst = max(prod_worst, rep["product_ratio"]
                          / constants.cdoc("product", 2))
         comp_worst = max(comp_worst, rep["composition_ratio"]
@@ -365,7 +366,7 @@ def test_criterion_11_asymptotic_metric():
     p = params_from_order(8.0, Q=2.0)
     sol, st = iterate(H, p, max_steps=10, target=1e-6, quad_tol=1e-10)
     zeta = weighted_norm(sol.v, 1, 1)
-    interp = sol.v.interpolator()
+    interp = GridFnInterpolant(sol.v)
 
     def X(state, t):
         q = state[0]

@@ -1,12 +1,14 @@
 """Provenance of the frozen constants: the calibration sweeps, re-run,
-stay at or below every value frozen in ``constants``."""
+stay at or below every value frozen in ``wacyl.constants`` and in
+``calibration``."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-from wacyl import calibration, constants, flow, homological
+import calibration
+from wacyl import constants, homological
 
 # sweep name -> the frozen constant that a key of its report calibrates
 FROZEN_BY_SWEEP = {
@@ -23,17 +25,21 @@ NOT_SWEPT = {("HOMOLOGICAL", "c_kappa"), ("MONITOR_C",)}
 
 
 def frozen_constants():
+    """Every frozen constant: those a command reads, from
+    wacyl.constants, and those only the calibration checks read, frozen
+    with them in calibration."""
     out = {("CDOC", key): v for key, v in constants.CDOC.items()}
     out.update({("FLOW_EXPONENTS", k): v
                 for k, v in constants.FLOW_EXPONENTS.items()})
+    out[("FLOW_EXPONENTS", "cbar1")] = calibration.CBAR1
     out[("HOMOLOGICAL", "c_kappa")] = constants.HOMOLOGICAL["c_kappa"]
     out.update({("HOMOLOGICAL", "c_estimate", s): v
                 for s, v in constants.HOMOLOGICAL["c_estimate"].items()})
     out.update({("HYPOTHESES", k): v
-                for k, v in constants.HYPOTHESES.items()})
+                for k, v in calibration.HYPOTHESES.items()})
     out[("MONITOR_C",)] = constants.MONITOR_C
     out.update({("CELESTIAL_CK", k): v
-                for k, v in constants.CELESTIAL_CK.items()})
+                for k, v in calibration.CELESTIAL_CK.items()})
     return out
 
 
@@ -60,7 +66,7 @@ def test_flow_sweep_reads_gronwall_diagnostics(monkeypatch):
         calls.append((mu, list(time_pairs)))
         return {"flow_exponent": 0.007, "R_exponent": 0.011}
 
-    monkeypatch.setattr(flow, "gronwall_diagnostics", stub)
+    monkeypatch.setattr(calibration, "gronwall_diagnostics", stub)
     out = calibration.sweep_flow_exponents()
     mus = [mu for mu, _ in calls]
     assert len(mus) == 3

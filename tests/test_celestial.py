@@ -4,20 +4,22 @@ import re
 import numpy as np
 import pytest
 
-from wacyl import celestial, constants
+import calibration
+from wacyl import celestial
 from wacyl.celestial import (CartesianState, CircularChart, CometOrbit,
                              ExtensionParams, Masses, SurrogateSystem,
                              asymptotic_metric, check_speed_window,
-                             confinement_check, decay_diagnostics,
-                             eval_H0_cartesian, eval_H0_split, eval_Hc,
-                             extend_Hc, grad_Hc, hess_Hc,
+                             confinement_check, eval_H0_cartesian,
+                             eval_H0_split, eval_Hc, extend_Hc,
                              integrate_system, solve_hyperbolic_kepler,
                              split_coordinates)
 from wacyl.celestial import _cartesian_rhs, _comet_pull, _mass_products, \
     _split_matrices
 from wacyl.flow import IntegrationError
 
-from oracles import loop_asymptotic_metric, loop_confinement_check
+from calibration import decay_diagnostics
+from oracles import grad_Hc, hess_Hc, loop_asymptotic_metric, \
+    loop_confinement_check
 
 
 MASSES = Masses(1.0, 1e-3, 1e-3, mc=1e-3)
@@ -359,7 +361,7 @@ def test_extension_b_field_norm_budget(hex_field):
             b = hex_gradient(hex_field, th, np.zeros(2), np.zeros(2), t)[2]
             sup = max(sup, np.abs(b).max() * t ** 2)
     m = hex_field.masses
-    assert sup <= constants.CELESTIAL_CK[1] * m.M * m.mc \
+    assert sup <= calibration.CELESTIAL_CK[1] * m.M * m.mc \
         * hex_field.params.epsilon
 
 

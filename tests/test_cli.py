@@ -28,11 +28,28 @@ from wacyl.cli import CONFIG, EXIT_CHECK_FAILURE, EXIT_CONFIG_ERROR, \
     load_config, main, read_section
 from wacyl.grids import GridFn, SpatialGrid, TimeGrid
 
+import digests
 from oracles import csv_writer_csv
 
 
 def run_cli(args):
     return main(args)
+
+
+@pytest.fixture(scope="module")
+def default_run(tmp_path_factory):
+    """run(name) -> (exit code, output directory) of the default run
+    digests.RUNS[name], run once per module: the tests that read a
+    default run and the digest test share it."""
+    runs = {}
+
+    def run(name):
+        if name not in runs:
+            outdir = tmp_path_factory.mktemp(name)
+            runs[name] = (run_cli(["--out", str(outdir)]
+                                  + digests.RUNS[name]), outdir)
+        return runs[name]
+    return run
 
 
 def assert_plain_numbers(path, header):
@@ -45,10 +62,10 @@ def assert_plain_numbers(path, header):
             float(cell)
 
 
-def test_verify_norms_and_reproducibility(tmp_path, capsys):
-    out1 = tmp_path / "a"
+def test_verify_norms_and_reproducibility(tmp_path, default_run):
+    code, out1 = default_run("verify-norms")
     out2 = tmp_path / "b"
-    assert run_cli(["--out", str(out1), "verify-norms"]) == EXIT_PASS
+    assert code == EXIT_PASS
     assert run_cli(["--out", str(out2), "verify-norms"]) == EXIT_PASS
     csv1 = (out1 / "norm_checks.csv").read_bytes()
     csv2 = (out2 / "norm_checks.csv").read_bytes()
@@ -96,9 +113,8 @@ def test_homological_subcommand(tmp_path):
     assert man["n"] == 1 and "dim" not in man
 
 
-def test_solve_manufactured(tmp_path, capsys):
-    code = run_cli(["--out", str(tmp_path), "solve",
-                    "--preset", "manufactured"])
+def test_solve_manufactured(default_run):
+    code, tmp_path = default_run("solve-manufactured")
     assert code == EXIT_PASS
     man = json.loads((tmp_path / "manifest.json").read_text())
     assert man["status"] == "converged"
@@ -114,12 +130,12 @@ def test_solve_manufactured(tmp_path, capsys):
 
 @pytest.mark.parametrize("preset, steps", [("manufactured", 3),
                                            ("manufactured-power", 8)])
-def test_solve_presets_keep_their_schedule_and_verdicts(tmp_path, preset,
+def test_solve_presets_keep_their_schedule_and_verdicts(default_run, preset,
                                                          steps):
     # outputs that move at the rounding level (a new elimination order in
     # the transport solve, say) must not flip the scan's choice of Q, the
     # number of Newton steps or any check's verdict
-    code = run_cli(["--out", str(tmp_path), "solve", "--preset", preset])
+    code, tmp_path = default_run(f"solve-{preset}")
     assert code == EXIT_PASS
     man = json.loads((tmp_path / "manifest.json").read_text())
     assert man["Q"] == 1.3690243994493276
@@ -132,9 +148,9 @@ def test_solve_presets_keep_their_schedule_and_verdicts(tmp_path, preset,
 
 
 @pytest.mark.parametrize("preset", ["manufactured", "manufactured-power"])
-def test_schedule_scan_ends_at_the_chosen_schedule(tmp_path, preset):
+def test_schedule_scan_ends_at_the_chosen_schedule(default_run, preset):
     # the scan stops at its choice, so its last row is the run's schedule
-    code = run_cli(["--out", str(tmp_path), "solve", "--preset", preset])
+    code, tmp_path = default_run(f"solve-{preset}")
     assert code == EXIT_PASS
     man = json.loads((tmp_path / "manifest.json").read_text())
     lines = (tmp_path / "schedule_scan.csv").read_text().splitlines()
@@ -143,6 +159,37 @@ def test_schedule_scan_ends_at_the_chosen_schedule(tmp_path, preset):
     # only the last trial lands under its envelope
     assert [r1 <= envelope for *_, r1, envelope in rows] == \
         [False] * (len(rows) - 1) + [True]
+
+
+def test_default_outputs_match_their_digests(default_run):
+    # the reproducibility contract: every default run writes the bytes
+    # tests/digests.json records; a change that moves them on purpose
+    # regenerates the record (tests/digests.py), and its diff names them
+    record = digests.load()
+    here = digests.environment()
+    if record["environment"] != here:
+        pytest.skip(f"digests recorded on {record['environment']}, "
+                    f"running on {here}: pocketfft and libm bytes can "
+                    "differ across builds")
+    got = {}
+    for name in digests.RUNS:
+        code, outdir = default_run(name)
+        assert code == EXIT_PASS, name
+        got[name] = digests.run_digests(outdir)
+    assert set(got) == set(record["runs"])
+    assert digests.moved(record["runs"], got) == []
+    assert digests.newton_coupled_digest() == \
+        record["newton-coupled"]["v.values"]
+
+
+def test_digests_see_one_changed_input(tmp_path):
+    # one changed input, the seed of verify-norms' random fields, moves
+    # the bytes of its table, and the comparison names that file alone
+    want = {"verify-norms": digests.load()["runs"]["verify-norms"]}
+    assert run_cli(["--out", str(tmp_path), "--set", "norms.seed=1",
+                    "verify-norms"]) == EXIT_PASS
+    got = {"verify-norms": digests.run_digests(tmp_path)}
+    assert digests.moved(want, got) == ["verify-norms: norm_checks.csv"]
 
 
 @pytest.mark.parametrize("n_times", [32, 128])
@@ -379,8 +426,6 @@ def test_ball_exit_is_numerical_failure(tmp_path, capsys, fixed_q, v):
 
 
 @pytest.mark.parametrize("args, error", [
-    (["--set", "solve.t_max=1e300", "solve"], "FloatingPointError"),
-    (["--set", "he.t_max=1e300", "homological"], "FloatingPointError"),
     # finite data whose numpy arithmetic overflows: no configuration
     # error on the inf samples built from it
     (["--set", "solve.eps=1e307", "solve"], "FloatingPointError"),
@@ -397,7 +442,7 @@ def test_ball_exit_is_numerical_failure(tmp_path, capsys, fixed_q, v):
      "OverflowError"),
     (["--set", "comet.a1=1e-300", "simulate-comet", "--mc", "0"],
      "ZeroDivisionError"),
-], ids=["solve-t-max", "he-t-max", "solve-eps", "solve-q", "comet-e",
+], ids=["solve-eps", "solve-q", "comet-e",
         "comet-v-large", "comet-v-small", "comet-m0", "comet-mc",
         "comet-a1"])
 def test_arithmetic_error_is_numerical_failure(tmp_path, args, error):
@@ -454,6 +499,19 @@ def test_fixed_q_from_environment(tmp_path, monkeypatch):
 SMALL_SOLVE = ["--set", "solve.torus_points=32", "--set", "solve.n_times=16"]
 
 
+@pytest.mark.parametrize("args", [
+    SMALL_SOLVE + ["--set", "solve.t_max=5e102", "solve"],
+    ["--set", "he.torus_points=16", "--set", "he.n_times=16",
+     "--set", "he.t_max=1.3e154", "homological"],
+], ids=["solve", "homological"])
+def test_t_max_below_its_bound_runs_to_the_checks(tmp_path, args):
+    # just below the bound of its t_max a command forms its largest time
+    # power and reaches its verdicts, which a grid this coarse over such
+    # a horizon fails, instead of an overflow
+    assert run_cli(["--out", str(tmp_path)] + args) == EXIT_CHECK_FAILURE
+    assert (tmp_path / "summary.json").exists()
+
+
 @pytest.mark.parametrize("command, name", [
     (["--set", "comet.v=0", "simulate-comet"], "comet.v"),
     (["--set", "comet.eps=0", "simulate-comet"], "epsilon"),
@@ -497,6 +555,14 @@ SMALL_SOLVE = ["--set", "solve.torus_points=32", "--set", "solve.n_times=16"]
      "he.t_max = nan must be finite and > 1"),
     (["--set", "he.t_max=0.5", "homological"],
      "he.t_max = 0.5 must be finite and > 1"),
+    # the largest time power a command forms overflows beyond the bound:
+    # t^3 in the manufactured data, t^2 in homological's z
+    (["--set", "solve.t_max=1e300", "solve"],
+     "solve.t_max = 1e+300 must be finite and > 1 (the time grid starts "
+     "at t = 1) and < 5.6438e+102 (the manufactured data forms t^3)"),
+    (["--set", "he.t_max=1e300", "homological"],
+     "he.t_max = 1e+300 must be finite and > 1 (the time grid starts at "
+     "t = 1) and < 1.34078e+154 (z = cos(2 pi q)/t^2 forms t^2)"),
     (["--set", "comet.a1=nan", "simulate-comet"],
      "comet.a1 = nan must be finite and > 0"),
     (["--set", "comet.a2=-1", "simulate-comet", "--mc", "0"],
@@ -565,7 +631,8 @@ SMALL_SOLVE = ["--set", "solve.torus_points=32", "--set", "solve.n_times=16"]
         "solve-max-steps-1", "solve-max-steps-2", "comet-e-nan",
         "comet-t-peri-nan", "solve-eps-nan",
         "solve-t-max-nan", "solve-t-max-one",
-        "he-t-max-nan", "he-t-max-below-one", "comet-a1-nan",
+        "he-t-max-nan", "he-t-max-below-one", "solve-t-max-overflow",
+        "he-t-max-overflow", "comet-a1-nan",
         "comet-a2-negative", "comet-xi0x-nan", "comet-xi0y-inf",
         "comet-cbar-nan", "solve-s-nan", "solve-torus-points-7",
         "he-torus-points-7", "solve-torus-points-2", "he-torus-points-2",

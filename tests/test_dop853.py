@@ -14,12 +14,14 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp as scipy_solve_ivp
 
-from wacyl import celestial, flow
+import oracles
+from oracles import VectorFieldSpec, integrate_flow
+from wacyl import celestial
 from wacyl.celestial import (CartesianState, CircularChart, CometOrbit,
                              ExtensionParams, Masses, SurrogateSystem,
                              extend_Hc, integrate_system)
 from wacyl.dop853 import solve_ivp
-from wacyl.flow import IntegrationError, VectorFieldSpec, integrate_flow
+from wacyl.flow import IntegrationError
 
 MASSES = Masses(1.0, 1e-3, 1e-3, mc=1e-3)
 CHART = CircularChart(MASSES, a1=0.05, a2=1.0)
@@ -39,7 +41,8 @@ def scipy_reference(fun, t_span, y0, rtol, atol, t_eval=None):
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Route the solve_ivp of flow and celestial through a recorder that
+    """Route the solve_ivp of the flow oracle and celestial through a
+    recorder that
     also runs scipy on the same arguments; each call's pair of results
     is appended to the returned list."""
     pairs = []
@@ -49,7 +52,7 @@ def calls(monkeypatch):
         pairs.append((ours, scipy_reference(*args, **kwargs)))
         return ours
 
-    monkeypatch.setattr(flow, "solve_ivp", recorder)
+    monkeypatch.setattr(oracles, "solve_ivp", recorder)
     monkeypatch.setattr(celestial, "solve_ivp", recorder)
     return pairs
 

@@ -4,9 +4,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import rk4, vector_field_from_gridfn
-from wacyl.flow import (VectorFieldSpec, flow_jacobian, fundamental_matrix,
-                        gronwall_diagnostics, integrate_flow)
+from calibration import gronwall_diagnostics
+from oracles import (VectorFieldSpec, flow_jacobian, fundamental_matrix,
+                     integrate_flow, rk4, vector_field_from_gridfn)
 from wacyl.grids import GridFn, SpatialGrid, TimeGrid
 
 
@@ -223,16 +223,17 @@ def test_flow_entry_points_refuse_a_bad_tol(solve, tol):
 
 
 def test_solve_ivp_only_in_flow_and_celestial():
-    # every other DOP853 solve goes through flow._solve; celestial keeps
-    # its own call, whose name the benchmark tracer hooks; dop853 defines
-    # the integrator
+    # celestial keeps its own call, whose name the benchmark tracer
+    # hooks, and dop853 defines the integrator; flow's solves went with
+    # the ODE layer to the test oracles (oracles._solve), so no other
+    # library module calls it
     src = Path(__file__).resolve().parents[1] / "src" / "wacyl"
     users = {path.name for path in src.glob("*.py")
              for node in ast.walk(ast.parse(path.read_text()))
              if "solve_ivp" in (getattr(node, "id", None),
                                 getattr(node, "attr", None),
                                 getattr(node, "name", None))}
-    assert users == {"flow.py", "celestial.py", "dop853.py"}
+    assert users == {"celestial.py", "dop853.py"}
 
 
 @pytest.mark.parametrize("module", ["functional.py", "nashmoser.py"])
@@ -255,8 +256,9 @@ def test_newton_core_imports_only_error_classes_from_flow(module):
 
 
 def test_flow_imports_only_constants_and_dop853():
-    # the ODE layer measures growth, not norms: of wacyl it needs the
-    # frozen constants and the integrator alone
+    # flow holds the error classes alone, now that the ODE layer that
+    # needed the frozen constants and the integrator lives with the test
+    # oracles: it imports nothing of wacyl, so every module can import it
     path = Path(__file__).resolve().parents[1] / "src" / "wacyl" / "flow.py"
     names = set()
     for node in ast.walk(ast.parse(path.read_text())):
@@ -269,4 +271,4 @@ def test_flow_imports_only_constants_and_dop853():
             mods = ([alias.name for alias in node.names]
                     if isinstance(node, ast.Import) else [node.module])
             names |= {m for m in mods if m.split(".")[0] == "wacyl"}
-    assert names == {"constants", "dop853"}
+    assert names == set()

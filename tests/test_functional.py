@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
 
-from oracles import conjugacy_check, einsum_eval_F, einsum_linearize, \
-    einsum_transport_operator
+from calibration import hypotheses_report
+from oracles import GridFnInterpolant, apply_DF, conjugacy_check, \
+    einsum_eval_F, einsum_linearize, einsum_transport_operator
 from wacyl import norms
 from wacyl.flow import IntegrationError, NormBudgetError
 from wacyl.functional import (C_GEOM, UPSILON, DomainError,
-                              HamiltonianSpec, a_norm, apply_DF, eval_F,
-                              gamma_from_v, hypotheses_report, linearize,
-                              right_inverse, v_norm)
+                              HamiltonianSpec, a_norm, eval_F,
+                              gamma_from_v, linearize, right_inverse,
+                              v_norm)
 from wacyl.grids import GridFn, SpatialGrid, TimeGrid
 from wacyl.homological import transport_operator
 from wacyl.nashmoser import comet_decay_synthetic, manufactured_power, \
@@ -260,7 +261,7 @@ def test_conjugacy_check_manufactured_cylinder():
     eps = 1e-3
     H, vstar = manufactured_single(eps)
     tg = H.times
-    interp = vstar.interpolator()
+    interp = GridFnInterpolant(vstar)
 
     def X(state, t):
         # Hamiltonian field of omega p + a(q, t)

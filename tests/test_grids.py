@@ -6,9 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracles import TIME_DEGREE, GridFnInterpolant
 from wacyl import norms
-from wacyl.grids import DT_ORDER, TIME_DEGREE, GridFn, SpatialGrid, \
-    TimeGrid, fornberg_weights
+from wacyl.grids import DT_ORDER, GridFn, SpatialGrid, TimeGrid, \
+    fornberg_weights
 
 
 def test_time_grid_geometric():
@@ -417,16 +418,17 @@ def test_interpolant_reads_only_its_window(k):
     t = float(np.sqrt(tg.points[k] * tg.points[k + 1]))
     win = tg.window(k + 1, TIME_DEGREE + 1)
     q = rng.uniform(0, 1, (5, 2))
-    want = GridFn(sg, tg, values).interpolator()(q, t)
+    want = GridFnInterpolant(GridFn(sg, tg, values))(q, t)
     outside = np.ones(32, dtype=bool)
     outside[win] = False
     altered = values.copy()
     altered[outside] += rng.standard_normal(altered[outside].shape)
-    assert np.array_equal(GridFn(sg, tg, altered).interpolator()(q, t), want)
+    assert np.array_equal(
+        GridFnInterpolant(GridFn(sg, tg, altered))(q, t), want)
     altered = values.copy()
     altered[win.start] += 1.0
     assert not np.array_equal(
-        GridFn(sg, tg, altered).interpolator()(q, t), want)
+        GridFnInterpolant(GridFn(sg, tg, altered))(q, t), want)
 
 
 def test_interpolant_matches_band_limited():
@@ -434,7 +436,7 @@ def test_interpolant_matches_band_limited():
     sg = SpatialGrid(1, 32)
     f = GridFn.from_callable(
         sg, tg, lambda q, t: np.sin(2 * np.pi * 2 * q) / t)
-    interp = f.interpolator()
+    interp = GridFnInterpolant(f)
     rng = np.random.default_rng(0)
     for _ in range(10):
         q = rng.uniform(0, 1, (1, 1))
@@ -442,6 +444,6 @@ def test_interpolant_matches_band_limited():
         got = interp(q, t)[0, 0]
         assert abs(got - np.sin(2 * np.pi * 2 * q[0, 0]) / t) < 1e-7
     # the interpolant of the derivative
-    got = f.dq(0).interpolator()(np.array([[0.2]]), 2.0)[0, 0]
+    got = GridFnInterpolant(f.dq(0))(np.array([[0.2]]), 2.0)[0, 0]
     want = 4 * np.pi * np.cos(2 * np.pi * 2 * 0.2) / 2.0
     assert abs(got - want) < 1e-7

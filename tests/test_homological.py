@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from oracles import characteristics_solve
+from oracles import GridFnInterpolant, characteristics_solve
 from wacyl import constants
 from wacyl.flow import NormBudgetError
 from wacyl.grids import GridFn, SpatialGrid, TimeGrid
@@ -293,7 +293,7 @@ def test_conjugation_identity():
     # the transported solution kappa(psi_{t0}^t(q), t) must satisfy the
     # straightened equation d_t k + g-tilde k = z-tilde along each
     # characteristic label (the moving-frame form of the transport PDE)
-    from wacyl.flow import VectorFieldSpec, integrate_flow
+    from oracles import VectorFieldSpec, integrate_flow
     sg, tg = make_grids(32, 20, 6.0)
     mu_f = 0.02
     p = coupled_problem(sg, tg, mu_f=mu_f)
@@ -309,7 +309,7 @@ def test_conjugation_identity():
     from wacyl.grids import fornberg_weights
     t0 = 1.0
     labels = sg.torus_axes[0][::8][:, None]
-    kappa_interp = sol.kappa.interpolator()
+    kappa_interp = GridFnInterpolant(sol.kappa)
     h = 0.01
     offsets = np.arange(-4, 5) * h
     w = fornberg_weights(0.0, offsets, 1)

@@ -1,15 +1,15 @@
 import copy
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from oracles import conjugacy_check, lagrangian_check
-from wacyl import constants, nashmoser, norms
+import calibration
+from calibration import hypotheses_report
+from oracles import GridFnInterpolant, conjugacy_check, lagrangian_check
+from wacyl import nashmoser, norms
 from wacyl.flow import NormBudgetError
 from wacyl.functional import (C_GEOM, SPEC_S, UPSILON, DomainError,
-                              eval_F, hypotheses_report, right_inverse,
-                              v_norm, x_norm)
+                              eval_F, right_inverse, v_norm, x_norm)
 from wacyl.grids import GridFn
 from wacyl.nashmoser import (ZehnderParams, choose_schedule,
                              comet_decay_synthetic, iterate,
@@ -183,7 +183,7 @@ class TestManufacturedRuns:
         # phase-space flow through the converged section stays on it
         H, vstar, sol, st, p = single_run
         eps = 1e-3
-        interp = sol.v.interpolator()
+        interp = GridFnInterpolant(sol.v)
 
         def X(state, t):
             q = state[0]
@@ -259,7 +259,7 @@ def _failed_hypothesis(hyp):
 
 
 def test_failed_hypotheses_name_their_numbers(monkeypatch):
-    monkeypatch.setitem(constants.HYPOTHESES, "H1", 1e-30)
+    monkeypatch.setitem(calibration.HYPOTHESES, "H1", 1e-30)
     H, _ = manufactured_single(torus_points=32, n_times=16)
     err = NormBudgetError(*_failed_hypothesis(hypotheses_report(H, 0.02)))
     assert err.name == "hypothesis H1" and err.budget == 1e-30
@@ -307,7 +307,7 @@ def test_schedule_scan_is_one_newton_step(counted_scan):
     want = []
     for Q in nashmoser.Q_GRID:
         try:
-            _, st = iterate(H, replace(p, Q=Q), max_steps=1, target=0.0)
+            _, st = iterate(H, p.replace(Q=Q), max_steps=1, target=0.0)
         except (NormBudgetError, DomainError):
             continue
         ups = min(1.0, 2.0 * st.residual_norms[0])
@@ -317,7 +317,7 @@ def test_schedule_scan_is_one_newton_step(counted_scan):
         if want[-1]["r1"] <= want[-1]["envelope"]:
             break
     assert records == want
-    assert chosen == replace(p, Q=want[-1]["Q"], upsilon=want[-1]["upsilon"])
+    assert chosen == p.replace(Q=want[-1]["Q"], upsilon=want[-1]["upsilon"])
 
 
 @pytest.mark.parametrize("builder, grid, n_trials", [
@@ -335,8 +335,8 @@ def test_schedule_fallback_is_the_last_unrefused_trial(monkeypatch, builder,
     chosen, records = choose_schedule(builder(), p)
     assert [r["Q"] for r in records] == [float(Q) for Q in grid[:n_trials]]
     assert all(r["r1"] > r["envelope"] for r in records)
-    assert chosen == replace(p, Q=records[-1]["Q"],
-                             upsilon=records[-1]["upsilon"])
+    assert chosen == p.replace(Q=records[-1]["Q"],
+                               upsilon=records[-1]["upsilon"])
 
 
 def test_step_high_stable_under_one_ulp_input_change():

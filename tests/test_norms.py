@@ -3,8 +3,9 @@ import pytest
 
 from wacyl import constants
 from wacyl.grids import GridFn, SpatialGrid, TimeGrid
-from wacyl.norms import (compose_torus, convexity_check, holder_norm,
-                         norm_algebra_check, product, weighted_norm)
+from calibration import compose_torus, composition_check, convexity_check
+from wacyl.norms import holder_norm, norm_algebra_check, product, \
+    weighted_norm
 
 
 def fn_grid(fn, torus_points=128, n_times=16, t_max=10.0, n=1):
@@ -126,7 +127,8 @@ def test_norm_algebra_check_full():
     g = fn_grid(lambda q, t: np.cos(2 * np.pi * q) / t, torus_points=64)
     u = fn_grid(lambda q, t: 0.03 * np.sin(2 * np.pi * q) / t,
                 torus_points=64)
-    rep = norm_algebra_check(f, g, 2.0, 1.0, 1.0, u=u)
+    rep = {**norm_algebra_check(f, g, 2.0, 1.0, 1.0),
+           **composition_check(f, u, 2.0, 1.0, 1.0)}
     # the derivative restriction and l-monotonicity hold for every
     # input (test_derivative_restriction_exact, test_l_monotonicity_exact)
     assert set(rep) == {"product_ratio", "composition_ratio"}

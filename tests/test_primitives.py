@@ -15,13 +15,13 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from wacyl.celestial import PROXIMITY, CartesianState, CometOrbit, Masses, \
-    _cartesian_rhs, _comet_pull, _mass_products, eval_H0_cartesian, grad_Hc
+    _cartesian_rhs, _comet_pull, _mass_products, eval_H0_cartesian
 from wacyl.flow import IntegrationError
 from wacyl.grids import GridFn, SpatialGrid, TimeGrid, fornberg_weights
 from wacyl.norms import holder_norm, weighted_norm
 from wacyl.smoothing import multiplier_profile, smooth
 
-from oracles import COMET_PAIRS, PAIRS, table_pair_gravity
+from oracles import COMET_PAIRS, PAIRS, grad_Hc, table_pair_gravity
 
 # deterministic example sequences, no example database on disk
 PROPERTY = settings(derandomize=True, database=None, deadline=None,

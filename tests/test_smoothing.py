@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
+from calibration import corpus_32
 from wacyl import constants
-from wacyl.calibration import corpus_32
 from wacyl.grids import GridFn, SpatialGrid, TimeGrid
 from wacyl.norms import weighted_norm
 from wacyl.smoothing import _chop, multiplier_profile, smooth, \
