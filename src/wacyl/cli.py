@@ -32,6 +32,7 @@ from .celestial import (CircularChart, CometOrbit, ExtensionParams,
                         Masses, SurrogateSystem, asymptotic_metric,
                         check_speed_window, confinement_check,
                         extend_Hc, integrate_system)
+from .dop853 import RTOL_MIN
 from .flow import NumericalError
 from .functional import mu_budget
 from .grids import GridFn, SpatialGrid, TimeGrid
@@ -124,9 +125,11 @@ CONFIG = {
     "comet.t_max": (100.0, float, (GT0[0], "finite and positive (the "
                                            "run ends at t1 = 1 + t_max)")),
     "comet.t_peri": (-1.0, float, FINITE),
-    "comet.tol": (1e-11, float, (TOL[0], (
-        f"finite and positive (a run with mc > 0 integrates at "
-        f"max(comet.tol, {SURROGATE_TOL_FLOOR:g}))"))),
+    "comet.tol": (1e-11, float, (
+        lambda x: RTOL_MIN <= x < math.inf,
+        f"finite and positive, at least {RTOL_MIN:g} (DOP853's rtol floor "
+        f"100 eps; a run with mc > 0 integrates at max(comet.tol, "
+        f"{SURROGATE_TOL_FLOOR:g}))")),
     "comet.seed": (0, int, SEED),
     "comet.m0": (1.0, float, GT0),
     "comet.m1": (1e-3, float, GE0),

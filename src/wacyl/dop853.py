@@ -3,14 +3,16 @@ Prince with its 7th-order dense output (Hairer, Norsett & Wanner,
 *Solving Ordinary Differential Equations I*, Sec. II.4-II.6).
 
 `solve_ivp` is the part of scipy's `solve_ivp(..., method="DOP853")`
-that wacyl uses: Hairer's initial step, the 12-stage step with the
-E5/E3 error norm and the 0.9/0.2/10 step-size control, the three extra
-dense-output stages (built only for a step that holds a `t_eval`
-point) and the 7th-order interpolant.  Events are not supported: a
-right-hand side that must stop the run raises.  The tableau below is
-scipy's (1.17), and trajectories and `nfev` match scipy bit for bit:
-each value is the same IEEE operation on the same operands, with less
-numpy call overhead.
+that wacyl's trajectories use, a forward run to `t_eval` points:
+Hairer's initial step, the 12-stage step with the E5/E3 error norm and
+the 0.9/0.2/10 step-size control, the three extra dense-output stages
+(built only for a step that holds a `t_eval` point) and the 7th-order
+interpolant.  Any other input is refused with ValueError, and a run
+that scipy ends with success=False raises IntegrationError.  Events
+are not supported: a right-hand side that must stop the run raises.
+The tableau below is scipy's (1.17), and trajectories and `nfev` match
+scipy bit for bit: each value is the same IEEE operation on the same
+operands, with less numpy call overhead.
 
 - A stage state is `dy = K[:s].T.dot(A[s, :s]); dy *= h; dy += y`,
   scipy's `y + np.dot(K[:s].T, A[s, :s]) * h` in place: the same BLAS
@@ -21,7 +23,7 @@ numpy call overhead.
   initial-step probe), 12 per step tried and 3 per dense output.
 - t, h and the step-size control are Python floats: their arithmetic,
   `**` (C `pow`) and `math.nextafter` give the bits of numpy's float64
-  scalars.
+  scalars; scipy's forward `direction`, +1.0, multiplies exactly.
 - The error norm takes `math.sqrt(x.dot(x))`, which is what
   `np.linalg.norm` computes for a real vector.  The scale
   `atol + max(|y|, |y_new|) rtol` is built in place, with |y| the
@@ -72,10 +74,11 @@ which is distributed under this licence:
 from __future__ import annotations
 
 import math
-import warnings
 from bisect import bisect_right
 
 import numpy as np
+
+from .flow import IntegrationError
 
 __all__ = ["OdeResult", "solve_ivp"]
 
@@ -280,35 +283,32 @@ C_NODES = C.tolist()
 
 # ---- integrator -----------------------------------------------------
 
-EPS = np.finfo(float).eps
+# scipy's floor on rtol, 100 eps: solve_ivp refuses a smaller rtol
+RTOL_MIN = 100 * np.finfo(float).eps
 # step-size control: safety factor, and the bounds of one step's change
 SAFETY = 0.9
 MIN_FACTOR = 0.2
 MAX_FACTOR = 10
 ERROR_EXPONENT = -1 / 8         # the error estimate is of order 7
-TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
-REACHED_END = ("The solver successfully reached the end of the "
-               "integration interval.")
 
 
 class OdeResult:
-    """t (n_points,), y (n, n_points)."""
+    """The solution at the t_eval points: t (n_points,), y (n, n_points),
+    and nfev, the number of right-hand-side evaluations."""
 
-    def __init__(self, t, y, nfev, success, message):
+    def __init__(self, t, y, nfev):
         self.t = t
         self.y = y
         self.nfev = nfev
-        self.success = success
-        self.message = message
 
 
 def _rms(x):
     return np.linalg.norm(x) / x.size ** 0.5
 
 
-def _initial_step(fun, t0, y0, t_bound, f0, direction, rtol, atol):
+def _initial_step(fun, t0, y0, t_bound, f0, rtol, atol):
     """Hairer's starting step (Solving ODEs I, Sec. II.4)."""
-    interval_length = abs(t_bound - t0)
+    interval_length = t_bound - t0
     scale = atol + np.abs(y0) * rtol
     d0 = _rms(y0 / scale)
     d1 = _rms(f0 / scale)
@@ -317,8 +317,8 @@ def _initial_step(fun, t0, y0, t_bound, f0, direction, rtol, atol):
     else:
         h0 = 0.01 * d0 / d1
     h0 = min(h0, interval_length)
-    y1 = y0 + h0 * direction * f0
-    f1 = np.asarray(fun(t0 + h0 * direction, y1), dtype=float)
+    y1 = y0 + h0 * f0
+    f1 = np.asarray(fun(t0 + h0, y1), dtype=float)
     d2 = _rms((f1 - f0) / scale) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
@@ -381,21 +381,23 @@ def _interpolate(t_points, steps, counts):
     return out.T
 
 
-def solve_ivp(fun, t_span, y0, rtol, atol, t_eval=None):
-    """Solve y' = fun(t, y), y(t_span[0]) = y0 on t_span by DOP853.
+def solve_ivp(fun, t_span, y0, rtol, atol, t_eval):
+    """Solve y' = fun(t, y), y(t0) = y0 forward over t_span = (t0, t1)
+    by DOP853, at t_eval (1-D, increasing, inside t_span).
 
     fun may return any sequence of len(y0) floats (a list, an array):
     each value is written straight into its stage row.  The local error
-    is kept below atol + rtol |y|.  The result holds the solution at
-    t_eval (1-D, increasing, inside a forward t_span; anything else is
-    refused), interpolated after the run, or at every step without it.
-    fun may raise to end the run: it sees every stage tried, the extra
-    stages of each step that holds a t_eval point and the initial-step
-    probe, not only the accepted steps.
+    is kept below atol + rtol |y|.  Input outside this contract (a span
+    that is not finite with t0 < t1, an rtol below RTOL_MIN, ...) raises
+    ValueError before fun runs; a step below 10 ulp of t raises
+    IntegrationError.  fun may raise to end the run: it sees every stage
+    tried, the extra stages of each step that holds a t_eval point and
+    the initial-step probe, not only the accepted steps.
     """
     t0, tf = map(float, t_span)
-    if t0 == tf:
-        raise ValueError("t_span is empty")
+    if not -math.inf < t0 < tf < math.inf:
+        raise ValueError(f"t_span must be finite with t0 < t1: DOP853 runs "
+                         f"forward (got t0 = {t0}, t1 = {tf})")
     y0 = np.asarray(y0).astype(float, copy=False)
     if y0.ndim != 1:
         raise ValueError("`y0` must be 1-dimensional.")
@@ -405,55 +407,43 @@ def solve_ivp(fun, t_span, y0, rtol, atol, t_eval=None):
     if not (math.isfinite(rtol) and math.isfinite(atol)):
         raise ValueError(f"`rtol` and `atol` must be finite (got rtol = "
                          f"{rtol}, atol = {atol}).")
-    if rtol < 100 * EPS:
-        warnings.warn("`rtol` is too small. Setting `rtol = "
-                      f"np.maximum(rtol, {100 * EPS})`.", stacklevel=2)
-        rtol = np.maximum(rtol, 100 * EPS)
+    if rtol < RTOL_MIN:
+        raise ValueError(f"rtol = {rtol} is below DOP853's floor 100 eps = "
+                         f"{RTOL_MIN}")
     if atol < 0:
         raise ValueError("`atol` must be positive.")
-    direction = 1.0 if tf > t0 else -1.0
-    if t_eval is not None:
-        if direction < 0:
-            raise ValueError(f"t_eval needs t1 > t0 (got t0 = {t0}, "
-                             f"t1 = {tf})")
-        t_eval = np.asarray(t_eval)
-        if t_eval.ndim != 1:
-            raise ValueError("`t_eval` must be 1-dimensional.")
-        t_eval_list = t_eval.tolist()
-        for k, s in enumerate(t_eval_list):
-            if not t0 <= s <= tf:
-                raise ValueError(f"t_eval[{k}] = {s} lies outside t_span "
-                                 f"[{t0}, {tf}]")
-            if k and s <= t_eval_list[k - 1]:
-                raise ValueError(f"t_eval is not increasing: t_eval[{k}] "
-                                 f"= {s} follows {t_eval_list[k - 1]}")
-        # i is the first point not yet output
-        i = 0
+    t_eval = np.asarray(t_eval)
+    if t_eval.ndim != 1:
+        raise ValueError("`t_eval` must be 1-dimensional.")
+    t_eval_list = t_eval.tolist()
+    for k, s in enumerate(t_eval_list):
+        if not t0 <= s <= tf:
+            raise ValueError(f"t_eval[{k}] = {s} lies outside t_span "
+                             f"[{t0}, {tf}]")
+        if k and s <= t_eval_list[k - 1]:
+            raise ValueError(f"t_eval is not increasing: t_eval[{k}] "
+                             f"= {s} follows {t_eval_list[k - 1]}")
 
     t, y = t0, y0
     f = np.asarray(fun(t, y), dtype=float)
-    h_abs = _initial_step(fun, t, y, tf, f, direction, rtol, atol)
+    h_abs = _initial_step(fun, t, y, tf, f, rtol, atol)
     nfev = 2                    # f and the initial-step probe
     K = np.empty((N_STAGES_EXTENDED, len(y)))
     KT = [K[:s].T for s in range(N_STAGES_EXTENDED)]
     abs_y = np.abs(y)
-    ts, ys = [t0], [y0]         # every step, without t_eval
     steps, counts = [], []      # the steps that hold t_eval points
-    message = None
-    while message is None:
-        min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
+    i = 0                       # the first t_eval point not yet output
+    while t < tf:
+        min_step = 10 * (math.nextafter(t, math.inf) - t)
         h_abs = max(h_abs, min_step)
         step_rejected = False
         while True:
             if h_abs < min_step:
-                message = TOO_SMALL_STEP
-                break
-            h = h_abs * direction
-            t_new = t + h
-            if direction * (t_new - tf) > 0:
-                t_new = tf
-            h = t_new - t
-            h_abs = abs(h)
+                raise IntegrationError(
+                    f"step size underflow at t = {t!r}: the step {h_abs!r} "
+                    f"is below the spacing bound {min_step!r}")
+            t_new = min(t + h_abs, tf)
+            h = h_abs = t_new - t
             y_new, f_new = _rk_step(fun, t, y, f, h, K, KT)
             nfev += 12
             # atol + max(|y|, |y_new|) rtol
@@ -474,16 +464,8 @@ def solve_ivp(fun, t_span, y0, rtol, atol, t_eval=None):
                 break
             h_abs *= max(MIN_FACTOR, SAFETY * error_norm ** ERROR_EXPONENT)
             step_rejected = True
-        if message is not None:
-            break
         t_old, y_old, f_old = t, y, f
         t, y, f, abs_y = t_new, y_new, f_new, abs_new
-        if direction * (t - tf) >= 0:
-            message = REACHED_END
-        if t_eval is None:
-            ts.append(t)
-            ys.append(y)
-            continue
         # a t_eval point equal to t is output on this step
         i_new = bisect_right(t_eval_list, t)
         if i_new > i:
@@ -498,12 +480,7 @@ def solve_ivp(fun, t_span, y0, rtol, atol, t_eval=None):
             counts.append(i_new - i)
             i = i_new
 
-    if t_eval is None:
-        ts, ys = np.array(ts), np.vstack(ys).T
-    elif steps:
-        ts = t_eval[:i].copy()
-        ys = _interpolate(ts, steps, counts)
-    else:
-        ts, ys = np.empty(0), np.empty((len(y0), 0))
-    return OdeResult(t=ts, y=ys, nfev=nfev, success=message == REACHED_END,
-                     message=message)
+    if not steps:               # an empty t_eval
+        return OdeResult(np.empty(0), np.empty((len(y0), 0)), nfev)
+    return OdeResult(t_eval.copy(), _interpolate(t_eval, steps, counts),
+                     nfev)

@@ -9,11 +9,13 @@ through the check that uses the constant (``verify_smoothing_bounds``,
 changes its calibration too, and reports the maximum; the frozen
 constants are these maxima with a 15 percent safety margin, frozen
 once.  ``wacyl.constants`` holds the ones a command reads; the ones that
-only the checks of this module read (``HYPOTHESES``, ``CELESTIAL_CK``
-and ``CBAR1``) are frozen here.  Rerunning is only needed when the
-corpus definitions change; ``test_sweeps_reproduce_frozen_constants``
-reruns them all, and ``python tests/calibration.py`` (with ``src`` on
-``PYTHONPATH``) prints the report.
+only the checks and tests read (``CDOC``, ``HYPOTHESES``,
+``CELESTIAL_CK`` and ``CBAR1``) are frozen here.  ``cdoc`` reads a
+smoothing or norm-calculus bound from either ``CDOC``.  Rerunning is
+only needed when the corpus definitions change;
+``test_sweeps_reproduce_frozen_constants`` reruns them all, and
+``python tests/calibration.py`` (with ``src`` on ``PYTHONPATH``) prints
+the report.
 """
 
 from __future__ import annotations
@@ -31,6 +33,25 @@ from wacyl.smoothing import verify_smoothing_bounds
 
 from oracles import (GridFnInterpolant, VectorFieldSpec, apply_DF,
                      flow_jacobian, fundamental_matrix, grad_Hc, hess_Hc)
+
+# Smoothing and norm-calculus ratio bounds over the seeded 32-mode
+# corpus (sweep_smoothing / sweep_norm_algebra) that verify-norms does
+# not check; the ones it checks are wacyl.constants.CDOC
+CDOC = {
+    ("S1", 6, 2): 205.0,
+    ("S2", 6, 2): 0.0012,
+    ("product", 1): 1.0,
+    ("composition", 1): 1.0,
+    ("composition", 2): 1.0,
+    ("convexity",): 1.10,
+}
+
+
+def cdoc(kind, *key):
+    """The frozen bound of kind at key, from CDOC or constants.CDOC."""
+    key = (kind,) + key
+    return CDOC[key] if key in CDOC else constants.CDOC[key]
+
 
 # Gronwall-type growth exponent of the flow Jacobian
 # (sweep_flow_exponents): |d_q psi^t_t0|_{C^0} <= C (t/t0)^(CBAR1 mu);

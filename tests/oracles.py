@@ -5,12 +5,15 @@ The ODE layer on the torus T^n, which no command runs: the flow of
 `VectorFieldSpec` (omega + f(q, t)) by `integrate_flow`, its spatial
 Jacobian `flow_jacobian` and the fundamental matrix `fundamental_matrix`
 of the zeroth-order transport system, the last two from one variational
-solve (`_variational`).  Every solve is the library's DOP853 through
-`_solve`, which refuses a tolerance that is not positive.  `rk4` is a
-fixed-step classical Runge-Kutta integrator, the oracle of the adaptive
-flow.  `characteristics_solve` solves the transport problem along the
-characteristics, the second route of the spectral `solve_he`; it keeps
-`_solve` and the library's tail bound (`homological._tail_bound`).
+solve (`_variational`).  Every solve is scipy's DOP853 through
+`_solve`, which refuses a tolerance that is not positive; the library's
+DOP853 (`wacyl.dop853`) copies it bit for bit but runs only forward to
+`t_eval` points, and `tests/test_dop853.py` holds the two together.
+`rk4` is a fixed-step classical Runge-Kutta integrator, the oracle of
+the adaptive flow.  `characteristics_solve` solves the transport
+problem along the characteristics, the second route of the spectral
+`solve_he`; it keeps `_solve` and the library's tail bound
+(`homological._tail_bound`).
 
 `grad_Hc` and `hess_Hc` are the first and second derivatives of the
 comet interaction `celestial.eval_Hc`, and `apply_DF` the derivative of
@@ -54,9 +57,9 @@ import csv
 import math
 
 import numpy as np
+from scipy.integrate import solve_ivp
 
 from wacyl.celestial import _comet_gravity
-from wacyl.dop853 import solve_ivp
 from wacyl.flow import IntegrationError
 from wacyl.functional import _check_ball, linearize
 from wacyl.grids import GridFn, fornberg_weights
@@ -93,14 +96,16 @@ class VectorFieldSpec:
 
 
 def _solve(fun, y0, t0, t1, tol):
-    """y(t1) of y' = fun(t, y), y(t0) = y0 by DOP853 with rtol = tol and
-    atol = 1e-2 tol; a tol that is not positive (nan included) raises
-    ValueError, a failed integration IntegrationError."""
+    """y(t1) of y' = fun(t, y), y(t0) = y0 by scipy's DOP853 with rtol =
+    tol and atol = 1e-2 tol, forward or backward; a tol that is not
+    positive (nan included) raises ValueError, a failed integration
+    IntegrationError."""
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol!r}")
     if t0 == t1:
         return y0.copy()
-    sol = solve_ivp(fun, (t0, t1), y0, rtol=tol, atol=tol * 1e-2)
+    sol = solve_ivp(fun, (t0, t1), y0, method="DOP853", rtol=tol,
+                    atol=tol * 1e-2)
     if not sol.success:
         raise IntegrationError(f"integration failed on [{t0}, {t1}]: "
                                f"{sol.message}")

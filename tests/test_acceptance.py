@@ -9,11 +9,10 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from calibration import composition_check, convexity_check, corpus_32, \
-    decay_diagnostics
+from calibration import cdoc, composition_check, convexity_check, \
+    corpus_32, decay_diagnostics
 from oracles import GridFnInterpolant, VectorFieldSpec, apply_DF, \
     fundamental_matrix
-from wacyl import constants
 from wacyl.celestial import (CartesianState, CircularChart, CometOrbit,
                              ExtensionParams, Masses, SurrogateSystem,
                              check_speed_window, confinement_check,
@@ -194,8 +193,8 @@ def test_criterion_06_smoothing_inequalities():
         for tau in (8.0, 16.0, 32.0, 64.0):
             for (m, d) in ((2, 0), (4, 1), (6, 2)):
                 rep = verify_smoothing_bounds(f, tau, m, d)
-                k1 = rep["ratio_S1"] / constants.cdoc("S1", m, d)
-                k2 = rep["ratio_S2"] / constants.cdoc("S2", m, d)
+                k1 = rep["ratio_S1"] / cdoc("S1", m, d)
+                k2 = rep["ratio_S2"] / cdoc("S2", m, d)
                 worst[(m, d)] = max(worst.get((m, d), 0.0), k1, k2)
     bounded = all(v <= 1.0 for v in worst.values())
     # plateau-band-limited input: the S2 numerator is exactly zero
@@ -235,12 +234,12 @@ def test_criterion_07_norm_calculus():
         rep = {**norm_algebra_check(f, g, 2.0, 1.0, 1.0),
                **composition_check(f, u, 2.0, 1.0, 1.0)}
         prod_worst = max(prod_worst, rep["product_ratio"]
-                         / constants.cdoc("product", 2))
+                         / cdoc("product", 2))
         comp_worst = max(comp_worst, rep["composition_ratio"]
-                         / constants.cdoc("composition", 2))
+                         / cdoc("composition", 2))
         conv = convexity_check(f, 0.0, 2.0, 0.5, l=1.0)
         conv_worst = max(conv_worst, conv["ratio"]
-                         / constants.cdoc("convexity"))
+                         / cdoc("convexity"))
     ok = mono_ok and max(prod_worst, comp_worst, conv_worst) <= 1.0
     report(7, ok,
            f"monotonicity exact {mono_ok}; normalized ratios: product "

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import calibration
-from wacyl import constants, homological
+from wacyl import cli, constants, homological
 
 # sweep name -> the frozen constant that a key of its report calibrates
 FROZEN_BY_SWEEP = {
@@ -27,8 +27,10 @@ NOT_SWEPT = {("HOMOLOGICAL", "c_kappa"), ("MONITOR_C",)}
 def frozen_constants():
     """Every frozen constant: those a command reads, from
     wacyl.constants, and those only the calibration checks read, frozen
-    with them in calibration."""
-    out = {("CDOC", key): v for key, v in constants.CDOC.items()}
+    with them in calibration; a CDOC key is frozen in one of the two."""
+    assert not constants.CDOC.keys() & calibration.CDOC.keys()
+    out = {("CDOC", key): v
+           for key, v in {**constants.CDOC, **calibration.CDOC}.items()}
     out.update({("FLOW_EXPONENTS", k): v
                 for k, v in constants.FLOW_EXPONENTS.items()})
     out[("FLOW_EXPONENTS", "cbar1")] = calibration.CBAR1
@@ -55,6 +57,23 @@ def test_sweeps_reproduce_frozen_constants():
              if not value <= frozen[name]}
     assert not above, f"measured above frozen (measured, frozen): {above}"
     assert set(frozen) - set(produced) == NOT_SWEPT
+
+
+def test_verify_norms_reads_every_cdoc_entry(tmp_path, monkeypatch):
+    # wacyl.constants holds what a command reads: verify-norms reads
+    # every CDOC entry, and an entry only the tests read lives in
+    # calibration.CDOC
+    read = set()
+    cdoc = constants.cdoc
+
+    def recording(kind, *key):
+        read.add((kind,) + key)
+        return cdoc(kind, *key)
+
+    monkeypatch.setattr(constants, "cdoc", recording)
+    assert cli.main(["--out", str(tmp_path), "--set", "norms.trials=1",
+                     "verify-norms"]) == cli.EXIT_PASS
+    assert read == set(constants.CDOC)
 
 
 def test_flow_sweep_reads_gronwall_diagnostics(monkeypatch):

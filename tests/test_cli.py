@@ -497,6 +497,10 @@ def test_fixed_q_from_environment(tmp_path, monkeypatch):
 
 
 SMALL_SOLVE = ["--set", "solve.torus_points=32", "--set", "solve.n_times=16"]
+COMET_TOL_FLOOR = (
+    "comet.tol = 1e-20 must be finite and positive, at least 2.22045e-14 "
+    "(DOP853's rtol floor 100 eps; a run with mc > 0 integrates at "
+    "max(comet.tol, 1e-10))")
 
 
 @pytest.mark.parametrize("args", [
@@ -623,6 +627,12 @@ def test_t_max_below_its_bound_runs_to_the_checks(tmp_path, args):
     (["solve", "--preset", "bogus"],
      "solve.preset = bogus must be one of manufactured, "
      "manufactured-power"),
+    # DOP853 used to raise such an rtol to its floor with a warning while
+    # the manifest recorded the tolerance asked for
+    (["--set", "comet.tol=1e-20", "--set", "comet.t_max=0.01",
+      "simulate-comet", "--mc", "0"], COMET_TOL_FLOOR),
+    (["--set", "comet.tol=1e-20", "simulate-comet", "--mc", "1e-3"],
+     COMET_TOL_FLOOR),
 ], ids=["comet-v-zero", "comet-eps-zero", "comet-t-max-zero",
         "comet-t-max-negative", "comet-m1-negative", "norms-no-trials",
         "comet-tol-negative", "he-quad-tol-nan", "he-quad-tol-negative",
@@ -642,7 +652,9 @@ def test_t_max_below_its_bound_runs_to_the_checks(tmp_path, args):
         "solve-zeta-negative", "solve-zeta-budget", "solve-upsilon-zero",
         "solve-epsilon0-negative", "unknown-key-set", "comet-mc-negative",
         "comet-m0-zero-conservative", "comet-m0-nan", "comet-m2-inf",
-        "comet-eps-conservative", "solve-preset-unknown"])
+        "comet-eps-conservative", "solve-preset-unknown",
+        "comet-tol-below-floor-conservative",
+        "comet-tol-below-floor-surrogate"])
 def test_bad_config_is_config_error(tmp_path, capsys, command, name):
     # refused at the boundary with the offending key or value named,
     # not a traceback, a nan check or a vacuous pass

@@ -222,10 +222,10 @@ def test_flow_entry_points_refuse_a_bad_tol(solve, tol):
         solve(small_field(), tol)
 
 
-def test_solve_ivp_only_in_flow_and_celestial():
+def test_solve_ivp_only_in_celestial_and_dop853():
     # celestial keeps its own call, whose name the benchmark tracer
-    # hooks, and dop853 defines the integrator; flow's solves went with
-    # the ODE layer to the test oracles (oracles._solve), so no other
+    # hooks, and dop853 defines the integrator; the ODE layer's solves
+    # live with the test oracles (oracles._solve, on scipy), so no other
     # library module calls it
     src = Path(__file__).resolve().parents[1] / "src" / "wacyl"
     users = {path.name for path in src.glob("*.py")
@@ -255,10 +255,9 @@ def test_newton_core_imports_only_error_classes_from_flow(module):
                                "NormBudgetError"}
 
 
-def test_flow_imports_only_constants_and_dop853():
-    # flow holds the error classes alone, now that the ODE layer that
-    # needed the frozen constants and the integrator lives with the test
-    # oracles: it imports nothing of wacyl, so every module can import it
+def test_flow_imports_no_wacyl_module():
+    # flow holds the error classes alone: it imports nothing of wacyl,
+    # so every module, dop853 included, can import it
     path = Path(__file__).resolve().parents[1] / "src" / "wacyl" / "flow.py"
     names = set()
     for node in ast.walk(ast.parse(path.read_text())):

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from wacyl import constants
 from wacyl.grids import GridFn, SpatialGrid, TimeGrid
-from calibration import compose_torus, composition_check, convexity_check
+from calibration import cdoc, compose_torus, composition_check, \
+    convexity_check
 from wacyl.norms import holder_norm, norm_algebra_check, product, \
     weighted_norm
 
@@ -132,8 +132,8 @@ def test_norm_algebra_check_full():
     # the derivative restriction and l-monotonicity hold for every
     # input (test_derivative_restriction_exact, test_l_monotonicity_exact)
     assert set(rep) == {"product_ratio", "composition_ratio"}
-    assert rep["product_ratio"] <= constants.cdoc("product", 2)
-    assert rep["composition_ratio"] <= constants.cdoc("composition", 2)
+    assert rep["product_ratio"] <= cdoc("product", 2)
+    assert rep["composition_ratio"] <= cdoc("composition", 2)
     # direct-evaluation oracle for the product norm
     fg = product(f, g)
     direct = weighted_norm(fg, 2, 2)
@@ -159,7 +159,7 @@ def test_convexity_endpoints_exact():
 def test_convexity_interior_bounded():
     f = fn_grid(lambda q, t: np.sin(2 * np.pi * q) / t, torus_points=64)
     rep = convexity_check(f, 0.0, 2.0, 0.5, l=1.0)
-    assert rep["ratio"] <= constants.cdoc("convexity")
+    assert rep["ratio"] <= cdoc("convexity")
     with pytest.raises(ValueError):
         convexity_check(f, 2.0, 1.0, 0.5)
     with pytest.raises(ValueError):

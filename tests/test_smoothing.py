@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from calibration import corpus_32
-from wacyl import constants
+from calibration import cdoc, corpus_32
 from wacyl.grids import GridFn, SpatialGrid, TimeGrid
 from wacyl.norms import weighted_norm
 from wacyl.smoothing import _chop, multiplier_profile, smooth, \
@@ -97,7 +96,7 @@ def test_single_mode_ratio_sharp_constant():
         for (m, d) in ((2, 0), (4, 1)):
             rep = verify_smoothing_bounds(f, tau, m, d)
             assert rep["ratio_S1"] <= np.pi ** (m - d) * (1 + 1e-9)
-            assert rep["ratio_S1"] <= constants.cdoc("S1", m, d)
+            assert rep["ratio_S1"] <= cdoc("S1", m, d)
 
 
 def test_corpus_ratios_within_frozen_constants():
@@ -106,8 +105,8 @@ def test_corpus_ratios_within_frozen_constants():
         for tau in (8.0, 16.0, 32.0, 64.0):
             for (m, d) in ((2, 0), (4, 1), (6, 2)):
                 rep = verify_smoothing_bounds(f, tau, m, d)
-                assert rep["ratio_S1"] <= constants.cdoc("S1", m, d)
-                assert rep["ratio_S2"] <= constants.cdoc("S2", m, d)
+                assert rep["ratio_S1"] <= cdoc("S1", m, d)
+                assert rep["ratio_S2"] <= cdoc("S2", m, d)
 
 
 def test_verify_bounds_rejects_d_above_m():
