@@ -18,14 +18,14 @@ import math
 
 import numpy as np
 
-from .dop853 import solve_ivp
+from .dop853 import check_span, solve_ivp
 from .flow import IntegrationError
 from .smoothing import _ramp, _ramp_derivative
 
 __all__ = ["Masses", "CometOrbit", "CartesianState", "SplitCoords",
            "ExtensionParams", "solve_hyperbolic_kepler",
            "check_speed_window", "split_coordinates",
-           "eval_H0_cartesian", "eval_H0_split", "eval_Hc", "extend_Hc",
+           "eval_H0_cartesian", "eval_H0_split", "extend_Hc",
            "CircularChart", "HExtension", "SurrogateSystem",
            "integrate_system", "asymptotic_metric", "confinement_check"]
 
@@ -167,6 +167,8 @@ class CometOrbit:
         self.mu_grav = float(mu_grav)
         self.t_peri = float(t_peri)
         self.mean_motion = math.sqrt(mu_grav / a_h ** 3)
+        # the scale a_h sqrt(e^2 - 1) of the ephemeris' y
+        self._y_scale = self.a_h * math.sqrt(self.e ** 2 - 1.0)
 
     @property
     def v_asymptotic(self):
@@ -179,7 +181,7 @@ class CometOrbit:
             self.e, self.mean_motion * (t - self.t_peri))
         ch = math.cosh(H)
         return (self.a_h * (self.e - ch),
-                self.a_h * math.sqrt(self.e ** 2 - 1.0) * math.sinh(H),
+                self._y_scale * math.sinh(H),
                 self.a_h * (self.e * ch - 1.0))
 
     def radius(self, t):
@@ -346,24 +348,6 @@ def eval_H0_split(sc, masses):
     return float(H)
 
 
-def _comet_gravity(positions, c, masses):
-    """_comet_pull with the comet at c, an (x, y) pair, on the bodies
-    at positions, (3, 2) or flat; a body within PROXIMITY of the comet
-    raises ZeroDivisionError naming its distance."""
-    x = np.asarray(positions, dtype=float).ravel().tolist()
-    cx, cy = _floats(c)
-    out = _comet_pull(*x, cx, cy, _mass_products(masses)[1])
-    if out[0] is None:
-        raise ZeroDivisionError(f"a body is {out[2]:.3e} from the comet "
-                                f"(limit {PROXIMITY:g})")
-    return out
-
-
-def eval_Hc(positions, c, masses):
-    """Interaction with the comet at c: - sum_i m_i m_c / |x_i - c|."""
-    return _comet_gravity(positions, c, masses)[1]
-
-
 # --------------------------------------------------------------------
 # surrogate chart and extension
 # --------------------------------------------------------------------
@@ -379,11 +363,10 @@ class CircularChart:
     dynamically active (circular limit).  Reports built on this chart
     carry surrogate=True.
 
-    _circles, _positions and _pullback work on Python floats, with
-    positions and covectors on them flat, [x0, y0, x1, y1, x2, y2], the
-    layout in which _comet_pull takes positions and gives forces, since
+    The chart map has one implementation, _frame, on Python floats, as
     numpy's per-call overhead dominates on 2-vectors; positions and
-    momenta wrap their results in arrays once.
+    momenta wrap its results in arrays once, and HExtension reads it
+    directly and pulls covectors back through B = A^-T.
     """
 
     # relative change of each circle's radius per unit action r_k
@@ -396,60 +379,42 @@ class CircularChart:
         self.n1 = math.sqrt((masses.m0 + masses.m1) / a1 ** 3)
         self.n2 = math.sqrt((masses.m0 + masses.m2) / a2 ** 3)
         self.omega = np.array([self.n1, self.n2, 0.0, 0.0])
-        # the (a_i, b_i) of positions
-        m = masses
-        self._ab = ((m.m1, m.m2), (-(m.m0 + m.m2), m.m2),
-                    (m.m1, -(m.m0 + m.m1)))
         # positions are A^-1 (xi, X1, X2), so covectors on them pull
         # back to (xi, X1, X2) by A^-T = B, the momentum split
         self._B = _split_matrices(masses)[1].tolist()
+        # _frame's constants: the circles' scales, M and each (a_i, b_i)
+        m = masses
+        self._frame_constants = (self.a1, self.a2, self.kappa, m.M,
+                                 m.m1, m.m2, -(m.m0 + m.m2), m.m2,
+                                 m.m1, -(m.m0 + m.m1))
 
-    def _circles(self, theta, r):
-        """cos, sin and radius of circle 1, then of circle 2."""
-        ang1 = 2 * math.pi * (theta[0] + theta[2])
-        ang2 = 2 * math.pi * (theta[1] + theta[3])
-        return (math.cos(ang1), math.sin(ang1),
-                self.a1 * (1.0 + self.kappa * r[0]),
-                math.cos(ang2), math.sin(ang2),
-                self.a2 * (1.0 + self.kappa * r[1]))
-
-    def _positions(self, circles, xi):
-        """The three body positions, flat."""
-        c1, s1, rad1, c2, s2, rad2 = circles
+    def _frame(self, theta, r, xi):
+        """cos, sin and radius of circle 1, then of circle 2, and the
+        three body positions x_i = xi + (a_i X1 + b_i X2) / M, flat:
+        one 12-tuple of floats for float sequences theta, r, xi."""
+        a1, a2, kappa, M, p0, q0, p1, q1, p2, q2 = self._frame_constants
+        ang1 = math.tau * (theta[0] + theta[2])
+        ang2 = math.tau * (theta[1] + theta[3])
+        c1, s1, c2, s2 = (math.cos(ang1), math.sin(ang1), math.cos(ang2),
+                          math.sin(ang2))
+        rad1, rad2 = a1 * (1.0 + kappa * r[0]), a2 * (1.0 + kappa * r[1])
         X1x, X1y, X2x, X2y = rad1 * c1, rad1 * s1, rad2 * c2, rad2 * s2
         x, y = xi
-        M = self.masses.M
-        out = []
-        for a, b in self._ab:
-            out += (x + (a * X1x + b * X2x) / M, y + (a * X1y + b * X2y) / M)
-        return out
-
-    def _pullback(self, circles, dx):
-        """A covector dx on the body positions, flat, pulled back:
-        ((a1, a2), d_xi, d_r) with d_theta = (a1, a2, a1, a2)."""
-        c1, s1, rad1, c2, s2, rad2 = circles
-        u0, v0, u1, v1, u2, v2 = dx
-        d_xi, (g1x, g1y), (g2x, g2y) = [
-            (b0 * u0 + b1 * u1 + b2 * u2, b0 * v0 + b1 * v1 + b2 * v2)
-            for b0, b1, b2 in self._B]
-        # X_k = rad_k e_k, and d e_k / d theta is 2 pi e_k turned a quarter
-        a1 = 2 * math.pi * rad1 * (g1y * c1 - g1x * s1)
-        a2 = 2 * math.pi * rad2 * (g2y * c2 - g2x * s2)
-        return ((a1, a2), d_xi,
-                (self.kappa * (self.a1 * (g1x * c1 + g1y * s1)),
-                 self.kappa * (self.a2 * (g2x * c2 + g2y * s2))))
+        return (c1, s1, rad1, c2, s2, rad2,
+                x + (p0 * X1x + q0 * X2x) / M, y + (p0 * X1y + q0 * X2y) / M,
+                x + (p1 * X1x + q1 * X2x) / M, y + (p1 * X1y + q1 * X2y) / M,
+                x + (p2 * X1x + q2 * X2x) / M, y + (p2 * X1y + q2 * X2y) / M)
 
     def positions(self, theta, xi, r):
         """Cartesian body positions x_i = xi + (a_i X1 + b_i X2) / M."""
-        return np.array(self._positions(
-            self._circles(_floats(theta), _floats(r)),
-            _floats(xi))).reshape(3, 2)
+        return np.array(self._frame(_floats(theta), _floats(r),
+                                    _floats(xi))[6:]).reshape(3, 2)
 
     def momenta(self, theta, r, eta):
         """Covector momenta of the two circles plus the drift eta."""
         m = self.masses
-        c1, s1, rad1, c2, s2, rad2 = self._circles(_floats(theta),
-                                                   _floats(r))
+        c1, s1, rad1, c2, s2, rad2 = self._frame(_floats(theta), _floats(r),
+                                                 (0.0, 0.0))[:6]
         k1 = m.mu1 * self.n1 * rad1
         k2 = m.mu2 * self.n2 * rad2
         return np.array([_floats(eta), [k1 * -s1, k1 * c1],
@@ -466,8 +431,9 @@ class HExtension:
     """Comet interaction composed with the chart and the radial cutoff.
 
     Identity on |xi| <= eps |c(t)|/6, constant in xi beyond
-    eps |c(t)|/3, with a quintic C^2 radial ramp in between.  Like the
-    chart, it evaluates on Python floats.
+    eps |c(t)|/3, with a quintic C^2 radial ramp in between.  value and
+    _gradient read the ephemeris, the chart (_frame) and the comet's
+    pull once each, on Python floats, and refuse a close encounter.
     """
 
     def __init__(self, params, comet, masses, chart):
@@ -476,6 +442,9 @@ class HExtension:
         self.masses = masses
         self.chart = chart
         self._mmc = _mass_products(masses)[1]
+        # the chart Jacobian's kappa, a1, a2 and rows of B onto X1, X2
+        self._jacobian = (chart.kappa, chart.a1, chart.a2, *chart._B[1],
+                          *chart._B[2])
 
     def _weight(self, xi, radius):
         """w(|xi|) of the cutoff xi w(|xi|) at comet distance radius,
@@ -491,12 +460,16 @@ class HExtension:
                 dw / ((rout - rin) * rho) if dw else 0.0)
 
     def value(self, theta, xi, r, t):
+        """H_ex = - sum_i m_i m_c / |x_i - c(t)| at the chart's body
+        positions, with its center of mass at xi w(|xi|)."""
         cx, cy, radius = self.comet._ephemeris(t)
         x, y = xi = _floats(xi)
         w = self._weight(xi, radius)[0]
-        pos = self.chart._positions(
-            self.chart._circles(_floats(theta), _floats(r)), (x * w, y * w))
-        return eval_Hc(pos, (cx, cy), self.masses)
+        frame = self.chart._frame(_floats(theta), _floats(r), (x * w, y * w))
+        _, energy, dmin = _comet_pull(*frame[6:], cx, cy, self._mmc)
+        if energy is None:
+            raise _close_encounter(t, dmin)
+        return energy
 
     def _gradient(self, theta, xi, r, t):
         """Exact gradient of value by the chain rule through d H_c / d x,
@@ -505,18 +478,30 @@ class HExtension:
         cx, cy, radius = self.comet._ephemeris(t)
         w, dw = self._weight(xi, radius)
         x, y = xi
-        circles = self.chart._circles(theta, r)
-        force, _, dmin = _comet_pull(
-            *self.chart._positions(circles, (x * w, y * w)), cx, cy,
-            self._mmc)
+        c1, s1, rad1, c2, s2, rad2, x0, y0, x1, y1, x2, y2 = \
+            self.chart._frame(theta, r, (x * w, y * w))
+        force, _, dmin = _comet_pull(x0, y0, x1, y1, x2, y2, cx, cy,
+                                     self._mmc)
         if force is None:
             raise _close_encounter(t, dmin)
-        # d H_c / d x: minus the comet's pull on each body
-        d_theta, (gx, gy), d_r = self.chart._pullback(
-            circles, [-f for f in force])
+        # d H_c / d x: minus the comet's pull on each body, pulled back
+        # to (xi, X1, X2) by B, whose row onto xi is ones
+        f0x, f0y, f1x, f1y, f2x, f2y = force
+        u0, v0, u1, v1, u2, v2 = -f0x, -f0y, -f1x, -f1y, -f2x, -f2y
+        kappa, a1, a2, b10, b11, b12, b20, b21, b22 = self._jacobian
+        gx, gy = u0 + u1 + u2, v0 + v1 + v2
+        g1x = b10 * u0 + b11 * u1 + b12 * u2
+        g1y = b10 * v0 + b11 * v1 + b12 * v2
+        g2x = b20 * u0 + b21 * u1 + b22 * u2
+        g2y = b20 * v0 + b21 * v1 + b22 * v2
         # d (xi w(|xi|)) / d xi = w I + (w'(|xi|) / |xi|) xi xi^T
         s = dw * (gx * x + gy * y)
-        return d_theta, (w * gx + s * x, w * gy + s * y), d_r
+        # X_k = rad_k e_k, and d e_k / d theta is 2 pi e_k turned a quarter
+        return ((math.tau * rad1 * (g1y * c1 - g1x * s1),
+                 math.tau * rad2 * (g2y * c2 - g2x * s2)),
+                (w * gx + s * x, w * gy + s * y),
+                (kappa * (a1 * (g1x * c1 + g1y * s1)),
+                 kappa * (a2 * (g2x * c2 + g2y * s2))))
 
 
 def extend_Hc(params, comet, masses, chart):
@@ -596,14 +581,16 @@ SURROGATE_SAMPLES = 120
 
 def integrate_system(state0, comet, masses, t0, t1, tol=1e-11):
     """Trajectory of the full time-dependent system with energy-drift
-    reporting, forward from t0 to t1 (dop853.solve_ivp refuses any other
-    span); a close encounter (_cartesian_rhs) raises IntegrationError
-    naming its time and distance."""
+    reporting, forward from t0 to t1 (dop853.check_span refuses any
+    other span before the samples are built); a close encounter
+    (_cartesian_rhs) raises IntegrationError naming its time and
+    distance."""
     if not min(masses.m1, masses.m2) > 0:
         raise ValueError(f"the Cartesian velocities y / m need m1, m2 > 0 "
                          f"(got m1 = {masses.m1}, m2 = {masses.m2})")
     rhs = _cartesian_rhs(masses, comet)
     y0 = np.concatenate([state0.x.ravel(), state0.y.ravel()])
+    check_span(t0, t1)
     ts = np.linspace(t0, t1, TRAJECTORY_SAMPLES)
     sol = solve_ivp(rhs, (t0, t1), y0, rtol=tol, atol=tol * 1e-2, t_eval=ts)
     xs = sol.y[:6].T.reshape(-1, 3, 2)
@@ -660,7 +647,9 @@ class SurrogateSystem:
 
     def integrate(self, state0, t0, t1, tol=1e-9):
         """The trajectory at geometric times, forward from t0 to t1
-        (dop853.solve_ivp refuses any other span)."""
+        (dop853.check_span refuses any other span before the samples
+        are built)."""
+        check_span(t0, t1)
         ts = np.geomspace(t0, t1, SURROGATE_SAMPLES)
         sol = solve_ivp(self.rhs, (t0, t1), np.asarray(state0, float),
                         rtol=tol, atol=tol * 1e-3, t_eval=ts)

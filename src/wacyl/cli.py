@@ -82,6 +82,10 @@ _ZETA_MAX = (_GATE - _DELTA) / (mu_budget(1.0)[0] - _DELTA)
 ZETA = (lambda z: GT0[0](z) and mu_budget(z)[0] < _GATE,
         f"finite and > 0 with delta + C Upsilon zeta < 1/c_kappa(1) = "
         f"{_GATE:g} (zeta < {_ZETA_MAX:g})")
+_A_MIN, _A_MAX = sys.float_info.min ** (1 / 3), sys.float_info.max ** (1 / 3)
+CIRCLE = (lambda a: _A_MIN <= a < _A_MAX,
+          f"finite and > 0 with a^3 a normal float, >= {_A_MIN!r} and < "
+          f"{_A_MAX:.6g} (CircularChart divides by a^3)")
 # on 2 or fewer torus points every non-constant mode is the Nyquist
 # mode, whose derivative the grid sets to zero
 POW2 = (lambda n: n >= 4 and not n & (n - 1), "a power of two, at least 4")
@@ -122,8 +126,9 @@ CONFIG = {
                                "an extension epsilon in (0, 1/2]")),
     "comet.e": (1.5, float, _finite(">", 1, " (a hyperbolic orbit)")),
     "comet.v": (250.0, float, GT0),
-    "comet.t_max": (100.0, float, (GT0[0], "finite and positive (the "
-                                           "run ends at t1 = 1 + t_max)")),
+    "comet.t_max": (100.0, float, (lambda t: 1.0 < 1.0 + t < math.inf, (
+        f"finite and positive (the run ends at t1 = 1 + t_max, above 1 "
+        f"for t_max > 2^-53 = {sys.float_info.epsilon / 2!r})"))),
     "comet.t_peri": (-1.0, float, FINITE),
     "comet.tol": (1e-11, float, (
         lambda x: RTOL_MIN <= x < math.inf,
@@ -134,8 +139,8 @@ CONFIG = {
     "comet.m0": (1.0, float, GT0),
     "comet.m1": (1e-3, float, GE0),
     "comet.m2": (1e-3, float, GE0),
-    "comet.a1": (0.05, float, GT0),
-    "comet.a2": (1.0, float, GT0),
+    "comet.a1": (0.05, float, CIRCLE),
+    "comet.a2": (1.0, float, CIRCLE),
     "comet.xi0x": (0.3, float, FINITE),
     "comet.xi0y": (-0.2, float, FINITE),
     "comet.cbar": (1.0, float, GE0),

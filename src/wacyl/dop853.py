@@ -80,7 +80,7 @@ import numpy as np
 
 from .flow import IntegrationError
 
-__all__ = ["OdeResult", "solve_ivp"]
+__all__ = ["OdeResult", "check_span", "solve_ivp"]
 
 # ---- tableau (scipy's dop853_coefficients, verbatim) ----------------
 
@@ -381,6 +381,14 @@ def _interpolate(t_points, steps, counts):
     return out.T
 
 
+def check_span(t0, t1):
+    """Refuse a span that is not finite with t0 < t1: DOP853 runs
+    forward.  A caller building t_eval from the span checks it first."""
+    if not -math.inf < t0 < t1 < math.inf:
+        raise ValueError(f"t_span must be finite with t0 < t1: DOP853 runs "
+                         f"forward (got t0 = {t0}, t1 = {t1})")
+
+
 def solve_ivp(fun, t_span, y0, rtol, atol, t_eval):
     """Solve y' = fun(t, y), y(t0) = y0 forward over t_span = (t0, t1)
     by DOP853, at t_eval (1-D, increasing, inside t_span).
@@ -395,9 +403,7 @@ def solve_ivp(fun, t_span, y0, rtol, atol, t_eval):
     the initial-step probe, not only the accepted steps.
     """
     t0, tf = map(float, t_span)
-    if not -math.inf < t0 < tf < math.inf:
-        raise ValueError(f"t_span must be finite with t0 < t1: DOP853 runs "
-                         f"forward (got t0 = {t0}, t1 = {tf})")
+    check_span(t0, tf)
     y0 = np.asarray(y0).astype(float, copy=False)
     if y0.ndim != 1:
         raise ValueError("`y0` must be 1-dimensional.")

@@ -23,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from wacyl import constants, homological
-from wacyl.celestial import CircularChart, CometOrbit, Masses, eval_Hc
+from wacyl.celestial import CircularChart, CometOrbit, Masses
 from wacyl.functional import (eval_F, linearize, mu_budget, v_norm,
                               x_norm)
 from wacyl.grids import GridFn, SpatialGrid, TimeGrid
@@ -32,7 +32,8 @@ from wacyl.norms import norm_algebra_check, random_modes, weighted_norm
 from wacyl.smoothing import verify_smoothing_bounds
 
 from oracles import (GridFnInterpolant, VectorFieldSpec, apply_DF,
-                     flow_jacobian, fundamental_matrix, grad_Hc, hess_Hc)
+                     eval_Hc, flow_jacobian, fundamental_matrix, grad_Hc,
+                     hess_Hc)
 
 # Smoothing and norm-calculus ratio bounds over the seeded 32-mode
 # corpus (sweep_smoothing / sweep_norm_algebra) that verify-norms does

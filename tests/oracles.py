@@ -15,13 +15,22 @@ problem along the characteristics, the second route of the spectral
 `solve_he`; it keeps `_solve` and the library's tail bound
 (`homological._tail_bound`).
 
-`grad_Hc` and `hess_Hc` are the first and second derivatives of the
-comet interaction `celestial.eval_Hc`, and `apply_DF` the derivative of
-the residual functional in a direction; the calibration sweeps measure
-through them too.  `GridFnInterpolant` evaluates a `GridFn` off the
-grid: by the trigonometric interpolant of its torus spectrum (exact for
-band-limited data) and by degree-TIME_DEGREE Lagrange interpolation in
-log t on the stencil window of the time grid, its weights the order-0
+`eval_Hc` is the comet interaction at a comet position, and `grad_Hc`
+and `hess_Hc` are its first and second derivatives, all three through
+`_comet_gravity`, which refuses a body within `celestial.PROXIMITY` of
+the comet; `apply_DF` is the derivative of the residual functional in a
+direction.  The calibration sweeps measure through them too.
+
+`chain_gradient` is the gradient of `HExtension` as the chain of steps
+that `HExtension._gradient` folds into one pass: the chart's circles
+(`chart_circles`), its body positions (`chart_positions`), the comet's
+pull, its negation and the pullback by B (`chart_pullback`); the one
+pass must give the same bytes.
+
+`GridFnInterpolant` evaluates a `GridFn` off the grid: by the
+trigonometric interpolant of its torus spectrum (exact for band-limited
+data) and by degree-TIME_DEGREE Lagrange interpolation in log t on the
+stencil window of the time grid, its weights the order-0
 `grids.fornberg_weights`.
 
 `einsum_eval_F`, `einsum_linearize` and `einsum_transport_operator`
@@ -59,7 +68,8 @@ import math
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from wacyl.celestial import _comet_gravity
+from wacyl.celestial import PROXIMITY, _close_encounter, _comet_pull, \
+    _floats, _mass_products
 from wacyl.flow import IntegrationError
 from wacyl.functional import _check_ball, linearize
 from wacyl.grids import GridFn, fornberg_weights
@@ -151,6 +161,82 @@ def fundamental_matrix(g, F, q, t, tau, tol=1e-10):
     R(tau) = Id; q is the characteristic label at time 1."""
     return _variational(F, lambda p, s: -np.asarray(g(p, s)),
                         integrate_flow(F, q, 1.0, tau, tol), tau, t, tol)
+
+
+def _comet_gravity(positions, c, masses):
+    """_comet_pull with the comet at c, an (x, y) pair, on the bodies
+    at positions, (3, 2) or flat; a body within PROXIMITY of the comet
+    raises ZeroDivisionError naming its distance."""
+    x = np.asarray(positions, dtype=float).ravel().tolist()
+    cx, cy = _floats(c)
+    out = _comet_pull(*x, cx, cy, _mass_products(masses)[1])
+    if out[0] is None:
+        raise ZeroDivisionError(f"a body is {out[2]:.3e} from the comet "
+                                f"(limit {PROXIMITY:g})")
+    return out
+
+
+def eval_Hc(positions, c, masses):
+    """Interaction with the comet at c: - sum_i m_i m_c / |x_i - c|."""
+    return _comet_gravity(positions, c, masses)[1]
+
+
+def chart_circles(chart, theta, r):
+    """cos, sin and radius of circle 1, then of circle 2."""
+    ang1 = 2 * math.pi * (theta[0] + theta[2])
+    ang2 = 2 * math.pi * (theta[1] + theta[3])
+    return (math.cos(ang1), math.sin(ang1),
+            chart.a1 * (1.0 + chart.kappa * r[0]),
+            math.cos(ang2), math.sin(ang2),
+            chart.a2 * (1.0 + chart.kappa * r[1]))
+
+
+def chart_positions(chart, circles, xi):
+    """The three body positions on the circles, flat."""
+    c1, s1, rad1, c2, s2, rad2 = circles
+    X1x, X1y, X2x, X2y = rad1 * c1, rad1 * s1, rad2 * c2, rad2 * s2
+    x, y = xi
+    m = chart.masses
+    M = m.M
+    out = []
+    for a, b in ((m.m1, m.m2), (-(m.m0 + m.m2), m.m2),
+                 (m.m1, -(m.m0 + m.m1))):
+        out += (x + (a * X1x + b * X2x) / M, y + (a * X1y + b * X2y) / M)
+    return out
+
+
+def chart_pullback(chart, circles, dx):
+    """A covector dx on the body positions, flat, pulled back:
+    ((a1, a2), d_xi, d_r) with d_theta = (a1, a2, a1, a2)."""
+    c1, s1, rad1, c2, s2, rad2 = circles
+    u0, v0, u1, v1, u2, v2 = dx
+    d_xi, (g1x, g1y), (g2x, g2y) = [
+        (b0 * u0 + b1 * u1 + b2 * u2, b0 * v0 + b1 * v1 + b2 * v2)
+        for b0, b1, b2 in chart._B]
+    a1 = 2 * math.pi * rad1 * (g1y * c1 - g1x * s1)
+    a2 = 2 * math.pi * rad2 * (g2y * c2 - g2x * s2)
+    return ((a1, a2), d_xi,
+            (chart.kappa * (chart.a1 * (g1x * c1 + g1y * s1)),
+             chart.kappa * (chart.a2 * (g2x * c2 + g2y * s2))))
+
+
+def chain_gradient(hexf, theta, xi, r, t):
+    """HExtension._gradient step by step, on float sequences theta, xi,
+    r: the cutoff, the chart's circles and positions, the comet's pull,
+    minus it, the pullback and the cutoff's chain rule."""
+    cx, cy, radius = hexf.comet._ephemeris(t)
+    w, dw = hexf._weight(xi, radius)
+    x, y = xi
+    circles = chart_circles(hexf.chart, theta, r)
+    force, _, dmin = _comet_pull(
+        *chart_positions(hexf.chart, circles, (x * w, y * w)), cx, cy,
+        _mass_products(hexf.masses)[1])
+    if force is None:
+        raise _close_encounter(t, dmin)
+    d_theta, (gx, gy), d_r = chart_pullback(hexf.chart, circles,
+                                            [-f for f in force])
+    s = dw * (gx * x + gy * y)
+    return d_theta, (w * gx + s * x, w * gy + s * y), d_r
 
 
 def grad_Hc(positions, c, masses):

@@ -3,6 +3,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import calibration
 from wacyl import celestial
@@ -10,7 +12,7 @@ from wacyl.celestial import (CartesianState, CircularChart, CometOrbit,
                              ExtensionParams, Masses, SurrogateSystem,
                              asymptotic_metric, check_speed_window,
                              confinement_check, eval_H0_cartesian,
-                             eval_H0_split, eval_Hc, extend_Hc,
+                             eval_H0_split, extend_Hc,
                              integrate_system, solve_hyperbolic_kepler,
                              split_coordinates)
 from wacyl.celestial import _cartesian_rhs, _comet_pull, _mass_products, \
@@ -18,7 +20,8 @@ from wacyl.celestial import _cartesian_rhs, _comet_pull, _mass_products, \
 from wacyl.flow import IntegrationError
 
 from calibration import decay_diagnostics
-from oracles import grad_Hc, hess_Hc, loop_asymptotic_metric, \
+from oracles import chain_gradient, chart_circles, chart_positions, \
+    chart_pullback, eval_Hc, grad_Hc, hess_Hc, loop_asymptotic_metric, \
     loop_confinement_check
 
 
@@ -482,8 +485,9 @@ def test_extension_gradient_at_the_origin(hex_field):
     got = hex_gradient(hex_field, th, np.zeros(2), r, t)
     dx = grad_Hc(chart.positions(th, np.zeros(2), r),
                  hex_field.comet._ephemeris(t)[:2], MASSES)
-    (a1, a2), d_xi, d_r = chart._pullback(
-        chart._circles(th.tolist(), r.tolist()), dx.ravel().tolist())
+    (a1, a2), d_xi, d_r = chart_pullback(
+        chart, chart_circles(chart, th.tolist(), r.tolist()),
+        dx.ravel().tolist())
     want = np.array([a1, a2, a1, a2]), np.array(d_xi), np.array(d_r)
     for g, w in zip(got, want):
         assert np.all(np.isfinite(g))
@@ -492,6 +496,70 @@ def test_extension_gradient_at_the_origin(hex_field):
     near = hex_gradient(hex_field, th, np.array([1e-9 * rin, 0.0]), r, t)
     for g, h in zip(got, near):
         assert np.allclose(g, h, rtol=1e-6, atol=0.0)
+
+
+def floats(nested):
+    """A nested sequence of numbers as one float array, whose bytes keep
+    each value's sign of zero."""
+    return np.array([v for part in nested for v in (
+        floats(part) if isinstance(part, tuple) else [part])], dtype=float)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(region=st.sampled_from(["plateau", "ramp", "outside"]),
+       depth=st.floats(0.0, 1.0), direction=st.floats(0.0, 2 * math.pi),
+       theta=st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4),
+       r=st.lists(st.floats(-0.1, 0.1), min_size=2, max_size=2),
+       t=st.floats(1.0, 100.0), as_arrays=st.booleans())
+@example(region="plateau", depth=0.0, direction=0.0,
+         theta=[0.2, 0.7, 0.1, 0.4], r=[0.0, 0.0], t=5.0, as_arrays=False)
+@example(region="plateau", depth=0.0, direction=0.0,
+         theta=[0.2, 0.7, 0.1, 0.4], r=[0.03, -0.05], t=5.0, as_arrays=True)
+def test_extension_gradient_is_the_chain_bit_for_bit(hex_field, region, depth,
+                                                     direction, theta, r, t,
+                                                     as_arrays):
+    # the one pass does the chain's operations in the chain's order:
+    # circles, positions, the comet's pull, minus it, the pullback by B
+    # and the cutoff's chain rule, so every byte (signs of zero too)
+    # agrees; depth 0 on the plateau is xi = 0
+    rin = 0.1 * hex_field.comet.radius(t) * celestial.CUTOFF_INNER
+    rho = {"plateau": depth * rin, "ramp": rin * (1.0 + depth),
+           "outside": 2.0 * rin * (1.0 + depth)}[region]
+    xi = [rho * math.cos(direction), rho * math.sin(direction)]
+    args = [theta, xi, r]
+    if as_arrays:
+        args = [np.array(a) for a in args]
+    got = hex_field._gradient(*args, t)
+    want = chain_gradient(hex_field, *args, t)
+    assert floats(got).tobytes() == floats(want).tobytes()
+    # the chart map too, whose last bits the comet's distance can hide
+    chart = hex_field.chart
+    circles = chart_circles(chart, args[0], args[2])
+    assert floats(chart._frame(*args[::2], args[1])).tobytes() == floats(
+        (*circles, *chart_positions(chart, circles, args[1]))).tobytes()
+
+
+@pytest.mark.parametrize("rho", [0.0, 0.5, 1.5, 3.0],
+                         ids=["origin", "plateau", "ramp", "outside"])
+def test_extension_reads_the_comet_and_its_pull_once(monkeypatch, rho):
+    # one Kepler solve and one comet pass per evaluation of the gradient
+    # or the value, wherever xi lies against the cutoff (rho in units of
+    # its inner radius)
+    hexf = extend_Hc(ExtensionParams(epsilon=0.1), fast_orbit(), MASSES,
+                     CircularChart(MASSES, a1=0.05, a2=1.0))
+    calls = []
+    ephemeris, pull = hexf.comet._ephemeris, celestial._comet_pull
+    monkeypatch.setattr(hexf.comet, "_ephemeris",
+                        lambda t: calls.append("ephemeris") or ephemeris(t))
+    monkeypatch.setattr(celestial, "_comet_pull",
+                        lambda *a: calls.append("pull") or pull(*a))
+    xi = [rho * 0.1 * hexf.comet.radius(3.0) / 6.0, 0.0]
+    calls.clear()
+    hexf._gradient([0.1, 0.7, 0.3, 0.2], xi, [0.05, -0.02], 3.0)
+    assert calls == ["ephemeris", "pull"]
+    calls.clear()
+    hexf.value([0.1, 0.7, 0.3, 0.2], xi, [0.05, -0.02], 3.0)
+    assert calls == ["ephemeris", "pull"]
 
 
 def test_extension_gradient_list_and_array_inputs_agree(hex_field):
@@ -595,9 +663,10 @@ def test_a_body_at_a_massive_comet_is_a_close_encounter(gap):
 
 
 def test_the_surrogate_refuses_a_chart_body_on_the_comet(monkeypatch):
-    # the extension's gradient goes through the same refusal: with the
-    # comet's ephemeris placed on body 1 of the chart, the surrogate
-    # right-hand side ends as a close encounter naming t
+    # the extension's gradient and value go through the same refusal:
+    # with the comet's ephemeris placed on body 1 of the chart, the
+    # surrogate right-hand side and the value end as a close encounter
+    # naming t
     t = 2.0
     orbit = fast_orbit()
     chart = CircularChart(MASSES, a1=0.05, a2=1.0)
@@ -608,10 +677,12 @@ def test_the_surrogate_refuses_a_chart_body_on_the_comet(monkeypatch):
     radius = orbit.radius(t)
     monkeypatch.setattr(orbit, "_ephemeris", lambda s: (bx, by, radius))
     state = np.concatenate([theta, np.zeros(6)])
-    with pytest.raises(IntegrationError, match=re.escape(
-            "close encounter at t = 2.000000 (smallest distance "
-            "0.000e+00 < 0.0001)")):
-        system.rhs(t, state)
+    for run in (lambda: system.rhs(t, state),
+                lambda: system.hex.value(theta, np.zeros(2), np.zeros(2), t)):
+        with pytest.raises(IntegrationError, match=re.escape(
+                "close encounter at t = 2.000000 (smallest distance "
+                "0.000e+00 < 0.0001)")):
+            run()
 
 
 def test_cartesian_run_refuses_a_massless_body():

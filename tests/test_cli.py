@@ -440,11 +440,8 @@ def test_ball_exit_is_numerical_failure(tmp_path, capsys, fixed_q, v):
      "OverflowError"),
     (["--set", "comet.mc=1e300", "simulate-comet", "--mc", "1e-3"],
      "OverflowError"),
-    (["--set", "comet.a1=1e-300", "simulate-comet", "--mc", "0"],
-     "ZeroDivisionError"),
 ], ids=["solve-eps", "solve-q", "comet-e",
-        "comet-v-large", "comet-v-small", "comet-m0", "comet-mc",
-        "comet-a1"])
+        "comet-v-large", "comet-v-small", "comet-m0", "comet-mc"])
 def test_arithmetic_error_is_numerical_failure(tmp_path, args, error):
     # accepted values whose float arithmetic overflows or divides by zero
     # exit as a numerical failure, not on a traceback with the exit code
@@ -571,6 +568,20 @@ def test_t_max_below_its_bound_runs_to_the_checks(tmp_path, args):
      "comet.a1 = nan must be finite and > 0"),
     (["--set", "comet.a2=-1", "simulate-comet", "--mc", "0"],
      "comet.a2 = -1.0 must be finite and > 0"),
+    # CircularChart divides by a^3, which underflows to 0 at a = 1e-300
+    # (a ZeroDivisionError, exit 3, until the bound) and overflows at 1e200
+    (["--set", "comet.a1=1e-300", "simulate-comet", "--mc", "0"],
+     "comet.a1 = 1e-300 must be finite and > 0 with a^3 a normal float, "
+     ">= 2.8126442852362986e-103 and < 5.6438e+102 (CircularChart divides "
+     "by a^3)"),
+    (["--set", "comet.a2=1e200", "simulate-comet", "--mc", "1e-3"],
+     "comet.a2 = 1e+200 must be finite and > 0 with a^3 a normal float"),
+    # 1 + t_max == 1 left DOP853 an empty span, refused without the key
+    (["--set", "comet.t_max=1e-300", "simulate-comet", "--mc", "0"],
+     "comet.t_max = 1e-300 must be finite and positive (the run ends at "
+     "t1 = 1 + t_max, above 1 for t_max > 2^-53 = 1.1102230246251565e-16)"),
+    (["--set", "comet.t_max=1.1102230246251565e-16", "simulate-comet"],
+     "comet.t_max = 1.1102230246251565e-16 must be finite and positive"),
     (["--set", "comet.xi0x=nan", "simulate-comet"],
      "comet.xi0x = nan must be finite"),
     (["--set", "comet.xi0y=inf", "simulate-comet"],
@@ -643,7 +654,9 @@ def test_t_max_below_its_bound_runs_to_the_checks(tmp_path, args):
         "solve-t-max-nan", "solve-t-max-one",
         "he-t-max-nan", "he-t-max-below-one", "solve-t-max-overflow",
         "he-t-max-overflow", "comet-a1-nan",
-        "comet-a2-negative", "comet-xi0x-nan", "comet-xi0y-inf",
+        "comet-a2-negative", "comet-a1", "comet-a2-overflow",
+        "comet-t-max-no-span", "comet-t-max-half-ulp",
+        "comet-xi0x-nan", "comet-xi0y-inf",
         "comet-cbar-nan", "solve-s-nan", "solve-torus-points-7",
         "he-torus-points-7", "solve-torus-points-2", "he-torus-points-2",
         "solve-n-times-1", "he-n-times-1",
@@ -661,6 +674,23 @@ def test_bad_config_is_config_error(tmp_path, capsys, command, name):
     assert run_cli(["--out", str(tmp_path)] + command) == EXIT_CONFIG_ERROR
     err = capsys.readouterr().err
     assert err.startswith("configuration error:") and name in err
+
+
+def test_comet_bounds_sit_where_the_arithmetic_fails():
+    # comet.t_max is refused exactly where 1 + t_max rounds to 1, and
+    # comet.a1 and comet.a2 at the ends of their domain keep a^3 normal
+    ok_t = CONFIG["comet.t_max"][2][0]
+    half_ulp = sys.float_info.epsilon / 2
+    assert 1.0 + half_ulp == 1.0 and not ok_t(half_ulp)
+    above = math.nextafter(half_ulp, 1.0)
+    assert 1.0 + above > 1.0 and ok_t(above)
+    lo, hi = wacyl.cli._A_MIN, math.nextafter(wacyl.cli._A_MAX, 0.0)
+    for key in ("comet.a1", "comet.a2"):
+        ok_a = CONFIG[key][2][0]
+        assert ok_a(lo) and not ok_a(math.nextafter(lo, 0.0))
+        assert ok_a(hi) and not ok_a(wacyl.cli._A_MAX)
+    # a float power that overflows raises OverflowError
+    assert sys.float_info.min <= lo ** 3 and hi ** 3 < math.inf
 
 
 def test_zero_eps_is_the_zero_problem(tmp_path):
