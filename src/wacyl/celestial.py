@@ -616,6 +616,8 @@ def integrate_system(state0, comet, masses, t0, t1, tol=1e-11):
 DRIFT_TAIL_FACTOR = 40.0
 DRIFT_NODES = 160
 N_ANGLES = 4
+# the constant of confinement_check's |xi(t)| <= |xi(1)| + (1 + C_BAR) ln t
+C_BAR = 1.0
 
 
 class SurrogateSystem:
@@ -689,13 +691,13 @@ def asymptotic_metric(traj, omega, q0, t0):
             "final": float(profile[-1])}
 
 
-def confinement_check(times, xi_values, comet, eps, C_bar):
-    """|xi(t)| <= |xi(1)| + (1 + C_bar) ln t and |xi(t)|/|c(t)| < eps/6
+def confinement_check(times, xi_values, comet, eps):
+    """|xi(t)| <= |xi(1)| + (1 + C_BAR) ln t and |xi(t)|/|c(t)| < eps/6
     at every sample, in array passes; rows hold Python floats and bools,
     and first_violation is the first failing row (None when all pass)."""
     times = np.asarray(times, dtype=float)
     xi_norm = np.linalg.norm(np.asarray(xi_values, dtype=float), axis=1)
-    log_bound = xi_norm[0] + (1.0 + C_bar) * np.log(times / times[0])
+    log_bound = xi_norm[0] + (1.0 + C_BAR) * np.log(times / times[0])
     ratio = xi_norm / np.array([comet.radius(t) for t in times.tolist()])
     ok = (xi_norm <= log_bound * (1 + 1e-9) + 1e-12) & (ratio < eps / 6.0)
     rows = [{"t": t, "xi": xn, "log_bound": b, "ratio": r, "pass": p}
@@ -703,7 +705,7 @@ def confinement_check(times, xi_values, comet, eps, C_bar):
                                       log_bound.tolist(), ratio.tolist(),
                                       ok.tolist())]
     violation = next((row for row in rows if not row["pass"]), None)
-    threshold = 12.0 * (1.0 + C_bar) / eps
+    threshold = 12.0 * (1.0 + C_BAR) / eps
     return {
         "pass": violation is None,
         "first_violation": violation,

@@ -3,10 +3,11 @@
 Subcommands: solve, homological, simulate-comet, verify-norms.
 Each is cmd_x(conf, outdir) -> (manifest, checks) on its resolved
 configuration section and writes only its own files (CSV, .wgf, JSON
-reports).  main reads the configuration, writes manifest.json (the
-section under "config") and summary.json, and exits 0 pass, 1 check
-failure, 2 configuration error (an unreadable --config included),
-3 numerical failure (an overflow or a division by zero included).
+reports).  main reads the configuration, --preset and --mc last as the
+--set items solve.preset and comet.mc, writes manifest.json (the section
+under "config") and summary.json, and exits 0 pass, 1 check failure,
+2 configuration error (an unreadable --config included), 3 numerical
+failure (an overflow or a division by zero included).
 Identical config and seed give identical CSVs.  A CSV cell is the repr
 of a number and a line ends in \\r\\n, the bytes csv.writer writes; a
 JSON file holds one top-level key per line, its value compact.
@@ -28,13 +29,13 @@ import numpy as np
 from numpy.random import default_rng
 
 from . import constants
-from .celestial import (CircularChart, CometOrbit, ExtensionParams,
-                        Masses, SurrogateSystem, asymptotic_metric,
-                        check_speed_window, confinement_check,
-                        extend_Hc, integrate_system)
+from .celestial import (SURROGATE_SAMPLES, TRAJECTORY_SAMPLES, CircularChart,
+                        CometOrbit, ExtensionParams, Masses, SurrogateSystem,
+                        asymptotic_metric, check_speed_window,
+                        confinement_check, extend_Hc, integrate_system)
 from .dop853 import RTOL_MIN
 from .flow import NumericalError
-from .functional import mu_budget
+from .functional import ZETA, mu_budget
 from .grids import GridFn, SpatialGrid, TimeGrid
 from .homological import HomologicalProblem, estimate_check, residual_he, \
     solve_he
@@ -53,10 +54,6 @@ def _finite(op, lo, note=""):
     """The domain of finite values op lo, op one of > and >=."""
     return ((lambda x: lo < x < math.inf) if op == ">" else
             (lambda x: lo <= x < math.inf)), f"finite and {op} {lo}{note}"
-
-
-def _one_of(*names):
-    return lambda x: x in names, "one of " + ", ".join(names)
 
 
 def _t_max(power, source):
@@ -79,13 +76,16 @@ TOL = (GT0[0], "finite and positive")
 # delta + C Upsilon zeta (affine in zeta) reaches its gate
 _DELTA, _GATE = mu_budget(0.0)
 _ZETA_MAX = (_GATE - _DELTA) / (mu_budget(1.0)[0] - _DELTA)
-ZETA = (lambda z: GT0[0](z) and mu_budget(z)[0] < _GATE,
-        f"finite and > 0 with delta + C Upsilon zeta < 1/c_kappa(1) = "
-        f"{_GATE:g} (zeta < {_ZETA_MAX:g})")
+BUDGET = (lambda z: GT0[0](z) and mu_budget(z)[0] < _GATE,
+          f"finite and > 0 with delta + C Upsilon zeta < 1/c_kappa(1) = "
+          f"{_GATE:g} (zeta < {_ZETA_MAX:g})")
 _A_MIN, _A_MAX = sys.float_info.min ** (1 / 3), sys.float_info.max ** (1 / 3)
 CIRCLE = (lambda a: _A_MIN <= a < _A_MAX,
           f"finite and > 0 with a^3 a normal float, >= {_A_MIN!r} and < "
           f"{_A_MAX:.6g} (CircularChart divides by a^3)")
+# n uniform (np.linspace) or geometric (np.geomspace) times of [1, t1]
+# are distinct from t1 = 1 + (n - 1) 2^-52 on, and repeat below
+_SPAN = (max(TRAJECTORY_SAMPLES, SURROGATE_SAMPLES) - 1) * 2.0 ** -52
 # on 2 or fewer torus points every non-constant mode is the Nyquist
 # mode, whose derivative the grid sets to zero
 POW2 = (lambda n: n >= 4 and not n & (n - 1), "a power of two, at least 4")
@@ -104,7 +104,8 @@ SOLVE_PRESETS = {"manufactured": manufactured_single,
 # every configuration key: (default, type, (ok, domain)); a None
 # default leaves the key unset unless it is given
 CONFIG = {
-    "solve.preset": ("manufactured", str, _one_of(*SOLVE_PRESETS)),
+    "solve.preset": ("manufactured", str, (
+        SOLVE_PRESETS.__contains__, "one of " + ", ".join(SOLVE_PRESETS))),
     "solve.eps": (1e-3, float, FINITE),
     "solve.torus_points": (128, int, POW2),
     "solve.n_times": (64, int, AT_LEAST_2),
@@ -117,7 +118,7 @@ CONFIG = {
     # an explicit Q replaces the scanned one; the smoothing times
     # t_j = Q^(alpha beta^j) grow only for Q > 1, and zeta is a size
     "solve.q": (None, float, _finite(">", 1)),
-    "solve.zeta": (None, float, ZETA),
+    "solve.zeta": (ZETA, float, BUDGET),
     "he.torus_points": (128, int, POW2),
     "he.n_times": (64, int, AT_LEAST_2),
     "he.t_max": (20.0, float, _t_max(2, "z = cos(2 pi q)/t^2")),
@@ -126,9 +127,11 @@ CONFIG = {
                                "an extension epsilon in (0, 1/2]")),
     "comet.e": (1.5, float, _finite(">", 1, " (a hyperbolic orbit)")),
     "comet.v": (250.0, float, GT0),
-    "comet.t_max": (100.0, float, (lambda t: 1.0 < 1.0 + t < math.inf, (
-        f"finite and positive (the run ends at t1 = 1 + t_max, above 1 "
-        f"for t_max > 2^-53 = {sys.float_info.epsilon / 2!r})"))),
+    "comet.t_max": (100.0, float, (
+        lambda t: _SPAN <= (1.0 + t) - 1.0 < math.inf,
+        f"finite and positive, the run ending at t1 = 1 + t_max with t1 - 1 "
+        f">= {_SPAN!r} (below, the {TRAJECTORY_SAMPLES} uniform or "
+        f"{SURROGATE_SAMPLES} geometric sample times of [1, t1] repeat)")),
     "comet.t_peri": (-1.0, float, FINITE),
     "comet.tol": (1e-11, float, (
         lambda x: RTOL_MIN <= x < math.inf,
@@ -143,7 +146,6 @@ CONFIG = {
     "comet.a2": (1.0, float, CIRCLE),
     "comet.xi0x": (0.3, float, FINITE),
     "comet.xi0y": (-0.2, float, FINITE),
-    "comet.cbar": (1.0, float, GE0),
     "norms.seed": (0, int, SEED),
     "norms.trials": (3, int, (lambda n: n >= 1, "at least 1")),
 }
@@ -190,24 +192,20 @@ def load_config(path=None, overrides=()):
     return cfg
 
 
-def read_section(cfg, section, **flags):
+def read_section(cfg, section):
     """{name: value} of every key of the section: the cast of cfg's
-    value, else the flag's when it is not None, else the default.  A
-    value the cast or the domain refuses raises ValueError naming the
-    key and the value."""
+    value, else the default.  A value the cast or the domain refuses
+    raises ValueError naming the key and the value."""
     out = {}
     for key, (default, cast, (ok, domain)) in CONFIG.items():
         head, _, name = key.partition(".")
         if head != section:
             continue
-        if key in cfg:
-            try:
-                value = cast(cfg[key])
-            except ValueError:
-                raise ValueError(f"{key} = {cfg[key]!r} is not a valid "
-                                 f"{cast.__name__}") from None
-        else:
-            value = default if flags.get(name) is None else flags[name]
+        try:
+            value = cast(cfg[key]) if key in cfg else default
+        except ValueError:
+            raise ValueError(f"{key} = {cfg[key]!r} is not a valid "
+                             f"{cast.__name__}") from None
         if value is not None and not ok(value):
             raise ValueError(f"{key} = {value} must be {domain}")
         out[name] = value
@@ -269,21 +267,21 @@ def _summary(outdir, checks):
 # --------------------------------------------------------------------
 
 def cmd_solve(conf, outdir):
-    explicit = {name: conf[name.lower()]
-                for name in ("Q", "zeta")
-                if conf[name.lower()] is not None}
     H, vstar = SOLVE_PRESETS[conf["preset"]](
         conf["eps"], torus_points=conf["torus_points"],
         n_times=conf["n_times"], t_max=conf["t_max"])
-    p = params_from_order(conf["s"]).replace(**explicit)
-    if "Q" not in explicit:
-        p, scan = choose_schedule(H, p)
+    p = params_from_order(conf["s"])
+    if conf["q"] is None:
+        p, scan = choose_schedule(H, p, zeta=conf["zeta"])
         _write_csv(outdir, "schedule_scan.csv",
                    ["Q", "upsilon", "r1", "envelope"],
                    [[r["Q"], r["upsilon"], r["r1"], r["envelope"]]
                     for r in scan])
+    else:
+        p = p.replace(Q=conf["q"])
     sol, state = iterate(H, p, max_steps=conf["max_steps"],
-                         target=conf["target"], min_steps=MIN_STEPS)
+                         target=conf["target"], min_steps=MIN_STEPS,
+                         zeta=conf["zeta"])
     mon = monitor(state, p, H.omega)
     rows = []
     for d, row in enumerate(mon["rows"], start=1):
@@ -388,8 +386,7 @@ def cmd_simulate_comet(conf, outdir):
     _write_csv(outdir, "trajectory.csv",
                ["t"] + [f"s{i}" for i in range(10)],
                np.column_stack((traj["t"], traj["states"])).tolist())
-    confined = confinement_check(traj["t"], traj["states"][:, 4:6], orbit,
-                                 eps, C_bar=conf["cbar"])
+    confined = confinement_check(traj["t"], traj["states"][:, 4:6], orbit, eps)
     _write_manifest(outdir, "confinement.json", confined)
     # the two quantities the verdict reads, at their worst sample; the
     # first sample meets the log bound with equality, so the excess is
@@ -464,14 +461,18 @@ def _parser():
     parser.add_argument("--out", default="runs/latest",
                         help="output directory")
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.set_defaults(shorthand=[])
     ps = sub.add_parser("solve", help="run the cylinder solver")
-    ps.add_argument("--preset")
+    ps.add_argument("--preset", action="append", dest="shorthand",
+                    default=[], type="solve.preset={}".format,
+                    metavar="PRESET", help="--set solve.preset=PRESET")
     ps.set_defaults(fn=cmd_solve, section="solve")
     ph = sub.add_parser("homological", help="solve a transport problem")
     ph.set_defaults(fn=cmd_homological, section="he")
     pc = sub.add_parser("simulate-comet", help="three-body-plus-comet run")
-    pc.add_argument("--mc", type=float,
-                    help="comet mass (0 for the conservative sub-case)")
+    pc.add_argument("--mc", action="append", dest="shorthand",
+                    default=[], metavar="MC", type="comet.mc={}".format,
+                    help="--set comet.mc=MC (0: the conservative sub-case)")
     pc.set_defaults(fn=cmd_simulate_comet, section="comet")
     pv = sub.add_parser("verify-norms", help="norm calculus spot checks")
     pv.set_defaults(fn=cmd_verify_norms, section="norms")
@@ -482,9 +483,8 @@ def main(argv=None):
     args = _parser().parse_args(argv)
     os.makedirs(args.out, exist_ok=True)
     try:
-        conf = read_section(load_config(args.config, args.set), args.section,
-                            preset=getattr(args, "preset", None),
-                            mc=getattr(args, "mc", None))
+        cfg = load_config(args.config, args.set + args.shorthand)
+        conf = read_section(cfg, args.section)
         # numpy faults raise where they happen; an underflow to 0 is kept
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             manifest, checks = args.fn(conf, args.out)

@@ -27,11 +27,13 @@ from .homological import SERIES_TOL, HomologicalProblem, _contract, \
 from .norms import weighted_norm
 
 __all__ = ["HamiltonianSpec", "DomainError", "eval_F", "linearize",
-           "right_inverse", "gamma_from_v", "x_norm", "v_norm"]
+           "right_inverse", "gamma_from_v", "v_norm"]
 
 
-# the constant C of the solvability budget DELTA + C UPSILON zeta
+# the constant C of the solvability budget DELTA + C UPSILON zeta, and
+# the size zeta that right_inverse, choose_schedule and iterate default to
 C_GEOM = 2.0
+ZETA = 0.05
 # the budgets of the solvability gate DELTA + C UPSILON zeta.  DELTA
 # is the paper's bound |b0|_{2,1} < DELTA on a fixed part b0 of b; every
 # problem built here has b0 = 0, so DELTA enters the gate only.  UPSILON
@@ -112,11 +114,6 @@ def a_norm(a, sigma):
     """|a|_sigma = |a|_{sigma+1,0} + |d_q a|_{sigma,2}."""
     return weighted_norm(a, sigma + 1, 0) \
         + weighted_norm(a.gradient_field(), sigma, 2)
-
-
-def x_norm(a, b, sigma):
-    """|x|_sigma = max(|a|_sigma, |b|_{sigma+1,1})."""
-    return max(a_norm(a, sigma), weighted_norm(b, sigma + 1, 1))
 
 
 def v_norm(v, omega, sigma):
@@ -205,12 +202,13 @@ def mu_budget(zeta):
     return mu_max, gate
 
 
-def right_inverse(H, v, z, zeta=0.05, quad_tol=SERIES_TOL):
+def right_inverse(H, v, z, zeta=ZETA, quad_tol=SERIES_TOL):
     """Solve D_v F(v) vhat = z through the transport solver; returns its
     HomologicalSolution, whose kappa is vhat.
 
     Refuses when the measured |f|_{1,1}, |g|_{1,1} exceed the
-    delta + C Upsilon zeta budget or that budget reaches 1/c_kappa.
+    delta + C Upsilon zeta budget, zeta = ZETA unless given, or that
+    budget reaches 1/c_kappa.
     """
     f, g = linearize(H, v)
     prob = HomologicalProblem(omega=H.omega, z=z, f=f, g=g)

@@ -11,7 +11,7 @@ import numpy as np
 
 from . import constants
 from .flow import NormBudgetError
-from .functional import (DomainError, HamiltonianSpec, eval_F,
+from .functional import (ZETA, DomainError, HamiltonianSpec, eval_F,
                          gamma_from_v, right_inverse, v_norm)
 from .grids import GridFn, SpatialGrid, TimeGrid
 from .homological import SERIES_TOL
@@ -32,10 +32,10 @@ GAMMA_LOSS = 1.0
 
 class ZehnderParams:
     """The scheme's orders and schedule; two are equal when every field
-    is, and replace gives a copy with some fields changed."""
+    is, and replace gives a copy with some fields changed.  No scheme
+    inequality reads zeta, the solvability gate's size: iterate takes it."""
 
-    def __init__(self, s, lam, rho, beta, alpha, Q=2.0, upsilon=1.0,
-                 zeta=0.05):
+    def __init__(self, s, lam, rho, beta, alpha, Q=2.0, upsilon=1.0):
         self.s = s
         self.lam = lam
         self.rho = rho
@@ -43,7 +43,6 @@ class ZehnderParams:
         self.alpha = alpha
         self.Q = Q
         self.upsilon = upsilon
-        self.zeta = zeta
 
     def __eq__(self, other):
         if type(other) is not ZehnderParams:
@@ -149,12 +148,13 @@ def _checked(p):
 
 
 def iterate(H, p, max_steps=12, target=1e-6, quad_tol=SERIES_TOL,
-            min_steps=0, zeta=None):
+            min_steps=0, zeta=ZETA):
     """Run the double-smoothing Newton scheme on the Hamiltonian data.
 
     Updates  psi_{j+1} = psi_j - S_{t_{j+1}} eta(phi_{j+1}, psi_j)
     F(phi_{j+1}, psi_j)  with smoothing rates tau_j = Q^(beta^j),
     t_j = tau_j^alpha, recomputed from (Q, beta, alpha) each step.
+    Every right inverse runs on the solvability gate of size zeta.
     Both the paired residuals |F(phi_d, psi_d)| (the scheduled
     quantities) and the residuals against the unsmoothed data are
     recorded; stopping and divergence detection use the latter.
@@ -165,7 +165,6 @@ def iterate(H, p, max_steps=12, target=1e-6, quad_tol=SERIES_TOL,
     best_step names its step; otherwise the last iterate.
     """
     rep = _checked(p)
-    zeta = p.zeta if zeta is None else zeta
     state = IterationState()
     psi = GridFn.zeros(H.grid, H.times, H.d)
     # F(phi_1, 0) is both the step-0 paired residual and step 1's
@@ -230,14 +229,14 @@ def iterate(H, p, max_steps=12, target=1e-6, quad_tol=SERIES_TOL,
 Q_GRID = np.geomspace(1.15, 3.0, 12)
 
 
-def choose_schedule(H, p):
-    """Pick (Q, upsilon) from one newton_step from psi = 0 per Q of
-    Q_GRID, in grid order: the scan stops at the first Q whose step
-    lands under its scheduled envelope |F_1| <= (upsilon/2)
-    Q^(-lambda beta), and records every trial up to and including it.
-    The choice is the last recorded trial, which is the last trial the
-    step did not refuse when none contracts; (Q_GRID[-1], 1.0) when the
-    step refuses every trial.
+def choose_schedule(H, p, zeta=ZETA):
+    """Pick (Q, upsilon) from one newton_step from psi = 0, on the
+    solvability gate of size zeta, per Q of Q_GRID, in grid order: the
+    scan stops at the first Q whose step lands under its scheduled
+    envelope |F_1| <= (upsilon/2) Q^(-lambda beta), and records every
+    trial up to and including it.  The choice is the last recorded
+    trial, which is the last trial the step did not refuse when none
+    contracts; (Q_GRID[-1], 1.0) when the step refuses every trial.
 
     The smallness threshold has no formula, so upsilon is anchored per
     trial at twice the step-0 residual (the envelope then demands a
@@ -252,7 +251,7 @@ def choose_schedule(H, p):
         Hs = _smoothed_spec(H, trial.tau_j(1))
         F0 = eval_F(Hs, psi)
         try:
-            psi1, _ = newton_step(Hs, psi, F0, trial.t_j(1), p.zeta,
+            psi1, _ = newton_step(Hs, psi, F0, trial.t_j(1), zeta,
                                   SERIES_TOL)
             r1 = _z_norm(eval_F(Hs, psi1))
         except (NormBudgetError, DomainError):

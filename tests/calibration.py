@@ -24,8 +24,7 @@ import numpy as np
 
 from wacyl import constants, homological
 from wacyl.celestial import CircularChart, CometOrbit, Masses
-from wacyl.functional import (eval_F, linearize, mu_budget, v_norm,
-                              x_norm)
+from wacyl.functional import a_norm, eval_F, linearize, mu_budget, v_norm
 from wacyl.grids import GridFn, SpatialGrid, TimeGrid
 from wacyl.nashmoser import comet_decay_synthetic, manufactured_single
 from wacyl.norms import norm_algebra_check, random_modes, weighted_norm
@@ -181,6 +180,12 @@ def gronwall_diagnostics(F, g, mu, sample_points, time_pairs):
         "records": records,
         "constants_source": "calibrated",
     }
+
+
+def x_norm(a, b, sigma):
+    """|x|_sigma = max(|a|_sigma, |b|_{sigma+1,1}), the data norm of the
+    hypotheses' scale."""
+    return max(a_norm(a, sigma), weighted_norm(b, sigma + 1, 1))
 
 
 def hypotheses_report(H, zeta, n_samples=6, seed=0):

@@ -13,11 +13,12 @@ from calibration import cdoc, composition_check, convexity_check, \
     corpus_32, decay_diagnostics
 from oracles import GridFnInterpolant, VectorFieldSpec, apply_DF, \
     fundamental_matrix
-from wacyl.celestial import (CartesianState, CircularChart, CometOrbit,
-                             ExtensionParams, Masses, SurrogateSystem,
-                             check_speed_window, confinement_check,
-                             eval_H0_cartesian, eval_H0_split, extend_Hc,
-                             integrate_system, split_coordinates)
+from wacyl.celestial import (C_BAR, CartesianState, CircularChart,
+                             CometOrbit, ExtensionParams, Masses,
+                             SurrogateSystem, check_speed_window,
+                             confinement_check, eval_H0_cartesian,
+                             eval_H0_split, extend_Hc, integrate_system,
+                             split_coordinates)
 from wacyl.functional import right_inverse
 from wacyl.grids import GridFn, SpatialGrid, TimeGrid
 from wacyl.homological import HomologicalProblem, solve_he
@@ -317,7 +318,7 @@ def test_criterion_10_confinement():
     eps = 0.1
     masses = Masses(1.0, 1e-3, 1e-3, mc=1e-3)
     mu = masses.M + masses.mc
-    C_bar = 1.0
+    C_bar = C_BAR
     # compliant: v above the 12 (1 + C_bar)/eps threshold
     v_fast = 260.0
     orbit = CometOrbit(1.5, mu / v_fast ** 2, mu, t_peri=-1.0)
@@ -329,8 +330,7 @@ def test_criterion_10_confinement():
     eta0 = system.leading_drift_momentum(theta0, xi0, 1.0)
     traj = system.integrate(np.concatenate([theta0, xi0, np.zeros(2),
                                             eta0]), 1.0, 101.0, tol=1e-10)
-    good = confinement_check(traj["t"], traj["states"][:, 4:6], orbit,
-                             eps, C_bar=C_bar)
+    good = confinement_check(traj["t"], traj["states"][:, 4:6], orbit, eps)
     # stress: sub-threshold v with an extremal outward drift
     v_slow = 25.0
     orbit2 = CometOrbit(1.5, mu / v_slow ** 2, mu, t_peri=-1.0)
@@ -343,8 +343,8 @@ def test_criterion_10_confinement():
     traj2 = system2.integrate(np.concatenate([theta0, xi0s,
                                               np.zeros(2), eta0s]),
                               1.0, 41.0, tol=1e-9)
-    bad = confinement_check(traj2["t"], traj2["states"][:, 4:6],
-                            orbit2, eps, C_bar=C_bar)
+    bad = confinement_check(traj2["t"], traj2["states"][:, 4:6], orbit2,
+                            eps)
     ok = (good["pass"] and good["v_above_threshold"]
           and not bad["pass"] and not bad["v_above_threshold"]
           and bad["first_violation"] is not None)

@@ -777,13 +777,12 @@ def surrogate_run():
 
 def test_surrogate_confinement_compliant(surrogate_run):
     orbit, system, theta0, xi0, traj = surrogate_run
-    rep = confinement_check(traj["t"], traj["states"][:, 4:6], orbit,
-                            0.1, C_bar=1.0)
+    rep = confinement_check(traj["t"], traj["states"][:, 4:6], orbit, 0.1)
     assert rep["pass"]
     assert rep["v_above_threshold"]
     assert rep["first_violation"] is None
     oracle = loop_confinement_check(traj["t"], traj["states"][:, 4:6],
-                                    orbit, 0.1, C_bar=1.0)
+                                    orbit, 0.1, C_bar=celestial.C_BAR)
     assert rep["rows"] == oracle["rows"]
     assert all(type(row["pass"]) is bool for row in rep["rows"])
 
@@ -843,12 +842,11 @@ def test_confinement_stress_subthreshold_v():
     theta0 = np.array([0.1, 0.7, 0.0, 0.0])
     r1 = orbit.radius(1.0)
     xi0 = np.array([0.95 * 0.1 * r1 / 6.0, 0.0])
-    C_bar = 1.0
+    C_bar = celestial.C_BAR
     eta0 = MASSES.M * (1.0 + C_bar) * 1.5 * np.array([1.0, 0.0])
     state0 = np.concatenate([theta0, xi0, np.zeros(2), eta0])
     traj = system.integrate(state0, 1.0, 41.0, tol=1e-9)
-    rep = confinement_check(traj["t"], traj["states"][:, 4:6], orbit,
-                            0.1, C_bar=C_bar)
+    rep = confinement_check(traj["t"], traj["states"][:, 4:6], orbit, 0.1)
     assert not rep["v_above_threshold"]
     assert not rep["pass"]
     assert rep["first_violation"] is not None

@@ -21,7 +21,8 @@ from hypothesis import strategies as st
 
 import wacyl
 from wacyl import norms
-from wacyl.celestial import SurrogateSystem
+from wacyl.celestial import SURROGATE_SAMPLES, TRAJECTORY_SAMPLES, \
+    SurrogateSystem
 from wacyl.cli import CONFIG, EXIT_CHECK_FAILURE, EXIT_CONFIG_ERROR, \
     EXIT_NUMERICAL_FAILURE, EXIT_PASS, HE_RESIDUAL_TOL, \
     SURROGATE_TOL_FLOOR, _parser, _write_csv, _write_manifest, \
@@ -36,19 +37,40 @@ def run_cli(args):
     return main(args)
 
 
+class RecordedSection(dict):
+    """A configuration section that adds each name read from it to
+    reads."""
+
+    def __init__(self, values, reads):
+        super().__init__(values)
+        self.reads = reads
+
+    def __getitem__(self, name):
+        self.reads.add(name)
+        return super().__getitem__(name)
+
+
 @pytest.fixture(scope="module")
 def default_run(tmp_path_factory):
     """run(name) -> (exit code, output directory) of the default run
     digests.RUNS[name], run once per module: the tests that read a
-    default run and the digest test share it."""
-    runs = {}
+    default run and the digest test share it.  run.reads maps each
+    section to the names its commands read in the runs made so far."""
+    runs, reads = {}, {}
+
+    def recorded(cfg, section):
+        return RecordedSection(read_section(cfg, section),
+                               reads.setdefault(section, set()))
 
     def run(name):
         if name not in runs:
             outdir = tmp_path_factory.mktemp(name)
-            runs[name] = (run_cli(["--out", str(outdir)]
-                                  + digests.RUNS[name]), outdir)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(wacyl.cli, "read_section", recorded)
+                runs[name] = (run_cli(["--out", str(outdir)]
+                                      + digests.RUNS[name]), outdir)
         return runs[name]
+    run.reads = reads
     return run
 
 
@@ -180,6 +202,18 @@ def test_default_outputs_match_their_digests(default_run):
     assert digests.moved(record["runs"], got) == []
     assert digests.newton_coupled_digest() == \
         record["newton-coupled"]["v.values"]
+
+
+def test_every_key_is_read_by_its_command(default_run):
+    # the default runs, both comet modes among them, read every key of
+    # their section: a key no command reads cannot come back
+    for name in digests.RUNS:
+        assert default_run(name)[0] == EXIT_PASS, name
+    want = {}
+    for key in CONFIG:
+        section, _, name = key.partition(".")
+        want.setdefault(section, set()).add(name)
+    assert default_run.reads == want
 
 
 def test_digests_see_one_changed_input(tmp_path):
@@ -356,6 +390,54 @@ def test_unknown_preset_is_config_error(tmp_path):
     assert code == EXIT_CONFIG_ERROR
 
 
+@pytest.mark.parametrize("source", ["env", "set", "file"])
+def test_mc_flag_wins_over_the_configuration(tmp_path, monkeypatch, source):
+    # --mc is the --set item comet.mc, after the others: it wins over a
+    # file line, a WACYL_* variable and an earlier --set
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("comet.mc=0\n")
+    args = {"env": [], "set": ["--set", "comet.mc=0"],
+            "file": ["--config", str(cfg)]}[source]
+    if source == "env":
+        monkeypatch.setenv("WACYL_COMET_MC", "0")
+    out = tmp_path / "out"
+    assert run_cli(["--out", str(out), "--set", "comet.t_max=2"] + args
+                   + ["simulate-comet", "--mc", "1e-3"]) == EXIT_PASS
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["mode"] == "comet" and manifest["config"]["mc"] == 1e-3
+
+
+def test_preset_flag_wins_over_the_environment(tmp_path, monkeypatch):
+    monkeypatch.setenv("WACYL_SOLVE_PRESET", "manufactured")
+    assert run_cli(["--out", str(tmp_path)] + SMALL_SOLVE
+                   + ["solve", "--preset", "manufactured-power"]) == EXIT_PASS
+    config = json.loads((tmp_path / "manifest.json").read_text())["config"]
+    assert config["preset"] == "manufactured-power"
+
+
+# an accepted value other than the default for every comet key the
+# refusal cases alone reached
+COMET_VALUES = {"e": "2.0", "v": "300", "t_peri": "-2", "eps": "0.2",
+                "m0": "2", "m1": "2e-3", "m2": "5e-4", "a1": "0.1",
+                "a2": "2", "xi0x": "0.1", "xi0y": "0.1"}
+# the keys the conservative run reads too
+CONSERVATIVE_KEYS = ("m0", "m1", "m2", "a1", "a2")
+
+
+@pytest.mark.parametrize("name, mc", [
+    *[(name, "1e-3") for name in COMET_VALUES],
+    *[(name, "0") for name in CONSERVATIVE_KEYS],
+], ids=[f"{name}-surrogate" for name in COMET_VALUES]
+    + [f"{name}-conservative" for name in CONSERVATIVE_KEYS])
+def test_every_comet_key_runs_at_an_accepted_value(tmp_path, name, mc):
+    value = COMET_VALUES[name]
+    assert run_cli(["--out", str(tmp_path), "--set", "comet.t_max=2",
+                    "--set", f"comet.{name}={value}",
+                    "simulate-comet", "--mc", mc]) == EXIT_PASS
+    config = json.loads((tmp_path / "manifest.json").read_text())["config"]
+    assert config[name] == float(value)
+
+
 def test_config_file_and_env_override(tmp_path, monkeypatch):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("# comment\nsolve.eps=2e-3\nsolve.t_max=10\n")
@@ -438,8 +520,8 @@ def test_ball_exit_is_numerical_failure(tmp_path, capsys, fixed_q, v):
      "OverflowError"),
     (["--set", "comet.m0=1e300", "simulate-comet", "--mc", "1e-3"],
      "OverflowError"),
-    (["--set", "comet.mc=1e300", "simulate-comet", "--mc", "1e-3"],
-     "OverflowError"),
+    # --mc wins over --set comet.mc, so the value goes in as the flag
+    (["simulate-comet", "--mc", "1e300"], "OverflowError"),
 ], ids=["solve-eps", "solve-q", "comet-e",
         "comet-v-large", "comet-v-small", "comet-m0", "comet-mc"])
 def test_arithmetic_error_is_numerical_failure(tmp_path, args, error):
@@ -472,7 +554,8 @@ def test_zeta_below_the_budget_runs_the_scan_and_the_run(tmp_path,
     # the schedule scan's trials too, not only of the Newton run
     seen, scan = [], wacyl.cli.choose_schedule
     monkeypatch.setattr(wacyl.cli, "choose_schedule",
-                        lambda H, p: seen.append(p.zeta) or scan(H, p))
+                        lambda H, p, zeta: seen.append(zeta)
+                        or scan(H, p, zeta=zeta))
     code = run_cli(["--out", str(tmp_path)] + SMALL_SOLVE
                    + ["--set", "solve.zeta=0.1199", "solve"])
     assert code == EXIT_PASS
@@ -578,16 +661,23 @@ def test_t_max_below_its_bound_runs_to_the_checks(tmp_path, args):
      "comet.a2 = 1e+200 must be finite and > 0 with a^3 a normal float"),
     # 1 + t_max == 1 left DOP853 an empty span, refused without the key
     (["--set", "comet.t_max=1e-300", "simulate-comet", "--mc", "0"],
-     "comet.t_max = 1e-300 must be finite and positive (the run ends at "
-     "t1 = 1 + t_max, above 1 for t_max > 2^-53 = 1.1102230246251565e-16)"),
+     "comet.t_max = 1e-300 must be finite and positive, the run ending at "
+     "t1 = 1 + t_max with t1 - 1 >= 4.418687638008123e-14 (below, the 200 "
+     "uniform or 120 geometric sample times of [1, t1] repeat)"),
     (["--set", "comet.t_max=1.1102230246251565e-16", "simulate-comet"],
      "comet.t_max = 1.1102230246251565e-16 must be finite and positive"),
+    # accepted by the 1 + t_max > 1 rule, whose 200 uniform samples then
+    # repeated: DOP853 refused their t_eval without naming the key
+    (["--set", "comet.t_max=2.3e-16", "simulate-comet", "--mc", "0"],
+     "comet.t_max = 2.3e-16 must be finite and positive, the run ending at "
+     "t1 = 1 + t_max with t1 - 1 >= 4.418687638008123e-14"),
     (["--set", "comet.xi0x=nan", "simulate-comet"],
      "comet.xi0x = nan must be finite"),
     (["--set", "comet.xi0y=inf", "simulate-comet"],
      "comet.xi0y = inf must be finite"),
+    # C_bar is the constant celestial.C_BAR, no key
     (["--set", "comet.cbar=nan", "simulate-comet"],
-     "comet.cbar = nan must be finite and >= 0"),
+     "unknown key 'comet.cbar' (--set)"),
     (SMALL_SOLVE + ["--set", "solve.s=nan", "solve"],
      "solve.s = nan must be finite and >= 8"),
     (SMALL_SOLVE + ["--set", "solve.torus_points=7", "solve"],
@@ -627,6 +717,9 @@ def test_t_max_below_its_bound_runs_to_the_checks(tmp_path, args):
      "unknown key 'solve.typo' (--set); did you mean 'solve.eps'?"),
     (["simulate-comet", "--mc", "-1"],
      "comet.mc = -1.0 must be finite and >= 0"),
+    # --mc is the --set item comet.mc=abc, which CONFIG casts
+    (["simulate-comet", "--mc", "abc"],
+     "comet.mc = 'abc' is not a valid float"),
     (["--set", "comet.m0=0", "simulate-comet", "--mc", "0"],
      "comet.m0 = 0.0 must be finite and > 0"),
     (["--set", "comet.m0=nan", "simulate-comet"],
@@ -656,6 +749,7 @@ def test_t_max_below_its_bound_runs_to_the_checks(tmp_path, args):
         "he-t-max-overflow", "comet-a1-nan",
         "comet-a2-negative", "comet-a1", "comet-a2-overflow",
         "comet-t-max-no-span", "comet-t-max-half-ulp",
+        "comet-t-max-repeated-samples",
         "comet-xi0x-nan", "comet-xi0y-inf",
         "comet-cbar-nan", "solve-s-nan", "solve-torus-points-7",
         "he-torus-points-7", "solve-torus-points-2", "he-torus-points-2",
@@ -664,6 +758,7 @@ def test_t_max_below_its_bound_runs_to_the_checks(tmp_path, args):
         "norms-seed-negative", "solve-q-nan",
         "solve-zeta-negative", "solve-zeta-budget", "solve-upsilon-zero",
         "solve-epsilon0-negative", "unknown-key-set", "comet-mc-negative",
+        "comet-mc-not-a-float",
         "comet-m0-zero-conservative", "comet-m0-nan", "comet-m2-inf",
         "comet-eps-conservative", "solve-preset-unknown",
         "comet-tol-below-floor-conservative",
@@ -676,14 +771,34 @@ def test_bad_config_is_config_error(tmp_path, capsys, command, name):
     assert err.startswith("configuration error:") and name in err
 
 
+def distinct(times):
+    return bool(np.all(np.diff(times) > 0))
+
+
 def test_comet_bounds_sit_where_the_arithmetic_fails():
-    # comet.t_max is refused exactly where 1 + t_max rounds to 1, and
-    # comet.a1 and comet.a2 at the ends of their domain keep a^3 normal
+    # comet.t_max is refused exactly where the sample times of a comet
+    # run repeat, and comet.a1 and comet.a2 at the ends of their domain
+    # keep a^3 normal
     ok_t = CONFIG["comet.t_max"][2][0]
-    half_ulp = sys.float_info.epsilon / 2
-    assert 1.0 + half_ulp == 1.0 and not ok_t(half_ulp)
-    above = math.nextafter(half_ulp, 1.0)
-    assert 1.0 + above > 1.0 and ok_t(above)
+    eps = sys.float_info.epsilon
+    # n uniform or geometric times of [1, 1 + k eps] are distinct from
+    # k = n - 1 on
+    for n, space in ((TRAJECTORY_SAMPLES, np.linspace),
+                     (SURROGATE_SAMPLES, np.geomspace)):
+        assert distinct(space(1.0, 1.0 + (n - 1) * eps, n))
+        assert not distinct(space(1.0, 1.0 + (n - 2) * eps, n))
+    # the uniform samples need the more: 1 + t_max must round to
+    # 1 + 199 eps, which it does above 198.5 eps (the tie goes to the
+    # even 1 + 198 eps)
+    n = max(TRAJECTORY_SAMPLES, SURROGATE_SAMPLES)
+    assert n == TRAJECTORY_SAMPLES
+    tie = (n - 1.5) * eps
+    assert 1.0 + tie == 1.0 + (n - 2) * eps
+    bound = math.nextafter(tie, 1.0)
+    assert ok_t(bound) and distinct(np.linspace(1.0, 1.0 + bound, n))
+    assert not ok_t(tie) and not distinct(np.linspace(1.0, 1.0 + tie, n))
+    # 2^-53, where 1 + t_max rounds to 1, is refused as before
+    assert not ok_t(eps / 2) and not ok_t(math.nextafter(eps / 2, 1.0))
     lo, hi = wacyl.cli._A_MIN, math.nextafter(wacyl.cli._A_MAX, 0.0)
     for key in ("comet.a1", "comet.a2"):
         ok_a = CONFIG[key][2][0]
@@ -691,6 +806,15 @@ def test_comet_bounds_sit_where_the_arithmetic_fails():
         assert ok_a(hi) and not ok_a(wacyl.cli._A_MAX)
     # a float power that overflows raises OverflowError
     assert sys.float_info.min <= lo ** 3 and hi ** 3 < math.inf
+
+
+@pytest.mark.parametrize("mc", ["0", "1e-3"])
+def test_comet_t_max_at_its_bound_runs(tmp_path, mc):
+    # the smallest accepted span runs in both modes
+    bound = math.nextafter((TRAJECTORY_SAMPLES - 1.5) * sys.float_info.epsilon,
+                           1.0)
+    assert run_cli(["--out", str(tmp_path), "--set", f"comet.t_max={bound!r}",
+                    "simulate-comet", "--mc", mc]) == EXIT_PASS
 
 
 def test_zero_eps_is_the_zero_problem(tmp_path):
@@ -776,25 +900,27 @@ def test_unknown_key_names_its_source(tmp_path, capsys, monkeypatch,
     assert os.listdir(out) == []
 
 
-@pytest.mark.parametrize("sets, command, section, flags", [
+@pytest.mark.parametrize("sets, command, section, shorthand", [
     (["solve.torus_points=32", "solve.n_times=24", "solve.Q=2.0"],
      ["solve", "--preset", "manufactured-power"], "solve",
-     {"preset": "manufactured-power"}),
-    (["he.n_times=16", "he.torus_points=32"], ["homological"], "he", {}),
+     ["solve.preset=manufactured-power"]),
+    (["he.n_times=16", "he.torus_points=32"], ["homological"], "he", []),
     (["comet.t_max=2"], ["simulate-comet", "--mc", "0"], "comet",
-     {"mc": 0.0}),
+     ["comet.mc=0"]),
     (["comet.t_max=2"], ["simulate-comet", "--mc", "1e-3"], "comet",
-     {"mc": 1e-3}),
-    (["norms.trials=1"], ["verify-norms"], "norms", {}),
+     ["comet.mc=1e-3"]),
+    (["norms.trials=1"], ["verify-norms"], "norms", []),
 ], ids=["solve", "homological", "comet-conservative", "comet-surrogate",
         "verify-norms"])
 def test_manifest_records_the_resolved_config(tmp_path, sets, command,
-                                              section, flags):
+                                              section, shorthand):
     overrides = [arg for item in sets for arg in ("--set", item)]
     code = run_cli(["--out", str(tmp_path)] + overrides + command)
     config = json.loads((tmp_path / "manifest.json").read_text())["config"]
-    # every key of the section, the given ones and the defaults
-    assert config == read_section(load_config(None, sets), section, **flags)
+    # every key of the section, the given ones and the defaults; --preset
+    # and --mc are --set items after the others
+    assert config == read_section(load_config(None, sets + shorthand),
+                                  section)
     assert set(config) == {key.split(".")[1] for key in CONFIG
                            if key.startswith(section + ".")}
     for item in sets:

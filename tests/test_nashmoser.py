@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 import calibration
-from calibration import hypotheses_report
+from calibration import hypotheses_report, x_norm
 from oracles import GridFnInterpolant, conjugacy_check, lagrangian_check
 from wacyl import nashmoser, norms
 from wacyl.flow import NormBudgetError
-from wacyl.functional import (C_GEOM, SPEC_S, UPSILON, DomainError,
-                              eval_F, right_inverse, v_norm, x_norm)
+from wacyl.functional import (C_GEOM, SPEC_S, UPSILON, ZETA, DomainError,
+                              eval_F, right_inverse, v_norm)
 from wacyl.grids import GridFn
 from wacyl.nashmoser import (ZehnderParams, choose_schedule,
                              comet_decay_synthetic, iterate,
@@ -168,7 +168,7 @@ class TestManufacturedRuns:
         prof = [h * t for t, h in zip(sol.gamma.times.points,
                                       holder_norm(sol.gamma, 1))]
         # eps + C Upsilon zeta, eps = 0.01 the data size this test allows
-        bound = 0.01 + C_GEOM * UPSILON * p.zeta
+        bound = 0.01 + C_GEOM * UPSILON * ZETA
         assert all(v <= bound for v in prof)
 
     def test_manifest_contents(self, power_run):
